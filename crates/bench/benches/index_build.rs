@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse_core::schemes::log_brc_urc::LogScheme;
-use rsse_core::schemes::{AnyScheme, CoverKind, SchemeKind};
+use rsse_core::schemes::{AnyScheme, SchemeKind};
+use rsse_core::{RangeScheme, StorageConfig};
 use rsse_workload::{gowalla_like, usps_like};
 use std::time::Duration;
 
@@ -101,7 +102,12 @@ fn bench_index_build_sharded(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let mut build_rng = ChaCha20Rng::seed_from_u64(7);
-                    LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut build_rng)
+                    LogScheme::build_stored(
+                        &dataset,
+                        &StorageConfig::in_memory(bits),
+                        &mut build_rng,
+                    )
+                    .expect("in-memory build cannot fail")
                 });
             },
         );

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse_core::schemes::log_brc_urc::LogScheme;
-use rsse_core::schemes::{AnyScheme, CoverKind, SchemeKind};
+use rsse_core::schemes::{AnyScheme, SchemeKind};
+use rsse_core::{RangeScheme, StorageConfig};
 use rsse_cover::Range;
 use rsse_workload::{gowalla_like, usps_like};
 use std::time::Duration;
@@ -103,14 +104,13 @@ fn bench_search_100k(c: &mut Criterion) {
 /// dataset at `k ∈ {0, 4, 8}` shard bits, plus the multi-client batched
 /// path (see BENCH_pr2.json).
 ///
-/// * `search_sharded/.../k{bits}` — one 1% range query, classic per-token
-///   path, against a `2^bits`-way sharded dictionary.
+/// * `search_sharded/.../k{bits}` — one 1% range query
+///   (`RangeScheme::query`) against a `2^bits`-way sharded dictionary.
 /// * `search_batched/sequential/k0` — 32 concurrent client queries answered
-///   one token at a time against the unsharded index: the PR 1 baseline.
+///   one after another against the unsharded index.
 /// * `search_batched/batched/k{bits}` — the same 32 queries through
-///   `QueryServer::answer_many`: one lockstep pass per query with shared
-///   label-PRF scratch, shard-grouped probes, and scratch-buffer
-///   decryption.
+///   `QueryServer::answer_many`: the same per-query scan, fanned out
+///   across threads.
 fn bench_search_sharded(c: &mut Criterion) {
     let single_ids = SHARD_BITS
         .iter()
@@ -130,12 +130,13 @@ fn bench_search_sharded(c: &mut Criterion) {
         .map(|&bits| {
             let mut build_rng = ChaCha20Rng::seed_from_u64(7);
             let (client, server) =
-                LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut build_rng);
+                LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut build_rng)
+                    .expect("in-memory build cannot fail");
             (bits, client, server)
         })
         .collect();
 
-    // Single-query, per-token path at each sharding level.
+    // Single query (`RangeScheme::query`) at each sharding level.
     let len = domain_size / 100;
     let lo = domain_size / 3;
     let query = Range::new(lo, lo + len - 1);
@@ -147,12 +148,7 @@ fn bench_search_sharded(c: &mut Criterion) {
     for (bits, client, server) in &builds {
         group.bench_function(
             BenchmarkId::new("Logarithmic-BRC", format!("k{bits}")),
-            |b| {
-                b.iter(|| {
-                    use rsse_core::RangeScheme;
-                    client.query(server, query)
-                })
-            },
+            |b| b.iter(|| client.query(server, query)),
         );
     }
     group.finish();
@@ -172,12 +168,11 @@ fn bench_search_sharded(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
     {
-        // Baseline: the k=0 build queried one token at a time, query after
-        // query — what a PR 1 server did for 32 concurrent clients.
+        // Baseline: the k=0 build queried one query after another on one
+        // thread.
         let (_, client, server) = &builds[0];
         group.bench_function(BenchmarkId::new("sequential", "k0"), |b| {
             b.iter(|| {
-                use rsse_core::RangeScheme;
                 ranges
                     .iter()
                     .map(|&range| client.query(server, range))
@@ -189,8 +184,14 @@ fn bench_search_sharded(c: &mut Criterion) {
         let query_server = server.clone().into_query_server();
         group.bench_function(BenchmarkId::new("batched", format!("k{bits}")), |b| {
             b.iter(|| {
-                client
-                    .query_many(&query_server, &ranges)
+                let queries: Vec<_> = ranges
+                    .iter()
+                    .map(|&range| client.trapdoor(range).expect("in-domain range"))
+                    .collect();
+                query_server
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
                     .expect("in-memory server cannot fail")
             })
         });
@@ -227,7 +228,8 @@ fn bench_search_persistent(c: &mut Criterion) {
 
     let mut mem_rng = ChaCha20Rng::seed_from_u64(7);
     let (_, mem_server) =
-        LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut mem_rng);
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut mem_rng)
+            .expect("in-memory build cannot fail");
     let mem_qs = mem_server.into_query_server();
 
     let mut disk_rng = ChaCha20Rng::seed_from_u64(7);
@@ -259,11 +261,27 @@ fn bench_search_persistent(c: &mut Criterion) {
     let file_qs = QueryServer::open_dir(&dir).expect("open saved index");
     group.bench_function(
         BenchmarkId::new("answer_many/file", format!("k{bits}")),
-        |b| b.iter(|| file_qs.answer_many_strict(&queries).expect("healthy disk")),
+        |b| {
+            b.iter(|| {
+                file_qs
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("healthy disk")
+            })
+        },
     );
     group.bench_function(
         BenchmarkId::new("answer_many/memory", format!("k{bits}")),
-        |b| b.iter(|| mem_qs.answer_many_strict(&queries).expect("in-memory")),
+        |b| {
+            b.iter(|| {
+                mem_qs
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("in-memory")
+            })
+        },
     );
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
@@ -331,7 +349,12 @@ fn bench_search_persistent_budget(c: &mut Criterion) {
     for (label, budget) in labels.iter().zip(budgets) {
         let qs = QueryServer::open_dir_with_budget(&dir, budget).expect("open saved index");
         group.bench_function(BenchmarkId::new("answer_many", *label), |b| {
-            b.iter(|| qs.answer_many_strict(&queries).expect("healthy disk"))
+            b.iter(|| {
+                qs.answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("healthy disk")
+            })
         });
         let stats = qs.index().cache_stats();
         println!(

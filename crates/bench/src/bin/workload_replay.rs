@@ -32,7 +32,6 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse_core::schemes::log_brc_urc::LogScheme;
-use rsse_core::schemes::CoverKind;
 use rsse_core::{QueryServer, RangeScheme, StorageConfig};
 use rsse_cover::{Domain, Range};
 use rsse_serve::BatchConfig;
@@ -471,7 +470,8 @@ fn main() {
     );
     let mut build_rng = ChaCha20Rng::seed_from_u64(opts.seed);
     let (mem_client, mem_server) =
-        LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut build_rng);
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut build_rng)
+            .expect("in-memory build cannot fail");
     let mem_resilient =
         ResilientServer::new(mem_server.into_query_server(), serve_config(opts.seed));
     let mem_trapdoor = |range: Range| mem_client.trapdoor(range);

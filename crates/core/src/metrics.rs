@@ -52,6 +52,19 @@ pub struct QueryStats {
     pub result_groups: usize,
 }
 
+impl QueryStats {
+    /// Folds in the cost of a sub-query issued concurrently with the ones
+    /// already counted (e.g. one per instance of an update manager): token,
+    /// entry and group counts add up, rounds take the maximum.
+    pub fn absorb(&mut self, other: &QueryStats) {
+        self.tokens_sent += other.tokens_sent;
+        self.token_bytes += other.token_bytes;
+        self.rounds = self.rounds.max(other.rounds);
+        self.entries_touched += other.entries_touched;
+        self.result_groups += other.result_groups;
+    }
+}
+
 /// Comparison of a query outcome against the plaintext ground truth.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Evaluation {
@@ -122,6 +135,34 @@ mod tests {
             }
         );
         assert!(a.storage_mib() > 0.0);
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_maxes_rounds() {
+        let mut total = QueryStats {
+            tokens_sent: 2,
+            token_bytes: 128,
+            rounds: 1,
+            entries_touched: 5,
+            result_groups: 2,
+        };
+        total.absorb(&QueryStats {
+            tokens_sent: 1,
+            token_bytes: 64,
+            rounds: 2,
+            entries_touched: 7,
+            result_groups: 1,
+        });
+        assert_eq!(
+            total,
+            QueryStats {
+                tokens_sent: 3,
+                token_bytes: 192,
+                rounds: 2,
+                entries_touched: 12,
+                result_groups: 3,
+            }
+        );
     }
 
     #[test]

@@ -133,47 +133,11 @@ pub struct AnyScheme {
 }
 
 impl AnyScheme {
-    /// Builds the given scheme kind over a dataset.
+    /// Builds the given scheme kind over a dataset on the unsharded
+    /// in-memory configuration.
     pub fn build<R: RngCore + CryptoRng>(kind: SchemeKind, dataset: &Dataset, rng: &mut R) -> Self {
-        let inner = match kind {
-            SchemeKind::Quadratic => {
-                let (c, s) = QuadraticScheme::build(dataset, rng);
-                Inner::Quadratic(c, s)
-            }
-            SchemeKind::ConstantBrc => {
-                let (c, s) = ConstantScheme::build_with(dataset, CoverKind::Brc, rng);
-                Inner::Constant(c, s)
-            }
-            SchemeKind::ConstantUrc => {
-                let (c, s) = ConstantScheme::build_with(dataset, CoverKind::Urc, rng);
-                Inner::Constant(c, s)
-            }
-            SchemeKind::LogarithmicBrc => {
-                let (c, s) = LogScheme::build_with(dataset, CoverKind::Brc, rng);
-                Inner::Logarithmic(c, s)
-            }
-            SchemeKind::LogarithmicUrc => {
-                let (c, s) = LogScheme::build_with(dataset, CoverKind::Urc, rng);
-                Inner::Logarithmic(c, s)
-            }
-            SchemeKind::LogarithmicSrc => {
-                let (c, s) = LogSrcScheme::build(dataset, rng);
-                Inner::LogSrc(c, s)
-            }
-            SchemeKind::LogarithmicSrcI => {
-                let (c, s) = LogSrcIScheme::build(dataset, rng);
-                Inner::LogSrcI(c, s)
-            }
-            SchemeKind::Pb => {
-                let (c, s) = PbScheme::build(dataset, rng);
-                Inner::Pb(c, s)
-            }
-            SchemeKind::PlainSse => {
-                let (c, s) = PlainSseScheme::build(dataset, rng);
-                Inner::PlainSse(c, s)
-            }
-        };
-        Self { kind, inner }
+        Self::build_stored(kind, dataset, &StorageConfig::in_memory(0), rng)
+            .expect("in-memory build cannot fail")
     }
 
     /// Builds the given scheme kind over a dataset with an explicit

@@ -1,17 +1,17 @@
 //! Helpers shared by the scheme implementations.
 
-use crate::dataset::{decode_id_payload, DocId};
+use crate::dataset::DocId;
+use crate::server::{scan_query_into_with, ScanScratch};
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    EncryptedIndex, IndexLookup, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig,
-    StorageError,
+    IndexLookup, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError,
 };
 
-/// Token counts at or above this run the per-token searches on all cores.
-/// Below it (the Logarithmic schemes' `O(log R)` token vectors) threading
-/// overhead would exceed the scan work.
+/// Token counts at or above this are scanned in per-worker chunks on all
+/// cores. Below it (the Logarithmic schemes' `O(log R)` token vectors)
+/// threading overhead would exceed the scan work.
 const PARALLEL_SEARCH_TOKENS: usize = 64;
 
 /// Which exact range-covering technique a BRC/URC-based scheme uses for its
@@ -50,17 +50,21 @@ pub fn clamp_query(domain: &Domain, range: Range) -> Option<Range> {
     domain.clamp(range)
 }
 
-/// Runs an SSE search for each token and decodes the id payloads, returning
-/// the flattened ids together with the per-token group sizes (the result
-/// partitioning the server observes). The first storage failure aborts the
-/// whole query with its typed error — a failed block read is an error, not
-/// an empty group.
+/// Runs the lock-step scan ([`scan_query_into_with`]) over a token vector
+/// and flattens its per-token id groups, returning the ids together with
+/// the per-token group sizes (the result partitioning the server observes;
+/// sizes count matched entries, decodable or not — e.g. padding dummies).
+/// The first storage failure aborts the whole query with its typed error —
+/// a failed block read is an error, not an empty group.
 ///
 /// Generic over the dictionary layout ([`EncryptedIndex`] or
 /// [`ShardedIndex`]). Large token vectors — the Constant schemes expand a
-/// trapdoor into one token per domain value of the range — are searched in
+/// trapdoor into one token per domain value of the range — are split into
+/// one contiguous chunk per worker thread and the chunks scanned in
 /// parallel; results are merged in token order either way, so the outcome
 /// is deterministic.
+///
+/// [`EncryptedIndex`]: rsse_sse::EncryptedIndex
 pub fn try_search_ids<I>(
     index: &I,
     tokens: &[SearchToken],
@@ -69,24 +73,29 @@ where
     I: IndexLookup + Sync,
     I::Error: Send,
 {
-    type TokenResult<E> = Vec<Result<(Vec<DocId>, usize), E>>;
-    let per_token: TokenResult<I::Error> = if tokens.len() >= PARALLEL_SEARCH_TOKENS {
-        tokens
-            .par_iter()
-            .map(|token| search_one(index, token))
-            .collect()
+    let chunk_len = if tokens.len() >= PARALLEL_SEARCH_TOKENS {
+        tokens.len().div_ceil(rayon::current_num_threads())
     } else {
-        tokens
-            .iter()
-            .map(|token| search_one(index, token))
-            .collect()
+        tokens.len()
     };
+    type ChunkResult<E> = Result<(Vec<Vec<DocId>>, Vec<usize>), E>;
+    let scanned: Vec<ChunkResult<I::Error>> = tokens
+        .chunks(chunk_len.max(1))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|chunk| {
+            let mut per_token = Vec::new();
+            let mut scratch = ScanScratch::default();
+            let counts = scan_query_into_with(index, chunk, &mut per_token, &mut scratch)?;
+            Ok((per_token, counts))
+        })
+        .collect();
     let mut ids = Vec::new();
     let mut groups = Vec::with_capacity(tokens.len());
-    for result in per_token {
-        let (token_ids, matched) = result?;
-        groups.push(matched);
-        ids.extend(token_ids);
+    for chunk in scanned {
+        let (per_token, counts) = chunk?;
+        ids.extend(per_token.into_iter().flatten());
+        groups.extend(counts);
     }
     Ok((ids, groups))
 }
@@ -102,91 +111,25 @@ where
     try_search_ids(index, tokens).expect("storage backend failed during search")
 }
 
-/// One token's scan: decoded ids plus the raw match count (group sizes
-/// count matched entries, decodable or not — e.g. padding dummies).
-fn search_one<I: IndexLookup>(
-    index: &I,
-    token: &SearchToken,
-) -> Result<(Vec<DocId>, usize), I::Error> {
-    let payloads = SseScheme::search(index, token)?;
-    let matched = payloads.len();
-    let ids = payloads
-        .iter()
-        .filter_map(|payload| decode_id_payload(payload))
-        .collect();
-    Ok((ids, matched))
-}
-
 /// Builds an encrypted index from flat `(keyword, payload)` entries with
 /// fixed-size keywords and payloads — the BuildIndex fast path shared by
-/// the replication-based schemes.
+/// the replication-based schemes — on the layout and backend `config`
+/// selects.
 ///
 /// Semantically equivalent to filling an [`rsse_sse::SseDatabase`], calling
-/// `shuffle_lists`, and running `SseScheme::build_index`, but without the
-/// byte-keyed `BTreeMap` and the two heap allocations per entry: entries
-/// are grouped by one cache-friendly sort of flat arrays, each group is
-/// shuffled with the same `(shuffle_key, keyword)`-keyed permutation, and
-/// the fixed-stride SSE build encrypts straight out of the payload arrays.
-pub fn grouped_fixed_index<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    rng: &mut R,
-) -> EncryptedIndex {
-    SseScheme::build_index_fixed(key, &grouped_lists(shuffle_key, entries), rng)
-}
-
-/// Sharded variant of [`grouped_fixed_index`]: identical grouping, keyed
-/// shuffle and per-keyword encryption (and identical RNG consumption, so
-/// ciphertexts match byte-for-byte across `shard_bits` values), with the
-/// entries distributed over `2^shard_bits` in-memory label-prefix shards
-/// assembled in parallel.
-pub fn grouped_fixed_index_sharded<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    shard_bits: u32,
-    rng: &mut R,
-) -> ShardedIndex {
-    grouped_fixed_index_stored(
-        key,
-        shuffle_key,
-        entries,
-        &StorageConfig::in_memory(shard_bits),
-        rng,
-    )
-    .expect("in-memory build cannot fail")
-}
-
-/// Storage-dispatching variant of [`grouped_fixed_index_sharded`]:
-/// identical grouping, keyed shuffle, per-keyword encryption and RNG
-/// consumption, with the shards assembled in memory or streamed straight to
-/// their serialized files as the [`StorageConfig`] backend selects.
+/// `shuffle_lists`, and running `SseScheme::build_index_stored`, but
+/// without the byte-keyed `BTreeMap` and the two heap allocations per
+/// entry: entries are grouped by one cache-friendly sort of flat arrays,
+/// each group is shuffled with the same `(shuffle_key, keyword)`-keyed
+/// permutation, and the fixed-stride SSE build encrypts straight out of
+/// the payload arrays.
 ///
-/// When the configuration carries a [`BuildBudget`](rsse_sse::BuildBudget),
-/// the sort-and-group runs through the external-memory spill/merge pipeline
-/// instead of in RAM — byte-identical output, peak RSS bounded by the
-/// budget rather than `entries.len()`.
+/// `entries` is consumed as an iterator. When the configuration carries a
+/// [`BuildBudget`](rsse_sse::BuildBudget) it streams into the
+/// external-memory spill/merge pipeline without ever being collected —
+/// byte-identical output, peak RSS bounded by the budget rather than the
+/// entry count; otherwise it is collected and grouped in RAM.
 pub fn grouped_fixed_index_stored<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    config: &StorageConfig,
-    rng: &mut R,
-) -> Result<ShardedIndex, StorageError> {
-    if config.build_budget.is_some() {
-        return rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng);
-    }
-    SseScheme::build_index_fixed_stored(key, &grouped_lists(shuffle_key, entries), config, rng)
-}
-
-/// Streaming variant of [`grouped_fixed_index_stored`] for budgeted
-/// builds: takes the `(keyword, payload)` entries as an iterator, so the
-/// caller never materializes the transformed corpus at all (the Log/SRC
-/// schemes generate entries on the fly from records × covering nodes).
-/// Falls back to collecting into the in-RAM grouped build when the
-/// configuration carries no budget.
-pub fn grouped_fixed_index_external<const K: usize, const P: usize, R: RngCore + CryptoRng>(
     key: &SseKey,
     shuffle_key: &rsse_crypto::Key,
     entries: impl IntoIterator<Item = ([u8; K], [u8; P])>,
@@ -196,10 +139,11 @@ pub fn grouped_fixed_index_external<const K: usize, const P: usize, R: RngCore +
     if config.build_budget.is_some() {
         return rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng);
     }
-    grouped_fixed_index_stored(key, shuffle_key, entries.into_iter().collect(), config, rng)
+    let lists = grouped_lists(shuffle_key, entries.into_iter().collect());
+    SseScheme::build_index_fixed_stored(key, &lists, config, rng)
 }
 
-/// The grouping core shared by the two builds above: sort flat entries by
+/// The in-RAM grouping core: sort flat entries by
 /// (keyword, payload) — groups become contiguous and the total order keeps
 /// the build deterministic — then apply the `(shuffle_key, keyword)`-keyed
 /// permutation that sets each list's final storage order, exactly as
@@ -255,8 +199,11 @@ pub fn decode_value_span(payload: &[u8]) -> Option<(u64, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::testutil::{self, TempDir};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
+    use rsse_sse::pibas::reference;
     use rsse_sse::SseDatabase;
 
     #[test]
@@ -304,5 +251,51 @@ mod tests {
         let (ids, groups) = search_ids(&index, &tokens);
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(groups, vec![2, 1, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The one scan against the reference oracle: for random multimaps
+        /// and random token vectors — duplicates, tokens with no entries,
+        /// the empty vector, and vectors past `PARALLEL_SEARCH_TOKENS` so
+        /// the chunk-parallel merge runs — ids, per-token group order and
+        /// per-token counts equal the single-token walk over the per-entry
+        /// reference dictionary, on every index layout and residency.
+        #[test]
+        fn scan_matches_the_reference_oracle_on_every_layout(
+            sizes in proptest::collection::vec(0usize..7, 1..12),
+            picks in proptest::collection::vec(0usize..16, 0..160),
+            seed in any::<u64>())
+        {
+            let (key, db, keyword_tokens) = testutil::oracle_database(&sizes);
+            // Picks past the keyword list are tokens with no entries.
+            let tokens: Vec<SearchToken> = picks
+                .iter()
+                .map(|&pick| match keyword_tokens.get(pick) {
+                    Some(token) => token.clone(),
+                    None => SseScheme::trapdoor(&key, format!("absent{pick}").as_bytes()),
+                })
+                .collect();
+            let build_rng = || ChaCha20Rng::seed_from_u64(seed);
+            let oracle = reference::build_index(&key, &db, &mut build_rng());
+            let expected = testutil::oracle_search_ids(&oracle, &tokens);
+
+            let flat = SseScheme::build_index(&key, &db, &mut build_rng());
+            prop_assert_eq!(&try_search_ids(&flat, &tokens).unwrap(), &expected);
+            for bits in [0u32, 4] {
+                let config = StorageConfig::in_memory(bits);
+                let sharded =
+                    SseScheme::build_index_stored(&key, &db, &config, &mut build_rng()).unwrap();
+                prop_assert_eq!(&try_search_ids(&sharded, &tokens).unwrap(), &expected);
+            }
+            // A budgeted FileShard index: one 64-byte cache budget, so
+            // nearly every probe pages its block in and evicts another.
+            let dir = TempDir::new("scan-oracle");
+            let config = StorageConfig::on_disk(4, dir.path());
+            SseScheme::build_index_stored(&key, &db, &config, &mut build_rng()).unwrap();
+            let paged = ShardedIndex::open_dir_with_budget(dir.path(), Some(64)).unwrap();
+            prop_assert_eq!(&try_search_ids(&paged, &tokens).unwrap(), &expected);
+        }
     }
 }

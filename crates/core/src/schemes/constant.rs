@@ -64,7 +64,7 @@ pub struct ConstantScheme {
 }
 
 /// Server-side state: the `O(n)`-entry encrypted index (sharded by label
-/// prefix when built through a `*_sharded` constructor) plus the (public)
+/// prefix per the build's `StorageConfig::shard_bits`) plus the (public)
 /// depth of the GGM tree, which the server needs to expand tokens.
 #[derive(Clone, Debug)]
 pub struct ConstantServer {
@@ -160,25 +160,14 @@ impl ConstantTrapdoor {
 }
 
 impl ConstantScheme {
-    /// Builds the scheme with an explicit covering technique and an
-    /// unsharded (single-arena) dictionary.
+    /// Builds the scheme with an explicit covering technique on the
+    /// unsharded in-memory configuration.
     pub fn build_with<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         kind: CoverKind,
         rng: &mut R,
     ) -> (Self, ConstantServer) {
-        Self::build_sharded_with(dataset, kind, 0, rng)
-    }
-
-    /// Builds the scheme with an explicit covering technique and the
-    /// dictionary split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_sharded_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, ConstantServer) {
-        Self::build_stored_with(dataset, kind, &StorageConfig::in_memory(shard_bits), rng)
+        Self::build_stored_with(dataset, kind, &StorageConfig::in_memory(0), rng)
             .expect("in-memory build cannot fail")
     }
 
@@ -338,13 +327,6 @@ impl ConstantScheme {
         })
     }
 
-    /// Infallible wrapper over [`try_search`](Self::try_search); panics if
-    /// the storage backend fails (in-memory dictionaries cannot).
-    pub fn search(server: &ConstantServer, trapdoor: &ConstantTrapdoor) -> QueryOutcome {
-        Self::try_search(server, trapdoor)
-            .expect("storage backend failed during search (use try_search to handle I/O errors)")
-    }
-
     /// Queries with the application-level non-intersection guard the paper
     /// describes: the client keeps the history of issued ranges and refuses
     /// to issue a query that overlaps any of them. (Distinct from the
@@ -380,18 +362,6 @@ impl ConstantScheme {
 impl RangeScheme for ConstantScheme {
     type Server = ConstantServer;
     const NAME: &'static str = "Constant-BRC/URC";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, CoverKind::Brc, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_sharded_with(dataset, CoverKind::Brc, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,

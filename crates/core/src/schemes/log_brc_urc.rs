@@ -10,12 +10,9 @@
 //! into one group per covering node*.
 
 use crate::dataset::Dataset;
-use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{
-    clamp_query, grouped_fixed_index_external, grouped_fixed_index_stored, search_ids,
-    try_search_ids, CoverKind,
-};
-use crate::server::QueryServer;
+use crate::metrics::IndexStats;
+use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, search_ids, CoverKind};
+use crate::server::{assemble_outcome, scan_query_into_with, QueryServer, ScanScratch};
 use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
@@ -36,8 +33,8 @@ pub struct LogScheme {
 }
 
 /// Server-side state: one encrypted multimap with `O(n log m)` entries,
-/// split into `2^k` label-prefix shards (`k = 0`, a single arena, unless
-/// built through a `*_sharded` constructor).
+/// split into `2^k` label-prefix shards (`k` is the build's
+/// `StorageConfig::shard_bits`; `k = 0` is a single arena).
 #[derive(Clone, Debug)]
 pub struct LogServer {
     index: ShardedIndex,
@@ -117,28 +114,17 @@ impl LogScheme {
             let target = padding::logarithmic_padding_target(dataset.len(), domain.size(), false);
             padding::pad_to(&mut db, target, 8);
             SseScheme::build_index_stored(&key, &db, config, rng)?
-        } else if config.build_budget.is_some() {
-            // Budgeted build: stream the (node keyword, id) entries into
-            // the external spill/merge pipeline without ever collecting
-            // them — RAM stays bounded by the budget, output stays
-            // byte-identical to the collected path below.
+        } else {
+            // Unpadded fast path: flat (node keyword, id) entries, streamed
+            // into the grouped build — grouped by one sort in RAM, or,
+            // under a build budget, spilled and merged without ever being
+            // collected (byte-identical output either way).
             let entries = dataset.records().iter().flat_map(|record| {
                 let payload = record.id_payload_array();
                 Node::path_to_root(&domain, record.value)
                     .into_iter()
                     .map(move |node| (node.keyword(), payload))
             });
-            grouped_fixed_index_external(&key, &shuffle_key, entries, config, rng)?
-        } else {
-            // Unpadded fast path: flat (node keyword, id) entries, grouped
-            // by one sort — no per-entry allocations before encryption.
-            let mut entries = Vec::with_capacity(dataset.len() * (domain.bits() as usize + 1));
-            for record in dataset.records() {
-                let payload = record.id_payload_array();
-                for node in Node::path_to_root(&domain, record.value) {
-                    entries.push((node.keyword(), payload));
-                }
-            }
             grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((
@@ -152,82 +138,15 @@ impl LogScheme {
         ))
     }
 
-    /// Builds the scheme with an explicit covering technique, optional
-    /// padding of the multimap to `n · (⌈log m⌉ + 1)` entries, and the
-    /// dictionary split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_full_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        pad: bool,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_stored(
-            dataset,
-            kind,
-            pad,
-            &StorageConfig::in_memory(shard_bits),
-            rng,
-        )
-        .expect("in-memory build cannot fail")
-    }
-
-    /// Builds the scheme with an explicit covering technique and optional
-    /// padding, with an unsharded (single-arena) dictionary.
-    pub fn build_full<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        pad: bool,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_sharded(dataset, kind, pad, 0, rng)
-    }
-
-    /// Builds the scheme with the given covering technique (no padding).
+    /// Builds the scheme with the given covering technique on the
+    /// unsharded in-memory configuration (no padding).
     pub fn build_with<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         kind: CoverKind,
         rng: &mut R,
     ) -> (Self, LogServer) {
-        Self::build_full(dataset, kind, false, rng)
-    }
-
-    /// Builds the scheme with the given covering technique and a
-    /// `2^shard_bits`-way sharded dictionary (no padding).
-    pub fn build_sharded_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_sharded(dataset, kind, false, shard_bits, rng)
-    }
-
-    /// Issues many range queries against a [`QueryServer`] over this
-    /// scheme's dictionary, one batched server pass per query, returning
-    /// outcomes in query order (out-of-domain queries come back empty).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's typed [`StorageError`] if a disk-backed
-    /// index failed to resolve a probe mid-batch (see
-    /// [`QueryServer::answer_many`]).
-    pub fn query_many(
-        &self,
-        server: &QueryServer,
-        ranges: &[Range],
-    ) -> Result<Vec<QueryOutcome>, StorageError> {
-        let token_vectors: Vec<Option<Vec<SearchToken>>> =
-            ranges.iter().map(|&range| self.trapdoor(range)).collect();
-        let present: Vec<Vec<SearchToken>> = token_vectors.iter().flatten().cloned().collect();
-        let mut answered = server.answer_many_strict(&present)?.into_iter();
-        Ok(token_vectors
-            .into_iter()
-            .map(|tokens| match tokens {
-                Some(_) => answered.next().expect("one answer per present query"),
-                None => QueryOutcome::default(),
-            })
-            .collect())
+        Self::build_full_stored(dataset, kind, false, &StorageConfig::in_memory(0), rng)
+            .expect("in-memory build cannot fail")
     }
 
     /// The covering technique this client uses.
@@ -252,33 +171,18 @@ impl LogScheme {
         Some(tokens)
     }
 
-    /// `Search`: one SSE search per token; the union of the groups is the
-    /// result. A failed block read on a disk-backed dictionary aborts the
-    /// query with a typed [`StorageError`] instead of silently dropping
-    /// the affected group.
+    /// `Search`: the whole token vector in one lock-step scan; the union of
+    /// the per-token groups is the result. A failed block read on a
+    /// disk-backed dictionary aborts the query with a typed
+    /// [`StorageError`] instead of silently dropping the affected group.
     pub fn try_search(
         server: &LogServer,
         tokens: &[SearchToken],
     ) -> Result<QueryOutcome, StorageError> {
-        let (ids, groups) = try_search_ids(&server.index, tokens)?;
-        let touched = groups.iter().sum();
-        Ok(QueryOutcome {
-            ids,
-            stats: QueryStats {
-                tokens_sent: tokens.len(),
-                token_bytes: tokens.len() * SearchToken::SIZE_BYTES,
-                rounds: 1,
-                entries_touched: touched,
-                result_groups: tokens.len(),
-            },
-        })
-    }
-
-    /// Infallible wrapper over [`try_search`](Self::try_search); panics if
-    /// the storage backend fails (in-memory dictionaries cannot).
-    pub fn search(server: &LogServer, tokens: &[SearchToken]) -> QueryOutcome {
-        Self::try_search(server, tokens)
-            .expect("storage backend failed during search (use try_search to handle I/O errors)")
+        let mut per_token = Vec::new();
+        let mut scratch = ScanScratch::default();
+        let counts = scan_query_into_with(&server.index, tokens, &mut per_token, &mut scratch)?;
+        Ok(assemble_outcome(tokens, per_token, &counts))
     }
 
     /// The per-token result-group sizes of a query — the "result
@@ -298,18 +202,6 @@ impl LogScheme {
 impl RangeScheme for LogScheme {
     type Server = LogServer;
     const NAME: &'static str = "Logarithmic-BRC/URC";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, CoverKind::Brc, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_sharded_with(dataset, CoverKind::Brc, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
@@ -467,7 +359,10 @@ mod tests {
     fn padded_build_hides_dataset_size_detail_and_still_answers() {
         let mut rng = ChaCha20Rng::seed_from_u64(3);
         let dataset = testutil::skewed_dataset();
-        let (client, server) = LogScheme::build_full(&dataset, CoverKind::Brc, true, &mut rng);
+        let config = StorageConfig::in_memory(0);
+        let (client, server) =
+            LogScheme::build_full_stored(&dataset, CoverKind::Brc, true, &config, &mut rng)
+                .unwrap();
         assert_eq!(
             LogScheme::index_stats(&server).entries,
             dataset.len() * (dataset.domain().bits() as usize + 1)

@@ -12,9 +12,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{
-    clamp_query, grouped_fixed_index_external, grouped_fixed_index_stored, try_search_ids,
-};
+use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, try_search_ids};
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Range, Tdag};
@@ -32,7 +30,7 @@ pub struct LogSrcScheme {
 }
 
 /// Server-side state: one encrypted multimap with `O(n log m)` entries
-/// (sharded by label prefix when built through a `*_sharded` constructor).
+/// (sharded by label prefix per the build's `StorageConfig::shard_bits`).
 #[derive(Clone, Debug)]
 pub struct LogSrcServer {
     index: ShardedIndex,
@@ -69,30 +67,9 @@ impl rsse_sse::FaultInjectable for LogSrcServer {
 
 impl LogSrcScheme {
     /// Builds the scheme, optionally padding the multimap to
-    /// `n · (2⌈log m⌉ + 1)` entries.
-    pub fn build_full<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        pad: bool,
-        rng: &mut R,
-    ) -> (Self, LogSrcServer) {
-        Self::build_full_sharded(dataset, pad, 0, rng)
-    }
-
-    /// Sharded variant of [`build_full`](Self::build_full): the dictionary
-    /// is split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_full_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        pad: bool,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogSrcServer) {
-        Self::build_full_stored(dataset, pad, &StorageConfig::in_memory(shard_bits), rng)
-            .expect("in-memory build cannot fail")
-    }
-
-    /// Storage-dispatching variant of [`build_full`](Self::build_full): the
-    /// dictionary lives on the backend `config` selects (in-memory arenas
-    /// or shard files streamed to disk during BuildIndex).
+    /// `n · (2⌈log m⌉ + 1)` entries; the dictionary lives on the backend
+    /// `config` selects (in-memory arenas or shard files streamed to disk
+    /// during BuildIndex).
     pub fn build_full_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         pad: bool,
@@ -116,27 +93,17 @@ impl LogSrcScheme {
             let target = padding::logarithmic_padding_target(dataset.len(), domain.size(), true);
             padding::pad_to(&mut db, target, 8);
             SseScheme::build_index_stored(&key, &db, config, rng)?
-        } else if config.build_budget.is_some() {
-            // Budgeted build: stream (TDAG keyword, id) entries straight
-            // into the external spill/merge pipeline — nothing
-            // corpus-sized is ever collected, output is byte-identical.
+        } else {
+            // Unpadded fast path: flat (TDAG keyword, id) entries, streamed
+            // into the grouped build — grouped by one sort in RAM, or,
+            // under a build budget, spilled and merged without ever being
+            // collected (byte-identical output either way).
             let entries = dataset.records().iter().flat_map(|record| {
                 let payload = record.id_payload_array();
                 tdag.covering_nodes(record.value)
                     .into_iter()
                     .map(move |node| (node.keyword(), payload))
             });
-            grouped_fixed_index_external(&key, &shuffle_key, entries, config, rng)?
-        } else {
-            // Unpadded fast path: flat (TDAG keyword, id) entries grouped by
-            // one sort, keyed-shuffled per keyword inside the helper.
-            let mut entries = Vec::with_capacity(dataset.len() * (domain.bits() as usize + 2));
-            for record in dataset.records() {
-                let payload = record.id_payload_array();
-                for node in tdag.covering_nodes(record.value) {
-                    entries.push((node.keyword(), payload));
-                }
-            }
             grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((Self { key, tdag }, LogSrcServer { index }))
@@ -159,18 +126,6 @@ impl LogSrcScheme {
 impl RangeScheme for LogSrcScheme {
     type Server = LogSrcServer;
     const NAME: &'static str = "Logarithmic-SRC";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_full(dataset, false, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_full_sharded(dataset, false, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
@@ -290,7 +245,9 @@ mod tests {
     fn padded_build_still_answers_queries() {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let (client, server) = LogSrcScheme::build_full(&dataset, true, &mut rng);
+        let config = StorageConfig::in_memory(0);
+        let (client, server) =
+            LogSrcScheme::build_full_stored(&dataset, true, &config, &mut rng).unwrap();
         let range = Range::new(0, 63);
         testutil::assert_complete(&dataset, range, &client.query(&server, range));
         assert_eq!(

@@ -21,8 +21,8 @@
 use crate::dataset::{Dataset, Record};
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{
-    clamp_query, decode_value_span, encode_value_span_array, grouped_fixed_index_external,
-    grouped_fixed_index_stored, try_search_ids,
+    clamp_query, decode_value_span, encode_value_span_array, grouped_fixed_index_stored,
+    try_search_ids,
 };
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
@@ -41,7 +41,7 @@ pub struct LogSrcIScheme {
 }
 
 /// Server-side state: the two encrypted indexes (each sharded by label
-/// prefix when built through [`LogSrcIScheme::build_impl_sharded`]).
+/// prefix per the build's `StorageConfig::shard_bits`).
 #[derive(Clone, Debug)]
 pub struct LogSrcIServer {
     index1: ShardedIndex,
@@ -83,25 +83,6 @@ impl rsse_sse::FaultInjectable for LogSrcIServer {
 }
 
 impl LogSrcIScheme {
-    /// Builds both indexes with unsharded (single-arena) dictionaries.
-    pub fn build_impl<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        rng: &mut R,
-    ) -> (Self, LogSrcIServer) {
-        Self::build_impl_sharded(dataset, 0, rng)
-    }
-
-    /// Builds both indexes, each split into `2^shard_bits` in-memory
-    /// label-prefix shards.
-    pub fn build_impl_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogSrcIServer) {
-        Self::build_impl_stored(dataset, &StorageConfig::in_memory(shard_bits), rng)
-            .expect("in-memory build cannot fail")
-    }
-
     /// Builds both indexes on the backend `config` selects; with an
     /// on-disk backend `I1` and `I2` are streamed into the
     /// [`I1_SUBDIR`](LogSrcIServer::I1_SUBDIR) /
@@ -170,7 +151,7 @@ impl LogSrcIScheme {
                 .into_iter()
                 .map(move |node| (node.keyword(), payload))
         });
-        let index2 = match grouped_fixed_index_external(
+        let index2 = match grouped_fixed_index_stored(
             &key2,
             &chain.derive(b"shuffle-i2"),
             entries2,
@@ -247,18 +228,6 @@ impl LogSrcIScheme {
 impl RangeScheme for LogSrcIScheme {
     type Server = LogSrcIServer;
     const NAME: &'static str = "Logarithmic-SRC-i";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_impl(dataset, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_impl_sharded(dataset, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,

@@ -106,6 +106,65 @@ pub(crate) mod testutil {
         ids
     }
 
+    /// The single-token counter walk over the per-entry reference
+    /// dictionary, decoding id payloads: the oracle the lock-step scan and
+    /// everything built on it are compared against (its own loop, its own
+    /// decrypt — only the label PRF is shared). Returns the flattened ids
+    /// and the per-token matched-entry counts, like `search_ids`.
+    pub fn oracle_search_ids(
+        reference: &rsse_sse::pibas::reference::ReferenceIndex,
+        tokens: &[rsse_sse::SearchToken],
+    ) -> (Vec<DocId>, Vec<usize>) {
+        let mut ids = Vec::new();
+        let mut groups = Vec::with_capacity(tokens.len());
+        for token in tokens {
+            let labeler = rsse_sse::TokenLabeler::new(token);
+            let cipher = token.payload_cipher();
+            let mut matched = 0usize;
+            while let Some(ciphertext) = reference.dictionary.get(&labeler.label_at(matched as u64))
+            {
+                let payload = cipher.decrypt(ciphertext);
+                ids.extend(
+                    payload
+                        .as_deref()
+                        .and_then(crate::dataset::decode_id_payload),
+                );
+                matched += 1;
+            }
+            groups.push(matched);
+        }
+        (ids, groups)
+    }
+
+    /// A keyed multimap of id payloads for oracle comparisons: keyword
+    /// `kw{i}` holds `sizes[i]` consecutive ids. Returns the key, the
+    /// database, and one token per keyword.
+    pub fn oracle_database(
+        sizes: &[usize],
+    ) -> (
+        rsse_sse::SseKey,
+        rsse_sse::SseDatabase,
+        Vec<rsse_sse::SearchToken>,
+    ) {
+        use rsse_sse::SseScheme;
+        let key = SseScheme::key_from(rsse_crypto::Key::from_bytes([0x42; 32]));
+        let mut db = rsse_sse::SseDatabase::new();
+        let mut next_id = 0u64;
+        for (kw, &size) in sizes.iter().enumerate() {
+            for _ in 0..size {
+                db.add(
+                    format!("kw{kw}").into_bytes(),
+                    next_id.to_le_bytes().to_vec(),
+                );
+                next_id += 1;
+            }
+        }
+        let tokens = (0..sizes.len())
+            .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
+            .collect();
+        (key, db, tokens)
+    }
+
     /// Unique scratch directory for persistence tests (shared helper from
     /// `rsse-sse`'s test support, so every crate maintains one copy).
     pub use rsse_sse::test_support::TempDir;

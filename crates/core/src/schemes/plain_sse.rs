@@ -18,7 +18,10 @@ use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::{EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageError};
+use rsse_sse::{
+    EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageBackend, StorageConfig,
+    StorageError,
+};
 
 /// Owner-side state of the per-value SSE scheme.
 #[derive(Clone, Debug)]
@@ -73,7 +76,16 @@ impl RangeScheme for PlainSseScheme {
     type Server = PlainSseServer;
     const NAME: &'static str = "SSE (per-value)";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
+    /// The per-value baseline's dictionary is always one in-memory arena:
+    /// `shard_bits` does not apply and an on-disk backend is rejected typed.
+    fn build_stored<R: RngCore + CryptoRng>(
+        dataset: &Dataset,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<(Self, Self::Server), StorageError> {
+        if let StorageBackend::OnDisk(_) = &config.backend {
+            return Err(StorageError::Unsupported(Self::NAME));
+        }
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let key = SseScheme::key_from(chain.derive(b"sse"));
@@ -83,7 +95,7 @@ impl RangeScheme for PlainSseScheme {
         }
         db.shuffle_lists(&chain.derive(b"shuffle"));
         let index = SseScheme::build_index(&key, &db, rng);
-        (Self { key, domain }, PlainSseServer { index })
+        Ok((Self { key, domain }, PlainSseServer { index }))
     }
 
     /// The per-value baseline keeps its dictionary in memory

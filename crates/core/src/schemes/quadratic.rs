@@ -15,7 +15,8 @@ use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    padding, EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageError,
+    padding, EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageBackend,
+    StorageConfig, StorageError,
 };
 
 /// Largest domain for which Quadratic will agree to build an index. The
@@ -88,8 +89,17 @@ impl RangeScheme for QuadraticScheme {
     type Server = QuadraticServer;
     const NAME: &'static str = "Quadratic";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, false, rng)
+    /// Quadratic's dictionary is always one in-memory arena: `shard_bits`
+    /// does not apply and an on-disk backend is rejected typed.
+    fn build_stored<R: RngCore + CryptoRng>(
+        dataset: &Dataset,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<(Self, Self::Server), StorageError> {
+        if let StorageBackend::OnDisk(_) = &config.backend {
+            return Err(StorageError::Unsupported(Self::NAME));
+        }
+        Ok(Self::build_with(dataset, false, rng))
     }
 
     /// Quadratic's dictionary is always an in-memory arena

@@ -1,27 +1,28 @@
-//! The multi-query batched search server.
+//! The server-side query path: one range query's token vector → the
+//! lock-step counter scan → per-token id groups → a [`QueryOutcome`].
 //!
 //! The paper's server model (Sections 6–7) is a machine answering many
 //! concurrent range queries, each of which expands into a *vector* of SSE
-//! tokens — one per BRC/URC covering node. Issuing those tokens one
-//! [`SseScheme::search`] call at a time pays per-token fixed costs (scratch
-//! setup, result allocation, scattered dictionary probes) that have nothing
-//! to do with the cover size. [`QueryServer`] is the batched alternative:
+//! tokens — one per BRC/URC covering node. Every scheme and every serving
+//! layer answers such a vector through the same three steps defined here:
 //!
-//! * one query's whole token vector is answered in a single lockstep pass
-//!   ([`SseScheme::search_batch_scan`]) sharing one label-PRF scratch
-//!   buffer across tokens and resolving every counter round's probes
-//!   together, grouped by shard of the underlying [`ShardedIndex`];
-//! * payloads are decrypted into one reused buffer per query
-//!   (`StreamCipher::decrypt_into`) and decoded straight into the flat id
-//!   list — no per-payload heap allocation;
-//! * multiple concurrent queries fan out across cores with
-//!   [`QueryServer::answer_many`]; shards are immutable behind `&self`, so
-//!   the concurrent reads are lock-free.
+//! * [`scan_query_into_with`] runs the whole vector through the one counter
+//!   scan ([`SseScheme::search_batch_scan`]): all tokens advance one
+//!   counter round at a time and each round's probes are resolved together,
+//!   grouped by shard of the underlying [`ShardedIndex`];
+//! * every hit is decrypted into one reused buffer and decoded straight
+//!   into its token's id group ([`decode_hit_into`]) — no per-payload heap
+//!   allocation;
+//! * [`assemble_outcome`] flattens the groups and fills in the
+//!   [`QueryStats`].
 //!
-//! Results are **deterministic and identical to the per-token path**: per
-//! query, ids come back grouped by token in token order, each group in
-//! storage-counter order, and `answer_many` returns outcomes in query
-//! order regardless of scheduling.
+//! [`QueryServer`] is the endpoint over a [`ShardedIndex`];
+//! [`QueryServer::answer_many`] fans concurrent queries out across cores
+//! (shards are immutable behind `&self`, so the reads are lock-free).
+//!
+//! Results are **deterministic**: per query, ids come back grouped by token
+//! in token order, each group in storage-counter order, and `answer_many`
+//! returns outcomes in query order regardless of scheduling.
 
 use crate::dataset::{decode_id_payload, DocId};
 use crate::metrics::QueryStats;
@@ -37,8 +38,8 @@ use std::path::Path;
 /// never a panic.
 ///
 /// This is the single definition of hit decoding: the sequential scan
-/// ([`scan_query_into`]) and the batch executor in `rsse-serve` both decode
-/// through it, which is what makes their outcomes byte-identical.
+/// ([`scan_query_into_with`]) and the batch executor in `rsse-serve` both
+/// decode through it, which is what makes their outcomes byte-identical.
 pub fn decode_hit_into(
     cipher: &StreamCipher,
     ciphertext: &[u8],
@@ -76,48 +77,35 @@ impl ScanScratch {
     }
 }
 
-/// Runs one range query's whole token vector against any fallible index in
-/// a single lockstep scan, decrypting and decoding every hit into
-/// `per_token` (one id group per token, in token order, each group in
-/// storage-counter order). Returns the per-token entry counts on success.
+/// Runs one range query's whole token vector against any index in a single
+/// lockstep scan, decrypting and decoding every hit into `per_token` (one
+/// id group per token, in token order, each group in storage-counter
+/// order). Returns the per-token entry counts on success — every matched
+/// entry counts, decodable or not, because that is what the server
+/// observes.
 ///
-/// This is the probe-and-decode core of [`QueryServer::answer`], exposed so
-/// serving layers (the `rsse-serve` crate) can wrap the index — deadlines,
-/// per-probe retries, circuit breakers — while producing **byte-identical
-/// outcomes** to the raw server: same scan order, same scratch reuse, same
-/// decode.
+/// This is the probe-and-decode core of every query path — the schemes'
+/// `try_query`, [`QueryServer::answer`], and the serving layers of
+/// `rsse-serve`, which wrap the index (deadlines, per-probe retries,
+/// circuit breakers) while producing **byte-identical outcomes**: same
+/// scan order, same decode. `scratch` holds the per-token ciphers and the
+/// decrypt buffer, so a caller answering many queries reuses them across
+/// queries instead of reallocating per query.
 ///
 /// # Errors
 ///
-/// A failed probe aborts the scan with its typed [`StorageError`]. On
-/// error, `per_token` keeps every id decoded before the failure — the
-/// lockstep scan visits all tokens in counter rounds, so the groups are a
-/// faithful "what was resolved so far" snapshot a caller can surface as a
-/// typed partial result.
-pub fn scan_query_into<I>(
-    index: &I,
-    tokens: &[SearchToken],
-    per_token: &mut Vec<Vec<DocId>>,
-) -> Result<Vec<usize>, StorageError>
-where
-    I: IndexLookup<Error = StorageError>,
-{
-    let mut scratch = ScanScratch::default();
-    scan_query_into_with(index, tokens, per_token, &mut scratch)
-}
-
-/// [`scan_query_into`] with caller-owned scratch, for serving layers that
-/// answer many queries and want the per-token ciphers and the decrypt
-/// buffer reused across queries instead of reallocated per query.
-pub fn scan_query_into_with<I>(
+/// A failed probe aborts the scan with the index's typed error
+/// ([`StorageError`] for disk-backed indexes). On error, `per_token` keeps
+/// every id decoded before the failure — the lockstep scan visits all
+/// tokens in counter rounds, so the groups are a faithful "what was
+/// resolved so far" snapshot a caller can surface as a typed partial
+/// result.
+pub fn scan_query_into_with<I: IndexLookup>(
     index: &I,
     tokens: &[SearchToken],
     per_token: &mut Vec<Vec<DocId>>,
     scratch: &mut ScanScratch,
-) -> Result<Vec<usize>, StorageError>
-where
-    I: IndexLookup<Error = StorageError>,
-{
+) -> Result<Vec<usize>, I::Error> {
     per_token.clear();
     per_token.resize_with(tokens.len(), Vec::new);
     scratch.rekey(tokens);
@@ -128,7 +116,7 @@ where
     })
 }
 
-/// Flattens the per-token id groups of a completed [`scan_query_into`] pass
+/// Flattens the per-token id groups of a completed [`scan_query_into_with`] pass
 /// into the [`QueryOutcome`] the serving APIs return — the single place the
 /// outcome shape (id order and [`QueryStats`] accounting) is defined, so
 /// every serving layer reports identically.
@@ -159,8 +147,8 @@ pub fn assemble_outcome(
 /// # Examples
 ///
 /// ```
-/// use rsse_core::{Dataset, Record, RangeScheme};
-/// use rsse_core::schemes::{CoverKind, log_brc_urc::LogScheme};
+/// use rsse_core::{Dataset, Record, RangeScheme, StorageConfig};
+/// use rsse_core::schemes::log_brc_urc::LogScheme;
 /// use rsse_cover::{Domain, Range};
 /// use rand::SeedableRng;
 ///
@@ -171,16 +159,18 @@ pub fn assemble_outcome(
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
 ///
 /// // Build with a 2^4-way sharded dictionary and stand up the server.
-/// let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+/// let config = StorageConfig::in_memory(4);
+/// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 /// let server = server.into_query_server();
 ///
-/// // A batch of concurrent range queries: one token vector each.
+/// // A batch of concurrent range queries: one token vector each, one
+/// // `Result` per query.
 /// let ranges = [Range::new(0, 100), Range::new(500, 800)];
 /// let queries: Vec<_> = ranges.iter().map(|&r| client.trapdoor(r).unwrap()).collect();
-/// let outcomes = server.answer_many_strict(&queries).unwrap();
+/// let outcomes = server.answer_many(&queries);
 ///
 /// for (range, outcome) in ranges.iter().zip(&outcomes) {
-///     let mut got = outcome.ids.clone();
+///     let mut got = outcome.as_ref().unwrap().ids.clone();
 ///     let mut expected = dataset.matching_ids(*range);
 ///     got.sort(); expected.sort();
 ///     assert_eq!(got, expected);
@@ -245,14 +235,10 @@ impl QueryServer {
         self.index.shard_bits()
     }
 
-    /// Answers one range query's whole token vector in a single batched
-    /// pass.
-    ///
-    /// Returns the same ids as running [`SseScheme::search`] token by token
-    /// and decoding each payload list — grouped by token in token order,
-    /// each group in storage-counter order — but shares the label-PRF
-    /// scratch across tokens, groups each counter round's dictionary probes
-    /// by shard, and decrypts every hit into one reused buffer.
+    /// Answers one range query's whole token vector in a single lock-step
+    /// scan ([`scan_query_into_with`] + [`assemble_outcome`]): ids come
+    /// back grouped by token in token order, each group in storage-counter
+    /// order.
     ///
     /// # Errors
     ///
@@ -262,7 +248,8 @@ impl QueryServer {
     /// "the disk failed" (`Err`) per query. In-memory indexes never fail.
     pub fn answer(&self, tokens: &[SearchToken]) -> Result<QueryOutcome, StorageError> {
         let mut per_token: Vec<Vec<DocId>> = Vec::new();
-        let counts = scan_query_into(&self.index, tokens, &mut per_token)?;
+        let mut scratch = ScanScratch::default();
+        let counts = scan_query_into_with(&self.index, tokens, &mut per_token, &mut scratch)?;
         Ok(assemble_outcome(tokens, per_token, &counts))
     }
 
@@ -270,8 +257,8 @@ impl QueryServer {
     /// — in parallel, returning **per-query** results in query order.
     ///
     /// The shards are immutable behind `&self`, so the per-query worker
-    /// threads read them lock-free; each query is answered with the batched
-    /// single-query pass of [`answer`](Self::answer), and the output order
+    /// threads read them lock-free; each query is answered with the
+    /// single-query scan of [`answer`](Self::answer), and the output order
     /// is the input order regardless of thread scheduling.
     ///
     /// # Partial-batch error reporting
@@ -285,8 +272,7 @@ impl QueryServer {
     /// backoff, deadlines, per-shard circuit breakers) should serve through
     /// `rsse_serve::ResilientServer`, which wraps this server and keeps
     /// outcomes byte-identical. Callers that want all-or-nothing collection
-    /// can `collect` the slots into a `Result<Vec<_>, _>` (that is
-    /// [`answer_many_strict`](Self::answer_many_strict)).
+    /// `collect` the slots into a `Result<Vec<_>, _>`.
     pub fn answer_many(
         &self,
         queries: &[Vec<SearchToken>],
@@ -295,18 +281,6 @@ impl QueryServer {
             .par_iter()
             .map(|tokens| self.answer(tokens))
             .collect()
-    }
-
-    /// Answers a batch of concurrent queries, aborting on the first
-    /// storage fault: the all-or-nothing collection of
-    /// [`answer_many`](Self::answer_many) (which see for the per-query
-    /// retry semantics), for callers that treat any fault as fatal for
-    /// the whole batch.
-    pub fn answer_many_strict(
-        &self,
-        queries: &[Vec<SearchToken>],
-    ) -> Result<Vec<QueryOutcome>, StorageError> {
-        self.answer_many(queries).into_iter().collect()
     }
 
     /// Reopens one batched search endpoint per **active instance** of a
@@ -362,29 +336,63 @@ impl rsse_sse::FaultInjectable for QueryServer {
 
 #[cfg(test)]
 mod tests {
-    use crate::schemes::common::search_ids;
+    use super::QueryServer;
     use crate::schemes::log_brc_urc::LogScheme;
-    use crate::schemes::testutil;
+    use crate::schemes::testutil::{self, TempDir};
     use crate::schemes::CoverKind;
-    use crate::traits::RangeScheme;
+    use crate::traits::{QueryOutcome, RangeScheme};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_cover::Range;
+    use rsse_sse::pibas::reference;
+    use rsse_sse::{SearchToken, SseScheme, StorageConfig, StorageError};
+
+    /// In-memory Logarithmic build over `2^bits` shards.
+    fn build_log(
+        dataset: &crate::Dataset,
+        kind: CoverKind,
+        bits: u32,
+        seed: u64,
+    ) -> (LogScheme, QueryServer) {
+        let mut rng = ChaCha20Rng::seed_from_u64(seed);
+        let config = StorageConfig::in_memory(bits);
+        let (client, server) =
+            LogScheme::build_full_stored(dataset, kind, false, &config, &mut rng).unwrap();
+        (client, server.into_query_server())
+    }
+
+    /// All-or-nothing collection of `answer_many`.
+    fn answer_all(
+        qs: &QueryServer,
+        queries: &[Vec<SearchToken>],
+    ) -> Result<Vec<QueryOutcome>, StorageError> {
+        qs.answer_many(queries).into_iter().collect()
+    }
 
     #[test]
     fn answer_matches_per_token_search_ids() {
-        let dataset = testutil::uniform_dataset();
+        // The oracle is the single-token walk over the per-entry reference
+        // dictionary holding the same (label, ciphertext) pairs — no code
+        // shared with the scan `answer` runs.
+        let (key, db, tokens) = testutil::oracle_database(&[3, 0, 7, 1, 12, 5]);
+        let absent = SseScheme::trapdoor(&key, b"absent");
+        let vectors: Vec<Vec<SearchToken>> = vec![
+            tokens.clone(),
+            tokens.iter().rev().cloned().collect(),
+            vec![tokens[2].clone(), absent.clone(), tokens[2].clone()],
+            vec![absent],
+            Vec::new(),
+        ];
+        let oracle = reference::build_index(&key, &db, &mut ChaCha20Rng::seed_from_u64(1));
         for bits in [0u32, 3, 6] {
+            let config = StorageConfig::in_memory(bits);
             let mut rng = ChaCha20Rng::seed_from_u64(1);
-            let (client, server) =
-                LogScheme::build_sharded_with(&dataset, CoverKind::Urc, bits, &mut rng);
-            let index = server.index().clone();
-            let qs = server.into_query_server();
+            let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+            let qs = QueryServer::new(index);
             assert_eq!(qs.shard_bits(), bits);
-            for range in testutil::query_mix(dataset.domain().size()) {
-                let tokens = client.trapdoor(range).unwrap();
-                let outcome = qs.answer(&tokens).unwrap();
-                let (expected_ids, groups) = search_ids(&index, &tokens);
+            for tokens in &vectors {
+                let outcome = qs.answer(tokens).unwrap();
+                let (expected_ids, groups) = testutil::oracle_search_ids(&oracle, tokens);
                 assert_eq!(outcome.ids, expected_ids, "ids must match per-token order");
                 assert_eq!(outcome.stats.entries_touched, groups.iter().sum::<usize>());
                 assert_eq!(outcome.stats.tokens_sent, tokens.len());
@@ -396,16 +404,14 @@ mod tests {
     #[test]
     fn answer_many_is_deterministic_and_query_ordered() {
         let dataset = testutil::skewed_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
-        let qs = server.into_query_server();
+        let (client, qs) = build_log(&dataset, CoverKind::Brc, 4, 2);
         let ranges: Vec<Range> = (0..16u64).map(|i| Range::new(i, i + 7)).collect();
-        let queries: Vec<Vec<rsse_sse::SearchToken>> = ranges
+        let queries: Vec<Vec<SearchToken>> = ranges
             .iter()
             .map(|&r| client.trapdoor(r).unwrap())
             .collect();
-        let a = qs.answer_many_strict(&queries).unwrap();
-        let b = qs.answer_many_strict(&queries).unwrap();
+        let a = answer_all(&qs, &queries).unwrap();
+        let b = answer_all(&qs, &queries).unwrap();
         assert_eq!(a, b, "same batch must produce identical outcomes");
         for (outcome, range) in a.iter().zip(&ranges) {
             testutil::assert_exact(&dataset, *range, outcome);
@@ -414,12 +420,17 @@ mod tests {
 
     #[test]
     fn query_many_handles_out_of_domain_queries() {
+        // An out-of-domain range has no trapdoor; the owner answers it
+        // empty without contacting the server.
         let dataset = testutil::skewed_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(3);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 2, &mut rng);
-        let qs = server.into_query_server();
+        let (client, qs) = build_log(&dataset, CoverKind::Brc, 2, 3);
         let ranges = [Range::new(2, 7), Range::new(1000, 2000), Range::new(0, 63)];
-        let outcomes = client.query_many(&qs, &ranges).unwrap();
+        assert!(client.trapdoor(ranges[1]).is_none());
+        let queries: Vec<Vec<SearchToken>> = ranges
+            .iter()
+            .map(|&r| client.trapdoor(r).unwrap_or_default())
+            .collect();
+        let outcomes = answer_all(&qs, &queries).unwrap();
         assert_eq!(outcomes.len(), 3);
         testutil::assert_exact(&dataset, ranges[0], &outcomes[0]);
         assert!(outcomes[1].is_empty(), "out-of-domain query must be empty");
@@ -432,16 +443,9 @@ mod tests {
         // RNG stream as the in-memory build), drop everything, reopen from
         // disk via QueryServer::open_dir, and serve answer_many with
         // results identical to the in-memory backend — no rebuild.
-        use crate::schemes::testutil::TempDir;
-        use crate::server::QueryServer;
-        use crate::traits::RangeScheme;
-        use rsse_sse::StorageConfig;
-
         let dataset = testutil::uniform_dataset();
         for bits in [0u32, 4] {
-            let mut rng_mem = ChaCha20Rng::seed_from_u64(11);
-            let (_, mem_server) = LogScheme::build_sharded(&dataset, bits, &mut rng_mem);
-            let mem_qs = mem_server.into_query_server();
+            let (_, mem_qs) = build_log(&dataset, CoverKind::Brc, bits, 11);
 
             let dir = TempDir::new("cold-open");
             let mut rng_disk = ChaCha20Rng::seed_from_u64(11);
@@ -458,12 +462,12 @@ mod tests {
             assert_eq!(qs.shard_bits(), bits);
             assert!(qs.index().is_file_backed());
             let ranges: Vec<Range> = testutil::query_mix(dataset.domain().size());
-            let queries: Vec<Vec<rsse_sse::SearchToken>> = ranges
+            let queries: Vec<Vec<SearchToken>> = ranges
                 .iter()
                 .map(|&r| client.trapdoor(r).unwrap())
                 .collect();
-            let cold = qs.answer_many_strict(&queries).unwrap();
-            let warm = mem_qs.answer_many_strict(&queries).unwrap();
+            let cold = answer_all(&qs, &queries).unwrap();
+            let warm = answer_all(&mem_qs, &queries).unwrap();
             assert_eq!(
                 cold, warm,
                 "cold-open outcomes must match in-memory (k={bits})"
@@ -478,13 +482,20 @@ mod tests {
     fn query_many_agrees_with_single_query_path() {
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Urc, 5, &mut rng);
-        let single_server = server.clone();
-        let qs = server.into_query_server();
+        let config = StorageConfig::in_memory(5);
+        let (client, single_server) =
+            LogScheme::build_full_stored(&dataset, CoverKind::Urc, false, &config, &mut rng)
+                .unwrap();
+        let qs = single_server.clone().into_query_server();
         let ranges: Vec<Range> = testutil::query_mix(dataset.domain().size());
-        let batched = client.query_many(&qs, &ranges).unwrap();
+        let queries: Vec<Vec<SearchToken>> = ranges
+            .iter()
+            .map(|&r| client.trapdoor(r).unwrap())
+            .collect();
+        let batched = answer_all(&qs, &queries).unwrap();
         for (range, outcome) in ranges.iter().zip(&batched) {
-            assert_eq!(outcome.ids, client.query(&single_server, *range).ids);
+            assert_eq!(outcome, &client.query(&single_server, *range));
+            testutil::assert_exact(&dataset, *range, outcome);
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::dataset::{Dataset, DocId};
 use crate::metrics::{IndexStats, QueryStats};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
-use rsse_sse::{BuildBudget, StorageBackend, StorageConfig, StorageError};
+use rsse_sse::{StorageConfig, StorageError};
 use std::path::Path;
 
 /// One input instance of a structural merge (see
@@ -51,16 +51,17 @@ impl QueryOutcome {
 /// A complete RSSE scheme: an owner-side client bound to a server-side
 /// encrypted index.
 ///
-/// `build` plays the role of `Setup` + `BuildIndex` of the paper (the key is
-/// generated internally and kept in the client); `query` bundles `Trpdr` and
-/// `Search`, including the extra communication round of Logarithmic-SRC-i.
-/// Schemes with configuration knobs (cover technique, padding, Bloom-filter
-/// rate) additionally expose `build_with`-style constructors.
+/// `build_stored` plays the role of `Setup` + `BuildIndex` of the paper (the
+/// key is generated internally and kept in the client); `query` bundles
+/// `Trpdr` and `Search`, including the extra communication round of
+/// Logarithmic-SRC-i. Schemes with configuration knobs (cover technique,
+/// padding, Bloom-filter rate) additionally expose an inherent constructor
+/// taking those knobs next to the [`StorageConfig`].
 ///
 /// # Examples
 ///
 /// ```
-/// use rsse_core::{Dataset, Record, RangeScheme};
+/// use rsse_core::{Dataset, Record, RangeScheme, StorageConfig};
 /// use rsse_core::schemes::log_brc_urc::LogScheme;
 /// use rsse_cover::{Domain, Range};
 /// use rand::SeedableRng;
@@ -71,11 +72,17 @@ impl QueryOutcome {
 /// ).unwrap();
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
 ///
-/// // `build` + `query` is the whole lifecycle; `build_sharded` selects a
-/// // sharded server layout for schemes that support one.
-/// let (client, server) = LogScheme::build_sharded(&dataset, 4, &mut rng);
+/// // `build_stored` + `query` is the whole lifecycle. Layout (shard bits),
+/// // residency (in memory / on disk, cache budget) and build memory (build
+/// // budget) are all fields of the one `StorageConfig`.
+/// let config = StorageConfig::in_memory(4);
+/// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 /// let outcome = client.query(&server, Range::new(10, 40));
 /// assert!(!outcome.is_empty());
+///
+/// // `build` is shorthand for the unsharded in-memory configuration.
+/// let (client, server) = LogScheme::build(&dataset, &mut rng);
+/// assert!(!client.query(&server, Range::new(10, 40)).is_empty());
 /// ```
 pub trait RangeScheme: Sized {
     /// The server-side state (encrypted indexes).
@@ -84,83 +91,44 @@ pub trait RangeScheme: Sized {
     /// Human-readable scheme name as used in the paper's tables and figures.
     const NAME: &'static str;
 
-    /// Builds the owner state and the encrypted server state for a dataset.
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server);
-
-    /// Builds the owner state and a server state whose encrypted
-    /// dictionaries are split into `2^shard_bits` label-prefix shards (see
-    /// `rsse_sse::sharded`): shards assemble in parallel during BuildIndex
-    /// and are probed lock-free by concurrent searches.
+    /// Builds the owner state and the encrypted server state for a dataset
+    /// — the one constructor of every scheme. Everything about *where and
+    /// how* the encrypted indexes are built is a field of `config`
+    /// (see [`StorageConfig`]):
     ///
-    /// Query results are **identical** to [`build`](Self::build)'s for every
-    /// `shard_bits` — sharding changes the storage layout, not the
-    /// functionality — so the default implementation simply ignores the
-    /// knob and delegates to `build`; schemes with sharded server layouts
-    /// (Logarithmic-BRC/URC, Constant-BRC/URC, Logarithmic-SRC and SRC-i)
-    /// override it. The update manager routes every batch build and
+    /// * `shard_bits` splits each encrypted dictionary into `2^shard_bits`
+    ///   label-prefix shards (`rsse_sse::sharded`), assembled in parallel
+    ///   and probed lock-free;
+    /// * the backend selects in-memory shard arenas, or shard files written
+    ///   to a directory **during BuildIndex** and served via paged reads
+    ///   (under `cache_budget`), so the built index is never fully
+    ///   memory-resident and survives the process (reopen it with
+    ///   `ShardedIndex::open_dir` / `QueryServer::open_dir`);
+    /// * `build_budget` bounds the build's peak working set by spilling the
+    ///   transformed entries to sorted runs and merge-encrypting them back
+    ///   (the `rsse_sse::external` module) instead of grouping them in RAM.
+    ///
+    /// Query results are **identical** for every configuration, and the
+    /// built index is bit-identical across build budgets for the same
+    /// dataset and RNG stream (property-tested in
+    /// `tests/external_build.rs`): these are layout and residency knobs,
+    /// never semantic ones. Schemes without an encrypted-dictionary server
+    /// ignore the fields that do not apply to them (Quadratic and the
+    /// per-value baseline are always one in-memory arena and report
+    /// [`StorageError::Unsupported`] for an on-disk backend; PB persists
+    /// its filter tree). The update manager routes every batch build and
     /// consolidation rebuild through this entry point.
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        let _ = shard_bits;
-        Self::build(dataset, rng)
-    }
-
-    /// Builds the owner state and a server state whose encrypted indexes
-    /// live on the storage backend selected by `config`
-    /// (see [`StorageConfig`]): either in-memory shard arenas — exactly
-    /// [`build_sharded`](Self::build_sharded) — or shard files written to a
-    /// directory **during BuildIndex** and served via paged reads, so the
-    /// built index is never fully memory-resident and survives the process
-    /// (reopen it with `ShardedIndex::open_dir` / `QueryServer::open_dir`).
-    ///
-    /// Query results are identical for every backend; only residency and
-    /// durability change. The default implementation supports the
-    /// in-memory backend and reports [`StorageError::Unsupported`] for
-    /// on-disk requests; every scheme with an encrypted-dictionary server
-    /// (Logarithmic-BRC/URC, Constant-BRC/URC, Logarithmic-SRC and SRC-i,
-    /// and the PB baseline) overrides it. The update manager routes every
-    /// batch build and consolidation rebuild through this entry point.
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, Self::Server), StorageError> {
-        match &config.backend {
-            StorageBackend::InMemory => Ok(Self::build_sharded(dataset, config.shard_bits, rng)),
-            StorageBackend::OnDisk(_) => Err(StorageError::Unsupported(Self::NAME)),
-        }
-    }
+    ) -> Result<(Self, Self::Server), StorageError>;
 
-    /// External-memory variant of [`build_stored`](Self::build_stored):
-    /// the build's peak working set is bounded by the configuration's
-    /// [`BuildBudget`] (defaulted in if `config` carries none) instead of
-    /// growing with the corpus, by spilling the transformed entries to
-    /// sorted runs on disk and merge-encrypting them back in bounded
-    /// batches — see the `rsse_sse::external` module.
-    ///
-    /// The output is **bit-identical** to `build_stored` for the same
-    /// dataset, configuration and RNG stream, at any budget, on both
-    /// backends (property-tested in `tests/external_build.rs`): this is a
-    /// residency knob, never a semantic one. The default implementation
-    /// delegates to `build_stored` with the budget filled in; schemes
-    /// whose build paths honor `StorageConfig::build_budget` (the grouped
-    /// fixed-stride family and Constant-BRC/URC) get the external pipeline
-    /// through exactly that dispatch. Schemes that never materialize a
-    /// corpus-sized working set anyway (Quadratic, PB's filter tree) run
-    /// their ordinary build.
-    fn build_external<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        config: &StorageConfig,
-        rng: &mut R,
-    ) -> Result<(Self, Self::Server), StorageError> {
-        let mut config = config.clone();
-        if config.build_budget.is_none() {
-            config.build_budget = Some(BuildBudget::default());
-        }
-        Self::build_stored(dataset, &config, rng)
+    /// [`build_stored`](Self::build_stored) on the unsharded in-memory
+    /// configuration (`StorageConfig::in_memory(0)`), which cannot fail.
+    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
+        Self::build_stored(dataset, &StorageConfig::in_memory(0), rng)
+            .expect("in-memory build cannot fail")
     }
 
     /// Reopens the owner state and server of an index previously built by
@@ -316,10 +284,10 @@ mod tests {
 
     #[test]
     fn default_build_stored_supports_memory_and_rejects_disk() {
-        // Quadratic keeps the default implementation: the in-memory backend
-        // must behave exactly like build_sharded, and an on-disk request
-        // must surface a typed Unsupported error instead of silently
-        // building a volatile index.
+        // Quadratic is always one in-memory arena: the in-memory backend
+        // must build and answer, and an on-disk request must surface a
+        // typed Unsupported error instead of silently building a volatile
+        // index.
         use crate::schemes::quadratic::QuadraticScheme;
         use crate::schemes::testutil;
         use rand::SeedableRng;

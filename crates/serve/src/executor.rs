@@ -26,8 +26,9 @@
 //!
 //! ## Control plane
 //!
-//! The resilience machinery threads through at per-probe granularity, same
-//! contract as the sequential [`QueryGuard`](crate::server) loop:
+//! The resilience machinery threads through at per-probe granularity — the
+//! same `probe_guarded` loop the sequential `QueryGuard` of
+//! [`server`](crate::server) runs:
 //!
 //! * **Deadlines** are checked at round boundaries. An expired query is cut
 //!   with a typed partial outcome and simply stops demanding; probes it
@@ -49,17 +50,14 @@
 //! its *demanded* probes whether or not storage was read, so outcomes and
 //! the per-query leakage profile are byte-identical to sequential serving.
 
-use crate::breaker::Admit;
 use crate::error::{PartialOutcome, ServeError};
 use crate::server::{ResilientServer, ServeIndex, Trip};
 use rsse_core::server::{assemble_outcome, decode_hit_into};
 use rsse_core::{DocId, QueryOutcome};
 use rsse_crypto::StreamCipher;
-use rsse_sse::{CipherSpan, Label, LabelHasher, SearchToken, StorageError, TokenLabeler};
+use rsse_sse::{CipherSpan, Label, LabelHasher, SearchToken, TokenLabeler};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -122,15 +120,27 @@ struct QueryRun<'a> {
     result: Option<Result<QueryOutcome, ServeError>>,
 }
 
-/// What one guarded unique probe produced for the round.
-enum RoundProbe<'a> {
-    /// The label resolved: `Some` ciphertext or a miss (any transient
-    /// faults were retried away inside the guarded loop).
-    Resolved(Option<CipherSpan<'a>>),
-    /// The probe tripped (breaker fail-fast or retries exhausted); every
-    /// demander fails with the corresponding typed error.
-    Tripped(Trip),
+impl QueryRun<'_> {
+    /// The typed error of a trip that stopped this query (counted by the
+    /// server); a deadline trip takes the ids decoded so far as its typed
+    /// partial outcome.
+    fn trip<B: ServeIndex>(&mut self, server: &ResilientServer<B>, trip: Trip) -> ServeError {
+        server.trip_error(trip, self.admitted_at, || PartialOutcome {
+            ids: std::mem::take(&mut self.per_token)
+                .into_iter()
+                .flatten()
+                .collect(),
+            probes_resolved: self.probes_resolved,
+            tokens_total: self.tokens.len(),
+        })
+    }
 }
+
+/// What one guarded unique probe produced for the round: the resolved
+/// label (`Some` ciphertext or a miss — transient faults were retried away
+/// inside [`ResilientServer::probe_guarded`]), or the trip every demander
+/// fails with (breaker fail-fast or retries exhausted).
+type RoundProbe<'a> = Result<Option<CipherSpan<'a>>, Trip>;
 
 /// Runs one batch to completion. Outcomes are in item order and
 /// byte-identical to serving each item alone through the guarded
@@ -204,7 +214,7 @@ pub(crate) fn execute_batch<'a, B: ServeIndex>(
             }
             if let Some(deadline) = run.deadline {
                 if server.clock.now() >= deadline {
-                    run.result = Some(Err(trip_deadline(server, run)));
+                    run.result = Some(Err(run.trip(server, Trip::Deadline { deadline })));
                     continue;
                 }
             }
@@ -250,7 +260,7 @@ pub(crate) fn execute_batch<'a, B: ServeIndex>(
                 continue;
             }
             match &resolved[p as usize] {
-                RoundProbe::Resolved(span) => {
+                Ok(span) => {
                     run.probes_resolved += 1;
                     server
                         .counters
@@ -267,9 +277,7 @@ pub(crate) fn execute_batch<'a, B: ServeIndex>(
                         run.next_live.push(t);
                     }
                 }
-                RoundProbe::Tripped(trip) => {
-                    run.result = Some(Err(trip_to_error(server, trip)));
-                }
+                Err(trip) => run.result = Some(Err(run.trip(server, trip.fan_out()))),
             }
         }
         for run in runs.iter_mut() {
@@ -317,7 +325,15 @@ fn run_lanes<'a, B: ServeIndex>(
     let probe_lane = |lane: &[u32], out: &mut Vec<(u32, RoundProbe<'a>)>| {
         for &p in lane {
             let (label, shard) = &probes[p as usize];
-            out.push((p, probe_guarded(server, *shard, label)));
+            let probed = server.probe_guarded(*shard, label).map(|(span, absorbed)| {
+                let absorbed = u64::from(absorbed);
+                server
+                    .counters
+                    .faults_absorbed
+                    .fetch_add(absorbed, Ordering::Relaxed);
+                span
+            });
+            out.push((p, probed));
         }
     };
 
@@ -370,119 +386,4 @@ fn run_lanes<'a, B: ServeIndex>(
         .into_iter()
         .map(|slot| slot.expect("every lane probe reports"))
         .collect()
-}
-
-/// The per-probe guarded loop: breaker admission, the storage probe, and
-/// budgeted retries with seeded backoff — the sequential `QueryGuard`
-/// contract minus its deadline check, which batches apply per query at
-/// round boundaries so one demander's deadline cannot cancel a shared
-/// probe.
-fn probe_guarded<'a, B: ServeIndex>(
-    server: &'a ResilientServer<B>,
-    shard: u32,
-    label: &Label,
-) -> RoundProbe<'a> {
-    let mut attempt: u32 = 0;
-    loop {
-        match server.breakers.admit(shard, server.clock.now()) {
-            Admit::Proceed | Admit::Trial => {}
-            Admit::FailFast { open_for } => {
-                return RoundProbe::Tripped(Trip::Breaker { shard, open_for });
-            }
-        }
-        match server.backend.probe(label) {
-            Ok(span) => {
-                server.breakers.record_success(shard);
-                server
-                    .counters
-                    .faults_absorbed
-                    .fetch_add(u64::from(attempt), Ordering::Relaxed);
-                return RoundProbe::Resolved(span);
-            }
-            Err(source) => {
-                server.breakers.record_failure(shard, server.clock.now());
-                attempt += 1;
-                if attempt >= server.config.retry.max_attempts.max(1) {
-                    return RoundProbe::Tripped(Trip::Exhausted {
-                        attempts: attempt,
-                        budget_empty: false,
-                        source,
-                    });
-                }
-                if !server.retry.try_consume() {
-                    return RoundProbe::Tripped(Trip::Exhausted {
-                        attempts: attempt,
-                        budget_empty: true,
-                        source,
-                    });
-                }
-                server.clock.sleep(server.retry.backoff(attempt));
-            }
-        }
-    }
-}
-
-/// Builds the typed deadline error for a query cut at a round boundary,
-/// with its partial ids, and counts it.
-fn trip_deadline<B: ServeIndex>(server: &ResilientServer<B>, run: &mut QueryRun<'_>) -> ServeError {
-    server
-        .counters
-        .deadline_expired
-        .fetch_add(1, Ordering::Relaxed);
-    let deadline = run.deadline.expect("deadline trip implies a deadline");
-    let per_token = std::mem::take(&mut run.per_token);
-    ServeError::DeadlineExceeded {
-        deadline: deadline.saturating_sub(run.admitted_at),
-        elapsed: server.clock.now().saturating_sub(run.admitted_at),
-        partial: PartialOutcome {
-            ids: per_token.into_iter().flatten().collect(),
-            probes_resolved: run.probes_resolved,
-            tokens_total: run.tokens.len(),
-        },
-    }
-}
-
-/// Translates a shared probe's trip into one demander's typed error and
-/// counts it. A trip demanded by several queries fails each of them; the
-/// underlying [`StorageError`] is not clonable (it may wrap an
-/// [`io::Error`]), so demanders after the first receive a faithful
-/// re-rendering of the same failure.
-fn trip_to_error<B: ServeIndex>(server: &ResilientServer<B>, trip: &Trip) -> ServeError {
-    match trip {
-        Trip::Breaker { shard, open_for } => {
-            server
-                .counters
-                .shard_unavailable
-                .fetch_add(1, Ordering::Relaxed);
-            ServeError::ShardUnavailable {
-                shard: *shard,
-                open_for: *open_for,
-            }
-        }
-        Trip::Exhausted {
-            attempts,
-            budget_empty,
-            source,
-        } => {
-            server
-                .counters
-                .retry_exhausted
-                .fetch_add(1, Ordering::Relaxed);
-            ServeError::RetriesExhausted {
-                attempts: *attempts,
-                budget_empty: *budget_empty,
-                source: rerender_storage_error(source),
-            }
-        }
-        Trip::Deadline => unreachable!("lanes never trip deadlines"),
-    }
-}
-
-/// A structurally fresh [`StorageError`] carrying the same rendered cause,
-/// for fanning one shared probe failure out to every demanding query.
-fn rerender_storage_error(source: &StorageError) -> StorageError {
-    StorageError::Io {
-        path: PathBuf::from("<shared-batch-probe>"),
-        error: io::Error::other(source.to_string()),
-    }
 }

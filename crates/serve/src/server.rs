@@ -25,7 +25,7 @@
 //!    the query's already-resolved probes stand.
 //!
 //! Outcomes are **byte-identical** to the raw [`QueryServer`] path: the
-//! guarded loop reuses `rsse_core`'s `scan_query_into`/`assemble_outcome`
+//! guarded loop reuses `rsse_core`'s `scan_query_into_with`/`assemble_outcome`
 //! primitives, so resilience changes when probes happen, never what a
 //! completed query returns.
 
@@ -220,9 +220,9 @@ pub(crate) struct Counters {
     shed_tenant_full: AtomicU64,
     shed_global_full: AtomicU64,
     shed_pressure: AtomicU64,
-    pub(crate) deadline_expired: AtomicU64,
-    pub(crate) shard_unavailable: AtomicU64,
-    pub(crate) retry_exhausted: AtomicU64,
+    deadline_expired: AtomicU64,
+    shard_unavailable: AtomicU64,
+    retry_exhausted: AtomicU64,
     pub(crate) probes_resolved: AtomicU64,
     pub(crate) faults_absorbed: AtomicU64,
     pub(crate) batch_rounds: AtomicU64,
@@ -231,12 +231,17 @@ pub(crate) struct Counters {
     pub(crate) batch_max_lane_depth: AtomicU64,
 }
 
-/// Why the guarded scan aborted (recorded by the probe loop, translated
-/// into the query's typed [`ServeError`] after the scan unwinds). Shared
-/// with the batch executor, whose per-probe guarded loop records the same
-/// trips (minus `Deadline`, which batches check at round boundaries).
+/// Why a guarded probe (or the query demanding it) stopped short. Recorded
+/// where it is detected — the deadline check of [`QueryGuard`] or of the
+/// batch executor's round boundary, or
+/// [`probe_guarded`](ResilientServer::probe_guarded) — and translated into
+/// the query's typed [`ServeError`] by
+/// [`trip_error`](ResilientServer::trip_error).
 pub(crate) enum Trip {
-    Deadline,
+    /// The query's absolute deadline (on the server clock) had passed.
+    Deadline {
+        deadline: Duration,
+    },
     Breaker {
         shard: u32,
         open_for: Duration,
@@ -248,8 +253,39 @@ pub(crate) enum Trip {
     },
 }
 
+impl Trip {
+    /// A copy of this trip for one more query demanding the same shared
+    /// batch probe. The underlying [`StorageError`] is not clonable (it may
+    /// wrap an [`io::Error`]), so the copy carries a faithful re-rendering
+    /// of the same failure.
+    pub(crate) fn fan_out(&self) -> Trip {
+        match self {
+            Trip::Deadline { deadline } => Trip::Deadline {
+                deadline: *deadline,
+            },
+            Trip::Breaker { shard, open_for } => Trip::Breaker {
+                shard: *shard,
+                open_for: *open_for,
+            },
+            Trip::Exhausted {
+                attempts,
+                budget_empty,
+                source,
+            } => Trip::Exhausted {
+                attempts: *attempts,
+                budget_empty: *budget_empty,
+                source: StorageError::Io {
+                    path: PathBuf::from("<shared-batch-probe>"),
+                    error: io::Error::other(source.to_string()),
+                },
+            },
+        }
+    }
+}
+
 /// The per-query guarded view of the backend: an [`IndexLookup`] whose
-/// `try_get` runs the deadline/breaker/retry loop around every probe.
+/// `try_get` is the query's deadline check followed by
+/// [`probe_guarded`](ResilientServer::probe_guarded).
 struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
     /// Absolute deadline on the server clock, if any.
@@ -260,9 +296,10 @@ struct QueryGuard<'a, B: ServeIndex> {
 }
 
 impl<B: ServeIndex> QueryGuard<'_, B> {
-    /// The placeholder error returned to abort the scan once `trip` is
-    /// recorded; never surfaced to callers.
-    fn tripped() -> StorageError {
+    /// Records `trip` and returns the placeholder error that aborts the
+    /// scan; the placeholder is never surfaced to callers.
+    fn abort(&self, trip: Trip) -> StorageError {
+        self.trip.set(Some(trip));
         StorageError::Io {
             path: PathBuf::from("<resilient-serve-trip>"),
             error: io::Error::other("guarded scan aborted"),
@@ -275,52 +312,19 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
         let server = self.server;
-        let shard = server.backend.shard_of(label);
-        let mut attempt: u32 = 0;
-        loop {
-            if let Some(deadline) = self.deadline {
-                if server.clock.now() >= deadline {
-                    self.trip.set(Some(Trip::Deadline));
-                    return Err(Self::tripped());
-                }
+        if let Some(deadline) = self.deadline {
+            if server.clock.now() >= deadline {
+                return Err(self.abort(Trip::Deadline { deadline }));
             }
-            match server.breakers.admit(shard, server.clock.now()) {
-                Admit::Proceed | Admit::Trial => {}
-                Admit::FailFast { open_for } => {
-                    self.trip.set(Some(Trip::Breaker { shard, open_for }));
-                    return Err(Self::tripped());
-                }
+        }
+        match server.probe_guarded(server.backend.shard_of(label), label) {
+            Ok((span, absorbed)) => {
+                self.probes_resolved.set(self.probes_resolved.get() + 1);
+                self.faults_absorbed
+                    .set(self.faults_absorbed.get() + u64::from(absorbed));
+                Ok(span)
             }
-            match server.backend.probe(label) {
-                Ok(span) => {
-                    server.breakers.record_success(shard);
-                    self.probes_resolved.set(self.probes_resolved.get() + 1);
-                    self.faults_absorbed
-                        .set(self.faults_absorbed.get() + u64::from(attempt));
-                    return Ok(span);
-                }
-                Err(source) => {
-                    server.breakers.record_failure(shard, server.clock.now());
-                    attempt += 1;
-                    if attempt >= server.config.retry.max_attempts.max(1) {
-                        self.trip.set(Some(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: false,
-                            source,
-                        }));
-                        return Err(Self::tripped());
-                    }
-                    if !server.retry.try_consume() {
-                        self.trip.set(Some(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: true,
-                            source,
-                        }));
-                        return Err(Self::tripped());
-                    }
-                    server.clock.sleep(server.retry.backoff(attempt));
-                }
-            }
+            Err(trip) => Err(self.abort(trip)),
         }
     }
 }
@@ -332,8 +336,8 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_core::schemes::{log_brc_urc::LogScheme, CoverKind};
-/// use rsse_core::{Dataset, RangeScheme, Record};
+/// use rsse_core::schemes::log_brc_urc::LogScheme;
+/// use rsse_core::{Dataset, RangeScheme, Record, StorageConfig};
 /// use rsse_cover::{Domain, Range};
 /// use rsse_serve::{ResilientServer, ServeConfig};
 ///
@@ -343,7 +347,8 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 /// )
 /// .unwrap();
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
-/// let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+/// let config = StorageConfig::in_memory(4);
+/// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 /// let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
 ///
 /// let tokens = client.trapdoor(Range::new(0, 100)).unwrap();
@@ -531,57 +536,110 @@ impl<B: ServeIndex> ResilientServer<B> {
                 self.counters.served_ok.fetch_add(1, Ordering::Relaxed);
                 Ok(assemble_outcome(tokens, per_token, &counts))
             }
-            Err(raw) => Err(match guard.trip.take() {
-                Some(Trip::Deadline) => {
-                    self.counters
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    let deadline = deadline.expect("deadline trip implies a deadline");
-                    ServeError::DeadlineExceeded {
-                        deadline: deadline.saturating_sub(admitted_at),
-                        elapsed: self.clock.now().saturating_sub(admitted_at),
-                        partial: PartialOutcome {
-                            ids: per_token.into_iter().flatten().collect(),
-                            probes_resolved: guard.probes_resolved.get(),
-                            tokens_total: tokens.len(),
-                        },
+            Err(raw) => {
+                // Every guard error records its trip; a bare backend error
+                // cannot reach the scan, but is surfaced faithfully if one
+                // somehow does.
+                let trip = guard.trip.take().unwrap_or(Trip::Exhausted {
+                    attempts: 1,
+                    budget_empty: false,
+                    source: raw,
+                });
+                Err(self.trip_error(trip, admitted_at, || PartialOutcome {
+                    ids: per_token.into_iter().flatten().collect(),
+                    probes_resolved: guard.probes_resolved.get(),
+                    tokens_total: tokens.len(),
+                }))
+            }
+        }
+    }
+
+    /// The guarded probe — the one place the serving loops touch storage:
+    /// breaker admission, the probe, and budgeted retries with seeded
+    /// backoff. Returns the resolved span (`None` = label absent) together
+    /// with the failed attempts its retries absorbed, or the [`Trip`] that
+    /// stopped it.
+    ///
+    /// Deadlines are the caller's: the sequential [`QueryGuard`] checks its
+    /// query's deadline before each probe, the batch executor per query at
+    /// round boundaries (one demander's deadline must not cancel a probe
+    /// other queries share).
+    pub(crate) fn probe_guarded(
+        &self,
+        shard: u32,
+        label: &Label,
+    ) -> Result<(Option<CipherSpan<'_>>, u32), Trip> {
+        let mut attempt: u32 = 0;
+        loop {
+            match self.breakers.admit(shard, self.clock.now()) {
+                Admit::Proceed | Admit::Trial => {}
+                Admit::FailFast { open_for } => return Err(Trip::Breaker { shard, open_for }),
+            }
+            match self.backend.probe(label) {
+                Ok(span) => {
+                    self.breakers.record_success(shard);
+                    return Ok((span, attempt));
+                }
+                Err(source) => {
+                    self.breakers.record_failure(shard, self.clock.now());
+                    attempt += 1;
+                    if attempt >= self.config.retry.max_attempts.max(1) {
+                        return Err(Trip::Exhausted {
+                            attempts: attempt,
+                            budget_empty: false,
+                            source,
+                        });
                     }
+                    if !self.retry.try_consume() {
+                        return Err(Trip::Exhausted {
+                            attempts: attempt,
+                            budget_empty: true,
+                            source,
+                        });
+                    }
+                    self.clock.sleep(self.retry.backoff(attempt));
                 }
-                Some(Trip::Breaker { shard, open_for }) => {
-                    self.counters
-                        .shard_unavailable
-                        .fetch_add(1, Ordering::Relaxed);
-                    ServeError::ShardUnavailable { shard, open_for }
-                }
-                Some(Trip::Exhausted {
+            }
+        }
+    }
+
+    /// Counts a trip and builds the typed error of the query it stopped —
+    /// the one `Trip → ServeError` mapping. `partial` (what the query had
+    /// resolved) is only consumed by a deadline trip.
+    pub(crate) fn trip_error(
+        &self,
+        trip: Trip,
+        admitted_at: Duration,
+        partial: impl FnOnce() -> PartialOutcome,
+    ) -> ServeError {
+        let (counter, error) = match trip {
+            Trip::Deadline { deadline } => (
+                &self.counters.deadline_expired,
+                ServeError::DeadlineExceeded {
+                    deadline: deadline.saturating_sub(admitted_at),
+                    elapsed: self.clock.now().saturating_sub(admitted_at),
+                    partial: partial(),
+                },
+            ),
+            Trip::Breaker { shard, open_for } => (
+                &self.counters.shard_unavailable,
+                ServeError::ShardUnavailable { shard, open_for },
+            ),
+            Trip::Exhausted {
+                attempts,
+                budget_empty,
+                source,
+            } => (
+                &self.counters.retry_exhausted,
+                ServeError::RetriesExhausted {
                     attempts,
                     budget_empty,
                     source,
-                }) => {
-                    self.counters
-                        .retry_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
-                    ServeError::RetriesExhausted {
-                        attempts,
-                        budget_empty,
-                        source,
-                    }
-                }
-                // Every guard-loop error records a trip; a backend error
-                // can't reach the scan without one. Surface it faithfully
-                // if it somehow does.
-                None => {
-                    self.counters
-                        .retry_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
-                    ServeError::RetriesExhausted {
-                        attempts: 1,
-                        budget_empty: false,
-                        source: raw,
-                    }
-                }
-            }),
-        }
+                },
+            ),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        error
     }
 
     /// Answers one query under the configured

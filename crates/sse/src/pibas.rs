@@ -211,10 +211,9 @@ impl Eq for CipherSpan<'_> {}
 /// Read-side interface shared by the dictionary variants: the single-arena
 /// [`EncryptedIndex`] and the [`ShardedIndex`](crate::sharded::ShardedIndex).
 ///
-/// All search algorithms ([`SseScheme::search`], [`SseScheme::try_search`],
-/// [`SseScheme::search_batch`], …) are generic over this trait, so a scheme
-/// can move between the unsharded and sharded server layouts without
-/// touching its query logic.
+/// The counter scan ([`SseScheme::search_batch_scan`]) and its thin
+/// callers are generic over this trait, so a scheme can move between the
+/// unsharded and sharded server layouts without touching its query logic.
 ///
 /// Probes are **fallible**: a disk-backed index distinguishes "label
 /// absent" (`Ok(None)`) from "the storage failed" (`Err`). The in-memory
@@ -526,26 +525,8 @@ impl SseScheme {
             .collect()
     }
 
-    /// Variant of `BuildIndex` that takes pre-derived per-keyword tokens.
-    ///
-    /// Used by schemes (Constant-BRC/URC) whose decryption capability must
-    /// come from a delegatable PRF rather than from the SSE master key; the
-    /// index produced is structurally identical to [`build_index`]'s and is
-    /// searched with the exact same [`search`] algorithm.
-    ///
-    /// [`build_index`]: Self::build_index
-    /// [`search`]: Self::search
-    pub fn build_index_from_token_lists<R: RngCore + CryptoRng>(
-        lists: &[(SearchToken, Vec<Vec<u8>>)],
-        rng: &mut R,
-    ) -> EncryptedIndex {
-        merge_chunks(Self::chunks_from_token_lists(lists, rng))
-    }
-
-    /// Chunk-producing core of [`build_index_from_token_lists`]
-    /// (shared with the sharded assembly path).
-    ///
-    /// [`build_index_from_token_lists`]: Self::build_index_from_token_lists
+    /// Per-keyword encrypted chunks for pre-derived tokens (the core of
+    /// `build_index_from_token_lists_stored`; one nonce seed per list).
     pub(crate) fn chunks_from_token_lists<R: RngCore + CryptoRng>(
         lists: &[(SearchToken, Vec<Vec<u8>>)],
         rng: &mut R,
@@ -557,25 +538,8 @@ impl SseScheme {
             .collect()
     }
 
-    /// Fixed-stride `BuildIndex`: every payload of a keyword is a `[u8; P]`
-    /// array, stored contiguously. This is the fast path the range schemes
-    /// use — their payloads are fixed-size id or value-span encodings — and
-    /// it avoids one heap allocation per plaintext payload on top of the
-    /// arena's per-ciphertext savings. Identical output layout to
-    /// [`build_index`](Self::build_index): the index is searched with the
-    /// same tokens and algorithms.
-    pub fn build_index_fixed<const P: usize, R: RngCore + CryptoRng>(
-        key: &SseKey,
-        lists: &[(Vec<u8>, Vec<[u8; P]>)],
-        rng: &mut R,
-    ) -> EncryptedIndex {
-        merge_chunks(Self::chunks_from_fixed(key, lists, rng))
-    }
-
-    /// Chunk-producing core of [`build_index_fixed`]
-    /// (shared with the sharded assembly path).
-    ///
-    /// [`build_index_fixed`]: Self::build_index_fixed
+    /// Per-keyword encrypted chunks for fixed-stride payload lists (the
+    /// core of `build_index_fixed_stored`; one nonce seed per list).
     pub(crate) fn chunks_from_fixed<const P: usize, R: RngCore + CryptoRng>(
         key: &SseKey,
         lists: &[(Vec<u8>, Vec<[u8; P]>)],
@@ -608,31 +572,10 @@ impl SseScheme {
         }
     }
 
-    /// The shared counter-scan: walks labels `F(K1_w, 0), F(K1_w, 1), …`
-    /// until the first miss, invoking `visit` on each hit's ciphertext. A
-    /// failed probe aborts the scan with the backend's error instead of
-    /// being silently treated as the end of the list.
-    fn scan_entries<I: IndexLookup>(
-        index: &I,
-        token: &SearchToken,
-        mut visit: impl FnMut(&[u8]),
-    ) -> Result<usize, I::Error> {
-        let labeler = TokenLabeler::new(token);
-        let mut counter = 0u64;
-        loop {
-            let label = labeler.label_at(counter);
-            match index.try_get(&label)? {
-                Some(ciphertext) => {
-                    visit(&ciphertext);
-                    counter += 1;
-                }
-                None => return Ok(counter as usize),
-            }
-        }
-    }
-
     /// `Search(t, I)`: returns the decrypted payloads for the token's
-    /// keyword, in storage-counter order.
+    /// keyword, in storage-counter order — the lock-step scan
+    /// ([`search_batch_scan`](Self::search_batch_scan)) over a one-token
+    /// vector.
     ///
     /// A corrupt (undecryptable) entry is **skipped**, not a panic: the
     /// server must stay available even if a stored ciphertext was damaged.
@@ -649,7 +592,7 @@ impl SseScheme {
     ) -> Result<Vec<Vec<u8>>, I::Error> {
         let cipher = StreamCipher::new(&token.payload_key);
         let mut results = Vec::new();
-        Self::scan_entries(index, token, |ciphertext| {
+        Self::search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
             if let Some(plaintext) = cipher.decrypt(ciphertext) {
                 results.push(plaintext);
             }
@@ -669,7 +612,7 @@ impl SseScheme {
         let mut results = Vec::new();
         let mut corrupt: Option<usize> = None;
         let mut position = 0usize;
-        Self::scan_entries(index, token, |ciphertext| {
+        Self::search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
             match cipher.decrypt(ciphertext) {
                 Some(plaintext) => results.push(plaintext),
                 None => {
@@ -690,22 +633,25 @@ impl SseScheme {
     /// Like [`search`](Self::search) but only counts matches without
     /// decrypting — handy for benchmarks isolating dictionary lookups.
     pub fn search_count<I: IndexLookup>(index: &I, token: &SearchToken) -> Result<usize, I::Error> {
-        Self::scan_entries(index, token, |_| {})
+        let counts = Self::search_batch_scan(index, std::slice::from_ref(token), |_, _| {})?;
+        Ok(counts[0])
     }
 
-    /// The batched counter-scan underlying [`search_batch`]: advances all
-    /// tokens in lockstep, one counter round at a time. Each round computes
-    /// the next label of every still-live token into one shared PRF scratch
-    /// buffer, resolves the whole probe vector with [`IndexLookup::get_many`]
+    /// The counter scan — the one `Search` walk every entry point runs:
+    /// advances all tokens in lockstep, one counter round at a time. Each
+    /// round computes the label `F(K1_w, c)` of every still-live token,
+    /// resolves the whole probe vector with [`IndexLookup::try_get_many`]
     /// (which groups probes by shard on a sharded index), and calls
     /// `visit(token_index, ciphertext)` for every hit. A token leaves the
-    /// live set at its first miss, exactly as in the per-token scan, so the
-    /// per-token visit sequences are identical to [`scan_entries`]'s.
+    /// live set at its first miss, so each token's visit sequence is its
+    /// entries in storage-counter order.
     ///
-    /// Returns the per-token match counts.
-    ///
-    /// [`search_batch`]: Self::search_batch
-    fn scan_batch<'a, I: IndexLookup>(
+    /// Callers post-process the ciphertexts themselves (e.g. decrypting
+    /// with [`SearchToken::payload_cipher`] into one reused buffer).
+    /// Returns the per-token match counts (matched entries, decryptable or
+    /// not). A failed probe aborts the whole scan with the backend's typed
+    /// error instead of being treated as the end of a list.
+    pub fn search_batch_scan<'a, I: IndexLookup>(
         index: &'a I,
         tokens: &[SearchToken],
         mut visit: impl FnMut(usize, &[u8]),
@@ -739,48 +685,6 @@ impl SseScheme {
             counter += 1;
         }
         Ok(counts)
-    }
-
-    /// Batched `Search`: answers a whole token vector in one pass, returning
-    /// each token's decrypted payload list in token order.
-    ///
-    /// Per-token results are **identical** to calling
-    /// [`search`](Self::search) once per token (same payloads, same
-    /// counter order, corrupt entries skipped the same way); what changes is
-    /// the work layout: label-PRF scratch is shared across tokens, every
-    /// counter round's probes are resolved together (grouped by shard on a
-    /// [`ShardedIndex`](crate::sharded::ShardedIndex)), and per-token
-    /// allocations are amortized. This is the server entry point for a range
-    /// query's whole BRC/URC cover.
-    pub fn search_batch<I: IndexLookup>(
-        index: &I,
-        tokens: &[SearchToken],
-    ) -> Result<Vec<Vec<Vec<u8>>>, I::Error> {
-        let ciphers: Vec<StreamCipher> = tokens
-            .iter()
-            .map(|token| StreamCipher::new(&token.payload_key))
-            .collect();
-        let mut results: Vec<Vec<Vec<u8>>> = tokens.iter().map(|_| Vec::new()).collect();
-        Self::scan_batch(index, tokens, |t, ciphertext| {
-            if let Some(plaintext) = ciphers[t].decrypt(ciphertext) {
-                results[t].push(plaintext);
-            }
-        })?;
-        Ok(results)
-    }
-
-    /// Visitor variant of [`search_batch`](Self::search_batch) for callers
-    /// that post-process payloads without keeping them (e.g. decoding tuple
-    /// ids into a flat result set with one reused decryption buffer).
-    /// `visit` receives `(token index, ciphertext)`; returns per-token match
-    /// counts (matched entries, decryptable or not). A failed probe aborts
-    /// the whole batch with the backend's typed error.
-    pub fn search_batch_scan<I: IndexLookup>(
-        index: &I,
-        tokens: &[SearchToken],
-        visit: impl FnMut(usize, &[u8]),
-    ) -> Result<Vec<usize>, I::Error> {
-        Self::scan_batch(index, tokens, visit)
     }
 }
 
@@ -870,6 +774,22 @@ pub mod reference {
             }
         }
         ReferenceIndex { dictionary }
+    }
+
+    /// The single-token counter walk over the per-entry dictionary — the
+    /// test oracle the lock-step scan is compared against (it shares no
+    /// code with it: own label derivation, own loop, own decrypt).
+    #[cfg(test)]
+    pub(crate) fn search(index: &ReferenceIndex, token: &SearchToken) -> Vec<Vec<u8>> {
+        let label_prf = Prf::new(&token.label_key);
+        let cipher = StreamCipher::new(&token.payload_key);
+        (0u64..)
+            .map_while(|counter| {
+                let label: Label = label_prf.eval_truncated(&counter.to_le_bytes());
+                index.dictionary.get(&label)
+            })
+            .filter_map(|ciphertext| cipher.decrypt(ciphertext))
+            .collect()
     }
 }
 
@@ -1007,13 +927,15 @@ mod tests {
         let seed_b = [2u8; KEY_LEN];
         let ta = SearchToken::derive_from_seed(&seed_a);
         let tb = SearchToken::derive_from_seed(&seed_b);
-        let index = SseScheme::build_index_from_token_lists(
+        let index = SseScheme::build_index_from_token_lists_stored(
             &[
                 (ta.clone(), vec![b"x".to_vec(), b"y".to_vec()]),
                 (tb.clone(), vec![b"z".to_vec()]),
             ],
+            &crate::storage::StorageConfig::in_memory(0),
             &mut rng,
-        );
+        )
+        .unwrap();
         assert_eq!(index.len(), 3);
         assert_eq!(
             SseScheme::search(&index, &ta).unwrap(),
@@ -1132,6 +1054,7 @@ mod tests {
             for (keyword, expected) in db.iter() {
                 let token = SseScheme::trapdoor(&key, keyword);
                 prop_assert_eq!(SseScheme::search(&arena, &token).unwrap(), expected.to_vec());
+                prop_assert_eq!(reference::search(&reference, &token), expected.to_vec());
             }
         }
     }

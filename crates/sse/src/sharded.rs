@@ -204,7 +204,7 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{SseDatabase, SseScheme};
+/// use rsse_sse::{SseDatabase, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
 /// let key = SseScheme::setup(&mut rng);
@@ -214,7 +214,8 @@ impl ShardStorage for FaultShard {
 /// }
 ///
 /// // 2^4 = 16 shards; entries distribute by label prefix.
-/// let index = SseScheme::build_index_sharded(&key, &db, 4, &mut rng);
+/// let config = StorageConfig::in_memory(4);
+/// let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
 /// assert_eq!(index.shard_count(), 16);
 /// assert_eq!(index.len(), 100);
 ///
@@ -228,13 +229,14 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{ShardedIndex, SseDatabase, SseScheme};
+/// use rsse_sse::{ShardedIndex, SseDatabase, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(2);
 /// let key = SseScheme::setup(&mut rng);
 /// let mut db = SseDatabase::new();
 /// db.add(b"w".to_vec(), b"payload".to_vec());
-/// let index = SseScheme::build_index_sharded(&key, &db, 2, &mut rng);
+/// let config = StorageConfig::in_memory(2);
+/// let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
 ///
 /// let dir = std::env::temp_dir().join(format!("rsse-doc-{}", std::process::id()));
 /// index.save_to_dir(&dir).unwrap();
@@ -815,25 +817,12 @@ fn shard_chunks_to_dir(
 }
 
 impl SseScheme {
-    /// Sharded variant of [`build_index`](Self::build_index): same
-    /// per-keyword encryption (and the same RNG consumption — one nonce
-    /// seed per keyword, so ciphertexts are identical for every
-    /// `shard_bits`), but the entries are distributed over `2^shard_bits`
-    /// label-prefix shards assembled in parallel.
-    pub fn build_index_sharded<R: RngCore + CryptoRng>(
-        key: &SseKey,
-        database: &SseDatabase,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_database(key, database, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_sharded`](Self::build_index_sharded): the shards are
-    /// assembled in memory or streamed straight to their serialized files,
-    /// as [`StorageConfig`] selects. RNG consumption — and therefore every
-    /// ciphertext byte — is identical across backends.
+    /// [`build_index`](Self::build_index) onto the layout and backend a
+    /// [`StorageConfig`] selects: same per-keyword encryption (and the same
+    /// RNG consumption — one nonce seed per keyword, so every ciphertext
+    /// byte is identical for every `shard_bits` and backend), with the
+    /// entries distributed over `2^shard_bits` label-prefix shards that are
+    /// assembled in memory or streamed straight to their serialized files.
     pub fn build_index_stored<R: RngCore + CryptoRng>(
         key: &SseKey,
         database: &SseDatabase,
@@ -843,18 +832,13 @@ impl SseScheme {
         shard_chunks_stored(config, Self::chunks_from_database(key, database, rng))
     }
 
-    /// Sharded variant of
-    /// [`build_index_from_token_lists`](Self::build_index_from_token_lists).
-    pub fn build_index_from_token_lists_sharded<R: RngCore + CryptoRng>(
-        lists: &[(SearchToken, Vec<Vec<u8>>)],
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_token_lists(lists, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_from_token_lists_sharded`](Self::build_index_from_token_lists_sharded).
+    /// [`build_index_stored`](Self::build_index_stored) from pre-derived
+    /// per-keyword tokens.
+    ///
+    /// Used by schemes (Constant-BRC/URC) whose decryption capability must
+    /// come from a delegatable PRF rather than from the SSE master key; the
+    /// index produced is structurally identical to `build_index_stored`'s
+    /// and is searched with the exact same algorithm.
     pub fn build_index_from_token_lists_stored<R: RngCore + CryptoRng>(
         lists: &[(SearchToken, Vec<Vec<u8>>)],
         config: &StorageConfig,
@@ -863,19 +847,13 @@ impl SseScheme {
         shard_chunks_stored(config, Self::chunks_from_token_lists(lists, rng))
     }
 
-    /// Sharded variant of [`build_index_fixed`](Self::build_index_fixed) —
-    /// the fast path the range schemes' sharded constructors use.
-    pub fn build_index_fixed_sharded<const P: usize, R: RngCore + CryptoRng>(
-        key: &SseKey,
-        lists: &[(Vec<u8>, Vec<[u8; P]>)],
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_fixed(key, lists, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_fixed_sharded`](Self::build_index_fixed_sharded).
+    /// Fixed-stride [`build_index_stored`](Self::build_index_stored): every
+    /// payload of a keyword is a `[u8; P]` array, stored contiguously. This
+    /// is the fast path the range schemes use — their payloads are
+    /// fixed-size id or value-span encodings — and it avoids one heap
+    /// allocation per plaintext payload on top of the arena's
+    /// per-ciphertext savings. Identical output layout: the index is
+    /// searched with the same tokens and algorithm.
     pub fn build_index_fixed_stored<const P: usize, R: RngCore + CryptoRng>(
         key: &SseKey,
         lists: &[(Vec<u8>, Vec<[u8; P]>)],
@@ -890,12 +868,36 @@ impl SseScheme {
 mod tests {
     use super::*;
     use crate::fault::FaultInjectable;
-    use crate::pibas::LABEL_LEN;
+    use crate::pibas::{reference, LABEL_LEN};
     use crate::storage::test_support::TempDir;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_crypto::{Key, KEY_LEN};
+
+    /// In-memory build over `2^bits` shards.
+    fn in_memory_index(
+        key: &SseKey,
+        db: &SseDatabase,
+        bits: u32,
+        rng: &mut ChaCha20Rng,
+    ) -> ShardedIndex {
+        SseScheme::build_index_stored(key, db, &StorageConfig::in_memory(bits), rng).unwrap()
+    }
+
+    /// Every token's decrypted payloads from one lock-step scan, in token
+    /// order (corrupt entries skipped).
+    fn scan_payloads<I: IndexLookup>(
+        index: &I,
+        tokens: &[SearchToken],
+    ) -> Result<Vec<Vec<Vec<u8>>>, I::Error> {
+        let ciphers: Vec<_> = tokens.iter().map(SearchToken::payload_cipher).collect();
+        let mut results = vec![Vec::new(); tokens.len()];
+        SseScheme::search_batch_scan(index, tokens, |t, ciphertext| {
+            results[t].extend(ciphers[t].decrypt(ciphertext));
+        })?;
+        Ok(results)
+    }
 
     fn db_from(entries: &[(Vec<u8>, Vec<u8>)]) -> SseDatabase {
         let mut db = SseDatabase::new();
@@ -940,7 +942,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let index = SseScheme::build_index_sharded(&key, &db, 4, &mut rng);
+        let index = in_memory_index(&key, &db, 4, &mut rng);
         assert_eq!(index.shard_count(), 16);
         assert_eq!(index.len(), 64);
         // Every shard's entries carry that shard's label prefix, and every
@@ -978,7 +980,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let index = SseScheme::build_index_sharded(&key, &db, 3, &mut rng);
+        let index = in_memory_index(&key, &db, 3, &mut rng);
         let tokens: Vec<SearchToken> = (0..6u64)
             .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
             .collect();
@@ -1137,7 +1139,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut index = SseScheme::build_index_sharded(&key, &db, 2, &mut rng);
+        let mut index = in_memory_index(&key, &db, 2, &mut rng);
         let token = SseScheme::trapdoor(&key, b"kw1");
         assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 8);
 
@@ -1152,7 +1154,7 @@ mod tests {
             other => panic!("expected Err(Io), got {other:?}"),
         }
         // The batched scan fails the same way…
-        assert!(SseScheme::search_batch(&index, std::slice::from_ref(&token)).is_err());
+        assert!(scan_payloads(&index, std::slice::from_ref(&token)).is_err());
         // …and try_search reports it as a storage failure, not corruption.
         match SseScheme::try_search(&index, &token) {
             Err(crate::pibas::SearchError::Storage(StorageError::Io { .. })) => {}
@@ -1179,7 +1181,7 @@ mod tests {
             let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
             let flat = SseScheme::build_index(&key, &db, &mut rng_flat);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = SseScheme::build_index_sharded(&key, &db, 0, &mut rng_sharded);
+            let sharded = in_memory_index(&key, &db, 0, &mut rng_sharded);
 
             prop_assert_eq!(sharded.shard_count(), 1);
             let shard = sharded.shards()[0].as_memory().expect("in-memory build");
@@ -1203,9 +1205,9 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0xC3; KEY_LEN]));
 
             let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
-            let flat = SseScheme::build_index_sharded(&key, &db, 0, &mut rng_flat);
+            let flat = in_memory_index(&key, &db, 0, &mut rng_flat);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = SseScheme::build_index_sharded(&key, &db, bits, &mut rng_sharded);
+            let sharded = in_memory_index(&key, &db, bits, &mut rng_sharded);
 
             prop_assert_eq!(sharded.len(), flat.len());
             prop_assert_eq!(sharded.storage_bytes(), flat.storage_bytes());
@@ -1228,17 +1230,18 @@ mod tests {
                     SseScheme::search(&flat, token).unwrap()
                 );
             }
-            let batched = SseScheme::search_batch(&sharded, &tokens).unwrap();
+            let batched = scan_payloads(&sharded, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
                 .map(|t| SseScheme::search(&flat, t).unwrap())
                 .collect();
             prop_assert_eq!(batched, per_token);
         }
 
-        /// Regression: `search_batch` on a *shuffled* token vector returns,
-        /// per token, exactly what per-token `search` returns — so the
-        /// result multiset over the whole vector is independent of token
-        /// order and of batching.
+        /// Regression: the lock-step scan on a *shuffled* token vector
+        /// returns, per token, exactly what the single-token reference walk
+        /// (`pibas::reference::search` over the per-entry dictionary — no
+        /// code shared with the scan) returns — so the result multiset over
+        /// the whole vector is independent of token order and of batching.
         #[test]
         fn search_batch_on_shuffled_tokens_matches_per_token_search(
             entries in proptest::collection::vec(
@@ -1251,7 +1254,8 @@ mod tests {
             let db = db_from(&entries);
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
             let key = SseScheme::setup(&mut rng);
-            let index = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+            let oracle = reference::build_index(&key, &db, &mut rng.clone());
+            let index = in_memory_index(&key, &db, bits, &mut rng);
 
             // Tokens for every keyword plus two absent ones, then shuffled
             // (deterministic rotation + reversal keeps proptest shrinking sane).
@@ -1264,11 +1268,14 @@ mod tests {
             tokens.rotate_left(split);
             tokens.reverse();
 
-            let batched = SseScheme::search_batch(&index, &tokens).unwrap();
+            let batched = scan_payloads(&index, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
-                .map(|t| SseScheme::search(&index, t).unwrap())
+                .map(|t| reference::search(&oracle, t))
                 .collect();
             prop_assert_eq!(&batched, &per_token, "per-token results must be identical");
+            for (token, expected) in tokens.iter().zip(&per_token) {
+                prop_assert_eq!(&SseScheme::search(&index, token).unwrap(), expected);
+            }
 
             // Multiset equality over the flattened result vector.
             let mut flat_batched: Vec<Vec<u8>> = batched.into_iter().flatten().collect();
@@ -1294,7 +1301,7 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0x3C; KEY_LEN]));
 
             let mut rng_mem = ChaCha20Rng::seed_from_u64(seed);
-            let memory = SseScheme::build_index_sharded(&key, &db, bits, &mut rng_mem);
+            let memory = in_memory_index(&key, &db, bits, &mut rng_mem);
             let dir = TempDir::new("prop-eq");
             let mut rng_file = ChaCha20Rng::seed_from_u64(seed);
             let file = SseScheme::build_index_stored(
@@ -1320,8 +1327,8 @@ mod tests {
                     SseScheme::search(&memory, token).unwrap()
                 );
             }
-            let batched = SseScheme::search_batch(&file, &tokens).unwrap();
-            prop_assert_eq!(batched, SseScheme::search_batch(&memory, &tokens).unwrap());
+            let batched = scan_payloads(&file, &tokens).unwrap();
+            prop_assert_eq!(batched, scan_payloads(&memory, &tokens).unwrap());
         }
 
         /// PR 3 acceptance property (b): `save_to_dir` → `open_dir` →
@@ -1340,7 +1347,7 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0x77; KEY_LEN]));
 
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
-            let memory = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+            let memory = in_memory_index(&key, &db, bits, &mut rng);
 
             let saved = TempDir::new("prop-rt-a");
             memory.save_to_dir(saved.path()).unwrap();
@@ -1381,7 +1388,7 @@ mod tests {
                         .collect::<Vec<_>>(),
                 );
                 let mut rng = ChaCha20Rng::seed_from_u64(u64::from(byte));
-                let index = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+                let index = in_memory_index(&key, &db, bits, &mut rng);
                 (key, index)
             })
             .collect()

@@ -403,7 +403,7 @@ pub struct StorageConfig {
     /// Memory budget for the build itself. `None` (the default) keeps the
     /// classic in-RAM build: sort, encrypt and scatter the whole corpus in
     /// memory. `Some` routes budget-aware builds (the range schemes'
-    /// grouped paths, `RangeScheme::build_external` in `rsse-core`, and
+    /// grouped paths, `RangeScheme::build_stored` in `rsse-core`, and
     /// update-manager consolidations past the threshold) through the
     /// external-memory spill-and-merge pipeline of the
     /// [`external`](crate::external) module — **byte-identical output**,
@@ -2165,7 +2165,9 @@ mod tests {
                 i.to_le_bytes().to_vec(),
             );
         }
-        let index = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+        let index =
+            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(bits), &mut rng)
+                .unwrap();
         let dir = TempDir::new("robust");
         index.save_to_dir(dir.path()).unwrap();
         let shard0 = dir.path().join(shard_file_name(0));
@@ -2403,7 +2405,9 @@ mod tests {
                 i.to_le_bytes().to_vec(),
             );
         }
-        let index = SseScheme::build_index_sharded(&key, &db, 2, &mut rng);
+        let index =
+            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(2), &mut rng)
+                .unwrap();
         let dir = TempDir::new("inplace-resave");
         index.save_to_dir(dir.path()).unwrap();
         let before = fs::read(dir.path().join(shard_file_name(0))).unwrap();
@@ -2433,10 +2437,12 @@ mod tests {
         let mut db = SseDatabase::new();
         db.add(b"w".to_vec(), b"payload".to_vec());
         let dir = TempDir::new("stale-shards");
-        SseScheme::build_index_sharded(&key, &db, 3, &mut rng)
+        SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(3), &mut rng)
+            .unwrap()
             .save_to_dir(dir.path())
             .unwrap();
-        SseScheme::build_index_sharded(&key, &db, 0, &mut rng)
+        SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
+            .unwrap()
             .save_to_dir(dir.path())
             .unwrap();
         let names: Vec<String> = fs::read_dir(dir.path())
@@ -2500,7 +2506,9 @@ mod tests {
         for i in 0..16u64 {
             db.add(format!("other{i}").into_bytes(), i.to_le_bytes().to_vec());
         }
-        let other = SseScheme::build_index_sharded(&key, &db, 1, &mut rng);
+        let other =
+            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(1), &mut rng)
+                .unwrap();
         fs::write(staging_path(dir.path()), b"occupied").unwrap();
         let err = other
             .save_to_dir(dir.path())

@@ -312,11 +312,7 @@ impl<S: RangeScheme> BatchInstance<S> {
                 let mut stats = QueryStats::default();
                 for (index, (client, _)) in parts.iter().enumerate() {
                     let outcome = client.try_query(&self.server, range)?;
-                    stats.tokens_sent += outcome.stats.tokens_sent;
-                    stats.token_bytes += outcome.stats.token_bytes;
-                    stats.rounds = stats.rounds.max(outcome.stats.rounds);
-                    stats.entries_touched += outcome.stats.entries_touched;
-                    stats.result_groups += outcome.stats.result_groups;
+                    stats.absorb(&outcome.stats);
                     for id in outcome.ids {
                         if authority.get(&id) == Some(&(index as u32)) {
                             ids.push(id);
@@ -1126,11 +1122,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         let mut stats = QueryStats::default();
         for instance in self.levels.iter().flatten() {
             let outcome = instance.try_query(range)?;
-            stats.tokens_sent += outcome.stats.tokens_sent;
-            stats.token_bytes += outcome.stats.token_bytes;
-            stats.rounds = stats.rounds.max(outcome.stats.rounds);
-            stats.entries_touched += outcome.stats.entries_touched;
-            stats.result_groups += outcome.stats.result_groups;
+            stats.absorb(&outcome.stats);
             for id in outcome.ids {
                 // Only the instance that holds the *newest* version of the
                 // tuple is authoritative for it.
@@ -1898,7 +1890,7 @@ mod tests {
 
     #[test]
     fn sharded_rebuilds_answer_identically_to_unsharded() {
-        // The rebuild path goes through build_sharded: a manager configured
+        // The rebuild path goes through build_stored: a manager configured
         // with shard bits must stay logically identical to an unsharded one
         // across ingestion and consolidation.
         let mut rng_a = ChaCha20Rng::seed_from_u64(9);

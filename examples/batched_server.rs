@@ -19,6 +19,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
+use rsse::core::StorageConfig;
 use rsse::prelude::*;
 use rsse::sse::{FaultInjectable, FaultPlan, SearchToken};
 
@@ -35,7 +36,8 @@ fn main() {
 
     let shard_bits = 8;
     let (client, server) =
-        LogScheme::build_sharded_with(&dataset, CoverKind::Brc, shard_bits, &mut rng);
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(shard_bits), &mut rng)
+            .expect("in-memory build cannot fail");
     println!(
         "index: {} entries across {} shards ({} bits of label prefix)",
         server.index().len(),
@@ -70,7 +72,8 @@ fn main() {
         .collect();
 
     // ---------------------------------------------------------------
-    // 3. Verify: exact results, identical to the per-token path.
+    // 3. Verify: exact results, identical to querying the bare scheme
+    //    server one query at a time (same scan, no serving frontend).
     // ---------------------------------------------------------------
     let mut total_results = 0usize;
     let mut total_tokens = 0usize;
@@ -90,7 +93,7 @@ fn main() {
     }
     println!(
         "answered {} queries in one batch: {} tokens, {} result tuples, all exact \
-         and identical to the sequential per-token path",
+         and identical to the sequential unguarded path",
         ranges.len(),
         total_tokens,
         total_results,

@@ -7,8 +7,9 @@
 //!
 //! * every budget-honoring scheme, built externally on disk, produces an
 //!   index directory byte-identical to its in-RAM build;
-//! * the in-memory backend answers queries identically either way, and the
-//!   [`RangeScheme::build_external`] entry point defaults the budget;
+//! * the in-memory backend answers queries identically either way — the
+//!   budget is just a `StorageConfig` field, at a deliberately tiny value
+//!   and at `BuildBudget::default()`;
 //! * a build killed inside a spill crash window leaves debris that the
 //!   restarted build heals — without touching foreign files — and
 //!   converges byte-identically;
@@ -71,7 +72,8 @@ fn trees_equal(a: &Path, b: &Path) -> bool {
     })
 }
 
-/// For every budget-honoring scheme and several seeds: the external build
+/// For every budget-honoring scheme and several seeds: the budgeted build
+/// — at a tiny budget that spills many runs and at the default budget —
 /// writes an on-disk index directory byte-identical to the in-RAM build.
 #[test]
 fn external_disk_builds_are_byte_identical_across_schemes() {
@@ -80,7 +82,6 @@ fn external_disk_builds_are_byte_identical_across_schemes() {
         let dataset = gowalla_like(700, 1 << 10, &mut data_rng);
         for kind in BUDGETED {
             let ref_dir = TempDir::new("ext-ref");
-            let ext_dir = TempDir::new("ext-new");
             AnyScheme::build_stored(
                 kind,
                 &dataset,
@@ -88,18 +89,21 @@ fn external_disk_builds_are_byte_identical_across_schemes() {
                 &mut ChaCha20Rng::seed_from_u64(seed ^ 0xb17),
             )
             .unwrap();
-            AnyScheme::build_stored(
-                kind,
-                &dataset,
-                &StorageConfig::on_disk(2, ext_dir.path()).with_build_budget(tiny_budget()),
-                &mut ChaCha20Rng::seed_from_u64(seed ^ 0xb17),
-            )
-            .unwrap();
-            assert!(
-                trees_equal(ref_dir.path(), ext_dir.path()),
-                "{} external build diverged from the in-RAM bytes (seed {seed})",
-                kind.name()
-            );
+            for budget in [tiny_budget(), BuildBudget::default()] {
+                let ext_dir = TempDir::new("ext-new");
+                AnyScheme::build_stored(
+                    kind,
+                    &dataset,
+                    &StorageConfig::on_disk(2, ext_dir.path()).with_build_budget(budget.clone()),
+                    &mut ChaCha20Rng::seed_from_u64(seed ^ 0xb17),
+                )
+                .unwrap();
+                assert!(
+                    trees_equal(ref_dir.path(), ext_dir.path()),
+                    "{} build under {budget:?} diverged from the in-RAM bytes (seed {seed})",
+                    kind.name()
+                );
+            }
         }
     }
 }
@@ -144,31 +148,6 @@ fn external_in_memory_builds_answer_identically() {
     }
     // Every spill directory was swept on success.
     assert_eq!(spill_root.subdir_count(), 0);
-}
-
-/// `RangeScheme::build_external` is the one-call entry point: it defaults
-/// the budget when the config carries none and matches `build_stored` with
-/// an explicit budget.
-#[test]
-fn build_external_defaults_the_budget() {
-    use rsse::core::schemes::log_brc_urc::LogScheme;
-    let mut data_rng = ChaCha20Rng::seed_from_u64(21);
-    let dataset = gowalla_like(300, 1 << 9, &mut data_rng);
-    let a = TempDir::new("ext-default-a");
-    let b = TempDir::new("ext-default-b");
-    LogScheme::build_external(
-        &dataset,
-        &StorageConfig::on_disk(1, a.path()),
-        &mut ChaCha20Rng::seed_from_u64(3),
-    )
-    .unwrap();
-    LogScheme::build_stored(
-        &dataset,
-        &StorageConfig::on_disk(1, b.path()).with_build_budget(BuildBudget::default()),
-        &mut ChaCha20Rng::seed_from_u64(3),
-    )
-    .unwrap();
-    assert!(trees_equal(a.path(), b.path()));
 }
 
 /// A scheme build killed in each spill crash window: the debris never

@@ -73,7 +73,8 @@ fn endpoint(
         (data, client, server.into_query_server(), Some(dir))
     } else {
         let (client, server) =
-            LogScheme::build_sharded_with(&data, CoverKind::Brc, shard_bits, &mut rng);
+            LogScheme::build_stored(&data, &StorageConfig::in_memory(shard_bits), &mut rng)
+                .expect("in-memory build cannot fail");
         (data, client, server.into_query_server(), None)
     }
 }
@@ -121,7 +122,9 @@ fn chaos_rate_faults_leave_outcomes_byte_identical() {
     let (_data, client, mut qs, _guard) = endpoint("chaos-rate", 3, 11);
     let queries = batch(&client);
     let reference = qs
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("fault-free reference");
 
     let injector = qs.inject_fault_plan(FaultPlan::seeded(chaos_seed()).fault_rate(0.10));

@@ -6,11 +6,11 @@
 //! backend with a small block-cache budget instead, so the same battery
 //! exercises streamed builds, paged reads, and budgeted eviction.
 //!
-//! Build path: setting `RSSE_TEST_BUILD=external` (the CI constrained-memory
-//! lane) additionally attaches a deliberately tiny `BuildBudget`, so every
-//! budget-honoring scheme builds through the external spill/merge pipeline —
-//! which must leave every answer unchanged, since the index bytes are
-//! identical by contract.
+//! Build path: every battery runs twice — without a `BuildBudget` (the
+//! in-RAM grouped build) and with a deliberately tiny one, so every
+//! budget-honoring scheme also builds through the external spill/merge
+//! pipeline — which must leave every answer unchanged, since the index
+//! bytes are identical by contract.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -24,37 +24,36 @@ fn sorted(mut ids: Vec<DocId>) -> Vec<DocId> {
     ids
 }
 
-/// Builds `kind` on the backend selected by `RSSE_TEST_STORAGE`: in-memory
-/// (default) or on-disk with a 256 KiB block-cache budget (`on_disk`).
-/// Returns the scheme plus the temp directory keeping a disk build alive.
+/// The build budgets every battery runs under: none (the in-RAM build),
+/// and one small enough that every budgeted build spills several sorted
+/// runs.
+fn build_budgets() -> [Option<BuildBudget>; 2] {
+    [None, Some(BuildBudget::with_memory(64 << 10))]
+}
+
+/// Builds `kind` under `budget` on the backend selected by
+/// `RSSE_TEST_STORAGE`: in-memory (default) or on-disk with a 256 KiB
+/// block-cache budget (`on_disk`). Returns the scheme plus the temp
+/// directory keeping a disk build alive.
 fn build_scheme(
     kind: SchemeKind,
     dataset: &Dataset,
+    budget: &Option<BuildBudget>,
     rng: &mut rand_chacha::ChaCha20Rng,
     tag: &str,
 ) -> (AnyScheme, Option<TempDir>) {
-    let external = std::env::var("RSSE_TEST_BUILD").as_deref() == Ok("external");
-    // Small enough that every external build spills several sorted runs.
-    let budget = || BuildBudget::with_memory(64 << 10);
-    match std::env::var("RSSE_TEST_STORAGE").as_deref() {
+    let (mut config, dir) = match std::env::var("RSSE_TEST_STORAGE").as_deref() {
         Ok("on_disk") => {
             let dir = TempDir::new(tag);
-            let mut config = StorageConfig::on_disk(2, dir.path()).with_cache_budget(256 << 10);
-            if external {
-                config = config.with_build_budget(budget());
-            }
-            let scheme = AnyScheme::build_stored(kind, dataset, &config, rng)
-                .expect("on-disk build must succeed");
-            (scheme, Some(dir))
+            let config = StorageConfig::on_disk(2, dir.path()).with_cache_budget(256 << 10);
+            (config, Some(dir))
         }
-        _ if external => {
-            let config = StorageConfig::in_memory(2).with_build_budget(budget());
-            let scheme = AnyScheme::build_stored(kind, dataset, &config, rng)
-                .expect("external in-memory build must succeed");
-            (scheme, None)
-        }
-        _ => (AnyScheme::build(kind, dataset, rng), None),
-    }
+        _ => (StorageConfig::in_memory(2), None),
+    };
+    config.build_budget = budget.clone();
+    let scheme = AnyScheme::build_stored(kind, dataset, &config, rng)
+        .expect("every backend and budget builds the battery");
+    (scheme, dir)
 }
 
 /// Schemes without false positives must return exactly the ground truth;
@@ -70,30 +69,32 @@ fn all_schemes_are_complete_and_exact_schemes_agree() {
         Range::point(2_500),
     ];
 
-    let schemes: Vec<(AnyScheme, Option<TempDir>)> = SchemeKind::EVALUATED
-        .iter()
-        .map(|kind| build_scheme(*kind, &dataset, &mut rng, "consistency"))
-        .collect();
+    for budget in build_budgets() {
+        let schemes: Vec<(AnyScheme, Option<TempDir>)> = SchemeKind::EVALUATED
+            .iter()
+            .map(|kind| build_scheme(*kind, &dataset, &budget, &mut rng, "consistency"))
+            .collect();
 
-    for query in queries {
-        let expected = sorted(dataset.matching_ids(query));
-        for (scheme, _dir) in &schemes {
-            let outcome = scheme
-                .try_query(query)
-                .expect("storage backend answers the battery");
-            let eval = Evaluation::compare(&outcome.ids, &expected);
-            assert!(
-                eval.is_complete(),
-                "{} missed results for {query}",
-                scheme.name()
-            );
-            if !scheme.kind().has_false_positives() {
-                assert_eq!(
-                    sorted(outcome.ids),
-                    expected,
-                    "{} expected to be exact for {query}",
+        for query in queries {
+            let expected = sorted(dataset.matching_ids(query));
+            for (scheme, _dir) in &schemes {
+                let outcome = scheme
+                    .try_query(query)
+                    .expect("storage backend answers the battery");
+                let eval = Evaluation::compare(&outcome.ids, &expected);
+                assert!(
+                    eval.is_complete(),
+                    "{} missed results for {query}",
                     scheme.name()
                 );
+                if !scheme.kind().has_false_positives() {
+                    assert_eq!(
+                        sorted(outcome.ids),
+                        expected,
+                        "{} expected to be exact for {query}",
+                        scheme.name()
+                    );
+                }
             }
         }
     }
@@ -110,15 +111,17 @@ fn skewed_data_keeps_every_scheme_complete() {
         Range::new(2_000, 4_500),
         Range::new((1 << 13) - 300, (1 << 13) - 1),
     ];
-    for kind in SchemeKind::EVALUATED {
-        let (scheme, _dir) = build_scheme(kind, &dataset, &mut rng, "skewed");
-        for query in queries {
-            let expected = dataset.matching_ids(query);
-            let outcome = scheme
-                .try_query(query)
-                .expect("storage backend answers the battery");
-            let eval = Evaluation::compare(&outcome.ids, &expected);
-            assert!(eval.is_complete(), "{} missed results", scheme.name());
+    for budget in build_budgets() {
+        for kind in SchemeKind::EVALUATED {
+            let (scheme, _dir) = build_scheme(kind, &dataset, &budget, &mut rng, "skewed");
+            for query in queries {
+                let expected = dataset.matching_ids(query);
+                let outcome = scheme
+                    .try_query(query)
+                    .expect("storage backend answers the battery");
+                let eval = Evaluation::compare(&outcome.ids, &expected);
+                assert!(eval.is_complete(), "{} missed results", scheme.name());
+            }
         }
     }
 }
@@ -130,26 +133,28 @@ fn out_of_domain_queries_are_handled_uniformly() {
     let mut rng = ChaCha20Rng::seed_from_u64(3);
     let domain_size = 1u64 << 12;
     let dataset = gowalla_like(500, domain_size, &mut rng);
-    for kind in SchemeKind::EVALUATED {
-        let (scheme, _dir) = build_scheme(kind, &dataset, &mut rng, "edges");
-        // Fully outside: empty.
-        assert!(
-            scheme
-                .query(Range::new(domain_size + 10, domain_size + 20))
-                .is_empty(),
-            "{} should answer empty outside the domain",
-            scheme.name()
-        );
-        // Straddling the upper edge: clamped, still complete.
-        let query = Range::new(domain_size - 100, domain_size + 100);
-        let clamped = Range::new(domain_size - 100, domain_size - 1);
-        let outcome = scheme.query(query);
-        let eval = Evaluation::compare(&outcome.ids, &dataset.matching_ids(clamped));
-        assert!(
-            eval.is_complete(),
-            "{} missed results at the edge",
-            scheme.name()
-        );
+    for budget in build_budgets() {
+        for kind in SchemeKind::EVALUATED {
+            let (scheme, _dir) = build_scheme(kind, &dataset, &budget, &mut rng, "edges");
+            // Fully outside: empty.
+            assert!(
+                scheme
+                    .query(Range::new(domain_size + 10, domain_size + 20))
+                    .is_empty(),
+                "{} should answer empty outside the domain",
+                scheme.name()
+            );
+            // Straddling the upper edge: clamped, still complete.
+            let query = Range::new(domain_size - 100, domain_size + 100);
+            let clamped = Range::new(domain_size - 100, domain_size - 1);
+            let outcome = scheme.query(query);
+            let eval = Evaluation::compare(&outcome.ids, &dataset.matching_ids(clamped));
+            assert!(
+                eval.is_complete(),
+                "{} missed results at the edge",
+                scheme.name()
+            );
+        }
     }
 }
 

@@ -176,7 +176,9 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
 
     let mut qs = QueryServer::open_dir(dir.path()).expect("cold-open");
     let healthy = qs
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("healthy disk serves the batch");
     assert_eq!(healthy.len(), queries.len());
 
@@ -205,9 +207,84 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
         }
     }
     let err = qs
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect_err("the strict collection must abort the batch");
     assert!(matches!(err, StorageError::Io { .. }));
+}
+
+/// Regression: an *undecryptable* entry (a directory span shorter than a
+/// nonce) is skipped by every query path but still **counted** — the server
+/// observed the match — so `LogScheme::try_query`, `QueryServer::answer`
+/// and `ResilientServer::answer` return the same ids *and* the same
+/// `QueryStats`. (The per-token decoder used to count only entries that
+/// decrypted, disagreeing with the server paths on `entries_touched`.)
+#[test]
+fn undecryptable_entry_counts_the_same_on_every_query_path() {
+    use rsse::sse::storage::shard_file_name;
+    use rsse::sse::TokenLabeler;
+
+    let data = dataset(1 << 10, 400);
+    let range = Range::new(100, 700);
+    let dir = TempDir::new("corrupt-entry");
+    let mut rng = ChaCha20Rng::seed_from_u64(12);
+    let (client, server) =
+        LogScheme::build_stored(&data, &StorageConfig::on_disk(0, dir.path()), &mut rng)
+            .expect("on-disk build");
+    drop(server);
+    let tokens = client.trapdoor(range).expect("in-domain range");
+
+    // Corrupt the shard file the way a damaged directory would look while
+    // still passing the open-time tiling check: shrink one queried entry's
+    // span to 3 bytes and hand the rest of it to the next entry. (Shard
+    // format v1: 32-byte header with the entry count at 16, then 24-byte
+    // directory entries of label, LE u32 offset, LE u32 len.)
+    let path = dir.path().join(shard_file_name(0));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let entries = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    let entry = |i: usize| 32 + 24 * i;
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let victim = tokens
+        .iter()
+        .map(|token| TokenLabeler::new(token).label_at(0))
+        .find_map(|label| (0..entries - 1).find(|&i| bytes[entry(i)..entry(i) + 16] == label))
+        .expect("some queried keyword has an entry before the last directory slot");
+    let (offset, len) = (
+        u32_at(&bytes, entry(victim) + 16),
+        u32_at(&bytes, entry(victim) + 20),
+    );
+    let next_len = u32_at(&bytes, entry(victim + 1) + 20);
+    bytes[entry(victim) + 20..entry(victim) + 24].copy_from_slice(&3u32.to_le_bytes());
+    bytes[entry(victim + 1) + 16..entry(victim + 1) + 20]
+        .copy_from_slice(&(offset + 3).to_le_bytes());
+    bytes[entry(victim + 1) + 20..entry(victim + 1) + 24]
+        .copy_from_slice(&(next_len + len - 3).to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+
+    let scheme_path = client
+        .try_query(
+            &rsse::core::schemes::log_brc_urc::LogServer::open_dir(dir.path()).unwrap(),
+            range,
+        )
+        .expect("a corrupt entry is skipped, not an error");
+    let server_path = QueryServer::open_dir(dir.path())
+        .unwrap()
+        .answer(&tokens)
+        .expect("a corrupt entry is skipped, not an error");
+    let serve_path = ResilientServer::new(
+        QueryServer::open_dir(dir.path()).unwrap(),
+        ServeConfig::default(),
+    )
+    .answer(&tokens)
+    .expect("a corrupt entry is skipped, not an error");
+
+    assert_eq!(scheme_path, server_path);
+    assert_eq!(server_path, serve_path);
+    // Every matched entry is counted; the undecryptable one yields no id.
+    assert_eq!(scheme_path.stats.entries_touched, data.result_size(range));
+    assert!(scheme_path.ids.len() < scheme_path.stats.entries_touched);
 }
 
 /// Partial-batch error reporting: one query's storage fault must not take
@@ -267,7 +344,9 @@ fn resilient_retry_absorbs_a_transient_fault_window() {
         .collect();
     let reference = QueryServer::open_dir(dir.path())
         .expect("cold-open")
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("healthy reference");
 
     // The first probe fails, then the "disk" recovers: exactly one probe
@@ -317,7 +396,9 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
 
     let unbounded = QueryServer::open_dir(dir.path()).expect("cold-open");
     let reference = unbounded
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("unbounded serves");
 
     // 25% of the ciphertext region: a few ~64 KiB blocks fit, so the
@@ -392,7 +473,9 @@ fn cache_stats_stay_consistent_under_concurrent_query_traffic() {
     let budgeted =
         QueryServer::open_dir_with_budget(dir.path(), Some(budget)).expect("budgeted open");
     let reference = budgeted
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("warm reference");
     let stop = AtomicBool::new(false);
 

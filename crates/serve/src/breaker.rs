@@ -15,8 +15,9 @@
 //!
 //! While `Open` (and while a `HalfOpen` trial is in flight) every other
 //! probe of the shard is refused without touching storage. All transitions
-//! take the caller's [`Clock`](crate::clock::Clock) reading as an argument,
-//! so breaker timing is exactly testable against a virtual clock.
+//! take the caller's [`Clock`](crate::clock::Clock) reading as an argument
+//! (admission lazily — a closed breaker never reads the clock), so breaker
+//! timing is exactly testable against a virtual clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -110,12 +111,16 @@ impl ShardHealth {
         &self.states[shard as usize % self.states.len()]
     }
 
-    /// Decides whether a probe of `shard` may proceed at time `now`.
-    pub fn admit(&self, shard: u32, now: Duration) -> Admit {
+    /// Decides whether a probe of `shard` may proceed. The instant is taken
+    /// lazily: `now` is only read when the breaker is open or half-open, so
+    /// a closed breaker — every probe of a healthy shard — costs no clock
+    /// read.
+    pub fn admit(&self, shard: u32, now: impl FnOnce() -> Duration) -> Admit {
         let mut state = self.state(shard).lock().expect("breaker lock");
         match *state {
             State::Closed { .. } => Admit::Proceed,
             State::Open { since } => {
+                let now = now();
                 if now.saturating_sub(since) >= self.config.cooldown {
                     *state = State::HalfOpen { since };
                     self.trials.fetch_add(1, Ordering::Relaxed);
@@ -131,7 +136,7 @@ impl ShardHealth {
                 // A trial is already in flight; everyone else fails fast.
                 self.fail_fast.fetch_add(1, Ordering::Relaxed);
                 Admit::FailFast {
-                    open_for: now.saturating_sub(since),
+                    open_for: now().saturating_sub(since),
                 }
             }
         }
@@ -234,7 +239,7 @@ mod tests {
             },
         );
         for _ in 0..2 {
-            assert_eq!(health.admit(1, ms(0)), Admit::Proceed);
+            assert_eq!(health.admit(1, || ms(0)), Admit::Proceed);
             health.record_failure(1, ms(0));
         }
         assert_eq!(health.state_of(1), BreakerState::Closed);
@@ -242,11 +247,11 @@ mod tests {
         assert_eq!(health.state_of(1), BreakerState::Open);
         assert_eq!(health.opened(), 1);
         assert_eq!(
-            health.admit(1, ms(50)),
+            health.admit(1, || ms(50)),
             Admit::FailFast { open_for: ms(40) }
         );
         // Other shards stay healthy.
-        assert_eq!(health.admit(0, ms(50)), Admit::Proceed);
+        assert_eq!(health.admit(0, || ms(50)), Admit::Proceed);
         assert_eq!(health.fail_fast(), 1);
     }
 
@@ -261,14 +266,17 @@ mod tests {
         );
         health.record_failure(0, ms(0));
         assert_eq!(health.state_of(0), BreakerState::Open);
-        assert_eq!(health.admit(0, ms(100)), Admit::Trial);
+        assert_eq!(health.admit(0, || ms(100)), Admit::Trial);
         assert_eq!(health.state_of(0), BreakerState::HalfOpen);
         // Concurrent probes during the trial still fail fast.
-        assert!(matches!(health.admit(0, ms(101)), Admit::FailFast { .. }));
+        assert!(matches!(
+            health.admit(0, || ms(101)),
+            Admit::FailFast { .. }
+        ));
         health.record_success(0);
         assert_eq!(health.state_of(0), BreakerState::Closed);
         assert_eq!(health.reclosed(), 1);
-        assert_eq!(health.admit(0, ms(102)), Admit::Proceed);
+        assert_eq!(health.admit(0, || ms(102)), Admit::Proceed);
     }
 
     #[test]
@@ -281,13 +289,16 @@ mod tests {
             },
         );
         health.record_failure(0, ms(0));
-        assert_eq!(health.admit(0, ms(120)), Admit::Trial);
+        assert_eq!(health.admit(0, || ms(120)), Admit::Trial);
         health.record_failure(0, ms(120));
         assert_eq!(health.state_of(0), BreakerState::Open);
         assert_eq!(health.opened(), 2);
         // Cooldown restarts from the failed trial, not the original open.
-        assert!(matches!(health.admit(0, ms(150)), Admit::FailFast { .. }));
-        assert_eq!(health.admit(0, ms(220)), Admit::Trial);
+        assert!(matches!(
+            health.admit(0, || ms(150)),
+            Admit::FailFast { .. }
+        ));
+        assert_eq!(health.admit(0, || ms(220)), Admit::Trial);
     }
 
     #[test]

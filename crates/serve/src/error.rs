@@ -32,10 +32,11 @@ impl fmt::Display for OverloadReason {
 
 /// What a deadline-expired query had resolved before it was cut off.
 ///
-/// The lockstep scan answers all tokens in counter rounds, so the partial
-/// ids are a faithful prefix of the work — every id in here was decrypted
-/// and decoded exactly as a completed query would have (no token resolved
-/// out of order).
+/// The partial ids are a faithful prefix of the work — per token, a prefix
+/// of its group in storage-counter order (the lockstep scan of one query
+/// advances all its tokens in counter rounds; the batch executor scans
+/// token by token) — and every id in here was decrypted and decoded
+/// exactly as a completed query would have.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartialOutcome {
     /// Ids resolved before the deadline tripped (token order, each token

@@ -1,48 +1,53 @@
-//! The shard-affine batch executor: cross-query probe deduplication with
-//! per-shard worker lanes.
+//! The batch executor: plan once, scan each unique token once, fan out.
 //!
-//! Serving one query already runs a lockstep counter scan (all of the
-//! query's tokens advance one counter round at a time — see
-//! `rsse_sse::SseScheme::search_batch_scan`). This module lifts the same
-//! lockstep **across queries**: a whole batch advances round by round, and
-//! each round is executed scatter/gather:
+//! Serving one query runs the counter scan over its token vector
+//! (`rsse_core::server::scan_query_into_with`). A batch of queries from hot
+//! tenant ranges repeats whole *tokens* — trapdoors are deterministic, so
+//! two queries covering the same node carry byte-equal tokens — and this
+//! module serves every distinct token of a batch exactly once:
 //!
-//! 1. **Expand** — every live `(query, token)` pair derives its round label
-//!    through the cached [`TokenLabeler`] (label expansion split from
-//!    probing, so planning never touches storage).
-//! 2. **Dedupe** — identical labels across the batch collapse into one
-//!    entry of a shared probe table. Trapdoors are deterministic — two
-//!    queries covering the same node carry byte-equal tokens, whose label
-//!    sequences coincide counter-for-counter — so a shared probe's result
-//!    is exactly what each demander's own probe would have returned.
-//! 3. **Scatter** — the unique probes are grouped by shard into lanes, one
-//!    worker task per shard lane. Each lane probes sequentially (its
-//!    `FileShard` block reads stay clustered), lanes run in parallel, so
-//!    one slow block stalls only its shard's lane, never the whole round.
-//! 4. **Gather** — demanders read their probes' shared results: hits are
-//!    decrypted per query with that query's own payload cipher (dedup
-//!    shares storage reads, never plaintext across keys), misses retire
-//!    the token, exactly as in the sequential scan.
+//! 1. **Plan** — one pass over the admitted batch maps each
+//!    [`SearchToken`] to a unique-token slot. Token-level dedup *is*
+//!    label-level dedup: equal tokens have equal label keys, hence equal
+//!    label schedules `F(K1, 0), F(K1, 1), …`, and equal payload keys, so
+//!    one scan of the token yields exactly the hits, in exactly the order,
+//!    that each demander's own scan would have decrypted. (Distinct tokens
+//!    share a label only on a 128-bit PRF collision.) With
+//!    [`BatchConfig::dedup`] off every `(query, token)` gets its own slot.
+//! 2. **Scan** — the unique tokens are the work units. Workers pull them
+//!    off a shared cursor; each unit is the sequential path's own guarded
+//!    counter scan over a one-token slice, so every probe still goes
+//!    deadline check → breaker → `probe_guarded` → budgeted retry, and the
+//!    executor keeps no counter loop of its own. Threads are forked **at
+//!    most once per batch** ([`BatchConfig::workers`]), and not at all when
+//!    the batch holds too few units to amortise a fork.
+//! 3. **Fan out** — per query, in item order, `assemble_outcome` over its
+//!    slots' id groups and counts: outcomes, `QueryStats`, per-query
+//!    `probes_resolved` and the `ServeStats` totals are byte-identical to
+//!    sequential serving.
 //!
 //! ## Control plane
 //!
-//! The resilience machinery threads through at per-probe granularity — the
-//! same `probe_guarded` loop the sequential `QueryGuard` of
-//! [`server`](crate::server) runs:
-//!
-//! * **Deadlines** are checked at round boundaries. An expired query is cut
-//!   with a typed partial outcome and simply stops demanding; probes it
-//!   shared with still-live queries proceed — cutting one query never
-//!   cancels work another query needs.
-//! * **Breakers** gate every unique probe at its shard; a fail-fast trips
-//!   every query demanding that probe (each gets its own typed error).
-//! * **Retries** run per unique probe under the server-wide budget with the
-//!   same seeded backoff; a transiently faulty block is re-read once for
+//! * **Deadlines.** A query already past its deadline when the batch
+//!   starts is cut with a zero-probe typed partial and demands nothing. A
+//!   unit's scan runs under the *latest* deadline among its live demanders
+//!   (unbounded if any of them is): work stops only when nobody can use
+//!   it, so cutting one demander never cancels another's probes. A query is
+//!   `DeadlineExceeded` — its partial being the groups resolved so far, in
+//!   token order — iff it was expired at the start or one of its tokens
+//!   was abandoned. A query whose tokens all completed returns `Ok` even if
+//!   its own deadline passed meanwhile: `answer_batch` returns when the
+//!   batch does, and cutting a fully resolved query only discards its
+//!   answer.
+//! * **Breakers and retries** act per unique probe inside the unit's scan.
+//!   A fail-fast or an exhausted retry stops that unit and fails exactly
+//!   the queries demanding its token, each with its own typed error
+//!   (`Trip::fan_out`); a transiently faulty block is re-read once for
 //!   the whole batch, not once per demander.
 //!
 //! ## Leakage
 //!
-//! Within-batch dedup is leakage-free: which probes coincide is the search
+//! Within-batch dedup is leakage-free: which tokens coincide is the search
 //! pattern, which the server already learns from the deterministic tokens
 //! themselves (see the `rsse_sse::leakage` module). The executor reveals
 //! its savings only through counters the server operator already holds.
@@ -51,14 +56,13 @@
 //! the per-query leakage profile are byte-identical to sequential serving.
 
 use crate::error::{PartialOutcome, ServeError};
-use crate::server::{ResilientServer, ServeIndex, Trip};
-use rsse_core::server::{assemble_outcome, decode_hit_into};
+use crate::server::{GuardedScan, ResilientServer, ServeIndex, Trip};
+use rsse_core::server::{assemble_outcome, ScanScratch};
 use rsse_core::{DocId, QueryOutcome};
-use rsse_crypto::StreamCipher;
-use rsse_sse::{CipherSpan, Label, LabelHasher, SearchToken, TokenLabeler};
+use rsse_sse::SearchToken;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Tuning of the batch executor
@@ -67,15 +71,17 @@ use std::time::Duration;
 /// [`drain_batched`]: ResilientServer::drain_batched
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Dedupe identical probes across the batch (default `true`). Off,
-    /// every demanded probe is issued to storage individually — the lanes
-    /// and control plane still apply, which makes this the control knob
-    /// for measuring what dedup alone buys.
+    /// Scan each distinct token of the batch once and share its hits with
+    /// every query demanding it (default `true`). Off, every
+    /// `(query, token)` pair is scanned on its own — the same workers and
+    /// control plane still apply, which makes this the control knob for
+    /// measuring what dedup alone buys.
     pub dedup: bool,
-    /// Worker threads per round for the shard lanes: `None` (default) uses
-    /// the machine's available parallelism, `Some(n)` pins exactly `n`
-    /// (the CI bench worker sweep pins 1/2/4). Always capped at the number
-    /// of lanes in the round; `1` resolves lanes sequentially inline.
+    /// Threads scanning a batch's unique tokens: `None` (default) uses the
+    /// machine's available parallelism, `Some(n)` pins `n` (the CI bench
+    /// worker sweep pins 1/2/4). Forked at most once per batch, and capped
+    /// by the batch itself — one worker per 8 unique tokens — so a small
+    /// batch is scanned inline.
     pub workers: Option<usize>,
 }
 
@@ -88,302 +94,218 @@ impl Default for BatchConfig {
     }
 }
 
+/// Unique tokens a batch must hold per scanning thread: spawning and
+/// joining a thread costs tens of microseconds, a token's scan a few, so
+/// below this many units per worker the fork is not amortised.
+const MIN_UNITS_PER_WORKER: usize = 8;
+
 /// One admitted query entering [`execute_batch`]: its tokens plus the
-/// admission instant and absolute deadline its round checks run against.
+/// admission instant and absolute deadline it is served against.
 pub(crate) struct BatchItem<'a> {
     pub(crate) tokens: &'a [SearchToken],
     pub(crate) admitted_at: Duration,
     pub(crate) deadline: Option<Duration>,
 }
 
-/// One query's in-flight state across counter rounds.
-struct QueryRun<'a> {
-    tokens: &'a [SearchToken],
-    admitted_at: Duration,
+/// How the plan disposes of one query.
+enum Plan {
+    /// Past its deadline when the batch started: demands nothing.
+    Expired { deadline: Duration },
+    /// The unique-token slot of each of its tokens, in token order.
+    Slots(Vec<u32>),
+}
+
+/// One unique token of the batch — a unit of scan work.
+struct Unit<'a> {
+    token: &'a SearchToken,
+    /// The latest absolute deadline among the queries demanding the token;
+    /// `None` (unbounded) as soon as one of them has none.
     deadline: Option<Duration>,
-    /// Cached label-PRF schedules, one per token.
-    labelers: Vec<TokenLabeler>,
-    /// This query's payload ciphers — decryption is always per query.
-    ciphers: Vec<StreamCipher>,
-    /// Ids decoded so far, grouped by token in token order.
-    per_token: Vec<Vec<DocId>>,
-    /// Per-token hit counts (the outcome's `entries_touched` accounting).
-    counts: Vec<usize>,
-    /// Tokens still scanning, in token order.
-    live: Vec<u32>,
-    /// Tokens that hit this round (becomes `live` at the round's end).
-    next_live: Vec<u32>,
-    /// Probes this query demanded and saw resolved (hits *and* misses) —
-    /// the sequential guard's count, independent of dedup.
-    probes_resolved: u64,
-    /// Set once the query is finished (completed or tripped).
-    result: Option<Result<QueryOutcome, ServeError>>,
 }
 
-impl QueryRun<'_> {
-    /// The typed error of a trip that stopped this query (counted by the
-    /// server); a deadline trip takes the ids decoded so far as its typed
-    /// partial outcome.
-    fn trip<B: ServeIndex>(&mut self, server: &ResilientServer<B>, trip: Trip) -> ServeError {
-        server.trip_error(trip, self.admitted_at, || PartialOutcome {
-            ids: std::mem::take(&mut self.per_token)
-                .into_iter()
-                .flatten()
-                .collect(),
-            probes_resolved: self.probes_resolved,
-            tokens_total: self.tokens.len(),
-        })
-    }
+/// What scanning one unit produced: the token's ids in storage-counter
+/// order (everything decoded before a trip, if the scan was stopped) and
+/// the guarded scan's counts and accounting.
+struct UnitScan {
+    ids: Vec<DocId>,
+    scan: GuardedScan,
 }
-
-/// What one guarded unique probe produced for the round: the resolved
-/// label (`Some` ciphertext or a miss — transient faults were retried away
-/// inside [`ResilientServer::probe_guarded`]), or the trip every demander
-/// fails with (breaker fail-fast or retries exhausted).
-type RoundProbe<'a> = Result<Option<CipherSpan<'a>>, Trip>;
 
 /// Runs one batch to completion. Outcomes are in item order and
 /// byte-identical to serving each item alone through the guarded
 /// sequential path (pinned by the `batch_executor` test battery).
-pub(crate) fn execute_batch<'a, B: ServeIndex>(
+pub(crate) fn execute_batch<B: ServeIndex>(
     server: &ResilientServer<B>,
-    items: Vec<BatchItem<'a>>,
+    items: Vec<BatchItem<'_>>,
 ) -> Vec<Result<QueryOutcome, ServeError>> {
     if items.is_empty() {
         return Vec::new();
     }
-    server
-        .counters
+    let counters = &server.counters;
+    counters
         .admitted
         .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let mut runs: Vec<QueryRun<'a>> = items
-        .into_iter()
+
+    // Plan: one pass maps every live query's tokens to unique-token slots.
+    // Tokens arrive from clients, so the map keeps the default (keyed)
+    // hasher.
+    let started = server.clock.now();
+    let dedup = server.config.batch.dedup;
+    let mut slot_of: HashMap<&SearchToken, u32> = HashMap::new();
+    let mut units: Vec<Unit<'_>> = Vec::new();
+    let plans: Vec<Plan> = items
+        .iter()
         .map(|item| {
             server.retry.credit_query();
-            QueryRun {
-                labelers: item.tokens.iter().map(TokenLabeler::new).collect(),
-                ciphers: item
-                    .tokens
-                    .iter()
-                    .map(SearchToken::payload_cipher)
-                    .collect(),
-                per_token: (0..item.tokens.len()).map(|_| Vec::new()).collect(),
-                counts: vec![0usize; item.tokens.len()],
-                live: (0..item.tokens.len() as u32).collect(),
-                next_live: Vec::with_capacity(item.tokens.len()),
-                probes_resolved: 0,
-                result: None,
-                tokens: item.tokens,
-                admitted_at: item.admitted_at,
-                deadline: item.deadline,
+            if let Some(deadline) = item.deadline.filter(|&deadline| started >= deadline) {
+                return Plan::Expired { deadline };
             }
+            let slots = item.tokens.iter().map(|token| {
+                let fresh = units.len() as u32;
+                let slot = if dedup {
+                    *slot_of.entry(token).or_insert(fresh)
+                } else {
+                    fresh
+                };
+                match units.get_mut(slot as usize) {
+                    // One more demander: the unit must live as long as
+                    // the latest of them can still use it.
+                    Some(unit) => {
+                        unit.deadline = unit
+                            .deadline
+                            .zip(item.deadline)
+                            .map(|(unit, query)| unit.max(query));
+                    }
+                    None => units.push(Unit {
+                        token,
+                        deadline: item.deadline,
+                    }),
+                }
+                slot
+            });
+            Plan::Slots(slots.collect())
         })
         .collect();
 
-    let dedup = server.config.batch.dedup;
-    // The shared probe table: label → index into this round's unique
-    // probes. Labels are PRF outputs, so the trivial label hasher is an
-    // ideal hash here just as in the dictionary itself.
-    let mut table: HashMap<Label, u32, BuildHasherDefault<LabelHasher>> = HashMap::default();
-    // Unique probes of the round, in first-demand order: (label, shard).
-    let mut probes: Vec<(Label, u32)> = Vec::new();
-    // (query, token, probe) demands of the round, in (query, token) order.
-    let mut demands: Vec<(u32, u32, u32)> = Vec::new();
-    // One decrypt buffer reused across every query of the batch.
-    let mut plaintext: Vec<u8> = Vec::new();
-    let mut counter = 0u64;
+    let scanned = scan_units(server, &units);
+    let unique: u64 = scanned.iter().map(|unit| unit.scan.probes_resolved).sum();
+    counters
+        .batch_rounds
+        .fetch_add(units.len() as u64, Ordering::Relaxed);
+    counters
+        .batch_probes_unique
+        .fetch_add(unique, Ordering::Relaxed);
+    counters.faults_absorbed.fetch_add(
+        scanned.iter().map(|unit| unit.scan.faults_absorbed).sum(),
+        Ordering::Relaxed,
+    );
 
-    loop {
-        // Finish queries with nothing left to scan (empty token vectors
-        // complete here on round 0).
-        for run in runs.iter_mut() {
-            if run.result.is_none() && run.live.is_empty() {
-                server.counters.served_ok.fetch_add(1, Ordering::Relaxed);
-                let per_token = std::mem::take(&mut run.per_token);
-                run.result = Some(Ok(assemble_outcome(run.tokens, per_token, &run.counts)));
-            }
-        }
-
-        // Expand + dedupe this round's demands.
-        table.clear();
-        probes.clear();
-        demands.clear();
-        for (q, run) in runs.iter_mut().enumerate() {
-            if run.result.is_some() {
-                continue;
-            }
-            if let Some(deadline) = run.deadline {
-                if server.clock.now() >= deadline {
-                    run.result = Some(Err(run.trip(server, Trip::Deadline { deadline })));
-                    continue;
+    // Fan out: every query reads its slots' shared results, in token order.
+    items
+        .iter()
+        .zip(plans)
+        .map(|(item, plan)| {
+            let slots = match plan {
+                Plan::Slots(slots) => slots,
+                Plan::Expired { deadline } => {
+                    return Err(server.trip_error(
+                        Trip::Deadline { deadline },
+                        item.admitted_at,
+                        || PartialOutcome {
+                            tokens_total: item.tokens.len(),
+                            ..PartialOutcome::default()
+                        },
+                    ));
+                }
+            };
+            let demanded = || slots.iter().map(|&slot| &scanned[slot as usize]);
+            let probes_resolved: u64 = demanded().map(|unit| unit.scan.probes_resolved).sum();
+            counters
+                .probes_resolved
+                .fetch_add(probes_resolved, Ordering::Relaxed);
+            counters
+                .batch_probes_demanded
+                .fetch_add(probes_resolved, Ordering::Relaxed);
+            let counts: Result<Vec<usize>, &Trip> = demanded()
+                .map(|unit| unit.scan.counts.as_ref().map(|counts| counts[0]))
+                .collect();
+            match counts {
+                Ok(counts) => {
+                    counters.served_ok.fetch_add(1, Ordering::Relaxed);
+                    let per_token = demanded().map(|unit| unit.ids.clone()).collect();
+                    Ok(assemble_outcome(item.tokens, per_token, &counts))
+                }
+                Err(trip) => {
+                    let trip = match (trip, item.deadline) {
+                        // The unit ran under its latest demander's
+                        // deadline; this query reports its own.
+                        (Trip::Deadline { .. }, Some(deadline)) => Trip::Deadline { deadline },
+                        (trip, _) => trip.fan_out(),
+                    };
+                    Err(
+                        server.trip_error(trip, item.admitted_at, || PartialOutcome {
+                            ids: demanded().flat_map(|unit| &unit.ids).copied().collect(),
+                            probes_resolved,
+                            tokens_total: item.tokens.len(),
+                        }),
+                    )
                 }
             }
-            for &t in &run.live {
-                let label = run.labelers[t as usize].label_at(counter);
-                let probe = if dedup {
-                    *table.entry(label).or_insert_with(|| {
-                        let shard = server.backend.shard_of(&label);
-                        probes.push((label, shard));
-                        (probes.len() - 1) as u32
-                    })
-                } else {
-                    let shard = server.backend.shard_of(&label);
-                    probes.push((label, shard));
-                    (probes.len() - 1) as u32
-                };
-                demands.push((q as u32, t, probe));
-            }
-        }
-        if demands.is_empty() {
-            break;
-        }
-        let c = &server.counters;
-        c.batch_rounds.fetch_add(1, Ordering::Relaxed);
-        c.batch_probes_demanded
-            .fetch_add(demands.len() as u64, Ordering::Relaxed);
-        c.batch_probes_unique
-            .fetch_add(probes.len() as u64, Ordering::Relaxed);
-
-        // Scatter: group unique probes into shard lanes and run them.
-        let resolved = run_lanes(server, &probes);
-
-        // Gather: demanders consume their probes' shared results, in
-        // (query, token) order — identical to each query's own scan order.
-        for run in runs.iter_mut() {
-            run.next_live.clear();
-        }
-        for &(q, t, p) in &demands {
-            let run = &mut runs[q as usize];
-            if run.result.is_some() {
-                // Tripped earlier this round (an earlier token's probe
-                // failed); its remaining demands are moot.
-                continue;
-            }
-            match &resolved[p as usize] {
-                Ok(span) => {
-                    run.probes_resolved += 1;
-                    server
-                        .counters
-                        .probes_resolved
-                        .fetch_add(1, Ordering::Relaxed);
-                    // A `None` span is the token's first miss: it retires.
-                    if let Some(ciphertext) = span {
-                        if let Some(id) =
-                            decode_hit_into(&run.ciphers[t as usize], ciphertext, &mut plaintext)
-                        {
-                            run.per_token[t as usize].push(id);
-                        }
-                        run.counts[t as usize] += 1;
-                        run.next_live.push(t);
-                    }
-                }
-                Err(trip) => run.result = Some(Err(run.trip(server, trip.fan_out()))),
-            }
-        }
-        for run in runs.iter_mut() {
-            if run.result.is_none() {
-                std::mem::swap(&mut run.live, &mut run.next_live);
-            }
-        }
-        counter += 1;
-    }
-
-    runs.into_iter()
-        .map(|run| run.result.expect("every batch query resolves"))
+        })
         .collect()
 }
 
-/// Groups the round's unique probes by shard and resolves each lane
-/// sequentially, lanes in parallel across the configured worker count
-/// ([`BatchConfig::workers`], defaulting to the machine's parallelism).
-/// Workers pull whole lanes from a shared cursor — shard affinity: a lane's
-/// block reads stay clustered on one worker, and a slow block delays only
-/// the lanes behind it on that worker, never the other workers' lanes.
-/// Returns the probes' results in probe order.
-fn run_lanes<'a, B: ServeIndex>(
-    server: &'a ResilientServer<B>,
-    probes: &[(Label, u32)],
-) -> Vec<RoundProbe<'a>> {
-    // Stable shard grouping: sort probe indices by (shard, index) so each
-    // lane keeps first-demand order and the layout is deterministic.
-    let mut order: Vec<u32> = (0..probes.len() as u32).collect();
-    order.sort_unstable_by_key(|&p| (probes[p as usize].1, p));
-    let mut lanes: Vec<&[u32]> = Vec::new();
-    let mut start = 0usize;
-    for end in 1..=order.len() {
-        if end == order.len() || probes[order[end] as usize].1 != probes[order[start] as usize].1 {
-            lanes.push(&order[start..end]);
-            start = end;
-        }
-    }
-    let deepest = lanes.iter().map(|lane| lane.len()).max().unwrap_or(0) as u64;
-    server
-        .counters
-        .batch_max_lane_depth
-        .fetch_max(deepest, Ordering::Relaxed);
-
-    let probe_lane = |lane: &[u32], out: &mut Vec<(u32, RoundProbe<'a>)>| {
-        for &p in lane {
-            let (label, shard) = &probes[p as usize];
-            let probed = server.probe_guarded(*shard, label).map(|(span, absorbed)| {
-                let absorbed = u64::from(absorbed);
-                server
-                    .counters
-                    .faults_absorbed
-                    .fetch_add(absorbed, Ordering::Relaxed);
-                span
-            });
-            out.push((p, probed));
-        }
-    };
-
+/// Scans every unit once, in parallel across the worker count the batch
+/// supports, and returns the results in unit order. Workers pull units off
+/// one shared cursor, so a slow or retried unit delays only the worker
+/// holding it; the calling thread is one of the workers.
+fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) -> Vec<UnitScan> {
     let workers = server
         .config
         .batch
         .workers
         .unwrap_or_else(rayon::current_num_threads)
-        .max(1)
-        .min(lanes.len().max(1));
-    let mut tagged: Vec<(u32, RoundProbe<'a>)> = Vec::with_capacity(probes.len());
-    if workers <= 1 || lanes.len() <= 1 {
-        for lane in &lanes {
-            probe_lane(lane, &mut tagged);
+        .min(units.len() / MIN_UNITS_PER_WORKER)
+        .max(1);
+    let results: Vec<OnceLock<UnitScan>> = units.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut scratch = ScanScratch::default();
+        let mut per_token: Vec<Vec<DocId>> = Vec::new();
+        let mut scanned = 0u64;
+        loop {
+            let at = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(at) else { break };
+            let scan = server.scan_guarded(
+                std::slice::from_ref(unit.token),
+                unit.deadline,
+                &mut per_token,
+                &mut scratch,
+            );
+            let ids = per_token.pop().unwrap_or_default();
+            assert!(
+                results[at].set(UnitScan { ids, scan }).is_ok(),
+                "the cursor hands each unit to one worker"
+            );
+            scanned += 1;
         }
+        server
+            .counters
+            .batch_max_lane_depth
+            .fetch_max(scanned, Ordering::Relaxed);
+    };
+    if workers == 1 {
+        work();
     } else {
-        let cursor = AtomicUsize::new(0);
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let lanes = &lanes;
-                    let probe_lane = &probe_lane;
-                    scope.spawn(move || {
-                        let mut out: Vec<(u32, RoundProbe<'a>)> = Vec::new();
-                        loop {
-                            let lane = cursor.fetch_add(1, Ordering::Relaxed);
-                            if lane >= lanes.len() {
-                                break;
-                            }
-                            probe_lane(lanes[lane], &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("shard-lane worker panicked"))
-                .collect::<Vec<_>>()
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
-        tagged = collected;
     }
-
-    let mut resolved: Vec<Option<RoundProbe<'a>>> = (0..probes.len()).map(|_| None).collect();
-    for (p, outcome) in tagged {
-        resolved[p as usize] = Some(outcome);
-    }
-    resolved
+    results
         .into_iter()
-        .map(|slot| slot.expect("every lane probe reports"))
+        .map(|slot| slot.into_inner().expect("every unit was scanned"))
         .collect()
 }

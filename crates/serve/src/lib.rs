@@ -18,9 +18,10 @@
 //!   [`ServeError`], including partial results for expired deadlines.
 //! - [`server`] — [`ResilientServer`], the guarded probe loop tying it all
 //!   together over any [`ServeIndex`] backend.
-//! - [`executor`] — the shard-affine batch executor behind
-//!   [`ResilientServer::answer_batch`]: cross-query probe deduplication
-//!   with per-shard worker lanes, byte-identical outcomes.
+//! - [`executor`] — the batch executor behind
+//!   [`ResilientServer::answer_batch`]: each distinct token of a batch is
+//!   scanned once and shared across the queries demanding it,
+//!   byte-identical outcomes.
 //!
 //! Completed queries are byte-identical to the raw `rsse_core` path; the
 //! resilience machinery only changes *when* probes happen and how failures

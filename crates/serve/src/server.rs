@@ -108,7 +108,7 @@ pub struct ServeConfig {
     pub retry: RetryConfig,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Batch-executor tuning (cross-query probe dedup, shard-lane workers).
+    /// Batch-executor tuning (cross-query token dedup, scan workers).
     pub batch: BatchConfig,
     /// Deadline applied to queries that don't bring their own (`None` =
     /// unbounded).
@@ -185,18 +185,21 @@ pub struct ServeStats {
     pub breaker_fail_fast: u64,
     /// Requests currently queued.
     pub queued: u64,
-    /// Batch-executor counter rounds run (all batches).
+    /// Unique-token scans the batch executor ran (all batches) — its
+    /// units of work.
     pub batch_rounds: u64,
     /// Probes batch queries demanded (the leakage-profile count: every
     /// query's logical probe, whether or not storage was actually read).
     pub batch_probes_demanded: u64,
-    /// Unique probes the batch executor actually issued to storage after
-    /// cross-query dedup (equals `batch_probes_demanded` with dedup off).
+    /// Probes the batch executor actually issued after cross-query dedup —
+    /// each unique token of a batch is scanned once (equals
+    /// `batch_probes_demanded` with dedup off).
     pub batch_probes_unique: u64,
     /// Demanded probes satisfied by another query's identical probe
     /// (`batch_probes_demanded - batch_probes_unique`).
     pub batch_dedup_hits: u64,
-    /// Deepest shard lane (unique probes on one shard in one round) seen.
+    /// Most unique tokens one scan worker took in a single batch (the
+    /// whole batch when it was scanned inline).
     pub batch_max_lane_depth: u64,
 }
 
@@ -232,8 +235,8 @@ pub(crate) struct Counters {
 }
 
 /// Why a guarded probe (or the query demanding it) stopped short. Recorded
-/// where it is detected — the deadline check of [`QueryGuard`] or of the
-/// batch executor's round boundary, or
+/// where it is detected — the deadline check of [`QueryGuard`], the batch
+/// executor's batch-start check, or
 /// [`probe_guarded`](ResilientServer::probe_guarded) — and translated into
 /// the query's typed [`ServeError`] by
 /// [`trip_error`](ResilientServer::trip_error).
@@ -255,7 +258,7 @@ pub(crate) enum Trip {
 
 impl Trip {
     /// A copy of this trip for one more query demanding the same shared
-    /// batch probe. The underlying [`StorageError`] is not clonable (it may
+    /// batch token. The underlying [`StorageError`] is not clonable (it may
     /// wrap an [`io::Error`]), so the copy carries a faithful re-rendering
     /// of the same failure.
     pub(crate) fn fan_out(&self) -> Trip {
@@ -283,8 +286,19 @@ impl Trip {
     }
 }
 
-/// The per-query guarded view of the backend: an [`IndexLookup`] whose
-/// `try_get` is the query's deadline check followed by
+/// What one [`scan_guarded`](ResilientServer::scan_guarded) pass did.
+pub(crate) struct GuardedScan {
+    /// Per-token entry counts of a completed scan, or the trip that
+    /// stopped it.
+    pub(crate) counts: Result<Vec<usize>, Trip>,
+    /// Probes resolved (hits and terminating misses) before it ended.
+    pub(crate) probes_resolved: u64,
+    /// Failed attempts that retries of those probes absorbed.
+    pub(crate) faults_absorbed: u64,
+}
+
+/// The guarded view of the backend one scan runs against: an
+/// [`IndexLookup`] whose `try_get` is the scan's deadline check followed by
 /// [`probe_guarded`](ResilientServer::probe_guarded).
 struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
@@ -516,6 +530,40 @@ impl<B: ServeIndex> ResilientServer<B> {
     ) -> Result<QueryOutcome, ServeError> {
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         self.retry.credit_query();
+        let mut per_token: Vec<Vec<DocId>> = Vec::new();
+        let scan = self.scan_guarded(tokens, deadline, &mut per_token, scratch);
+        self.counters
+            .probes_resolved
+            .fetch_add(scan.probes_resolved, Ordering::Relaxed);
+        self.counters
+            .faults_absorbed
+            .fetch_add(scan.faults_absorbed, Ordering::Relaxed);
+        match scan.counts {
+            Ok(counts) => {
+                self.counters.served_ok.fetch_add(1, Ordering::Relaxed);
+                Ok(assemble_outcome(tokens, per_token, &counts))
+            }
+            Err(trip) => Err(self.trip_error(trip, admitted_at, || PartialOutcome {
+                ids: per_token.into_iter().flatten().collect(),
+                probes_resolved: scan.probes_resolved,
+                tokens_total: tokens.len(),
+            })),
+        }
+    }
+
+    /// The guarded counter scan — `rsse_core`'s one scan of `tokens` behind
+    /// a [`QueryGuard`] carrying `deadline`. The sequential paths run it
+    /// over a query's whole token vector, the batch executor over one
+    /// unique token at a time. `per_token` receives the id groups (on a
+    /// trip: everything decoded before it). Counts nothing server-wide —
+    /// callers attribute the returned accounting.
+    pub(crate) fn scan_guarded(
+        &self,
+        tokens: &[SearchToken],
+        deadline: Option<Duration>,
+        per_token: &mut Vec<Vec<DocId>>,
+        scratch: &mut ScanScratch,
+    ) -> GuardedScan {
         let guard = QueryGuard {
             server: self,
             deadline,
@@ -523,34 +571,20 @@ impl<B: ServeIndex> ResilientServer<B> {
             probes_resolved: Cell::new(0),
             faults_absorbed: Cell::new(0),
         };
-        let mut per_token: Vec<Vec<DocId>> = Vec::new();
-        let scanned = scan_query_into_with(&guard, tokens, &mut per_token, scratch);
-        self.counters
-            .probes_resolved
-            .fetch_add(guard.probes_resolved.get(), Ordering::Relaxed);
-        self.counters
-            .faults_absorbed
-            .fetch_add(guard.faults_absorbed.get(), Ordering::Relaxed);
-        match scanned {
-            Ok(counts) => {
-                self.counters.served_ok.fetch_add(1, Ordering::Relaxed);
-                Ok(assemble_outcome(tokens, per_token, &counts))
-            }
-            Err(raw) => {
-                // Every guard error records its trip; a bare backend error
-                // cannot reach the scan, but is surfaced faithfully if one
-                // somehow does.
-                let trip = guard.trip.take().unwrap_or(Trip::Exhausted {
-                    attempts: 1,
-                    budget_empty: false,
-                    source: raw,
-                });
-                Err(self.trip_error(trip, admitted_at, || PartialOutcome {
-                    ids: per_token.into_iter().flatten().collect(),
-                    probes_resolved: guard.probes_resolved.get(),
-                    tokens_total: tokens.len(),
-                }))
-            }
+        let counts = scan_query_into_with(&guard, tokens, per_token, scratch).map_err(|raw| {
+            // Every guard error records its trip; a bare backend error
+            // cannot reach the scan, but is surfaced faithfully if one
+            // somehow does.
+            guard.trip.take().unwrap_or(Trip::Exhausted {
+                attempts: 1,
+                budget_empty: false,
+                source: raw,
+            })
+        });
+        GuardedScan {
+            counts,
+            probes_resolved: guard.probes_resolved.get(),
+            faults_absorbed: guard.faults_absorbed.get(),
         }
     }
 
@@ -560,10 +594,9 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// with the failed attempts its retries absorbed, or the [`Trip`] that
     /// stopped it.
     ///
-    /// Deadlines are the caller's: the sequential [`QueryGuard`] checks its
-    /// query's deadline before each probe, the batch executor per query at
-    /// round boundaries (one demander's deadline must not cancel a probe
-    /// other queries share).
+    /// Deadlines are the caller's: [`QueryGuard`] checks its scan's
+    /// deadline before each probe (a query's own, or — for a batch token
+    /// several queries share — the latest among its demanders).
     pub(crate) fn probe_guarded(
         &self,
         shard: u32,
@@ -571,7 +604,7 @@ impl<B: ServeIndex> ResilientServer<B> {
     ) -> Result<(Option<CipherSpan<'_>>, u32), Trip> {
         let mut attempt: u32 = 0;
         loop {
-            match self.breakers.admit(shard, self.clock.now()) {
+            match self.breakers.admit(shard, || self.clock.now()) {
                 Admit::Proceed | Admit::Trial => {}
                 Admit::FailFast { open_for } => return Err(Trip::Breaker { shard, open_for }),
             }
@@ -687,7 +720,7 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// queries a worker serves, not reallocated per query.
     ///
     /// Queries here stay fully independent; to share work between them
-    /// (dedupe identical probes across the batch) use
+    /// (scan a token repeated across the batch once) use
     /// [`answer_batch`](Self::answer_batch).
     pub fn answer_many(
         &self,
@@ -707,19 +740,22 @@ impl<B: ServeIndex> ResilientServer<B> {
             .collect()
     }
 
-    /// Answers a batch of queries through the shard-affine batch executor
-    /// (see the [`executor`](crate::executor) module): all live tokens'
-    /// labels for a counter round are expanded first, identical probes
-    /// across the batch are deduplicated into one storage read (when
-    /// [`BatchConfig::dedup`] is on), and the unique probes run grouped by
-    /// shard so one slow block only stalls its shard's lane. Outcomes are
-    /// **byte-identical** to serving each query alone, in query order.
+    /// Answers a batch of queries through the batch executor (see the
+    /// [`executor`](crate::executor) module): the batch's tokens are mapped
+    /// to unique-token slots once (when [`BatchConfig::dedup`] is on), each
+    /// unique token is scanned once by the same guarded counter scan
+    /// [`answer`](Self::answer) runs — on [`BatchConfig::workers`] threads
+    /// forked at most once per batch — and its hits go to every query
+    /// demanding it. Outcomes are **byte-identical** to serving each query
+    /// alone, in query order.
     ///
     /// The whole batch is admitted at one instant (queries shed for cache
     /// pressure fail typed without joining the batch), and the configured
     /// [`default_deadline`](ServeConfig::default_deadline) runs from that
-    /// instant. A query whose deadline passes is cut at the next round
-    /// boundary — shared probes that other queries still demand proceed.
+    /// instant. A token stops being scanned once the deadline of every
+    /// query demanding it has passed; a query missing one of its tokens is
+    /// cut with a typed partial, a query whose tokens all completed is
+    /// answered.
     pub fn answer_batch(
         &self,
         queries: &[Vec<SearchToken>],
@@ -784,14 +820,14 @@ impl<B: ServeIndex> ResilientServer<B> {
             .collect()
     }
 
-    /// Serves everything queued as **one batch** through the shard-affine
-    /// batch executor: the drain plan's queries (same oldest-tenant-fair
-    /// order as [`drain`](Self::drain)) are admitted together, identical
-    /// probes across them are deduplicated, and each request's ticket comes
-    /// back with its outcome in plan order. Every request keeps the
-    /// deadline it was enqueued under — one whose deadline passed while
-    /// queued is cut at the first round boundary with a typed partial,
-    /// without cancelling probes other requests share.
+    /// Serves everything queued as **one batch** through the batch
+    /// executor: the drain plan's queries (same oldest-tenant-fair order as
+    /// [`drain`](Self::drain)) are admitted together, tokens repeated
+    /// across them are scanned once, and each request's ticket comes back
+    /// with its outcome in plan order. Every request keeps the deadline it
+    /// was enqueued under — one whose deadline passed while queued is cut
+    /// at batch start with a zero-probe typed partial, without cancelling
+    /// probes other requests share.
     pub fn drain_batched(&self) -> Vec<(Ticket, Result<QueryOutcome, ServeError>)> {
         let plan: Vec<Pending> = self.admission.lock().expect("admission lock").drain_plan();
         let admitted_at = self.clock.now();

@@ -83,7 +83,11 @@ pub struct SseKey {
 }
 
 /// Search token for one keyword: the two per-keyword keys.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Tokens are deterministic, so equality (and `Hash`) identifies the
+/// keyword's whole label schedule and payload key — batch planners key on
+/// it to serve a repeated token once.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SearchToken {
     label_key: Key,
     payload_key: Key,
@@ -120,15 +124,15 @@ impl SearchToken {
 }
 
 /// Incremental label expansion for one token: the counter-scan's label
-/// schedule `F(K1_w, 0), F(K1_w, 1), …` exposed **separately from probing**,
-/// so batch executors can plan a counter round's probes — dedupe identical
-/// labels across queries, group them by shard — before touching storage.
+/// schedule `F(K1_w, 0), F(K1_w, 1), …` exposed **separately from probing**
+/// — the counter scan's label half, and what staged replays and tests use
+/// to predict a token's probes (and their shards) without touching storage.
 ///
 /// Trapdoors are deterministic (that *is* the search-pattern leakage), so
-/// two equal tokens yield identical label sequences; a planner that merges
-/// their probes reveals nothing the per-query scan would not. The PRF key
-/// schedule is cached at construction and shared across every call, exactly
-/// as in the sequential scan loop.
+/// two equal tokens yield identical label sequences: the serve layer's batch
+/// executor dedupes whole tokens rather than labels, and serving a repeated
+/// token once reveals nothing the per-query scans would not. The PRF key
+/// schedule is cached at construction and shared across every call.
 #[derive(Clone, Debug)]
 pub struct TokenLabeler {
     prf: Prf,

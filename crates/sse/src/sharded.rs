@@ -1042,7 +1042,8 @@ mod tests {
 
     #[test]
     fn budgeted_cache_bounds_residency_and_answers_identically() {
-        // ~800 KiB of ciphertext → ~13 blocks of ~64 KiB. A 25% budget
+        // ~800 KiB of ciphertext → 200 cached blocks, one per entry (each
+        // is larger than the 4 KiB cut of a budgeted shard). A 25% budget
         // must keep residency bounded while every query answers exactly
         // what the unbounded index answers.
         let mut rng = ChaCha20Rng::seed_from_u64(40);
@@ -1098,6 +1099,51 @@ mod tests {
         }
         let after = budgeted.cache_stats();
         assert!(after.hits > before.hits, "warm probes must hit the cache");
+    }
+
+    /// The paging unit: one cold probe of a budgeted index faults in one
+    /// block of at most the 4 KiB cut plus the entry that crossed it, and
+    /// an entry larger than the cut is a block to itself — a block
+    /// boundary never splits an entry.
+    #[test]
+    fn cold_probe_faults_in_one_page_sized_block() {
+        const CUT: usize = 4 << 10;
+        for payload_len in [32usize, 6000] {
+            let mut rng = ChaCha20Rng::seed_from_u64(46);
+            let key = SseScheme::setup(&mut rng);
+            let db = multi_block_db(400, payload_len);
+            let dir = TempDir::new("page-unit");
+            SseScheme::build_index_stored(
+                &key,
+                &db,
+                &StorageConfig::on_disk(0, dir.path()),
+                &mut rng,
+            )
+            .unwrap();
+            let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(1 << 20)).unwrap();
+            let entry = (index.storage_bytes() - index.len() * LABEL_LEN) / index.len();
+            assert!(entry >= payload_len && 400 * entry > 4 * CUT);
+
+            let token = SseScheme::trapdoor(&key, b"kw7");
+            assert_eq!(
+                SseScheme::search(&index, &token).unwrap(),
+                vec![vec![7u8; payload_len]]
+            );
+            let stats = index.cache_stats();
+            assert_eq!(stats.misses, 1, "one hit entry, one block read");
+            if entry > CUT {
+                assert_eq!(
+                    stats.resident_bytes, entry,
+                    "an oversized entry is its own block"
+                );
+            } else {
+                assert!(
+                    stats.resident_bytes > 0 && stats.resident_bytes < CUT + entry,
+                    "resident {} after one cold probe of {entry}-byte entries",
+                    stats.resident_bytes
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   (magic/version header, label directory, ciphertext region) whose
 //!   directory is loaded at open time while ciphertexts stay on disk and
 //!   are served through **mmap-style paged reads**: the region is cut into
-//!   ~64 KiB blocks along entry boundaries, and a probe faults in only the
-//!   block holding its span (each block is read at most once and then
+//!   blocks along entry boundaries (~64 KiB resident blocks, or ~4 KiB
+//!   blocks under a cache budget), and a probe faults in only the block
+//!   holding its span (a resident block is read at most once and then
 //!   shared by all probes and clones). A 10M-record index therefore no
 //!   longer needs all shards — or even all of any shard — resident.
 //! * [`StorageConfig`] / [`StorageBackend`] — the knob threaded through
@@ -111,10 +112,26 @@ const DIR_ENTRY_LEN: u64 = 24;
 /// Manifest file length in bytes.
 const MANIFEST_LEN: u64 = 24;
 
-/// Target paged-read block size. Blocks are cut along entry boundaries, so
-/// a block is at least this large only when its last entry crosses the
-/// threshold; a single entry larger than the target gets its own block.
-const BLOCK_TARGET: usize = 64 << 10;
+/// Target paged-read block size of a **budgeted** shard: one page. A probe
+/// wants one entry of a few dozen bytes, so the block is what a miss
+/// over-reads and what the cache budget is spent on — larger blocks fill a
+/// budget with bytes no probe asked for. Blocks are cut along entry
+/// boundaries, so a block is at least this large only when its last entry
+/// crosses the threshold; a single entry larger than the target gets its
+/// own block. The cut is made at [`FileShard::open`] and is no part of the
+/// file format.
+const CACHED_BLOCK_TARGET: usize = 4 << 10;
+
+/// Target block size of an **unbudgeted** shard, cut the same way. A
+/// resident block is loaded once and never evicted, so over-reading costs
+/// nothing later, and fewer, larger reads warm a cold handle sooner — the
+/// update manager opens every fresh instance cold.
+const RESIDENT_BLOCK_TARGET: usize = 64 << 10;
+
+/// Copy-buffer size for streaming a whole ciphertext region verbatim
+/// (`save_to_dir`, structural merges): sequential bulk I/O, sized for few
+/// large reads whatever the cache's paging unit is.
+const STREAM_CHUNK: usize = 64 << 10;
 
 /// File name of the per-index manifest inside a saved index directory.
 pub const MANIFEST_FILE: &str = "index.meta";
@@ -898,6 +915,10 @@ impl FileShard {
         read_exact_at(&file, &mut directory, SHARD_HEADER_LEN).map_err(|e| io_err(path, e))?;
         let mut table =
             LabelTable::with_capacity_and_hasher(entry_count, BuildHasherDefault::default());
+        let block_target = match cache {
+            Some(_) => CACHED_BLOCK_TARGET,
+            None => RESIDENT_BLOCK_TARGET,
+        } as u64;
         let mut blocks: Vec<(u32, u32)> = Vec::new();
         let mut running = 0u64;
         let mut block_start = 0u64;
@@ -931,7 +952,7 @@ impl FileShard {
                     detail: format!("duplicate label at entry {i}"),
                 });
             }
-            if running - block_start >= BLOCK_TARGET as u64 {
+            if running - block_start >= block_target {
                 blocks.push((block_start as u32, (running - block_start) as u32));
                 block_start = running;
             }
@@ -1029,23 +1050,17 @@ impl FileShard {
         }
     }
 
-    /// Reads one whole region block `(start, len)` from disk.
-    fn read_block(&self, start: u32, len: u32) -> Result<Box<[u8]>, StorageError> {
+    /// Reads the whole region block starting at `start` from disk into
+    /// `block` (the buffer the block store keeps — no intermediate copy).
+    fn read_block(&self, start: u32, block: &mut [u8]) -> Result<(), StorageError> {
         let inner = &*self.inner;
-        let mut buf = vec![0u8; len as usize].into_boxed_slice();
-        read_exact_at(
-            &inner.file,
-            &mut buf,
-            inner.region_offset + u64::from(start),
-        )
-        .map_err(|error| {
+        read_exact_at(&inner.file, block, inner.region_offset + u64::from(start)).map_err(|error| {
             // Record the failure for the aggregate counter; the probe
             // itself carries the typed error to the caller. The block
             // stays uncached, so the next probe retries.
             inner.read_errors.fetch_add(1, Ordering::Relaxed);
             io_err(&inner.path, error)
-        })?;
-        Ok(buf)
+        })
     }
 
     /// Resolves the span at `(offset, len)` through the paged block store.
@@ -1068,7 +1083,8 @@ impl FileShard {
                     }
                     None => {
                         inner.misses.fetch_add(1, Ordering::Relaxed);
-                        let buf = self.read_block(block.start, block.len)?;
+                        let mut buf = vec![0u8; block.len as usize].into_boxed_slice();
+                        self.read_block(block.start, &mut buf)?;
                         // A concurrent probe may have won the race; either
                         // way the lock now holds a fully read copy.
                         let _ = block.data.set(buf);
@@ -1093,7 +1109,12 @@ impl FileShard {
                     }
                     None => {
                         inner.misses.fetch_add(1, Ordering::Relaxed);
-                        let data: Arc<[u8]> = Arc::from(self.read_block(start, block_len)?);
+                        // One allocation, read straight into the `Arc`
+                        // the cache keeps (a `TrustedLen` collect).
+                        let mut data: Arc<[u8]> =
+                            std::iter::repeat_n(0u8, block_len as usize).collect();
+                        let block = Arc::get_mut(&mut data).expect("a fresh Arc is unshared");
+                        self.read_block(start, block)?;
                         cache.insert(key, Arc::clone(&data));
                         data
                     }
@@ -1160,9 +1181,9 @@ impl FileShard {
         let inner = &*self.inner;
         let mut remaining = u64::from(inner.region_len);
         let mut at = inner.region_offset;
-        let mut buf = vec![0u8; BLOCK_TARGET];
+        let mut buf = vec![0u8; STREAM_CHUNK];
         while remaining > 0 {
-            let take = remaining.min(BLOCK_TARGET as u64) as usize;
+            let take = remaining.min(STREAM_CHUNK as u64) as usize;
             read_exact_at(&inner.file, &mut buf[..take], at)?;
             writer.write_all(&buf[..take])?;
             at += take as u64;

@@ -125,10 +125,10 @@ fn main() {
 
     // ---------------------------------------------------------------
     // 5. Zipf-hot traffic: many clients hammering the same few ranges.
-    //    The batch executor expands every query's labels first, dedupes
-    //    identical probes across the batch (search pattern is already
-    //    public within a batch — deterministic trapdoors), and probes
-    //    storage once per unique label, shard lane by shard lane.
+    //    The batch executor maps the batch's tokens to unique-token slots
+    //    (the search pattern is already public within a batch —
+    //    deterministic trapdoors), scans each unique token once, and hands
+    //    its hits to every query demanding it.
     // ---------------------------------------------------------------
     let hot: Vec<Range> = (0..64u64)
         .map(|c| {
@@ -153,7 +153,8 @@ fn main() {
     let stats = serve.stats();
     println!(
         "batch executor: {} probes demanded, {} unique after cross-query dedup \
-         ({:.0}% saved), {} rounds, deepest shard lane {} — outcomes byte-identical",
+         ({:.0}% saved), {} unique-token scans, at most {} per worker — outcomes \
+         byte-identical",
         stats.batch_probes_demanded,
         stats.batch_probes_unique,
         stats.batch_dedup_hit_rate() * 100.0,

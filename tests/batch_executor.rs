@@ -11,11 +11,14 @@
 //!   (probes demanded: every hit plus each token's terminating miss) does
 //!   not depend on dedup; only the *storage* read count shrinks, and the
 //!   saving is visible exclusively in the executor's own counters.
-//! * **Control plane** — deadlines cut one query at a round boundary with
-//!   a typed partial without cancelling probes other queries share;
-//!   transient faults are absorbed per unique probe; the batched drain
-//!   serves the same fair plan as the sequential drain.
+//! * **Control plane** — a deadline cuts one query with a typed partial
+//!   without cancelling probes other queries share (a shared token runs
+//!   under its latest demander's deadline); a fully resolved query is never
+//!   cut; an open breaker fails exactly the queries demanding a token that
+//!   probes its shard; transient faults are absorbed per unique probe; the
+//!   batched drain serves the same fair plan as the sequential drain.
 
+use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -23,10 +26,11 @@ use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{QueryServer, StorageConfig};
 use rsse::prelude::*;
 use rsse::serve::{
-    AdmissionConfig, BatchConfig, ResilientServer, ServeConfig, ServeError, VirtualClock,
+    AdmissionConfig, BatchConfig, BreakerConfig, BreakerState, Clock, ResilientServer, ServeConfig,
+    ServeError, VirtualClock,
 };
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{FaultInjectable, FaultPlan, SearchToken};
+use rsse::sse::{FaultInjectable, FaultPlan, SearchToken, TokenLabeler};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,10 +81,13 @@ struct Lane {
 /// an on-disk build reopened through the budgeted block cache (64 KiB —
 /// small enough that the batch sweeps evict).
 fn lanes(seed: u64, tag: &str) -> Vec<Lane> {
-    let data = dataset(seed);
+    lanes_over(&dataset(seed), seed, tag)
+}
 
+/// [`lanes`] over a caller-chosen dataset.
+fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let (client, server) = LogScheme::build_stored(&data, &StorageConfig::in_memory(4), &mut rng)
+    let (client, server) = LogScheme::build_stored(data, &StorageConfig::in_memory(4), &mut rng)
         .expect("in-memory build cannot fail");
     let mem = Lane {
         name: "in_memory",
@@ -92,7 +99,7 @@ fn lanes(seed: u64, tag: &str) -> Vec<Lane> {
     let dir = TempDir::new(tag);
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
     let (client, server) = LogScheme::build_full_stored(
-        &data,
+        data,
         CoverKind::Brc,
         false,
         &StorageConfig::on_disk(4, dir.path()),
@@ -113,10 +120,14 @@ fn lanes(seed: u64, tag: &str) -> Vec<Lane> {
 }
 
 fn config_with(dedup: bool) -> ServeConfig {
+    config_of(dedup, 3)
+}
+
+fn config_of(dedup: bool, workers: usize) -> ServeConfig {
     ServeConfig {
         batch: BatchConfig {
             dedup,
-            workers: Some(3),
+            workers: Some(workers),
         },
         ..ServeConfig::default()
     }
@@ -254,8 +265,8 @@ fn batch_absorbs_transient_faults_byte_identically() {
     assert_eq!(stats.retry_exhausted, 0);
 }
 
-/// A query whose deadline expired while queued is cut at the first round
-/// boundary with a typed zero-probe partial — and the live query sharing
+/// A query whose deadline expired while queued is cut at batch start with
+/// a typed zero-probe partial — and the live query sharing
 /// its exact probes still completes, byte-identical: cutting a demander
 /// never cancels shared work.
 #[test]
@@ -358,4 +369,286 @@ fn default_tenant_is_taken_from_config() {
         }
         other => panic!("warm cache must shed for pressure, got {other:?}"),
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The differential property behind every other test here: for random
+    /// batches — byte-identical queries, partially overlapping covers,
+    /// empty token vectors, tokens with no entries — `answer_batch` equals
+    /// serving each query alone (ids, `QueryStats`, probe totals), for
+    /// every worker count, with and without dedup, in memory and behind a
+    /// 64 KiB block cache, and the dedup counters reconcile.
+    #[test]
+    fn batch_matches_per_query_answers_on_random_batches(
+        seed in 0u64..1_000_000,
+        specs in proptest::collection::vec((0usize..6, 0u64..1024, 1u64..160), 0..40),
+    ) {
+        // Records only in the lower half of the domain: every token over
+        // the upper half has no entries.
+        let domain = Domain::new(1 << 10);
+        let mut rng = ChaCha20Rng::seed_from_u64(seed);
+        let records = (0..300u64)
+            .map(|i| Record::new(i, rng.gen_range(0..domain.size() / 2)))
+            .collect();
+        let data = Dataset::new(domain, records).expect("values fit the domain");
+        let hot = [Range::new(40, 200), Range::new(130, 330), Range::new(300, 511)];
+
+        for lane in lanes_over(&data, seed, "batch-diff") {
+            let queries: Vec<Vec<SearchToken>> = specs
+                .iter()
+                .map(|&(kind, lo, len)| {
+                    let spot = hot[lo as usize % hot.len()];
+                    let range = match kind {
+                        0 | 1 => spot,
+                        2 => Range::new(spot.lo() + lo % 16, spot.hi() + lo % 16),
+                        3 => Range::new(lo, (lo + len).min(domain.size() - 1)),
+                        4 => return Vec::new(),
+                        _ => Range::new(512 + lo % 400, (512 + lo % 400 + len).min(1023)),
+                    };
+                    lane.client.trapdoor(range).expect("in-domain range")
+                })
+                .collect();
+
+            let naive = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
+            let expected: Vec<QueryOutcome> = queries
+                .iter()
+                .map(|query| naive.answer(query).expect("healthy backend"))
+                .collect();
+            let sequential = naive.stats();
+
+            for workers in 1..=3 {
+                for dedup in [true, false] {
+                    let serve = ResilientServer::new(lane.qs.clone(), config_of(dedup, workers));
+                    let batched: Vec<QueryOutcome> = serve
+                        .answer_batch(&queries)
+                        .into_iter()
+                        .map(|outcome| outcome.expect("healthy backend"))
+                        .collect();
+                    let at = format!("{}, workers {workers}, dedup {dedup}", lane.name);
+                    prop_assert_eq!(&batched, &expected, "outcomes differ ({})", at);
+
+                    let stats = serve.stats();
+                    prop_assert_eq!(stats.probes_resolved, sequential.probes_resolved, "{}", at);
+                    prop_assert_eq!(stats.served_ok, sequential.served_ok, "{}", at);
+                    prop_assert_eq!(stats.admitted, sequential.admitted, "{}", at);
+                    prop_assert_eq!(stats.batch_probes_demanded, stats.probes_resolved, "{}", at);
+                    prop_assert_eq!(
+                        stats.batch_probes_demanded - stats.batch_probes_unique,
+                        stats.batch_dedup_hits,
+                        "{}", at
+                    );
+                    if !dedup {
+                        prop_assert_eq!(stats.batch_dedup_hits, 0, "{}", at);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A deadline-staggered pair on one virtual clock: `first` is enqueued with
+/// 4.5 ms of its 10 s budget left by drain time, `second` with the whole
+/// budget — effectively unbounded at 1 ms of injected latency per probe.
+/// Returns the server (drained through `drain_batched`, scanning inline so
+/// the probe order is the plan order) and its clock.
+fn staggered_pair(
+    mut qs: QueryServer,
+    first: &[SearchToken],
+    second: &[SearchToken],
+) -> (ResilientServer, Arc<VirtualClock>) {
+    let clock = Arc::new(VirtualClock::new());
+    qs.inject_fault_plan_with_delay(
+        FaultPlan::seeded(1).latency(Duration::from_millis(1)),
+        clock.delay_hook(),
+    );
+    let config = ServeConfig {
+        default_deadline: Some(Duration::from_secs(10)),
+        ..config_of(true, 1)
+    };
+    let serve = ResilientServer::with_clock(qs, config, clock.clone());
+    serve.enqueue("tenant-a", first.to_vec()).expect("fits");
+    clock.advance(Duration::from_secs(10) - Duration::from_micros(4500));
+    serve.enqueue("tenant-b", second.to_vec()).expect("fits");
+    (serve, clock)
+}
+
+/// A deadline passing *mid-scan* cuts only the work nobody else can use:
+/// the cut query gets a typed partial whose ids are a per-token prefix of
+/// its full answer — the token it shares with a still-live query resolved
+/// in full, under that query's later deadline — and the sharer completes
+/// byte-identically.
+#[test]
+fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
+    let lane = lanes(3, "batch-midscan").remove(0);
+    let reference = ResilientServer::new(lane.qs.clone(), config_with(true));
+    // BRC covers sharing exactly the node [512, 767] (trapdoors come
+    // shuffled, so the shared token sits anywhere in either vector).
+    let cut = lane
+        .client
+        .trapdoor(Range::new(200, 767))
+        .expect("in-domain");
+    let sharer = lane
+        .client
+        .trapdoor(Range::new(512, 895))
+        .expect("in-domain");
+    let shared: Vec<bool> = cut.iter().map(|token| sharer.contains(token)).collect();
+    assert_eq!(shared.iter().filter(|&&s| s).count(), 1, "one shared node");
+    let groups: Vec<Vec<DocId>> = cut
+        .iter()
+        .map(|token| {
+            let outcome = reference.answer(std::slice::from_ref(token));
+            outcome.expect("healthy backend").ids
+        })
+        .collect();
+    let expected_sharer = reference.answer(&sharer).expect("healthy backend");
+
+    // The oracle: units are scanned in plan order (the cut query's tokens
+    // first), 1 ms per probe, each token's probes being its hits plus the
+    // terminating miss. The cut query's own tokens stop once 4.5 ms have
+    // passed; its shared token runs to completion whenever it comes up.
+    let mut elapsed_ms = 0.0;
+    let mut expected_ids: Vec<DocId> = Vec::new();
+    let mut expected_probes = 0u64;
+    for (group, &shared) in groups.iter().zip(&shared) {
+        let mut probes = 0;
+        while probes <= group.len() && (shared || elapsed_ms < 4.5) {
+            probes += 1;
+            elapsed_ms += 1.0;
+        }
+        expected_ids.extend(&group[..probes.min(group.len())]);
+        expected_probes += probes as u64;
+    }
+    let full: usize = groups.iter().map(Vec::len).sum();
+    assert!(expected_ids.len() < full, "the cut must lose something");
+
+    let (serve, _clock) = staggered_pair(lane.qs, &cut, &sharer);
+    let drained = serve.drain_batched();
+    match &drained[0].1 {
+        Err(ServeError::DeadlineExceeded {
+            deadline, partial, ..
+        }) => {
+            assert_eq!(
+                *deadline,
+                Duration::from_micros(4500),
+                "the cut query reports its own deadline, not the shared token's"
+            );
+            assert_eq!(partial.tokens_total, cut.len());
+            assert_eq!(partial.probes_resolved, expected_probes);
+            assert_eq!(partial.ids, expected_ids, "per-token prefixes, in order");
+        }
+        other => panic!("the first query must be cut mid-scan, got {other:?}"),
+    }
+    assert_eq!(
+        drained[1].1.as_ref().expect("within its deadline"),
+        &expected_sharer,
+        "the sharer must complete byte-identically"
+    );
+    let stats = serve.stats();
+    assert_eq!((stats.deadline_expired, stats.served_ok), (1, 1));
+}
+
+/// A query whose deadline passes during the batch, but whose tokens were
+/// all completed for another demander, returns `Ok`: cutting it would only
+/// discard an answer that is already there.
+#[test]
+fn fully_resolved_query_is_not_cut_by_its_deadline() {
+    let lane = lanes(3, "batch-resolved").remove(0);
+    let tokens = lane
+        .client
+        .trapdoor(Range::new(50, 700))
+        .expect("in-domain");
+    let expected = ResilientServer::new(lane.qs.clone(), config_with(true))
+        .answer(&tokens)
+        .expect("healthy backend");
+
+    let (serve, clock) = staggered_pair(lane.qs, &tokens, &tokens);
+    let drained = serve.drain_batched();
+    assert!(
+        clock.now() > Duration::from_secs(10),
+        "the batch must have run past the first query's deadline"
+    );
+    for (_, outcome) in &drained {
+        assert_eq!(outcome.as_ref().expect("every token completed"), &expected);
+    }
+    let stats = serve.stats();
+    assert_eq!((stats.deadline_expired, stats.served_ok), (0, 2));
+}
+
+/// An open breaker on one shard fails exactly the queries demanding a token
+/// that probes it — every demander of a shared token with its own typed
+/// `ShardUnavailable` — and every other query completes byte-identically.
+#[test]
+fn open_breaker_fails_only_the_queries_probing_its_shard() {
+    let lane = lanes(17, "batch-breaker").remove(0);
+    let reference = ResilientServer::new(lane.qs.clone(), config_with(true));
+    // Narrow ranges (a handful of probes each), every one asked twice.
+    let queries: Vec<Vec<SearchToken>> = (0..24u64)
+        .map(|i| Range::new(i * 150, i * 150 + 1 + i % 3))
+        .flat_map(|range| [range, range])
+        .map(|range| lane.client.trapdoor(range).expect("in-domain"))
+        .collect();
+    // The shards a query's scan probes: every hit plus each token's
+    // terminating miss.
+    let index = lane.qs.index();
+    let shards_of = |query: &[SearchToken]| -> Vec<u32> {
+        let mut shards = Vec::new();
+        for token in query {
+            let labeler = TokenLabeler::new(token);
+            for counter in 0u64.. {
+                let label = labeler.label_at(counter);
+                shards.push(index.shard_of(&label) as u32);
+                if index.try_get(&label).expect("in-memory").is_none() {
+                    break;
+                }
+            }
+        }
+        shards
+    };
+    let dead = shards_of(&queries[0])[0];
+
+    let mut qs = lane.qs.clone();
+    qs.inject_fault_plan(FaultPlan::seeded(1).dead_shard(dead));
+    let config = ServeConfig {
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(600),
+        },
+        ..config_with(true)
+    };
+    let serve = ResilientServer::with_clock(qs, config, Arc::new(VirtualClock::new()));
+    serve
+        .answer(&queries[0])
+        .expect_err("the first probe of the dead shard opens its breaker");
+    assert_eq!(serve.breaker_state(dead), BreakerState::Open);
+    let before = serve.stats();
+
+    let outcomes = serve.answer_batch(&queries);
+    let mut failed = 0u64;
+    for (query, outcome) in queries.iter().zip(&outcomes) {
+        if shards_of(query).contains(&dead) {
+            failed += 1;
+            match outcome {
+                Err(ServeError::ShardUnavailable { shard, .. }) => assert_eq!(*shard, dead),
+                other => panic!("a query probing the open shard must fail fast, got {other:?}"),
+            }
+        } else {
+            assert_eq!(
+                outcome.as_ref().expect("never probes the open shard"),
+                &reference.answer(query).expect("healthy backend"),
+            );
+        }
+    }
+    assert!(failed >= 2, "the first range and its twin both fail");
+    assert!(
+        failed < queries.len() as u64,
+        "some query must avoid the shard"
+    );
+    let after = serve.stats();
+    assert_eq!(after.shard_unavailable - before.shard_unavailable, failed);
+    assert_eq!(
+        after.served_ok - before.served_ok,
+        queries.len() as u64 - failed
+    );
 }

@@ -401,8 +401,8 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
         .collect::<Result<Vec<_>, _>>()
         .expect("unbounded serves");
 
-    // 25% of the ciphertext region: a few ~64 KiB blocks fit, so the
-    // cache genuinely caches and genuinely evicts. (Budgets below one
+    // 25% of the ciphertext region: a fraction of its ~4 KiB blocks fit, so
+    // the cache genuinely caches and genuinely evicts. (Budgets below one
     // block size still bound residency — nothing caches — which the sse
     // crate's `zero_budget_still_answers_with_nothing_resident` pins.)
     let budget = region_bytes / 4;
@@ -438,16 +438,17 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
 /// against one budgeted server while a sampler watches the counters. Every
 /// observation must show monotone hit/miss/eviction counters and residency
 /// inside the budget plus the documented transient overshoot (at most one
-/// in-flight ~64 KiB block per probing thread); at quiescence the budget
+/// in-flight ~4 KiB block per probing thread); at quiescence the budget
 /// holds exactly.
 #[test]
 fn cache_stats_stay_consistent_under_concurrent_query_traffic() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const THREADS: usize = 8;
-    // Block slack: blocks are cut at a 64 KiB target plus at most one
-    // entry, so 128 KiB per in-flight thread is a safe per-block bound.
-    const BLOCK_SLACK: usize = 128 << 10;
+    // Block slack: blocks are cut at a 4 KiB target plus at most one
+    // (here: tens of bytes) entry, so 8 KiB per in-flight thread is a safe
+    // per-block bound.
+    const BLOCK_SLACK: usize = 8 << 10;
 
     let data = dataset(1 << 12, 3_000);
     let dir = TempDir::new("budget-concurrent");

@@ -23,6 +23,7 @@ use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Node, Range};
 use rsse_crypto::{permute, Dprf, DprfToken, Key, KeyChain};
+use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
 use rsse_sse::{SearchToken, ShardedIndex, SseScheme, StorageBackend, StorageConfig, StorageError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -114,31 +115,19 @@ impl rsse_sse::FaultInjectable for ConstantServer {
 
 /// Writes the GGM-depth sidecar file.
 fn write_depth_meta(dir: &Path, depth: u32) -> Result<(), StorageError> {
-    let path = dir.join(DEPTH_META_FILE);
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(&DEPTH_META_MAGIC);
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&depth.to_le_bytes());
-    rsse_sse::storage::write_file_atomic_bytes(&path, &bytes)
+    MetaWriter::new(&DEPTH_META_MAGIC)
+        .u32(depth)
+        .commit(&dir.join(DEPTH_META_FILE))
 }
 
 /// Reads and validates the GGM-depth sidecar file.
 fn read_depth_meta(dir: &Path) -> Result<u32, StorageError> {
     let path = dir.join(DEPTH_META_FILE);
-    let bytes = fs::read(&path).map_err(|error| StorageError::Io {
-        path: path.clone(),
-        error,
-    })?;
-    rsse_sse::storage::check_header(&path, &bytes, &DEPTH_META_MAGIC, 16)?;
-    if bytes.len() != 16 {
-        return Err(StorageError::CorruptDirectory {
-            path,
-            detail: format!("{} trailing bytes after the depth field", bytes.len() - 16),
-        });
-    }
-    Ok(u32::from_le_bytes(
-        bytes[12..16].try_into().expect("4 bytes"),
-    ))
+    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+    let mut fields = MetaReader::open(&path, &bytes, &DEPTH_META_MAGIC, 16)?;
+    let depth = fields.u32()?;
+    fields.finish()?;
+    Ok(depth)
 }
 
 /// The trapdoor of the Constant schemes: a delegated DPRF token.

@@ -26,6 +26,7 @@ use rayon::prelude::*;
 use rsse_bloom::{element_hashes, BloomFilter, BloomParams};
 use rsse_cover::{brc, Domain, Node, Range};
 use rsse_crypto::{permute, Key, KeyChain};
+use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
 use rsse_sse::{StorageBackend, StorageConfig, StorageError};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,46 +66,9 @@ const PB_TREE_FILE: &str = "pb-tree.bin";
 /// Magic bytes of the PB tree file.
 const PB_MAGIC: [u8; 8] = *b"RSSE-PBT";
 
-/// Sequential reader over the serialized tree with typed truncation errors.
-struct PbReader<'a> {
-    path: &'a Path,
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PbReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.at + n > self.bytes.len() {
-            return Err(StorageError::Truncated {
-                path: self.path.to_path_buf(),
-                expected: (self.at + n) as u64,
-                actual: self.bytes.len() as u64,
-            });
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn corrupt(&self, detail: String) -> StorageError {
-        StorageError::CorruptDirectory {
-            path: self.path.to_path_buf(),
-            detail,
-        }
-    }
-}
+/// Bytes of one serialized node before its filter words: record flag,
+/// record id, filter bits, hash count, item count, word count.
+const PB_NODE_FIXED_LEN: usize = 1 + 8 + 8 + 4 + 8 + 8;
 
 impl PbServer {
     /// Serializes the Bloom-filter tree into `dir/pb-tree.bin`, creating
@@ -116,38 +80,24 @@ impl PbServer {
     /// partially resident tree would not bound anything).
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(|error| StorageError::Io {
-            path: dir.to_path_buf(),
-            error,
-        })?;
-        let path = dir.join(PB_TREE_FILE);
-        let mut bytes: Vec<u8> = Vec::new();
-        bytes.extend_from_slice(&PB_MAGIC);
-        bytes.extend_from_slice(&rsse_sse::storage::FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&(self.leaf_offset as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let mut tree = MetaWriter::new(&PB_MAGIC);
+        tree.u32(0)
+            .u64(self.leaf_offset as u64)
+            .u64(self.nodes.len() as u64);
         for node in &self.nodes {
-            match node.record {
-                Some(id) => {
-                    bytes.push(1);
-                    bytes.extend_from_slice(&id.to_le_bytes());
-                }
-                None => {
-                    bytes.push(0);
-                    bytes.extend_from_slice(&0u64.to_le_bytes());
-                }
-            }
+            tree.u8(u8::from(node.record.is_some()))
+                .u64(node.record.unwrap_or(0));
             let params = node.filter.params();
-            bytes.extend_from_slice(&(params.num_bits as u64).to_le_bytes());
-            bytes.extend_from_slice(&params.num_hashes.to_le_bytes());
-            bytes.extend_from_slice(&(node.filter.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&(node.filter.words().len() as u64).to_le_bytes());
+            tree.u64(params.num_bits as u64)
+                .u32(params.num_hashes)
+                .u64(node.filter.len() as u64)
+                .u64(node.filter.words().len() as u64);
             for word in node.filter.words() {
-                bytes.extend_from_slice(&word.to_le_bytes());
+                tree.u64(*word);
             }
         }
-        rsse_sse::storage::write_file_atomic_bytes(&path, &bytes)
+        tree.commit(&dir.join(PB_TREE_FILE))
     }
 
     /// Loads a Bloom-filter tree previously written by
@@ -155,50 +105,33 @@ impl PbServer {
     /// typed [`StorageError`]s.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
         let path: PathBuf = dir.as_ref().join(PB_TREE_FILE);
-        let bytes = fs::read(&path).map_err(|error| StorageError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        rsse_sse::storage::check_header(&path, &bytes, &PB_MAGIC, 24)?;
-        let mut r = PbReader {
-            path: &path,
-            bytes: &bytes,
-            at: 12, // past magic + version, validated above
-        };
-        r.u32()?; // reserved
+        let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        let mut r = MetaReader::open(&path, &bytes, &PB_MAGIC, 32)?;
+        r.reserved()?;
         let leaf_offset = r.u64()? as usize;
-        let node_count = r.u64()? as usize;
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
+        let node_count = r.u64()?;
+        let node_count = r.rows(node_count, PB_NODE_FIXED_LEN)?;
+        let mut nodes = Vec::with_capacity(node_count);
         for i in 0..node_count {
-            let has_record = r.take(1)?[0];
+            let has_record = r.u8()?;
             let id = r.u64()?;
-            let record = match has_record {
-                0 => None,
-                1 => Some(id),
-                other => {
-                    return Err(r.corrupt(format!("node {i} has record flag {other}")));
+            let record = match (has_record, id) {
+                (0, 0) => None,
+                (1, id) => Some(id),
+                (flag, id) => {
+                    return Err(r.corrupt(format!("node {i} has record flag {flag}, id {id}")));
                 }
             };
             let num_bits = r.u64()? as usize;
             let num_hashes = r.u32()?;
             let items = r.u64()? as usize;
-            let word_count = r.u64()? as usize;
-            if num_bits == 0 || num_hashes == 0 || word_count != num_bits.div_ceil(64) {
+            let word_count = r.u64()?;
+            if num_bits == 0 || num_hashes == 0 || word_count != num_bits.div_ceil(64) as u64 {
                 return Err(r.corrupt(format!(
                     "node {i} claims {num_bits} bits, {num_hashes} hashes, {word_count} words"
                 )));
             }
-            // Bound the allocation by what the file can actually hold, so a
-            // crafted header cannot abort the process with a huge
-            // `with_capacity` before the reads themselves fail typed.
-            let remaining_words = (bytes.len() - r.at) / 8;
-            if word_count > remaining_words {
-                return Err(StorageError::Truncated {
-                    path: path.clone(),
-                    expected: (r.at as u64).saturating_add((word_count as u64).saturating_mul(8)),
-                    actual: bytes.len() as u64,
-                });
-            }
+            let word_count = r.rows(word_count, 8)?;
             let mut words = Vec::with_capacity(word_count);
             for _ in 0..word_count {
                 words.push(r.u64()?);
@@ -215,9 +148,7 @@ impl PbServer {
                 record,
             });
         }
-        if r.at != bytes.len() {
-            return Err(r.corrupt(format!("{} trailing bytes", bytes.len() - r.at)));
-        }
+        r.finish()?;
         // A heap-layout tree over 2^h leaves always has 2·leaf_offset + 1
         // nodes; anything else would send Search's child indexing
         // (`2i + 1`/`2i + 2`) out of bounds at query time.
@@ -609,6 +540,16 @@ mod tests {
         huge[41..49].copy_from_slice(&(1u64 << 40).to_le_bytes());
         huge[61..69].copy_from_slice(&(1u64 << 34).to_le_bytes());
         std::fs::write(&path, &huge).unwrap();
+        assert!(matches!(
+            PbServer::open_dir(dir.path()),
+            Err(StorageError::Truncated { .. })
+        ));
+
+        // Same for the node count itself (bytes 24..32): it is validated
+        // against the bytes left before it sizes the node vector.
+        let mut many = valid.clone();
+        many[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &many).unwrap();
         assert!(matches!(
             PbServer::open_dir(dir.path()),
             Err(StorageError::Truncated { .. })

@@ -282,47 +282,6 @@ impl QueryServer {
             .map(|tokens| self.answer(tokens))
             .collect()
     }
-
-    /// Reopens one batched search endpoint per **active instance** of a
-    /// persisted update manager, in level order, from the manager's
-    /// storage root alone — the server-side half of a process restart
-    /// (`UpdateManager::open_root` in `rsse-updates` is the owner-side
-    /// half, and heals any crash leftovers first).
-    ///
-    /// Reads the root's `manager.meta` manifest, cold-opens every
-    /// instance directory it references under the manifest's recorded
-    /// cache budget, and returns the endpoints in the same instance order
-    /// the owner iterates — the server never needs the owner's master
-    /// key, because everything it serves is encrypted.
-    ///
-    /// Supports managers whose scheme keeps a single dictionary per
-    /// instance directory (the Logarithmic/Constant families);
-    /// multi-index layouts (Logarithmic-SRC-i's `i1`/`i2`) fail typed on
-    /// the missing top-level `index.meta`.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces a missing or corrupt manifest, and every malformed
-    /// instance directory, as typed [`StorageError`]s. A manifest left
-    /// stale by a crash (referencing GC'd directories) also fails typed —
-    /// run the owner-side `open_root` recovery first, which re-commits a
-    /// healed manifest.
-    pub fn open_manager_root(root: impl AsRef<Path>) -> Result<Vec<QueryServer>, StorageError> {
-        let root = root.as_ref();
-        let manifest = rsse_sse::storage::read_manager_manifest(root)?;
-        let budget = manifest.cache_budget.map(|bytes| bytes as usize);
-        manifest
-            .levels
-            .iter()
-            .flatten()
-            .map(|instance| {
-                let dir = root.join(rsse_sse::storage::ManagerManifest::instance_dir_name(
-                    instance.build_id,
-                ));
-                Self::open_dir_with_budget(dir, budget)
-            })
-            .collect()
-    }
 }
 
 /// Chaos-harness support: faults injected into a `QueryServer` wrap its

@@ -869,17 +869,4 @@ impl ResilientServer<QueryServer> {
             config,
         ))
     }
-
-    /// Reopens one resilient endpoint per active instance of a persisted
-    /// update manager (see [`QueryServer::open_manager_root`]), all under
-    /// the same tuning.
-    pub fn open_manager_root(
-        root: impl AsRef<Path>,
-        config: &ServeConfig,
-    ) -> Result<Vec<Self>, StorageError> {
-        Ok(QueryServer::open_manager_root(root)?
-            .into_iter()
-            .map(|server| Self::new(server, config.clone()))
-            .collect())
-    }
 }

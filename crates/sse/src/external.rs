@@ -45,12 +45,14 @@
 //! The final index directory itself keeps the exact commit discipline of
 //! the in-RAM on-disk build (manifest first, every shard file atomic).
 
-use crate::pibas::{encrypt_payloads, EncryptedIndex, Label, SearchToken, SseKey, SseScheme};
+use crate::formats::{io_err, write_file_atomic, MetaReader, MetaWriter};
+use crate::pibas::{
+    encrypt_payloads, EncryptedIndex, Label, SearchToken, SseKey, SseScheme, LABEL_LEN,
+};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
-    check_header, shard_file_name, write_file_atomic, write_manifest, write_shard_header,
-    BlockCache, BuildBudget, FileShard, StorageBackend, StorageConfig, StorageError,
-    FORMAT_VERSION,
+    shard_file_name, write_manifest, write_shard_header, BlockCache, BuildBudget, FileShard,
+    StorageBackend, StorageConfig, StorageError,
 };
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
@@ -84,7 +86,7 @@ const RUN_HEADER_LEN: u64 = 32;
 const SPILL_MANIFEST_HEADER_LEN: u64 = 40;
 
 /// Bytes per run-table row in the spill manifest.
-const RUN_TABLE_ROW_LEN: u64 = 16;
+const RUN_TABLE_ROW_LEN: usize = 16;
 
 /// One fixed-stride spill entry: keyword plus payload.
 type SpillEntry<const K: usize, const P: usize> = ([u8; K], [u8; P]);
@@ -308,12 +310,7 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         let bytes = RUN_HEADER_LEN + entries * (K + P) as u64;
         let buf = &self.buf;
         write_file_atomic(&path, |writer| {
-            writer.write_all(&SPILL_RUN_MAGIC)?;
-            writer.write_all(&FORMAT_VERSION.to_le_bytes())?;
-            writer.write_all(&0u32.to_le_bytes())?;
-            writer.write_all(&entries.to_le_bytes())?;
-            writer.write_all(&(K as u32).to_le_bytes())?;
-            writer.write_all(&(P as u32).to_le_bytes())?;
+            writer.write_all(&run_header::<K, P>(entries).into_bytes())?;
             for (keyword, payload) in buf {
                 writer.write_all(keyword)?;
                 writer.write_all(payload)?;
@@ -332,24 +329,29 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
     /// pass 1's atomic commit record, written last.
     fn finish(mut self) -> Result<(), StorageError> {
         self.flush()?;
-        let path = self.dir.join(SPILL_MANIFEST_FILE);
-        let total: u64 = self.runs.iter().map(|r| r.entries).sum();
-        let mut bytes = Vec::with_capacity(
-            (SPILL_MANIFEST_HEADER_LEN + self.runs.len() as u64 * RUN_TABLE_ROW_LEN) as usize,
-        );
-        bytes.extend_from_slice(&SPILL_MANIFEST_MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&self.order.code().to_le_bytes());
-        bytes.extend_from_slice(&(K as u32).to_le_bytes());
-        bytes.extend_from_slice(&(P as u32).to_le_bytes());
-        bytes.extend_from_slice(&(self.runs.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&total.to_le_bytes());
-        for run in &self.runs {
-            bytes.extend_from_slice(&run.entries.to_le_bytes());
-            bytes.extend_from_slice(&run.bytes.to_le_bytes());
-        }
-        write_file_atomic(&path, |writer| writer.write_all(&bytes))
+        spill_meta::<K, P>(self.order, &self.runs).commit(&self.dir.join(SPILL_MANIFEST_FILE))
     }
+}
+
+/// The 32-byte header of a spill run of `entries` entries.
+fn run_header<const K: usize, const P: usize>(entries: u64) -> MetaWriter {
+    let mut header = MetaWriter::new(&SPILL_RUN_MAGIC);
+    header.u32(0).u64(entries).u32(K as u32).u32(P as u32);
+    header
+}
+
+/// The spill manifest over `runs`.
+fn spill_meta<const K: usize, const P: usize>(order: SpillOrder, runs: &[RunInfo]) -> MetaWriter {
+    let mut meta = MetaWriter::new(&SPILL_MANIFEST_MAGIC);
+    meta.u32(order.code())
+        .u32(K as u32)
+        .u32(P as u32)
+        .u64(runs.len() as u64)
+        .u64(runs.iter().map(|r| r.entries).sum());
+    for run in runs {
+        meta.u64(run.entries).u64(run.bytes);
+    }
+    meta
 }
 
 /// The decoded spill manifest pass 2 rebuilds its state from.
@@ -366,63 +368,46 @@ fn read_spill_meta<const K: usize, const P: usize>(
     order: SpillOrder,
 ) -> Result<SpillMeta, StorageError> {
     let path = dir.join(SPILL_MANIFEST_FILE);
-    let mut bytes = Vec::new();
-    File::open(&path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|error| StorageError::Io {
-            path: path.clone(),
-            error,
-        })?;
-    check_header(
+    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+    let mut fields = MetaReader::open(
         &path,
         &bytes,
         &SPILL_MANIFEST_MAGIC,
         SPILL_MANIFEST_HEADER_LEN,
     )?;
-    let corrupt = |detail: String| StorageError::CorruptDirectory {
-        path: path.clone(),
-        detail,
-    };
-    let read_u32 = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    let read_u64 = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-    let got_order = SpillOrder::from_code(read_u32(12))
-        .ok_or_else(|| corrupt(format!("unknown spill sort mode {}", read_u32(12))))?;
+    let code = fields.u32()?;
+    let got_order = SpillOrder::from_code(code)
+        .ok_or_else(|| fields.corrupt(format!("unknown spill sort mode {code}")))?;
     if got_order != order {
-        return Err(corrupt(format!(
-            "spill sort mode {:?} does not match this build ({order:?})",
-            got_order
+        return Err(fields.corrupt(format!(
+            "spill sort mode {got_order:?} does not match this build ({order:?})"
         )));
     }
-    if read_u32(16) != K as u32 || read_u32(20) != P as u32 {
-        return Err(corrupt(format!(
-            "spill entry geometry ({}, {}) does not match this build ({K}, {P})",
-            read_u32(16),
-            read_u32(20)
+    let (keyword_len, payload_len) = (fields.u32()?, fields.u32()?);
+    if keyword_len != K as u32 || payload_len != P as u32 {
+        return Err(fields.corrupt(format!(
+            "spill entry geometry ({keyword_len}, {payload_len}) does not match this build ({K}, {P})"
         )));
     }
-    let run_count = read_u64(24);
-    let total_entries = read_u64(32);
-    let expected_len = SPILL_MANIFEST_HEADER_LEN + run_count * RUN_TABLE_ROW_LEN;
-    if bytes.len() as u64 != expected_len {
-        return Err(corrupt(format!(
-            "run table length {} does not match run count {run_count}",
-            bytes.len() as u64 - SPILL_MANIFEST_HEADER_LEN
-        )));
-    }
-    let runs: Vec<RunInfo> = (0..run_count as usize)
-        .map(|i| {
-            let off = SPILL_MANIFEST_HEADER_LEN as usize + i * RUN_TABLE_ROW_LEN as usize;
-            RunInfo {
-                entries: read_u64(off),
-                bytes: read_u64(off + 8),
-            }
+    let run_count = fields.u64()?;
+    let total_entries = fields.u64()?;
+    let runs = (0..fields.rows(run_count, RUN_TABLE_ROW_LEN)?)
+        .map(|_| {
+            Ok(RunInfo {
+                entries: fields.u64()?,
+                bytes: fields.u64()?,
+            })
         })
-        .collect();
-    if runs.iter().map(|r| r.entries).sum::<u64>() != total_entries {
-        return Err(corrupt(
-            "run table entry counts do not sum to the recorded total".to_string(),
-        ));
+        .collect::<Result<Vec<RunInfo>, StorageError>>()?;
+    let summed = runs
+        .iter()
+        .try_fold(0u64, |sum, run| sum.checked_add(run.entries));
+    if summed != Some(total_entries) {
+        return Err(
+            fields.corrupt("run table entry counts do not sum to the recorded total".to_string())
+        );
     }
+    fields.finish()?;
     Ok(SpillMeta {
         order,
         total_entries,
@@ -446,10 +431,7 @@ impl<const K: usize, const P: usize> RunReader<K, P> {
     /// manifest row.
     fn open(dir: &Path, run: usize, info: &RunInfo, buffer: usize) -> Result<Self, StorageError> {
         let path = dir.join(run_file_name(run));
-        let io = |error| StorageError::Io {
-            path: path.clone(),
-            error,
-        };
+        let io = |error| io_err(&path, error);
         let file = File::open(&path).map_err(io)?;
         let actual = file.metadata().map_err(io)?.len();
         if actual != info.bytes {
@@ -462,10 +444,10 @@ impl<const K: usize, const P: usize> RunReader<K, P> {
         let mut reader = BufReader::with_capacity(buffer, file);
         let mut header = [0u8; RUN_HEADER_LEN as usize];
         reader.read_exact(&mut header).map_err(io)?;
-        check_header(&path, &header, &SPILL_RUN_MAGIC, RUN_HEADER_LEN)?;
-        let entries = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let keyword_len = u32::from_le_bytes(header[24..28].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(header[28..32].try_into().unwrap());
+        let mut fields = MetaReader::open(&path, &header, &SPILL_RUN_MAGIC, RUN_HEADER_LEN)?;
+        fields.reserved()?;
+        let entries = fields.u64()?;
+        let (keyword_len, payload_len) = (fields.u32()?, fields.u32()?);
         if entries != info.entries || keyword_len != K as u32 || payload_len != P as u32 {
             return Err(StorageError::CorruptDirectory {
                 path,
@@ -493,13 +475,28 @@ impl<const K: usize, const P: usize> RunReader<K, P> {
         self.reader
             .read_exact(&mut keyword)
             .and_then(|()| self.reader.read_exact(&mut payload))
-            .map_err(|error| StorageError::Io {
-                path: self.path.clone(),
-                error,
-            })?;
+            .map_err(|e| io_err(&self.path, e))?;
         self.remaining -= 1;
         Ok(Some((keyword, payload)))
     }
+}
+
+/// Decoder-robustness hook (`tests/decoder_robustness.rs`,
+/// `tests/golden_formats.rs`): decodes `dir`'s spill manifest and the
+/// header of every run it lists, and returns what the encoders map the
+/// decoded values back to — the manifest first, then one header per run.
+#[doc(hidden)]
+pub fn recode_spill_dir<const K: usize, const P: usize>(
+    dir: &Path,
+    order: SpillOrder,
+) -> Result<Vec<Vec<u8>>, StorageError> {
+    let meta = read_spill_meta::<K, P>(dir, order)?;
+    let mut files = vec![spill_meta::<K, P>(meta.order, &meta.runs).into_bytes()];
+    for (run, info) in meta.runs.iter().enumerate() {
+        let reader = RunReader::<K, P>::open(dir, run, info, 4 << 10)?;
+        files.push(run_header::<K, P>(reader.remaining).into_bytes());
+    }
+    Ok(files)
 }
 
 /// One head-of-run entry in the merge heap.
@@ -683,13 +680,35 @@ fn stage_overflow(spill: &Path, shard: usize, stage: &mut StageShard) -> Result<
             .append(true)
             .open(&path)
             .and_then(|mut f| f.write_all(bytes))
-            .map_err(|error| StorageError::Io { path, error })
+            .map_err(|e| io_err(&path, e))
     };
     append(stage_dir_name(shard), &stage.dir_buf)?;
     append(stage_region_name(shard), &stage.region_buf)?;
     stage.dir_buf.clear();
     stage.region_buf.clear();
     stage.staged = true;
+    Ok(())
+}
+
+/// Emits the 24-byte directory entries of `entries` staged 20-byte
+/// `(label, ciphertext length)` frames: offsets are the running length
+/// sum, exactly the in-RAM layout.
+fn write_directory(
+    frames: &mut impl Read,
+    entries: u64,
+    writer: &mut impl Write,
+) -> io::Result<()> {
+    let mut running = 0u32;
+    let mut label = [0u8; LABEL_LEN];
+    let mut len = [0u8; 4];
+    for _ in 0..entries {
+        frames.read_exact(&mut label)?;
+        frames.read_exact(&mut len)?;
+        writer.write_all(&label)?;
+        writer.write_all(&running.to_le_bytes())?;
+        writer.write_all(&len)?;
+        running += u32::from_le_bytes(len);
+    }
     Ok(())
 }
 
@@ -717,30 +736,11 @@ fn finalize_shard(
     write_file_atomic(path, |writer| {
         write_shard_header(writer, stage.entries, stage.region_len)?;
         if stage.staged {
-            // Stream the directory from the staged frames: read each
-            // 20-byte (label, len) frame, emit the 24-byte directory entry
-            // with the running offset.
             let mut frames = BufReader::new(File::open(&dir_tmp)?);
-            let mut running = 0u32;
-            let mut frame = [0u8; 20];
-            for _ in 0..stage.entries {
-                frames.read_exact(&mut frame)?;
-                let len = u32::from_le_bytes(frame[16..20].try_into().unwrap());
-                writer.write_all(&frame[..16])?;
-                writer.write_all(&running.to_le_bytes())?;
-                writer.write_all(&len.to_le_bytes())?;
-                running += len;
-            }
+            write_directory(&mut frames, stage.entries, writer)?;
             io::copy(&mut BufReader::new(File::open(&region_tmp)?), writer)?;
         } else {
-            let mut running = 0u32;
-            for frame in stage.dir_buf.chunks_exact(20) {
-                let len = u32::from_le_bytes(frame[16..20].try_into().unwrap());
-                writer.write_all(&frame[..16])?;
-                writer.write_all(&running.to_le_bytes())?;
-                writer.write_all(&len.to_le_bytes())?;
-                running += len;
-            }
+            write_directory(&mut stage.dir_buf.as_slice(), stage.entries, writer)?;
             writer.write_all(&stage.region_buf)?;
         }
         Ok(())
@@ -822,10 +822,7 @@ where
     let budget = config.build_budget.clone().unwrap_or_default();
     let spill = spill_dir_for(config, &budget);
     KILLED.with(|k| k.set(false));
-    fs::create_dir_all(&spill).map_err(|error| StorageError::Io {
-        path: spill.clone(),
-        error,
-    })?;
+    fs::create_dir_all(&spill).map_err(|e| io_err(&spill, e))?;
     // Heal leftovers of a previously crashed build before reusing the
     // directory: stale runs would shadow this build's manifest, and stale
     // stage files would corrupt the append-only scatter. Foreign files
@@ -1272,6 +1269,59 @@ mod tests {
         fs::remove_file(&foreign).unwrap();
         fs::remove_dir(&spill).unwrap();
         assert!(dirs_equal(reference.path(), dir.path()));
+    }
+
+    /// A `spill.meta` whose `run_count` is far past what the file holds
+    /// must fail typed: the count is validated against the bytes left
+    /// before it sizes anything (it used to overflow the length check and
+    /// panic).
+    #[test]
+    fn spill_meta_with_an_absurd_run_count_is_rejected_typed() {
+        let dir = TempDir::new("ext-spm-count");
+        // Header only: magic, version, order 0, geometry (13, 8),
+        // run_count = 2^60, total_entries = 0 — and no run table.
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&SPILL_MANIFEST_MAGIC);
+        meta.extend_from_slice(&1u32.to_le_bytes());
+        meta.extend_from_slice(&0u32.to_le_bytes());
+        meta.extend_from_slice(&13u32.to_le_bytes());
+        meta.extend_from_slice(&8u32.to_le_bytes());
+        meta.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        meta.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(meta.len() as u64, SPILL_MANIFEST_HEADER_LEN);
+        fs::write(dir.path().join(SPILL_MANIFEST_FILE), &meta).unwrap();
+        let result = read_spill_meta::<13, 8>(dir.path(), SpillOrder::ByKeywordAndPayload);
+        assert!(
+            matches!(result, Err(StorageError::Truncated { .. })),
+            "{:?}",
+            result.err()
+        );
+    }
+
+    /// A run file whose own header claims more entries than its manifest
+    /// row fails typed before a single entry is read.
+    #[test]
+    fn run_header_disagreeing_with_its_manifest_row_is_rejected_typed() {
+        let dir = TempDir::new("ext-spl-count");
+        let mut spiller = Spiller::<13, 8>::new(dir.path(), SpillOrder::ByKeywordAndPayload, 4);
+        for i in 0..4u64 {
+            spiller.push((keyword(0, i), i.to_le_bytes())).unwrap();
+        }
+        spiller.finish().unwrap();
+        let meta = read_spill_meta::<13, 8>(dir.path(), SpillOrder::ByKeywordAndPayload).unwrap();
+        assert_eq!(meta.runs.len(), 1);
+        assert!(RunReader::<13, 8>::open(dir.path(), 0, &meta.runs[0], 4 << 10).is_ok());
+
+        let path = dir.path().join(run_file_name(0));
+        let mut run = fs::read(&path).unwrap();
+        run[16..24].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        fs::write(&path, &run).unwrap();
+        let result = RunReader::<13, 8>::open(dir.path(), 0, &meta.runs[0], 4 << 10);
+        assert!(
+            matches!(result, Err(StorageError::CorruptDirectory { .. })),
+            "{:?}",
+            result.err()
+        );
     }
 
     #[test]

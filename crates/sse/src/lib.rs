@@ -23,6 +23,9 @@
 //!   BuildIndex and served via paged reads ([`FileShard`]), selected by a
 //!   [`StorageConfig`] and persisted/reopened with
 //!   [`ShardedIndex::save_to_dir`] / [`ShardedIndex::open_dir`];
+//! * [`formats`] — the codec kit every on-disk format of the workspace is
+//!   read and written with (magic + version header, bounds-checked
+//!   little-endian cursor, checked row counts, tmp + rename commit);
 //! * [`external`] — the external-memory `BuildIndex` pipeline: entries
 //!   spill to sorted `RSSE-SPL` runs on disk and are k-way-merged back
 //!   through the encrypt/scatter stages, so peak RSS is bounded by a
@@ -41,6 +44,7 @@
 pub mod database;
 pub mod external;
 pub mod fault;
+pub mod formats;
 pub mod leakage;
 pub mod padding;
 pub mod pibas;
@@ -57,8 +61,7 @@ pub use pibas::{
 };
 pub use sharded::{FaultShard, Shard, ShardedIndex};
 pub use storage::{
-    BuildBudget, CacheStats, FileShard, ManagerManifest, ManifestInstance, OwnerMeta, ShardStorage,
-    StorageBackend, StorageConfig, StorageError,
+    BuildBudget, CacheStats, FileShard, ShardStorage, StorageBackend, StorageConfig, StorageError,
 };
 
 // Test scaffolding shared with downstream crates' persistence tests; not

@@ -40,6 +40,7 @@
 //! the sharded type is a strict generalization, not a fork.
 
 use crate::database::SseDatabase;
+use crate::formats::io_err;
 use crate::pibas::{
     merge_chunks, CipherSpan, EncryptedIndex, IndexLookup, KeywordChunk, Label, SearchToken,
     SseKey, SseScheme,
@@ -579,10 +580,7 @@ impl ShardedIndex {
                 "structural merge across differing shard layouts",
             ));
         }
-        fs::create_dir_all(out).map_err(|e| StorageError::Io {
-            path: out.to_path_buf(),
-            error: e,
-        })?;
+        fs::create_dir_all(out).map_err(|e| io_err(out, e))?;
         let built = (|| {
             write_manifest(out, bits)?;
             let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
@@ -780,10 +778,7 @@ fn shard_chunks_to_dir(
         bits <= MAX_SHARD_BITS,
         "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
     );
-    fs::create_dir_all(dir).map_err(|e| StorageError::Io {
-        path: dir.to_path_buf(),
-        error: e,
-    })?;
+    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let built = (|| {
         write_manifest(dir, bits)?;
         let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));

@@ -1,29 +1,35 @@
-//! Pluggable storage backends for the encrypted dictionary.
+//! Shard I/O for the encrypted dictionary: the storage backends, the block
+//! cache, and the index-directory save/open protocol.
 //!
-//! PR 2's [`ShardedIndex`](crate::ShardedIndex) split the dictionary into
-//! independent label-prefix shards but kept every shard's ciphertext arena
-//! pinned in RAM, and an index died with the process. This module decouples
-//! the *representation* of a shard from the query algorithms (which are
-//! generic over [`IndexLookup`](crate::IndexLookup) and never see the
-//! difference):
+//! The query algorithms are generic over
+//! [`IndexLookup`](crate::IndexLookup) and never see which backend holds a
+//! shard:
 //!
 //! * [`ShardStorage`] — the per-shard read interface every backend
 //!   implements: a bucket directory (`label → (offset, len)`), a ciphertext
-//!   region resolving those spans, and `get`/`get_many` probes.
-//! * [`EncryptedIndex`] — the existing in-memory
-//!   arena backend, unchanged byte-for-byte (property-tested).
-//! * [`FileShard`] — the on-disk backend: a compact serialized shard file
-//!   (magic/version header, label directory, ciphertext region) whose
-//!   directory is loaded at open time while ciphertexts stay on disk and
-//!   are served through **mmap-style paged reads**: the region is cut into
-//!   blocks along entry boundaries (~64 KiB resident blocks, or ~4 KiB
-//!   blocks under a cache budget), and a probe faults in only the block
-//!   holding its span (a resident block is read at most once and then
-//!   shared by all probes and clones). A 10M-record index therefore no
-//!   longer needs all shards — or even all of any shard — resident.
-//! * [`StorageConfig`] / [`StorageBackend`] — the knob threaded through
-//!   `BuildIndex` (and, in `rsse-core`, through `RangeScheme::build_stored`
-//!   and the update manager) selecting where an index's shards live.
+//!   region resolving those spans, and a fallible point probe.
+//! * [`EncryptedIndex`] — the in-memory arena backend.
+//! * [`FileShard`] — the on-disk backend: a serialized shard file
+//!   (`RSSE-SHD`) whose label directory is loaded at open time while the
+//!   ciphertext region stays on disk and is served through paged reads.
+//!   The region is cut into blocks along entry boundaries (~64 KiB resident
+//!   blocks, or ~4 KiB blocks under a cache budget); a probe faults in only
+//!   the block holding its span, through the index-wide clock block cache
+//!   when a budget is set.
+//! * [`StorageConfig`] / [`StorageBackend`] / [`BuildBudget`] — the knob
+//!   threaded through `BuildIndex` (and, in `rsse-core`, through
+//!   `RangeScheme::build_stored` and the update manager) selecting where an
+//!   index's shards live and how much memory building them may take.
+//! * [`StorageError`] — the typed error every persistence path returns.
+//! * the directory protocol — `index.meta` (`RSSE-IDX`) plus one
+//!   `shard-NNNNN.shd` per shard, first saves, staged atomic re-saves, and
+//!   the recovery of an interrupted re-save.
+//!
+//! This module owns exactly two formats, `RSSE-SHD` and `RSSE-IDX`, and
+//! reads and writes their headers through the codec kit in
+//! [`formats`](crate::formats). Every other format lives beside its owner
+//! (`docs/FORMATS.md` has the table); in particular the update manager's
+//! `manager.meta`/`owner.meta` belong to `rsse-updates`.
 //!
 //! # Shard file format (version 1)
 //!
@@ -42,22 +48,20 @@
 //! The directory order is deterministic (ascending offset), so serializing
 //! the same logical shard always produces the same bytes —
 //! `save_to_dir` → `open_dir` → `save_to_dir` round-trips byte-identically.
-//! An index directory holds one `shard-NNNNN.shd` per shard plus an
-//! `index.meta` manifest (same magic/version discipline) recording the
-//! shard-bit count.
 //!
 //! [`FileShard::open`] **rejects** malformed files with typed
 //! [`StorageError`]s — truncated files, foreign magic, unsupported
 //! versions, and directories whose spans fall outside (or fail to tile)
 //! the ciphertext region — instead of panicking at query time.
 
+use crate::formats::{io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION};
 use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LabelTable, LABEL_LEN};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::BuildHasherDefault;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -99,9 +103,6 @@ pub const SHARD_MAGIC: [u8; 8] = *b"RSSE-SHD";
 
 /// Magic bytes opening the index manifest (`index.meta`).
 pub const MANIFEST_MAGIC: [u8; 8] = *b"RSSE-IDX";
-
-/// Current serialization format version.
-pub const FORMAT_VERSION: u32 = 1;
 
 /// Fixed shard-file header length in bytes.
 const SHARD_HEADER_LEN: u64 = 32;
@@ -247,52 +248,6 @@ impl From<std::convert::Infallible> for StorageError {
     fn from(infallible: std::convert::Infallible) -> Self {
         match infallible {}
     }
-}
-
-/// Attaches a path to a raw I/O error.
-fn io_err(path: &Path, error: io::Error) -> StorageError {
-    StorageError::Io {
-        path: path.to_path_buf(),
-        error,
-    }
-}
-
-/// Shared header validation for the serialized-file family (shard files,
-/// manifests, scheme sidecars): checks the 8-byte `magic`, a minimum
-/// length of `min_len`, and the little-endian [`FORMAT_VERSION`] at bytes
-/// 8..12, surfacing the standard typed errors. Every deserializer in the
-/// workspace funnels through this so the rejection behavior cannot
-/// diverge between formats.
-pub fn check_header(
-    path: &Path,
-    bytes: &[u8],
-    magic: &[u8; 8],
-    min_len: u64,
-) -> Result<(), StorageError> {
-    if bytes.len() < 8 || &bytes[..8] != magic {
-        let mut found = [0u8; 8];
-        let take = bytes.len().min(8);
-        found[..take].copy_from_slice(&bytes[..take]);
-        return Err(StorageError::BadMagic {
-            path: path.to_path_buf(),
-            found,
-        });
-    }
-    if (bytes.len() as u64) < min_len {
-        return Err(StorageError::Truncated {
-            path: path.to_path_buf(),
-            expected: min_len,
-            actual: bytes.len() as u64,
-        });
-    }
-    let version = read_u32(&bytes[8..]);
-    if version != FORMAT_VERSION {
-        return Err(StorageError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            version,
-        });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -820,13 +775,10 @@ impl fmt::Debug for FileShard {
     }
 }
 
-/// Reads a little-endian `u32`/`u64` out of a byte slice.
+/// Reads a little-endian `u32` out of a directory entry (the bulk
+/// directory pass; its length is validated before the loop).
 fn read_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
-}
-
-fn read_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 impl FileShard {
@@ -869,9 +821,10 @@ impl FileShard {
         }
         let mut header = [0u8; SHARD_HEADER_LEN as usize];
         read_exact_at(&file, &mut header, 0).map_err(|e| io_err(path, e))?;
-        check_header(path, &header, &SHARD_MAGIC, SHARD_HEADER_LEN)?;
-        let entry_count = read_u64(&header[16..]);
-        let region_len = read_u64(&header[24..]);
+        let mut fields = MetaReader::open(path, &header, &SHARD_MAGIC, SHARD_HEADER_LEN)?;
+        fields.reserved()?;
+        let entry_count = fields.u64()?;
+        let region_len = fields.u64()?;
         if region_len > u32::MAX as u64 {
             return Err(StorageError::CorruptDirectory {
                 path: path.to_path_buf(),
@@ -1239,11 +1192,9 @@ pub(crate) fn write_shard_header<W: Write>(
     entries: u64,
     region_len: u64,
 ) -> io::Result<()> {
-    writer.write_all(&SHARD_MAGIC)?;
-    writer.write_all(&FORMAT_VERSION.to_le_bytes())?;
-    writer.write_all(&0u32.to_le_bytes())?;
-    writer.write_all(&entries.to_le_bytes())?;
-    writer.write_all(&region_len.to_le_bytes())
+    let mut header = MetaWriter::new(&SHARD_MAGIC);
+    header.u32(0).u64(entries).u64(region_len);
+    writer.write_all(&header.into_bytes())
 }
 
 /// Writes the label directory; offsets are the running sum of the lengths,
@@ -1260,47 +1211,6 @@ fn write_shard_directory<W: Write>(
         running += len;
     }
     Ok(())
-}
-
-/// The scratch name `path` is written under before the atomic rename.
-pub(crate) fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Writes `path` atomically: content goes to a `.tmp` sibling first and is
-/// renamed over the target only once fully flushed. This makes re-saving
-/// an index into the directory it is currently being served from safe —
-/// open `FileShard` handles keep reading the old inode while the new file
-/// is written, so the serializer's own read-back never sees a truncated
-/// file — and a failed write can never destroy an existing good file.
-pub(crate) fn write_file_atomic(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-) -> Result<(), StorageError> {
-    let tmp = tmp_path(path);
-    let file = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    let mut writer = BufWriter::new(file);
-    match write(&mut writer).and_then(|()| writer.flush()) {
-        Ok(()) => fs::rename(&tmp, path).map_err(|e| io_err(path, e)),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(io_err(path, e))
-        }
-    }
-}
-
-/// Atomic whole-buffer variant of [`write_file_atomic`] for small metadata
-/// files.
-///
-/// (Internal to the workspace: the schemes' sidecar files — Constant's
-/// depth meta, PB's filter tree — use it so every serialized file in an
-/// index directory follows the same tmp+rename discipline and a failed
-/// re-save can never destroy an existing good file.)
-#[doc(hidden)]
-pub fn write_file_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-    write_file_atomic(path, |writer| writer.write_all(bytes))
 }
 
 /// Serializes one in-memory shard into `path` (directory sorted by offset,
@@ -1430,39 +1340,25 @@ pub fn cleanup_partial_index(dir: &Path, shard_count: usize) {
 
 /// Writes the index manifest (`index.meta`).
 pub(crate) fn write_manifest(dir: &Path, shard_bits: u32) -> Result<(), StorageError> {
-    let path = dir.join(MANIFEST_FILE);
-    let mut bytes = Vec::with_capacity(MANIFEST_LEN as usize);
-    bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&shard_bits.to_le_bytes());
-    bytes.extend_from_slice(&(1u64 << shard_bits).to_le_bytes());
-    write_file_atomic(&path, |writer| writer.write_all(&bytes))
+    MetaWriter::new(&MANIFEST_MAGIC)
+        .u32(shard_bits)
+        .u64(1u64 << shard_bits)
+        .commit(&dir.join(MANIFEST_FILE))
 }
 
 /// Reads and validates the index manifest, returning the shard bits.
 pub(crate) fn read_manifest(dir: &Path) -> Result<u32, StorageError> {
     let path = dir.join(MANIFEST_FILE);
-    let mut file = File::open(&path).map_err(|e| io_err(&path, e))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(|e| io_err(&path, e))?;
-    check_header(&path, &bytes, &MANIFEST_MAGIC, MANIFEST_LEN)?;
-    if bytes.len() as u64 != MANIFEST_LEN {
-        return Err(StorageError::CorruptDirectory {
-            path,
-            detail: format!(
-                "{} trailing bytes after the manifest fields",
-                bytes.len() as u64 - MANIFEST_LEN
-            ),
-        });
-    }
-    let shard_bits = read_u32(&bytes[12..]);
-    let shard_count = read_u64(&bytes[16..]);
+    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+    let mut fields = MetaReader::open(&path, &bytes, &MANIFEST_MAGIC, MANIFEST_LEN)?;
+    let shard_bits = fields.u32()?;
+    let shard_count = fields.u64()?;
     if shard_bits > crate::sharded::MAX_SHARD_BITS || shard_count != 1u64 << shard_bits {
-        return Err(StorageError::CorruptDirectory {
-            path,
-            detail: format!("manifest claims {shard_count} shards at {shard_bits} shard bits"),
-        });
+        return Err(fields.corrupt(format!(
+            "manifest claims {shard_count} shards at {shard_bits} shard bits"
+        )));
     }
+    fields.finish()?;
     Ok(shard_bits)
 }
 
@@ -1738,386 +1634,6 @@ pub(crate) fn open_shards_from_dir(
         .into_iter()
         .collect::<Result<Vec<FileShard>, StorageError>>()?;
     Ok((shard_bits, shards))
-}
-
-// ---------------------------------------------------------------------------
-// Update-manager owner state: `manager.meta` + per-instance `owner.meta`
-// ---------------------------------------------------------------------------
-
-/// Magic bytes opening the update manager's root manifest (`manager.meta`).
-pub const MANAGER_MANIFEST_MAGIC: [u8; 8] = *b"RSSE-MGR";
-
-/// File name of the update manager's root manifest inside a storage root.
-pub const MANAGER_MANIFEST_FILE: &str = "manager.meta";
-
-/// Magic bytes opening a per-instance owner sidecar (`owner.meta`).
-pub const OWNER_META_MAGIC: [u8; 8] = *b"RSSE-OWN";
-
-/// File name of the per-instance owner sidecar inside an instance directory.
-pub const OWNER_META_FILE: &str = "owner.meta";
-
-/// Fixed `manager.meta` header length (magic + version + scheme-name
-/// length), before the variable-length fields.
-const MANAGER_HEADER_LEN: u64 = 16;
-
-/// Fixed `owner.meta` length before the encrypted payload.
-const OWNER_META_HEADER_LEN: u64 = 40;
-
-/// One active instance as recorded in the update manager's root manifest:
-/// public bookkeeping only (counts and names) — the owner's secrets (the
-/// build seed and the plaintext update log) live in the instance's
-/// encrypted [`OwnerMeta`] sidecar, never in the manifest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManifestInstance {
-    /// Monotonic build number naming the instance directory
-    /// (`instance-{build_id:08}`).
-    pub build_id: u64,
-    /// The instance's sequence number (largest = newest; a merged instance
-    /// reuses the newest sequence number of its inputs).
-    pub seq: u64,
-    /// Number of update entries the instance indexes.
-    pub entry_count: u64,
-    /// Number of insert operations among the entries.
-    pub inserts: u64,
-    /// Number of modify operations among the entries.
-    pub modifies: u64,
-    /// Number of delete operations (tombstones) among the entries.
-    pub deletes: u64,
-}
-
-/// The update manager's durable root manifest (`manager.meta`): everything
-/// the owner needs — besides the master key and the per-instance
-/// [`OwnerMeta`] sidecars — to reopen a whole `UpdateManager` from its
-/// storage root after a crash or restart.
-///
-/// The manifest is deliberately **public data**: scheme kind and
-/// parameters, counters, and the level table with per-instance sequence
-/// numbers and operation counts. It is written through the same
-/// tmp+rename atomic-write machinery as every other metadata file, and
-/// always *after* the instance directories it references are durably
-/// committed, so a crash between an index commit and the manifest commit
-/// leaves a manifest describing the previous consistent state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManagerManifest {
-    /// `RangeScheme::NAME` of the scheme the manager is instantiated with;
-    /// reopening with a different scheme is rejected typed.
-    pub scheme: String,
-    /// Size of the attribute domain shared by all batches.
-    pub domain_size: u64,
-    /// The consolidation step `s` the manager was configured with.
-    pub consolidation_step: u64,
-    /// Label-prefix shard bits of every index the manager builds.
-    pub shard_bits: u32,
-    /// Block-cache budget for persisted instances (`None` = unbounded).
-    pub cache_budget: Option<u64>,
-    /// Next batch sequence number.
-    pub next_seq: u64,
-    /// Next instance-directory build number.
-    pub next_build: u64,
-    /// Raw batches ingested so far.
-    pub batches_ingested: u64,
-    /// Consolidation operations performed so far (always the sum of the
-    /// two strategy counters below).
-    pub consolidations: u64,
-    /// Consolidations realized as structural merges: ciphertext copied
-    /// verbatim from the input instances, no re-encryption.
-    pub structural_consolidations: u64,
-    /// Consolidations realized as full rebuilds (the reference path every
-    /// scheme supports).
-    pub rebuild_consolidations: u64,
-    /// The level table: `levels[l]` lists the active instances at height
-    /// `l` of the merge hierarchy, in insertion (ascending-seq) order.
-    pub levels: Vec<Vec<ManifestInstance>>,
-}
-
-impl ManagerManifest {
-    /// The directory name of an instance with this build number
-    /// (`instance-{build_id:08}`, zero-padded so names sort by build).
-    pub fn instance_dir_name(build_id: u64) -> String {
-        format!("instance-{build_id:08}")
-    }
-
-    /// Parses an instance directory name back into its build number
-    /// (`None` for anything that is not exactly `instance-NNNNNNNN`).
-    pub fn parse_instance_dir_name(name: &str) -> Option<u64> {
-        let digits = name.strip_prefix("instance-")?;
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        digits.parse().ok()
-    }
-
-    /// Serializes the manifest into its on-disk byte layout (see
-    /// `docs/FORMATS.md` for the byte-by-byte specification).
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(128 + self.levels.len() * 64);
-        bytes.extend_from_slice(&MANAGER_MANIFEST_MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(self.scheme.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(self.scheme.as_bytes());
-        bytes.extend_from_slice(&self.domain_size.to_le_bytes());
-        bytes.extend_from_slice(&self.consolidation_step.to_le_bytes());
-        bytes.extend_from_slice(&self.shard_bits.to_le_bytes());
-        bytes.extend_from_slice(&u32::from(self.cache_budget.is_some()).to_le_bytes());
-        bytes.extend_from_slice(&self.cache_budget.unwrap_or(0).to_le_bytes());
-        bytes.extend_from_slice(&self.next_seq.to_le_bytes());
-        bytes.extend_from_slice(&self.next_build.to_le_bytes());
-        bytes.extend_from_slice(&self.batches_ingested.to_le_bytes());
-        bytes.extend_from_slice(&self.consolidations.to_le_bytes());
-        bytes.extend_from_slice(&self.structural_consolidations.to_le_bytes());
-        bytes.extend_from_slice(&self.rebuild_consolidations.to_le_bytes());
-        bytes.extend_from_slice(&(self.levels.len() as u32).to_le_bytes());
-        for level in &self.levels {
-            bytes.extend_from_slice(&(level.len() as u32).to_le_bytes());
-            for instance in level {
-                bytes.extend_from_slice(&instance.build_id.to_le_bytes());
-                bytes.extend_from_slice(&instance.seq.to_le_bytes());
-                bytes.extend_from_slice(&instance.entry_count.to_le_bytes());
-                bytes.extend_from_slice(&instance.inserts.to_le_bytes());
-                bytes.extend_from_slice(&instance.modifies.to_le_bytes());
-                bytes.extend_from_slice(&instance.deletes.to_le_bytes());
-            }
-        }
-        bytes
-    }
-}
-
-/// A bounds-checked little-endian cursor over a metadata file's bytes:
-/// every read that would run past the end surfaces the standard
-/// [`StorageError::Truncated`] instead of panicking.
-struct MetaReader<'a> {
-    path: &'a Path,
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> MetaReader<'a> {
-    fn new(path: &'a Path, bytes: &'a [u8], at: usize) -> Self {
-        Self { path, bytes, at }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], StorageError> {
-        let end = self.at.checked_add(len).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(slice)
-            }
-            None => Err(StorageError::Truncated {
-                path: self.path.to_path_buf(),
-                expected: (self.at as u64).saturating_add(len as u64),
-                actual: self.bytes.len() as u64,
-            }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        self.take(4).map(read_u32)
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        self.take(8).map(read_u64)
-    }
-
-    /// Remaining unread bytes (for exact-length trailing checks).
-    fn remaining(&self) -> u64 {
-        (self.bytes.len() - self.at) as u64
-    }
-}
-
-/// Writes the update manager's root manifest into `root/manager.meta`
-/// atomically (tmp + rename): a crash mid-write leaves the previous
-/// manifest byte-identical.
-pub fn write_manager_manifest(root: &Path, manifest: &ManagerManifest) -> Result<(), StorageError> {
-    write_file_atomic_bytes(&root.join(MANAGER_MANIFEST_FILE), &manifest.to_bytes())
-}
-
-/// Reads and validates `root/manager.meta`.
-///
-/// # Errors
-///
-/// Every malformed input surfaces as a typed [`StorageError`]: a missing
-/// file as [`Io`](StorageError::Io), foreign content as
-/// [`BadMagic`](StorageError::BadMagic), an unknown format as
-/// [`UnsupportedVersion`](StorageError::UnsupportedVersion), a short file
-/// as [`Truncated`](StorageError::Truncated), and internal inconsistencies
-/// (non-UTF-8 scheme name, oversized tables, trailing bytes) as
-/// [`CorruptDirectory`](StorageError::CorruptDirectory).
-pub fn read_manager_manifest(root: &Path) -> Result<ManagerManifest, StorageError> {
-    let path = root.join(MANAGER_MANIFEST_FILE);
-    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    check_header(&path, &bytes, &MANAGER_MANIFEST_MAGIC, MANAGER_HEADER_LEN)?;
-    let corrupt = |detail: String| StorageError::CorruptDirectory {
-        path: path.clone(),
-        detail,
-    };
-    let mut reader = MetaReader::new(&path, &bytes, 12);
-    let name_len = reader.u32()? as usize;
-    if name_len > 256 {
-        return Err(corrupt(format!(
-            "scheme name length {name_len} exceeds the 256-byte bound"
-        )));
-    }
-    let scheme = std::str::from_utf8(reader.take(name_len)?)
-        .map_err(|_| corrupt("scheme name is not UTF-8".to_string()))?
-        .to_string();
-    let domain_size = reader.u64()?;
-    let consolidation_step = reader.u64()?;
-    let shard_bits = reader.u32()?;
-    if shard_bits > crate::sharded::MAX_SHARD_BITS {
-        return Err(corrupt(format!(
-            "manifest claims {shard_bits} shard bits (max {})",
-            crate::sharded::MAX_SHARD_BITS
-        )));
-    }
-    let budget_flag = reader.u32()?;
-    if budget_flag > 1 {
-        return Err(corrupt(format!("invalid cache-budget flag {budget_flag}")));
-    }
-    let budget_value = reader.u64()?;
-    let cache_budget = (budget_flag == 1).then_some(budget_value);
-    let next_seq = reader.u64()?;
-    let next_build = reader.u64()?;
-    let batches_ingested = reader.u64()?;
-    let consolidations = reader.u64()?;
-    let structural_consolidations = reader.u64()?;
-    let rebuild_consolidations = reader.u64()?;
-    if structural_consolidations.checked_add(rebuild_consolidations) != Some(consolidations) {
-        return Err(corrupt(format!(
-            "strategy counters ({structural_consolidations} structural + \
-             {rebuild_consolidations} rebuild) do not sum to {consolidations} consolidations"
-        )));
-    }
-    let level_count = reader.u32()? as usize;
-    if level_count > 64 {
-        return Err(corrupt(format!(
-            "manifest claims {level_count} merge levels (max 64)"
-        )));
-    }
-    let mut levels = Vec::with_capacity(level_count);
-    for level in 0..level_count {
-        let instance_count = reader.u32()? as usize;
-        if instance_count as u64 > next_build {
-            return Err(corrupt(format!(
-                "level {level} claims {instance_count} instances but only \
-                 {next_build} builds ever ran"
-            )));
-        }
-        // Cap the pre-allocation: `instance_count` is untrusted input (its
-        // only bound above comes from the same file), so an absurd count
-        // must run the reads dry into a typed Truncated error, not abort
-        // the process reserving gigabytes first.
-        let mut instances = Vec::with_capacity(instance_count.min(1024));
-        for _ in 0..instance_count {
-            let instance = ManifestInstance {
-                build_id: reader.u64()?,
-                seq: reader.u64()?,
-                entry_count: reader.u64()?,
-                inserts: reader.u64()?,
-                modifies: reader.u64()?,
-                deletes: reader.u64()?,
-            };
-            let op_sum = instance
-                .inserts
-                .checked_add(instance.modifies)
-                .and_then(|sum| sum.checked_add(instance.deletes));
-            if op_sum != Some(instance.entry_count) {
-                return Err(corrupt(format!(
-                    "instance {} op counts do not sum to its {} entries",
-                    instance.build_id, instance.entry_count
-                )));
-            }
-            instances.push(instance);
-        }
-        levels.push(instances);
-    }
-    if reader.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the level table",
-            reader.remaining()
-        )));
-    }
-    Ok(ManagerManifest {
-        scheme,
-        domain_size,
-        consolidation_step,
-        shard_bits,
-        cache_budget,
-        next_seq,
-        next_build,
-        batches_ingested,
-        consolidations,
-        structural_consolidations,
-        rebuild_consolidations,
-        levels,
-    })
-}
-
-/// The owner-side sidecar of one persisted update-manager instance
-/// (`<instance dir>/owner.meta`): the public identity of the instance plus
-/// an opaque `payload` — the build seed and plaintext update log,
-/// encrypted and authenticated by the `rsse-updates` crate under the
-/// owner's master key. This layer only frames the bytes; it never sees
-/// the plaintext.
-///
-/// The sidecar is written **last** during an instance build, so its
-/// presence is the instance's durable commit record: a directory without
-/// a readable `owner.meta` is a half-built instance and is swept by the
-/// manager's reopen path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OwnerMeta {
-    /// Build number of the instance (must match the directory name).
-    pub build_id: u64,
-    /// The instance's sequence number.
-    pub seq: u64,
-    /// Height of the instance in the merge hierarchy (0 = raw batch).
-    pub level: u32,
-    /// Encrypted, authenticated owner payload (opaque at this layer).
-    pub payload: Vec<u8>,
-}
-
-/// Writes an instance's owner sidecar into `dir/owner.meta` atomically.
-pub fn write_owner_meta(dir: &Path, meta: &OwnerMeta) -> Result<(), StorageError> {
-    let mut bytes = Vec::with_capacity(OWNER_META_HEADER_LEN as usize + meta.payload.len());
-    bytes.extend_from_slice(&OWNER_META_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&meta.level.to_le_bytes());
-    bytes.extend_from_slice(&meta.build_id.to_le_bytes());
-    bytes.extend_from_slice(&meta.seq.to_le_bytes());
-    bytes.extend_from_slice(&(meta.payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&meta.payload);
-    write_file_atomic_bytes(&dir.join(OWNER_META_FILE), &bytes)
-}
-
-/// Reads and validates an instance's owner sidecar from `dir/owner.meta`,
-/// surfacing every malformed input as a typed [`StorageError`] (see
-/// [`read_manager_manifest`] for the error taxonomy).
-pub fn read_owner_meta(dir: &Path) -> Result<OwnerMeta, StorageError> {
-    let path = dir.join(OWNER_META_FILE);
-    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    check_header(&path, &bytes, &OWNER_META_MAGIC, OWNER_META_HEADER_LEN)?;
-    let mut reader = MetaReader::new(&path, &bytes, 12);
-    let level = reader.u32()?;
-    let build_id = reader.u64()?;
-    let seq = reader.u64()?;
-    let payload_len = reader.u64()?;
-    if payload_len != reader.remaining() {
-        return Err(StorageError::CorruptDirectory {
-            path: path.clone(),
-            detail: format!(
-                "payload length field says {payload_len} bytes, file holds {}",
-                reader.remaining()
-            ),
-        });
-    }
-    let payload = reader.take(payload_len as usize)?.to_vec();
-    Ok(OwnerMeta {
-        build_id,
-        seq,
-        level,
-        payload,
-    })
 }
 
 pub mod test_support {

@@ -52,15 +52,20 @@
 //! [`UpdateManager::open_root`] reopens the whole manager from the root
 //! and the key alone — healing any window a crash between an index
 //! commit and the manifest commit can leave — and serves queries
-//! byte-identical to the pre-crash manager. See `docs/FORMATS.md` at the
-//! repository root for the byte-level layout of every file involved.
+//! byte-identical to the pre-crash manager. Both formats are owned by the
+//! [`manifest`] module — no other crate reads or writes them — and a
+//! serving process without the key restarts from the same root through
+//! [`open_manager_root`]. See `docs/FORMATS.md` at the repository root
+//! for the byte-level layout of every file involved.
 
 #![deny(missing_docs)]
 
 pub mod batch;
 pub mod manager;
+pub mod manifest;
 pub mod persist;
 
 pub use batch::{UpdateEntry, UpdateOp};
 pub use manager::{ConsolidationMode, UpdateConfig, UpdateManager};
+pub use manifest::open_manager_root;
 pub use persist::OwnerKey;

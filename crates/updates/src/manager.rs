@@ -2,6 +2,10 @@
 //! instances, and hierarchical consolidation.
 
 use crate::batch::{UpdateEntry, UpdateOp};
+use crate::manifest::{
+    read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
+    ManagerManifest, ManifestInstance, OwnerMeta, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
+};
 use crate::persist::{self, OwnerKey, OwnerPayload, SEED_LEN};
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
@@ -11,10 +15,7 @@ use rsse_core::{
 };
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::storage::{
-    read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
-    ManagerManifest, ManifestInstance, OwnerMeta,
-};
+use rsse_sse::formats::io_err;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -411,7 +412,7 @@ enum Merged<S: RangeScheme> {
 /// the owner sidecar (the commit record, always written last) is gone,
 /// plus the in-flight temporaries of the interrupted stage.
 fn simulate_commit_kill(dir: &Path, kill: KillPoint) {
-    let _ = std::fs::remove_file(dir.join(rsse_sse::storage::OWNER_META_FILE));
+    let _ = std::fs::remove_file(dir.join(OWNER_META_FILE));
     match kill {
         KillPoint::MidMergeCopy => {
             // One merged shard vanished mid-copy and its temporary is
@@ -425,7 +426,7 @@ fn simulate_commit_kill(dir: &Path, kill: KillPoint) {
         }
         KillPoint::MidSidecarCompaction => {
             let _ = std::fs::write(
-                dir.join(format!("{}.tmp", rsse_sse::storage::OWNER_META_FILE)),
+                dir.join(format!("{}.tmp", OWNER_META_FILE)),
                 b"in-flight compacted sidecar",
             );
         }
@@ -1282,7 +1283,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
         }
         let manifest = read_manager_manifest(root)?;
-        let manifest_path = root.join(rsse_sse::storage::MANAGER_MANIFEST_FILE);
+        let manifest_path = root.join(MANAGER_MANIFEST_FILE);
         let corrupt = |detail: String| StorageError::CorruptDirectory {
             path: manifest_path.clone(),
             detail,
@@ -1307,15 +1308,9 @@ impl<S: RangeScheme> UpdateManager<S> {
 
         // Inventory the canonical instance directories under the root.
         let mut on_disk: HashMap<u64, PathBuf> = HashMap::new();
-        let dir_iter = std::fs::read_dir(root).map_err(|e| StorageError::Io {
-            path: root.to_path_buf(),
-            error: e,
-        })?;
+        let dir_iter = std::fs::read_dir(root).map_err(|e| io_err(root, e))?;
         for entry in dir_iter {
-            let entry = entry.map_err(|e| StorageError::Io {
-                path: root.to_path_buf(),
-                error: e,
-            })?;
+            let entry = entry.map_err(|e| io_err(root, e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if let Some(build_id) = ManagerManifest::parse_instance_dir_name(name) {

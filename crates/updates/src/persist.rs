@@ -5,7 +5,7 @@
 //! * one **`manager.meta`** manifest at the storage root — public
 //!   bookkeeping (scheme kind and parameters, counters, the level table
 //!   with per-instance sequence numbers and operation counts), serialized
-//!   by [`rsse_sse::storage`]'s `ManagerManifest` codec;
+//!   by [`manifest`](crate::manifest)'s `ManagerManifest` codec;
 //! * one **`owner.meta`** sidecar per instance directory — the instance's
 //!   identity plus an encrypted, authenticated payload holding the
 //!   owner's secrets for that instance: the 32-byte **build seed** (from
@@ -22,8 +22,10 @@
 //! [`StorageError`]s — recovery never acts on unauthenticated owner state.
 
 use crate::batch::{UpdateEntry, UpdateOp};
+use crate::manifest::OWNER_META_FILE;
 use rsse_core::{Record, StorageError};
 use rsse_crypto::{cipher::NONCE_LEN, Key, KeyChain, Prf, StreamCipher, KEY_LEN};
+use rsse_sse::formats::{MetaReader, MetaWriter};
 use std::path::Path;
 
 /// Length of the per-instance build seed (a full ChaCha20 seed).
@@ -47,7 +49,8 @@ const KIND_STRUCTURAL: u8 = 1;
 /// The decrypted owner secrets of one instance, in either of the two
 /// payload forms the kind byte selects.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum OwnerPayload {
+#[doc(hidden)]
+pub enum OwnerPayload {
     /// A batch build or rebuild consolidation: one build seed replays the
     /// whole key material, and the update log is the entries the instance
     /// indexes.
@@ -102,6 +105,41 @@ fn seal(chain: &KeyChain, build_id: u64, plain: &[u8]) -> Vec<u8> {
     sealed
 }
 
+/// The kind-0 payload plaintext: `0 ‖ seed ‖ count ‖ 17-byte entries`.
+fn plain_plaintext(seed: &[u8; SEED_LEN], entries: &[UpdateEntry]) -> Vec<u8> {
+    let mut plain = MetaWriter::body();
+    plain.u8(KIND_PLAIN).bytes(seed).u64(entries.len() as u64);
+    for entry in entries {
+        plain
+            .u64(entry.record.id)
+            .u64(entry.record.value)
+            .u8(op_tag(entry.op));
+    }
+    plain.into_bytes()
+}
+
+/// The kind-1 payload plaintext:
+/// `1 ‖ part_count ‖ seeds ‖ entry_count ‖ 21-byte entries`.
+fn structural_plaintext(seeds: &[[u8; SEED_LEN]], entries: &[(UpdateEntry, u32)]) -> Vec<u8> {
+    let mut plain = MetaWriter::body();
+    plain
+        .u8(KIND_STRUCTURAL)
+        .u32(u32::try_from(seeds.len()).expect("part count fits u32"));
+    for seed in seeds {
+        plain.bytes(seed);
+    }
+    plain.u64(entries.len() as u64);
+    for (entry, part) in entries {
+        debug_assert!((*part as usize) < seeds.len(), "part index out of range");
+        plain
+            .u64(entry.record.id)
+            .u64(entry.record.value)
+            .u8(op_tag(entry.op))
+            .u32(*part);
+    }
+    plain.into_bytes()
+}
+
 /// Serializes, encrypts, and authenticates a plain instance's owner
 /// secrets (`seed` + update log) into the opaque `owner.meta` payload
 /// (kind byte `0`).
@@ -111,16 +149,7 @@ pub(crate) fn seal_plain_payload(
     seed: &[u8; SEED_LEN],
     entries: &[UpdateEntry],
 ) -> Vec<u8> {
-    let mut plain = Vec::with_capacity(1 + SEED_LEN + 8 + entries.len() * ENTRY_LEN);
-    plain.push(KIND_PLAIN);
-    plain.extend_from_slice(seed);
-    plain.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for entry in entries {
-        plain.extend_from_slice(&entry.record.id.to_le_bytes());
-        plain.extend_from_slice(&entry.record.value.to_le_bytes());
-        plain.push(op_tag(entry.op));
-    }
-    seal(chain, build_id, &plain)
+    seal(chain, build_id, &plain_plaintext(seed, entries))
 }
 
 /// Serializes, encrypts, and authenticates a structurally merged
@@ -136,27 +165,7 @@ pub(crate) fn seal_structural_payload(
     seeds: &[[u8; SEED_LEN]],
     entries: &[(UpdateEntry, u32)],
 ) -> Vec<u8> {
-    let mut plain = Vec::with_capacity(
-        1 + 4 + seeds.len() * SEED_LEN + 8 + entries.len() * STRUCTURAL_ENTRY_LEN,
-    );
-    plain.push(KIND_STRUCTURAL);
-    plain.extend_from_slice(
-        &u32::try_from(seeds.len())
-            .expect("part count fits u32")
-            .to_le_bytes(),
-    );
-    for seed in seeds {
-        plain.extend_from_slice(seed);
-    }
-    plain.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (entry, part) in entries {
-        debug_assert!((*part as usize) < seeds.len(), "part index out of range");
-        plain.extend_from_slice(&entry.record.id.to_le_bytes());
-        plain.extend_from_slice(&entry.record.value.to_le_bytes());
-        plain.push(op_tag(entry.op));
-        plain.extend_from_slice(&part.to_le_bytes());
-    }
-    seal(chain, build_id, &plain)
+    seal(chain, build_id, &structural_plaintext(seeds, entries))
 }
 
 /// Decodes a one-byte wire tag back into an update operation.
@@ -176,15 +185,16 @@ fn op_from_tag(tag: u8) -> Option<UpdateOp> {
 ///
 /// A failed tag check (wrong master key, tampering, or a sidecar copied
 /// from a different instance) and every structural inconsistency surface
-/// as typed [`StorageError::CorruptDirectory`]s naming `dir`.
+/// as typed [`StorageError`]s naming `dir`'s sidecar.
 pub(crate) fn open_payload(
     chain: &KeyChain,
     build_id: u64,
     dir: &Path,
     payload: &[u8],
 ) -> Result<OwnerPayload, StorageError> {
+    let path = dir.join(OWNER_META_FILE);
     let corrupt = |detail: String| StorageError::CorruptDirectory {
-        path: dir.join(rsse_sse::storage::OWNER_META_FILE),
+        path: path.clone(),
         detail,
     };
     if payload.len() < TAG_LEN + NONCE_LEN {
@@ -207,112 +217,83 @@ pub(crate) fn open_payload(
     let plain = payload_cipher(chain, build_id)
         .decrypt(sealed)
         .ok_or_else(|| corrupt("owner payload shorter than its nonce".to_string()))?;
-    let (&kind, rest) = plain
-        .split_first()
-        .ok_or_else(|| corrupt("owner payload plaintext is empty".to_string()))?;
-    match kind {
-        KIND_PLAIN => open_plain_body(rest, corrupt),
-        KIND_STRUCTURAL => open_structural_body(rest, corrupt),
-        other => Err(corrupt(format!("unknown owner-payload kind {other}"))),
-    }
+    OwnerPayload::from_plaintext(&path, &plain)
 }
 
-/// Decodes the kind-0 payload body: `seed ‖ count ‖ 17-byte entries`.
-fn open_plain_body(
-    body: &[u8],
-    corrupt: impl Fn(String) -> StorageError,
-) -> Result<OwnerPayload, StorageError> {
-    if body.len() < SEED_LEN + 8 {
-        return Err(corrupt(format!(
-            "owner payload plaintext of {} bytes is shorter than seed + count",
-            body.len()
-        )));
-    }
-    let mut seed = [0u8; SEED_LEN];
-    seed.copy_from_slice(&body[..SEED_LEN]);
-    let count = u64::from_le_bytes(body[SEED_LEN..SEED_LEN + 8].try_into().expect("8 bytes"));
-    let body = &body[SEED_LEN + 8..];
-    if body.len() as u64 != count.saturating_mul(ENTRY_LEN as u64) {
-        return Err(corrupt(format!(
-            "owner payload claims {count} entries but holds {} body bytes",
-            body.len()
-        )));
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    for chunk in body.chunks_exact(ENTRY_LEN) {
-        let id = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-        let value = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-        let op = op_from_tag(chunk[16])
-            .ok_or_else(|| corrupt(format!("unknown update-op tag {}", chunk[16])))?;
-        entries.push(UpdateEntry {
-            record: Record::new(id, value),
-            op,
-        });
-    }
-    Ok(OwnerPayload::Plain { seed, entries })
-}
-
-/// Decodes the kind-1 payload body:
-/// `part_count ‖ seeds ‖ entry_count ‖ 21-byte entries`.
-fn open_structural_body(
-    body: &[u8],
-    corrupt: impl Fn(String) -> StorageError,
-) -> Result<OwnerPayload, StorageError> {
-    if body.len() < 4 {
-        return Err(corrupt(
-            "structural owner payload is shorter than its part count".to_string(),
-        ));
-    }
-    let part_count = u32::from_le_bytes(body[..4].try_into().expect("4 bytes")) as usize;
-    let body = &body[4..];
-    if part_count == 0 {
-        return Err(corrupt(
-            "structural owner payload with zero parts".to_string(),
-        ));
-    }
-    if body.len() < part_count * SEED_LEN + 8 {
-        return Err(corrupt(format!(
-            "structural owner payload claims {part_count} parts but is too short for their seeds"
-        )));
-    }
-    let seeds: Vec<[u8; SEED_LEN]> = body[..part_count * SEED_LEN]
-        .chunks_exact(SEED_LEN)
-        .map(|chunk| {
-            let mut seed = [0u8; SEED_LEN];
-            seed.copy_from_slice(chunk);
-            seed
-        })
-        .collect();
-    let body = &body[part_count * SEED_LEN..];
-    let count = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    let body = &body[8..];
-    if body.len() as u64 != count.saturating_mul(STRUCTURAL_ENTRY_LEN as u64) {
-        return Err(corrupt(format!(
-            "structural owner payload claims {count} entries but holds {} body bytes",
-            body.len()
-        )));
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    for chunk in body.chunks_exact(STRUCTURAL_ENTRY_LEN) {
-        let id = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-        let value = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-        let op = op_from_tag(chunk[16])
-            .ok_or_else(|| corrupt(format!("unknown update-op tag {}", chunk[16])))?;
-        let part = u32::from_le_bytes(chunk[17..21].try_into().expect("4 bytes"));
-        if part as usize >= part_count {
-            return Err(corrupt(format!(
-                "structural owner payload entry names part {part} of {part_count}"
-            )));
+impl OwnerPayload {
+    /// Decodes a payload plaintext (the kind byte and the body it selects).
+    /// `path` names the sidecar in errors. Public for the
+    /// decoder-robustness battery only, like
+    /// [`to_plaintext`](Self::to_plaintext).
+    #[doc(hidden)]
+    pub fn from_plaintext(path: &Path, plain: &[u8]) -> Result<Self, StorageError> {
+        let mut body = MetaReader::body(path, plain);
+        match body.u8()? {
+            KIND_PLAIN => {
+                let seed = body.array()?;
+                let rows = entry_rows(&mut body, ENTRY_LEN)?;
+                let mut entries = Vec::with_capacity(rows.len() / ENTRY_LEN);
+                for row in rows.chunks_exact(ENTRY_LEN) {
+                    entries.push(decode_entry(&body, row)?);
+                }
+                Ok(OwnerPayload::Plain { seed, entries })
+            }
+            KIND_STRUCTURAL => {
+                let part_count = body.u32()?;
+                if part_count == 0 {
+                    return Err(body.corrupt("structural owner payload with zero parts".into()));
+                }
+                let seeds = (0..body.rows(u64::from(part_count), SEED_LEN)?)
+                    .map(|_| body.array())
+                    .collect::<Result<Vec<[u8; SEED_LEN]>, _>>()?;
+                let rows = entry_rows(&mut body, STRUCTURAL_ENTRY_LEN)?;
+                let mut entries = Vec::with_capacity(rows.len() / STRUCTURAL_ENTRY_LEN);
+                for row in rows.chunks_exact(STRUCTURAL_ENTRY_LEN) {
+                    let (entry, part) = row.split_at(ENTRY_LEN);
+                    let part = u32::from_le_bytes(part.try_into().expect("4 bytes"));
+                    if part >= part_count {
+                        return Err(body.corrupt(format!(
+                            "structural owner payload entry names part {part} of {part_count}"
+                        )));
+                    }
+                    entries.push((decode_entry(&body, entry)?, part));
+                }
+                Ok(OwnerPayload::Structural { seeds, entries })
+            }
+            other => Err(body.corrupt(format!("unknown owner-payload kind {other}"))),
         }
-        entries.push((
-            UpdateEntry {
-                record: Record::new(id, value),
-                op,
-            },
-            part,
-        ));
     }
-    Ok(OwnerPayload::Structural { seeds, entries })
+
+    /// The plaintext [`from_plaintext`](Self::from_plaintext) decodes.
+    #[doc(hidden)]
+    pub fn to_plaintext(&self) -> Vec<u8> {
+        match self {
+            OwnerPayload::Plain { seed, entries } => plain_plaintext(seed, entries),
+            OwnerPayload::Structural { seeds, entries } => structural_plaintext(seeds, entries),
+        }
+    }
+}
+
+/// The bulk entry table closing both payload bodies: a count, then that
+/// many `row_len`-byte rows and nothing after them. The cursor validates
+/// the one length; the caller walks the rows with `chunks_exact`.
+fn entry_rows<'a>(body: &mut MetaReader<'a>, row_len: usize) -> Result<&'a [u8], StorageError> {
+    let count = body.u64()?;
+    let rows = body.bytes(body.rows(count, row_len)? * row_len)?;
+    body.finish()?;
+    Ok(rows)
+}
+
+/// Decodes the 17 bytes every entry row starts with: id, value, op tag.
+fn decode_entry(body: &MetaReader<'_>, row: &[u8]) -> Result<UpdateEntry, StorageError> {
+    let id = u64::from_le_bytes(row[..8].try_into().expect("8 bytes"));
+    let value = u64::from_le_bytes(row[8..16].try_into().expect("8 bytes"));
+    let op = op_from_tag(row[16])
+        .ok_or_else(|| body.corrupt(format!("unknown update-op tag {}", row[16])))?;
+    Ok(UpdateEntry {
+        record: Record::new(id, value),
+        op,
+    })
 }
 
 /// The owner's master key: the single secret from which every durable
@@ -367,7 +348,7 @@ mod tests {
         let sealed = seal_structural_payload(&chain(), 2, &seeds, &entries);
         // Rewriting bytes would fail the MAC, so exercise the decoder
         // directly through a hand-built body instead.
-        let mut body = Vec::new();
+        let mut body = vec![KIND_STRUCTURAL];
         body.extend_from_slice(&1u32.to_le_bytes());
         body.extend_from_slice(&[1u8; SEED_LEN]);
         body.extend_from_slice(&1u64.to_le_bytes());
@@ -375,21 +356,16 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.push(0);
         body.extend_from_slice(&7u32.to_le_bytes()); // part 7 of 1
-        assert!(open_structural_body(&body, |detail| {
-            StorageError::CorruptDirectory {
-                path: Path::new("/x").to_path_buf(),
-                detail,
-            }
-        })
-        .is_err());
-        let zero_parts = 0u32.to_le_bytes().to_vec();
-        assert!(open_structural_body(&zero_parts, |detail| {
-            StorageError::CorruptDirectory {
-                path: Path::new("/x").to_path_buf(),
-                detail,
-            }
-        })
-        .is_err());
+        assert!(matches!(
+            OwnerPayload::from_plaintext(Path::new("/x"), &body),
+            Err(StorageError::CorruptDirectory { .. })
+        ));
+        let mut zero_parts = vec![KIND_STRUCTURAL];
+        zero_parts.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            OwnerPayload::from_plaintext(Path::new("/x"), &zero_parts),
+            Err(StorageError::CorruptDirectory { .. })
+        ));
         // The untampered sealed payload still opens.
         assert!(open_payload(&chain(), 2, Path::new("/x"), &sealed).is_ok());
     }

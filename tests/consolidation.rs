@@ -15,8 +15,8 @@ use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::crypto::{decrypt_call_count, encrypt_call_count};
 use rsse::prelude::*;
-use rsse::sse::storage::OWNER_META_FILE;
 use rsse::sse::test_support::TempDir;
+use rsse::updates::manifest::OWNER_META_FILE;
 use rsse::updates::OwnerKey;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;

@@ -145,8 +145,8 @@ impl AnyScheme {
     /// arenas or on-disk shard files, with an optional block-cache
     /// budget). Dispatches to every scheme's
     /// [`RangeScheme::build_stored`], so the whole runtime-dispatched
-    /// battery — including the integration tests' `RSSE_TEST_STORAGE`
-    /// lane — can run against either backend.
+    /// battery (`tests/scheme_consistency.rs` loops over both) can run
+    /// against either backend.
     pub fn build_stored<R: RngCore + CryptoRng>(
         kind: SchemeKind,
         dataset: &Dataset,

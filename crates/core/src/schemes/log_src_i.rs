@@ -167,7 +167,7 @@ impl LogSrcIScheme {
                         &dir.join(LogSrcIServer::I1_SUBDIR),
                         1usize << config.shard_bits,
                     );
-                    let _ = std::fs::remove_dir(dir);
+                    let _ = rsse_sse::formats::remove_dir(dir);
                 }
                 return Err(error);
             }

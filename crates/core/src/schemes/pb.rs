@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use rsse_bloom::{element_hashes, BloomFilter, BloomParams};
 use rsse_cover::{brc, Domain, Node, Range};
 use rsse_crypto::{permute, Key, KeyChain};
-use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
+use rsse_sse::formats::{self, io_err, MetaReader, MetaWriter};
 use rsse_sse::{StorageBackend, StorageConfig, StorageError};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -80,7 +80,7 @@ impl PbServer {
     /// partially resident tree would not bound anything).
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        formats::create_dir_all(dir)?;
         let mut tree = MetaWriter::new(&PB_MAGIC);
         tree.u32(0)
             .u64(self.leaf_offset as u64)

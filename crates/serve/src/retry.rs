@@ -159,7 +159,9 @@ impl RetryPolicy {
     /// exhaustion cases surface as [`ServeError::RetriesExhausted`].
     ///
     /// This is the standalone whole-operation form used by callers outside
-    /// the probe loop (e.g. `rsse-updates`' resilient manager queries).
+    /// the probe loop (e.g. `rsse-workload`'s replay, which retries a whole
+    /// `UpdateManager::try_query` because manager-side refinement folds
+    /// every instance's results together).
     pub fn run<T>(
         &self,
         clock: &dyn Clock,

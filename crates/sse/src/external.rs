@@ -38,14 +38,19 @@
 //! ([`SPILL_DIR`] inside the index directory for on-disk builds, a unique
 //! temp directory otherwise) and follow the workspace's `.tmp` + rename
 //! commit protocol; `spill.meta` is written last, as pass 1's commit
-//! record. Cleanup — before a restarted build, after success, and from
+//! record. Cleanup — before a restarted build, after success, after a
+//! failure, and from
 //! [`cleanup_partial_index`](crate::storage::cleanup_partial_index) — only
 //! ever removes *recognized* spill file names and then the directory if
 //! that left it empty, so foreign files can never be collateral damage.
 //! The final index directory itself keeps the exact commit discipline of
 //! the in-RAM on-disk build (manifest first, every shard file atomic).
+//! The build has no crash hooks: every file it creates, appends to or
+//! removes goes through [`formats`], whose gate
+//! `tests/crash_replay.rs` arms to kill a spilling build at every op and
+//! require the restarted build to converge byte for byte.
 
-use crate::formats::{io_err, write_file_atomic, MetaReader, MetaWriter};
+use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter};
 use crate::pibas::{
     encrypt_payloads, EncryptedIndex, Label, SearchToken, SseKey, SseScheme, LABEL_LEN,
 };
@@ -57,10 +62,9 @@ use crate::storage::{
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_crypto::{StreamCipher, KEY_LEN};
-use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -142,74 +146,8 @@ fn is_spill_file(name: &str) -> bool {
 /// are never touched, mirroring the refusal discipline of the index
 /// save/cleanup paths. A missing directory is a no-op.
 pub(crate) fn sweep_spill_dir(dir: &Path) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if is_spill_file(name) {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-    let _ = fs::remove_dir(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Kill points (test support)
-// ---------------------------------------------------------------------------
-
-/// Crash windows of the external build, for kill-point tests.
-///
-/// Not part of the API contract: `tests/external_build.rs` uses these to
-/// prove that a build killed in any window leaves debris the next build
-/// (or `cleanup_partial_index`) heals without touching foreign files, and
-/// that the restarted build converges byte-identically.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExternalKillPoint {
-    /// After the first sorted run is committed, before the spill manifest.
-    MidSpill,
-    /// After `spill.meta` is committed, before any index output.
-    AfterSpill,
-    /// After the index manifest and the first final shard file are
-    /// committed, before the remaining shards.
-    MidShardWrite,
-}
-
-thread_local! {
-    /// The next kill point armed on this thread, if any.
-    static KILL_AT: Cell<Option<ExternalKillPoint>> = const { Cell::new(None) };
-    /// Whether the current build died at a kill point (in which case the
-    /// error path must *not* clean up — a real crash would not have).
-    static KILLED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Arms (or with `None` disarms) a one-shot kill point for the next
-/// external build on this thread.
-#[doc(hidden)]
-pub fn kill_at(point: Option<ExternalKillPoint>) {
-    KILL_AT.with(|k| k.set(point));
-}
-
-/// Fires the armed kill point if it matches, simulating a crash: the build
-/// aborts with an error and skips its cleanup.
-fn check_kill(point: ExternalKillPoint) -> Result<(), StorageError> {
-    let fire = KILL_AT.with(|k| {
-        if k.get() == Some(point) {
-            k.set(None);
-            true
-        } else {
-            false
-        }
-    });
-    if fire {
-        KILLED.with(|k| k.set(true));
-        return Err(StorageError::Unsupported(
-            "external build killed at test kill point",
-        ));
-    }
-    Ok(())
+    sweep_stale_spill_files(dir);
+    let _ = formats::remove_dir(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,9 +257,6 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         })?;
         self.runs.push(RunInfo { entries, bytes });
         self.buf.clear();
-        if self.runs.len() == 1 {
-            check_kill(ExternalKillPoint::MidSpill)?;
-        }
         Ok(())
     }
 
@@ -653,9 +588,6 @@ impl<'a> Sink<'a> {
                 for (i, stage) in shards.into_iter().enumerate() {
                     let path = dir.join(shard_file_name(i));
                     finalize_shard(&path, spill, i, stage)?;
-                    if i == 0 {
-                        check_kill(ExternalKillPoint::MidShardWrite)?;
-                    }
                     let shard = match &cache {
                         Some(cache) => {
                             FileShard::open_cached(&path, i as u32, std::sync::Arc::clone(cache))?
@@ -673,17 +605,8 @@ impl<'a> Sink<'a> {
 /// Appends a shard's buffered frames to its stage files and clears the
 /// buffers.
 fn stage_overflow(spill: &Path, shard: usize, stage: &mut StageShard) -> Result<(), StorageError> {
-    let append = |name: String, bytes: &[u8]| -> Result<(), StorageError> {
-        let path = spill.join(name);
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(bytes))
-            .map_err(|e| io_err(&path, e))
-    };
-    append(stage_dir_name(shard), &stage.dir_buf)?;
-    append(stage_region_name(shard), &stage.region_buf)?;
+    formats::append(&spill.join(stage_dir_name(shard)), &stage.dir_buf)?;
+    formats::append(&spill.join(stage_region_name(shard)), &stage.region_buf)?;
     stage.dir_buf.clear();
     stage.region_buf.clear();
     stage.staged = true;
@@ -745,8 +668,8 @@ fn finalize_shard(
         }
         Ok(())
     })?;
-    let _ = fs::remove_file(&dir_tmp);
-    let _ = fs::remove_file(&region_tmp);
+    let _ = formats::remove_file(&dir_tmp);
+    let _ = formats::remove_file(&region_tmp);
     Ok(())
 }
 
@@ -821,8 +744,7 @@ where
     );
     let budget = config.build_budget.clone().unwrap_or_default();
     let spill = spill_dir_for(config, &budget);
-    KILLED.with(|k| k.set(false));
-    fs::create_dir_all(&spill).map_err(|e| io_err(&spill, e))?;
+    formats::create_dir_all(&spill)?;
     // Heal leftovers of a previously crashed build before reusing the
     // directory: stale runs would shadow this build's manifest, and stale
     // stage files would corrupt the append-only scatter. Foreign files
@@ -836,7 +758,6 @@ where
             spiller.push(entry)?;
         }
         spiller.finish()?;
-        check_kill(ExternalKillPoint::AfterSpill)?;
 
         // Pass 2: k-way merge the runs back, group, encrypt, scatter.
         let meta = read_spill_meta::<K, P>(&spill, order)?;
@@ -951,17 +872,12 @@ where
         sink.finish(bits, config.cache_budget)
     })();
 
-    match &built {
-        Ok(_) => sweep_spill_dir(&spill),
-        Err(_) if !KILLED.with(Cell::get) => match &config.backend {
-            // cleanup_partial_index sweeps the embedded spill directory.
-            StorageBackend::OnDisk(dir) => {
-                crate::storage::cleanup_partial_index(dir, 1usize << bits)
-            }
-            StorageBackend::InMemory => sweep_spill_dir(&spill),
-        },
-        // A fired kill point simulates a crash: leave all debris behind.
-        Err(_) => {}
+    match (&built, &config.backend) {
+        // cleanup_partial_index sweeps the embedded spill directory.
+        (Err(_), StorageBackend::OnDisk(dir)) => {
+            crate::storage::cleanup_partial_index(dir, 1usize << bits)
+        }
+        _ => sweep_spill_dir(&spill),
     }
     built
 }
@@ -976,7 +892,7 @@ fn sweep_stale_spill_files(dir: &Path) {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if is_spill_file(name) {
-            let _ = fs::remove_file(entry.path());
+            let _ = formats::remove_file(&entry.path());
         }
     }
 }
@@ -1203,11 +1119,12 @@ mod tests {
         assert_eq!(spill_root.subdir_count(), 0);
     }
 
-    /// Shared scaffolding of the kill-point tests: build once uninterrupted
-    /// (the reference bytes), then once with `point` armed (crash), assert
-    /// debris + foreign-file survival, then build again and require byte
-    /// convergence with the reference.
-    fn crash_and_converge(point: ExternalKillPoint) {
+    /// Shared scaffolding of the crash tests: build once uninterrupted
+    /// with the gate recording (the reference bytes and the op log), then
+    /// once crashing right after the op that commits `committed` — which
+    /// must be an op in the log — assert debris + foreign-file survival,
+    /// then build again and require byte convergence with the reference.
+    fn crash_and_converge(committed: String) {
         let mut rng = ChaCha20Rng::seed_from_u64(11);
         let key = SseScheme::setup(&mut rng);
         let shuffle_key = Key::generate(&mut rng);
@@ -1226,7 +1143,15 @@ mod tests {
         };
 
         let reference = TempDir::new("ext-kill-ref");
+        let recording = formats::arm_crash(reference.path(), None);
         build(reference.path(), 42).unwrap();
+        let log = recording.trace();
+        drop(recording);
+        let at = log
+            .iter()
+            .position(|(op, path)| *op == "write" && path.ends_with(&committed))
+            .unwrap_or_else(|| panic!("no op commits {committed}: {log:?}"))
+            + 1;
 
         let dir = TempDir::new("ext-kill");
         // A foreign file inside the spill directory: neither the crashed
@@ -1236,28 +1161,24 @@ mod tests {
         let foreign = spill.join("operator-notes.txt");
         fs::write(&foreign, b"do not delete").unwrap();
 
-        kill_at(Some(point));
+        let crash = formats::arm_crash(dir.path(), Some(formats::Crash { at, torn: None }));
         let err = build(dir.path(), 42).unwrap_err();
-        assert!(matches!(err, StorageError::Unsupported(_)), "{err:?}");
-        // The simulated crash leaves debris behind (spill dir and, for the
-        // later windows, partial index files).
+        assert!(matches!(err, StorageError::Io { .. }), "{err:?}");
+        drop(crash);
+        // The crash leaves debris behind (spill dir and, for the later
+        // windows, partial index files).
         assert!(spill.exists(), "crash must not clean up");
-        match point {
-            ExternalKillPoint::MidSpill => {
-                assert!(spill.join(run_file_name(0)).exists());
-                assert!(!spill.join(SPILL_MANIFEST_FILE).exists());
-            }
-            ExternalKillPoint::AfterSpill => {
-                assert!(spill.join(SPILL_MANIFEST_FILE).exists());
-            }
-            ExternalKillPoint::MidShardWrite => {
-                assert!(dir.path().join(crate::storage::shard_file_name(0)).exists());
-            }
+        if committed == run_file_name(0) {
+            assert!(spill.join(run_file_name(0)).exists());
+            assert!(!spill.join(SPILL_MANIFEST_FILE).exists());
+        } else if committed == SPILL_MANIFEST_FILE {
+            assert!(spill.join(SPILL_MANIFEST_FILE).exists());
+        } else {
+            assert!(dir.path().join(crate::storage::shard_file_name(0)).exists());
         }
         assert_eq!(fs::read(&foreign).unwrap(), b"do not delete");
 
         // The restarted build heals the debris and converges byte-for-byte.
-        kill_at(None);
         build(dir.path(), 42).unwrap();
         assert_eq!(fs::read(&foreign).unwrap(), b"do not delete");
         // Only the foreign file keeps the spill directory alive.
@@ -1326,16 +1247,16 @@ mod tests {
 
     #[test]
     fn killed_mid_spill_restart_converges() {
-        crash_and_converge(ExternalKillPoint::MidSpill);
+        crash_and_converge(run_file_name(0));
     }
 
     #[test]
     fn killed_after_spill_restart_converges() {
-        crash_and_converge(ExternalKillPoint::AfterSpill);
+        crash_and_converge(SPILL_MANIFEST_FILE.to_string());
     }
 
     #[test]
     fn killed_mid_shard_write_restart_converges() {
-        crash_and_converge(ExternalKillPoint::MidShardWrite);
+        crash_and_converge(crate::storage::shard_file_name(0));
     }
 }

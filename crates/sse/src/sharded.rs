@@ -40,7 +40,7 @@
 //! the sharded type is a strict generalization, not a fork.
 
 use crate::database::SseDatabase;
-use crate::formats::io_err;
+use crate::formats;
 use crate::pibas::{
     merge_chunks, CipherSpan, EncryptedIndex, IndexLookup, KeywordChunk, Label, SearchToken,
     SseKey, SseScheme,
@@ -52,7 +52,6 @@ use crate::storage::{
 };
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
-use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -580,7 +579,7 @@ impl ShardedIndex {
                 "structural merge across differing shard layouts",
             ));
         }
-        fs::create_dir_all(out).map_err(|e| io_err(out, e))?;
+        formats::create_dir_all(out)?;
         let built = (|| {
             write_manifest(out, bits)?;
             let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
@@ -778,7 +777,7 @@ fn shard_chunks_to_dir(
         bits <= MAX_SHARD_BITS,
         "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
     );
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    formats::create_dir_all(dir)?;
     let built = (|| {
         write_manifest(dir, bits)?;
         let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
@@ -869,6 +868,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_crypto::{Key, KEY_LEN};
+    use std::fs;
 
     /// In-memory build over `2^bits` shards.
     fn in_memory_index(

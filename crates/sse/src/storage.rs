@@ -27,7 +27,7 @@
 //!
 //! This module owns exactly two formats, `RSSE-SHD` and `RSSE-IDX`, and
 //! reads and writes their headers through the codec kit in
-//! [`formats`](crate::formats). Every other format lives beside its owner
+//! [`formats`]. Every other format lives beside its owner
 //! (`docs/FORMATS.md` has the table); in particular the update manager's
 //! `manager.meta`/`owner.meta` belong to `rsse-updates`.
 //!
@@ -54,7 +54,9 @@
 //! versions, and directories whose spans fall outside (or fail to tile)
 //! the ciphertext region — instead of panicking at query time.
 
-use crate::formats::{io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION};
+use crate::formats::{
+    self, io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION,
+};
 use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LabelTable, LABEL_LEN};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -1323,19 +1325,19 @@ pub(crate) fn merge_shard_files(inputs: &[FileShard], path: &Path) -> Result<(),
 #[doc(hidden)]
 pub fn cleanup_partial_index(dir: &Path, shard_count: usize) {
     let manifest = dir.join(MANIFEST_FILE);
-    let _ = fs::remove_file(tmp_path(&manifest));
-    let _ = fs::remove_file(manifest);
+    let _ = formats::remove_file(&tmp_path(&manifest));
+    let _ = formats::remove_file(&manifest);
     for i in 0..shard_count {
         let shard = dir.join(shard_file_name(i));
-        let _ = fs::remove_file(tmp_path(&shard));
-        let _ = fs::remove_file(shard);
+        let _ = formats::remove_file(&tmp_path(&shard));
+        let _ = formats::remove_file(&shard);
     }
     // An interrupted external-memory build may also have left a spill
     // directory behind; sweep its recognized files the same way (foreign
     // files are never touched, so the remove_dir below only succeeds once
     // everything left in `dir` is ours).
     crate::external::sweep_spill_dir(&dir.join(crate::external::SPILL_DIR));
-    let _ = fs::remove_dir(dir);
+    let _ = formats::remove_dir(dir);
 }
 
 /// Writes the index manifest (`index.meta`).
@@ -1381,7 +1383,7 @@ pub(crate) fn save_shards_to_dir(
     if dir.join(MANIFEST_FILE).exists() {
         return staged_resave(dir, shard_bits, shards);
     }
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    formats::create_dir_all(dir)?;
     write_shard_files(dir, shard_bits, shards)?;
     remove_stale_shard_files(dir, shards.len());
     Ok(())
@@ -1398,7 +1400,7 @@ pub(crate) fn recover_displaced_snapshot(dir: &Path) {
     }
     let displaced = displaced_path(dir);
     if displaced.join(MANIFEST_FILE).exists() {
-        let _ = fs::rename(&displaced, dir);
+        let _ = formats::rename(&displaced, dir);
     }
 }
 
@@ -1481,7 +1483,7 @@ fn clear_save_leftover(path: &Path) -> Result<(), StorageError> {
                 .to_string(),
         );
     }
-    fs::remove_dir_all(path).map_err(|e| io_err(path, e))
+    formats::remove_dir_all(path)
 }
 
 /// Whether `name` is one of the files a save itself writes (shard files,
@@ -1518,7 +1520,7 @@ fn staged_resave(
     // `<dir>.old` must never be silently destroyed).
     clear_save_leftover(&staging)?;
     clear_save_leftover(&displaced)?;
-    fs::create_dir_all(&staging).map_err(|e| io_err(&staging, e))?;
+    formats::create_dir_all(&staging)?;
     let staged = (|| {
         write_shard_files(&staging, shard_bits, shards)?;
         // Preserve everything the save itself does not own (scheme
@@ -1533,27 +1535,26 @@ fn staged_resave(
                 .map(|name| !is_index_file(name))
                 .unwrap_or(true);
             if is_sidecar && entry.path().is_file() {
-                fs::copy(entry.path(), staging.join(&name))
-                    .map_err(|e| io_err(&entry.path(), e))?;
+                formats::copy(&entry.path(), &staging.join(&name))?;
             }
         }
         Ok(())
     })();
     if let Err(error) = staged {
-        let _ = fs::remove_dir_all(&staging);
+        let _ = formats::remove_dir_all(&staging);
         return Err(error);
     }
     // Commit: park the old snapshot, rename the staging directory into
     // place, then drop the old one. Open file handles into the old
     // snapshot keep reading their (now unlinked) inodes.
-    fs::rename(dir, &displaced).map_err(|e| io_err(dir, e))?;
-    if let Err(error) = fs::rename(&staging, dir) {
+    formats::rename(dir, &displaced)?;
+    if let Err(error) = formats::rename(&staging, dir) {
         // Roll the old snapshot back so the target never stays missing.
-        let _ = fs::rename(&displaced, dir);
-        let _ = fs::remove_dir_all(&staging);
-        return Err(io_err(dir, error));
+        let _ = formats::rename(&displaced, dir);
+        let _ = formats::remove_dir_all(&staging);
+        return Err(error);
     }
-    let _ = fs::remove_dir_all(&displaced);
+    let _ = formats::remove_dir_all(&displaced);
     Ok(())
 }
 
@@ -1580,7 +1581,7 @@ fn remove_stale_shard_files(dir: &Path, shard_count: usize) {
             continue;
         };
         if index >= shard_count {
-            let _ = fs::remove_file(entry.path());
+            let _ = formats::remove_file(&entry.path());
         }
     }
 }

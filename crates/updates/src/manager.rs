@@ -1,10 +1,20 @@
 //! The owner-side update manager: ingestion, querying across active
 //! instances, and hierarchical consolidation.
+//!
+//! A persisted manager's ingest is **atomic on disk**. Every instance
+//! directory is committed by its `owner.meta` (written last), a cascade of
+//! consolidations removes no input before its last merge has committed, and
+//! the root manifest is rewritten last of all; [`UpdateManager::open_root`]
+//! turns whatever a crash leaves between those points back into the pre- or
+//! the post-ingest state (`docs/FORMATS.md`, "Manager crash recovery"). No
+//! function here takes a crash or kill argument: every filesystem mutation
+//! is a call into [`rsse_sse::formats`], whose gate the crash tests arm
+//! from outside (`tests/crash_replay.rs`).
 
 use crate::batch::{UpdateEntry, UpdateOp};
 use crate::manifest::{
     read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
-    ManagerManifest, ManifestInstance, OwnerMeta, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
+    ManagerManifest, ManifestInstance, OwnerMeta, MANAGER_MANIFEST_FILE,
 };
 use crate::persist::{self, OwnerKey, OwnerPayload, SEED_LEN};
 use rand::{CryptoRng, RngCore, SeedableRng};
@@ -15,7 +25,7 @@ use rsse_core::{
 };
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::formats::io_err;
+use rsse_sse::formats::{self, io_err};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -346,91 +356,13 @@ impl<S: RangeScheme> BatchInstance<S> {
             deletes,
         }
     }
-
-    /// Removes the instance's persisted index directory, if any (called
-    /// when a consolidation supersedes it; best effort — a leftover
-    /// directory wastes disk but cannot corrupt the merged state).
-    fn remove_dir(&self) {
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
 }
 
-/// A stage of `try_ingest_batch` at which the test support can simulate a
-/// process kill: all disk writes up to (and including) the named stage
-/// have happened, nothing after it has. Used by the crash-recovery tests
-/// to pin that [`UpdateManager::open_root`] heals every window between an
-/// index commit and the manifest commit.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KillPoint {
-    /// The batch's instance directory (index + owner sidecar) is durably
-    /// committed; no consolidation ran, the root manifest is stale.
-    AfterBatchBuild,
-    /// The first due consolidation's merged instance is durably committed;
-    /// its input directories still exist, the root manifest is stale.
-    AfterMergeBuild,
-    /// The first due consolidation's merged instance is committed and its
-    /// input directories are removed; the root manifest is stale — it
-    /// still references the GC'd inputs.
-    AfterGc,
-    /// The process died **mid-merge-copy**: the first due consolidation's
-    /// output directory holds `index.meta`, some merged shard files and a
-    /// `.shd.tmp` in flight, but no owner sidecar — the commit record was
-    /// never written. The inputs are untouched, the root manifest is
-    /// stale. Reopen must sweep the debris and converge on the pre-merge
-    /// state.
-    MidMergeCopy,
-    /// The process died **mid-sidecar-compaction**: the merged index is
-    /// fully written and the compacted `owner.meta` was being staged (an
-    /// `owner.meta.tmp` is in flight) but never renamed into place. Same
-    /// healing obligation as [`MidMergeCopy`](Self::MidMergeCopy): without
-    /// an authenticated sidecar the directory is debris.
-    MidSidecarCompaction,
-}
-
-/// The outcome of one consolidation attempt (see
-/// [`UpdateManager::merge_instances`]).
-enum Merged<S: RangeScheme> {
-    /// The merged instance is durably committed. `structural` names the
-    /// strategy that produced it; `killed` is set when a simulated kill
-    /// stopped the ingest after the commit (manifest must stay stale).
-    Committed {
-        instance: BatchInstance<S>,
-        structural: bool,
-        killed: bool,
-    },
-    /// A simulated kill struck **before** the merged instance's commit
-    /// record was written: the inputs stay the active state and only
-    /// debris is left on disk.
-    KilledEarly { group: Vec<BatchInstance<S>> },
-}
-
-/// Test support: turns a fully committed merged-instance directory into
-/// the on-disk state a process kill at `kill` would have left behind —
-/// the owner sidecar (the commit record, always written last) is gone,
-/// plus the in-flight temporaries of the interrupted stage.
-fn simulate_commit_kill(dir: &Path, kill: KillPoint) {
-    let _ = std::fs::remove_file(dir.join(OWNER_META_FILE));
-    match kill {
-        KillPoint::MidMergeCopy => {
-            // One merged shard vanished mid-copy and its temporary is
-            // still in flight.
-            let shard = dir.join(rsse_sse::storage::shard_file_name(0));
-            let _ = std::fs::remove_file(&shard);
-            let _ = std::fs::write(
-                dir.join(format!("{}.tmp", rsse_sse::storage::shard_file_name(0))),
-                b"in-flight merge copy",
-            );
-        }
-        KillPoint::MidSidecarCompaction => {
-            let _ = std::fs::write(
-                dir.join(format!("{}.tmp", OWNER_META_FILE)),
-                b"in-flight compacted sidecar",
-            );
-        }
-        _ => {}
+/// Best-effort removal of the instance directory a failed build or merge
+/// was writing (a leftover is swept by the next `open_root`).
+fn discard_build(config: &StorageConfig) {
+    if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
+        let _ = formats::remove_dir_all(dir);
     }
 }
 
@@ -672,31 +604,6 @@ impl<S: RangeScheme> UpdateManager<S> {
         entries: Vec<UpdateEntry>,
         rng: &mut R,
     ) -> Result<(), StorageError> {
-        self.try_ingest_batch_inner(entries, rng, None)
-    }
-
-    /// Test support: runs [`try_ingest_batch`](Self::try_ingest_batch) but
-    /// simulates a process kill at the given [`KillPoint`] — every disk
-    /// write up to that stage has happened, nothing after it has (in
-    /// particular, the root manifest is left stale). The manager object
-    /// must be discarded afterwards, exactly as a killed process would be;
-    /// reopen the root with [`open_root`](Self::open_root).
-    #[doc(hidden)]
-    pub fn try_ingest_batch_kill_at<R: RngCore + CryptoRng>(
-        &mut self,
-        entries: Vec<UpdateEntry>,
-        rng: &mut R,
-        kill: KillPoint,
-    ) -> Result<(), StorageError> {
-        self.try_ingest_batch_inner(entries, rng, Some(kill))
-    }
-
-    fn try_ingest_batch_inner<R: RngCore + CryptoRng>(
-        &mut self,
-        entries: Vec<UpdateEntry>,
-        rng: &mut R,
-        kill: Option<KillPoint>,
-    ) -> Result<(), StorageError> {
         for entry in &entries {
             assert!(
                 self.domain.contains(entry.record.value),
@@ -711,67 +618,48 @@ impl<S: RangeScheme> UpdateManager<S> {
         let seq = self.next_seq;
         let (build_id, config) = self.next_instance_config(entries.len());
         let chain = self.chain.as_ref().expect("chain ensured above");
-        let instance = match BatchInstance::build(
-            self.domain,
-            build_id,
-            seq,
-            0,
-            entries,
-            &config,
-            chain,
-            seed,
-        ) {
-            Ok(instance) => instance,
-            Err(error) => {
-                // Don't leak a half-written instance directory.
-                if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-                return Err(error);
-            }
-        };
+        let instance =
+            BatchInstance::build(self.domain, build_id, seq, 0, entries, &config, chain, seed)
+                .inspect_err(|_| discard_build(&config))?;
         self.next_seq += 1;
         self.batches_ingested += 1;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
         self.levels[0].push(instance);
-        if kill == Some(KillPoint::AfterBatchBuild) {
-            return Ok(());
-        }
-        if self.consolidate_due_levels(rng, kill)? {
-            return Ok(()); // killed mid-consolidation: no manifest commit
-        }
+        self.consolidate_due_levels(rng)?;
         // The manifest is committed last, once every instance directory it
         // references is durable: a crash anywhere above leaves a manifest
         // describing the previous consistent state, which open_root heals
-        // (rolling an uncommitted batch back, a committed consolidation
+        // (rolling an uncommitted ingest back, a fully consolidated one
         // forward).
         self.persist_manifest()
     }
 
-    /// Runs every due consolidation. Returns `true` if a simulated kill
-    /// stopped the work mid-way (test support; the caller must then skip
-    /// the manifest commit, exactly as a killed process would have).
+    /// Runs every due consolidation, bottom-up, as one atomic cascade: the
+    /// directories of every merge's inputs stay until the last merge has
+    /// committed and are removed only then. A crash before that point
+    /// leaves the whole pre-ingest state on disk for `open_root` to roll
+    /// back to; a crash after it leaves the top merged instance, which
+    /// supersedes everything below it. A failed merge keeps its inputs
+    /// active and the merges before it stand; the directories those
+    /// superseded are left for the next `open_root` to sweep, so that the
+    /// stale manifest never references a removed directory.
     fn consolidate_due_levels<R: RngCore + CryptoRng>(
         &mut self,
         rng: &mut R,
-        kill: Option<KillPoint>,
-    ) -> Result<bool, StorageError> {
+    ) -> Result<(), StorageError> {
         let step = self.config.consolidation_step;
         if step == 0 {
-            return Ok(false);
+            return Ok(());
         }
+        let mut superseded: Vec<PathBuf> = Vec::new();
         let mut level = 0;
         while level < self.levels.len() {
             if self.levels[level].len() >= step {
-                let group: Vec<BatchInstance<S>> = self.levels[level].drain(..).collect();
-                match self.merge_instances(group, level, rng, kill) {
-                    Ok(Merged::Committed {
-                        instance,
-                        structural,
-                        killed,
-                    }) => {
+                let mut group: Vec<BatchInstance<S>> = self.levels[level].drain(..).collect();
+                match self.merge_instances(&mut group, level, rng) {
+                    Ok((instance, structural)) => {
                         if self.levels.len() <= level + 1 {
                             self.levels.push(Vec::new());
                         }
@@ -781,18 +669,9 @@ impl<S: RangeScheme> UpdateManager<S> {
                         } else {
                             self.rebuild_consolidations += 1;
                         }
-                        if killed {
-                            return Ok(true);
-                        }
+                        superseded.extend(group.into_iter().filter_map(|input| input.dir));
                     }
-                    Ok(Merged::KilledEarly { group }) => {
-                        // The merged instance never committed: the inputs
-                        // stay the active state (exactly what reopen will
-                        // reconstruct once the debris is swept).
-                        self.levels[level] = group;
-                        return Ok(true);
-                    }
-                    Err((group, error)) => {
+                    Err(error) => {
                         // Roll back: the inputs stay active, nothing lost.
                         self.levels[level] = group;
                         return Err(error);
@@ -801,15 +680,22 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
             level += 1;
         }
-        Ok(false)
+        // Best effort: a leftover directory wastes disk until the next
+        // `open_root` sweeps it, but cannot corrupt the merged state.
+        for dir in superseded {
+            let _ = formats::remove_dir_all(&dir);
+        }
+        Ok(())
     }
 
     /// Merges a group of instances into one: replays their updates in
     /// sequence order, drops deleted tuples, and rebuilds a single index
     /// under a fresh key (the "download, merge, re-encrypt" of the paper) —
     /// written through the configured storage backend, like every other
-    /// build. On success the consumed instances' persisted directories are
-    /// removed; on failure the group is handed back untouched for rollback.
+    /// build — or, when mode and scheme allow, merges them structurally.
+    /// Returns the merged instance and whether it is a structural one; the
+    /// group (sorted by sequence number) and its directories are untouched
+    /// either way.
     ///
     /// A deletion tombstone can only be dropped ("physically purged") when
     /// no instance *outside* the merged group still touches the deleted id
@@ -818,14 +704,12 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// Tombstones that must survive stay in the merged instance's entries
     /// (and are indexed and query-filtered exactly like a level-0 delete)
     /// until a later merge meets the stale version and purges both.
-    #[allow(clippy::type_complexity)]
     fn merge_instances<R: RngCore + CryptoRng>(
         &mut self,
-        mut group: Vec<BatchInstance<S>>,
+        group: &mut [BatchInstance<S>],
         level: usize,
         rng: &mut R,
-        kill: Option<KillPoint>,
-    ) -> Result<Merged<S>, (Vec<BatchInstance<S>>, StorageError)> {
+    ) -> Result<(BatchInstance<S>, bool), StorageError> {
         group.sort_by_key(|instance| instance.seq);
         let newest_seq = group.last().map(|i| i.seq).unwrap_or(0);
         // The flattened part layout of a prospective structural merge:
@@ -834,7 +718,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         // count for an already-structural one).
         let mut flat_base: Vec<u32> = Vec::with_capacity(group.len());
         let mut part_total = 0u32;
-        for instance in &group {
+        for instance in group.iter() {
             flat_base.push(part_total);
             part_total += match &instance.kind {
                 InstanceKind::Plain { .. } => 1,
@@ -892,27 +776,10 @@ impl<S: RangeScheme> UpdateManager<S> {
         if self.config.consolidation_mode == ConsolidationMode::Structural
             && S::supports_structural_merge()
         {
-            match self.merge_structural(&group, level, newest_seq, &surviving, kill) {
-                Ok(Some(instance)) => {
-                    if kill == Some(KillPoint::AfterMergeBuild) {
-                        return Ok(Merged::Committed {
-                            instance,
-                            structural: true,
-                            killed: true,
-                        });
-                    }
-                    for instance in &group {
-                        instance.remove_dir();
-                    }
-                    return Ok(Merged::Committed {
-                        instance,
-                        structural: true,
-                        killed: kill == Some(KillPoint::AfterGc),
-                    });
-                }
-                Ok(None) => return Ok(Merged::KilledEarly { group }),
+            match self.merge_structural(group, level, newest_seq, &surviving) {
+                Ok(instance) => return Ok((instance, true)),
                 Err(StorageError::Unsupported(_)) => {}
-                Err(error) => return Err((group, error)),
+                Err(error) => return Err(error),
             }
         }
 
@@ -924,7 +791,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             .chain
             .as_ref()
             .expect("consolidation only runs after an ingest ensured the chain");
-        match BatchInstance::build(
+        BatchInstance::build(
             self.domain,
             build_id,
             newest_seq,
@@ -933,49 +800,9 @@ impl<S: RangeScheme> UpdateManager<S> {
             &config,
             chain,
             seed,
-        ) {
-            Ok(merged) => {
-                if matches!(
-                    kill,
-                    Some(KillPoint::MidMergeCopy | KillPoint::MidSidecarCompaction)
-                ) {
-                    // Simulated kill before the commit record: demote the
-                    // fully built directory to the matching debris state
-                    // and keep the inputs active.
-                    if let Some(dir) = &merged.dir {
-                        simulate_commit_kill(dir, kill.expect("matched above"));
-                    }
-                    return Ok(Merged::KilledEarly { group });
-                }
-                if kill == Some(KillPoint::AfterMergeBuild) {
-                    // Simulated kill between the merged instance's commit
-                    // and the GC of its inputs: both generations exist on
-                    // disk, the manifest references only the old one.
-                    return Ok(Merged::Committed {
-                        instance: merged,
-                        structural: false,
-                        killed: true,
-                    });
-                }
-                // The merged instance is durably built; the inputs' indexes
-                // are now superseded and their directories can go.
-                for instance in &group {
-                    instance.remove_dir();
-                }
-                Ok(Merged::Committed {
-                    instance: merged,
-                    structural: false,
-                    killed: kill == Some(KillPoint::AfterGc),
-                })
-            }
-            Err(error) => {
-                // Clean up the half-written merged index, keep the inputs.
-                if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-                Err((group, error))
-            }
-        }
+        )
+        .map(|merged| (merged, false))
+        .inspect_err(|_| discard_build(&config))
     }
 
     /// Attempts the re-encryption-free structural merge of `group` into
@@ -986,9 +813,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// owner sidecar (deduped latest-per-id log, kind byte `1`) commits
     /// the instance durably, written last like every other commit record.
     ///
-    /// Returns `Ok(None)` when a simulated pre-commit kill left debris on
-    /// disk instead of a committed instance (test support), and
-    /// [`StorageError::Unsupported`] when the merge cannot proceed
+    /// Returns [`StorageError::Unsupported`] when the merge cannot proceed
     /// structurally — the caller falls back to a rebuild.
     fn merge_structural(
         &mut self,
@@ -996,8 +821,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         level: usize,
         newest_seq: u64,
         surviving: &[(UpdateEntry, u32)],
-        kill: Option<KillPoint>,
-    ) -> Result<Option<BatchInstance<S>>, StorageError> {
+    ) -> Result<BatchInstance<S>, StorageError> {
         let mut seeds: Vec<[u8; SEED_LEN]> = Vec::new();
         for instance in group {
             match &instance.kind {
@@ -1043,30 +867,13 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
             Ok(server)
         })();
-        let server = match built {
-            Ok(server) => server,
-            Err(error) => {
-                // Don't leak a half-merged output directory — whether the
-                // error falls back to a rebuild or aborts the ingest.
-                if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-                return Err(error);
-            }
-        };
+        // Don't leak a half-merged output directory — whether the error
+        // falls back to a rebuild or aborts the ingest.
+        let server = built.inspect_err(|_| discard_build(&config))?;
         let dir = match &config.backend {
             rsse_core::StorageBackend::InMemory => None,
             rsse_core::StorageBackend::OnDisk(dir) => Some(dir.clone()),
         };
-        if matches!(
-            kill,
-            Some(KillPoint::MidMergeCopy | KillPoint::MidSidecarCompaction)
-        ) {
-            if let Some(dir) = &dir {
-                simulate_commit_kill(dir, kill.expect("matched above"));
-            }
-            return Ok(None);
-        }
         let entries: Vec<UpdateEntry> = surviving.iter().map(|(entry, _)| *entry).collect();
         let ops: HashMap<DocId, UpdateOp> = entries
             .iter()
@@ -1076,7 +883,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             .iter()
             .map(|(entry, part)| (entry.record.id, *part))
             .collect();
-        Ok(Some(BatchInstance {
+        Ok(BatchInstance {
             seq: newest_seq,
             build_id,
             kind: InstanceKind::Structural { parts, authority },
@@ -1084,7 +891,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             entries,
             ops,
             dir,
-        }))
+        })
     }
 
     /// Issues a range query against every active instance, merges the
@@ -1141,26 +948,6 @@ impl<S: RangeScheme> UpdateManager<S> {
         Ok(QueryOutcome { ids, stats })
     }
 
-    /// Resilient variant of [`try_query`](Self::try_query): storage
-    /// failures are retried whole-query under a shared
-    /// [`RetryPolicy`](rsse_serve::RetryPolicy) — its budget and jittered
-    /// backoff — instead of aborting on the first failed block read.
-    /// Exhaustion (attempt limit or dry budget) surfaces as the policy's
-    /// typed [`ServeError`](rsse_serve::ServeError).
-    ///
-    /// The retry is whole-query because manager-side refinement folds every
-    /// instance's results together; per-probe retry lives in
-    /// `rsse_serve::ResilientServer`, below this layer. Passing one policy
-    /// (and clock) across managers gives all of them one repair budget.
-    pub fn try_query_resilient(
-        &self,
-        range: Range,
-        policy: &rsse_serve::RetryPolicy,
-        clock: &dyn rsse_serve::Clock,
-    ) -> Result<QueryOutcome, rsse_serve::ServeError> {
-        policy.run(clock, || self.try_query(range))
-    }
-
     /// The plaintext ground truth of the manager's current logical state —
     /// what a trusted database would answer. Used by tests and the update
     /// ablation experiment.
@@ -1207,34 +994,40 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// # Crash recovery
     ///
     /// The manifest commits only after the instance directories it
-    /// references are durable, so a crash between an index commit and the
-    /// manifest commit leaves one of three windows, each of which this
-    /// method heals:
+    /// references are durable, and a consolidation cascade removes its
+    /// inputs only after its last merge committed. A crash anywhere in an
+    /// ingest therefore leaves a stale manifest plus some of the
+    /// following, each of which this method heals:
     ///
+    /// * a directory **without a readable commit record** that no live
+    ///   instance needs — half-built, or half-removed — is swept;
     /// * a **batch instance** committed but unreferenced — the ingest
     ///   never returned to the caller, so it is rolled back (the
     ///   directory is swept after its sidecar authenticates);
-    /// * a **consolidated instance** committed but unreferenced — the
-    ///   merge is rolled *forward*: the merged instance supersedes every
-    ///   referenced instance one level down with a sequence number at or
-    ///   below its own (their directories, GC'd or still present, are
-    ///   resolved), and the consolidation counter advances;
-    /// * a manifest referencing an instance whose directory was already
-    ///   **GC'd** — tolerated exactly when a committed consolidation
-    ///   supersedes it (the previous case); otherwise the root is
-    ///   genuinely damaged and the open fails typed.
+    /// * **consolidated instances** committed but unreferenced — adopted
+    ///   bottom-up, each superseding every instance *below* it with a
+    ///   sequence number at or below its own, whether that instance's
+    ///   directory is gone, intact or partly removed. If that leaves no
+    ///   level due, the cascade had finished: the ingest is rolled
+    ///   *forward* and the consolidation counters advance. If a level is
+    ///   still due it had not, no input has been touched, and the whole
+    ///   ingest is rolled back. One that supersedes nothing is a leftover
+    ///   of a failed merge or removal and is swept;
+    /// * an instance **still live after adoption** whose directory or
+    ///   commit record is missing — genuine damage: the open fails typed.
     ///
     /// # Errors
     ///
     /// Everything malformed surfaces as a typed [`StorageError`]: a
-    /// missing or corrupt manifest, a scheme-kind mismatch, a referenced
-    /// instance directory that is missing (with no superseding
+    /// missing or corrupt manifest, a scheme-kind mismatch, a live
+    /// instance whose directory or sidecar is missing (with no superseding
     /// consolidation), foreign or stale sidecars (sequence or level
     /// disagreeing with the manifest), and owner payloads failing
     /// authentication — the wrong master key refuses to open rather than
     /// misinterpreting the root, and **nothing is deleted before the
     /// sidecars of the directories involved have authenticated** under
-    /// the supplied key.
+    /// the supplied key. A swept directory that cannot be removed also
+    /// fails the open, since its name may be built into again.
     ///
     /// # Examples
     ///
@@ -1328,29 +1121,31 @@ impl<S: RangeScheme> UpdateManager<S> {
             .map(|instance| instance.build_id)
             .collect();
 
-        // Read every commit record (owner sidecar). A referenced directory
-        // without one is damaged; an unreferenced one is a half-built
-        // instance a crash left behind — swept below.
+        // Read every commit record (owner sidecar). A directory without a
+        // readable one is judged after adoption: no longer live, it is a
+        // half-built or half-removed instance and is swept; still live, its
+        // error is the open's error.
         let mut sidecars: HashMap<u64, OwnerMeta> = HashMap::new();
-        let mut half_built: Vec<PathBuf> = Vec::new();
+        let mut unreadable: HashMap<u64, StorageError> = HashMap::new();
         for (&build_id, dir) in &on_disk {
             match read_owner_meta(dir) {
+                Ok(meta) if meta.build_id != build_id => {
+                    return Err(StorageError::CorruptDirectory {
+                        path: dir.clone(),
+                        detail: format!(
+                            "owner sidecar names build {} inside directory {} — \
+                             a foreign instance",
+                            meta.build_id,
+                            ManagerManifest::instance_dir_name(build_id)
+                        ),
+                    });
+                }
                 Ok(meta) => {
-                    if meta.build_id != build_id {
-                        return Err(StorageError::CorruptDirectory {
-                            path: dir.clone(),
-                            detail: format!(
-                                "owner sidecar names build {} inside directory {} — \
-                                 a foreign instance",
-                                meta.build_id,
-                                ManagerManifest::instance_dir_name(build_id)
-                            ),
-                        });
-                    }
                     sidecars.insert(build_id, meta);
                 }
-                Err(_) if !referenced.contains(&build_id) => half_built.push(dir.clone()),
-                Err(error) => return Err(error),
+                Err(error) => {
+                    unreadable.insert(build_id, error);
+                }
             }
         }
 
@@ -1384,49 +1179,46 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
         }
 
-        // Resolve committed-but-unreferenced instances, in (level, seq)
-        // order so cascaded consolidations adopt bottom-up.
+        // Committed-but-unreferenced instances are what a crashed ingest
+        // left. Its batch (level 0) never reached the caller and is rolled
+        // back; its consolidations are adopted bottom-up, each superseding
+        // every instance below it with a sequence number at or below its
+        // own (a cascade drains whole levels) — but only if that finishes
+        // the cascade. While a level is still due the ingest had not
+        // committed its last merge, no input has been removed yet, and the
+        // whole ingest rolls back instead. One that supersedes nothing is
+        // not this ingest's at all — a leftover of a failed merge or
+        // removal — and is swept.
         let mut orphans: Vec<(u32, u64, u64)> = sidecars
             .iter()
-            .filter(|(build_id, _)| !referenced.contains(build_id))
+            .filter(|(build_id, meta)| !referenced.contains(build_id) && meta.level > 0)
             .map(|(&build_id, meta)| (meta.level, meta.seq, build_id))
             .collect();
         orphans.sort_unstable();
-        let mut sweep: Vec<u64> = Vec::new();
-        let mut adopted: HashSet<u64> = HashSet::new();
-        for (level, seq, build_id) in orphans {
-            if level == 0 {
-                // A batch whose ingest never committed its manifest: the
-                // caller never saw the ingest succeed, so roll it back.
-                sweep.push(build_id);
-                continue;
+        let mut adopted = levels.clone();
+        orphans.retain(|&(level, seq, build_id)| {
+            let level = level as usize;
+            adopted.resize(adopted.len().max(level + 1), Vec::new());
+            let mut superseded = 0;
+            for inputs in &mut adopted[..level] {
+                superseded += inputs.len();
+                inputs.retain(|input| input.1 > seq);
+                superseded -= inputs.len();
             }
-            // A committed consolidation: roll it forward. It supersedes
-            // every instance one level down with seq at or below its own
-            // (exactly its inputs — a merge drains the whole level).
-            let input_level = (level - 1) as usize;
-            if let Some(inputs) = levels.get_mut(input_level) {
-                let mut kept = Vec::with_capacity(inputs.len());
-                for input in inputs.drain(..) {
-                    if input.1 <= seq {
-                        if on_disk.contains_key(&input.0) {
-                            sweep.push(input.0); // late-GC leftover
-                        }
-                    } else {
-                        kept.push(input);
-                    }
-                }
-                *inputs = kept;
+            if superseded > 0 {
+                adopted[level].push((build_id, seq, None));
             }
-            while levels.len() <= level as usize {
-                levels.push(Vec::new());
-            }
-            levels[level as usize].push((build_id, seq, None));
-            adopted.insert(build_id);
+            superseded > 0
+        });
+        let step = manifest.consolidation_step as usize;
+        if step > 0 && adopted.iter().any(|level| level.len() >= step) {
+            orphans.clear();
+        } else {
+            levels = adopted;
         }
 
-        // After adoption, every remaining instance must have its
-        // directory: a missing one is genuine damage, not a GC artifact.
+        // Every instance still live must have its directory and a readable
+        // commit record: anything less is genuine damage, not a crash window.
         for level in &levels {
             for &(build_id, seq, _) in level {
                 if !on_disk.contains_key(&build_id) {
@@ -1436,36 +1228,35 @@ impl<S: RangeScheme> UpdateManager<S> {
                         ManagerManifest::instance_dir_name(build_id)
                     )));
                 }
+                if let Some(error) = unreadable.remove(&build_id) {
+                    return Err(error);
+                }
             }
         }
 
-        // Decrypt and authenticate every owner payload involved — the kept
-        // instances and the directories about to be swept — BEFORE
-        // touching the disk: a wrong master key must fail the open, never
-        // delete.
-        // An adopted consolidation's kind — structural merge or rebuild —
-        // is recorded in its payload's kind byte; classify while opening
-        // so the split counters advance the right way.
+        // Decrypt and authenticate every readable owner payload — the kept
+        // instances and the directories about to be swept — BEFORE touching
+        // the disk: a wrong master key must fail the open, never delete.
         let mut opened: HashMap<u64, OwnerPayload> = HashMap::new();
-        let mut adopted_structural = 0u64;
-        let mut adopted_rebuild = 0u64;
-        for level in &levels {
-            for &(build_id, _, _) in level {
-                let meta = &sidecars[&build_id];
-                let dir = &on_disk[&build_id];
-                let payload = persist::open_payload(&chain, build_id, dir, &meta.payload)?;
-                if adopted.contains(&build_id) {
-                    match &payload {
-                        OwnerPayload::Plain { .. } => adopted_rebuild += 1,
-                        OwnerPayload::Structural { .. } => adopted_structural += 1,
-                    }
-                }
-                opened.insert(build_id, payload);
-            }
+        for (&build_id, meta) in &sidecars {
+            let payload =
+                persist::open_payload(&chain, build_id, &on_disk[&build_id], &meta.payload)?;
+            opened.insert(build_id, payload);
         }
-        for &build_id in &sweep {
-            let meta = &sidecars[&build_id];
-            persist::open_payload(&chain, build_id, &on_disk[&build_id], &meta.payload)?;
+        // The adopted ingest ran one consolidation per level up to its top
+        // one. Each is classified by its payload's kind byte; one whose
+        // directory is already gone, by the top one's.
+        let (mut adopted_structural, mut adopted_rebuild) = (0u64, 0u64);
+        if let Some(&(top_level, _, top)) = orphans.last() {
+            let structural = |id: &u64| matches!(opened[id], OwnerPayload::Structural { .. });
+            let gone = (top_level as usize).saturating_sub(orphans.len());
+            adopted_structural = orphans.iter().filter(|o| structural(&o.2)).count() as u64;
+            adopted_rebuild = orphans.len() as u64 - adopted_structural;
+            if structural(&top) {
+                adopted_structural += gone as u64;
+            } else {
+                adopted_rebuild += gone as u64;
+            }
         }
 
         // Reconstruct the instances in level order.
@@ -1552,13 +1343,15 @@ impl<S: RangeScheme> UpdateManager<S> {
             rebuilt.push(instances);
         }
 
-        // Commit the cleanup: superseded and rolled-back directories (all
-        // authenticated above) and half-built leftovers go.
-        for build_id in sweep {
-            let _ = std::fs::remove_dir_all(&on_disk[&build_id]);
-        }
-        for dir in half_built {
-            let _ = std::fs::remove_dir_all(dir);
+        // Commit the cleanup: every directory that is not a live instance
+        // — superseded, rolled back (both authenticated above where they
+        // could be), half-built or half-removed — goes. A directory that
+        // cannot be removed fails the open: its name may be built into again.
+        let live: HashSet<u64> = rebuilt.iter().flatten().map(|i| i.build_id).collect();
+        for (build_id, dir) in &on_disk {
+            if !live.contains(build_id) {
+                formats::remove_dir_all(dir)?;
+            }
         }
 
         // Counters: adopted consolidations advance them past the stale
@@ -1571,8 +1364,8 @@ impl<S: RangeScheme> UpdateManager<S> {
             .max()
             .unwrap_or(0);
         let next_seq = manifest.next_seq.max(max_seq);
-        let next_build = on_disk
-            .keys()
+        let next_build = live
+            .iter()
             .map(|id| id + 1)
             .max()
             .unwrap_or(0)

@@ -162,7 +162,7 @@ where
 {
     fn query(&self, _tenant: &str, range: Range) -> QueryFate {
         let manager = self.manager.read().expect("manager lock poisoned");
-        QueryFate::of_serve(&manager.try_query_resilient(range, &self.policy, &self.clock))
+        QueryFate::of_serve(&self.policy.run(&self.clock, || manager.try_query(range)))
     }
 
     fn insert(&self, entries: &[UpdateEntry]) -> bool {

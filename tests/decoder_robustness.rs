@@ -32,9 +32,8 @@ use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
 use rsse::crypto::Key;
 use rsse::prelude::*;
-use rsse::sse::external::{
-    kill_at, recode_spill_dir, run_file_name, ExternalKillPoint, SPILL_DIR, SPILL_MANIFEST_FILE,
-};
+use rsse::sse::external::{recode_spill_dir, run_file_name, SPILL_DIR, SPILL_MANIFEST_FILE};
+use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::storage::{shard_file_name, MANIFEST_FILE};
 use rsse::sse::test_support::TempDir;
 use rsse::sse::{build_index_fixed_external, BuildBudget, SpillOrder, SseScheme};
@@ -221,26 +220,43 @@ fn payload_format(name: &'static str, payload: OwnerPayload) -> Format {
 }
 
 /// Runs an on-disk external build of 520 entries under `index_dir`, killed
-/// once `spill.meta` is committed, and returns its spill directory.
+/// right after the op that commits `spill.meta` (looked up in the gate's
+/// log of an uninterrupted build), and returns its spill directory.
 fn killed_spill_dir(index_dir: &Path) -> PathBuf {
-    let mut rng = ChaCha20Rng::seed_from_u64(5);
-    let key = SseScheme::setup(&mut rng);
-    let shuffle_key = Key::generate(&mut rng);
-    let entries = (0..520u64).map(|i| {
-        let mut keyword = [0u8; 13];
-        keyword[5..].copy_from_slice(&(i % 5).to_le_bytes());
-        (keyword, i.to_le_bytes())
-    });
-    kill_at(Some(ExternalKillPoint::AfterSpill));
-    let killed = build_index_fixed_external(
-        &key,
-        &shuffle_key,
-        entries,
-        &StorageConfig::on_disk(0, index_dir).with_build_budget(BuildBudget::with_memory(1)),
-        &mut rng,
-    );
-    kill_at(None);
-    assert!(killed.is_err(), "the armed kill point must fire");
+    let build = |dir: &Path| {
+        let mut rng = ChaCha20Rng::seed_from_u64(5);
+        let key = SseScheme::setup(&mut rng);
+        let shuffle_key = Key::generate(&mut rng);
+        let entries = (0..520u64).map(|i| {
+            let mut keyword = [0u8; 13];
+            keyword[5..].copy_from_slice(&(i % 5).to_le_bytes());
+            (keyword, i.to_le_bytes())
+        });
+        build_index_fixed_external(
+            &key,
+            &shuffle_key,
+            entries,
+            &StorageConfig::on_disk(0, dir).with_build_budget(BuildBudget::with_memory(1)),
+            &mut rng,
+        )
+    };
+    let whole = TempDir::new("robust-spill-whole");
+    let recording = arm_crash(whole.path(), None);
+    build(whole.path()).unwrap();
+    let committed = recording
+        .trace()
+        .iter()
+        .position(|(op, path)| *op == "write" && path.ends_with(SPILL_MANIFEST_FILE))
+        .expect("an op commits spill.meta");
+    drop(recording);
+
+    let crash = Crash {
+        at: committed + 1,
+        torn: None,
+    };
+    let armed = arm_crash(index_dir, Some(crash));
+    assert!(build(index_dir).is_err(), "the armed crash must fire");
+    drop(armed);
     index_dir.join(SPILL_DIR)
 }
 

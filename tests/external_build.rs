@@ -20,7 +20,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::{BuildBudget, StorageConfig};
 use rsse::prelude::*;
-use rsse::sse::external::{kill_at, ExternalKillPoint, SPILL_DIR};
+use rsse::sse::external::{run_file_name, SPILL_DIR, SPILL_MANIFEST_FILE};
+use rsse::sse::formats::{arm_crash, Crash};
+use rsse::sse::storage::shard_file_name;
 use rsse::sse::test_support::TempDir;
 use std::fs;
 use std::path::Path;
@@ -150,61 +152,64 @@ fn external_in_memory_builds_answer_identically() {
     assert_eq!(spill_root.subdir_count(), 0);
 }
 
-/// A scheme build killed in each spill crash window: the debris never
-/// includes foreign files being deleted, and the restarted build converges
-/// byte-identically to an uninterrupted one.
+/// A scheme build killed in each spill crash window — right after the op
+/// that commits the first sorted run, the spill manifest, the first final
+/// shard file, each looked up in the gate's log of the uninterrupted build:
+/// the debris never includes foreign files being deleted, and the restarted
+/// build converges byte-identically to an uninterrupted one.
 #[test]
 fn killed_scheme_build_heals_and_converges() {
     let mut data_rng = ChaCha20Rng::seed_from_u64(17);
     let dataset = gowalla_like(700, 1 << 10, &mut data_rng);
+    let build = |dir: &Path| {
+        AnyScheme::build_stored(
+            SchemeKind::LogarithmicBrc,
+            &dataset,
+            &StorageConfig::on_disk(2, dir).with_build_budget(tiny_budget()),
+            &mut ChaCha20Rng::seed_from_u64(2),
+        )
+    };
     let reference = TempDir::new("ext-kill-ref");
-    AnyScheme::build_stored(
-        SchemeKind::LogarithmicBrc,
-        &dataset,
-        &StorageConfig::on_disk(2, reference.path()).with_build_budget(tiny_budget()),
-        &mut ChaCha20Rng::seed_from_u64(2),
-    )
-    .unwrap();
+    let recording = arm_crash(reference.path(), None);
+    build(reference.path()).unwrap();
+    let log = recording.trace();
+    drop(recording);
 
-    for point in [
-        ExternalKillPoint::MidSpill,
-        ExternalKillPoint::AfterSpill,
-        ExternalKillPoint::MidShardWrite,
+    for committed in [
+        run_file_name(0),
+        SPILL_MANIFEST_FILE.to_string(),
+        shard_file_name(0),
     ] {
+        let after = log
+            .iter()
+            .position(|(op, path)| *op == "write" && path.ends_with(&committed))
+            .unwrap_or_else(|| panic!("no op commits {committed}"));
         let dir = TempDir::new("ext-kill");
         let spill = dir.path().join(SPILL_DIR);
         fs::create_dir_all(&spill).unwrap();
         let foreign = spill.join("operator-notes.txt");
         fs::write(&foreign, b"keep me").unwrap();
 
-        kill_at(Some(point));
+        let crash = Crash {
+            at: after + 1,
+            torn: None,
+        };
+        let armed = arm_crash(dir.path(), Some(crash));
         assert!(
-            AnyScheme::build_stored(
-                SchemeKind::LogarithmicBrc,
-                &dataset,
-                &StorageConfig::on_disk(2, dir.path()).with_build_budget(tiny_budget()),
-                &mut ChaCha20Rng::seed_from_u64(2),
-            )
-            .is_err(),
-            "{point:?}: armed kill point must abort the build"
+            build(dir.path()).is_err(),
+            "{committed}: the armed crash must abort the build"
         );
-        assert!(spill.exists(), "{point:?}: crash must leave debris");
+        drop(armed);
+        assert!(spill.exists(), "{committed}: crash must leave debris");
         assert_eq!(fs::read(&foreign).unwrap(), b"keep me");
 
-        kill_at(None);
-        AnyScheme::build_stored(
-            SchemeKind::LogarithmicBrc,
-            &dataset,
-            &StorageConfig::on_disk(2, dir.path()).with_build_budget(tiny_budget()),
-            &mut ChaCha20Rng::seed_from_u64(2),
-        )
-        .unwrap();
+        build(dir.path()).unwrap();
         assert_eq!(fs::read(&foreign).unwrap(), b"keep me");
         fs::remove_file(&foreign).unwrap();
         fs::remove_dir(&spill).unwrap();
         assert!(
             trees_equal(reference.path(), dir.path()),
-            "{point:?}: restarted build diverged"
+            "{committed}: restarted build diverged"
         );
     }
 }

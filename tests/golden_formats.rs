@@ -37,7 +37,8 @@ use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
 use rsse::crypto::Key;
 use rsse::prelude::*;
-use rsse::sse::external::{kill_at, recode_spill_dir, ExternalKillPoint, SPILL_DIR};
+use rsse::sse::external::{recode_spill_dir, SPILL_DIR, SPILL_MANIFEST_FILE};
+use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::test_support::TempDir;
 use rsse::sse::{build_index_fixed_external, BuildBudget, SpillOrder, SseScheme};
 use rsse::updates::manifest::{
@@ -165,23 +166,40 @@ fn spill_entries() -> Vec<([u8; 13], [u8; 8])> {
 }
 
 /// An on-disk external build at a one-byte budget (512-entry runs), killed
-/// once `spill.meta` is committed; returns the index directory holding the
+/// right after the op that commits `spill.meta` — looked up in the gate's
+/// log of an uninterrupted build; returns the index directory holding the
 /// debris.
 fn build_spill() -> TempDir {
+    let build = |dir: &Path| {
+        let mut rng = ChaCha20Rng::seed_from_u64(77);
+        let key = SseScheme::setup(&mut rng);
+        let shuffle_key = Key::generate(&mut rng);
+        build_index_fixed_external(
+            &key,
+            &shuffle_key,
+            spill_entries(),
+            &StorageConfig::on_disk(1, dir).with_build_budget(BuildBudget::with_memory(1)),
+            &mut rng,
+        )
+    };
+    let whole = TempDir::new("golden-spill-whole");
+    let recording = arm_crash(whole.path(), None);
+    build(whole.path()).unwrap();
+    let committed = recording
+        .trace()
+        .iter()
+        .position(|(op, path)| *op == "write" && path.ends_with(SPILL_MANIFEST_FILE))
+        .expect("an op commits spill.meta");
+    drop(recording);
+
     let dir = TempDir::new("golden-spill");
-    let mut rng = ChaCha20Rng::seed_from_u64(77);
-    let key = SseScheme::setup(&mut rng);
-    let shuffle_key = Key::generate(&mut rng);
-    kill_at(Some(ExternalKillPoint::AfterSpill));
-    let killed = build_index_fixed_external(
-        &key,
-        &shuffle_key,
-        spill_entries(),
-        &StorageConfig::on_disk(1, dir.path()).with_build_budget(BuildBudget::with_memory(1)),
-        &mut rng,
-    );
-    kill_at(None);
-    assert!(killed.is_err(), "the armed kill point must fire");
+    let crash = Crash {
+        at: committed + 1,
+        torn: None,
+    };
+    let armed = arm_crash(dir.path(), Some(crash));
+    assert!(build(dir.path()).is_err(), "the armed crash must fire");
+    drop(armed);
     dir
 }
 

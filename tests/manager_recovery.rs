@@ -1,8 +1,8 @@
 //! Crash-recovery integration tests for the durable update manager.
 //!
 //! The acceptance criteria of the reopen-from-root work: build → ingest
-//! batches → drop (including a simulated kill between the index commit and
-//! the manifest commit at each stage of ingest/consolidation) →
+//! batches → drop (including a crash, armed on the codec kit's gate, at
+//! each formerly named window of ingest/consolidation) →
 //! `UpdateManager::open_root` → query results **byte-identical** to the
 //! uninterrupted manager, on both the on-disk (budgeted and unbudgeted)
 //! and the in-memory-restore reopen paths — plus a corruption battery
@@ -15,15 +15,15 @@ use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::log_src_i::LogSrcIScheme;
 use rsse::core::StorageError;
 use rsse::prelude::*;
+use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::test_support::TempDir;
-use rsse::updates::manager::KillPoint;
 use rsse::updates::manifest::{
     open_manager_root, read_manager_manifest, write_manager_manifest, ManagerManifest,
     MANAGER_MANIFEST_FILE, OWNER_META_FILE,
 };
 use rsse::updates::OwnerKey;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 type LogManager = UpdateManager<LogScheme>;
 
@@ -192,8 +192,44 @@ fn reopened_manager_keeps_ingesting_like_the_uninterrupted_one() {
     }
 }
 
-/// The headline kill-point battery: a simulated kill between the index
-/// commit and the manifest commit, at each stage of ingest/consolidation.
+/// The op log of the ingest that trips the s = 3 consolidation (batch 2 on
+/// a two-batch root), recorded by the gate on an uninterrupted run.
+fn third_ingest_log(mode: ConsolidationMode) -> Vec<(&'static str, PathBuf)> {
+    let root = TempDir::new("kill-log");
+    let mut manager =
+        LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(root.path(), mode));
+    ingest(&mut manager, 0..2);
+    let recording = arm_crash(root.path(), None);
+    ingest(&mut manager, 2..3);
+    recording.trace()
+}
+
+/// The index of the last `op` in `log` whose path ends with `suffix`: each
+/// formerly named kill window is "right after" or "inside" one such op, so
+/// the window is shown to be an index the replay battery also covers.
+fn op_index(log: &[(&'static str, PathBuf)], op: &str, suffix: &str) -> usize {
+    log.iter()
+        .rposition(|(o, path)| *o == op && path.to_str().unwrap().ends_with(suffix))
+        .unwrap_or_else(|| panic!("no `{op}` of …{suffix} in {log:?}"))
+}
+
+/// A two-batch root whose third ingest dies at `crash`; the victim manager
+/// is dropped like the dead process it stands for.
+fn crashed_third_ingest(mode: ConsolidationMode, crash: Crash) -> TempDir {
+    let root = TempDir::new("kill-point");
+    let mut victim =
+        LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(root.path(), mode));
+    ingest(&mut victim, 0..2);
+    let armed = arm_crash(root.path(), Some(crash));
+    victim
+        .try_ingest_batch(batch_entries(2), &mut batch_rng(2))
+        .expect_err("the crash fails the ingest");
+    drop(armed);
+    root
+}
+
+/// The headline kill-point battery: a crash between the index commit and
+/// the manifest commit, at each stage of ingest/consolidation.
 /// Batch 2 (0-indexed) is the one that trips the s = 3 consolidation.
 #[test]
 fn kill_between_index_and_manifest_commit_heals_on_reopen() {
@@ -219,35 +255,37 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
         assert_eq!(ref_b.consolidations(), 1, "batch 2 trips the merge");
         let rolled_forward = fingerprint(&ref_b);
 
-        for (kill, expected, label) in [
+        let log = third_ingest_log(mode);
+        for (after, expected, label) in [
             // The batch's index committed but neither consolidation nor
             // manifest did: the ingest never returned, so it rolls back.
             (
-                KillPoint::AfterBatchBuild,
+                op_index(&log, "write", "instance-00000002/owner.meta"),
                 &rolled_back,
                 "after-batch-build",
             ),
             // The merged instance committed (inputs still on disk): the
             // committed consolidation rolls forward.
             (
-                KillPoint::AfterMergeBuild,
+                op_index(&log, "write", "instance-00000003/owner.meta"),
                 &rolled_forward,
                 "after-merge-build",
             ),
             // The merged instance committed and the inputs were GC'd, but the
             // stale manifest still references them: recovery resolves the
             // GC'd directories via the committed consolidation.
-            (KillPoint::AfterGc, &rolled_forward, "after-gc"),
+            (
+                op_index(&log, "remove_dir_all", ""),
+                &rolled_forward,
+                "after-gc",
+            ),
         ] {
-            let root = TempDir::new("kill-point");
+            let crash = Crash {
+                at: after + 1,
+                torn: None,
+            };
+            let root = crashed_third_ingest(mode, crash);
             let cfg = config(root.path(), mode);
-            let mut victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-            ingest(&mut victim, 0..2);
-            victim
-                .try_ingest_batch_kill_at(batch_entries(2), &mut batch_rng(2), kill)
-                .expect("the simulated kill is not a storage failure");
-            drop(victim); // the "killed" process
-
             let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
             assert_eq!(&fingerprint(&reopened), expected, "kill point {label}");
             // The healed root is clean: one directory per active instance.
@@ -259,7 +297,7 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
 
             // Rolled back: re-driving the interrupted batch converges with the
             // uninterrupted manager, byte for byte.
-            if kill == KillPoint::AfterBatchBuild {
+            if label == "after-batch-build" {
                 let mut reopened = reopened;
                 ingest(&mut reopened, 2..3);
                 assert_eq!(&fingerprint(&reopened), &rolled_forward);
@@ -269,12 +307,12 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
 }
 
 /// The consolidation-commit kill windows introduced with structural
-/// merges: a kill while the merged shards are still being copied
-/// (`MidMergeCopy`) and a kill while the compacted owner sidecar is being
-/// written (`MidSidecarCompaction`). In both, the merged directory never
-/// gained its `owner.meta` commit record, so recovery must roll the whole
-/// interrupted ingest back and sweep the debris — under either
-/// consolidation mode.
+/// merges: a kill while the merged shards are still being copied (a merged
+/// shard's `.tmp` written, never renamed) and a kill while the owner
+/// sidecar is being written (`owner.meta.tmp` written, never renamed). In
+/// both, the merged directory never gained its `owner.meta` commit record,
+/// so recovery must roll the whole interrupted ingest back and sweep the
+/// debris — under either consolidation mode.
 #[test]
 fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
     for mode in MODES {
@@ -289,18 +327,23 @@ fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
         ingest(&mut reference, 2..3);
         let rolled_forward = fingerprint(&reference);
 
-        for (kill, label) in [
-            (KillPoint::MidMergeCopy, "mid-merge-copy"),
-            (KillPoint::MidSidecarCompaction, "mid-sidecar-compaction"),
+        let log = third_ingest_log(mode);
+        for (at, label) in [
+            (
+                op_index(&log, "write", "instance-00000003/shard-00001.shd"),
+                "mid-merge-copy",
+            ),
+            (
+                op_index(&log, "write", "instance-00000003/owner.meta"),
+                "mid-sidecar-compaction",
+            ),
         ] {
-            let root = TempDir::new("ckill");
+            let crash = Crash {
+                at,
+                torn: Some(|_| true),
+            };
+            let root = crashed_third_ingest(mode, crash);
             let cfg = config(root.path(), mode);
-            let mut victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-            ingest(&mut victim, 0..2);
-            victim
-                .try_ingest_batch_kill_at(batch_entries(2), &mut batch_rng(2), kill)
-                .expect("the simulated kill is not a storage failure");
-            drop(victim);
 
             // The kill left a merged directory without its commit record —
             // and, for these windows, in-flight `.tmp` debris inside it.
@@ -336,6 +379,165 @@ fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
             ingest(&mut reopened, 2..3);
             assert_eq!(&fingerprint(&reopened), &rolled_forward, "{label} re-drive");
         }
+    }
+}
+
+/// Copies the directory tree at `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Regression: a consolidation committed, the crash came while its inputs
+/// were being removed, and the removal had taken a referenced input's
+/// `owner.meta` first. The stale manifest still references that input, but
+/// the committed consolidation supersedes it, so `open_root` must roll the
+/// ingest forward and sweep the half-removed directory — exactly as it does
+/// when the input is intact or gone. (The open used to fail on the
+/// unreadable sidecar before adoption had decided anything.) Built from
+/// plain file operations so it states the on-disk shape, not a mechanism.
+#[test]
+fn half_removed_superseded_input_rolls_forward() {
+    for mode in MODES {
+        // The crashed root: two batches and their manifest…
+        let root = TempDir::new("half-gc");
+        let cfg = config(root.path(), mode);
+        let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+        ingest(&mut manager, 0..2);
+        drop(manager);
+        // …plus the merged instance the third ingest committed (builds are
+        // deterministic, so an uninterrupted twin's copy is that instance)…
+        let twin_root = TempDir::new("half-gc-twin");
+        let mut twin = LogManager::with_key(
+            owner_key(),
+            Domain::new(DOMAIN),
+            config(twin_root.path(), mode),
+        );
+        ingest(&mut twin, 0..3);
+        let rolled_forward = fingerprint(&twin);
+        let merged = "instance-00000003";
+        copy_tree(&twin_root.path().join(merged), &root.path().join(merged));
+        // …and the first input half-removed: its commit record went first.
+        fs::remove_file(root.path().join("instance-00000000").join(OWNER_META_FILE)).unwrap();
+
+        let reopened = LogManager::open_root(owner_key(), root.path(), cfg.clone()).unwrap();
+        assert_eq!(fingerprint(&reopened), rolled_forward);
+        assert_eq!(instance_dirs(root.path()), reopened.active_instances());
+
+        // A live instance with an unreadable sidecar is still damage.
+        drop(reopened);
+        fs::remove_file(root.path().join(merged).join(OWNER_META_FILE)).unwrap();
+        assert!(matches!(
+            LogManager::open_root(owner_key(), root.path(), cfg),
+            Err(StorageError::Io { .. })
+        ));
+    }
+}
+
+/// A merge that fails mid-cascade keeps its inputs active while the merges
+/// before it stand: the manager keeps answering and ingesting, and the
+/// next ingest retries the failed level. The directories the standing
+/// merges superseded are not removed (the stale manifest still references
+/// them); once a later manifest has dropped them, `open_root` sweeps them —
+/// a committed consolidation that supersedes nothing is never adopted.
+#[test]
+fn failed_cascade_merge_keeps_every_level_answering() {
+    for mode in MODES {
+        // s = 2, three batches in: {level 0: [b2], level 1: [b0 + b1]}.
+        // Batch 3 merges level 0, then level 1 — whose commit record fails.
+        let cascading = |root: &Path| UpdateConfig {
+            consolidation_step: 2,
+            ..config(root, mode)
+        };
+        let twin_root = TempDir::new("undo-twin");
+        let mut twin = LogManager::with_key(
+            owner_key(),
+            Domain::new(DOMAIN),
+            cascading(twin_root.path()),
+        );
+        ingest(&mut twin, 0..3);
+        let recording = arm_crash(twin_root.path(), None);
+        ingest(&mut twin, 3..4);
+        let last_commit = op_index(&recording.trace(), "write", OWNER_META_FILE);
+        drop(recording);
+
+        let root = TempDir::new("undo");
+        let cfg = cascading(root.path());
+        let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+        ingest(&mut manager, 0..3);
+        let failing = Crash {
+            at: last_commit,
+            torn: None,
+        };
+        let armed = arm_crash(root.path(), Some(failing));
+        manager
+            .try_ingest_batch(batch_entries(3), &mut batch_rng(3))
+            .expect_err("the second merge fails");
+        drop(armed);
+        assert_eq!(manager.active_instances(), 2, "b0+b1 and b2+b3");
+        assert_eq!(manager.consolidations(), 2, "the first merge stands");
+        assert_eq!(manager.batches_ingested(), 4);
+        let answers = |manager: &LogManager| -> Vec<Vec<DocId>> {
+            let sorted = |range| {
+                let mut ids = manager.try_query(range).unwrap().ids;
+                ids.sort_unstable();
+                ids
+            };
+            query_mix().into_iter().map(sorted).collect()
+        };
+        assert_eq!(answers(&manager), answers(&twin));
+
+        // The next ingest retries the failed level and lands on the layout
+        // of the manager that never failed; a reopen then sweeps b2 and b3
+        // (level 0, dropped from the manifest) instead of keeping them.
+        ingest(&mut manager, 4..5);
+        ingest(&mut twin, 4..5);
+        assert_eq!(manager.active_instances(), twin.active_instances());
+        assert_eq!(manager.consolidations(), twin.consolidations());
+        assert_eq!(answers(&manager), answers(&twin));
+        let state = fingerprint(&manager);
+        drop(manager);
+        assert!(
+            instance_dirs(root.path()) > 2,
+            "superseded inputs were kept"
+        );
+        let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
+        assert_eq!(fingerprint(&reopened), state);
+        assert_eq!(instance_dirs(root.path()), reopened.active_instances());
+    }
+}
+
+/// A committed consolidation that nothing references and that supersedes
+/// nothing is a leftover (a superseded input whose best-effort removal
+/// failed), not a crashed ingest's merge: adopting it would let the stale
+/// versions it holds shadow purged tombstones. It is swept.
+#[test]
+fn stale_consolidation_leftover_is_swept_not_adopted() {
+    for mode in MODES {
+        let root = TempDir::new("stale-merge");
+        let cfg = config(root.path(), mode);
+        let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+        ingest(&mut manager, 0..3); // one level-1 instance
+        let stale = "instance-00000003";
+        let kept = TempDir::new("stale-merge-kept");
+        copy_tree(&root.path().join(stale), kept.path());
+        ingest(&mut manager, 3..9); // …merged into level 2 and removed
+        assert!(!root.path().join(stale).exists());
+        let reference = fingerprint(&manager);
+        drop(manager);
+        copy_tree(kept.path(), &root.path().join(stale));
+
+        let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
+        assert_eq!(fingerprint(&reopened), reference);
+        assert!(!root.path().join(stale).exists(), "the leftover is swept");
     }
 }
 

@@ -1,16 +1,15 @@
 //! Cross-crate integration tests: every scheme, built over realistic
 //! synthetic workloads, answers the same queries consistently.
 //!
-//! Storage backend: in-memory by default; setting `RSSE_TEST_STORAGE=on_disk`
-//! (as the CI on-disk lane does) builds every scheme through the file-backed
-//! backend with a small block-cache budget instead, so the same battery
-//! exercises streamed builds, paged reads, and budgeted eviction.
+//! Storage backend: every battery runs in memory and through the
+//! file-backed backend with a small block-cache budget, so it exercises
+//! streamed builds, paged reads, and budgeted eviction too.
 //!
-//! Build path: every battery runs twice — without a `BuildBudget` (the
-//! in-RAM grouped build) and with a deliberately tiny one, so every
-//! budget-honoring scheme also builds through the external spill/merge
-//! pipeline — which must leave every answer unchanged, since the index
-//! bytes are identical by contract.
+//! Build path: on each backend every battery runs twice — without a
+//! `BuildBudget` (the in-RAM grouped build) and with a deliberately tiny
+//! one, so every budget-honoring scheme also builds through the external
+//! spill/merge pipeline — which must leave every answer unchanged, since
+//! the index bytes are identical by contract.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -24,33 +23,32 @@ fn sorted(mut ids: Vec<DocId>) -> Vec<DocId> {
     ids
 }
 
-/// The build budgets every battery runs under: none (the in-RAM build),
-/// and one small enough that every budgeted build spills several sorted
-/// runs.
-fn build_budgets() -> [Option<BuildBudget>; 2] {
-    [None, Some(BuildBudget::with_memory(64 << 10))]
+/// What every battery runs under — (on disk?, build budget): both
+/// backends, each without a budget (the in-RAM build) and with one small
+/// enough that every budgeted build spills several sorted runs.
+fn build_variants() -> [(bool, Option<BuildBudget>); 4] {
+    let tiny = || Some(BuildBudget::with_memory(64 << 10));
+    [(false, None), (false, tiny()), (true, None), (true, tiny())]
 }
 
-/// Builds `kind` under `budget` on the backend selected by
-/// `RSSE_TEST_STORAGE`: in-memory (default) or on-disk with a 256 KiB
-/// block-cache budget (`on_disk`). Returns the scheme plus the temp
-/// directory keeping a disk build alive.
+/// Builds `kind` under `variant`: in memory, or on disk with a 256 KiB
+/// block-cache budget. Returns the scheme plus the temp directory keeping
+/// a disk build alive.
 fn build_scheme(
     kind: SchemeKind,
     dataset: &Dataset,
-    budget: &Option<BuildBudget>,
+    variant: &(bool, Option<BuildBudget>),
     rng: &mut rand_chacha::ChaCha20Rng,
     tag: &str,
 ) -> (AnyScheme, Option<TempDir>) {
-    let (mut config, dir) = match std::env::var("RSSE_TEST_STORAGE").as_deref() {
-        Ok("on_disk") => {
-            let dir = TempDir::new(tag);
-            let config = StorageConfig::on_disk(2, dir.path()).with_cache_budget(256 << 10);
-            (config, Some(dir))
-        }
-        _ => (StorageConfig::in_memory(2), None),
+    let (mut config, dir) = if variant.0 {
+        let dir = TempDir::new(tag);
+        let config = StorageConfig::on_disk(2, dir.path()).with_cache_budget(256 << 10);
+        (config, Some(dir))
+    } else {
+        (StorageConfig::in_memory(2), None)
     };
-    config.build_budget = budget.clone();
+    config.build_budget = variant.1.clone();
     let scheme = AnyScheme::build_stored(kind, dataset, &config, rng)
         .expect("every backend and budget builds the battery");
     (scheme, dir)
@@ -69,10 +67,10 @@ fn all_schemes_are_complete_and_exact_schemes_agree() {
         Range::point(2_500),
     ];
 
-    for budget in build_budgets() {
+    for variant in build_variants() {
         let schemes: Vec<(AnyScheme, Option<TempDir>)> = SchemeKind::EVALUATED
             .iter()
-            .map(|kind| build_scheme(*kind, &dataset, &budget, &mut rng, "consistency"))
+            .map(|kind| build_scheme(*kind, &dataset, &variant, &mut rng, "consistency"))
             .collect();
 
         for query in queries {
@@ -111,9 +109,9 @@ fn skewed_data_keeps_every_scheme_complete() {
         Range::new(2_000, 4_500),
         Range::new((1 << 13) - 300, (1 << 13) - 1),
     ];
-    for budget in build_budgets() {
+    for variant in build_variants() {
         for kind in SchemeKind::EVALUATED {
-            let (scheme, _dir) = build_scheme(kind, &dataset, &budget, &mut rng, "skewed");
+            let (scheme, _dir) = build_scheme(kind, &dataset, &variant, &mut rng, "skewed");
             for query in queries {
                 let expected = dataset.matching_ids(query);
                 let outcome = scheme
@@ -133,9 +131,9 @@ fn out_of_domain_queries_are_handled_uniformly() {
     let mut rng = ChaCha20Rng::seed_from_u64(3);
     let domain_size = 1u64 << 12;
     let dataset = gowalla_like(500, domain_size, &mut rng);
-    for budget in build_budgets() {
+    for variant in build_variants() {
         for kind in SchemeKind::EVALUATED {
-            let (scheme, _dir) = build_scheme(kind, &dataset, &budget, &mut rng, "edges");
+            let (scheme, _dir) = build_scheme(kind, &dataset, &variant, &mut rng, "edges");
             // Fully outside: empty.
             assert!(
                 scheme

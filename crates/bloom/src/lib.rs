@@ -21,6 +21,7 @@
 //!   et al.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rsse_crypto::{Key, Prf};
 

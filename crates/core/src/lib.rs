@@ -45,6 +45,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod leakage;

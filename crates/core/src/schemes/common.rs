@@ -162,8 +162,9 @@ fn grouped_lists<const K: usize, const P: usize>(
             _ => lists.push((keyword.to_vec(), vec![payload])),
         }
     }
+    let shuffle = rsse_crypto::Prf::new(shuffle_key);
     for (keyword, payloads) in lists.iter_mut() {
-        rsse_crypto::permute::keyed_shuffle(shuffle_key, keyword, payloads);
+        rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
     }
     lists
 }

@@ -22,7 +22,7 @@ use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Node, Range};
-use rsse_crypto::{permute, Dprf, DprfToken, Key, KeyChain};
+use rsse_crypto::{permute, Dprf, DprfToken, KeyChain, Prf};
 use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
 use rsse_sse::{SearchToken, ShardedIndex, SseScheme, StorageBackend, StorageConfig, StorageError};
 use std::collections::BTreeMap;
@@ -58,7 +58,7 @@ impl std::error::Error for IntersectingQuery {}
 #[derive(Clone, Debug)]
 pub struct ConstantScheme {
     dprf: Dprf,
-    shuffle_key: Key,
+    shuffle: Prf,
     domain: Domain,
     kind: CoverKind,
     history: Vec<Range>,
@@ -173,7 +173,7 @@ impl ConstantScheme {
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let dprf = Dprf::new(&chain.derive(b"dprf"), domain.bits());
-        let shuffle_key = chain.derive(b"shuffle");
+        let shuffle = Prf::new(&chain.derive(b"shuffle"));
 
         if config.build_budget.is_some() {
             // Budgeted build: spill (value, id) entries to sorted runs and
@@ -192,7 +192,7 @@ impl ConstantScheme {
                 rsse_sse::SpillOrder::ByKeyword,
                 |keyword: &[u8; 8], payloads: &mut Vec<[u8; 8]>| {
                     let value = u64::from_be_bytes(*keyword);
-                    permute::keyed_shuffle(&shuffle_key, &value.to_le_bytes(), payloads);
+                    permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), payloads);
                     SearchToken::derive_from_seed(&dprf.eval(value))
                 },
                 config,
@@ -207,7 +207,7 @@ impl ConstantScheme {
             return Ok((
                 Self {
                     dprf,
-                    shuffle_key,
+                    shuffle,
                     domain,
                     kind,
                     history: Vec::new(),
@@ -241,7 +241,7 @@ impl ConstantScheme {
         let lists: Vec<(SearchToken, Vec<Vec<u8>>)> = jobs
             .into_par_iter()
             .map(|((value, mut payloads), seed)| {
-                permute::keyed_shuffle(&shuffle_key, &value.to_le_bytes(), &mut payloads);
+                permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), &mut payloads);
                 (SearchToken::derive_from_seed(&seed), payloads)
             })
             .collect();
@@ -258,7 +258,7 @@ impl ConstantScheme {
         Ok((
             Self {
                 dprf,
-                shuffle_key,
+                shuffle,
                 domain,
                 kind,
                 history: Vec::new(),
@@ -288,7 +288,7 @@ impl ConstantScheme {
         label.push(b'C');
         label.extend_from_slice(&clamped.lo().to_le_bytes());
         label.extend_from_slice(&clamped.hi().to_le_bytes());
-        permute::keyed_shuffle(&self.shuffle_key, &label, &mut token.nodes);
+        permute::keyed_shuffle(&self.shuffle, &label, &mut token.nodes);
         Some(ConstantTrapdoor { token })
     }
 

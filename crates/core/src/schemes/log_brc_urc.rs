@@ -16,7 +16,7 @@ use crate::server::{assemble_outcome, scan_query_into_with, QueryServer, ScanScr
 use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
-use rsse_crypto::{permute, Key, KeyChain};
+use rsse_crypto::{permute, KeyChain, Prf};
 use rsse_sse::{
     padding, SearchToken, ShardedIndex, SseDatabase, SseKey, SseScheme, StorageBackend,
     StorageConfig, StorageError,
@@ -27,7 +27,8 @@ use std::path::Path;
 #[derive(Clone, Debug)]
 pub struct LogScheme {
     key: SseKey,
-    shuffle_key: Key,
+    /// Keyed once; every trapdoor's token shuffle borrows it.
+    shuffle: Prf,
     domain: Domain,
     kind: CoverKind,
 }
@@ -130,7 +131,7 @@ impl LogScheme {
         Ok((
             Self {
                 key,
-                shuffle_key,
+                shuffle: Prf::new(&shuffle_key),
                 domain,
                 kind,
             },
@@ -167,7 +168,7 @@ impl LogScheme {
         label.push(b'L');
         label.extend_from_slice(&clamped.lo().to_le_bytes());
         label.extend_from_slice(&clamped.hi().to_le_bytes());
-        permute::keyed_shuffle(&self.shuffle_key, &label, &mut tokens);
+        permute::keyed_shuffle(&self.shuffle, &label, &mut tokens);
         Some(tokens)
     }
 
@@ -233,7 +234,7 @@ impl RangeScheme for LogScheme {
                 Ok((
                     Self {
                         key,
-                        shuffle_key,
+                        shuffle: Prf::new(&shuffle_key),
                         domain: *dataset.domain(),
                         kind: CoverKind::Brc,
                     },
@@ -290,7 +291,7 @@ impl RangeScheme for LogScheme {
         let chain = KeyChain::generate(rng);
         Ok(Self {
             key: SseScheme::key_from(chain.derive(b"sse")),
-            shuffle_key: chain.derive(b"shuffle"),
+            shuffle: Prf::new(&chain.derive(b"shuffle")),
             domain: *domain,
             kind: CoverKind::Brc,
         })

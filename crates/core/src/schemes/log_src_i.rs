@@ -27,7 +27,7 @@ use crate::schemes::common::{
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range, Tdag};
-use rsse_crypto::{permute, KeyChain};
+use rsse_crypto::{permute, KeyChain, Prf};
 use rsse_sse::{SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError};
 use std::path::Path;
 
@@ -97,7 +97,7 @@ impl LogSrcIScheme {
         let chain = KeyChain::generate(rng);
         let key1 = SseScheme::key_from(chain.derive(b"sse-i1"));
         let key2 = SseScheme::key_from(chain.derive(b"sse-i2"));
-        let shuffle_key = chain.derive(b"shuffle");
+        let shuffle = Prf::new(&chain.derive(b"shuffle"));
 
         // Sort tuples by value; shuffle ties so the position of a tuple
         // within its value group is independent of its id.
@@ -109,7 +109,7 @@ impl LogSrcIScheme {
             while end < sorted.len() && sorted[end].value == value {
                 end += 1;
             }
-            permute::keyed_shuffle(&shuffle_key, &value.to_le_bytes(), &mut sorted[start..end]);
+            permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), &mut sorted[start..end]);
             start = end;
         }
 

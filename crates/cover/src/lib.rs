@@ -25,6 +25,7 @@
 //! are produced by [`Node::keyword`] and [`TdagNode::keyword`].
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod brc;
 pub mod domain;

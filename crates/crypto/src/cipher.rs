@@ -7,6 +7,15 @@
 //! are PRF evaluations over `(nonce, block counter)` — the textbook
 //! PRF-to-IND-CPA construction, so the security argument carries over
 //! unchanged.
+//!
+//! A keystream block is one PRF evaluation over 40 bytes (the 16-byte nonce
+//! and the 8-byte counter, each behind its length): one SHA-256 block, so
+//! two compressions per 32 bytes of keystream on the cipher's cached key
+//! state. An 8-byte tuple id — the payload of every index entry — costs one.
+//!
+//! The two process-wide call counters below are instrumentation, not part
+//! of the cipher: see [`encrypt_call_count`] for where each entry point's
+//! count lands.
 
 use crate::prf::{Key, Prf, KEY_LEN};
 use rand::{CryptoRng, RngCore};
@@ -28,12 +37,15 @@ static DECRYPT_CALLS: AtomicU64 = AtomicU64::new(0);
 ///
 /// Instrumentation for tests that pin *where* ciphertext is produced —
 /// e.g. that a structural index merge copies ciphertext without
-/// re-encrypting. Each of [`StreamCipher::encrypt`],
-/// [`StreamCipher::encrypt_to`] and [`StreamCipher::encrypt_with_nonce`]
-/// counts as one operation (the randomized entry points delegate to the
-/// nonce-explicit one, which is counted exactly once per message). The
-/// counter is monotone and relaxed — read a delta around the region under
-/// test rather than an absolute value.
+/// re-encrypting. Every encrypted message counts as one operation, exactly:
+/// [`StreamCipher::encrypt`] and [`StreamCipher::encrypt_with_nonce`] add 1
+/// per call (the randomized entry point delegates to the nonce-explicit
+/// one, which counts), and [`StreamCipher::encrypt_list_to`] — the index
+/// build's path, run by every worker thread at once — adds the length of
+/// its list in one step when the list is done, so a count read while a
+/// build is in flight misses the lists still being encrypted. The counter
+/// is monotone and relaxed — read a delta around the region under test
+/// rather than an absolute value.
 pub fn encrypt_call_count() -> u64 {
     ENCRYPT_CALLS.load(Ordering::Relaxed)
 }
@@ -70,23 +82,32 @@ impl StreamCipher {
         self.encrypt_with_nonce(&nonce, plaintext)
     }
 
-    /// Encrypts `plaintext` appending the ciphertext to `out` (no per-entry
-    /// allocation — the hot path the arena-backed index builds on).
-    /// Returns the ciphertext length appended.
-    pub fn encrypt_to<R: RngCore + CryptoRng>(
+    /// Encrypts every plaintext of a list, each under a fresh nonce from
+    /// `rng`, appending the ciphertexts back to back to `out` (no per-entry
+    /// allocation — the hot path the arena-backed index builds on). Entry
+    /// `i` occupies [`ciphertext_len`](Self::ciphertext_len) of its
+    /// plaintext's length, after those of the entries before it.
+    ///
+    /// The whole list is one addition to [`encrypt_call_count`]: parallel
+    /// builds run this on every core, and one shared counter bumped per
+    /// entry is a cache line bouncing between them.
+    pub fn encrypt_list_to<'a, R: RngCore + CryptoRng>(
         &self,
         rng: &mut R,
-        plaintext: &[u8],
+        plaintexts: impl Iterator<Item = &'a [u8]>,
         out: &mut Vec<u8>,
-    ) -> usize {
-        ENCRYPT_CALLS.fetch_add(1, Ordering::Relaxed);
-        let start = out.len();
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(plaintext);
-        self.xor_keystream(&nonce, &mut out[start + NONCE_LEN..]);
-        out.len() - start
+    ) {
+        let mut encrypted = 0u64;
+        for plaintext in plaintexts {
+            let start = out.len();
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill_bytes(&mut nonce);
+            out.extend_from_slice(&nonce);
+            out.extend_from_slice(plaintext);
+            self.xor_keystream(&nonce, &mut out[start + NONCE_LEN..]);
+            encrypted += 1;
+        }
+        ENCRYPT_CALLS.fetch_add(encrypted, Ordering::Relaxed);
     }
 
     /// Deterministic encryption under an explicit nonce.
@@ -237,15 +258,45 @@ mod tests {
         let (e0, d0) = (encrypt_call_count(), decrypt_call_count());
         let ct = c.encrypt(&mut rng, b"counted"); // delegates, counts once
         let mut buf = Vec::new();
-        c.encrypt_to(&mut rng, b"counted", &mut buf);
+        let list = [&b"counted"[..], b"per entry"];
+        c.encrypt_list_to(&mut rng, list.into_iter(), &mut buf); // counts 2
         c.encrypt_with_nonce(&[1u8; NONCE_LEN], b"counted");
         // Other tests in this binary run concurrently and also encrypt, so
         // the deltas are lower bounds; the monotone >= checks still pin
         // that each entry point is counted.
-        assert!(encrypt_call_count() >= e0 + 3);
+        assert!(encrypt_call_count() >= e0 + 4);
+        // A list lands back to back, each entry decryptable on its own.
+        let first = StreamCipher::ciphertext_len(list[0].len());
+        assert_eq!(
+            buf.len(),
+            first + StreamCipher::ciphertext_len(list[1].len())
+        );
+        assert_eq!(c.decrypt(&buf[..first]).unwrap(), list[0]);
+        assert_eq!(c.decrypt(&buf[first..]).unwrap(), list[1]);
         c.decrypt(&ct).unwrap();
         c.decrypt_into(&ct, &mut buf);
         assert!(decrypt_call_count() >= d0 + 2);
+    }
+
+    /// Ciphertext computed before the MAC under the keystream PRF was
+    /// rebuilt on raw compressions (PR 19's parent commit): 40 bytes span two
+    /// keystream blocks, each a 40-byte PRF input.
+    #[test]
+    fn two_block_keystream_is_pinned() {
+        let c = StreamCipher::new(&Key::from_bytes(std::array::from_fn(|i| i as u8)));
+        let nonce: [u8; NONCE_LEN] = std::array::from_fn(|i| 0xa0 + i as u8);
+        let plaintext: Vec<u8> = (0..40).collect();
+        let hex: String = c
+            .encrypt_with_nonce(&nonce, &plaintext)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf\
+             1657e9cb7157d87692a82de74637ed8c07ba328b76bc73487699eaf36f65c114\
+             8027bea2881e4823"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! # Hot-path layout
 //!
-//! Expanding a node keys one HMAC state from its seed and finalizes it twice
+//! Expanding a node keys one HMAC from its seed and evaluates it twice
 //! (once per child tag), instead of building two independently keyed PRFs:
 //! 6 compression-function calls per node instead of 8, and no intermediate
 //! key objects. [`Ggm::expand_subtree`] works level by level **in place**
@@ -25,7 +25,6 @@
 
 use crate::prf::KEY_LEN;
 use hmac::Hmac;
-use sha2::Sha256;
 
 /// Domain-separation tags for the two halves of the PRG output.
 const LEFT_TAG: &[u8] = b"GGM-G0";
@@ -63,13 +62,11 @@ impl Ggm {
     }
 
     /// Buffer-reusing expansion: writes both children of `seed`, keying the
-    /// HMAC state once and finalizing it per child.
+    /// HMAC once and evaluating it per child.
     pub fn expand_into(&self, seed: &Seed, left: &mut Seed, right: &mut Seed) {
-        let mut mac = Hmac::<Sha256>::new_keyed(seed);
-        mac.update(LEFT_TAG);
-        mac.finalize_into_reset(left);
-        mac.update(RIGHT_TAG);
-        mac.finalize_into(right);
+        let mac = Hmac::new(seed);
+        mac.mac([LEFT_TAG], left);
+        mac.mac([RIGHT_TAG], right);
     }
 
     /// Computes one child of a seed; `right == false` gives `G_0`,
@@ -84,9 +81,7 @@ impl Ggm {
     /// buffer that held the parent seed — the seed is fully absorbed before
     /// `out` is written.
     pub fn child_into(&self, seed: &Seed, right: bool, out: &mut Seed) {
-        let mut mac = Hmac::<Sha256>::new_keyed(seed);
-        mac.update(if right { RIGHT_TAG } else { LEFT_TAG });
-        mac.finalize_into(out);
+        Hmac::new(seed).mac([if right { RIGHT_TAG } else { LEFT_TAG }], out);
     }
 
     /// Walks `depth` levels down from `seed`, choosing children according to
@@ -250,6 +245,18 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn expand_into_is_two_child_into_calls(root in proptest::collection::vec(any::<u8>(), KEY_LEN)) {
+            let g = Ggm::new();
+            let root: Seed = root.try_into().expect("KEY_LEN bytes");
+            let (mut left, mut right) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
+            g.expand_into(&root, &mut left, &mut right);
+            let (mut l, mut r) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
+            g.child_into(&root, false, &mut l);
+            g.child_into(&root, true, &mut r);
+            prop_assert_eq!((left, right), (l, r));
+        }
+
         #[test]
         fn delegation_consistency(path in 0u64..1024, root_byte in any::<u8>()) {
             // Expanding from an inner node must agree with walking all the

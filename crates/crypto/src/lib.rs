@@ -23,6 +23,7 @@
 //! deriving independent sub-keys from a master key.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cipher;
 pub mod dprf;

@@ -2,16 +2,22 @@
 //!
 //! The paper instantiates its PRFs with HMAC (HMAC-SHA-512 in the Java
 //! implementation); we use HMAC-SHA-256 which is an equally standard PRF.
-//! All higher layers (GGM, DPRF, SSE labels, stream cipher) are built on
-//! [`Prf`], so swapping the underlying hash only requires touching this
-//! module.
+//! All higher layers (DPRF, SSE labels, stream cipher, keyed shuffle, key
+//! chains) are built on [`Prf`], and [`Prf`] on the vendored `hmac` crate's
+//! block-level `Hmac` — as is the GGM generator, which keys one `Hmac` per
+//! node — so swapping the underlying hash only requires touching this
+//! module and `ggm`.
+//!
+//! A keyed [`Prf`] is 64 bytes of HMAC midstate (plus a two-byte `Debug`
+//! fingerprint); an evaluation on at most 55 bytes of input is exactly two
+//! SHA-256 compressions. [`Prf::eval_parts_into`] frames each part behind
+//! an 8-byte length, so its two-part callers stay inside one block up to 39
+//! bytes of parts: the keystream block (16 + 8), the trapdoor pair (5 or 7
+//! bytes of tag + a 13-byte keyword) and the shuffle draw (17 + 8) all do.
 
-use hmac::{Hmac, Mac};
+use hmac::Hmac;
 use rand::{CryptoRng, RngCore};
-use sha2::Sha256;
 use std::fmt;
-
-type HmacSha256 = Hmac<Sha256>;
 
 /// Length, in bytes, of keys and PRF outputs (λ = 256 bits).
 pub const KEY_LEN: usize = 32;
@@ -60,10 +66,11 @@ impl AsRef<[u8]> for Key {
 /// HMAC-SHA-256 based PRF, `f_k : {0,1}* → {0,1}^256`.
 ///
 /// Keying runs the HMAC key schedule (two compression-function calls)
-/// exactly once, in [`Prf::new`]; the keyed state is cached and cloned per
-/// evaluation. Every hot path in the workspace — index labels, the stream
-/// cipher keystream, GGM expansion — evaluates the same key many times, so
-/// this halves the per-evaluation compression count compared to re-keying.
+/// exactly once, in [`Prf::new`], and keeps its two midstates. An
+/// evaluation on up to 55 input bytes — every label, keystream block,
+/// trapdoor and shuffle draw in the workspace — is then exactly two more
+/// compressions, laid out block by block with no hasher object in between;
+/// longer inputs take one more compression per further 64 bytes.
 ///
 /// # Examples
 ///
@@ -83,8 +90,8 @@ impl AsRef<[u8]> for Key {
 /// ```
 #[derive(Clone)]
 pub struct Prf {
-    /// Cached keyed HMAC state; cloning it is a flat ~230-byte copy.
-    mac: HmacSha256,
+    /// The two keyed HMAC midstates (64 bytes).
+    mac: Hmac,
     /// Two-byte key fingerprint, kept only for `Debug`.
     fingerprint: [u8; 2],
 }
@@ -93,8 +100,7 @@ impl Prf {
     /// Creates a PRF instance keyed with `key` (runs the key schedule once).
     pub fn new(key: &Key) -> Self {
         Self {
-            mac: HmacSha256::new_from_slice(key.as_bytes())
-                .expect("HMAC accepts keys of any length"),
+            mac: Hmac::new(key.as_bytes()),
             fingerprint: [key.0[0], key.0[1]],
         }
     }
@@ -111,7 +117,7 @@ impl Prf {
     /// that evaluate in a loop (labels, keystream blocks, GGM nodes) reuse
     /// one output buffer across iterations.
     pub fn eval_into(&self, input: &[u8], out: &mut [u8; KEY_LEN]) {
-        self.mac.mac_with(|h| h.update(input), out);
+        self.mac.mac([input], out);
     }
 
     /// Evaluates the PRF on the concatenation of several input parts.
@@ -126,15 +132,11 @@ impl Prf {
 
     /// Buffer-reusing variant of [`eval_parts`](Self::eval_parts).
     pub fn eval_parts_into(&self, parts: &[&[u8]], out: &mut [u8; KEY_LEN]) {
-        self.mac.mac_with(
-            |h| {
-                for part in parts {
-                    h.update((part.len() as u64).to_le_bytes());
-                    h.update(part);
-                }
-            },
-            out,
-        );
+        let framed = parts.iter().flat_map(|part| {
+            let len = (part.len() as u64).to_le_bytes();
+            [Piece::Len(len), Piece::Bytes(part)]
+        });
+        self.mac.mac(framed, out);
     }
 
     /// Evaluates the PRF on a `u64` (little-endian encoded) — the
@@ -159,6 +161,22 @@ impl Prf {
         let mut out = [0u8; N];
         out.copy_from_slice(&full[..N]);
         out
+    }
+}
+
+/// One run of message bytes handed to the MAC by
+/// [`Prf::eval_parts_into`]: a part, or the length prefix in front of it.
+enum Piece<'a> {
+    Len([u8; 8]),
+    Bytes(&'a [u8]),
+}
+
+impl AsRef<[u8]> for Piece<'_> {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            Piece::Len(len) => len,
+            Piece::Bytes(bytes) => bytes,
+        }
     }
 }
 
@@ -247,7 +265,91 @@ mod tests {
         assert!(!rendered.contains("ababab"));
     }
 
+    /// What `eval_parts` is defined to be: `eval` of each part behind its
+    /// 8-byte little-endian length.
+    fn eval_framed(prf: &Prf, parts: &[&[u8]]) -> [u8; KEY_LEN] {
+        let mut framed = Vec::new();
+        for part in parts {
+            framed.extend_from_slice(&(part.len() as u64).to_le_bytes());
+            framed.extend_from_slice(part);
+        }
+        prf.eval(&framed)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn eval_parts_is_eval_of_the_framed_concatenation_at_every_split() {
+        // Two parts totalling 0..=130 bytes are 16..=146 framed bytes: the
+        // pieces straddle every block and padding boundary of the MAC.
+        let prf = Prf::new(&Key::from_bytes([4u8; KEY_LEN]));
+        let data: Vec<u8> = (0..130usize).map(|i| (i * 7 % 256) as u8).collect();
+        for total in 0..=data.len() {
+            for split in 0..=total {
+                let parts: [&[u8]; 2] = [&data[..split], &data[split..total]];
+                assert_eq!(
+                    prf.eval_parts(&parts),
+                    eval_framed(&prf, &parts),
+                    "total {total}, split {split}"
+                );
+            }
+        }
+        assert_eq!(prf.eval_parts(&[]), prf.eval(b""));
+    }
+
+    /// Outputs computed before the MAC under [`Prf`] was rebuilt on raw
+    /// compressions (PR 19's parent commit): labels and trapdoors are what
+    /// every index on disk is keyed by, so a kernel change that moved one
+    /// bit here would silently orphan them all.
+    #[test]
+    fn label_and_trapdoor_outputs_are_pinned() {
+        let prf = Prf::new(&Key::from_bytes(std::array::from_fn(|i| i as u8)));
+        assert_eq!(
+            hex(&prf.eval_u64(0x0102_0304_0506_0708)),
+            "2c5da9bdc91003712d1b67b06f18e790085038ba03da9a867070bf1ed2e37205"
+        );
+        // The trapdoor pair of a 13-byte node keyword, as `SseScheme` derives it.
+        let keyword = *b"N\x05\0\0\0\x2a\0\0\0\0\0\0\0";
+        assert_eq!(
+            hex(&prf.eval_parts(&[b"label", &keyword])),
+            "a56fd74a63a7d5d6ce94edf02aa14e76c1e13601bd5a9d70b7a842d631a2d4d4"
+        );
+        assert_eq!(
+            hex(&prf.eval_parts(&[b"payload", &keyword])),
+            "ed93503878b85ab9be4fabfcdccf95a9ac42b330123df4c09a0147646b74586f"
+        );
+    }
+
     proptest! {
+        #[test]
+        fn eval_parts_matches_framed_eval_for_any_part_list(
+            parts in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=26), 0..=5),
+        ) {
+            let prf = Prf::new(&Key::from_bytes([6u8; KEY_LEN]));
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(prf.eval_parts(&parts), eval_framed(&prf, &parts));
+        }
+
+        #[test]
+        fn buffer_and_truncating_entry_points_agree_with_eval(
+            input in proptest::collection::vec(any::<u8>(), 0..150),
+            x in any::<u64>(),
+        ) {
+            let prf = Prf::new(&Key::from_bytes([8u8; KEY_LEN]));
+            let full = prf.eval(&input);
+            let mut out = [0xEEu8; KEY_LEN];
+            prf.eval_into(&input, &mut out);
+            prop_assert_eq!(out, full);
+            let label: [u8; 16] = prf.eval_truncated(&input);
+            prop_assert_eq!(&label[..], &full[..16]);
+            let whole: [u8; KEY_LEN] = prf.eval_truncated(&input);
+            prop_assert_eq!(whole, full);
+            prf.eval_u64_into(x, &mut out);
+            prop_assert_eq!(out, prf.eval(&x.to_le_bytes()));
+        }
+
         #[test]
         fn prf_outputs_look_distinct(a in proptest::collection::vec(any::<u8>(), 0..64),
                                      b in proptest::collection::vec(any::<u8>(), 0..64)) {

@@ -88,10 +88,11 @@ impl SseDatabase {
     /// the lists shuffle independently on all cores.
     pub fn shuffle_lists(&mut self, key: &rsse_crypto::Key) {
         use rayon::prelude::*;
+        let prf = rsse_crypto::Prf::new(key);
         let lists: Vec<(&Vec<u8>, &mut Vec<Vec<u8>>)> = self.entries.iter_mut().collect();
         let _: Vec<()> = lists
             .into_par_iter()
-            .map(|(keyword, list)| rsse_crypto::permute::keyed_shuffle(key, keyword, list))
+            .map(|(keyword, list)| rsse_crypto::permute::keyed_shuffle(&prf, keyword, list))
             .collect();
     }
 }

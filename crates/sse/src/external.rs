@@ -705,11 +705,12 @@ pub fn build_index_fixed_external<const K: usize, const P: usize, R: RngCore + C
     config: &StorageConfig,
     rng: &mut R,
 ) -> Result<ShardedIndex, StorageError> {
+    let shuffle = rsse_crypto::Prf::new(shuffle_key);
     build_index_external_with(
         entries,
         SpillOrder::ByKeywordAndPayload,
         |keyword: &[u8; K], payloads: &mut Vec<[u8; P]>| {
-            rsse_crypto::permute::keyed_shuffle(shuffle_key, keyword, payloads);
+            rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
             SseScheme::trapdoor(key, keyword)
         },
         config,
@@ -937,8 +938,9 @@ mod tests {
                 _ => lists.push((keyword.to_vec(), vec![payload])),
             }
         }
+        let shuffle = rsse_crypto::Prf::new(shuffle_key);
         for (keyword, payloads) in lists.iter_mut() {
-            rsse_crypto::permute::keyed_shuffle(shuffle_key, keyword, payloads);
+            rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
         }
         SseScheme::build_index_fixed_stored(key, &lists, config, rng).unwrap()
     }

@@ -40,6 +40,7 @@
 //!   pattern, search pattern) used by the security-oriented tests.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod database;
 pub mod external;

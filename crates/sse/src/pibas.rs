@@ -417,7 +417,7 @@ fn encrypt_list(
 /// external-memory build paths.
 pub(crate) fn encrypt_payloads<'a>(
     token: &SearchToken,
-    payloads: impl Iterator<Item = &'a [u8]>,
+    payloads: impl Iterator<Item = &'a [u8]> + Clone,
     count: usize,
     total_ciphertext: usize,
     nonce_seed: [u8; KEY_LEN],
@@ -431,15 +431,17 @@ pub(crate) fn encrypt_payloads<'a>(
         buf: Vec::with_capacity(total_ciphertext),
     };
     let mut label_full = [0u8; KEY_LEN];
-    for (counter, payload) in payloads.enumerate() {
+    let mut offset = 0u32;
+    for (counter, payload) in payloads.clone().enumerate() {
         label_prf.eval_u64_into(counter as u64, &mut label_full);
         let mut label = [0u8; LABEL_LEN];
         label.copy_from_slice(&label_full[..LABEL_LEN]);
-        let offset = chunk.buf.len();
-        let len = cipher.encrypt_to(&mut nonce_rng, payload, &mut chunk.buf);
+        let len = StreamCipher::ciphertext_len(payload.len()) as u32;
         chunk.labels.push(label);
-        chunk.spans.push((offset as u32, len as u32));
+        chunk.spans.push((offset, len));
+        offset += len;
     }
+    cipher.encrypt_list_to(&mut nonce_rng, payloads, &mut chunk.buf);
     chunk
 }
 

@@ -59,6 +59,7 @@
 //! for the byte-level layout of every file involved.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod manager;

@@ -50,7 +50,7 @@ pub fn clamp_query(domain: &Domain, range: Range) -> Option<Range> {
     domain.clamp(range)
 }
 
-/// Runs the lock-step scan ([`scan_query_into_with`]) over a token vector
+/// Runs the counter scan ([`scan_query_into_with`]) over a token vector
 /// and flattens its per-token id groups, returning the ids together with
 /// the per-token group sizes (the result partitioning the server observes;
 /// sizes count matched entries, decodable or not — e.g. padding dummies).

@@ -172,7 +172,7 @@ impl LogScheme {
         Some(tokens)
     }
 
-    /// `Search`: the whole token vector in one lock-step scan; the union of
+    /// `Search`: the whole token vector in one counter scan; the union of
     /// the per-token groups is the result. A failed block read on a
     /// disk-backed dictionary aborts the query with a typed
     /// [`StorageError`] instead of silently dropping the affected group.

@@ -107,7 +107,7 @@ pub(crate) mod testutil {
     }
 
     /// The single-token counter walk over the per-entry reference
-    /// dictionary, decoding id payloads: the oracle the lock-step scan and
+    /// dictionary, decoding id payloads: the oracle the counter scan and
     /// everything built on it are compared against (its own loop, its own
     /// decrypt — only the label PRF is shared). Returns the flattened ids
     /// and the per-token matched-entry counts, like `search_ids`.

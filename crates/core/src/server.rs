@@ -1,5 +1,5 @@
 //! The server-side query path: one range query's token vector → the
-//! lock-step counter scan → per-token id groups → a [`QueryOutcome`].
+//! counter scan → per-token id groups → a [`QueryOutcome`].
 //!
 //! The paper's server model (Sections 6–7) is a machine answering many
 //! concurrent range queries, each of which expands into a *vector* of SSE
@@ -7,12 +7,13 @@
 //! layer answers such a vector through the same three steps defined here:
 //!
 //! * [`scan_query_into_with`] runs the whole vector through the one counter
-//!   scan ([`SseScheme::search_batch_scan`]): all tokens advance one
-//!   counter round at a time and each round's probes are resolved together,
+//!   scan ([`SseScheme::search_scan_rounds`]): all tokens advance a window
+//!   of counters per round (1, 2, 4, then 8), the window's labels expanded
+//!   two at a time, and each counter's probes are resolved together,
 //!   grouped by shard of the underlying [`ShardedIndex`];
-//! * every hit is decrypted into one reused buffer and decoded straight
-//!   into its token's id group ([`decode_hit_into`]) — no per-payload heap
-//!   allocation;
+//! * a round's hits are decrypted two at a time into two reused buffers
+//!   and decoded straight into their tokens' id groups — no per-payload
+//!   heap allocation;
 //! * [`assemble_outcome`] flattens the groups and fills in the
 //!   [`QueryStats`].
 //!
@@ -29,7 +30,7 @@ use crate::metrics::QueryStats;
 use crate::traits::QueryOutcome;
 use rayon::prelude::*;
 use rsse_crypto::StreamCipher;
-use rsse_sse::{IndexLookup, SearchToken, ShardedIndex, SseScheme, StorageError};
+use rsse_sse::{CipherSpan, IndexLookup, SearchToken, ShardedIndex, SseScheme, StorageError};
 use std::path::Path;
 
 /// Decrypts one probe hit with its token's payload cipher (into the reused
@@ -37,9 +38,10 @@ use std::path::Path;
 /// corrupt (undecryptable or undecodable) entry — the scan skips it, it is
 /// never a panic.
 ///
-/// This is the single definition of hit decoding: the sequential scan
-/// ([`scan_query_into_with`]) and the batch executor in `rsse-serve` both
-/// decode through it, which is what makes their outcomes byte-identical.
+/// [`ScanScratch::decode_round`] is this for a whole round of hits, two at
+/// a time; the sequential scan ([`scan_query_into_with`]) and the batch
+/// executor in `rsse-serve` both decode through it, which is what makes
+/// their outcomes byte-identical.
 pub fn decode_hit_into(
     cipher: &StreamCipher,
     ciphertext: &[u8],
@@ -52,14 +54,17 @@ pub fn decode_hit_into(
     }
 }
 
-/// Reusable per-query scan state: the per-token payload ciphers and the one
-/// plaintext buffer every hit decrypts into. A serving layer answering many
-/// queries keeps one `ScanScratch` per worker thread and rekeys it per
-/// query, so steady-state serving does no per-query scratch allocation.
+/// Reusable per-query scan state: the per-token payload ciphers and the two
+/// plaintext buffers a pair of hits decrypts into. A serving layer
+/// answering many queries keeps one `ScanScratch` per worker thread and
+/// rekeys it per query, so steady-state serving does no per-query scratch
+/// allocation.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     ciphers: Vec<StreamCipher>,
     plaintext: Vec<u8>,
+    /// The second hit of a pair.
+    plaintext_pair: Vec<u8>,
 }
 
 impl ScanScratch {
@@ -70,15 +75,41 @@ impl ScanScratch {
             .extend(tokens.iter().map(SearchToken::payload_cipher));
     }
 
-    /// Decodes one hit of token `t` (see [`decode_hit_into`]). Call
-    /// [`rekey`](Self::rekey) with the query's tokens first.
-    pub fn decode_hit(&mut self, t: usize, ciphertext: &[u8]) -> Option<DocId> {
-        decode_hit_into(&self.ciphers[t], ciphertext, &mut self.plaintext)
+    /// Decodes one round of scan hits — `(token_index, ciphertext)` as
+    /// [`SseScheme::search_scan_rounds`] delivers them — pushing each id
+    /// onto its token's group in `per_token`, in the round's order. Hits
+    /// are decrypted two at a time ([`StreamCipher::decrypt_pair_into`]),
+    /// an odd last one alone; what each decodes to is [`decode_hit_into`]'s
+    /// answer, a corrupt entry being skipped. Call [`rekey`](Self::rekey)
+    /// with the query's tokens first.
+    pub fn decode_round(&mut self, round: &[(u32, CipherSpan<'_>)], per_token: &mut [Vec<DocId>]) {
+        let Self {
+            ciphers,
+            plaintext,
+            plaintext_pair,
+        } = self;
+        let mut push = |t: u32, id: Option<DocId>| per_token[t as usize].extend(id);
+        let mut pairs = round.chunks_exact(2);
+        for pair in &mut pairs {
+            let ((ta, hit_a), (tb, hit_b)) = (&pair[0], &pair[1]);
+            let (ok_a, ok_b) = StreamCipher::decrypt_pair_into(
+                (&ciphers[*ta as usize], hit_a, plaintext),
+                (&ciphers[*tb as usize], hit_b, plaintext_pair),
+            );
+            push(*ta, ok_a.then(|| decode_id_payload(plaintext)).flatten());
+            push(
+                *tb,
+                ok_b.then(|| decode_id_payload(plaintext_pair)).flatten(),
+            );
+        }
+        if let [(t, hit)] = pairs.remainder() {
+            push(*t, decode_hit_into(&ciphers[*t as usize], hit, plaintext));
+        }
     }
 }
 
 /// Runs one range query's whole token vector against any index in a single
-/// lockstep scan, decrypting and decoding every hit into `per_token` (one
+/// counter scan, decrypting and decoding every hit into `per_token` (one
 /// id group per token, in token order, each group in storage-counter
 /// order). Returns the per-token entry counts on success — every matched
 /// entry counts, decodable or not, because that is what the server
@@ -89,17 +120,17 @@ impl ScanScratch {
 /// `rsse-serve`, which wrap the index (deadlines, per-probe retries,
 /// circuit breakers) while producing **byte-identical outcomes**: same
 /// scan order, same decode. `scratch` holds the per-token ciphers and the
-/// decrypt buffer, so a caller answering many queries reuses them across
+/// decrypt buffers, so a caller answering many queries reuses them across
 /// queries instead of reallocating per query.
 ///
 /// # Errors
 ///
 /// A failed probe aborts the scan with the index's typed error
 /// ([`StorageError`] for disk-backed indexes). On error, `per_token` keeps
-/// every id decoded before the failure — the lockstep scan visits all
-/// tokens in counter rounds, so the groups are a faithful "what was
-/// resolved so far" snapshot a caller can surface as a typed partial
-/// result.
+/// every id decoded before the failure — the scan delivers the hits its
+/// last round had resolved before it returns the error — so the groups are
+/// a faithful "what was resolved so far" snapshot a caller can surface as a
+/// typed partial result.
 pub fn scan_query_into_with<I: IndexLookup>(
     index: &I,
     tokens: &[SearchToken],
@@ -109,10 +140,8 @@ pub fn scan_query_into_with<I: IndexLookup>(
     per_token.clear();
     per_token.resize_with(tokens.len(), Vec::new);
     scratch.rekey(tokens);
-    SseScheme::search_batch_scan(index, tokens, |t, ciphertext| {
-        if let Some(id) = scratch.decode_hit(t, ciphertext) {
-            per_token[t].push(id);
-        }
+    SseScheme::search_scan_rounds(index, tokens, |round| {
+        scratch.decode_round(round, per_token)
     })
 }
 
@@ -235,7 +264,7 @@ impl QueryServer {
         self.index.shard_bits()
     }
 
-    /// Answers one range query's whole token vector in a single lock-step
+    /// Answers one range query's whole token vector in a single counter
     /// scan ([`scan_query_into_with`] + [`assemble_outcome`]): ids come
     /// back grouped by token in token order, each group in storage-counter
     /// order.
@@ -295,7 +324,7 @@ impl rsse_sse::FaultInjectable for QueryServer {
 
 #[cfg(test)]
 mod tests {
-    use super::QueryServer;
+    use super::{scan_query_into_with, QueryServer, ScanScratch};
     use crate::schemes::log_brc_urc::LogScheme;
     use crate::schemes::testutil::{self, TempDir};
     use crate::schemes::CoverKind;
@@ -304,7 +333,12 @@ mod tests {
     use rand_chacha::ChaCha20Rng;
     use rsse_cover::Range;
     use rsse_sse::pibas::reference;
-    use rsse_sse::{SearchToken, SseScheme, StorageConfig, StorageError};
+    use rsse_sse::{
+        CipherSpan, IndexLookup, Label, SearchToken, ShardedIndex, SseScheme, StorageConfig,
+        StorageError, TokenLabeler,
+    };
+    use std::cell::{Cell, RefCell};
+    use std::collections::HashMap;
 
     /// In-memory Logarithmic build over `2^bits` shards.
     fn build_log(
@@ -356,6 +390,81 @@ mod tests {
                 assert_eq!(outcome.stats.entries_touched, groups.iter().sum::<usize>());
                 assert_eq!(outcome.stats.tokens_sent, tokens.len());
                 assert_eq!(outcome.stats.result_groups, tokens.len());
+            }
+        }
+    }
+
+    /// An index that counts its probes, remembers which token's list each
+    /// hit belonged to, and fails probe number `fail_at`.
+    struct FailAt<'i> {
+        inner: &'i ShardedIndex,
+        owner: &'i HashMap<Label, usize>,
+        fail_at: Option<usize>,
+        probes: Cell<usize>,
+        hit_owners: RefCell<Vec<usize>>,
+    }
+
+    impl IndexLookup for FailAt<'_> {
+        type Error = Option<StorageError>;
+
+        fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error> {
+            if self.fail_at == Some(self.probes.get()) {
+                return Err(None);
+            }
+            self.probes.set(self.probes.get() + 1);
+            let hit = self.inner.try_get(label).map_err(Some)?;
+            if hit.is_some() {
+                self.hit_owners.borrow_mut().push(self.owner[label]);
+            }
+            Ok(hit)
+        }
+    }
+
+    #[test]
+    fn a_failed_probe_leaves_exactly_the_ids_resolved_before_it() {
+        // Lists on both sides of the scan's window edges, one absent token.
+        let (key, db, mut tokens) = testutil::oracle_database(&[3, 0, 9, 1, 16, 2]);
+        tokens.insert(2, SseScheme::trapdoor(&key, b"absent"));
+        let config = StorageConfig::in_memory(3);
+        let mut rng = ChaCha20Rng::seed_from_u64(5);
+        let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+        let owner: HashMap<Label, usize> = tokens
+            .iter()
+            .enumerate()
+            .flat_map(|(t, token)| {
+                let labeler = TokenLabeler::new(token);
+                (0..32).map(move |counter| (labeler.label_at(counter), t))
+            })
+            .collect();
+        let scan = |fail_at: Option<usize>| {
+            let guarded = FailAt {
+                inner: &index,
+                owner: &owner,
+                fail_at,
+                probes: Cell::new(0),
+                hit_owners: RefCell::default(),
+            };
+            let mut per_token = Vec::new();
+            let mut scratch = ScanScratch::default();
+            let counts = scan_query_into_with(&guarded, &tokens, &mut per_token, &mut scratch);
+            (counts, per_token, guarded.hit_owners.into_inner())
+        };
+
+        let (counts, full, hit_owners) = scan(None);
+        let counts = counts.unwrap();
+        assert_eq!(counts, [3, 0, 0, 9, 1, 16, 2]);
+        let probes = counts.iter().map(|count| count + 1).sum::<usize>();
+        for k in 0..probes {
+            let (result, per_token, resolved) = scan(Some(k));
+            assert!(matches!(result, Err(None)), "probe {k} fails the scan");
+            // The walk is deterministic: the hits before probe `k` are a
+            // prefix of the healthy run's, and each token's group is the
+            // matching prefix of its healthy group — hits of the failing
+            // round included.
+            assert_eq!(resolved, &hit_owners[..resolved.len()], "before probe {k}");
+            for (t, group) in per_token.iter().enumerate() {
+                let hits = resolved.iter().filter(|&&owner| owner == t).count();
+                assert_eq!(group, &full[t][..hits], "token {t} before probe {k}");
             }
         }
     }

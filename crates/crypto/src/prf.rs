@@ -10,12 +10,19 @@
 //!
 //! A keyed [`Prf`] is 64 bytes of HMAC midstate (plus a two-byte `Debug`
 //! fingerprint); an evaluation on at most 55 bytes of input is exactly two
-//! SHA-256 compressions. [`Prf::eval_parts_into`] frames each part behind
-//! an 8-byte length, so its two-part callers stay inside one block up to 39
-//! bytes of parts: the keystream block (16 + 8), the trapdoor pair (5 or 7
-//! bytes of tag + a 13-byte keyword) and the shuffle draw (17 + 8) all do.
+//! SHA-256 compressions, and two evaluations share them: the second waits
+//! on the first within one evaluation, so [`Prf::eval_pair_into`] and
+//! [`Prf::eval_parts_pair_into`] run two evaluations' compressions side by
+//! side on the two-lane kernel — the label of two counters, the keystream
+//! block of two ciphertexts, the two halves of a trapdoor. Longer inputs
+//! take two single evaluations behind the same call, so no caller needs to
+//! know where one block ends. [`Prf::eval_parts_into`] frames each part
+//! behind an 8-byte length, so its two-part callers stay inside one block
+//! up to 39 bytes of parts: the keystream block (16 + 8), the trapdoor pair
+//! (5 or 7 bytes of tag + a 13-byte keyword) and the shuffle draw (17 + 8)
+//! all do.
 
-use hmac::Hmac;
+use hmac::{Hmac, ONE_BLOCK_MAX};
 use rand::{CryptoRng, RngCore};
 use std::fmt;
 
@@ -70,7 +77,9 @@ impl AsRef<[u8]> for Key {
 /// evaluation on up to 55 input bytes — every label, keystream block,
 /// trapdoor and shuffle draw in the workspace — is then exactly two more
 /// compressions, laid out block by block with no hasher object in between;
-/// longer inputs take one more compression per further 64 bytes.
+/// longer inputs take one more compression per further 64 bytes. Two such
+/// evaluations made through [`Prf::eval_pair_into`] run their compressions
+/// two at a time.
 ///
 /// # Examples
 ///
@@ -132,11 +141,59 @@ impl Prf {
 
     /// Buffer-reusing variant of [`eval_parts`](Self::eval_parts).
     pub fn eval_parts_into(&self, parts: &[&[u8]], out: &mut [u8; KEY_LEN]) {
-        let framed = parts.iter().flat_map(|part| {
-            let len = (part.len() as u64).to_le_bytes();
-            [Piece::Len(len), Piece::Bytes(part)]
-        });
-        self.mac.mac(framed, out);
+        self.mac.mac(framed(parts), out);
+    }
+
+    /// Two evaluations at once: `out_a = a.0.eval(a.1)` and `out_b =
+    /// b.0.eval(b.1)`, under the same or different keys. Inputs that fit
+    /// one hash block (55 bytes) share their compressions two at a time —
+    /// about three quarters of the two single calls; anything longer *is*
+    /// the two single calls.
+    // Inlined with the MAC under it so that an input whose length the
+    // caller fixes (a counter, a framed keystream block) is laid into its
+    // hash block by fixed-size moves: ~10 ns of 70 per evaluation.
+    #[inline(always)]
+    pub fn eval_pair_into(
+        a: (&Prf, &[u8]),
+        b: (&Prf, &[u8]),
+        out_a: &mut [u8; KEY_LEN],
+        out_b: &mut [u8; KEY_LEN],
+    ) {
+        if a.1.len().max(b.1.len()) <= ONE_BLOCK_MAX {
+            Hmac::mac_pair(&a.0.mac, a.1, out_a, &b.0.mac, b.1, out_b);
+        } else {
+            a.0.eval_into(a.1, out_a);
+            b.0.eval_into(b.1, out_b);
+        }
+    }
+
+    /// [`eval_pair_into`](Self::eval_pair_into) for part lists: `out_a =
+    /// a.0.eval_parts(a.1)` and `out_b = b.0.eval_parts(b.1)`.
+    #[inline]
+    pub fn eval_parts_pair_into(
+        a: (&Prf, &[&[u8]]),
+        b: (&Prf, &[&[u8]]),
+        out_a: &mut [u8; KEY_LEN],
+        out_b: &mut [u8; KEY_LEN],
+    ) {
+        let (mut framed_a, mut framed_b) = ([0u8; ONE_BLOCK_MAX], [0u8; ONE_BLOCK_MAX]);
+        match (
+            frame_into(a.1, &mut framed_a),
+            frame_into(b.1, &mut framed_b),
+        ) {
+            (Some(len_a), Some(len_b)) => Hmac::mac_pair(
+                &a.0.mac,
+                &framed_a[..len_a],
+                out_a,
+                &b.0.mac,
+                &framed_b[..len_b],
+                out_b,
+            ),
+            _ => {
+                a.0.eval_parts_into(a.1, out_a);
+                b.0.eval_parts_into(b.1, out_b);
+            }
+        }
     }
 
     /// Evaluates the PRF on a `u64` (little-endian encoded) — the
@@ -162,6 +219,35 @@ impl Prf {
         out.copy_from_slice(&full[..N]);
         out
     }
+}
+
+/// Lays the message of [`framed`] into `buf`, returning its length — or
+/// `None` if it does not fit, i.e. is not a one-block message. Inlined into
+/// its caller so that part lengths known there (a nonce, a counter) become
+/// fixed-size copies.
+#[inline(always)]
+fn frame_into(parts: &[&[u8]], buf: &mut [u8; ONE_BLOCK_MAX]) -> Option<usize> {
+    let mut fill = 0usize;
+    for part in parts {
+        let body = fill + 8;
+        let end = body + part.len();
+        if end > buf.len() {
+            return None;
+        }
+        buf[fill..body].copy_from_slice(&(part.len() as u64).to_le_bytes());
+        buf[body..end].copy_from_slice(part);
+        fill = end;
+    }
+    Some(fill)
+}
+
+/// The message [`Prf::eval_parts_into`] MACs: every part behind its 8-byte
+/// little-endian length.
+fn framed<'a>(parts: &'a [&'a [u8]]) -> impl Iterator<Item = Piece<'a>> {
+    parts.iter().flat_map(|part| {
+        let len = (part.len() as u64).to_le_bytes();
+        [Piece::Len(len), Piece::Bytes(part)]
+    })
 }
 
 /// One run of message bytes handed to the MAC by
@@ -330,6 +416,31 @@ mod tests {
             let prf = Prf::new(&Key::from_bytes([6u8; KEY_LEN]));
             let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
             prop_assert_eq!(prf.eval_parts(&parts), eval_framed(&prf, &parts));
+        }
+
+        #[test]
+        fn pair_evaluations_equal_two_single_evaluations_at_any_length(
+            input_a in proptest::collection::vec(any::<u8>(), 0..200),
+            input_b in proptest::collection::vec(any::<u8>(), 0..200),
+            split_a in 0usize..200,
+            split_b in 0usize..200,
+            same_key in any::<bool>(),
+        ) {
+            // Lengths straddle the one-block limit on either side, so both
+            // the paired kernel and the two-single-calls fallback run.
+            let prf_a = Prf::new(&Key::from_bytes([8u8; KEY_LEN]));
+            let prf_b = if same_key { prf_a.clone() } else { Prf::new(&Key::from_bytes([9u8; KEY_LEN])) };
+            let (mut out_a, mut out_b) = ([0xEEu8; KEY_LEN], [0xEEu8; KEY_LEN]);
+            Prf::eval_pair_into((&prf_a, &input_a), (&prf_b, &input_b), &mut out_a, &mut out_b);
+            prop_assert_eq!(out_a, prf_a.eval(&input_a));
+            prop_assert_eq!(out_b, prf_b.eval(&input_b));
+
+            let (head_a, tail_a) = input_a.split_at(split_a.min(input_a.len()));
+            let (head_b, tail_b) = input_b.split_at(split_b.min(input_b.len()));
+            let (parts_a, parts_b): ([&[u8]; 2], [&[u8]; 2]) = ([head_a, tail_a], [head_b, tail_b]);
+            Prf::eval_parts_pair_into((&prf_a, &parts_a), (&prf_b, &parts_b), &mut out_a, &mut out_b);
+            prop_assert_eq!(out_a, prf_a.eval_parts(&parts_a));
+            prop_assert_eq!(out_b, prf_b.eval_parts(&parts_b));
         }
 
         #[test]

@@ -33,7 +33,7 @@ impl fmt::Display for OverloadReason {
 /// What a deadline-expired query had resolved before it was cut off.
 ///
 /// The partial ids are a faithful prefix of the work — per token, a prefix
-/// of its group in storage-counter order (the lockstep scan of one query
+/// of its group in storage-counter order (the counter scan of one query
 /// advances all its tokens in counter rounds; the batch executor scans
 /// token by token) — and every id in here was decrypted and decoded
 /// exactly as a completed query would have.

@@ -106,11 +106,17 @@ impl SearchToken {
     /// into leaf DPRF values — can reconstruct exactly the tokens for the
     /// delegated sub-range and nothing else.
     pub fn derive_from_seed(seed: &[u8; KEY_LEN]) -> Self {
-        let seed_key = Key::from_bytes(*seed);
-        let prf = Prf::new(&seed_key);
+        let prf = Prf::new(&Key::from_bytes(*seed));
+        let (mut label_key, mut payload_key) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
+        Prf::eval_pair_into(
+            (&prf, b"label"),
+            (&prf, b"payload"),
+            &mut label_key,
+            &mut payload_key,
+        );
         Self {
-            label_key: Key::from_bytes(prf.eval(b"label")),
-            payload_key: Key::from_bytes(prf.eval(b"payload")),
+            label_key: Key::from_bytes(label_key),
+            payload_key: Key::from_bytes(payload_key),
         }
     }
 
@@ -151,9 +157,37 @@ impl TokenLabeler {
     pub fn label_at(&self, counter: u64) -> Label {
         let mut full = [0u8; KEY_LEN];
         self.prf.eval_u64_into(counter, &mut full);
-        let mut label = [0u8; LABEL_LEN];
-        label.copy_from_slice(&full[..LABEL_LEN]);
-        label
+        truncate(&full)
+    }
+}
+
+/// The label a full PRF output truncates to.
+#[inline]
+fn truncate(full: &[u8; KEY_LEN]) -> Label {
+    *full
+        .first_chunk()
+        .expect("a label is shorter than a PRF output")
+}
+
+/// Appends the label `F(prf, counter)` of every job to `out`, in job order
+/// — what [`TokenLabeler::label_at`] returns for each, evaluated two jobs
+/// at a time ([`Prf::eval_pair_into`]). The build expands one list's
+/// counters through this, the scan a round's counters across its tokens.
+fn expand_labels<'p>(mut jobs: impl Iterator<Item = (&'p Prf, u64)>, out: &mut Vec<Label>) {
+    let (mut full_a, mut full_b) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
+    while let Some((prf_a, counter_a)) = jobs.next() {
+        let Some((prf_b, counter_b)) = jobs.next() else {
+            prf_a.eval_u64_into(counter_a, &mut full_a);
+            out.push(truncate(&full_a));
+            break;
+        };
+        Prf::eval_pair_into(
+            (prf_a, &counter_a.to_le_bytes()),
+            (prf_b, &counter_b.to_le_bytes()),
+            &mut full_a,
+            &mut full_b,
+        );
+        out.extend([truncate(&full_a), truncate(&full_b)]);
     }
 }
 
@@ -241,7 +275,9 @@ pub trait IndexLookup {
     /// implementations override it to group probes by shard for table
     /// locality. `out` is cleared first, and results always come back in
     /// probe order regardless of the internal grouping. The first failed
-    /// probe aborts the batch.
+    /// probe aborts the batch; `out` then holds the hits resolved before it
+    /// (`Some` at their probes' slots, nothing or `None` elsewhere), which
+    /// is what lets the scan hand a caller everything resolved so far.
     fn try_get_many<'a>(
         &'a self,
         labels: &[Label],
@@ -430,14 +466,15 @@ pub(crate) fn encrypt_payloads<'a>(
         spans: Vec::with_capacity(count),
         buf: Vec::with_capacity(total_ciphertext),
     };
-    let mut label_full = [0u8; KEY_LEN];
+    expand_labels(
+        (0u64..)
+            .zip(payloads.clone())
+            .map(|(counter, _)| (&label_prf, counter)),
+        &mut chunk.labels,
+    );
     let mut offset = 0u32;
-    for (counter, payload) in payloads.clone().enumerate() {
-        label_prf.eval_u64_into(counter as u64, &mut label_full);
-        let mut label = [0u8; LABEL_LEN];
-        label.copy_from_slice(&label_full[..LABEL_LEN]);
+    for payload in payloads.clone() {
         let len = StreamCipher::ciphertext_len(payload.len()) as u32;
-        chunk.labels.push(label);
         chunk.spans.push((offset, len));
         offset += len;
     }
@@ -572,14 +609,21 @@ impl SseScheme {
     /// Deterministic, as in the paper: issuing the same keyword twice yields
     /// the same token (this *is* the search-pattern leakage).
     pub fn trapdoor(key: &SseKey, keyword: &[u8]) -> SearchToken {
+        let (mut label_key, mut payload_key) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
+        Prf::eval_parts_pair_into(
+            (&key.prf, &[b"label", keyword]),
+            (&key.prf, &[b"payload", keyword]),
+            &mut label_key,
+            &mut payload_key,
+        );
         SearchToken {
-            label_key: Key::from_bytes(key.prf.eval_parts(&[b"label", keyword])),
-            payload_key: Key::from_bytes(key.prf.eval_parts(&[b"payload", keyword])),
+            label_key: Key::from_bytes(label_key),
+            payload_key: Key::from_bytes(payload_key),
         }
     }
 
     /// `Search(t, I)`: returns the decrypted payloads for the token's
-    /// keyword, in storage-counter order — the lock-step scan
+    /// keyword, in storage-counter order — the counter scan
     /// ([`search_batch_scan`](Self::search_batch_scan)) over a one-token
     /// vector.
     ///
@@ -643,52 +687,141 @@ impl SseScheme {
         Ok(counts[0])
     }
 
-    /// The counter scan — the one `Search` walk every entry point runs:
-    /// advances all tokens in lockstep, one counter round at a time. Each
-    /// round computes the label `F(K1_w, c)` of every still-live token,
-    /// resolves the whole probe vector with [`IndexLookup::try_get_many`]
-    /// (which groups probes by shard on a sharded index), and calls
-    /// `visit(token_index, ciphertext)` for every hit. A token leaves the
-    /// live set at its first miss, so each token's visit sequence is its
-    /// entries in storage-counter order.
+    /// The counter scan, one hit at a time: [`search_scan_rounds`] with each
+    /// round's hits passed on singly as `visit(token_index, ciphertext)`.
+    /// Each token's visit sequence is its entries in storage-counter order.
     ///
     /// Callers post-process the ciphertexts themselves (e.g. decrypting
     /// with [`SearchToken::payload_cipher`] into one reused buffer).
     /// Returns the per-token match counts (matched entries, decryptable or
     /// not). A failed probe aborts the whole scan with the backend's typed
-    /// error instead of being treated as the end of a list.
-    pub fn search_batch_scan<'a, I: IndexLookup>(
-        index: &'a I,
+    /// error instead of being treated as the end of a list; every hit
+    /// resolved before it has been visited by then.
+    ///
+    /// [`search_scan_rounds`]: Self::search_scan_rounds
+    pub fn search_batch_scan<I: IndexLookup>(
+        index: &I,
         tokens: &[SearchToken],
         mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<Vec<usize>, I::Error> {
+        Self::search_scan_rounds(index, tokens, |round| {
+            for (t, ciphertext) in round {
+                visit(*t as usize, ciphertext);
+            }
+        })
+    }
+
+    /// The counter scan — the one `Search` walk every entry point runs.
+    ///
+    /// The walk goes in rounds. In a round every still-live token advances
+    /// by a *window* of counters — 1, 2, 4, then 8 per round — and the
+    /// round has three steps:
+    ///
+    /// 1. **Expand.** The labels `F(K1_w, c)` of every live token at every
+    ///    counter of the window are computed up front, two PRF evaluations
+    ///    at a time across counters and tokens. A long list keeps both
+    ///    lanes of the kernel full on its own; the window starts at 1 so a
+    ///    list of none or one never pays for a label it did not need.
+    /// 2. **Probe**, counter by counter across the tokens still hitting. A
+    ///    token leaves the live set at its first miss, so **each token is
+    ///    probed at counters `0..=len` in order, never past its first miss
+    ///    and never twice**: labels expanded beyond a list's end are
+    ///    dropped unprobed. The probe sequence — per token and across
+    ///    tokens — is the one a walk expanding one label per token per
+    ///    round would issue, so storage, its cache and fault counters and
+    ///    the paper's leakage profile see one sequence whatever the window
+    ///    schedule. A window-1 round has one probe per token and resolves
+    ///    them as one vector through [`IndexLookup::try_get_many`], which
+    ///    groups a large vector by shard.
+    /// 3. **Deliver.** The round's hits go to `visit_round` together, as
+    ///    `(token_index, ciphertext)` in probe order — each token's entries
+    ///    in storage-counter order — so the caller can decrypt them two at
+    ///    a time ([`StreamCipher::decrypt_pair_into`]).
+    ///
+    /// Returns the per-token match counts (matched entries, decryptable or
+    /// not).
+    ///
+    /// # Errors
+    ///
+    /// A failed probe aborts the whole scan with the backend's typed error
+    /// instead of being treated as the end of a list. The hits the round
+    /// had resolved before it are delivered first, so what the caller has
+    /// seen when the error arrives is every hit resolved so far.
+    pub fn search_scan_rounds<'a, I: IndexLookup>(
+        index: &'a I,
+        tokens: &[SearchToken],
+        mut visit_round: impl FnMut(&[(u32, CipherSpan<'a>)]),
+    ) -> Result<Vec<usize>, I::Error> {
+        /// Counters a live token advances by in rounds 0, 1, 2, …; the last
+        /// entry repeats.
+        const WINDOWS: [u64; 4] = [1, 2, 4, 8];
+
         let mut counts = vec![0usize; tokens.len()];
-        // One cached PRF key schedule per token, shared across rounds (the
-        // label-expansion half of the scan, reused by external batch
-        // planners through [`TokenLabeler`]).
+        // One cached PRF key schedule per token, shared across rounds.
         let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
         let mut live: Vec<u32> = (0..tokens.len() as u32).collect();
-        let mut labels: Vec<Label> = Vec::with_capacity(live.len());
-        let mut hits: Vec<Option<CipherSpan<'a>>> = Vec::with_capacity(live.len());
-        let mut counter = 0u64;
+        // The round's labels: one window after another, in `live` order.
+        let mut labels: Vec<Label> = Vec::new();
+        let mut hits: Vec<Option<CipherSpan<'a>>> = Vec::new();
+        // Whether `live[i]` met its first miss in this round.
+        let mut ended: Vec<bool> = Vec::new();
+        let mut round: Vec<(u32, CipherSpan<'a>)> = Vec::new();
+        let mut first_counter = 0u64;
+        let mut schedule = WINDOWS.into_iter();
+        let mut window = 0u64;
         while !live.is_empty() {
+            window = schedule.next().unwrap_or(window);
             labels.clear();
-            for &t in &live {
-                labels.push(labelers[t as usize].label_at(counter));
-            }
-            index.try_get_many(&labels, &mut hits)?;
-            let mut kept = 0usize;
-            for (slot, hit) in hits.iter().enumerate() {
-                let t = live[slot] as usize;
-                if let Some(ciphertext) = hit {
-                    visit(t, ciphertext);
-                    counts[t] += 1;
-                    live[kept] = t as u32;
-                    kept += 1;
+            expand_labels(
+                live.iter().flat_map(|&t| {
+                    let prf = &labelers[t as usize].prf;
+                    (first_counter..first_counter + window).map(move |counter| (prf, counter))
+                }),
+                &mut labels,
+            );
+            round.clear();
+            let mut resolved = Ok(());
+            if window == 1 {
+                // On a failure `hits` holds what was resolved before it.
+                resolved = index.try_get_many(&labels, &mut hits);
+                let mut hits = hits.drain(..);
+                live.retain(|&t| match hits.next().flatten() {
+                    Some(ciphertext) => {
+                        round.push((t, ciphertext));
+                        true
+                    }
+                    None => false,
+                });
+            } else {
+                // Counter by counter across the tokens still hitting: the
+                // probe order of the one-label-at-a-time walk.
+                let window = window as usize;
+                ended.clear();
+                ended.resize(live.len(), false);
+                'probes: for k in 0..window {
+                    for (slot, &t) in live.iter().enumerate() {
+                        if ended[slot] {
+                            continue;
+                        }
+                        match index.try_get(&labels[slot * window + k]) {
+                            Ok(Some(ciphertext)) => round.push((t, ciphertext)),
+                            Ok(None) => ended[slot] = true,
+                            Err(error) => {
+                                resolved = Err(error);
+                                break 'probes;
+                            }
+                        }
+                    }
                 }
+                let mut ended = ended.iter();
+                live.retain(|_| !ended.next().expect("one flag per live token"));
             }
-            live.truncate(kept);
-            counter += 1;
+            for (t, _) in &round {
+                counts[*t as usize] += 1;
+            }
+            visit_round(&round);
+            resolved?;
+            first_counter += window;
         }
         Ok(counts)
     }
@@ -783,7 +916,7 @@ pub mod reference {
     }
 
     /// The single-token counter walk over the per-entry dictionary — the
-    /// test oracle the lock-step scan is compared against (it shares no
+    /// test oracle the counter scan is compared against (it shares no
     /// code with it: own label derivation, own loop, own decrypt).
     #[cfg(test)]
     pub(crate) fn search(index: &ReferenceIndex, token: &SearchToken) -> Vec<Vec<u8>> {
@@ -1004,6 +1137,272 @@ mod tests {
         let c = build.hash_one([2u8; LABEL_LEN]);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    // ---- the windowed walk against the single-token reference walk ----
+
+    /// List lengths on both sides of every window edge of the scan (rounds
+    /// end after counters 0, 2, 6, 14, 22, …).
+    const EDGE_LENGTHS: [usize; 13] = [0, 1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 23, 100];
+
+    /// Keyword `i` holds `lengths[i]` distinct 8-byte payloads. Returns the
+    /// key, the multimap and one token per keyword.
+    fn edge_database(lengths: &[usize]) -> (SseKey, SseDatabase, Vec<SearchToken>) {
+        let key = SseScheme::key_from(Key::from_bytes([0x5E; KEY_LEN]));
+        let mut db = SseDatabase::new();
+        let mut tokens = Vec::new();
+        for (i, &len) in lengths.iter().enumerate() {
+            let keyword = format!("kw{i}").into_bytes();
+            for entry in 0..len {
+                let payload = ((i * 1000 + entry) as u64).to_le_bytes();
+                db.add(keyword.clone(), payload.to_vec());
+            }
+            tokens.push(SseScheme::trapdoor(&key, &keyword));
+        }
+        (key, db, tokens)
+    }
+
+    /// Token vectors over `tokens` and two absent keywords: every token in
+    /// order and reversed, a seeded shuffle, the shuffle with duplicates,
+    /// each token alone, an absent keyword alone, and the empty vector.
+    fn token_vectors(key: &SseKey, tokens: &[SearchToken]) -> Vec<Vec<SearchToken>> {
+        let absent = |name: &[u8]| SseScheme::trapdoor(key, name);
+        let mut mixed: Vec<SearchToken> = tokens.to_vec();
+        mixed.insert(3, absent(b"absent-a"));
+        mixed.push(absent(b"absent-b"));
+        let mut shuffled = mixed.clone();
+        let mut rng = ChaCha20Rng::seed_from_u64(77);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_u32() as usize % (i + 1));
+        }
+        let mut duplicated = shuffled.clone();
+        duplicated.extend_from_slice(&shuffled[..5]);
+        duplicated.push(tokens[tokens.len() - 1].clone());
+        let mut vectors = vec![
+            mixed.iter().rev().cloned().collect(),
+            mixed,
+            shuffled,
+            duplicated,
+            vec![absent(b"absent-a")],
+            Vec::new(),
+        ];
+        vectors.extend(tokens.iter().map(|token| vec![token.clone()]));
+        vectors
+    }
+
+    /// An index wrapper that records every label probed, in order, and can
+    /// fail the `fail_at`-th probe (`Err(None)`; an error of the wrapped
+    /// index would be `Err(Some(_))`). Whole vectors go to the wrapped
+    /// index's own `try_get_many` unless a failure is armed, so its shard
+    /// grouping runs.
+    struct Recording<'i, I> {
+        inner: &'i I,
+        probes: std::cell::RefCell<Vec<Label>>,
+        fail_at: Option<usize>,
+    }
+
+    impl<'i, I> Recording<'i, I> {
+        fn new(inner: &'i I, fail_at: Option<usize>) -> Self {
+            Self {
+                inner,
+                probes: Default::default(),
+                fail_at,
+            }
+        }
+    }
+
+    impl<I: IndexLookup> IndexLookup for Recording<'_, I> {
+        type Error = Option<I::Error>;
+
+        fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error> {
+            let mut probes = self.probes.borrow_mut();
+            if self.fail_at == Some(probes.len()) {
+                return Err(None);
+            }
+            probes.push(*label);
+            self.inner.try_get(label).map_err(Some)
+        }
+
+        fn try_get_many<'a>(
+            &'a self,
+            labels: &[Label],
+            out: &mut Vec<Option<CipherSpan<'a>>>,
+        ) -> Result<(), Self::Error> {
+            if self.fail_at.is_some() {
+                out.clear();
+                for label in labels {
+                    out.push(self.try_get(label)?);
+                }
+                return Ok(());
+            }
+            self.probes.borrow_mut().extend_from_slice(labels);
+            self.inner.try_get_many(labels, out).map_err(Some)
+        }
+    }
+
+    /// (a) and (b) of the battery on one layout, for every token vector.
+    fn check_walk<I: IndexLookup>(
+        layout: &str,
+        index: &I,
+        oracle: &reference::ReferenceIndex,
+        key: &SseKey,
+        tokens: &[SearchToken],
+    ) where
+        I::Error: std::fmt::Debug,
+    {
+        for (v, vector) in token_vectors(key, tokens).iter().enumerate() {
+            let context = format!("{layout}, vector {v}");
+            // (a) Each token's visits, decrypted, are the reference walk's
+            // payloads in order; its count is their number.
+            let recording = Recording::new(index, None);
+            let mut visited: Vec<Vec<Vec<u8>>> = vec![Vec::new(); vector.len()];
+            let counts = SseScheme::search_batch_scan(&recording, vector, |t, ciphertext| {
+                visited[t].push(ciphertext.to_vec());
+            })
+            .unwrap();
+            for (t, token) in vector.iter().enumerate() {
+                let cipher = token.payload_cipher();
+                let got: Vec<Vec<u8>> = visited[t]
+                    .iter()
+                    .map(|ciphertext| cipher.decrypt(ciphertext).unwrap())
+                    .collect();
+                let want = reference::search(oracle, token);
+                assert_eq!(counts[t], want.len(), "{context}: count of token {t}");
+                assert_eq!(got, want, "{context}: visits of token {t}");
+            }
+
+            // (b) What storage saw is the probe sequence of the walk that
+            // expands one label per token per round: counter by counter,
+            // every occurrence of a token at its labels 0..=len once each
+            // — so no label past a first miss, though the walk had
+            // expanded some, and none twice.
+            let labelers: Vec<TokenLabeler> = vector.iter().map(TokenLabeler::new).collect();
+            let rounds = counts.iter().max().map_or(0, |&longest| longest as u64 + 1);
+            let one_at_a_time: Vec<Label> = (0..rounds)
+                .flat_map(|counter| {
+                    let in_reach = |t: &usize| counts[*t] as u64 >= counter;
+                    let label = |t: usize| labelers[t].label_at(counter);
+                    (0..vector.len())
+                        .filter(in_reach)
+                        .map(label)
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            assert_eq!(
+                recording.probes.into_inner(),
+                one_at_a_time,
+                "{context}: probes"
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_walk_matches_the_reference_walk_on_every_layout() {
+        use crate::storage::test_support::TempDir;
+        use crate::storage::StorageConfig;
+        use crate::ShardedIndex;
+
+        let (key, db, tokens) = edge_database(&EDGE_LENGTHS);
+        let rng = || ChaCha20Rng::seed_from_u64(21);
+        let oracle = reference::build_index(&key, &db, &mut rng());
+
+        let arena = SseScheme::build_index(&key, &db, &mut rng());
+        check_walk("arena", &arena, &oracle, &key, &tokens);
+        for bits in [0u32, 3, 6] {
+            let config = StorageConfig::in_memory(bits);
+            let sharded = SseScheme::build_index_stored(&key, &db, &config, &mut rng()).unwrap();
+            check_walk(
+                &format!("{bits} shard bits"),
+                &sharded,
+                &oracle,
+                &key,
+                &tokens,
+            );
+        }
+        let dir = TempDir::new("windowed-walk");
+        let config = StorageConfig::on_disk(3, dir.path());
+        SseScheme::build_index_stored(&key, &db, &config, &mut rng()).unwrap();
+        let resident = ShardedIndex::open_dir(dir.path()).unwrap();
+        assert!(resident.is_file_backed());
+        check_walk("file-backed", &resident, &oracle, &key, &tokens);
+        // A budget of one 4 KiB cache block: every block read evicts the last.
+        let paged = ShardedIndex::open_dir_with_budget(dir.path(), Some(4 << 10)).unwrap();
+        check_walk("file-backed, one block", &paged, &oracle, &key, &tokens);
+    }
+
+    #[test]
+    fn a_failed_probe_surfaces_after_every_hit_resolved_before_it() {
+        // (c) Fail the k-th probe, for every k of a small vector: the scan
+        // returns the error, and what it visited by then is exactly the
+        // hits among the k probes before it, in probe order.
+        let (key, db, tokens) = edge_database(&[3, 0, 7, 1, 15, 2]);
+        let index = SseScheme::build_index_stored(
+            &key,
+            &db,
+            &crate::storage::StorageConfig::in_memory(3),
+            &mut ChaCha20Rng::seed_from_u64(22),
+        )
+        .unwrap();
+        let owner: HashMap<Label, usize> = tokens
+            .iter()
+            .enumerate()
+            .flat_map(|(t, token)| {
+                let labeler = TokenLabeler::new(token);
+                (0..32).map(move |counter| (labeler.label_at(counter), t))
+            })
+            .collect();
+
+        let healthy = Recording::new(&index, None);
+        SseScheme::search_batch_scan(&healthy, &tokens, |_, _| {}).unwrap();
+        let probes = healthy.probes.into_inner();
+        assert_eq!(probes.len(), 3 + 7 + 1 + 15 + 2 + 6);
+
+        for k in 0..probes.len() {
+            let failing = Recording::new(&index, Some(k));
+            let mut visited: Vec<(usize, Vec<u8>)> = Vec::new();
+            let result = SseScheme::search_batch_scan(&failing, &tokens, |t, ciphertext| {
+                visited.push((t, ciphertext.to_vec()));
+            });
+            assert!(matches!(result, Err(None)), "probe {k} fails the scan");
+            assert_eq!(
+                failing.probes.into_inner(),
+                &probes[..k],
+                "probes before {k}"
+            );
+            let resolved: Vec<(usize, Vec<u8>)> = probes[..k]
+                .iter()
+                .filter_map(|label| Some((owner[label], index.try_get(label).unwrap()?.to_vec())))
+                .collect();
+            assert_eq!(visited, resolved, "hits delivered before probe {k} failed");
+        }
+    }
+
+    #[test]
+    fn corrupt_entry_position_is_its_counter_at_every_position() {
+        // (d) One list of 20 spanning four rounds of the walk: damage each
+        // entry in turn; `try_search` names its counter, `search` skips it.
+        let (key, db, tokens) = edge_database(&[20]);
+        let healthy = SseScheme::build_index(&key, &db, &mut ChaCha20Rng::seed_from_u64(23));
+        let all = SseScheme::search(&healthy, &tokens[0]).unwrap();
+        assert_eq!(SseScheme::try_search(&healthy, &tokens[0]), Ok(all.clone()));
+        let labeler = TokenLabeler::new(&tokens[0]);
+        for position in 0..20usize {
+            let mut index = healthy.clone();
+            // Shorter than a nonce: undecryptable.
+            index
+                .table
+                .get_mut(&labeler.label_at(position as u64))
+                .unwrap()
+                .1 = 3;
+            assert_eq!(
+                SseScheme::try_search(&index, &tokens[0]),
+                Err(SearchError::Corrupt(CorruptEntry { position }))
+            );
+            let mut skipped = all.clone();
+            skipped.remove(position);
+            assert_eq!(SseScheme::search(&index, &tokens[0]).unwrap(), skipped);
+            assert_eq!(SseScheme::search_count(&index, &tokens[0]).unwrap(), 20);
+        }
     }
 
     proptest! {

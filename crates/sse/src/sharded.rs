@@ -880,7 +880,7 @@ mod tests {
         SseScheme::build_index_stored(key, db, &StorageConfig::in_memory(bits), rng).unwrap()
     }
 
-    /// Every token's decrypted payloads from one lock-step scan, in token
+    /// Every token's decrypted payloads from one counter scan, in token
     /// order (corrupt entries skipped).
     fn scan_payloads<I: IndexLookup>(
         index: &I,
@@ -1278,7 +1278,7 @@ mod tests {
             prop_assert_eq!(batched, per_token);
         }
 
-        /// Regression: the lock-step scan on a *shuffled* token vector
+        /// Regression: the counter scan on a *shuffled* token vector
         /// returns, per token, exactly what the single-token reference walk
         /// (`pibas::reference::search` over the per-entry dictionary — no
         /// code shared with the scan) returns — so the result multiset over

@@ -653,8 +653,11 @@ impl BlockCache {
             },
         );
         segment.ring.push(key);
-        drop(segment);
+        // Counted before the lock goes: once it is released another thread
+        // may evict this very block, and its subtraction must find the
+        // addition already made or `resident` wraps below zero.
         self.resident.fetch_add(len, Ordering::Relaxed);
+        drop(segment);
         // Self-correct any racy overshoot: whoever finishes last leaves
         // the cache inside the budget.
         self.evict_to_fit(0);

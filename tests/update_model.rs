@@ -275,8 +275,10 @@ fn random_scripts_match_the_model_in_memory() {
     }
 }
 
-/// On disk an ingest costs a few fsyncs, so each seed takes one schedule
-/// (in rotation: five or six seeds each) rather than all six.
+/// On disk an ingest costs file creates and renames (the kit writes each
+/// file whole and renames it into place — it flushes, it never syncs) and
+/// the scenario a reopen of the root, so each seed takes one schedule (in
+/// rotation: five or six seeds each) rather than all six.
 #[test]
 fn random_scripts_match_the_model_on_disk_across_a_reopen() {
     let schedules = schedules();

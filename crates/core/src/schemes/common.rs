@@ -5,9 +5,7 @@ use crate::server::{scan_query_into_with, ScanScratch};
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Range};
-use rsse_sse::{
-    IndexLookup, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError,
-};
+use rsse_sse::{IndexLookup, SearchToken, ShardedIndex, SseKey, StorageConfig, StorageError};
 
 /// Token counts at or above this are scanned in per-worker chunks on all
 /// cores. Below it (the Logarithmic schemes' `O(log R)` token vectors)
@@ -112,23 +110,23 @@ where
 }
 
 /// Builds an encrypted index from flat `(keyword, payload)` entries with
-/// fixed-size keywords and payloads — the BuildIndex fast path shared by
-/// the replication-based schemes — on the layout and backend `config`
-/// selects.
+/// fixed-size keywords and payloads — the BuildIndex shared by the
+/// replication-based schemes — on the layout and backend `config` selects.
 ///
 /// Semantically equivalent to filling an [`rsse_sse::SseDatabase`], calling
-/// `shuffle_lists`, and running `SseScheme::build_index_stored`, but
-/// without the byte-keyed `BTreeMap` and the two heap allocations per
-/// entry: entries are grouped by one cache-friendly sort of flat arrays,
-/// each group is shuffled with the same `(shuffle_key, keyword)`-keyed
-/// permutation, and the fixed-stride SSE build encrypts straight out of
-/// the payload arrays.
+/// `shuffle_lists`, and running `SseScheme::build_index_stored` (the tests
+/// hold it to that, byte for byte), but without the byte-keyed `BTreeMap`
+/// and the heap allocations per entry and per keyword: this is
+/// [`rsse_sse::build_index_fixed_external`], the one fixed-stride pipeline
+/// — entries grouped by one sort of flat arrays, each group shuffled with
+/// the same `(shuffle_key, keyword)`-keyed permutation, encrypted in
+/// bounded batches straight into the shard sinks.
 ///
-/// `entries` is consumed as an iterator. When the configuration carries a
-/// [`BuildBudget`](rsse_sse::BuildBudget) it streams into the
-/// external-memory spill/merge pipeline without ever being collected —
-/// byte-identical output, peak RSS bounded by the budget rather than the
-/// entry count; otherwise it is collected and grouped in RAM.
+/// `entries` is consumed as an iterator and never collected twice. A
+/// [`BuildBudget`](rsse_sse::BuildBudget) on the configuration only
+/// matters once the entries exceed it: then they are sorted through spill
+/// runs on disk instead of in RAM — byte-identical output, peak RSS
+/// bounded by the budget rather than the entry count.
 pub fn grouped_fixed_index_stored<const K: usize, const P: usize, R: RngCore + CryptoRng>(
     key: &SseKey,
     shuffle_key: &rsse_crypto::Key,
@@ -136,37 +134,7 @@ pub fn grouped_fixed_index_stored<const K: usize, const P: usize, R: RngCore + C
     config: &StorageConfig,
     rng: &mut R,
 ) -> Result<ShardedIndex, StorageError> {
-    if config.build_budget.is_some() {
-        return rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng);
-    }
-    let lists = grouped_lists(shuffle_key, entries.into_iter().collect());
-    SseScheme::build_index_fixed_stored(key, &lists, config, rng)
-}
-
-/// The in-RAM grouping core: sort flat entries by
-/// (keyword, payload) — groups become contiguous and the total order keeps
-/// the build deterministic — then apply the `(shuffle_key, keyword)`-keyed
-/// permutation that sets each list's final storage order, exactly as
-/// `SseDatabase::shuffle_lists` did.
-fn grouped_lists<const K: usize, const P: usize>(
-    shuffle_key: &rsse_crypto::Key,
-    mut entries: Vec<([u8; K], [u8; P])>,
-) -> Vec<(Vec<u8>, Vec<[u8; P]>)> {
-    entries.sort_unstable();
-    let mut lists: Vec<(Vec<u8>, Vec<[u8; P]>)> = Vec::new();
-    for (keyword, payload) in entries {
-        match lists.last_mut() {
-            Some((last, payloads)) if last.as_slice() == keyword.as_slice() => {
-                payloads.push(payload);
-            }
-            _ => lists.push((keyword.to_vec(), vec![payload])),
-        }
-    }
-    let shuffle = rsse_crypto::Prf::new(shuffle_key);
-    for (keyword, payloads) in lists.iter_mut() {
-        rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
-    }
-    lists
+    rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng)
 }
 
 /// Encodes a `(value, start, end)` triple — the "(domain value, tuple
@@ -205,7 +173,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_sse::pibas::reference;
-    use rsse_sse::SseDatabase;
+    use rsse_sse::{SseDatabase, SseScheme};
 
     #[test]
     fn cover_kind_dispatches() {

@@ -104,9 +104,10 @@ pub trait RangeScheme: Sized {
     ///   (under `cache_budget`), so the built index is never fully
     ///   memory-resident and survives the process (reopen it with
     ///   `ShardedIndex::open_dir` / `QueryServer::open_dir`);
-    /// * `build_budget` bounds the build's peak working set by spilling the
-    ///   transformed entries to sorted runs and merge-encrypting them back
-    ///   (the `rsse_sse::external` module) instead of grouping them in RAM.
+    /// * `build_budget` bounds the build's peak working set: transformed
+    ///   entries past it are sorted through spill runs on disk instead of
+    ///   in RAM (the `rsse_sse::external` module); a build that fits it
+    ///   runs exactly as it does without one.
     ///
     /// Query results are **identical** for every configuration, and the
     /// built index is bit-identical across build budgets for the same

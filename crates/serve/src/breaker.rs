@@ -18,8 +18,14 @@
 //! take the caller's [`Clock`](crate::clock::Clock) reading as an argument
 //! (admission lazily — a closed breaker never reads the clock), so breaker
 //! timing is exactly testable against a virtual clock.
+//!
+//! Each shard's state sits behind its own mutex, with one atomic flag
+//! beside it mirroring "closed, no failure on the streak". That is the state
+//! of every healthy shard at every probe, so [`ShardHealth::admit`] and
+//! [`ShardHealth::record_success`] — two calls per probe — answer from one
+//! load of the flag and take the lock only for a shard that has failed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -76,12 +82,29 @@ pub enum Admit {
     },
 }
 
+/// The state [`ShardBreaker::pristine`] mirrors.
+const PRISTINE: State = State::Closed {
+    consecutive_failures: 0,
+};
+
+/// One shard's breaker.
+#[derive(Debug)]
+struct ShardBreaker {
+    /// Whether `state` is [`PRISTINE`]. Written only under the `state`
+    /// lock, with `Release`: cleared before a failure changes the state,
+    /// set after a success or a passed trial restored it. The lock-free
+    /// readers pair with an `Acquire` load, so a probe that starts after
+    /// `record_failure` returned cannot still read `true`.
+    pristine: AtomicBool,
+    state: Mutex<State>,
+}
+
 /// Health tracking for every shard of one index: breaker state per shard
 /// plus aggregate transition counters.
 #[derive(Debug)]
 pub struct ShardHealth {
     config: BreakerConfig,
-    states: Vec<Mutex<State>>,
+    shards: Vec<ShardBreaker>,
     opened: AtomicU64,
     reclosed: AtomicU64,
     trials: AtomicU64,
@@ -93,11 +116,10 @@ impl ShardHealth {
     pub fn new(shards: usize, config: BreakerConfig) -> Self {
         Self {
             config,
-            states: (0..shards.max(1))
-                .map(|_| {
-                    Mutex::new(State::Closed {
-                        consecutive_failures: 0,
-                    })
+            shards: (0..shards.max(1))
+                .map(|_| ShardBreaker {
+                    pristine: AtomicBool::new(true),
+                    state: Mutex::new(PRISTINE),
                 })
                 .collect(),
             opened: AtomicU64::new(0),
@@ -107,16 +129,20 @@ impl ShardHealth {
         }
     }
 
-    fn state(&self, shard: u32) -> &Mutex<State> {
-        &self.states[shard as usize % self.states.len()]
+    fn shard(&self, shard: u32) -> &ShardBreaker {
+        &self.shards[shard as usize % self.shards.len()]
     }
 
     /// Decides whether a probe of `shard` may proceed. The instant is taken
     /// lazily: `now` is only read when the breaker is open or half-open, so
     /// a closed breaker — every probe of a healthy shard — costs no clock
-    /// read.
+    /// read, and one that has no failure on its streak no lock either.
     pub fn admit(&self, shard: u32, now: impl FnOnce() -> Duration) -> Admit {
-        let mut state = self.state(shard).lock().expect("breaker lock");
+        let shard = self.shard(shard);
+        if shard.pristine.load(Ordering::Acquire) {
+            return Admit::Proceed;
+        }
+        let mut state = shard.state.lock().expect("breaker lock");
         match *state {
             State::Closed { .. } => Admit::Proceed,
             State::Open { since } => {
@@ -145,30 +171,31 @@ impl ShardHealth {
     /// Records a successful probe of `shard`: resets the failure streak,
     /// and a successful trial re-closes the breaker.
     pub fn record_success(&self, shard: u32) {
-        let mut state = self.state(shard).lock().expect("breaker lock");
+        let shard = self.shard(shard);
+        if shard.pristine.load(Ordering::Acquire) {
+            return;
+        }
+        let mut state = shard.state.lock().expect("breaker lock");
         match *state {
-            State::Closed { .. } => {
-                *state = State::Closed {
-                    consecutive_failures: 0,
-                }
-            }
+            State::Closed { .. } => {}
             State::HalfOpen { .. } => {
                 self.reclosed.fetch_add(1, Ordering::Relaxed);
-                *state = State::Closed {
-                    consecutive_failures: 0,
-                };
             }
             // A stale success racing with an open breaker: leave the
             // breaker to its cooldown-and-trial protocol.
-            State::Open { .. } => {}
+            State::Open { .. } => return,
         }
+        *state = PRISTINE;
+        shard.pristine.store(true, Ordering::Release);
     }
 
     /// Records a failed probe of `shard` at time `now`: extends the
     /// failure streak (opening the breaker at the threshold), and a failed
     /// trial reopens it with a fresh cooldown.
     pub fn record_failure(&self, shard: u32, now: Duration) {
-        let mut state = self.state(shard).lock().expect("breaker lock");
+        let shard = self.shard(shard);
+        let mut state = shard.state.lock().expect("breaker lock");
+        shard.pristine.store(false, Ordering::Release);
         match *state {
             State::Closed {
                 consecutive_failures,
@@ -193,7 +220,7 @@ impl ShardHealth {
 
     /// The breaker state of `shard`.
     pub fn state_of(&self, shard: u32) -> BreakerState {
-        match *self.state(shard).lock().expect("breaker lock") {
+        match *self.shard(shard).state.lock().expect("breaker lock") {
             State::Closed { .. } => BreakerState::Closed,
             State::Open { .. } => BreakerState::Open,
             State::HalfOpen { .. } => BreakerState::HalfOpen,
@@ -321,5 +348,142 @@ mod tests {
             "interleaved successes must keep the breaker closed"
         );
         assert_eq!(health.opened(), 0);
+    }
+
+    /// Whether `shard`'s lock-free mirror equals what it mirrors.
+    fn mirror_agrees(health: &ShardHealth, shard: u32) -> bool {
+        let shard = health.shard(shard);
+        let state = shard.state.lock().unwrap();
+        shard.pristine.load(Ordering::Acquire)
+            == matches!(
+                *state,
+                State::Closed {
+                    consecutive_failures: 0
+                }
+            )
+    }
+
+    #[test]
+    fn the_mirror_follows_the_state_through_every_transition() {
+        let health = ShardHealth::new(
+            1,
+            BreakerConfig {
+                failure_threshold: 3,
+                cooldown: ms(100),
+            },
+        );
+        let step = |what: &str, admitted: Option<Admit>, state: BreakerState| {
+            assert_eq!(health.state_of(0), state, "after {what}");
+            assert!(mirror_agrees(&health, 0), "mirror stale after {what}");
+            admitted
+        };
+        // Closed and pristine: both per-probe calls take the fast path.
+        let admitted = step("new", Some(health.admit(0, || ms(0))), BreakerState::Closed);
+        assert_eq!(admitted, Some(Admit::Proceed));
+        health.record_success(0);
+        step("a success while pristine", None, BreakerState::Closed);
+        // A streak: closed, but no longer pristine — then reset by a success.
+        health.record_failure(0, ms(1));
+        step("one failure", None, BreakerState::Closed);
+        assert!(!health.shard(0).pristine.load(Ordering::Acquire));
+        let admitted = step(
+            "admit on a streak",
+            Some(health.admit(0, || ms(1))),
+            BreakerState::Closed,
+        );
+        assert_eq!(admitted, Some(Admit::Proceed));
+        health.record_success(0);
+        step("the streak reset", None, BreakerState::Closed);
+        assert!(health.shard(0).pristine.load(Ordering::Acquire));
+        // Open at the threshold; a stale success leaves it open.
+        for i in 0..3 {
+            health.record_failure(0, ms(10 + i));
+        }
+        step("the threshold", None, BreakerState::Open);
+        health.record_success(0);
+        step("a stale success", None, BreakerState::Open);
+        let admitted = step(
+            "admit while open",
+            Some(health.admit(0, || ms(50))),
+            BreakerState::Open,
+        );
+        assert!(matches!(admitted, Some(Admit::FailFast { .. })));
+        // Half-open; the trial fails, reopening; the next trial passes.
+        let admitted = step(
+            "the cooldown",
+            Some(health.admit(0, || ms(112))),
+            BreakerState::HalfOpen,
+        );
+        assert_eq!(admitted, Some(Admit::Trial));
+        health.record_failure(0, ms(113));
+        step("a failed trial", None, BreakerState::Open);
+        let admitted = step(
+            "the second cooldown",
+            Some(health.admit(0, || ms(213))),
+            BreakerState::HalfOpen,
+        );
+        assert_eq!(admitted, Some(Admit::Trial));
+        health.record_success(0);
+        step("a passed trial", None, BreakerState::Closed);
+        assert_eq!(health.admit(0, || ms(214)), Admit::Proceed);
+        assert_eq!((health.opened(), health.reclosed()), (2, 1));
+    }
+
+    /// One thread fails, succeeds, opens and re-closes the breaker, round
+    /// after round; another admits throughout. Once the `record_failure`
+    /// that opened the breaker has returned (published through `opened`),
+    /// no `admit` may still take the fast path.
+    #[test]
+    fn no_probe_proceeds_once_the_opening_failure_has_returned() {
+        const ROUNDS: u64 = 200;
+        let health = ShardHealth::new(
+            1,
+            BreakerConfig {
+                failure_threshold: 2,
+                cooldown: ms(100),
+            },
+        );
+        // Round `r` is open from the moment `opened` reads `r` until
+        // `checked` reads `r` too.
+        let (opened, checked) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 1..=ROUNDS {
+                    // A streak and a reset race the other thread's fast
+                    // path; then the threshold opens the breaker.
+                    health.record_failure(0, ms(0));
+                    health.record_success(0);
+                    health.record_failure(0, ms(0));
+                    health.record_failure(0, ms(0));
+                    opened.store(round, Ordering::Release);
+                    while checked.load(Ordering::Acquire) != round {
+                        std::thread::yield_now();
+                    }
+                    // Only this thread's clock is past the cooldown.
+                    assert_eq!(health.admit(0, || ms(100)), Admit::Trial);
+                    health.record_success(0);
+                }
+            });
+            scope.spawn(|| {
+                for round in 1..=ROUNDS {
+                    while opened.load(Ordering::Acquire) != round {
+                        // Racing the writer: either verdict is legal here.
+                        let admitted = health.admit(0, || ms(0));
+                        assert_ne!(admitted, Admit::Trial);
+                    }
+                    for _ in 0..8 {
+                        let admitted = health.admit(0, || ms(0));
+                        assert!(
+                            matches!(admitted, Admit::FailFast { .. }),
+                            "round {round}: {admitted:?} from an open breaker"
+                        );
+                    }
+                    checked.store(round, Ordering::Release);
+                }
+            });
+        });
+        assert!(mirror_agrees(&health, 0));
+        assert_eq!(health.state_of(0), BreakerState::Closed);
+        assert_eq!((health.opened(), health.reclosed()), (ROUNDS, ROUNDS));
     }
 }

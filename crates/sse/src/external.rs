@@ -1,63 +1,84 @@
-//! External-memory `BuildIndex`: sorted-run spilling plus a streaming
-//! merge-encrypt-scatter pass, bounded by a [`BuildBudget`].
-//!
-//! The in-RAM grouped build (`sort_unstable` over every `(keyword,
-//! payload)` entry, then one encrypted chunk per keyword, then the shard
-//! scatter) holds the whole transformed corpus in memory at once — fine up
-//! to tens of millions of entries, a hard wall past that. This module
-//! replaces the *sort* and the *scatter staging* with disk, keeping the
-//! cryptographic pipeline — and therefore every output byte — identical:
+//! The fixed-stride `BuildIndex`: one pipeline from a stream of `(keyword,
+//! payload)` entries to the shards of an encrypted index, in RAM while the
+//! entries fit a [`BuildBudget`](crate::storage::BuildBudget) (or there is
+//! none), through sorted runs on disk once they do not.
 //!
 //! ```text
-//!              pass 1: spill                      pass 2: merge + encrypt
-//!  entries ──▶ budget-sized buffer ──sort──▶ run-00000.spl ─┐
-//!  (streamed)  budget-sized buffer ──sort──▶ run-00001.spl ─┤  k-way merge
-//!              …                                 …          ├─▶ keyword groups
-//!              spill.meta (RSSE-SPM, committed last) ───────┘      │
-//!                                                    shuffle + trapdoor + nonce seed
-//!                                                                  │
-//!                                                     batched parallel encryption
-//!                                                                  │
-//!                                              label-prefix scatter into shard sinks
-//!                                                   │                    │
-//!                                            in-memory arenas    staged shard files
-//!                                                              (stage-*.tmp ─▶ shard-*.shd)
+//!  1 source        entries ──▶ buffer ──sort──▶ the sorted stream          (sequential)
+//!                    │ buffer reached the budget's run limit?
+//!                    └─▶ run-NNNNN.spl … spill.meta ──k-way merge──┘
+//!  2 group + seed  walk a batch of the stream: close each keyword group
+//!                  as a range, draw its 32-byte nonce seed from the
+//!                  caller's RNG, in keyword order                          (sequential)
+//!  3 batch         ≈ 64 Ki entries of whole groups, cut into parts;
+//!                  per part: keyed shuffle → trapdoor → label expansion
+//!                  → list encryption, appended to the part's two flat
+//!                  buffers; then the labels bucketed by shard              (parallel by part)
+//!  4 sink          per shard: append the batch's entries in (part, index)
+//!                  order to a pre-sized arena + label table, or to frame
+//!                  buffers that finalize into shard-NNNNN.shd (overflowing
+//!                  to stage-*.tmp under a budget)                          (parallel by shard)
 //! ```
 //!
-//! **Byte identity.** The merge yields keywords in exactly the order the
-//! in-RAM sort would produce, so the per-keyword nonce seeds are drawn from
-//! the caller's RNG in the same sequence, the keyed shuffle sees the same
-//! payload order, and `encrypt_payloads` is a pure function of (token,
-//! payloads, seed). Entries then reach each shard in the same global
-//! (keyword, counter) order the in-RAM scatter uses. The property tests at
-//! the bottom of this module (and `tests/external_build.rs` at the scheme
-//! level) pin `build_external ≡ build_stored` byte for byte, for any
-//! budget, on both backends.
+//! **What is sequential, and why.** The sort is one `sort_unstable` (or a
+//! stable sort by keyword, see [`SpillOrder`]) of flat arrays. The seed
+//! draws are sequential because they are the build's only use of the
+//! caller's RNG: drawing them in keyword order is what makes the output a
+//! function of (keys, RNG stream) alone — the same bytes for every budget,
+//! backend, batch size and thread count. Everything between a seed and a
+//! shard is a pure function of (keys, group, seed) and runs on all cores.
 //!
-//! **Crash safety.** Spill artifacts live in a dedicated directory
-//! ([`SPILL_DIR`] inside the index directory for on-disk builds, a unique
-//! temp directory otherwise) and follow the workspace's `.tmp` + rename
-//! commit protocol; `spill.meta` is written last, as pass 1's commit
-//! record. Cleanup — before a restarted build, after success, after a
-//! failure, and from
+//! **Memory.** Nothing is allocated per keyword: a part's groups share two
+//! flat buffers (labels, fixed-stride ciphertexts) and one index vector,
+//! and a batch is dropped as soon as the sinks have copied it. What is
+//! alive at the peak is the sorted buffer (or, when spilling, one run
+//! buffer of at most half the budget), one batch, and the sinks — which are
+//! sized once, from the stream's entry count: labels are PRF outputs, so
+//! each of `2^bits` shards gets `total / 2^bits` entries plus a few percent
+//! (`shard_capacity`), and neither an arena nor a label table regrows.
+//! `tests/build_memory.rs` holds a build to 3.5 × its index under a
+//! peak-tracking allocator.
+//!
+//! **Byte identity.** Sorted in RAM or merged from runs, the stream has the
+//! same order, so the seeds are drawn in the same sequence, the keyed
+//! shuffle sees the same payload order, and entries reach each shard in the
+//! global (keyword, counter) order. The per-keyword chunk build over an
+//! [`SseDatabase`](crate::SseDatabase) (`build_index_stored`) shares none
+//! of this code and is the reference: the batteries at the bottom of this
+//! module (and `tests/external_build.rs` at the scheme level) pin the two
+//! byte for byte — tables, arenas, shard files and RNG state — for no
+//! budget, budgets the corpus fits, and budgets forcing one, two and many
+//! runs, on both backends, with corpora on every batch edge.
+//!
+//! **Filesystem and crash safety.** A build that fits does no filesystem
+//! work beyond its index files (an in-memory one: none). The spill
+//! directory ([`SPILL_DIR`] inside the index directory for on-disk builds,
+//! a unique temp directory otherwise) is created at the first run flush or
+//! the first stage overflow, and swept of a crashed build's leftovers right
+//! then. Its files follow the workspace's `.tmp` + rename commit protocol;
+//! `spill.meta` is written last, as the spill's commit record. Cleanup —
+//! at first use, after success, after a failure, and from
 //! [`cleanup_partial_index`](crate::storage::cleanup_partial_index) — only
 //! ever removes *recognized* spill file names and then the directory if
 //! that left it empty, so foreign files can never be collateral damage.
-//! The final index directory itself keeps the exact commit discipline of
-//! the in-RAM on-disk build (manifest first, every shard file atomic).
-//! The build has no crash hooks: every file it creates, appends to or
-//! removes goes through [`formats`], whose gate
-//! `tests/crash_replay.rs` arms to kill a spilling build at every op and
-//! require the restarted build to converge byte for byte.
+//! The index directory keeps the commit discipline of a save (manifest
+//! first, every shard file atomic). The build has no crash hooks: every
+//! file it creates, appends to or removes goes through [`formats`], whose
+//! gate `tests/crash_replay.rs` arms to kill a spilling build at every op
+//! and require the restarted build to converge byte for byte. Stage
+//! overflows happen after a batch's parallel step, in shard order, and a
+//! build that staged finalizes its shards in order too, so a spilling
+//! build's op log is deterministic; shards still in their buffers are
+//! written and reopened in parallel.
 
 use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter};
 use crate::pibas::{
-    encrypt_payloads, EncryptedIndex, Label, SearchToken, SseKey, SseScheme, LABEL_LEN,
+    encrypt_list_into, EncryptedIndex, Label, SearchToken, SseKey, SseScheme, LABEL_LEN,
 };
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
-    shard_file_name, write_manifest, write_shard_header, BlockCache, BuildBudget, FileShard,
-    StorageBackend, StorageConfig, StorageError,
+    shard_file_name, write_manifest, write_shard_header, BlockCache, FileShard, StorageBackend,
+    StorageConfig, StorageError,
 };
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
@@ -94,10 +115,6 @@ const RUN_TABLE_ROW_LEN: usize = 16;
 
 /// One fixed-stride spill entry: keyword plus payload.
 type SpillEntry<const K: usize, const P: usize> = ([u8; K], [u8; P]);
-
-/// Keyword groups staged for one parallel encrypt batch: per group, the
-/// search token, the shuffled payloads, and the nonce seed drawn for it.
-type EncryptBatch<const P: usize> = Vec<(SearchToken, Vec<[u8; P]>, [u8; KEY_LEN])>;
 
 /// File name of spill run `i` inside a spill directory.
 pub fn run_file_name(run: usize) -> String {
@@ -189,8 +206,54 @@ impl SpillOrder {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: sorted-run spilling
+// Stage 1 — source: a sorted buffer, spilled to runs only past the run limit
 // ---------------------------------------------------------------------------
+
+/// Monotonic counter naming the spill directories of in-memory builds.
+static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// The spill directory of one build: inside the index directory for
+/// on-disk backends, under the budget's spill root (or the OS temp dir)
+/// otherwise. Nothing exists on disk until [`create`](Self::create) runs —
+/// at the first run flush or the first stage overflow — so a build that
+/// fits its budget never touches it.
+struct SpillDir {
+    path: PathBuf,
+    created: bool,
+}
+
+impl SpillDir {
+    fn of(config: &StorageConfig) -> Self {
+        let path = match &config.backend {
+            StorageBackend::OnDisk(dir) => dir.join(SPILL_DIR),
+            StorageBackend::InMemory => {
+                let root = config.build_budget.as_ref();
+                let root = root.and_then(|budget| budget.spill_root.clone());
+                let n = SPILL_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
+                root.unwrap_or_else(std::env::temp_dir)
+                    .join(format!("rsse-spill-{}-{n}", std::process::id()))
+            }
+        };
+        Self {
+            path,
+            created: false,
+        }
+    }
+
+    /// The directory, created on first use. Leftovers of a previously
+    /// crashed build are healed before it is reused: stale runs would
+    /// shadow this build's manifest, and stale stage files would corrupt
+    /// the append-only scatter. Foreign files survive the sweep (and the
+    /// directory, therefore, survives too).
+    fn create(&mut self) -> Result<&Path, StorageError> {
+        if !self.created {
+            formats::create_dir_all(&self.path)?;
+            sweep_stale_spill_files(&self.path);
+            self.created = true;
+        }
+        Ok(&self.path)
+    }
+}
 
 /// Per-run row of the spill manifest.
 struct RunInfo {
@@ -200,18 +263,19 @@ struct RunInfo {
     bytes: u64,
 }
 
-/// Streams entries into sorted, budget-sized run files.
+/// Collects the entry stream into a buffer that is sorted in RAM and, only
+/// when it reaches `limit` entries, committed as a sorted run file.
 struct Spiller<'a, const K: usize, const P: usize> {
-    dir: &'a Path,
+    dir: &'a mut SpillDir,
     order: SpillOrder,
     /// Entries per run (the bounded write buffer).
     limit: usize,
-    buf: Vec<([u8; K], [u8; P])>,
+    buf: Vec<SpillEntry<K, P>>,
     runs: Vec<RunInfo>,
 }
 
 impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
-    fn new(dir: &'a Path, order: SpillOrder, limit: usize) -> Self {
+    fn new(dir: &'a mut SpillDir, order: SpillOrder, limit: usize) -> Self {
         Self {
             dir,
             order,
@@ -221,7 +285,7 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         }
     }
 
-    fn push(&mut self, entry: ([u8; K], [u8; P])) -> Result<(), StorageError> {
+    fn push(&mut self, entry: SpillEntry<K, P>) -> Result<(), StorageError> {
         self.buf.push(entry);
         if self.buf.len() >= self.limit {
             self.flush()?;
@@ -229,11 +293,7 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         Ok(())
     }
 
-    /// Sorts the buffered entries and commits them as the next run file.
-    fn flush(&mut self) -> Result<(), StorageError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
+    fn sort(&mut self) {
         match self.order {
             // Unstable is fine: equal (keyword, payload) pairs are
             // interchangeable.
@@ -243,7 +303,15 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
             // it globally.
             SpillOrder::ByKeyword => self.buf.sort_by_key(|entry| entry.0),
         }
-        let path = self.dir.join(run_file_name(self.runs.len()));
+    }
+
+    /// Sorts the buffered entries and commits them as the next run file.
+    fn flush(&mut self) -> Result<(), StorageError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.sort();
+        let path = self.dir.create()?.join(run_file_name(self.runs.len()));
         let entries = self.buf.len() as u64;
         let bytes = RUN_HEADER_LEN + entries * (K + P) as u64;
         let buf = &self.buf;
@@ -260,11 +328,23 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         Ok(())
     }
 
-    /// Flushes the final partial run and commits the spill manifest —
-    /// pass 1's atomic commit record, written last.
-    fn finish(mut self) -> Result<(), StorageError> {
+    /// Ends the stream. With no run on disk the sorted buffer *is* the
+    /// source; once one exists the tail is flushed too, the spill manifest
+    /// — the spill's atomic commit record — is written last, and the source
+    /// is the k-way merge of the runs, its read buffers sized from the
+    /// budget's `memory` bytes.
+    fn finish(mut self, memory: usize) -> Result<Source<K, P>, StorageError> {
+        if self.runs.is_empty() {
+            self.sort();
+            return Ok(Source::Sorted {
+                entries: self.buf,
+                at: 0,
+            });
+        }
         self.flush()?;
-        spill_meta::<K, P>(self.order, &self.runs).commit(&self.dir.join(SPILL_MANIFEST_FILE))
+        let dir = self.dir.create()?;
+        spill_meta::<K, P>(self.order, &self.runs).commit(&dir.join(SPILL_MANIFEST_FILE))?;
+        Source::merge(dir, self.order, memory)
     }
 }
 
@@ -289,7 +369,7 @@ fn spill_meta<const K: usize, const P: usize>(order: SpillOrder, runs: &[RunInfo
     meta
 }
 
-/// The decoded spill manifest pass 2 rebuilds its state from.
+/// The decoded spill manifest the merge rebuilds its state from.
 struct SpillMeta {
     order: SpillOrder,
     total_entries: u64,
@@ -349,10 +429,6 @@ fn read_spill_meta<const K: usize, const P: usize>(
         runs,
     })
 }
-
-// ---------------------------------------------------------------------------
-// Pass 2: k-way merge
-// ---------------------------------------------------------------------------
 
 /// Sequential reader over one committed spill run.
 struct RunReader<const K: usize, const P: usize> {
@@ -474,12 +550,291 @@ impl<const K: usize, const P: usize> PartialEq for HeapEntry<K, P> {
 
 impl<const K: usize, const P: usize> Eq for HeapEntry<K, P> {}
 
+/// The sorted entry stream the later stages read, one batch at a time.
+enum Source<const K: usize, const P: usize> {
+    /// Nothing was spilled: the sorted buffer itself, batches are slices
+    /// of it.
+    Sorted {
+        entries: Vec<SpillEntry<K, P>>,
+        at: usize,
+    },
+    /// The k-way merge of the committed runs; a batch is merged into
+    /// `batch` and handed out from there.
+    Merge {
+        /// The spill manifest, named by the entry-count check.
+        meta: PathBuf,
+        readers: Vec<RunReader<K, P>>,
+        heap: BinaryHeap<Reverse<HeapEntry<K, P>>>,
+        full: bool,
+        batch: Vec<SpillEntry<K, P>>,
+        merged: u64,
+        total: u64,
+    },
+}
+
+impl<const K: usize, const P: usize> Source<K, P> {
+    /// Opens the merge over the runs `dir`'s manifest lists, with a
+    /// quarter of `memory` split across the run read buffers.
+    fn merge(dir: &Path, order: SpillOrder, memory: usize) -> Result<Self, StorageError> {
+        let meta = read_spill_meta::<K, P>(dir, order)?;
+        let run_buffer = (memory / 4 / meta.runs.len().max(1)).clamp(16 << 10, 1 << 20);
+        let mut readers: Vec<RunReader<K, P>> = meta
+            .runs
+            .iter()
+            .enumerate()
+            .map(|(i, info)| RunReader::open(dir, i, info, run_buffer))
+            .collect::<Result<_, _>>()?;
+        let full = meta.order == SpillOrder::ByKeywordAndPayload;
+        let mut heap = BinaryHeap::with_capacity(readers.len());
+        for (run, reader) in readers.iter_mut().enumerate() {
+            if let Some((keyword, payload)) = reader.next_entry()? {
+                heap.push(Reverse(HeapEntry {
+                    keyword,
+                    payload,
+                    run,
+                    full,
+                }));
+            }
+        }
+        Ok(Source::Merge {
+            meta: dir.join(SPILL_MANIFEST_FILE),
+            readers,
+            heap,
+            full,
+            batch: Vec::new(),
+            merged: 0,
+            total: meta.total_entries,
+        })
+    }
+
+    /// Entries the whole stream holds — what the sinks are sized from.
+    fn total_entries(&self) -> u64 {
+        match self {
+            Source::Sorted { entries, .. } => entries.len() as u64,
+            Source::Merge { total, .. } => *total,
+        }
+    }
+
+    /// The next batch: at least `limit` entries (fewer only at the end of
+    /// the stream, none once it is exhausted), extended to the end of the
+    /// keyword group the limit falls in, so a batch holds whole groups.
+    fn next_batch(&mut self, limit: usize) -> Result<&[SpillEntry<K, P>], StorageError> {
+        match self {
+            Source::Sorted { entries, at } => {
+                let start = *at;
+                let mut end = start.saturating_add(limit).min(entries.len());
+                while end > start && end < entries.len() && entries[end].0 == entries[end - 1].0 {
+                    end += 1;
+                }
+                *at = end;
+                Ok(&entries[start..end])
+            }
+            Source::Merge {
+                meta,
+                readers,
+                heap,
+                full,
+                batch,
+                merged,
+                total,
+            } => {
+                batch.clear();
+                while let Some(Reverse(head)) = heap.peek() {
+                    if batch.len() >= limit && batch.last().map(|e| e.0) != Some(head.keyword) {
+                        break;
+                    }
+                    let Reverse(head) = heap.pop().expect("peeked");
+                    if let Some((keyword, payload)) = readers[head.run].next_entry()? {
+                        heap.push(Reverse(HeapEntry {
+                            keyword,
+                            payload,
+                            run: head.run,
+                            full: *full,
+                        }));
+                    }
+                    batch.push((head.keyword, head.payload));
+                }
+                *merged += batch.len() as u64;
+                if heap.is_empty() && merged != total {
+                    return Err(StorageError::CorruptDirectory {
+                        path: meta.clone(),
+                        detail: format!(
+                            "merged {merged} entries but the spill manifest records {total}"
+                        ),
+                    });
+                }
+                Ok(batch.as_slice())
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Shard sinks
+// Stages 2 and 3 — group + seed, then bounded flat encrypt batches
 // ---------------------------------------------------------------------------
 
-/// One shard's scatter state during pass 2 of an on-disk build: bounded
-/// in-memory frames, overflowing into append-only stage files.
+/// Entries a batch accumulates before it is encrypted and scattered
+/// (whole keyword groups, so a batch ends on the group the limit falls
+/// in). Large enough that the per-batch fork and the per-part buffers
+/// amortize to nothing, small enough that a batch's plaintext, labels and
+/// ciphertexts (~4 MiB at this size) stay cache-resident from the keyed
+/// shuffle through the scatter. Under a `BuildBudget` the budget's
+/// encrypt-batch share lowers it.
+const BATCH_ENTRIES: usize = 64 << 10;
+
+/// Parts a batch is cut into per worker thread: the workers pull parts
+/// dynamically, and a part of singleton keywords costs several times a
+/// part of the same entry count under one keyword.
+const PARTS_PER_THREAD: usize = 4;
+
+/// One keyword group of a batch: its entry range and the nonce seed drawn
+/// for it.
+struct Group {
+    start: usize,
+    end: usize,
+    seed: [u8; KEY_LEN],
+}
+
+/// Stage 2: one sequential walk over a batch of the sorted stream closes
+/// the keyword groups as ranges and draws each group's nonce seed, in
+/// keyword order — the only consumer of the caller's RNG, and the reason
+/// this walk is not parallel.
+fn close_groups<const K: usize, const P: usize, R: RngCore + CryptoRng>(
+    batch: &[SpillEntry<K, P>],
+    rng: &mut R,
+) -> Vec<Group> {
+    let mut groups = Vec::new();
+    let mut start = 0;
+    while start < batch.len() {
+        let keyword = &batch[start].0;
+        let len = batch[start..]
+            .iter()
+            .take_while(|e| e.0 == *keyword)
+            .count();
+        let mut seed = [0u8; KEY_LEN];
+        rng.fill_bytes(&mut seed);
+        groups.push(Group {
+            start,
+            end: start + len,
+            seed,
+        });
+        start += len;
+    }
+    groups
+}
+
+/// Cuts a batch's groups into at most `parts` contiguous runs of roughly
+/// equal entry count (a group is never split).
+fn cut_parts(groups: &[Group], parts: usize) -> Vec<&[Group]> {
+    let entries = groups.last().map_or(0, |group| group.end);
+    let target = entries.div_ceil(parts.max(1)).max(1);
+    let mut cut = Vec::with_capacity(parts);
+    let (mut from, mut size) = (0, 0);
+    for (i, group) in groups.iter().enumerate() {
+        size += group.end - group.start;
+        if size >= target {
+            cut.push(&groups[from..=i]);
+            (from, size) = (i + 1, 0);
+        }
+    }
+    if from < groups.len() {
+        cut.push(&groups[from..]);
+    }
+    cut
+}
+
+/// The encrypted entries of one part of a batch, in (keyword, counter)
+/// order: two flat buffers shared by all of the part's groups, plus the
+/// entries' indices bucketed by the shard their label selects.
+struct Part {
+    labels: Vec<Label>,
+    /// Ciphertexts of `stride` bytes each, parallel to `labels`.
+    ciphertexts: Vec<u8>,
+    stride: usize,
+    /// Entry indices ordered by shard, ascending within a shard (a
+    /// counting sort of the labels' shard prefixes).
+    by_shard: Vec<u32>,
+    /// Shard `s` owns `by_shard[shard_starts[s]..shard_starts[s + 1]]`.
+    shard_starts: Vec<u32>,
+}
+
+/// Stage 3, one part: keyed shuffle → trapdoor (both inside `group_token`)
+/// → label expansion → list encryption for each group, appended to the
+/// part's flat buffers; then the shard bucketing of the labels.
+fn encrypt_part<const K: usize, const P: usize, F>(
+    batch: &[SpillEntry<K, P>],
+    groups: &[Group],
+    group_token: &F,
+    bits: u32,
+) -> Part
+where
+    F: Fn(&[u8; K], &mut Vec<[u8; P]>) -> SearchToken,
+{
+    let entries = groups.last().map_or(0, |g| g.end) - groups.first().map_or(0, |g| g.start);
+    let stride = StreamCipher::ciphertext_len(P);
+    let mut labels = Vec::with_capacity(entries);
+    let mut ciphertexts = Vec::with_capacity(entries * stride);
+    let mut payloads: Vec<[u8; P]> = Vec::new();
+    for group in groups {
+        let members = &batch[group.start..group.end];
+        payloads.clear();
+        payloads.extend(members.iter().map(|(_, payload)| *payload));
+        let token = group_token(&members[0].0, &mut payloads);
+        encrypt_list_into(
+            &token,
+            payloads.iter().map(|p| p.as_slice()),
+            group.seed,
+            &mut labels,
+            &mut ciphertexts,
+        );
+    }
+    let mut shard_starts = vec![0u32; (1 << bits) + 1];
+    for label in &labels {
+        shard_starts[shard_of_label(label, bits) + 1] += 1;
+    }
+    for shard in 0..1 << bits {
+        shard_starts[shard + 1] += shard_starts[shard];
+    }
+    let mut next = shard_starts.clone();
+    let mut by_shard = vec![0u32; labels.len()];
+    for (i, label) in labels.iter().enumerate() {
+        let slot = &mut next[shard_of_label(label, bits)];
+        by_shard[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    Part {
+        labels,
+        ciphertexts,
+        stride,
+        by_shard,
+        shard_starts,
+    }
+}
+
+impl Part {
+    /// The part's entries that belong to `shard`, in (keyword, counter)
+    /// order.
+    fn shard_entries(&self, shard: usize) -> impl ExactSizeIterator<Item = (&Label, &[u8])> {
+        let stride = self.stride;
+        let (from, to) = (self.shard_starts[shard], self.shard_starts[shard + 1]);
+        self.by_shard[from as usize..to as usize]
+            .iter()
+            .map(move |&i| {
+                let i = i as usize;
+                (
+                    &self.labels[i],
+                    &self.ciphertexts[i * stride..(i + 1) * stride],
+                )
+            })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Stage 4 — shard sinks
+// ---------------------------------------------------------------------------
+
+/// One shard's scatter state during an on-disk build: in-memory frames,
+/// overflowing into append-only stage files once a budget bounds them.
 struct StageShard {
     entries: u64,
     region_len: u64,
@@ -491,50 +846,87 @@ struct StageShard {
     staged: bool,
 }
 
-/// Where merged, encrypted entries land: in-memory arenas or staged shard
-/// files that finalize into the exact serialized shard format.
-enum Sink<'a> {
-    /// In-memory backend: one growing arena per shard.
+/// Bytes of one staged `(label, ciphertext length)` frame.
+const FRAME_LEN: usize = LABEL_LEN + 4;
+
+/// Where the encrypted entries land: in-memory arenas or staged shard
+/// files that finalize into the exact serialized shard format. A sink
+/// takes a whole batch at a time ([`accept`](Self::accept)), one job per
+/// shard, each appending the batch's entries of its shard in (part,
+/// index) order — the global (keyword, counter) order, whatever the
+/// scheduling.
+enum Sink {
+    /// In-memory backend: one arena and label table per shard, sized once
+    /// from the stream's entry count.
     Memory { shards: Vec<EncryptedIndex> },
-    /// On-disk backend: per-shard bounded buffers spilling to stage files
-    /// in the spill directory, finalized into `shard-NNNNN.shd`.
+    /// On-disk backend: per-shard frame buffers, finalized into
+    /// `shard-NNNNN.shd`. Unbudgeted they hold the shard until then;
+    /// under a budget a buffer past `flush_bytes` overflows to stage files
+    /// in the spill directory.
     Disk {
-        dir: &'a Path,
-        spill: &'a Path,
+        dir: PathBuf,
         flush_bytes: usize,
         shards: Vec<StageShard>,
     },
 }
 
-impl<'a> Sink<'a> {
+/// Capacity reserved per shard for `total` entries over `shards` shards:
+/// labels are PRF outputs, so a shard holds `total / shards` give or take
+/// a binomial deviation — the mean plus 1/32 (plus a constant that covers
+/// tiny indexes) is past it for every shard of any index large enough for
+/// a regrowth to cost something. A shard that does exceed it just grows.
+fn shard_capacity(total: u64, shards: usize) -> usize {
+    let mean = total as usize / shards;
+    mean + mean / 32 + 16
+}
+
+/// Runs `job(shard number, shard)` for every shard, in parallel.
+fn for_each_shard<T: Send>(shards: &mut [T], job: impl Fn(usize, &mut T) + Sync) {
+    let jobs: Vec<(usize, &mut T)> = shards.iter_mut().enumerate().collect();
+    let _: Vec<()> = jobs
+        .into_par_iter()
+        .map(|(i, shard)| job(i, shard))
+        .collect();
+}
+
+impl Sink {
     fn new(
-        config: &'a StorageConfig,
-        spill: &'a Path,
-        budget: &BuildBudget,
+        config: &StorageConfig,
+        total_entries: u64,
+        stride: usize,
     ) -> Result<Self, StorageError> {
         let count = 1usize << config.shard_bits;
+        let capacity = shard_capacity(total_entries, count);
         match &config.backend {
             StorageBackend::InMemory => Ok(Sink::Memory {
-                shards: (0..count).map(|_| EncryptedIndex::default()).collect(),
+                shards: (0..count)
+                    .map(|_| EncryptedIndex::with_capacity(capacity, capacity * stride))
+                    .collect(),
             }),
             StorageBackend::OnDisk(dir) => {
-                // Same commit discipline as the in-RAM on-disk build: the
-                // index manifest goes in first, shard files follow.
+                // Same commit discipline as a save: the index manifest
+                // goes in first, shard files follow.
+                formats::create_dir_all(dir)?;
                 write_manifest(dir, config.shard_bits)?;
                 // A quarter of the budget across all shard buffers, floored
                 // so very high shard counts degrade to more frequent
-                // appends rather than per-byte syscalls.
-                let flush_bytes = (budget.memory_bytes / 4 / count).clamp(4 << 10, 1 << 20);
+                // appends rather than per-byte syscalls. Without a budget
+                // the buffers hold the whole shard. Either way they are
+                // sized up front for what they will hold.
+                let flush_bytes = config.build_budget.as_ref().map_or(usize::MAX, |budget| {
+                    (budget.memory_bytes / 4 / count).max(4 << 10)
+                });
+                let reserve =
+                    |per_entry: usize| Vec::with_capacity((capacity * per_entry).min(flush_bytes));
                 Ok(Sink::Disk {
-                    dir,
-                    spill,
+                    dir: dir.clone(),
                     flush_bytes,
                     shards: (0..count)
                         .map(|_| StageShard {
                             entries: 0,
                             region_len: 0,
-                            dir_buf: Vec::new(),
-                            region_buf: Vec::new(),
+                            dir_buf: reserve(FRAME_LEN),
+                            region_buf: reserve(stride),
                             staged: false,
                         })
                         .collect(),
@@ -543,30 +935,44 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Accepts the next entry in global (keyword, counter) order.
-    fn accept(&mut self, bits: u32, label: Label, ciphertext: &[u8]) -> Result<(), StorageError> {
-        let shard = shard_of_label(&label, bits);
+    /// Appends one encrypted batch, every shard in parallel.
+    fn accept(&mut self, parts: &[Part], spill: &mut SpillDir) -> Result<(), StorageError> {
         match self {
             Sink::Memory { shards } => {
-                shards[shard].append_entry(label, ciphertext);
+                for_each_shard(shards, |i, shard| {
+                    for part in parts {
+                        for (label, ciphertext) in part.shard_entries(i) {
+                            shard.append_entry(*label, ciphertext);
+                        }
+                    }
+                });
                 Ok(())
             }
             Sink::Disk {
-                spill,
                 flush_bytes,
                 shards,
                 ..
             } => {
-                let stage = &mut shards[shard];
-                stage.dir_buf.extend_from_slice(&label);
-                stage
-                    .dir_buf
-                    .extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
-                stage.region_buf.extend_from_slice(ciphertext);
-                stage.entries += 1;
-                stage.region_len += ciphertext.len() as u64;
-                if stage.dir_buf.len() + stage.region_buf.len() >= *flush_bytes {
-                    stage_overflow(spill, shard, stage)?;
+                for_each_shard(shards, |i, stage| {
+                    for part in parts {
+                        let entries = part.shard_entries(i);
+                        stage.entries += entries.len() as u64;
+                        stage.region_len += (entries.len() * part.stride) as u64;
+                        for (label, ciphertext) in entries {
+                            stage.dir_buf.extend_from_slice(label);
+                            stage
+                                .dir_buf
+                                .extend_from_slice(&(part.stride as u32).to_le_bytes());
+                            stage.region_buf.extend_from_slice(ciphertext);
+                        }
+                    }
+                });
+                // Overflow after the parallel step, in shard order, so the
+                // gated op log of a build is deterministic.
+                for (i, stage) in shards.iter_mut().enumerate() {
+                    if stage.dir_buf.len() + stage.region_buf.len() >= *flush_bytes {
+                        stage_overflow(spill.create()?, i, stage)?;
+                    }
                 }
                 Ok(())
             }
@@ -574,29 +980,43 @@ impl<'a> Sink<'a> {
     }
 
     /// Finalizes every shard and assembles the index.
-    fn finish(self, bits: u32, cache_budget: Option<usize>) -> Result<ShardedIndex, StorageError> {
+    fn finish(
+        self,
+        bits: u32,
+        cache_budget: Option<usize>,
+        spill: &SpillDir,
+    ) -> Result<ShardedIndex, StorageError> {
         match self {
             Sink::Memory { shards } => Ok(ShardedIndex::from_parts(
                 bits,
                 shards.into_iter().map(Shard::Memory).collect(),
             )),
-            Sink::Disk {
-                dir, spill, shards, ..
-            } => {
+            Sink::Disk { dir, shards, .. } => {
                 let cache = cache_budget.map(|budget| std::sync::Arc::new(BlockCache::new(budget)));
-                let mut out = Vec::with_capacity(shards.len());
-                for (i, stage) in shards.into_iter().enumerate() {
+                let finalize = |(i, stage): (usize, StageShard)| -> Result<Shard, StorageError> {
                     let path = dir.join(shard_file_name(i));
-                    finalize_shard(&path, spill, i, stage)?;
+                    finalize_shard(&path, &spill.path, i, stage)?;
                     let shard = match &cache {
                         Some(cache) => {
                             FileShard::open_cached(&path, i as u32, std::sync::Arc::clone(cache))?
                         }
                         None => FileShard::open(&path)?,
                     };
-                    out.push(Shard::File(shard));
-                }
-                Ok(ShardedIndex::from_parts(bits, out))
+                    Ok(Shard::File(shard))
+                };
+                // Shards held in their buffers serialize and reopen in
+                // parallel. A build that overflowed to stage files is bound
+                // by the disk either way; it finalizes in shard order,
+                // which keeps its gated op log deterministic.
+                let jobs: Vec<(usize, StageShard)> = shards.into_iter().enumerate().collect();
+                let results: Vec<Result<Shard, StorageError>> =
+                    if jobs.iter().any(|(_, stage)| stage.staged) {
+                        jobs.into_iter().map(finalize).collect()
+                    } else {
+                        jobs.into_par_iter().map(finalize).collect()
+                    };
+                let shards = results.into_iter().collect::<Result<_, _>>()?;
+                Ok(ShardedIndex::from_parts(bits, shards))
             }
         }
     }
@@ -635,11 +1055,11 @@ fn write_directory(
     Ok(())
 }
 
-/// Writes shard `shard`'s final serialized file from its staged frames —
-/// header, label directory (offsets as the running length sum, exactly the
-/// in-RAM layout), then the ciphertext region — and removes the stage
-/// files. Small shards that never overflowed serialize straight from
-/// their buffers.
+/// Writes shard `shard`'s final serialized file from its frames — header,
+/// label directory (offsets as the running length sum, exactly the in-RAM
+/// layout), then the ciphertext region. A shard that never overflowed
+/// serializes straight from its buffers and touches nothing else; a staged
+/// one flushes its tail, streams the stage files back and removes them.
 fn finalize_shard(
     path: &Path,
     spill: &Path,
@@ -650,22 +1070,22 @@ fn finalize_shard(
         stage.region_len <= u32::MAX as u64,
         "arena limited to 4 GiB per index; shard the dataset first"
     );
-    if stage.staged {
-        // Flush the tail so the stage files hold everything.
-        stage_overflow(spill, shard, &mut stage)?;
+    if !stage.staged {
+        return write_file_atomic(path, |writer| {
+            write_shard_header(writer, stage.entries, stage.region_len)?;
+            write_directory(&mut stage.dir_buf.as_slice(), stage.entries, writer)?;
+            writer.write_all(&stage.region_buf)
+        });
     }
+    // Flush the tail so the stage files hold everything.
+    stage_overflow(spill, shard, &mut stage)?;
     let dir_tmp = spill.join(stage_dir_name(shard));
     let region_tmp = spill.join(stage_region_name(shard));
     write_file_atomic(path, |writer| {
         write_shard_header(writer, stage.entries, stage.region_len)?;
-        if stage.staged {
-            let mut frames = BufReader::new(File::open(&dir_tmp)?);
-            write_directory(&mut frames, stage.entries, writer)?;
-            io::copy(&mut BufReader::new(File::open(&region_tmp)?), writer)?;
-        } else {
-            write_directory(&mut stage.dir_buf.as_slice(), stage.entries, writer)?;
-            writer.write_all(&stage.region_buf)?;
-        }
+        let mut frames = BufReader::new(File::open(&dir_tmp)?);
+        write_directory(&mut frames, stage.entries, writer)?;
+        io::copy(&mut BufReader::new(File::open(&region_tmp)?), writer)?;
         Ok(())
     })?;
     let _ = formats::remove_file(&dir_tmp);
@@ -677,27 +1097,11 @@ fn finalize_shard(
 // The build driver
 // ---------------------------------------------------------------------------
 
-/// Monotonic counter naming the spill directories of in-memory builds.
-static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Where this build spills: inside the index directory for on-disk
-/// backends, under the budget's spill root (or the OS temp dir) otherwise.
-fn spill_dir_for(config: &StorageConfig, budget: &BuildBudget) -> PathBuf {
-    match &config.backend {
-        StorageBackend::OnDisk(dir) => dir.join(SPILL_DIR),
-        StorageBackend::InMemory => {
-            let root = budget.spill_root.clone().unwrap_or_else(std::env::temp_dir);
-            let n = SPILL_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
-            root.join(format!("rsse-spill-{}-{n}", std::process::id()))
-        }
-    }
-}
-
-/// External-memory equivalent of the grouped fixed-stride build
-/// (`grouped_fixed_index_stored` in `rsse-core`): sorts `(keyword,
-/// payload)` entries on disk, then per keyword group applies the keyed
-/// shuffle, derives the trapdoor from `key`, and encrypts — byte-identical
-/// output to the in-RAM path at bounded peak RSS.
+/// The fixed-stride `BuildIndex` every replication-based range scheme
+/// runs (`grouped_fixed_index_stored` in `rsse-core`): orders `(keyword,
+/// payload)` entries — in RAM, or through sorted runs on disk once a
+/// `BuildBudget` is exceeded — then per keyword group applies the keyed
+/// shuffle, derives the trapdoor from `key`, and encrypts.
 pub fn build_index_fixed_external<const K: usize, const P: usize, R: RngCore + CryptoRng>(
     key: &SseKey,
     shuffle_key: &rsse_crypto::Key,
@@ -718,159 +1122,72 @@ pub fn build_index_fixed_external<const K: usize, const P: usize, R: RngCore + C
     )
 }
 
-/// The generic external-memory `BuildIndex`: spill, merge, and hand each
-/// keyword group to `group_token`, which may reorder the payloads (keyed
-/// shuffle) and must return the group's [`SearchToken`]. Schemes whose
-/// tokens come from a delegatable PRF rather than the SSE master key
-/// (Constant-BRC/URC) use this directly.
+/// The one fixed-stride `BuildIndex`, in four stages (module docs):
+/// **source** — `entries` sorted by `order`, in RAM unless
+/// `config.build_budget` is set and exceeded (`None` never spills);
+/// **group + seed** — sequential, one 32-byte nonce seed per keyword group
+/// drawn from `rng` in keyword order; **batch** — bounded batches cut into
+/// parts that run in parallel, each handing its groups to `group_token`,
+/// which may reorder the payloads (keyed shuffle) and must return the
+/// group's [`SearchToken`], then expanding labels and encrypting into the
+/// part's flat buffers; **sink** — one parallel job per shard. Schemes
+/// whose tokens come from a delegatable PRF rather than the SSE master key
+/// (Constant-BRC/URC) call this directly.
 ///
-/// RNG consumption is one 32-byte nonce seed per keyword group, drawn in
-/// merged keyword order — exactly the in-RAM build's sequence, which is
-/// what makes the output bit-identical for the same `rng` stream.
+/// `group_token` runs on worker threads, once per group, in no particular
+/// order; it must be a pure function of the keyword and the payloads. The
+/// RNG draws are what make the output a function of (keys, `rng` stream):
+/// the same bytes for every budget, backend, batch size and thread count.
 pub fn build_index_external_with<const K: usize, const P: usize, R, F>(
     entries: impl IntoIterator<Item = ([u8; K], [u8; P])>,
     order: SpillOrder,
-    mut group_token: F,
+    group_token: F,
     config: &StorageConfig,
     rng: &mut R,
 ) -> Result<ShardedIndex, StorageError>
 where
     R: RngCore + CryptoRng,
-    F: FnMut(&[u8; K], &mut Vec<[u8; P]>) -> SearchToken,
+    F: Fn(&[u8; K], &mut Vec<[u8; P]>) -> SearchToken + Sync,
 {
     let bits = config.shard_bits;
     assert!(
         bits <= MAX_SHARD_BITS,
         "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
     );
-    let budget = config.build_budget.clone().unwrap_or_default();
-    let spill = spill_dir_for(config, &budget);
-    formats::create_dir_all(&spill)?;
-    // Heal leftovers of a previously crashed build before reusing the
-    // directory: stale runs would shadow this build's manifest, and stale
-    // stage files would corrupt the append-only scatter. Foreign files
-    // survive the sweep (and the directory, therefore, survives too).
-    sweep_stale_spill_files(&spill);
+    let budget = config.build_budget.as_ref();
+    let stride = StreamCipher::ciphertext_len(P);
+    let run_limit = budget.map_or(usize::MAX, |budget| budget.run_entry_limit(K + P));
+    let batch_limit = budget.map_or(BATCH_ENTRIES, |budget| {
+        BATCH_ENTRIES
+            .min(budget.encrypt_batch_bytes() / stride)
+            .max(1)
+    });
+    let mut spill = SpillDir::of(config);
 
     let built = (|| {
-        // Pass 1: stream entries into sorted runs.
-        let mut spiller = Spiller::<K, P>::new(&spill, order, budget.run_entry_limit(K + P));
+        let mut spiller = Spiller::<K, P>::new(&mut spill, order, run_limit);
         for entry in entries {
             spiller.push(entry)?;
         }
-        spiller.finish()?;
-
-        // Pass 2: k-way merge the runs back, group, encrypt, scatter.
-        let meta = read_spill_meta::<K, P>(&spill, order)?;
-        let run_buffer =
-            (budget.memory_bytes / 4 / meta.runs.len().max(1)).clamp(16 << 10, 1 << 20);
-        let mut readers: Vec<RunReader<K, P>> = meta
-            .runs
-            .iter()
-            .enumerate()
-            .map(|(i, info)| RunReader::open(&spill, i, info, run_buffer))
-            .collect::<Result<_, _>>()?;
-        let full = meta.order == SpillOrder::ByKeywordAndPayload;
-        let mut heap = BinaryHeap::with_capacity(readers.len());
-        for (run, reader) in readers.iter_mut().enumerate() {
-            if let Some((keyword, payload)) = reader.next_entry()? {
-                heap.push(Reverse(HeapEntry {
-                    keyword,
-                    payload,
-                    run,
-                    full,
-                }));
+        let mut source = spiller.finish(budget.map_or(0, |budget| budget.memory_bytes))?;
+        let mut sink = Sink::new(config, source.total_entries(), stride)?;
+        let part_count = rayon::current_num_threads() * PARTS_PER_THREAD;
+        loop {
+            let batch = source.next_batch(batch_limit)?;
+            if batch.is_empty() {
+                break;
             }
-        }
-
-        let mut sink = Sink::new(config, &spill, &budget)?;
-        let batch_bytes_limit = budget.encrypt_batch_bytes();
-        let mut batch: EncryptBatch<P> = Vec::new();
-        let mut batch_bytes = 0usize;
-        let mut group: Option<([u8; K], Vec<[u8; P]>)> = None;
-        let mut merged = 0u64;
-
-        // Closes the current keyword group: shuffle + token + nonce seed
-        // (drawn here, sequentially, in merged keyword order).
-        let mut close_group = |group: ([u8; K], Vec<[u8; P]>),
-                               batch: &mut EncryptBatch<P>,
-                               batch_bytes: &mut usize,
-                               rng: &mut R| {
-            let (keyword, mut payloads) = group;
-            let token = group_token(&keyword, &mut payloads);
-            let mut seed = [0u8; KEY_LEN];
-            rng.fill_bytes(&mut seed);
-            *batch_bytes += payloads.len() * StreamCipher::ciphertext_len(P);
-            batch.push((token, payloads, seed));
-        };
-        // Encrypts a full batch in parallel and scatters the chunks in
-        // order — entries reach each shard in global (keyword, counter)
-        // order, same as the in-RAM scatter.
-        let flush_batch = |batch: &mut EncryptBatch<P>,
-                           batch_bytes: &mut usize,
-                           sink: &mut Sink<'_>|
-         -> Result<(), StorageError> {
-            let chunks: Vec<_> = std::mem::take(batch)
+            let groups = close_groups(batch, rng);
+            let parts: Vec<Part> = cut_parts(&groups, part_count)
                 .into_par_iter()
-                .map(|(token, payloads, seed)| {
-                    encrypt_payloads(
-                        &token,
-                        payloads.iter().map(|p| p.as_slice()),
-                        payloads.len(),
-                        payloads.len() * StreamCipher::ciphertext_len(P),
-                        seed,
-                    )
-                })
+                .map(|groups| encrypt_part(batch, groups, &group_token, bits))
                 .collect();
-            *batch_bytes = 0;
-            for chunk in chunks {
-                for (label, (offset, len)) in chunk.labels.iter().zip(&chunk.spans) {
-                    let span = &chunk.buf[*offset as usize..(*offset + *len) as usize];
-                    sink.accept(bits, *label, span)?;
-                }
-            }
-            Ok(())
-        };
-
-        while let Some(Reverse(head)) = heap.pop() {
-            if let Some((keyword, payload)) = readers[head.run].next_entry()? {
-                heap.push(Reverse(HeapEntry {
-                    keyword,
-                    payload,
-                    run: head.run,
-                    full,
-                }));
-            }
-            merged += 1;
-            match &mut group {
-                Some((keyword, payloads)) if *keyword == head.keyword => {
-                    payloads.push(head.payload);
-                }
-                _ => {
-                    if let Some(done) = group.take() {
-                        close_group(done, &mut batch, &mut batch_bytes, rng);
-                        if batch_bytes >= batch_bytes_limit {
-                            flush_batch(&mut batch, &mut batch_bytes, &mut sink)?;
-                        }
-                    }
-                    group = Some((head.keyword, vec![head.payload]));
-                }
-            }
+            sink.accept(&parts, &mut spill)?;
         }
-        if let Some(done) = group.take() {
-            close_group(done, &mut batch, &mut batch_bytes, rng);
-        }
-        flush_batch(&mut batch, &mut batch_bytes, &mut sink)?;
-        if merged != meta.total_entries {
-            return Err(StorageError::CorruptDirectory {
-                path: spill.join(SPILL_MANIFEST_FILE),
-                detail: format!(
-                    "merged {merged} entries but the spill manifest records {}",
-                    meta.total_entries
-                ),
-            });
-        }
-        sink.finish(bits, config.cache_budget)
+        // The sorted stream is spent; free it before the shards are
+        // serialized and reopened.
+        drop(source);
+        sink.finish(bits, config.cache_budget, &spill)
     })();
 
     match (&built, &config.backend) {
@@ -878,12 +1195,14 @@ where
         (Err(_), StorageBackend::OnDisk(dir)) => {
             crate::storage::cleanup_partial_index(dir, 1usize << bits)
         }
-        _ => sweep_spill_dir(&spill),
+        // Ours, or a crashed earlier build's that this one never needed.
+        _ if spill.path.is_dir() => sweep_spill_dir(&spill.path),
+        _ => {}
     }
     built
 }
 
-/// Start-of-build variant of [`sweep_spill_dir`]: removes stale recognized
+/// Start-of-spill variant of [`sweep_spill_dir`]: removes stale recognized
 /// files but keeps the directory (this build is about to use it).
 fn sweep_stale_spill_files(dir: &Path) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -903,11 +1222,12 @@ mod tests {
     use super::*;
     use crate::pibas::SseScheme;
     use crate::storage::test_support::TempDir;
+    use crate::storage::BuildBudget;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_crypto::Key;
-    use std::cell::RefCell;
+    use std::sync::Mutex;
 
     /// The 13-byte `[tag, level, index]` keyword layout the range schemes
     /// feed the grouped build, so the tests sort exactly what they sort.
@@ -919,8 +1239,10 @@ mod tests {
         k
     }
 
-    /// The in-RAM reference: `grouped_lists` from `rsse-core` replicated
-    /// inline (sort, group, keyed shuffle), then the streaming stored build.
+    /// The in-RAM reference: the chunk build over an [`SseDatabase`] of the
+    /// sorted entries with every list pre-shuffled — the same keyword
+    /// order and the same one-seed-per-keyword draw as the pipeline, and
+    /// none of its code.
     fn in_ram_reference(
         key: &SseKey,
         shuffle_key: &Key,
@@ -929,20 +1251,53 @@ mod tests {
         rng: &mut ChaCha20Rng,
     ) -> ShardedIndex {
         entries.sort_unstable();
-        let mut lists: Vec<(Vec<u8>, Vec<[u8; 8]>)> = Vec::new();
-        for (keyword, payload) in entries {
-            match lists.last_mut() {
-                Some((last, payloads)) if last.as_slice() == keyword.as_slice() => {
-                    payloads.push(payload);
-                }
-                _ => lists.push((keyword.to_vec(), vec![payload])),
+        database_reference(key, shuffle_key, entries, config, rng)
+    }
+
+    /// [`in_ram_reference`] over entries taken in the order given: the
+    /// database groups by keyword and keeps each list in arrival order,
+    /// which is exactly what [`SpillOrder::ByKeyword`] promises.
+    fn database_reference(
+        key: &SseKey,
+        shuffle_key: &Key,
+        entries: Vec<([u8; 13], [u8; 8])>,
+        config: &StorageConfig,
+        rng: &mut ChaCha20Rng,
+    ) -> ShardedIndex {
+        let mut database: crate::SseDatabase = entries.into_iter().collect();
+        database.shuffle_lists(shuffle_key);
+        SseScheme::build_index_stored(key, &database, config, rng).unwrap()
+    }
+
+    /// The pipeline under `order`, keyed like the reference.
+    fn pipeline(
+        key: &SseKey,
+        shuffle_key: &Key,
+        entries: &[([u8; 13], [u8; 8])],
+        order: SpillOrder,
+        config: &StorageConfig,
+        rng: &mut ChaCha20Rng,
+    ) -> ShardedIndex {
+        let entries = entries.iter().copied();
+        match order {
+            SpillOrder::ByKeywordAndPayload => {
+                build_index_fixed_external(key, shuffle_key, entries, config, rng)
+            }
+            SpillOrder::ByKeyword => {
+                let shuffle = rsse_crypto::Prf::new(shuffle_key);
+                build_index_external_with(
+                    entries,
+                    order,
+                    |keyword: &[u8; 13], payloads: &mut Vec<[u8; 8]>| {
+                        rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
+                        SseScheme::trapdoor(key, keyword)
+                    },
+                    config,
+                    rng,
+                )
             }
         }
-        let shuffle = rsse_crypto::Prf::new(shuffle_key);
-        for (keyword, payloads) in lists.iter_mut() {
-            rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
-        }
-        SseScheme::build_index_fixed_stored(key, &lists, config, rng).unwrap()
+        .unwrap()
     }
 
     fn dirs_equal(a: &Path, b: &Path) -> bool {
@@ -963,6 +1318,106 @@ mod tests {
             .all(|name| fs::read(a.join(name)).unwrap() == fs::read(b.join(name)).unwrap())
     }
 
+    /// Table-and-arena equality of two in-memory indexes.
+    fn arenas_equal(a: &ShardedIndex, b: &ShardedIndex) -> bool {
+        a.shard_count() == b.shard_count()
+            && a.shards().iter().zip(b.shards()).all(|(a, b)| {
+                let (a, b) = (a.as_memory().unwrap(), b.as_memory().unwrap());
+                a.table_raw() == b.table_raw() && a.arena_bytes_raw() == b.arena_bytes_raw()
+            })
+    }
+
+    /// The byte-identity contract for one corpus: under every budget given,
+    /// on both backends, the pipeline's tables, arenas and files equal the
+    /// reference's, it leaves the caller's RNG where the reference leaves
+    /// it, and no spill directory survives.
+    fn assert_identical(
+        entries: &[([u8; 13], [u8; 8])],
+        order: SpillOrder,
+        seed: u64,
+        shard_bits: u32,
+        budgets: &[Option<BuildBudget>],
+    ) {
+        let mut key_rng = ChaCha20Rng::seed_from_u64(seed ^ 0x5eed);
+        let key = SseScheme::setup(&mut key_rng);
+        let shuffle_key = Key::generate(&mut key_rng);
+        let reference = |config: &StorageConfig| {
+            let mut rng = ChaCha20Rng::seed_from_u64(seed);
+            let entries = entries.to_vec();
+            let index = match order {
+                SpillOrder::ByKeywordAndPayload => {
+                    in_ram_reference(&key, &shuffle_key, entries, config, &mut rng)
+                }
+                SpillOrder::ByKeyword => {
+                    database_reference(&key, &shuffle_key, entries, config, &mut rng)
+                }
+            };
+            (index, rng.next_u64())
+        };
+        let (ref_idx, ref_draw) = reference(&StorageConfig::in_memory(shard_bits));
+        let ref_dir = TempDir::new("ext-id-ref");
+        reference(&StorageConfig::on_disk(shard_bits, ref_dir.path()));
+
+        for budget in budgets {
+            let context = format!(
+                "{} entries, {order:?}, {shard_bits} shard bits, budget {:?}",
+                entries.len(),
+                budget.as_ref().map(|b| b.memory_bytes)
+            );
+            let spill_root = TempDir::new("ext-id-spill");
+            let configure = |mut config: StorageConfig| {
+                config.build_budget = budget
+                    .clone()
+                    .map(|budget| budget.with_spill_root(spill_root.path()));
+                config
+            };
+            let mut rng = ChaCha20Rng::seed_from_u64(seed);
+            let config = configure(StorageConfig::in_memory(shard_bits));
+            let index = pipeline(&key, &shuffle_key, entries, order, &config, &mut rng);
+            assert!(arenas_equal(&ref_idx, &index), "arenas differ: {context}");
+            assert_eq!(rng.next_u64(), ref_draw, "RNG state differs: {context}");
+            assert_eq!(spill_root.subdir_count(), 0, "spill left: {context}");
+
+            let dir = TempDir::new("ext-id-disk");
+            let config = configure(StorageConfig::on_disk(shard_bits, dir.path()));
+            let mut rng = ChaCha20Rng::seed_from_u64(seed);
+            pipeline(&key, &shuffle_key, entries, order, &config, &mut rng);
+            assert!(
+                dirs_equal(ref_dir.path(), dir.path()),
+                "files differ: {context}"
+            );
+            assert_eq!(rng.next_u64(), ref_draw, "RNG state differs: {context}");
+        }
+    }
+
+    /// The budget whose run limit is exactly `entries` 21-byte entries
+    /// (or the run floor, for fewer).
+    fn budget_for_run_limit(entries: usize) -> BuildBudget {
+        let budget = BuildBudget::with_memory(entries * 2 * 21);
+        let limit = entries.max(BuildBudget::MIN_RUN_ENTRIES);
+        assert_eq!(budget.run_entry_limit(21), limit);
+        budget
+    }
+
+    /// The budgets that matter for a corpus of `n` entries: none; one the
+    /// corpus fits (the buffer never reaches the run limit); the ones that
+    /// make it spill exactly one run, two runs, and as many as the run
+    /// floor allows. Every budget here also bounds a batch at
+    /// [`BUDGET_BATCH`] entries.
+    fn budgets_around(n: usize) -> Vec<Option<BuildBudget>> {
+        let mut budgets = vec![None, Some(budget_for_run_limit(n + 1))];
+        if n > BuildBudget::MIN_RUN_ENTRIES {
+            budgets.push(Some(budget_for_run_limit(n)));
+            budgets.push(Some(budget_for_run_limit(n - 1)));
+            budgets.push(Some(BuildBudget::with_memory(1)));
+        }
+        budgets
+    }
+
+    /// Entries per batch under any budget of at most 256 KiB: the 64 KiB
+    /// floor of the encrypt-batch share over 24-byte ciphertexts.
+    const BUDGET_BATCH: usize = (64 << 10) / 24;
+
     /// Converts raw generated triples to entries over a small keyword
     /// space (collisions guaranteed); the generated vectors are long enough
     /// to spill several runs at the minimum run size.
@@ -976,68 +1431,171 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// The byte-identity contract: for any entries, seed, budget, and
-        /// shard count, the external build produces bit-identical shard
-        /// files to the in-RAM build — on both backends.
+        /// shard count, the pipeline produces bit-identical tables, arenas
+        /// and shard files to the chunk build — on both backends, whether
+        /// the budget is absent, fits the corpus, or forces several runs.
         #[test]
         fn external_build_is_byte_identical(
             raw in proptest::collection::vec((0u32..5, 0u64..4, any::<u64>()), 0..1400),
             seed in any::<u64>(),
-            shard_bits in 0u32..3,
+            shard_pick in 0usize..3,
             budget_bytes in 1usize..(64 << 10),
         ) {
             let entries = to_entries(raw);
-            let mut key_rng = ChaCha20Rng::seed_from_u64(seed ^ 0x5eed);
-            let key = SseScheme::setup(&mut key_rng);
-            let shuffle_key = Key::generate(&mut key_rng);
-            let spill_root = TempDir::new("ext-prop-spill");
-            let budget = BuildBudget::with_memory(budget_bytes)
-                .with_spill_root(spill_root.path());
-
-            // In-memory backend: build both ways, serialize, compare bytes.
-            let ref_idx = in_ram_reference(
-                &key,
-                &shuffle_key,
-                entries.clone(),
-                &StorageConfig::in_memory(shard_bits),
-                &mut ChaCha20Rng::seed_from_u64(seed),
+            assert_identical(
+                &entries,
+                SpillOrder::ByKeywordAndPayload,
+                seed,
+                [0, 2, 4][shard_pick],
+                &[None, Some(BuildBudget::with_memory(budget_bytes))],
             );
-            let ext_idx = build_index_fixed_external(
-                &key,
-                &shuffle_key,
-                entries.iter().copied(),
-                &StorageConfig::in_memory(shard_bits).with_build_budget(budget.clone()),
-                &mut ChaCha20Rng::seed_from_u64(seed),
-            )
-            .unwrap();
-            let ref_dir = TempDir::new("ext-prop-ref");
-            let ext_dir = TempDir::new("ext-prop-ext");
-            ref_idx.save_to_dir(ref_dir.path()).unwrap();
-            ext_idx.save_to_dir(ext_dir.path()).unwrap();
-            prop_assert!(dirs_equal(ref_dir.path(), ext_dir.path()));
-            // The in-memory spill directory is swept away on success.
-            prop_assert_eq!(spill_root.subdir_count(), 0);
+        }
+    }
 
-            // On-disk backend: both streaming builds write directly; the
-            // index directories must match file for file.
-            let disk_ref = TempDir::new("ext-prop-dref");
-            let disk_ext = TempDir::new("ext-prop-dext");
-            in_ram_reference(
-                &key,
-                &shuffle_key,
-                entries.clone(),
-                &StorageConfig::on_disk(shard_bits, disk_ref.path()),
-                &mut ChaCha20Rng::seed_from_u64(seed),
+    /// `count` entries under keyword `(level, index)`, payloads descending
+    /// from `base` so arrival order is never sorted order.
+    fn group(level: u32, index: u64, count: usize, base: u64) -> Vec<([u8; 13], [u8; 8])> {
+        (0..count as u64)
+            .map(|i| (keyword(level, index), (base - i).to_le_bytes()))
+            .collect()
+    }
+
+    /// Corpora that put something on every edge of a [`BUDGET_BATCH`]-entry
+    /// batch: a keyword longer than a batch (a batch of one group, hence of
+    /// one part), a group ending exactly on the boundary, the boundary
+    /// falling just inside and just past a group, nothing but singleton
+    /// keywords, and the degenerate 0 / 1 / 2 entries.
+    fn batch_edge_shapes() -> Vec<Vec<([u8; 13], [u8; 8])>> {
+        let b = BUDGET_BATCH;
+        let singletons = |count: usize| -> Vec<([u8; 13], [u8; 8])> {
+            (0..count as u64)
+                .map(|i| (keyword((i % 7) as u32, i), (i * 31).to_le_bytes()))
+                .collect()
+        };
+        vec![
+            Vec::new(),
+            group(0, 0, 1, 9),
+            group(0, 0, 2, 9),
+            [group(1, 1, 1, 9), group(0, 5, 1, 9)].concat(),
+            [
+                group(0, 0, 3, 50),
+                group(0, 1, b + 270, 1 << 20),
+                singletons(40),
+            ]
+            .concat(),
+            [group(0, 0, b, 1 << 20), group(0, 1, 10, 99)].concat(),
+            [
+                group(0, 0, b - 1, 1 << 20),
+                group(0, 1, 1, 7),
+                group(0, 2, 5, 99),
+            ]
+            .concat(),
+            [
+                group(0, 0, b - 1, 1 << 20),
+                group(0, 1, 2, 7),
+                singletons(b),
+            ]
+            .concat(),
+            singletons(2 * b + 17),
+        ]
+    }
+
+    #[test]
+    fn every_batch_edge_is_byte_identical_under_every_budget() {
+        for (shape, entries) in batch_edge_shapes().into_iter().enumerate() {
+            // Every layout on the small shapes; on the multi-batch ones the
+            // shard count changes nothing the edges depend on.
+            let layouts: &[u32] = if entries.len() < 100 {
+                &[0, 2, 4]
+            } else {
+                &[2]
+            };
+            for &shard_bits in layouts {
+                assert_identical(
+                    &entries,
+                    SpillOrder::ByKeywordAndPayload,
+                    shape as u64,
+                    shard_bits,
+                    &budgets_around(entries.len()),
+                );
+            }
+        }
+    }
+
+    /// Constant's ordering: groups in keyword order, each list in arrival
+    /// order — across batches and across spill runs — equals the database
+    /// build of the same arrival order.
+    #[test]
+    fn by_keyword_order_is_byte_identical_under_every_budget() {
+        // Three interleaved keywords, arrival order deliberately unsorted,
+        // and a fourth that arrives last but sorts first.
+        let mut entries: Vec<([u8; 13], [u8; 8])> = (0..2 * BUDGET_BATCH as u64 + 100)
+            .map(|i| (keyword(2, i % 3), ((1u64 << 30) - i * 7).to_le_bytes()))
+            .collect();
+        entries.extend(group(1, 0, 20, 500));
+        for shard_bits in [0, 4] {
+            assert_identical(
+                &entries,
+                SpillOrder::ByKeyword,
+                3,
+                shard_bits,
+                &budgets_around(entries.len()),
             );
+        }
+    }
+
+    /// A build that never spills does no filesystem work beyond its index
+    /// files: an in-memory build under a budget it fits records no gated op
+    /// (nothing under its spill root), and an on-disk build — unbudgeted or
+    /// within its budget — records the directory, the manifest and one
+    /// atomic write per shard, nothing else.
+    #[test]
+    fn a_build_that_fits_touches_only_its_index_files() {
+        let mut rng = ChaCha20Rng::seed_from_u64(21);
+        let key = SseScheme::setup(&mut rng);
+        let shuffle_key = Key::generate(&mut rng);
+        let entries: Vec<([u8; 13], [u8; 8])> = (0..3000u64)
+            .map(|i| (keyword((i % 5) as u32, i % 11), i.to_le_bytes()))
+            .collect();
+        let roomy = BuildBudget::with_memory(64 << 20);
+        let build = |config: &StorageConfig| {
+            let mut rng = ChaCha20Rng::seed_from_u64(4);
             build_index_fixed_external(
                 &key,
                 &shuffle_key,
                 entries.iter().copied(),
-                &StorageConfig::on_disk(shard_bits, disk_ext.path())
-                    .with_build_budget(budget),
-                &mut ChaCha20Rng::seed_from_u64(seed),
+                config,
+                &mut rng,
             )
             .unwrap();
-            prop_assert!(dirs_equal(disk_ref.path(), disk_ext.path()));
+        };
+
+        let spill_root = TempDir::new("ext-fits-spill");
+        let recording = formats::arm_crash(spill_root.path(), None);
+        let budget = roomy.clone().with_spill_root(spill_root.path());
+        build(&StorageConfig::in_memory(2).with_build_budget(budget));
+        assert_eq!(recording.trace(), Vec::new());
+        drop(recording);
+        assert_eq!(spill_root.subdir_count(), 0);
+
+        for budget in [None, Some(roomy)] {
+            let dir = TempDir::new("ext-fits-disk");
+            let index_dir = dir.path().join("index");
+            let mut config = StorageConfig::on_disk(2, &index_dir);
+            config.build_budget = budget;
+            let recording = formats::arm_crash(dir.path(), None);
+            build(&config);
+            let mut log = recording.trace();
+            drop(recording);
+            // The shard writers run in parallel: their four ops come in
+            // any order, after the first two.
+            log[2..].sort();
+            let mut expected = vec![
+                ("create_dir_all", index_dir.clone()),
+                ("write", index_dir.join(crate::storage::MANIFEST_FILE)),
+            ];
+            expected.extend((0..4).map(|i| ("write", index_dir.join(shard_file_name(i)))));
+            assert_eq!(log, expected);
         }
     }
 
@@ -1059,12 +1617,12 @@ mod tests {
         let spill_root = TempDir::new("ext-stable-spill");
         let config = StorageConfig::in_memory(0)
             .with_build_budget(BuildBudget::with_memory(1).with_spill_root(spill_root.path()));
-        let seen: RefCell<Vec<(u64, Vec<u64>)>> = RefCell::new(Vec::new());
+        let seen: Mutex<Vec<(u64, Vec<u64>)>> = Mutex::new(Vec::new());
         build_index_external_with(
             entries.iter().copied(),
             SpillOrder::ByKeyword,
             |keyword: &[u8; 8], payloads: &mut Vec<[u8; 8]>| {
-                seen.borrow_mut().push((
+                seen.lock().unwrap().push((
                     u64::from_be_bytes(*keyword),
                     payloads.iter().map(|p| u64::from_le_bytes(*p)).collect(),
                 ));
@@ -1074,7 +1632,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let seen = seen.into_inner();
+        let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 2, "one group per keyword");
         for (kw, payloads) in seen {
             // Arrival order for keyword kw: 1300-kw, 1298-kw, … descending.
@@ -1226,11 +1784,15 @@ mod tests {
     #[test]
     fn run_header_disagreeing_with_its_manifest_row_is_rejected_typed() {
         let dir = TempDir::new("ext-spl-count");
-        let mut spiller = Spiller::<13, 8>::new(dir.path(), SpillOrder::ByKeywordAndPayload, 4);
+        let mut spill = SpillDir {
+            path: dir.path().to_path_buf(),
+            created: false,
+        };
+        let mut spiller = Spiller::<13, 8>::new(&mut spill, SpillOrder::ByKeywordAndPayload, 4);
         for i in 0..4u64 {
             spiller.push((keyword(0, i), i.to_le_bytes())).unwrap();
         }
-        spiller.finish().unwrap();
+        drop(spiller.finish(0).unwrap());
         let meta = read_spill_meta::<13, 8>(dir.path(), SpillOrder::ByKeywordAndPayload).unwrap();
         assert_eq!(meta.runs.len(), 1);
         assert!(RunReader::<13, 8>::open(dir.path(), 0, &meta.runs[0], 4 << 10).is_ok());

@@ -429,57 +429,59 @@ pub(crate) struct KeywordChunk {
     pub(crate) buf: Vec<u8>,
 }
 
-/// Encrypts one keyword's payload list with a cached label PRF and cipher
-/// state; `nonce_seed` keys the per-entry encryption nonce stream.
+/// Encrypts one keyword's payload list into a chunk of its own;
+/// `nonce_seed` keys the per-entry encryption nonce stream.
 fn encrypt_list(
     token: &SearchToken,
     payloads: &[Vec<u8>],
     nonce_seed: [u8; KEY_LEN],
 ) -> KeywordChunk {
-    let total: usize = payloads
+    let lens = payloads
         .iter()
-        .map(|p| StreamCipher::ciphertext_len(p.len()))
-        .sum();
-    encrypt_payloads(
+        .map(|p| StreamCipher::ciphertext_len(p.len()));
+    let mut chunk = KeywordChunk {
+        labels: Vec::with_capacity(payloads.len()),
+        spans: Vec::with_capacity(payloads.len()),
+        buf: Vec::with_capacity(lens.clone().sum()),
+    };
+    encrypt_list_into(
         token,
         payloads.iter().map(Vec::as_slice),
-        payloads.len(),
-        total,
         nonce_seed,
-    )
+        &mut chunk.labels,
+        &mut chunk.buf,
+    );
+    let mut offset = 0u32;
+    for len in lens {
+        chunk.spans.push((offset, len as u32));
+        offset += len as u32;
+    }
+    chunk
 }
 
-/// Generic encryption core shared by the `Vec`-payload, fixed-stride and
-/// external-memory build paths.
-pub(crate) fn encrypt_payloads<'a>(
+/// The encryption core of every build: appends one keyword's entries to
+/// two flat buffers — the labels `F(K1_w, 0), F(K1_w, 1), …` in counter
+/// order to `labels`, the ciphertexts back to back to `ciphertexts` — with
+/// the label PRF and the cipher keyed once for the list. The chunk build
+/// hands it a chunk's own buffers, the fixed-stride pipeline
+/// ([`external`](crate::external)) the buffers a whole batch part shares.
+pub(crate) fn encrypt_list_into<'a>(
     token: &SearchToken,
     payloads: impl Iterator<Item = &'a [u8]> + Clone,
-    count: usize,
-    total_ciphertext: usize,
     nonce_seed: [u8; KEY_LEN],
-) -> KeywordChunk {
+    labels: &mut Vec<Label>,
+    ciphertexts: &mut Vec<u8>,
+) {
     let label_prf = Prf::new(&token.label_key);
     let cipher = StreamCipher::new(&token.payload_key);
     let mut nonce_rng = ChaCha20Rng::from_seed(nonce_seed);
-    let mut chunk = KeywordChunk {
-        labels: Vec::with_capacity(count),
-        spans: Vec::with_capacity(count),
-        buf: Vec::with_capacity(total_ciphertext),
-    };
     expand_labels(
         (0u64..)
             .zip(payloads.clone())
             .map(|(counter, _)| (&label_prf, counter)),
-        &mut chunk.labels,
+        labels,
     );
-    let mut offset = 0u32;
-    for payload in payloads.clone() {
-        let len = StreamCipher::ciphertext_len(payload.len()) as u32;
-        chunk.spans.push((offset, len));
-        offset += len;
-    }
-    cipher.encrypt_list_to(&mut nonce_rng, payloads, &mut chunk.buf);
-    chunk
+    cipher.encrypt_list_to(&mut nonce_rng, payloads, ciphertexts);
 }
 
 /// Merges per-keyword chunks (already in deterministic keyword order) into
@@ -578,29 +580,6 @@ impl SseScheme {
         let jobs: Vec<_> = lists.iter().zip(seeds).collect();
         jobs.into_par_iter()
             .map(|((token, payloads), seed)| encrypt_list(token, payloads, seed))
-            .collect()
-    }
-
-    /// Per-keyword encrypted chunks for fixed-stride payload lists (the
-    /// core of `build_index_fixed_stored`; one nonce seed per list).
-    pub(crate) fn chunks_from_fixed<const P: usize, R: RngCore + CryptoRng>(
-        key: &SseKey,
-        lists: &[(Vec<u8>, Vec<[u8; P]>)],
-        rng: &mut R,
-    ) -> Vec<KeywordChunk> {
-        let seeds = draw_nonce_seeds(lists.len(), rng);
-        let jobs: Vec<_> = lists.iter().zip(seeds).collect();
-        jobs.into_par_iter()
-            .map(|((keyword, payloads), seed)| {
-                let token = Self::trapdoor(key, keyword);
-                encrypt_payloads(
-                    &token,
-                    payloads.iter().map(|p| p.as_slice()),
-                    payloads.len(),
-                    payloads.len() * StreamCipher::ciphertext_len(P),
-                    seed,
-                )
-            })
             .collect()
     }
 

@@ -840,22 +840,6 @@ impl SseScheme {
     ) -> Result<ShardedIndex, StorageError> {
         shard_chunks_stored(config, Self::chunks_from_token_lists(lists, rng))
     }
-
-    /// Fixed-stride [`build_index_stored`](Self::build_index_stored): every
-    /// payload of a keyword is a `[u8; P]` array, stored contiguously. This
-    /// is the fast path the range schemes use — their payloads are
-    /// fixed-size id or value-span encodings — and it avoids one heap
-    /// allocation per plaintext payload on top of the arena's
-    /// per-ciphertext savings. Identical output layout: the index is
-    /// searched with the same tokens and algorithm.
-    pub fn build_index_fixed_stored<const P: usize, R: RngCore + CryptoRng>(
-        key: &SseKey,
-        lists: &[(Vec<u8>, Vec<[u8; P]>)],
-        config: &StorageConfig,
-        rng: &mut R,
-    ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_fixed(key, lists, rng))
-    }
 }
 
 #[cfg(test)]

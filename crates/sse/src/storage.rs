@@ -267,22 +267,23 @@ pub enum StorageBackend {
     OnDisk(PathBuf),
 }
 
-/// Memory budget for an **external-memory** `BuildIndex` (see the
+/// Memory budget for the fixed-stride `BuildIndex` (see the
 /// [`external`](crate::external) module).
 ///
-/// When a [`StorageConfig`] carries a budget, builds that honor it (the
-/// range schemes' grouped paths and the update manager's consolidation
-/// rebuilds) stop materializing the whole transformed corpus in RAM.
-/// Instead they stream `(keyword, payload)` entries into sorted `RSSE-SPL`
-/// spill runs of at most ~`memory_bytes / 2` bytes each, then k-way merge
-/// the runs, encrypting and scattering one bounded batch of keyword groups
-/// at a time into the existing streaming shard writers — so peak RSS is
-/// bounded by the budget (run buffer + merge scratch + write buffers), not
+/// The budget only matters once the corpus exceeds it; a smaller build
+/// never touches disk for it. Builds that honor it (the range schemes'
+/// grouped paths and every build of the update manager) collect their
+/// `(keyword, payload)` entries in a buffer of at most ~`memory_bytes / 2`
+/// bytes. A corpus that fits is sorted right there. One that does not is
+/// written out as sorted `RSSE-SPL` spill runs, the runs are k-way merged,
+/// and — on an on-disk backend — shard buffers past their share of the
+/// budget overflow to stage files, so peak RSS is bounded by the budget
+/// (run buffer + merge scratch + one encrypt batch + write buffers), not
 /// by corpus size, at ~2 I/O passes over the entries.
 ///
 /// The budget is a *target*, not a hard allocator limit. Two floors apply
 /// regardless of how small it is set: the largest single posting list must
-/// fit in RAM (the keyed shuffle and its encrypted chunk need the whole
+/// fit in RAM (the keyed shuffle and its encrypted batch need the whole
 /// list), and each spill run holds at least a minimum number of entries so
 /// a pathological budget cannot explode the run count (and with it the
 /// merge's file handles). See `docs/OPERATIONS.md` for sizing guidance.
@@ -374,14 +375,14 @@ pub struct StorageConfig {
     /// [`ShardedIndex::cache_stats`](crate::ShardedIndex::cache_stats).
     /// In-memory backends ignore it.
     pub cache_budget: Option<usize>,
-    /// Memory budget for the build itself. `None` (the default) keeps the
-    /// classic in-RAM build: sort, encrypt and scatter the whole corpus in
-    /// memory. `Some` routes budget-aware builds (the range schemes'
-    /// grouped paths, `RangeScheme::build_stored` in `rsse-core`, and
-    /// update-manager consolidations past the threshold) through the
-    /// external-memory spill-and-merge pipeline of the
-    /// [`external`](crate::external) module — **byte-identical output**,
-    /// bounded peak RSS.
+    /// Memory budget for the build itself. `None` (the default) never
+    /// spills: the transformed corpus is sorted in RAM. `Some` bounds the
+    /// peak working set of budget-aware builds (the range schemes' grouped
+    /// paths, `RangeScheme::build_stored` in `rsse-core`, and every build
+    /// of the update manager): entries past the budget are sorted through
+    /// spill runs on disk (the [`external`](crate::external) module) —
+    /// **byte-identical output** either way, and a corpus that fits the
+    /// budget builds exactly as it does without one.
     pub build_budget: Option<BuildBudget>,
 }
 
@@ -415,8 +416,8 @@ impl StorageConfig {
     }
 
     /// Bounds the peak working set of the build itself: budget-aware build
-    /// paths switch to the external-memory spill-and-merge pipeline (see
-    /// [`BuildBudget`] and the [`external`](crate::external) module).
+    /// paths spill what exceeds it (see [`BuildBudget`] and the
+    /// [`external`](crate::external) module).
     pub fn with_build_budget(mut self, budget: BuildBudget) -> Self {
         self.build_budget = Some(budget);
         self
@@ -1906,29 +1907,43 @@ mod tests {
 
     #[test]
     fn failed_on_disk_build_cleans_up_its_files() {
-        let dir = TempDir::new("partial-clean");
-        // Occupy the shard file's path with a directory: the manifest write
-        // succeeds, the shard write fails, and the cleanup must remove the
-        // manifest again without touching the (pre-existing) occupant.
-        let occupant = dir.path().join(shard_file_name(0));
-        fs::create_dir_all(&occupant).unwrap();
-        let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let key = SseScheme::setup(&mut rng);
-        let mut db = SseDatabase::new();
-        db.add(b"w".to_vec(), b"payload".to_vec());
-        let err = SseScheme::build_index_stored(
-            &key,
-            &db,
-            &StorageConfig::on_disk(0, dir.path()),
-            &mut rng,
-        )
-        .expect_err("occupied shard path must fail");
-        assert!(matches!(err, StorageError::Io { .. }));
-        assert!(
-            !dir.path().join(MANIFEST_FILE).exists(),
-            "the half-written manifest must be cleaned up"
-        );
-        assert!(occupant.exists(), "pre-existing content must survive");
+        // Occupy the last shard file's path with a directory: the manifest
+        // write (and, with two shards, shard 0's) succeeds, the occupied
+        // shard's write fails, and the cleanup must remove what the build
+        // wrote without touching the (pre-existing) occupant — through the
+        // chunk build and through the fixed-stride pipeline.
+        type Build = fn(&StorageConfig) -> Result<ShardedIndex, StorageError>;
+        let chunk_build: Build = |config| {
+            let mut rng = ChaCha20Rng::seed_from_u64(2);
+            let key = SseScheme::setup(&mut rng);
+            let mut db = SseDatabase::new();
+            db.add(b"w".to_vec(), b"payload".to_vec());
+            SseScheme::build_index_stored(&key, &db, config, &mut rng)
+        };
+        let pipeline: Build = |config| {
+            let mut rng = ChaCha20Rng::seed_from_u64(2);
+            let key = SseScheme::setup(&mut rng);
+            let shuffle_key = rsse_crypto::Key::generate(&mut rng);
+            let entries = (0..64u64).map(|i| ((i % 5).to_le_bytes(), i.to_le_bytes()));
+            crate::build_index_fixed_external(&key, &shuffle_key, entries, config, &mut rng)
+        };
+        for (build, shard_bits) in [(chunk_build, 0), (pipeline, 0), (pipeline, 1)] {
+            let dir = TempDir::new("partial-clean");
+            let occupant = dir.path().join(shard_file_name((1 << shard_bits) - 1));
+            fs::create_dir_all(&occupant).unwrap();
+            let err = build(&StorageConfig::on_disk(shard_bits, dir.path()))
+                .expect_err("occupied shard path must fail");
+            assert!(matches!(err, StorageError::Io { .. }));
+            let left: Vec<_> = fs::read_dir(dir.path())
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name())
+                .collect();
+            assert_eq!(
+                left,
+                vec![occupant.file_name().unwrap().to_os_string()],
+                "only the pre-existing occupant may survive the failed build"
+            );
+        }
     }
 
     #[test]

@@ -84,15 +84,14 @@ pub struct UpdateConfig {
     /// unbounded; ignored without a [`storage_root`](Self::storage_root).
     pub cache_budget: Option<usize>,
     /// Memory budget for **large index builds** (see
-    /// `rsse_sse::BuildBudget`): when set, any batch build or consolidation
-    /// rebuild whose estimated in-RAM working set exceeds
-    /// `build_budget.memory_bytes` runs through the external-memory
-    /// spill/merge pipeline instead — byte-identical index files, peak RSS
-    /// bounded by the budget. Small builds keep the in-RAM path (the spill
-    /// round-trip would only add I/O). This is a runtime knob like
-    /// [`cache_budget`](Self::cache_budget): it is not persisted in the
-    /// root manifest, so pass it again when reopening with `open_root`.
-    /// `None` (the default) never spills.
+    /// `rsse_sse::BuildBudget`), handed to every batch build and
+    /// consolidation rebuild as is: a build whose entries exceed
+    /// `build_budget.memory_bytes` sorts them through spill runs on disk
+    /// and stages its shards — byte-identical index files, peak RSS bounded
+    /// by the budget — and a build that fits never touches disk for it.
+    /// This is a runtime knob like [`cache_budget`](Self::cache_budget): it
+    /// is not persisted in the root manifest, so pass it again when
+    /// reopening with `open_root`. `None` (the default) never spills.
     pub build_budget: Option<BuildBudget>,
     /// How due consolidations are realized (see [`ConsolidationMode`]).
     /// A runtime knob like [`build_budget`](Self::build_budget): it is not
@@ -458,17 +457,14 @@ impl<S: RangeScheme> UpdateManager<S> {
         self.chain.as_ref().expect("chain was just ensured")
     }
 
-    /// The storage configuration for the next index build of `entry_count`
-    /// update entries: in-memory, or a fresh uniquely named subdirectory of
-    /// the configured storage root. Returns the build number that names
-    /// (and is sealed into) the instance.
-    ///
-    /// When the manager carries a [`build_budget`](UpdateConfig::build_budget)
-    /// and this build's estimated in-RAM working set exceeds it — which is
-    /// exactly the consolidation-rebuild case once a level has grown large
-    /// — the budget is attached to the instance configuration, routing the
-    /// scheme's build through the external-memory pipeline.
-    fn next_instance_config(&mut self, entry_count: usize) -> (u64, StorageConfig) {
+    /// The storage configuration for the next index build: in-memory, or a
+    /// fresh uniquely named subdirectory of the configured storage root,
+    /// with the manager's [`build_budget`](UpdateConfig::build_budget)
+    /// attached as is — the build itself spills once its entries exceed
+    /// the budget, and a build that fits never touches disk for it.
+    /// Returns the build number that names (and is sealed into) the
+    /// instance.
+    fn next_instance_config(&mut self) -> (u64, StorageConfig) {
         let build_id = self.next_build;
         self.next_build += 1;
         let mut config = match &self.config.storage_root {
@@ -482,24 +478,8 @@ impl<S: RangeScheme> UpdateManager<S> {
                 }
             }
         };
-        if let Some(budget) = &self.config.build_budget {
-            if self.estimated_build_bytes(entry_count) > budget.memory_bytes {
-                config = config.with_build_budget(budget.clone());
-            }
-        }
+        config.build_budget = self.config.build_budget.clone();
         (build_id, config)
-    }
-
-    /// Rough upper bound on the in-RAM working set of building an index
-    /// over `entry_count` records: each record expands into up to
-    /// `domain bits + 2` (keyword, payload) entries (the logarithmic
-    /// schemes' covering nodes; Constant's single entry is well below
-    /// this), each costing on the order of 64 bytes across the sort, the
-    /// encrypted chunks and the scatter. A heuristic, not an accounting —
-    /// it only decides when spilling is worth the extra I/O pass.
-    fn estimated_build_bytes(&self, entry_count: usize) -> usize {
-        let per_record = (self.domain.bits() as usize + 2) * 64;
-        entry_count.saturating_mul(per_record)
     }
 
     /// The root manifest describing the manager's current durable state.
@@ -646,7 +626,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
         let seq = self.next_seq;
-        let (build_id, config) = self.next_instance_config(entries.len());
+        let (build_id, config) = self.next_instance_config();
         let chain = self.chain.as_ref().expect("chain ensured above");
         let instance =
             BatchInstance::build(self.domain, build_id, seq, 0, entries, &config, chain, seed)
@@ -865,7 +845,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         let surviving: Vec<UpdateEntry> = surviving.into_iter().map(|(entry, _)| entry).collect();
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
-        let (build_id, config) = self.next_instance_config(surviving.len());
+        let (build_id, config) = self.next_instance_config();
         let chain = self
             .chain
             .as_ref()
@@ -917,7 +897,7 @@ impl<S: RangeScheme> UpdateManager<S> {
                 S::derive_client(&self.domain, &mut rng).map(|client| (client, seed))
             })
             .collect::<Result<Vec<(S, [u8; SEED_LEN])>, StorageError>>()?;
-        let (build_id, config) = self.next_instance_config(surviving.len());
+        let (build_id, config) = self.next_instance_config();
         let chain = self
             .chain
             .as_ref()

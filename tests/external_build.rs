@@ -7,6 +7,9 @@
 //!
 //! * every budget-honoring scheme, built externally on disk, produces an
 //!   index directory byte-identical to its in-RAM build;
+//! * the Logarithmic scheme's build — the fixed-stride pipeline, with or
+//!   without a budget — writes the bytes of the chunk build over an
+//!   `SseDatabase` filled the way the paper's BuildIndex reads;
 //! * the in-memory backend answers queries identically either way — the
 //!   budget is just a `StorageConfig` field, at a deliberately tiny value
 //!   and at `BuildBudget::default()`;
@@ -91,7 +94,13 @@ fn external_disk_builds_are_byte_identical_across_schemes() {
                 &mut ChaCha20Rng::seed_from_u64(seed ^ 0xb17),
             )
             .unwrap();
-            for budget in [tiny_budget(), BuildBudget::default()] {
+            // Spilling many runs; fitting with room to spare; fitting the
+            // sort but not the shard buffers (stage files without runs).
+            for budget in [
+                tiny_budget(),
+                BuildBudget::default(),
+                BuildBudget::with_memory(1 << 20),
+            ] {
                 let ext_dir = TempDir::new("ext-new");
                 AnyScheme::build_stored(
                     kind,
@@ -106,6 +115,60 @@ fn external_disk_builds_are_byte_identical_across_schemes() {
                     kind.name()
                 );
             }
+        }
+    }
+}
+
+/// The scheme-level differential, against code the pipeline shares nothing
+/// with: Logarithmic-BRC's stored build writes, byte for byte, what the
+/// per-keyword chunk build writes over an `SseDatabase` holding every
+/// record id under each node of its root path, lists shuffled — for every
+/// shard count, without a budget, under one the build fits, and under one
+/// that spills.
+#[test]
+fn log_scheme_build_equals_the_database_chunk_build() {
+    use rsse::core::schemes::log_brc_urc::LogScheme;
+    use rsse::cover::Node;
+    use rsse::crypto::KeyChain;
+    use rsse::sse::{SseDatabase, SseScheme};
+
+    let seed = 23u64;
+    let dataset = gowalla_like(700, 1 << 10, &mut ChaCha20Rng::seed_from_u64(seed));
+    for shard_bits in [0u32, 2, 4] {
+        let ref_dir = TempDir::new("ext-db-ref");
+        let mut rng = ChaCha20Rng::seed_from_u64(seed ^ 0xb17);
+        let chain = KeyChain::generate(&mut rng);
+        let key = SseScheme::key_from(chain.derive(b"sse"));
+        // Each keyword's list goes in sorted by payload: the order the
+        // keyed shuffle of the grouped build starts from.
+        let mut entries: Vec<([u8; 13], [u8; 8])> = Vec::new();
+        for record in dataset.records() {
+            for node in Node::path_to_root(dataset.domain(), record.value) {
+                entries.push((node.keyword(), record.id.to_le_bytes()));
+            }
+        }
+        entries.sort_unstable();
+        let mut database: SseDatabase = entries.into_iter().collect();
+        database.shuffle_lists(&chain.derive(b"shuffle"));
+        let config = StorageConfig::on_disk(shard_bits, ref_dir.path());
+        SseScheme::build_index_stored(&key, &database, &config, &mut rng).unwrap();
+
+        for budget in [None, Some(BuildBudget::default()), Some(tiny_budget())] {
+            let dir = TempDir::new("ext-db-new");
+            let mut config = StorageConfig::on_disk(shard_bits, dir.path());
+            config.build_budget = budget.clone();
+            let mut scheme_rng = ChaCha20Rng::seed_from_u64(seed ^ 0xb17);
+            LogScheme::build_stored(&dataset, &config, &mut scheme_rng).unwrap();
+            assert!(
+                trees_equal(ref_dir.path(), dir.path()),
+                "{shard_bits} shard bits, {budget:?}: the pipeline diverged from the chunk build"
+            );
+            use rand::RngCore;
+            assert_eq!(
+                scheme_rng.next_u64(),
+                rng.clone().next_u64(),
+                "{shard_bits} shard bits, {budget:?}: the build drew differently from the RNG"
+            );
         }
     }
 }

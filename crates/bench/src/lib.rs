@@ -3,8 +3,9 @@
 //!
 //! Each public function in [`experiments`] regenerates one table or figure
 //! of the paper (at laptop scale by default — see [`Scale`]); the
-//! `reproduce` binary is a thin CLI over them, and the Criterion benches in
-//! `benches/` cover the timing-sensitive pieces with statistical rigour.
+//! `reproduce` binary is a thin CLI over them. Performance is measured
+//! elsewhere, by the `perf/` harness the benchmark gates on; this crate
+//! only regenerates the paper's artefacts.
 //!
 //! | Paper artefact | Function |
 //! |---|---|

@@ -12,8 +12,7 @@
 //!    label schedules `F(K1, 0), F(K1, 1), …`, and equal payload keys, so
 //!    one scan of the token yields exactly the hits, in exactly the order,
 //!    that each demander's own scan would have decrypted. (Distinct tokens
-//!    share a label only on a 128-bit PRF collision.) With
-//!    [`BatchConfig::dedup`] off every `(query, token)` gets its own slot.
+//!    share a label only on a 128-bit PRF collision.)
 //! 2. **Scan** — the unique tokens are the work units. Workers pull them
 //!    off a shared cursor; each unit is the sequential path's own guarded
 //!    counter scan over a one-token slice, so every probe still goes
@@ -69,29 +68,14 @@ use std::time::Duration;
 /// ([`ResilientServer::answer_batch`] / [`drain_batched`]).
 ///
 /// [`drain_batched`]: ResilientServer::drain_batched
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchConfig {
-    /// Scan each distinct token of the batch once and share its hits with
-    /// every query demanding it (default `true`). Off, every
-    /// `(query, token)` pair is scanned on its own — the same workers and
-    /// control plane still apply, which makes this the control knob for
-    /// measuring what dedup alone buys.
-    pub dedup: bool,
     /// Threads scanning a batch's unique tokens: `None` (default) uses the
-    /// machine's available parallelism, `Some(n)` pins `n` (the CI bench
-    /// worker sweep pins 1/2/4). Forked at most once per batch, and capped
-    /// by the batch itself — one worker per 8 unique tokens — so a small
-    /// batch is scanned inline.
+    /// machine's available parallelism, `Some(n)` pins `n` (the
+    /// `batch_executor` battery sweeps 1–3). Forked at most once per batch,
+    /// and capped by the batch itself — one worker per 8 unique tokens — so
+    /// a small batch is scanned inline.
     pub workers: Option<usize>,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            dedup: true,
-            workers: None,
-        }
-    }
 }
 
 /// Unique tokens a batch must hold per scanning thread: spawning and
@@ -150,7 +134,6 @@ pub(crate) fn execute_batch<B: ServeIndex>(
     // Tokens arrive from clients, so the map keeps the default (keyed)
     // hasher.
     let started = server.clock.now();
-    let dedup = server.config.batch.dedup;
     let mut slot_of: HashMap<&SearchToken, u32> = HashMap::new();
     let mut units: Vec<Unit<'_>> = Vec::new();
     let plans: Vec<Plan> = items
@@ -161,12 +144,7 @@ pub(crate) fn execute_batch<B: ServeIndex>(
                 return Plan::Expired { deadline };
             }
             let slots = item.tokens.iter().map(|token| {
-                let fresh = units.len() as u32;
-                let slot = if dedup {
-                    *slot_of.entry(token).or_insert(fresh)
-                } else {
-                    fresh
-                };
+                let slot = *slot_of.entry(token).or_insert(units.len() as u32);
                 match units.get_mut(slot as usize) {
                     // One more demander: the unit must live as long as
                     // the latest of them can still use it.

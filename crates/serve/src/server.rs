@@ -108,7 +108,7 @@ pub struct ServeConfig {
     pub retry: RetryConfig,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Batch-executor tuning (cross-query token dedup, scan workers).
+    /// Batch-executor tuning (scan workers).
     pub batch: BatchConfig,
     /// Deadline applied to queries that don't bring their own (`None` =
     /// unbounded).
@@ -193,7 +193,8 @@ pub struct ServeStats {
     pub batch_probes_demanded: u64,
     /// Probes the batch executor actually issued after cross-query dedup —
     /// each unique token of a batch is scanned once (equals
-    /// `batch_probes_demanded` with dedup off).
+    /// `batch_probes_demanded` when no two queries of a batch share a
+    /// token).
     pub batch_probes_unique: u64,
     /// Demanded probes satisfied by another query's identical probe
     /// (`batch_probes_demanded - batch_probes_unique`).
@@ -742,12 +743,11 @@ impl<B: ServeIndex> ResilientServer<B> {
 
     /// Answers a batch of queries through the batch executor (see the
     /// [`executor`](crate::executor) module): the batch's tokens are mapped
-    /// to unique-token slots once (when [`BatchConfig::dedup`] is on), each
-    /// unique token is scanned once by the same guarded counter scan
-    /// [`answer`](Self::answer) runs — on [`BatchConfig::workers`] threads
-    /// forked at most once per batch — and its hits go to every query
-    /// demanding it. Outcomes are **byte-identical** to serving each query
-    /// alone, in query order.
+    /// to unique-token slots once, each unique token is scanned once by the
+    /// same guarded counter scan [`answer`](Self::answer) runs — on
+    /// [`BatchConfig::workers`] threads forked at most once per batch — and
+    /// its hits go to every query demanding it. Outcomes are
+    /// **byte-identical** to serving each query alone, in query order.
     ///
     /// The whole batch is admitted at one instant (queries shed for cache
     /// pressure fail typed without joining the batch), and the configured

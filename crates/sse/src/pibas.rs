@@ -860,8 +860,7 @@ impl<E: std::error::Error + 'static> std::error::Error for SearchError<E> {
 /// Reference (pre-arena) implementation used by the equivalence property
 /// tests: one `HashMap<Label, Vec<u8>>` with a heap allocation per entry
 /// and SipHash hashing, built sequentially. Kept runnable so the tests can
-/// prove the arena-backed path byte-identical, and as a baseline for the
-/// `index_build` benches.
+/// prove the arena-backed path byte-identical.
 pub mod reference {
     use super::*;
 

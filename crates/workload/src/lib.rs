@@ -44,7 +44,7 @@ pub use distributions::{ClusteredValues, UniformValues, ValueDistribution, Zipf}
 pub use histogram::{bucket_bounds, LatencyHistogram};
 pub use queries::{percent_of_domain, random_queries_of_len, random_queries_percent, QuerySet};
 pub use replay::{
-    replay, ManagedTarget, QueryFate, ReplayConfig, ReplayReport, ReplayTarget, ResilientTarget,
-    TenantCounts, TenantReport,
+    replay, QueryFate, ReplayConfig, ReplayReport, ReplayTarget, ResilientTarget, TenantCounts,
+    TenantReport,
 };
 pub use trace::{insert_batch, insert_batches, EventKind, Trace, TraceEvent, TraceSpec};

@@ -10,14 +10,9 @@
 //! *coordinated omission*. Late events are never skipped or back-pressured;
 //! they fire immediately and their lag counts.
 //!
-//! Two targets adapt the repo's serving stacks:
-//!
-//! * [`ResilientTarget`] — query-only replay against a
-//!   [`ResilientServer`], trapdoors computed by a caller-supplied closure;
-//! * [`ManagedTarget`] — mixed query + insert replay against an
-//!   [`UpdateManager`], queries under a shared retry policy, inserts
-//!   serialized through a write lock (the owner is single-writer by
-//!   design).
+//! [`ResilientTarget`] adapts the repo's serving stack: query-only replay
+//! against a [`ResilientServer`], trapdoors computed by a caller-supplied
+//! closure.
 //!
 //! Every worker keeps its own [`LatencyHistogram`] and per-tenant counters;
 //! the engine merges them at the end, so the mergeability property the
@@ -25,15 +20,13 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::trace::{EventKind, Trace};
-use rand::SeedableRng;
-use rand_chacha::ChaCha20Rng;
-use rsse_core::{QueryOutcome, RangeScheme};
+use rsse_core::QueryOutcome;
 use rsse_cover::Range;
-use rsse_serve::{ResilientServer, RetryPolicy, ServeError, ServeIndex, SystemClock};
+use rsse_serve::{ResilientServer, ServeError, ServeIndex};
 use rsse_sse::SearchToken;
-use rsse_updates::{UpdateEntry, UpdateManager};
+use rsse_updates::UpdateEntry;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a replayed query ended, bucketing [`ServeError`] variants into the
@@ -80,8 +73,8 @@ pub trait ReplayTarget {
 
 /// Query-only adapter over a [`ResilientServer`]: ranges are turned into
 /// search tokens by `trapdoor` and served on the direct tenant-attributed
-/// path ([`ResilientServer::answer_for`]). Insert events are rejected —
-/// replay mixed traces against a [`ManagedTarget`] instead.
+/// path ([`ResilientServer::answer_for`]). Insert events are rejected: the
+/// server holds a static index.
 pub struct ResilientTarget<'a, B: ServeIndex, F> {
     server: &'a ResilientServer<B>,
     trapdoor: F,
@@ -118,59 +111,6 @@ where
 
     fn insert(&self, _entries: &[UpdateEntry]) -> bool {
         false
-    }
-}
-
-/// Mixed query + insert adapter over an [`UpdateManager`]: queries take a
-/// read lock and run under one shared [`RetryPolicy`]; insert batches take
-/// the write lock (the manager is a single-writer owner object, so the
-/// trace's insert stream is serialized exactly as a real owner would).
-pub struct ManagedTarget<S: RangeScheme> {
-    manager: RwLock<UpdateManager<S>>,
-    policy: RetryPolicy,
-    clock: SystemClock,
-    rng: Mutex<ChaCha20Rng>,
-}
-
-impl<S: RangeScheme> ManagedTarget<S> {
-    /// Wraps a manager; `policy` governs query retries, `seed` pins the
-    /// ingest encryption RNG.
-    pub fn new(manager: UpdateManager<S>, policy: RetryPolicy, seed: u64) -> Self {
-        Self {
-            manager: RwLock::new(manager),
-            policy,
-            clock: SystemClock::new(),
-            rng: Mutex::new(ChaCha20Rng::seed_from_u64(seed)),
-        }
-    }
-
-    /// Unwraps the manager (for post-replay inspection or cold-start
-    /// persistence checks).
-    pub fn into_inner(self) -> UpdateManager<S> {
-        self.manager.into_inner().expect("manager lock poisoned")
-    }
-
-    /// Runs `f` against the manager under the read lock.
-    pub fn with_manager<T>(&self, f: impl FnOnce(&UpdateManager<S>) -> T) -> T {
-        f(&self.manager.read().expect("manager lock poisoned"))
-    }
-}
-
-impl<S: RangeScheme> ReplayTarget for ManagedTarget<S>
-where
-    UpdateManager<S>: Send + Sync,
-{
-    fn query(&self, _tenant: &str, range: Range) -> QueryFate {
-        let manager = self.manager.read().expect("manager lock poisoned");
-        QueryFate::of_serve(&self.policy.run(&self.clock, || manager.try_query(range)))
-    }
-
-    fn insert(&self, entries: &[UpdateEntry]) -> bool {
-        let mut manager = self.manager.write().expect("manager lock poisoned");
-        let mut rng = self.rng.lock().expect("ingest rng poisoned");
-        manager
-            .try_ingest_batch(entries.to_vec(), &mut *rng)
-            .is_ok()
     }
 }
 
@@ -295,78 +235,6 @@ impl ReplayReport {
         let totals = self.totals();
         totals.failed + totals.insert_failures
     }
-
-    /// Serializes the report as a JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let totals = self.totals();
-        let mut tenants = String::new();
-        for (i, tenant) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                tenants.push(',');
-            }
-            let c = &tenant.counts;
-            tenants.push_str(&format!(
-                "{{\"tenant\":\"{}\",\"queries\":{},\"served_ok\":{},\"partial\":{},\
-                 \"shed\":{},\"unavailable\":{},\"retry_exhausted\":{},\"failed\":{},\
-                 \"inserts\":{},\"insert_failures\":{}}}",
-                json_escape(&tenant.tenant),
-                c.queries,
-                c.served_ok,
-                c.partial,
-                c.shed,
-                c.unavailable,
-                c.retry_exhausted,
-                c.failed,
-                c.inserts,
-                c.insert_failures
-            ));
-        }
-        format!(
-            "{{\"events\":{},\"queries\":{},\"inserts\":{},\"wall_ms\":{:.3},\
-             \"offered_per_sec\":{:.1},\"achieved_per_sec\":{:.1},\
-             \"late_events\":{},\"max_lag_ms\":{:.3},\
-             \"latency_ms\":{{\"p50\":{:.4},\"p99\":{:.4},\"p999\":{:.4},\
-             \"mean\":{:.4},\"max\":{:.4}}},\
-             \"insert_latency_ms\":{{\"p50\":{:.4},\"p99\":{:.4},\"max\":{:.4}}},\
-             \"tenants\":[{}]}}",
-            self.events,
-            totals.queries,
-            totals.inserts,
-            ms(self.wall),
-            self.offered_per_sec,
-            self.achieved_per_sec,
-            self.late_events,
-            ms(self.max_lag),
-            ms(self.latency.quantile(0.50)),
-            ms(self.latency.quantile(0.99)),
-            ms(self.latency.quantile(0.999)),
-            ms(self.latency.mean()),
-            ms(self.latency.max()),
-            ms(self.insert_latency.quantile(0.50)),
-            ms(self.insert_latency.quantile(0.99)),
-            ms(self.insert_latency.max()),
-            tenants
-        )
-    }
-}
-
-/// Milliseconds as a float, for JSON.
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Per-worker measurement state, merged after the join.
@@ -504,7 +372,13 @@ mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
     use crate::trace::TraceSpec;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha20Rng;
+    use rsse_core::schemes::log_brc_urc::LogScheme;
+    use rsse_core::{Dataset, QueryServer, RangeScheme, Record, StorageConfig};
     use rsse_cover::Domain;
+    use rsse_serve::ServeConfig;
+    use rsse_sse::test_support::TempDir;
     use std::sync::atomic::AtomicU64;
 
     /// A target that records exactly what it was asked to do.
@@ -619,26 +493,57 @@ mod tests {
         assert!(report.latency.quantile(0.99) > Duration::from_millis(2));
     }
 
+    /// Against a real server the worker count moves only latencies: one
+    /// fixed-seed trace replayed at 1, 2 and 4 workers over a budgeted
+    /// on-disk index yields the same outcomes and resolves the same
+    /// storage probes at every width.
     #[test]
-    fn report_json_is_well_formed_enough() {
-        let trace = fast_trace(4);
-        let report = replay(
-            &trace,
-            &CountingTarget::default(),
-            &ReplayConfig {
-                workers: 2,
-                time_scale: 100.0,
-            },
-        );
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"p999\""));
-        assert!(json.contains("\"tenant\":\"tenant-0\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
+    fn worker_width_moves_latency_not_outcomes_or_probes() {
+        let domain = Domain::new(1 << 12);
+        let records = (0..2_000u64)
+            .map(|i| Record::new(i, (i * 6151 + 17) % domain.size()))
+            .collect();
+        let data = Dataset::new(domain, records).expect("values fit the domain");
+        let dir = TempDir::new("replay-width");
+        let (client, server) = LogScheme::build_stored(
+            &data,
+            &StorageConfig::on_disk(4, dir.path()),
+            &mut ChaCha20Rng::seed_from_u64(5),
+        )
+        .expect("on-disk build");
+        drop(server);
+        let qs = QueryServer::open_dir_with_budget(dir.path(), Some(64 << 10))
+            .expect("reopen budgeted on-disk index");
 
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        let trace = TraceSpec::queries_only(
+            domain,
+            ArrivalProcess::Poisson {
+                rate_per_sec: 2_000.0,
+            },
+            Duration::from_millis(100),
+        )
+        .generate(&mut ChaCha20Rng::seed_from_u64(7));
+        assert!(trace.query_count() >= 150, "about 200 queries");
+
+        let runs: Vec<(TenantCounts, u64)> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let server = ResilientServer::new(qs.clone(), ServeConfig::default());
+                let target = ResilientTarget::new(&server, |range| client.trapdoor(range), None);
+                let config = ReplayConfig {
+                    workers,
+                    time_scale: 20.0,
+                };
+                let report = replay(&trace, &target, &config);
+                assert_eq!(report.events, trace.len() as u64, "{workers} workers");
+                assert_eq!(report.unexpected_errors(), 0, "{workers} workers");
+                (report.totals(), server.stats().probes_resolved)
+            })
+            .collect();
+        assert_eq!(runs[0].0.served_ok, trace.query_count() as u64);
+        assert!(runs[0].1 > 0, "the replay must have probed storage");
+        for (run, workers) in runs.iter().zip([1, 2, 4]) {
+            assert_eq!(run, &runs[0], "{workers} workers");
+        }
     }
 }

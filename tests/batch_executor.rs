@@ -3,13 +3,13 @@
 //!
 //! The contract pinned here, across seeds × {in_memory, on_disk} backends:
 //!
-//! * **Byte-identical outcomes** — `answer_batch` (dedup on and off)
-//!   returns exactly what serving each query alone returns, which in turn
-//!   is exactly what the raw `QueryServer` returns: same ids in the same
-//!   order, same `QueryStats`.
+//! * **Byte-identical outcomes** — `answer_batch` returns exactly what
+//!   serving each query alone through the sequential guarded path returns,
+//!   which in turn is exactly what the raw `QueryServer` returns: same ids
+//!   in the same order, same `QueryStats`.
 //! * **Identical per-query probe counts** — the per-query leakage profile
-//!   (probes demanded: every hit plus each token's terminating miss) does
-//!   not depend on dedup; only the *storage* read count shrinks, and the
+//!   (probes demanded: every hit plus each token's terminating miss) is
+//!   the sequential path's; only the *storage* read count shrinks, and the
 //!   saving is visible exclusively in the executor's own counters.
 //! * **Control plane** — a deadline cuts one query with a typed partial
 //!   without cancelling probes other queries share (a shared token runs
@@ -119,14 +119,13 @@ fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
     vec![mem, disk]
 }
 
-fn config_with(dedup: bool) -> ServeConfig {
-    config_of(dedup, 3)
+fn serve_config() -> ServeConfig {
+    config_of(3)
 }
 
-fn config_of(dedup: bool, workers: usize) -> ServeConfig {
+fn config_of(workers: usize) -> ServeConfig {
     ServeConfig {
         batch: BatchConfig {
-            dedup,
             workers: Some(workers),
         },
         ..ServeConfig::default()
@@ -134,8 +133,8 @@ fn config_of(dedup: bool, workers: usize) -> ServeConfig {
 }
 
 /// The headline property, swept across seeds and backends: batched-deduped
-/// execution is outcome- and leakage-equivalent to naive per-query
-/// execution, and only the storage probe count shrinks.
+/// execution is outcome- and leakage-equivalent to the sequential guarded
+/// path, and only the storage probe count shrinks.
 #[test]
 fn batched_dedup_is_byte_identical_with_identical_probe_counts() {
     for seed in [1u64, 7, 23] {
@@ -148,58 +147,55 @@ fn batched_dedup_is_byte_identical_with_identical_probe_counts() {
                 .collect();
             assert!(queries.len() >= 40, "query mix must mostly be in-domain");
 
-            // Three servers over clones of one backend: dedup on, dedup
-            // off, and the naive sequential path.
-            let dedup_on = ResilientServer::new(qs.clone(), config_with(true));
-            let dedup_off = ResilientServer::new(qs.clone(), config_with(false));
-            let naive = ResilientServer::new(qs, config_with(true));
+            // Three servers over clones of one backend: the whole mix as
+            // one batch, each query as a batch of its own (nothing to share
+            // across queries), and the sequential guarded path.
+            let batch = ResilientServer::new(qs.clone(), serve_config());
+            let singles = ResilientServer::new(qs.clone(), serve_config());
+            let naive = ResilientServer::new(qs, serve_config());
 
-            let batched = dedup_on.answer_batch(&queries);
-            let undeduped = dedup_off.answer_batch(&queries);
-            let sequential: Vec<_> = queries.iter().map(|q| naive.answer(q)).collect();
-
-            for (i, ((a, b), c)) in batched.iter().zip(&undeduped).zip(&sequential).enumerate() {
-                let a = a.as_ref().expect("healthy backend");
-                let b = b.as_ref().expect("healthy backend");
-                let c = c.as_ref().expect("healthy backend");
+            let batched = batch.answer_batch(&queries);
+            for (i, (query, outcome)) in queries.iter().zip(&batched).enumerate() {
+                let before = (naive.stats(), singles.stats());
+                let expected = naive.answer(query).expect("healthy backend");
+                let single = singles.answer_batch(std::slice::from_ref(query));
+                let after = (naive.stats(), singles.stats());
                 assert_eq!(
-                    a, b,
-                    "dedup on/off outcomes differ (seed {seed}, {backend}, query {i})"
-                );
-                assert_eq!(
-                    a, c,
+                    outcome.as_ref().expect("healthy backend"),
+                    &expected,
                     "batched/sequential outcomes differ (seed {seed}, {backend}, query {i})"
+                );
+                assert_eq!(single[0].as_ref().expect("healthy backend"), &expected);
+                // Per-query probe counts (the leakage profile) are the
+                // sequential path's.
+                assert_eq!(
+                    after.1.batch_probes_demanded - before.1.batch_probes_demanded,
+                    after.0.probes_resolved - before.0.probes_resolved,
+                    "a batch must demand each query's own probes (seed {seed}, {backend}, query {i})"
                 );
             }
 
-            // Per-query probe counts (the leakage profile) are identical:
-            // the demanded-probe totals of all three paths agree.
-            let on = dedup_on.stats();
-            let off = dedup_off.stats();
+            // The whole batch demands the sequential totals ...
+            let stats = batch.stats();
             let seq = naive.stats();
             assert_eq!(
-                on.probes_resolved, seq.probes_resolved,
+                stats.probes_resolved, seq.probes_resolved,
                 "dedup must not change demanded probe counts (seed {seed}, {backend})"
             );
-            assert_eq!(
-                off.probes_resolved, seq.probes_resolved,
-                "batching alone must not change demanded probe counts (seed {seed}, {backend})"
-            );
-            assert_eq!(on.batch_probes_demanded, off.batch_probes_demanded);
+            assert_eq!(stats.batch_probes_demanded, seq.probes_resolved);
 
-            // Dedup off issues every demand to storage; dedup on strictly
-            // fewer (the mix guarantees byte-identical hot queries).
-            assert_eq!(off.batch_probes_unique, off.batch_probes_demanded);
-            assert_eq!(off.batch_dedup_hits, 0);
+            // ... and issues strictly fewer to storage (the mix guarantees
+            // byte-identical hot queries), the difference being the dedup
+            // hits.
             assert!(
-                on.batch_probes_unique < on.batch_probes_demanded,
+                stats.batch_probes_unique < stats.batch_probes_demanded,
                 "hot mix must dedup some probes (seed {seed}, {backend})"
             );
             assert_eq!(
-                on.batch_dedup_hits,
-                on.batch_probes_demanded - on.batch_probes_unique
+                stats.batch_dedup_hits,
+                stats.batch_probes_demanded - stats.batch_probes_unique
             );
-            assert!(on.batch_rounds > 0 && on.batch_max_lane_depth > 0);
+            assert!(stats.batch_rounds > 0 && stats.batch_max_lane_depth > 0);
         }
     }
 }
@@ -215,7 +211,7 @@ fn identical_queries_share_every_probe() {
             .trapdoor(Range::new(100, 900))
             .expect("in-domain");
         let queries: Vec<Vec<SearchToken>> = (0..16).map(|_| tokens.clone()).collect();
-        let serve = ResilientServer::new(qs, config_with(true));
+        let serve = ResilientServer::new(qs, serve_config());
         let outcomes = serve.answer_batch(&queries);
         let first = outcomes[0].as_ref().expect("healthy backend");
         for slot in &outcomes {
@@ -246,12 +242,12 @@ fn batch_absorbs_transient_faults_byte_identically() {
         .filter_map(|r| lane.client.trapdoor(r))
         .collect();
 
-    let healthy = ResilientServer::new(qs.clone(), config_with(true));
+    let healthy = ResilientServer::new(qs.clone(), serve_config());
     let expected = healthy.answer_batch(&queries);
 
     let mut chaotic = qs;
     chaotic.inject_fault_plan(FaultPlan::transient_window(2, 4));
-    let degraded = ResilientServer::new(chaotic, config_with(true));
+    let degraded = ResilientServer::new(chaotic, serve_config());
     let recovered = degraded.answer_batch(&queries);
 
     for (slot, expect) in recovered.iter().zip(&expected) {
@@ -281,9 +277,9 @@ fn expired_deadline_cuts_query_without_cancelling_shared_probes() {
     let clock = Arc::new(VirtualClock::new());
     let config = ServeConfig {
         default_deadline: Some(Duration::from_millis(100)),
-        ..config_with(true)
+        ..serve_config()
     };
-    let reference = ResilientServer::new(qs.clone(), config_with(true));
+    let reference = ResilientServer::new(qs.clone(), serve_config());
     let expected = reference.answer(&tokens).expect("healthy backend");
 
     let serve = ResilientServer::with_clock(qs, config, clock.clone());
@@ -320,8 +316,8 @@ fn drain_batched_matches_sequential_drain() {
     let qs = lane.qs;
     let ranges = query_mix(9, Domain::new(1 << 12), 12);
 
-    let sequential = ResilientServer::new(qs.clone(), config_with(true));
-    let batched = ResilientServer::new(qs, config_with(true));
+    let sequential = ResilientServer::new(qs.clone(), serve_config());
+    let batched = ResilientServer::new(qs, serve_config());
     for (i, range) in ranges.iter().enumerate() {
         let Some(tokens) = lane.client.trapdoor(*range) else {
             continue;
@@ -378,8 +374,8 @@ proptest! {
     /// batches — byte-identical queries, partially overlapping covers,
     /// empty token vectors, tokens with no entries — `answer_batch` equals
     /// serving each query alone (ids, `QueryStats`, probe totals), for
-    /// every worker count, with and without dedup, in memory and behind a
-    /// 64 KiB block cache, and the dedup counters reconcile.
+    /// every worker count, in memory and behind a 64 KiB block cache, and
+    /// the dedup counters reconcile.
     #[test]
     fn batch_matches_per_query_answers_on_random_batches(
         seed in 0u64..1_000_000,
@@ -419,30 +415,29 @@ proptest! {
             let sequential = naive.stats();
 
             for workers in 1..=3 {
-                for dedup in [true, false] {
-                    let serve = ResilientServer::new(lane.qs.clone(), config_of(dedup, workers));
-                    let batched: Vec<QueryOutcome> = serve
-                        .answer_batch(&queries)
-                        .into_iter()
-                        .map(|outcome| outcome.expect("healthy backend"))
-                        .collect();
-                    let at = format!("{}, workers {workers}, dedup {dedup}", lane.name);
-                    prop_assert_eq!(&batched, &expected, "outcomes differ ({})", at);
+                let serve = ResilientServer::new(lane.qs.clone(), config_of(workers));
+                let batched: Vec<QueryOutcome> = serve
+                    .answer_batch(&queries)
+                    .into_iter()
+                    .map(|outcome| outcome.expect("healthy backend"))
+                    .collect();
+                let at = format!("{}, workers {workers}", lane.name);
+                prop_assert_eq!(&batched, &expected, "outcomes differ ({})", at);
 
-                    let stats = serve.stats();
-                    prop_assert_eq!(stats.probes_resolved, sequential.probes_resolved, "{}", at);
-                    prop_assert_eq!(stats.served_ok, sequential.served_ok, "{}", at);
-                    prop_assert_eq!(stats.admitted, sequential.admitted, "{}", at);
-                    prop_assert_eq!(stats.batch_probes_demanded, stats.probes_resolved, "{}", at);
-                    prop_assert_eq!(
-                        stats.batch_probes_demanded - stats.batch_probes_unique,
-                        stats.batch_dedup_hits,
-                        "{}", at
-                    );
-                    if !dedup {
-                        prop_assert_eq!(stats.batch_dedup_hits, 0, "{}", at);
-                    }
-                }
+                let stats = serve.stats();
+                prop_assert_eq!(stats.probes_resolved, sequential.probes_resolved, "{}", at);
+                prop_assert_eq!(stats.served_ok, sequential.served_ok, "{}", at);
+                prop_assert_eq!(stats.admitted, sequential.admitted, "{}", at);
+                prop_assert_eq!(stats.batch_probes_demanded, stats.probes_resolved, "{}", at);
+                prop_assert!(
+                    stats.batch_probes_unique <= stats.batch_probes_demanded,
+                    "{}", at
+                );
+                prop_assert_eq!(
+                    stats.batch_probes_demanded - stats.batch_probes_unique,
+                    stats.batch_dedup_hits,
+                    "{}", at
+                );
             }
         }
     }
@@ -465,7 +460,7 @@ fn staggered_pair(
     );
     let config = ServeConfig {
         default_deadline: Some(Duration::from_secs(10)),
-        ..config_of(true, 1)
+        ..config_of(1)
     };
     let serve = ResilientServer::with_clock(qs, config, clock.clone());
     serve.enqueue("tenant-a", first.to_vec()).expect("fits");
@@ -482,7 +477,7 @@ fn staggered_pair(
 #[test]
 fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
     let lane = lanes(3, "batch-midscan").remove(0);
-    let reference = ResilientServer::new(lane.qs.clone(), config_with(true));
+    let reference = ResilientServer::new(lane.qs.clone(), serve_config());
     // BRC covers sharing exactly the node [512, 767] (trapdoors come
     // shuffled, so the shared token sits anywhere in either vector).
     let cut = lane
@@ -559,7 +554,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
         .client
         .trapdoor(Range::new(50, 700))
         .expect("in-domain");
-    let expected = ResilientServer::new(lane.qs.clone(), config_with(true))
+    let expected = ResilientServer::new(lane.qs.clone(), serve_config())
         .answer(&tokens)
         .expect("healthy backend");
 
@@ -582,7 +577,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
 #[test]
 fn open_breaker_fails_only_the_queries_probing_its_shard() {
     let lane = lanes(17, "batch-breaker").remove(0);
-    let reference = ResilientServer::new(lane.qs.clone(), config_with(true));
+    let reference = ResilientServer::new(lane.qs.clone(), serve_config());
     // Narrow ranges (a handful of probes each), every one asked twice.
     let queries: Vec<Vec<SearchToken>> = (0..24u64)
         .map(|i| Range::new(i * 150, i * 150 + 1 + i % 3))
@@ -615,7 +610,7 @@ fn open_breaker_fails_only_the_queries_probing_its_shard() {
             failure_threshold: 1,
             cooldown: Duration::from_secs(600),
         },
-        ..config_with(true)
+        ..serve_config()
     };
     let serve = ResilientServer::with_clock(qs, config, Arc::new(VirtualClock::new()));
     serve

@@ -20,12 +20,16 @@
 //! timing is exactly testable against a virtual clock.
 //!
 //! Each shard's state sits behind its own mutex, with one atomic flag
-//! beside it mirroring "closed, no failure on the streak". That is the state
-//! of every healthy shard at every probe, so [`ShardHealth::admit`] and
-//! [`ShardHealth::record_success`] — two calls per probe — answer from one
-//! load of the flag and take the lock only for a shard that has failed.
+//! beside it mirroring "closed, no failure on the streak" (pristine), and
+//! one counter over the whole table of the shards that are not. That is the
+//! state of every healthy shard at every probe, so a healthy index skips
+//! both per-probe calls: the serving loop reads
+//! [`ShardHealth::all_pristine`] once and, while it holds, goes straight to
+//! storage. [`ShardHealth::admit`] and [`ShardHealth::record_success`] run
+//! only once a shard has failed, still answering from one load of the
+//! shard's flag and taking the lock only for a shard that has failed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -94,7 +98,8 @@ struct ShardBreaker {
     /// lock, with `Release`: cleared before a failure changes the state,
     /// set after a success or a passed trial restored it. The lock-free
     /// readers pair with an `Acquire` load, so a probe that starts after
-    /// `record_failure` returned cannot still read `true`.
+    /// `record_failure` returned cannot still read `true`. Every flip is a
+    /// `swap` whose result moves [`ShardHealth::off_pristine`] by one.
     pristine: AtomicBool,
     state: Mutex<State>,
 }
@@ -105,6 +110,11 @@ struct ShardBreaker {
 pub struct ShardHealth {
     config: BreakerConfig,
     shards: Vec<ShardBreaker>,
+    /// How many shards' `pristine` flag is clear. Moved only under the
+    /// flipping shard's lock, with `Release`, so every increment has its
+    /// matching decrement and a failure is counted before its
+    /// `record_failure` returns.
+    off_pristine: AtomicUsize,
     opened: AtomicU64,
     reclosed: AtomicU64,
     trials: AtomicU64,
@@ -122,6 +132,7 @@ impl ShardHealth {
                     state: Mutex::new(PRISTINE),
                 })
                 .collect(),
+            off_pristine: AtomicUsize::new(0),
             opened: AtomicU64::new(0),
             reclosed: AtomicU64::new(0),
             trials: AtomicU64::new(0),
@@ -130,7 +141,22 @@ impl ShardHealth {
     }
 
     fn shard(&self, shard: u32) -> &ShardBreaker {
-        &self.shards[shard as usize % self.shards.len()]
+        debug_assert!(
+            (shard as usize) < self.shards.len(),
+            "shard {shard} out of range for {} breakers",
+            self.shards.len()
+        );
+        &self.shards[shard as usize]
+    }
+
+    /// Whether no shard has a failure on its streak — every breaker closed
+    /// and pristine, so [`admit`](Self::admit) would answer
+    /// [`Admit::Proceed`] and [`record_success`](Self::record_success) do
+    /// nothing for any shard. One `Acquire` load: a probe that starts after
+    /// a [`record_failure`](Self::record_failure) returned reads `false`.
+    #[inline]
+    pub fn all_pristine(&self) -> bool {
+        self.off_pristine.load(Ordering::Acquire) == 0
     }
 
     /// Decides whether a probe of `shard` may proceed. The instant is taken
@@ -186,7 +212,9 @@ impl ShardHealth {
             State::Open { .. } => return,
         }
         *state = PRISTINE;
-        shard.pristine.store(true, Ordering::Release);
+        if !shard.pristine.swap(true, Ordering::Release) {
+            self.off_pristine.fetch_sub(1, Ordering::Release);
+        }
     }
 
     /// Records a failed probe of `shard` at time `now`: extends the
@@ -195,7 +223,9 @@ impl ShardHealth {
     pub fn record_failure(&self, shard: u32, now: Duration) {
         let shard = self.shard(shard);
         let mut state = shard.state.lock().expect("breaker lock");
-        shard.pristine.store(false, Ordering::Release);
+        if shard.pristine.swap(false, Ordering::Release) {
+            self.off_pristine.fetch_add(1, Ordering::Release);
+        }
         match *state {
             State::Closed {
                 consecutive_failures,
@@ -363,6 +393,37 @@ mod tests {
             )
     }
 
+    /// Whether the table-wide count equals the number of shards whose
+    /// locked state is not [`PRISTINE`] (every lock held while counting).
+    fn count_agrees(health: &ShardHealth) -> bool {
+        let states: Vec<_> = health
+            .shards
+            .iter()
+            .map(|shard| shard.state.lock().unwrap())
+            .collect();
+        let off = states
+            .iter()
+            .filter(|state| {
+                !matches!(
+                    ***state,
+                    State::Closed {
+                        consecutive_failures: 0
+                    }
+                )
+            })
+            .count();
+        health.off_pristine.load(Ordering::Acquire) == off
+    }
+
+    /// The serving loop's per-probe decision: the early-out, else admission.
+    fn guarded_admit(health: &ShardHealth, shard: u32, now: Duration) -> Admit {
+        if health.all_pristine() {
+            Admit::Proceed
+        } else {
+            health.admit(shard, || now)
+        }
+    }
+
     #[test]
     fn the_mirror_follows_the_state_through_every_transition() {
         let health = ShardHealth::new(
@@ -375,6 +436,7 @@ mod tests {
         let step = |what: &str, admitted: Option<Admit>, state: BreakerState| {
             assert_eq!(health.state_of(0), state, "after {what}");
             assert!(mirror_agrees(&health, 0), "mirror stale after {what}");
+            assert!(count_agrees(&health), "count stale after {what}");
             admitted
         };
         // Closed and pristine: both per-probe calls take the fast path.
@@ -429,15 +491,73 @@ mod tests {
         assert_eq!((health.opened(), health.reclosed()), (2, 1));
     }
 
+    /// A seeded script of `admit` / `record_success` / `record_failure`
+    /// calls over several shards, on a clock that only moves forward: after
+    /// every call, each shard's flag mirrors its state and the table-wide
+    /// count equals the shards off pristine — so `all_pristine` holds
+    /// exactly when every breaker would wave a probe through untouched.
+    #[test]
+    fn the_count_follows_every_shard_through_a_random_script() {
+        use rand::{Rng, SeedableRng};
+        const SHARDS: u32 = 5;
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(23);
+        let health = ShardHealth::new(
+            SHARDS as usize,
+            BreakerConfig {
+                failure_threshold: 3,
+                cooldown: ms(20),
+            },
+        );
+        let mut now = ms(0);
+        // Times the whole table came back to pristine after a failure.
+        let (mut heals, mut off) = (0, false);
+        for step in 0..20_000 {
+            now += ms(rng.gen_range(0..3));
+            let shard = rng.gen_range(0..SHARDS);
+            let what = match rng.gen_range(0..3) {
+                0 => {
+                    health.admit(shard, || now);
+                    "admit"
+                }
+                1 => {
+                    health.record_success(shard);
+                    "record_success"
+                }
+                _ => {
+                    health.record_failure(shard, now);
+                    assert!(!health.all_pristine(), "step {step}: a failure counts");
+                    "record_failure"
+                }
+            };
+            for shard in 0..SHARDS {
+                assert!(
+                    mirror_agrees(&health, shard),
+                    "step {step}: shard {shard}'s mirror stale after {what}"
+                );
+            }
+            assert!(
+                count_agrees(&health),
+                "step {step}: count stale after {what}"
+            );
+            let pristine = health.all_pristine();
+            heals += usize::from(off && pristine);
+            off = !pristine;
+        }
+        assert!(heals > 0, "the script heals the table");
+        assert!(health.opened() > 0 && health.reclosed() > 0);
+    }
+
     /// One thread fails, succeeds, opens and re-closes the breaker, round
-    /// after round; another admits throughout. Once the `record_failure`
-    /// that opened the breaker has returned (published through `opened`),
-    /// no `admit` may still take the fast path.
+    /// after round; another admits throughout, both through `admit` and
+    /// through the serving loop's early-out. Once the `record_failure` that
+    /// opened the breaker has returned (published through `opened`), no
+    /// probe may still take a fast path — neither the shard's flag nor the
+    /// table-wide count — while another shard's probes still proceed.
     #[test]
     fn no_probe_proceeds_once_the_opening_failure_has_returned() {
         const ROUNDS: u64 = 200;
         let health = ShardHealth::new(
-            1,
+            2,
             BreakerConfig {
                 failure_threshold: 2,
                 cooldown: ms(100),
@@ -470,19 +590,26 @@ mod tests {
                         // Racing the writer: either verdict is legal here.
                         let admitted = health.admit(0, || ms(0));
                         assert_ne!(admitted, Admit::Trial);
+                        assert_ne!(guarded_admit(&health, 0, ms(0)), Admit::Trial);
                     }
                     for _ in 0..8 {
-                        let admitted = health.admit(0, || ms(0));
-                        assert!(
-                            matches!(admitted, Admit::FailFast { .. }),
-                            "round {round}: {admitted:?} from an open breaker"
-                        );
+                        assert!(!health.all_pristine(), "round {round}: early-out taken");
+                        for admitted in
+                            [health.admit(0, || ms(0)), guarded_admit(&health, 0, ms(0))]
+                        {
+                            assert!(
+                                matches!(admitted, Admit::FailFast { .. }),
+                                "round {round}: {admitted:?} from an open breaker"
+                            );
+                        }
+                        assert_eq!(guarded_admit(&health, 1, ms(0)), Admit::Proceed);
                     }
                     checked.store(round, Ordering::Release);
                 }
             });
         });
         assert!(mirror_agrees(&health, 0));
+        assert!(count_agrees(&health) && health.all_pristine());
         assert_eq!(health.state_of(0), BreakerState::Closed);
         assert_eq!((health.opened(), health.reclosed()), (ROUNDS, ROUNDS));
     }

@@ -16,8 +16,8 @@
 //! 2. **Scan** — the unique tokens are the work units. Workers pull them
 //!    off a shared cursor; each unit is the sequential path's own guarded
 //!    counter scan over a one-token slice, so every probe still goes
-//!    deadline check → breaker → `probe_guarded` → budgeted retry, and the
-//!    executor keeps no counter loop of its own. Threads are forked **at
+//!    deadline check → `probe_guarded` (breaker and budgeted retry once a
+//!    shard has failed), and the executor keeps no counter loop of its own. Threads are forked **at
 //!    most once per batch** ([`BatchConfig::workers`]), and not at all when
 //!    the batch holds too few units to amortise a fork.
 //! 3. **Fan out** — per query, in item order, `assemble_outcome` over its

@@ -91,9 +91,15 @@ impl RetryPolicy {
         &self.config
     }
 
-    /// Credits the budget for one admitted query (clamped at the cap).
+    /// Credits the budget for one admitted query (clamped at the cap). A
+    /// pool already at the cap — a healthy server's normal state — is left
+    /// untouched: the credit would be clamped away, so it takes effect at
+    /// the load instead of in a compare-and-swap loop.
     pub fn credit_query(&self) {
         let cap = i64::try_from(self.config.max_tokens).unwrap_or(i64::MAX);
+        if self.tokens.load(Ordering::SeqCst) >= cap {
+            return;
+        }
         let credit = i64::try_from(self.config.tokens_per_query).unwrap_or(i64::MAX);
         let _ = self
             .tokens
@@ -227,6 +233,11 @@ mod tests {
         policy.credit_query();
         assert_eq!(policy.tokens_remaining(), 4, "credit clamps at the cap");
         assert_eq!(policy.retries_performed(), 2);
+        policy.credit_query();
+        assert_eq!(policy.tokens_remaining(), 4, "a full pool stays full");
+        assert!(policy.try_consume());
+        policy.credit_query();
+        assert_eq!(policy.tokens_remaining(), 4, "one below the cap refills");
     }
 
     #[test]

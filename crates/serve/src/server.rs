@@ -11,11 +11,12 @@
 //!    [`drain`](ResilientServer::drain)) additionally pass the bounded
 //!    per-tenant queues of the [`admission`](crate::admission) module.
 //!    Shed requests fail typed without consuming serving resources.
-//! 2. **Deadline** — each admitted query carries an absolute deadline
-//!    (queue wait counts); the guarded scan checks it before every probe
-//!    and cuts the fan-out mid-batch, returning the partially resolved ids
-//!    as a typed [`ServeError::DeadlineExceeded`].
-//! 3. **Breakers** — every probe is gated by its shard's circuit breaker
+//! 2. **Deadline** — each admitted query may carry an absolute deadline
+//!    (queue wait counts); when it does, the guarded scan reads the clock
+//!    before every probe and cuts the fan-out mid-batch, returning the
+//!    partially resolved ids as a typed [`ServeError::DeadlineExceeded`].
+//! 3. **Breakers** — once some shard has a failure on its streak, every
+//!    probe is gated by its shard's circuit breaker
 //!    ([`breaker`](crate::breaker) module): a shard with too many
 //!    consecutive failures fails fast without touching storage until a
 //!    cooldown trial heals it.
@@ -23,6 +24,14 @@
 //!    the server-wide budget of the [`retry`](crate::retry) module, with
 //!    seeded decorrelated-jitter backoff. Only the failed block is re-read;
 //!    the query's already-resolved probes stand.
+//!
+//! Steps 3 and 4 cost a healthy index nothing per probe. While every shard
+//! is pristine (closed, no failure on its streak), a probe goes straight to
+//! storage: no shard lookup, no breaker call, no retry frame. The first
+//! failed attempt — or a probe that starts while some shard is off
+//! pristine — enters the out-of-line loop that runs both, and that loop
+//! takes the failed attempt as its first, so storage sees exactly the
+//! attempts it would without the early-out.
 //!
 //! Outcomes are **byte-identical** to the raw [`QueryServer`] path: the
 //! guarded loop reuses `rsse_core`'s `scan_query_into_with`/`assemble_outcome`
@@ -55,7 +64,9 @@ use std::time::Duration;
 pub trait ServeIndex: Sync {
     /// Resolves one dictionary probe (`Ok(None)` = label absent).
     fn probe(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError>;
-    /// The shard the label's probe hits (the circuit-breaker unit).
+    /// The shard the label's probe hits (the circuit-breaker unit). Must be
+    /// below [`shard_count`](Self::shard_count): it indexes the breaker
+    /// table directly (out of range is a bug, checked in debug builds).
     fn shard_of(&self, label: &Label) -> u32;
     /// Number of shards (breaker table size).
     fn shard_count(&self) -> usize;
@@ -299,8 +310,10 @@ pub(crate) struct GuardedScan {
 }
 
 /// The guarded view of the backend one scan runs against: an
-/// [`IndexLookup`] whose `try_get` is the scan's deadline check followed by
-/// [`probe_guarded`](ResilientServer::probe_guarded).
+/// [`IndexLookup`] whose `try_get` is the scan's deadline check (a clock
+/// read, only when the scan has a deadline) followed by
+/// [`probe_guarded`](ResilientServer::probe_guarded) — on a healthy index,
+/// the bare backend probe.
 struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
     /// Absolute deadline on the server clock, if any.
@@ -332,7 +345,7 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
                 return Err(self.abort(Trip::Deadline { deadline }));
             }
         }
-        match server.probe_guarded(server.backend.shard_of(label), label) {
+        match server.probe_guarded(label) {
             Ok((span, absorbed)) => {
                 self.probes_resolved.set(self.probes_resolved.get() + 1);
                 self.faults_absorbed
@@ -595,45 +608,84 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// with the failed attempts its retries absorbed, or the [`Trip`] that
     /// stopped it.
     ///
+    /// While no shard has a failure on its streak
+    /// ([`ShardHealth::all_pristine`]) the breakers would wave every probe
+    /// through and have nothing to record for a success, so the probe goes
+    /// straight to storage and a success returns at once. Only a failed
+    /// attempt, or a table with some shard off pristine, enters
+    /// [`probe_retrying`](Self::probe_retrying): the shard lookup, the
+    /// per-shard breaker and the retry loop.
+    ///
     /// Deadlines are the caller's: [`QueryGuard`] checks its scan's
     /// deadline before each probe (a query's own, or — for a batch token
     /// several queries share — the latest among its demanders).
+    #[inline]
     pub(crate) fn probe_guarded(
         &self,
-        shard: u32,
         label: &Label,
     ) -> Result<(Option<CipherSpan<'_>>, u32), Trip> {
+        let failed = if self.breakers.all_pristine() {
+            match self.backend.probe(label) {
+                Ok(span) => return Ok((span, 0)),
+                Err(source) => Some(source),
+            }
+        } else {
+            None
+        };
+        self.probe_retrying(label, failed)
+    }
+
+    /// [`probe_guarded`](Self::probe_guarded) once the early-out does not
+    /// apply: per attempt, breaker admission → probe → `record_success` or
+    /// `record_failure` → attempt limit, budget and backoff. `failed` is
+    /// the early-out's failed attempt, taken as attempt 1 without
+    /// re-probing it, so storage sees exactly the attempts it would have
+    /// seen had the breaker admitted that one too.
+    #[cold]
+    #[inline(never)]
+    fn probe_retrying(
+        &self,
+        label: &Label,
+        mut failed: Option<StorageError>,
+    ) -> Result<(Option<CipherSpan<'_>>, u32), Trip> {
+        let shard = self.backend.shard_of(label);
         let mut attempt: u32 = 0;
         loop {
-            match self.breakers.admit(shard, || self.clock.now()) {
-                Admit::Proceed | Admit::Trial => {}
-                Admit::FailFast { open_for } => return Err(Trip::Breaker { shard, open_for }),
-            }
-            match self.backend.probe(label) {
-                Ok(span) => {
-                    self.breakers.record_success(shard);
-                    return Ok((span, attempt));
-                }
-                Err(source) => {
-                    self.breakers.record_failure(shard, self.clock.now());
-                    attempt += 1;
-                    if attempt >= self.config.retry.max_attempts.max(1) {
-                        return Err(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: false,
-                            source,
-                        });
+            let source = match failed.take() {
+                Some(source) => source,
+                None => {
+                    match self.breakers.admit(shard, || self.clock.now()) {
+                        Admit::Proceed | Admit::Trial => {}
+                        Admit::FailFast { open_for } => {
+                            return Err(Trip::Breaker { shard, open_for })
+                        }
                     }
-                    if !self.retry.try_consume() {
-                        return Err(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: true,
-                            source,
-                        });
+                    match self.backend.probe(label) {
+                        Ok(span) => {
+                            self.breakers.record_success(shard);
+                            return Ok((span, attempt));
+                        }
+                        Err(source) => source,
                     }
-                    self.clock.sleep(self.retry.backoff(attempt));
                 }
+            };
+            self.breakers.record_failure(shard, self.clock.now());
+            attempt += 1;
+            if attempt >= self.config.retry.max_attempts.max(1) {
+                return Err(Trip::Exhausted {
+                    attempts: attempt,
+                    budget_empty: false,
+                    source,
+                });
             }
+            if !self.retry.try_consume() {
+                return Err(Trip::Exhausted {
+                    attempts: attempt,
+                    budget_empty: true,
+                    source,
+                });
+            }
+            self.clock.sleep(self.retry.backoff(attempt));
         }
     }
 

@@ -155,6 +155,47 @@ fn chaos_rate_faults_leave_outcomes_byte_identical() {
         );
         assert_eq!(stats.deadline_expired, 0);
         assert_eq!(stats.retry_exhausted, 0);
+        assert_eq!(
+            injector.probes_issued(),
+            stats.probes_resolved + stats.faults_absorbed,
+            "every attempt reaches storage once: a resolved probe or an absorbed fault"
+        );
+    }
+}
+
+/// The healthy server's early-out hands its first failure to the retry
+/// loop as attempt 1: the very first probe of a pristine server fails once
+/// and is retried exactly once, without opening anything, and the outcome
+/// is byte-identical to the fault-free answer.
+#[test]
+fn first_probe_failure_on_a_pristine_server_is_retried_once() {
+    for on_disk in ON_DISK {
+        let (_data, client, mut qs, _guard) = endpoint(on_disk, "chaos-first-fail", 2, 41);
+        let tokens = client.trapdoor(Range::new(0, 2000)).expect("in-domain");
+        let reference = qs.answer(&tokens).expect("fault-free reference");
+
+        let injector = qs.inject_fault_plan(FaultPlan::transient_window(0, 1));
+        let clock = Arc::new(VirtualClock::new());
+        let serve = ResilientServer::with_clock(qs, ServeConfig::default(), clock);
+        let outcome = serve
+            .answer(&tokens)
+            .expect("one transient fault is absorbed");
+        assert_eq!(outcome, reference, "outcome must be byte-identical");
+
+        let stats = serve.stats();
+        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.faults_absorbed, 1);
+        assert_eq!(stats.breaker_opened, 0);
+        assert_eq!(stats.retry_exhausted, 0);
+        assert_eq!(injector.faults_injected(), 1);
+        assert_eq!(
+            injector.probes_issued(),
+            stats.probes_resolved + 1,
+            "the failed attempt is not re-probed on its own account"
+        );
+        for shard in 0..4 {
+            assert_eq!(serve.breaker_state(shard), BreakerState::Closed);
+        }
     }
 }
 

@@ -58,8 +58,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The narrow boundary between the serving loop and an index backend: a
-/// fallible labeled probe plus the shard topology and cache telemetry the
-/// resilience machinery keys off. Implemented for [`ShardedIndex`] and
+/// fallible labeled probe, the scan's prefetch hint, and the shard
+/// topology and cache telemetry the resilience machinery keys off. Implemented for [`ShardedIndex`] and
 /// [`QueryServer`]; serving layers stay generic over it.
 pub trait ServeIndex: Sync {
     /// Resolves one dictionary probe (`Ok(None)` = label absent).
@@ -72,6 +72,13 @@ pub trait ServeIndex: Sync {
     fn shard_count(&self) -> usize;
     /// Block-cache counters (the admission pressure signal).
     fn cache_stats(&self) -> CacheStats;
+    /// The [`IndexLookup::prefetch`] hint for labels about to be probed:
+    /// it reads no block, moves no counter, passes no breaker and returns
+    /// nothing, so the guarded scan forwards it unguarded. A backend may
+    /// ignore it, and the default does.
+    fn prefetch(&self, labels: &[Label]) {
+        let _ = labels;
+    }
 }
 
 impl ServeIndex for ShardedIndex {
@@ -90,6 +97,10 @@ impl ServeIndex for ShardedIndex {
     fn cache_stats(&self) -> CacheStats {
         ShardedIndex::cache_stats(self)
     }
+
+    fn prefetch(&self, labels: &[Label]) {
+        IndexLookup::prefetch(self, labels);
+    }
 }
 
 impl ServeIndex for QueryServer {
@@ -107,6 +118,10 @@ impl ServeIndex for QueryServer {
 
     fn cache_stats(&self) -> CacheStats {
         self.index().cache_stats()
+    }
+
+    fn prefetch(&self, labels: &[Label]) {
+        IndexLookup::prefetch(self.index(), labels);
     }
 }
 
@@ -313,7 +328,9 @@ pub(crate) struct GuardedScan {
 /// [`IndexLookup`] whose `try_get` is the scan's deadline check (a clock
 /// read, only when the scan has a deadline) followed by
 /// [`probe_guarded`](ResilientServer::probe_guarded) — on a healthy index,
-/// the bare backend probe.
+/// the bare backend probe. Its `prefetch` goes straight to the backend's
+/// [`ServeIndex::prefetch`]: a hint is no probe, so no deadline, breaker
+/// or retry sees it.
 struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
     /// Absolute deadline on the server clock, if any.
@@ -354,6 +371,10 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
             }
             Err(trip) => Err(self.abort(trip)),
         }
+    }
+
+    fn prefetch(&self, labels: &[Label]) {
+        self.server.backend.prefetch(labels);
     }
 }
 
@@ -920,5 +941,59 @@ impl ResilientServer<QueryServer> {
             QueryServer::open_dir_with_budget(dir, cache_budget)?,
             config,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use rsse_sse::test_support::TempDir;
+    use rsse_sse::{
+        FaultInjectable, FaultPlan, SseDatabase, SseScheme, StorageConfig, TokenLabeler,
+    };
+
+    /// The guarded scan's prefetch reaches the backend and nothing else: no
+    /// deadline check, breaker, retry or probe count sees it, and the
+    /// budgeted on-disk index under it reads no block and draws no fault
+    /// decision — while one probe through the same guard trips at once.
+    #[test]
+    fn guarded_prefetch_is_no_probe() {
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(5);
+        let key = SseScheme::setup(&mut rng);
+        let mut db = SseDatabase::new();
+        for i in 0..64u64 {
+            db.add(
+                format!("kw{}", i % 4).into_bytes(),
+                i.to_le_bytes().to_vec(),
+            );
+        }
+        let dir = TempDir::new("guarded-prefetch");
+        let config = StorageConfig::on_disk(2, dir.path());
+        SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+        let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
+        let injector = index.inject_fault_plan(FaultPlan::dead_after(0));
+        let server = ResilientServer::new(index, ServeConfig::default());
+        let guard = QueryGuard {
+            server: &server,
+            deadline: Some(Duration::ZERO),
+            trip: Cell::new(None),
+            probes_resolved: Cell::new(0),
+            faults_absorbed: Cell::new(0),
+        };
+        let labeler = TokenLabeler::new(&SseScheme::trapdoor(&key, b"kw1"));
+        let labels: Vec<Label> = (0..20).map(|counter| labeler.label_at(counter)).collect();
+
+        let stats = server.stats();
+        guard.prefetch(&labels);
+        assert_eq!(server.stats(), stats);
+        assert_eq!(server.backend.cache_stats(), CacheStats::default());
+        assert_eq!(server.backend.read_errors(), 0);
+        assert_eq!(injector.probes_issued(), 0);
+        assert_eq!(guard.probes_resolved.get(), 0);
+        assert!(guard.trip.take().is_none());
+
+        assert!(guard.try_get(&labels[0]).is_err());
+        assert!(matches!(guard.trip.take(), Some(Trip::Deadline { .. })));
     }
 }

@@ -996,13 +996,7 @@ impl Sink {
                 let finalize = |(i, stage): (usize, StageShard)| -> Result<Shard, StorageError> {
                     let path = dir.join(shard_file_name(i));
                     finalize_shard(&path, &spill.path, i, stage)?;
-                    let shard = match &cache {
-                        Some(cache) => {
-                            FileShard::open_cached(&path, i as u32, std::sync::Arc::clone(cache))?
-                        }
-                        None => FileShard::open(&path)?,
-                    };
-                    Ok(Shard::File(shard))
+                    FileShard::open_shard(&path, i as u32, bits, cache.clone()).map(Shard::File)
                 };
                 // Shards held in their buffers serialize and reopen in
                 // parallel. A build that overflowed to stage files is bound

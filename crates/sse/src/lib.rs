@@ -51,14 +51,15 @@ pub mod padding;
 pub mod pibas;
 pub mod sharded;
 pub mod storage;
+mod table;
 
 pub use database::SseDatabase;
 pub use external::{build_index_external_with, build_index_fixed_external, SpillOrder};
 pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
-    CipherSpan, CorruptEntry, EncryptedIndex, IndexLookup, Label, LabelHasher, SearchError,
-    SearchToken, SseKey, SseScheme, TokenLabeler,
+    CipherSpan, CorruptEntry, EncryptedIndex, IndexLookup, Label, SearchError, SearchToken, SseKey,
+    SseScheme, TokenLabeler,
 };
 pub use sharded::{FaultShard, Shard, ShardedIndex};
 pub use storage::{

@@ -17,15 +17,17 @@
 //! lookups — one allocation for the whole index instead of one `Vec<u8>`
 //! per entry, and cache-friendly sequential writes during build.
 //!
-//! The lookup table uses [`LabelHasher`], a trivial hasher that folds the
-//! label bytes into a `u64` instead of running SipHash. That is safe *in
-//! this trust model* because labels are not attacker-chosen: every label is
-//! a truncated PRF output produced owner-side under a secret key, so label
-//! distribution is computationally indistinguishable from uniform and no
-//! party in the protocol can craft colliding inputs. (An adversarial
-//! *client* inserting chosen labels is outside the paper's model — the
-//! owner is the only writer.) HashDoS-resistant hashing would only re-hash
-//! already-pseudorandom bytes.
+//! The table is a flat array of slots **addressed by the label's own
+//! bits** (a fixed mix of its two halves), with no keyed hash. That is
+//! sound *in this trust model* because labels are not attacker-chosen:
+//! every label is a truncated PRF output produced owner-side under a
+//! secret key, so labels are computationally indistinguishable from
+//! uniform and no party in the protocol can craft colliding inputs. (An
+//! adversarial *client* inserting chosen labels is outside the paper's
+//! model — the owner is the only writer.) This is word-RAM address
+//! arithmetic on uniform keys: a label's slot is known before the table is
+//! read, so the counter scan can [`prefetch`](IndexLookup::prefetch) a
+//! round's slots before it probes them, and a probe is usually one slot.
 //!
 //! `BuildIndex` parallelizes across keywords with rayon: per-keyword nonce
 //! seeds are drawn from the caller's RNG *sequentially* (keeping the build
@@ -35,12 +37,12 @@
 //! regardless of thread scheduling.
 
 use crate::database::SseDatabase;
+use crate::table::LabelTable;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rayon::prelude::*;
 use rsse_crypto::{Key, Prf, StreamCipher, KEY_LEN};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -49,31 +51,6 @@ pub const LABEL_LEN: usize = 16;
 
 /// Dictionary label type.
 pub type Label = [u8; LABEL_LEN];
-
-/// Trivial hasher for PRF-output labels: folds the written bytes into a
-/// `u64` with an xor/rotate, i.e. essentially "use the first 8 label bytes".
-///
-/// See the module docs for why dropping SipHash is sound here: labels are
-/// owner-side PRF outputs (uniform, non-adversarial), so the first 8 bytes
-/// are already an ideal hash value.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LabelHasher(u64);
-
-impl Hasher for LabelHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = self.0.rotate_left(1) ^ u64::from_le_bytes(word);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type LabelTable = HashMap<Label, (u32, u32), BuildHasherDefault<LabelHasher>>;
 
 /// Owner-side secret key of the SSE scheme: the keyed PRF state on the
 /// master key, cached so every trapdoor derivation shares one key schedule.
@@ -269,6 +246,20 @@ pub trait IndexLookup {
     /// backend could not resolve the probe (e.g. a block read failed).
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error>;
 
+    /// A hint that `labels` are about to be probed: a backend whose table
+    /// slots are addressed by label bits loads each label's first slot now,
+    /// so the probes that follow overlap their cache misses instead of
+    /// taking them one after another. The counter scan calls it on a
+    /// round's labels before probing any of them, once its window is 4
+    /// wide ([`SseScheme::search_scan_rounds`]).
+    ///
+    /// It reads no ciphertext block, moves no counter, consults no fault
+    /// injector, returns nothing and changes no result — a backend may
+    /// ignore it, and the default does.
+    fn prefetch(&self, labels: &[Label]) {
+        let _ = labels;
+    }
+
     /// Resolves a batch of probes, writing `out[i] = try_get(&labels[i])?`.
     ///
     /// The default implementation probes in input order; sharded
@@ -326,6 +317,12 @@ impl IndexLookup for EncryptedIndex {
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error> {
         Ok(EncryptedIndex::get(self, label).map(CipherSpan::borrowed))
     }
+
+    fn prefetch(&self, labels: &[Label]) {
+        for label in labels {
+            self.table.prefetch(label);
+        }
+    }
 }
 
 impl EncryptedIndex {
@@ -344,6 +341,12 @@ impl EncryptedIndex {
     /// (labels + encrypted payloads).
     pub fn storage_bytes(&self) -> usize {
         self.table.len() * LABEL_LEN + self.arena.len()
+    }
+
+    /// Bytes the index holds in memory: the label table as allocated (a
+    /// tag and a slot per slot, at a load of at most 3/4) plus the arena.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.table.allocated_bytes() + self.arena.len()
     }
 
     /// Looks up the ciphertext stored under `label`.
@@ -374,7 +377,7 @@ impl EncryptedIndex {
     /// builder knows both exactly from its tally pass.
     pub(crate) fn with_capacity(entries: usize, arena_bytes: usize) -> Self {
         Self {
-            table: LabelTable::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
+            table: LabelTable::with_capacity(entries),
             arena: Vec::with_capacity(arena_bytes),
         }
     }
@@ -490,7 +493,7 @@ pub(crate) fn merge_chunks(chunks: Vec<KeywordChunk>) -> EncryptedIndex {
     let entries: usize = chunks.iter().map(|c| c.labels.len()).sum();
     let arena_len: usize = chunks.iter().map(|c| c.buf.len()).sum();
     let mut index = EncryptedIndex {
-        table: LabelTable::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
+        table: LabelTable::with_capacity(entries),
         arena: Vec::with_capacity(arena_len),
     };
     for chunk in chunks {
@@ -700,7 +703,14 @@ impl SseScheme {
     ///    counter of the window are computed up front, two PRF evaluations
     ///    at a time across counters and tokens. A long list keeps both
     ///    lanes of the kernel full on its own; the window starts at 1 so a
-    ///    list of none or one never pays for a label it did not need.
+    ///    list of none or one never pays for a label it did not need. From
+    ///    the window of 4 on, the round's labels then go to
+    ///    [`IndexLookup::prefetch`], so their table slots are on their way
+    ///    to the cache before the first probe. A token still live there has
+    ///    hit three times, so its window is mostly hits, each needing its
+    ///    slot; the earlier rounds' probes are mostly closing misses of
+    ///    short lists, which read a tag alone and for which the hint only
+    ///    costs time.
     /// 2. **Probe**, counter by counter across the tokens still hitting. A
     ///    token leaves the live set at its first miss, so **each token is
     ///    probed at counters `0..=len` in order, never past its first miss
@@ -734,6 +744,8 @@ impl SseScheme {
         /// Counters a live token advances by in rounds 0, 1, 2, …; the last
         /// entry repeats.
         const WINDOWS: [u64; 4] = [1, 2, 4, 8];
+        /// The narrowest window whose labels are prefetched.
+        const PREFETCH_WINDOW: u64 = 4;
 
         let mut counts = vec![0usize; tokens.len()];
         // One cached PRF key schedule per token, shared across rounds.
@@ -758,6 +770,9 @@ impl SseScheme {
                 }),
                 &mut labels,
             );
+            if window >= PREFETCH_WINDOW {
+                index.prefetch(&labels);
+            }
             round.clear();
             let mut resolved = Ok(());
             if window == 1 {
@@ -1104,17 +1119,6 @@ mod tests {
         );
         // search_count is unaffected (it never decrypts).
         assert_eq!(SseScheme::search_count(&index, &token).unwrap(), 2);
-    }
-
-    #[test]
-    fn label_hasher_uses_label_bytes() {
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        let build: BuildHasherDefault<LabelHasher> = BuildHasherDefault::default();
-        let a = build.hash_one([1u8; LABEL_LEN]);
-        let b = build.hash_one([1u8; LABEL_LEN]);
-        let c = build.hash_one([2u8; LABEL_LEN]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 
     // ---- the windowed walk against the single-token reference walk ----

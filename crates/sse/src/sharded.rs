@@ -112,6 +112,17 @@ impl Shard {
         shard
     }
 
+    /// Loads `label`'s table slot ahead of its probe (the
+    /// [`IndexLookup::prefetch`] hint). A fault wrapper forwards it to the
+    /// shard it wraps without consulting its injector: a hint is no probe.
+    fn prefetch(&self, label: &Label) {
+        match self {
+            Shard::Memory(index) => index.table.prefetch(label),
+            Shard::File(shard) => shard.prefetch(label),
+            Shard::Fault(fault) => fault.inner.prefetch(label),
+        }
+    }
+
     /// Returns this shard's stored ciphertexts (copied out; used by
     /// leakage-oriented tests and tooling).
     pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
@@ -323,18 +334,18 @@ impl ShardedIndex {
         self.shards.iter().map(ShardStorage::storage_bytes).sum()
     }
 
-    /// Bytes currently resident in memory: in-memory shards count in full,
-    /// file-backed shards count their bucket directory plus the region
-    /// blocks faulted in so far (bounded by the cache budget when one is
-    /// set). This is the number the spill-to-disk backend exists to bound.
+    /// Bytes currently resident in memory: every shard's label table as
+    /// allocated (a tag and a 24-byte slot per slot, at a load of at most
+    /// 3/4), plus an in-memory shard's whole arena or the region blocks a
+    /// file-backed shard has faulted in so far (bounded by the cache budget
+    /// when one is set). The blocks are the part the spill-to-disk backend
+    /// exists to bound.
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()
             .map(|shard| match shard.unwrap_faults() {
-                Shard::Memory(index) => index.storage_bytes(),
-                Shard::File(file) => {
-                    ShardStorage::len(file) * crate::pibas::LABEL_LEN + file.resident_bytes()
-                }
+                Shard::Memory(index) => index.resident_bytes(),
+                Shard::File(file) => file.directory_bytes() + file.resident_bytes(),
                 Shard::Fault(_) => unreachable!("unwrap_faults removes fault wrappers"),
             })
             .sum()
@@ -591,11 +602,7 @@ impl ShardedIndex {
                         opened.iter().map(|(_, shards)| shards[s].clone()).collect();
                     let path = out.join(shard_file_name(s));
                     merge_shard_files(&parts, &path)?;
-                    match &cache {
-                        Some(cache) => FileShard::open_cached(&path, s as u32, Arc::clone(cache))
-                            .map(Shard::File),
-                        None => FileShard::open(&path).map(Shard::File),
-                    }
+                    FileShard::open_shard(&path, s as u32, bits, cache.clone()).map(Shard::File)
                 })
                 .collect();
             let shards = results
@@ -622,6 +629,13 @@ impl IndexLookup for ShardedIndex {
 
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
         ShardedIndex::try_get(self, label)
+    }
+
+    /// Routes each label's hint to its shard.
+    fn prefetch(&self, labels: &[Label]) {
+        for label in labels {
+            self.shards[self.shard_of(label)].prefetch(label);
+        }
     }
 
     /// Shard-grouped probe resolution: large probe vectors are visited in
@@ -785,18 +799,14 @@ fn shard_chunks_to_dir(
             .into_iter()
             .enumerate()
             .collect();
-        let results: Vec<Result<Shard, StorageError>> =
-            jobs.into_par_iter()
-                .map(|(i, (member_list, bytes))| {
-                    let path = dir.join(shard_file_name(i));
-                    write_chunk_shard(&path, &chunks, &member_list, bytes)?;
-                    match &cache {
-                        Some(cache) => FileShard::open_cached(&path, i as u32, Arc::clone(cache))
-                            .map(Shard::File),
-                        None => FileShard::open(&path).map(Shard::File),
-                    }
-                })
-                .collect();
+        let results: Vec<Result<Shard, StorageError>> = jobs
+            .into_par_iter()
+            .map(|(i, (member_list, bytes))| {
+                let path = dir.join(shard_file_name(i));
+                write_chunk_shard(&path, &chunks, &member_list, bytes)?;
+                FileShard::open_shard(&path, i as u32, bits, cache.clone()).map(Shard::File)
+            })
+            .collect();
         let shards = results
             .into_iter()
             .collect::<Result<Vec<Shard>, StorageError>>()?;
@@ -992,7 +1002,10 @@ mod tests {
         )
         .unwrap();
         assert!(index.is_file_backed());
-        let directory_bytes = index.len() * LABEL_LEN;
+        // The resident directory is the label table as allocated: 50
+        // entries at a load of at most 3/4 take 128 slots of a tag byte
+        // and a 24-byte slot each.
+        let directory_bytes = 128 * 25;
         assert_eq!(
             index.resident_bytes(),
             directory_bytes,
@@ -1001,12 +1014,12 @@ mod tests {
         let token = SseScheme::trapdoor(&key, b"kw7");
         assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);
         let resident = index.resident_bytes() - directory_bytes;
+        let region_bytes = index.storage_bytes() - index.len() * LABEL_LEN;
         assert!(resident > 0, "the probed block must be resident");
         assert!(
-            resident < index.storage_bytes() - directory_bytes,
+            resident < region_bytes,
             "a single probe must not fault in the whole region \
-             ({resident} of {} region bytes resident)",
-            index.storage_bytes() - directory_bytes
+             ({resident} of {region_bytes} region bytes resident)",
         );
     }
 
@@ -1148,6 +1161,60 @@ mod tests {
         assert_eq!(stats.resident_bytes, 0, "nothing fits a zero budget");
         assert_eq!(stats.hits, 0);
         assert!(stats.misses > 0);
+    }
+
+    /// `IndexLookup::prefetch` is a hint and nothing else: on a budgeted
+    /// on-disk index (budget 0, then one 4 KiB block) behind a fault
+    /// injector, prefetching every label a query will probe — and labels
+    /// past its list — reads no block, moves no cache counter and
+    /// consults no injector, while the queries between the hints move all
+    /// of them.
+    #[test]
+    fn prefetch_reads_no_block_and_consults_no_injector() {
+        use crate::fault::FaultPlan;
+        use crate::pibas::TokenLabeler;
+
+        let mut rng = ChaCha20Rng::seed_from_u64(45);
+        let key = SseScheme::setup(&mut rng);
+        let db = db_from(
+            &(0..96u64)
+                .map(|i| {
+                    (
+                        format!("kw{}", i % 6).into_bytes(),
+                        i.to_le_bytes().to_vec(),
+                    )
+                })
+                .collect::<Vec<_>>(),
+        );
+        let dir = TempDir::new("prefetch");
+        SseScheme::build_index_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng)
+            .unwrap();
+        for budget in [0, 4 << 10] {
+            let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(budget)).unwrap();
+            let injector = index.inject_fault_plan(FaultPlan::seeded(3).fault_rate(0.25));
+            let counters = |index: &ShardedIndex| {
+                (
+                    index.cache_stats(),
+                    index.read_errors(),
+                    injector.probes_issued(),
+                    injector.faults_injected(),
+                )
+            };
+            // Keyword 6 is absent: its every label misses.
+            for kw in 0..7u64 {
+                let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
+                let labeler = TokenLabeler::new(&token);
+                let labels: Vec<Label> = (0..32).map(|c| labeler.label_at(c)).collect();
+                let before = counters(&index);
+                IndexLookup::prefetch(&index, &labels);
+                assert_eq!(counters(&index), before, "budget {budget}, kw{kw}");
+                // The query itself probes, reads and draws faults.
+                let _ = SseScheme::search(&index, &token);
+                assert!(injector.probes_issued() > before.2);
+            }
+            assert!(injector.faults_injected() > 0);
+            assert!(index.cache_stats().misses > 0);
+        }
     }
 
     #[test]

@@ -12,10 +12,16 @@
 //! * [`FileShard`] — the on-disk backend: a serialized shard file
 //!   (`RSSE-SHD`) whose label directory is loaded at open time while the
 //!   ciphertext region stays on disk and is served through paged reads.
-//!   The region is cut into blocks along entry boundaries (~64 KiB resident
-//!   blocks, or ~4 KiB blocks under a cache budget); a probe faults in only
-//!   the block holding its span, through the index-wide clock block cache
-//!   when a budget is set.
+//!   The directory is held in the same flat tagged label table as an
+//!   in-memory arena's, sized once from the header's entry count; the one
+//!   pass that fills it also checks the spans' tiling, duplicate labels
+//!   and each label's shard routing. The region is cut into blocks along
+//!   entry boundaries (~64 KiB resident blocks, or ~4 KiB blocks under a
+//!   cache budget); a probe faults in only the block holding its span,
+//!   through the index-wide clock block cache when a budget is set. A
+//!   span's block is found by arithmetic — a page → block index, one entry
+//!   per 4 KiB of region — and the cache hashes its `(shard, block)` key
+//!   with one multiply, not SipHash.
 //! * [`StorageConfig`] / [`StorageBackend`] / [`BuildBudget`] — the knob
 //!   threaded through `BuildIndex` (and, in `rsse-core`, through
 //!   `RangeScheme::build_stored` and the update manager) selecting where an
@@ -57,12 +63,14 @@
 use crate::formats::{
     self, io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION,
 };
-use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LabelTable, LABEL_LEN};
+use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LABEL_LEN};
+use crate::sharded::shard_of_label;
+use crate::table::{fold_mix, LabelTable};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -523,11 +531,34 @@ struct CacheSlot {
     referenced: bool,
 }
 
+/// Hashes a `(shard, block)` cache key with one folded multiply instead of
+/// SipHash. The keys are the server's own block numbers — no other party
+/// chooses them — so a keyed, flood-resistant hash buys nothing on a path
+/// every probe of a budgeted index takes.
+#[derive(Default)]
+struct BlockKeyHasher(u64);
+
+impl Hasher for BlockKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        fold_mix(self.0)
+    }
+}
+
 /// One locked segment of the cache: the block map plus the clock ring the
 /// eviction hand walks.
 #[derive(Default)]
 struct CacheSegment {
-    slots: HashMap<(u32, u32), CacheSlot>,
+    slots: HashMap<(u32, u32), CacheSlot, BuildHasherDefault<BlockKeyHasher>>,
     ring: Vec<(u32, u32)>,
     hand: usize,
 }
@@ -560,7 +591,9 @@ impl CacheSegment {
 /// one file-backed index.
 ///
 /// All shards of an index share one cache; keys are
-/// `(shard index, block index)`. Lookups set the block's clock bit;
+/// `(shard index, block index)`, which the shard computes from a span's
+/// offset by arithmetic (its page → block index) and the segments hash
+/// with one multiply ([`BlockKeyHasher`]). Lookups set the block's clock bit;
 /// inserts evict unreferenced blocks — walking the segments round-robin,
 /// one lock at a time — until the **whole cache** is back inside the
 /// budget. Blocks are handed out as `Arc<[u8]>`, so a probe that is still
@@ -696,35 +729,26 @@ impl BlockCache {
 // The file-backed shard
 // ---------------------------------------------------------------------------
 
-/// One paged-read block of the ciphertext region in the **resident**
-/// (unbudgeted) store: loaded at most once, then kept for the life of the
-/// shard handle.
-struct ResidentBlock {
-    /// Offset of the block within the region.
-    start: u32,
-    /// Block length in bytes (whole entries only).
-    len: u32,
-    /// Lazily loaded block bytes. A failed read stores nothing, so the
-    /// next probe retries — a transient I/O blip never poisons the block
-    /// permanently (the probe itself surfaces the failure as a typed
-    /// error).
-    data: OnceLock<Box<[u8]>>,
-}
+/// Log2 of the region bytes one entry of a shard's page → block index
+/// covers: 4 KiB, a page, no longer than any block target, so at most one
+/// block starts inside a page after its first byte.
+const PAGE_SHIFT: u32 = 12;
 
 /// Where a shard's region blocks live once faulted in.
 enum BlockStore {
-    /// No cache budget: every touched block stays resident behind a
-    /// `OnceLock` — loaded once, lock-free afterwards (the pre-budget
-    /// behavior, and the default).
-    Resident(Vec<ResidentBlock>),
+    /// No cache budget: every touched block stays resident behind its
+    /// `OnceLock`, one per block — loaded once, lock-free afterwards (the
+    /// pre-budget behavior, and the default). A failed read stores
+    /// nothing, so the next probe retries — a transient I/O blip never
+    /// poisons a block permanently (the probe itself surfaces the failure
+    /// as a typed error).
+    Resident(Vec<OnceLock<Box<[u8]>>>),
     /// Budgeted: blocks live in the index-wide clock [`BlockCache`] and
     /// can be evicted; probes pin the block they need via `Arc`.
     Cached {
         cache: Arc<BlockCache>,
         /// This shard's index within the cache key space.
         shard: u32,
-        /// `(start, len)` of each block, ascending by start.
-        blocks: Vec<(u32, u32)>,
     },
 }
 
@@ -733,13 +757,20 @@ struct FileShardInner {
     path: PathBuf,
     /// The open shard file; all reads go through positioned `read_at`.
     file: File,
-    /// The in-memory bucket directory: label → (region offset, len).
+    /// The resident bucket directory: label → (region offset, len).
     table: LabelTable,
     /// File offset where the ciphertext region starts.
     region_offset: u64,
     /// Ciphertext-region length (< 4 GiB, the per-shard arena bound).
     region_len: u32,
-    /// Region blocks, resident or cache-backed.
+    /// `(start, len)` of each region block, ascending by start; the blocks
+    /// tile the region.
+    blocks: Vec<(u32, u32)>,
+    /// Page → block index: entry `p` is the block holding region byte
+    /// `p << PAGE_SHIFT`. A span's block is that entry or a later one —
+    /// the next, since every block but the last is at least a page long.
+    pages: Box<[u32]>,
+    /// Where the blocks live once read, resident or cache-backed.
     store: BlockStore,
     /// Probes served from an already-loaded block.
     hits: AtomicU64,
@@ -766,16 +797,15 @@ pub struct FileShard {
 
 impl fmt::Debug for FileShard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (blocks, budgeted) = match &self.inner.store {
-            BlockStore::Resident(blocks) => (blocks.len(), false),
-            BlockStore::Cached { blocks, .. } => (blocks.len(), true),
-        };
         f.debug_struct("FileShard")
             .field("path", &self.inner.path)
             .field("entries", &self.inner.table.len())
             .field("region_len", &self.inner.region_len)
-            .field("blocks", &blocks)
-            .field("budgeted", &budgeted)
+            .field("blocks", &self.inner.blocks.len())
+            .field(
+                "budgeted",
+                &matches!(self.inner.store, BlockStore::Cached { .. }),
+            )
             .field("resident_bytes", &self.resident_bytes())
             .finish()
     }
@@ -785,6 +815,40 @@ impl fmt::Debug for FileShard {
 /// directory pass; its length is validated before the loop).
 fn read_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+}
+
+/// The page → block index of `blocks` (ascending, tiling the region) over
+/// a `region_len`-byte region: per page, the last block starting at or
+/// before the page's first byte.
+fn page_index(blocks: &[(u32, u32)], region_len: u32) -> Box<[u32]> {
+    let mut block = 0usize;
+    (0..u64::from(region_len).div_ceil(1 << PAGE_SHIFT))
+        .map(|page| {
+            let first_byte = page << PAGE_SHIFT;
+            while blocks
+                .get(block + 1)
+                .is_some_and(|&(start, _)| u64::from(start) <= first_byte)
+            {
+                block += 1;
+            }
+            block as u32
+        })
+        .collect()
+}
+
+/// The block holding region byte `offset`, by its page → block index
+/// `pages`: the page's entry, stepped past the block (at most one) that
+/// starts later in the same page.
+#[inline]
+fn block_of(blocks: &[(u32, u32)], pages: &[u32], offset: u32) -> usize {
+    let mut block = pages[(offset >> PAGE_SHIFT) as usize] as usize;
+    while blocks
+        .get(block + 1)
+        .is_some_and(|&(start, _)| start <= offset)
+    {
+        block += 1;
+    }
+    block
 }
 
 impl FileShard {
@@ -799,22 +863,21 @@ impl FileShard {
     /// truncated files, wrong magic, unsupported versions, and directories
     /// whose spans do not exactly tile the ciphertext region.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
-        Self::open_inner(path, None)
+        Self::open_shard(path, 0, 0, None)
     }
 
-    /// Opens a shard whose region blocks are served through the index-wide
-    /// budgeted [`BlockCache`] under shard key `shard`.
-    pub(crate) fn open_cached(
+    /// Opens the file of shard `shard` of a `2^shard_bits`-shard index:
+    /// [`open`](Self::open), plus the routing check — every label must
+    /// carry prefix `shard` at `shard_bits` bits, or probes routed by
+    /// label prefix would silently miss, so swapped or foreign shard files
+    /// (each valid on its own) are rejected typed instead of answering
+    /// empty. With a `cache`, region blocks are served through that
+    /// index-wide budgeted [`BlockCache`] under shard key `shard`.
+    pub(crate) fn open_shard(
         path: &Path,
         shard: u32,
-        cache: Arc<BlockCache>,
-    ) -> Result<Self, StorageError> {
-        Self::open_inner(path, Some((shard, cache)))
-    }
-
-    fn open_inner(
-        path: &Path,
-        cache: Option<(u32, Arc<BlockCache>)>,
+        shard_bits: u32,
+        cache: Option<Arc<BlockCache>>,
     ) -> Result<Self, StorageError> {
         let file = File::open(path).map_err(|e| io_err(path, e))?;
         let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
@@ -868,12 +931,12 @@ impl FileShard {
 
         // Directory pass: read all entries, verify the spans tile
         // [0, region_len) in ascending offset order (which also proves every
-        // span in bounds), and build the lookup table and block cuts.
+        // span in bounds) and each label's routing, and build the lookup
+        // table and block cuts.
         let entry_count = entry_count as usize;
         let mut directory = vec![0u8; entry_count * DIR_ENTRY_LEN as usize];
         read_exact_at(&file, &mut directory, SHARD_HEADER_LEN).map_err(|e| io_err(path, e))?;
-        let mut table =
-            LabelTable::with_capacity_and_hasher(entry_count, BuildHasherDefault::default());
+        let mut table = LabelTable::with_capacity(entry_count);
         let block_target = match cache {
             Some(_) => CACHED_BLOCK_TARGET,
             None => RESIDENT_BLOCK_TARGET,
@@ -905,6 +968,17 @@ impl FileShard {
                     ),
                 });
             }
+            let prefix = shard_of_label(&label, shard_bits);
+            if prefix != shard as usize {
+                return Err(StorageError::CorruptDirectory {
+                    path: path.to_path_buf(),
+                    detail: format!(
+                        "label with shard prefix {prefix} stored in shard {shard} \
+                         (at {shard_bits} shard bits) — shard files swapped or \
+                         from a different index layout"
+                    ),
+                });
+            }
             if table.insert(label, (offset, len)).is_some() {
                 return Err(StorageError::CorruptDirectory {
                     path: path.to_path_buf(),
@@ -928,21 +1002,8 @@ impl FileShard {
             blocks.push((block_start as u32, (running - block_start) as u32));
         }
         let store = match cache {
-            Some((shard, cache)) => BlockStore::Cached {
-                cache,
-                shard,
-                blocks,
-            },
-            None => BlockStore::Resident(
-                blocks
-                    .into_iter()
-                    .map(|(start, len)| ResidentBlock {
-                        start,
-                        len,
-                        data: OnceLock::new(),
-                    })
-                    .collect(),
-            ),
+            Some(cache) => BlockStore::Cached { cache, shard },
+            None => BlockStore::Resident(blocks.iter().map(|_| OnceLock::new()).collect()),
         };
         Ok(Self {
             inner: Arc::new(FileShardInner {
@@ -951,6 +1012,8 @@ impl FileShard {
                 table,
                 region_offset: SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN,
                 region_len: region_len as u32,
+                pages: page_index(&blocks, region_len as u32),
+                blocks,
                 store,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
@@ -994,11 +1057,25 @@ impl FileShard {
         match &self.inner.store {
             BlockStore::Resident(blocks) => blocks
                 .iter()
-                .filter(|block| block.data.get().is_some())
-                .map(|block| block.len as usize)
+                .filter_map(OnceLock::get)
+                .map(|data| data.len())
                 .sum(),
-            BlockStore::Cached { cache, shard, .. } => cache.shard_resident_bytes(*shard),
+            BlockStore::Cached { cache, shard } => cache.shard_resident_bytes(*shard),
         }
+    }
+
+    /// Bytes of the resident bucket directory: its label table as
+    /// allocated (a tag and a 24-byte slot per slot, at a load of at most
+    /// 3/4).
+    pub(crate) fn directory_bytes(&self) -> usize {
+        self.inner.table.allocated_bytes()
+    }
+
+    /// Loads `label`'s directory slot ahead of its probe — the
+    /// [`IndexLookup::prefetch`](crate::IndexLookup::prefetch) hint for
+    /// one shard. The region block is not touched.
+    pub(crate) fn prefetch(&self, label: &Label) {
+        self.inner.table.prefetch(label);
     }
 
     /// The index-wide block cache this shard probes through, if budgeted.
@@ -1031,35 +1108,30 @@ impl FileShard {
             return Ok(CipherSpan::borrowed(&[]));
         }
         let inner = &*self.inner;
+        let index = block_of(&inner.blocks, &inner.pages, offset);
+        let (start, block_len) = inner.blocks[index];
+        let rel = (offset - start) as usize;
         match &inner.store {
             BlockStore::Resident(blocks) => {
-                let index = blocks.partition_point(|b| b.start <= offset) - 1;
                 let block = &blocks[index];
-                let data = match block.data.get() {
+                let data = match block.get() {
                     Some(data) => {
                         inner.hits.fetch_add(1, Ordering::Relaxed);
                         data
                     }
                     None => {
                         inner.misses.fetch_add(1, Ordering::Relaxed);
-                        let mut buf = vec![0u8; block.len as usize].into_boxed_slice();
-                        self.read_block(block.start, &mut buf)?;
+                        let mut buf = vec![0u8; block_len as usize].into_boxed_slice();
+                        self.read_block(start, &mut buf)?;
                         // A concurrent probe may have won the race; either
                         // way the lock now holds a fully read copy.
-                        let _ = block.data.set(buf);
-                        block.data.get().expect("block was just populated")
+                        let _ = block.set(buf);
+                        block.get().expect("block was just populated")
                     }
                 };
-                let rel = (offset - block.start) as usize;
                 Ok(CipherSpan::borrowed(&data[rel..rel + len as usize]))
             }
-            BlockStore::Cached {
-                cache,
-                shard,
-                blocks,
-            } => {
-                let index = blocks.partition_point(|&(start, _)| start <= offset) - 1;
-                let (start, block_len) = blocks[index];
+            BlockStore::Cached { cache, shard } => {
                 let key = (*shard, index as u32);
                 let data = match cache.get(key) {
                     Some(data) => {
@@ -1078,7 +1150,6 @@ impl FileShard {
                         data
                     }
                 };
-                let rel = (offset - start) as usize;
                 Ok(CipherSpan::pinned(data, rel, len as usize))
             }
         }
@@ -1290,8 +1361,7 @@ pub(crate) fn merge_shard_files(inputs: &[FileShard], path: &Path) -> Result<(),
             "structural shard merge past the 4 GiB region bound",
         ));
     }
-    let mut seen =
-        LabelTable::with_capacity_and_hasher(total_entries as usize, BuildHasherDefault::default());
+    let mut seen = LabelTable::with_capacity(total_entries as usize);
     for shard in inputs {
         for label in shard.labels() {
             if seen.insert(*label, (0, 0)).is_some() {
@@ -1591,8 +1661,9 @@ fn remove_stale_shard_files(dir: &Path, shard_count: usize) {
 }
 
 /// Opens every shard file under `dir` (in parallel) after validating the
-/// manifest. With a cache budget, all shards share one index-wide
-/// [`BlockCache`] bounding their resident region blocks.
+/// manifest, checking each label's routing as its directory loads. With a
+/// cache budget, all shards share one index-wide [`BlockCache`] bounding
+/// their resident region blocks.
 pub(crate) fn open_shards_from_dir(
     dir: &Path,
     cache_budget: Option<usize>,
@@ -1605,34 +1676,12 @@ pub(crate) fn open_shards_from_dir(
     let results: Vec<Result<FileShard, StorageError>> = indices
         .into_par_iter()
         .map(|i| {
-            let path = dir.join(shard_file_name(i));
-            let shard = match &cache {
-                Some(cache) => FileShard::open_cached(&path, i as u32, Arc::clone(cache))?,
-                None => FileShard::open(&path)?,
-            };
-            // Label-prefix routing check: every label in shard i must carry
-            // prefix i at the manifest's shard-bit width, or probes routed
-            // by shard_of(label) would silently miss. This rejects swapped
-            // or foreign shard files — individually valid, collectively
-            // wrong — with a typed error instead of empty query results.
-            if shard_bits > 0 {
-                for label in shard.inner.table.keys() {
-                    let prefix =
-                        u64::from_be_bytes(label[..8].try_into().expect("labels are 16 bytes"))
-                            >> (64 - shard_bits);
-                    if prefix != i as u64 {
-                        return Err(StorageError::CorruptDirectory {
-                            path,
-                            detail: format!(
-                                "label with shard prefix {prefix} stored in shard {i} \
-                                 (at {shard_bits} shard bits) — shard files swapped or \
-                                 from a different index layout"
-                            ),
-                        });
-                    }
-                }
-            }
-            Ok(shard)
+            FileShard::open_shard(
+                &dir.join(shard_file_name(i)),
+                i as u32,
+                shard_bits,
+                cache.clone(),
+            )
         })
         .collect();
     let shards = results
@@ -1801,6 +1850,64 @@ mod tests {
                 assert!(detail.contains("tile"), "unexpected detail: {detail}")
             }
             other => panic!("expected CorruptDirectory, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn open_rejects_duplicate_labels() {
+        let (_dir, shard0, mut bytes) = saved_index(0);
+        // Give entry 5 the label of entry 2; the spans still tile.
+        let label_at = |entry: usize| 32 + entry * 24;
+        let copied = bytes[label_at(2)..label_at(2) + 16].to_vec();
+        bytes[label_at(5)..label_at(5) + 16].copy_from_slice(&copied);
+        fs::write(&shard0, &bytes).unwrap();
+        match FileShard::open(&shard0) {
+            Err(StorageError::CorruptDirectory { detail, .. }) => {
+                assert_eq!(detail, "duplicate label at entry 5")
+            }
+            other => panic!("expected CorruptDirectory, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn page_index_finds_the_block_of_every_offset() {
+        // Block cuts as `FileShard::open` makes them: whole entries, every
+        // block but the last at least the target — for 24-byte entries,
+        // entries larger than a page, mixed sizes, and a short last block.
+        let cut = |lens: &[u32], target: u32| {
+            let mut blocks = Vec::new();
+            let (mut start, mut running) = (0u32, 0u32);
+            for &len in lens {
+                running += len;
+                if running - start >= target {
+                    blocks.push((start, running - start));
+                    start = running;
+                }
+            }
+            if running > start {
+                blocks.push((start, running - start));
+            }
+            (blocks, running)
+        };
+        let layouts: [(Vec<u32>, u32); 5] = [
+            (vec![24; 2000], 4 << 10),
+            (vec![6000; 9], 4 << 10),
+            ((0..700).map(|i| 1 + i * 37 % 9000).collect(), 4 << 10),
+            (vec![24; 9000], 64 << 10),
+            (vec![4096; 5], 4 << 10),
+        ];
+        for (lens, target) in layouts {
+            let (blocks, region_len) = cut(&lens, target);
+            let pages = page_index(&blocks, region_len);
+            assert_eq!(pages.len(), region_len.div_ceil(4096) as usize);
+            for offset in 0..region_len {
+                let expected = blocks.partition_point(|&(start, _)| start <= offset) - 1;
+                assert_eq!(
+                    block_of(&blocks, &pages, offset),
+                    expected,
+                    "offset {offset}"
+                );
+            }
         }
     }
 

@@ -29,12 +29,6 @@ impl Record {
     }
 
     /// Serializes the record id as an 8-byte SSE payload.
-    pub(crate) fn id_payload(&self) -> Vec<u8> {
-        self.id.to_le_bytes().to_vec()
-    }
-
-    /// Allocation-free variant of [`id_payload`](Self::id_payload) for the
-    /// fixed-stride BuildIndex fast path.
     pub(crate) fn id_payload_array(&self) -> [u8; 8] {
         self.id.to_le_bytes()
     }
@@ -230,7 +224,10 @@ mod tests {
     #[test]
     fn payload_roundtrip() {
         let record = Record::new(0xDEADBEEF, 3);
-        assert_eq!(decode_id_payload(&record.id_payload()), Some(0xDEADBEEF));
+        assert_eq!(
+            decode_id_payload(&record.id_payload_array()),
+            Some(0xDEADBEEF)
+        );
         assert_eq!(decode_id_payload(b"short"), None);
     }
 

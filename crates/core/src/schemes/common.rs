@@ -5,7 +5,11 @@ use crate::server::{scan_query_into_with, ScanScratch};
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Range};
-use rsse_sse::{IndexLookup, SearchToken, ShardedIndex, SseKey, StorageConfig, StorageError};
+use rsse_crypto::{permute, Prf};
+use rsse_sse::{
+    IndexLookup, SearchToken, ShardedIndex, SpillOrder, SseKey, SseScheme, StorageConfig,
+    StorageError,
+};
 
 /// Token counts at or above this are scanned in per-worker chunks on all
 /// cores. Below it (the Logarithmic schemes' `O(log R)` token vectors)
@@ -113,14 +117,13 @@ where
 /// fixed-size keywords and payloads — the BuildIndex shared by the
 /// replication-based schemes — on the layout and backend `config` selects.
 ///
-/// Semantically equivalent to filling an [`rsse_sse::SseDatabase`], calling
-/// `shuffle_lists`, and running `SseScheme::build_index_stored` (the tests
-/// hold it to that, byte for byte), but without the byte-keyed `BTreeMap`
-/// and the heap allocations per entry and per keyword: this is
-/// [`rsse_sse::build_index_fixed_external`], the one fixed-stride pipeline
-/// — entries grouped by one sort of flat arrays, each group shuffled with
-/// the same `(shuffle_key, keyword)`-keyed permutation, encrypted in
-/// bounded batches straight into the shard sinks.
+/// This is [`rsse_sse::build_index_external_with`] grouping by one sort of
+/// the flat entries (`SpillOrder::ByKeywordAndPayload`), permuting each
+/// keyword's list with the `(shuffle_key, keyword)`-keyed shuffle — so
+/// storage order leaks nothing about attribute order — and encrypting it
+/// under the keyword's trapdoor. The tests hold it byte for byte to the
+/// reference build (`rsse_sse::pibas::reference`) over an
+/// [`rsse_sse::SseDatabase`] of the same sorted, shuffled lists.
 ///
 /// `entries` is consumed as an iterator and never collected twice. A
 /// [`BuildBudget`](rsse_sse::BuildBudget) on the configuration only
@@ -134,7 +137,17 @@ pub fn grouped_fixed_index_stored<const K: usize, const P: usize, R: RngCore + C
     config: &StorageConfig,
     rng: &mut R,
 ) -> Result<ShardedIndex, StorageError> {
-    rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng)
+    let shuffle = Prf::new(shuffle_key);
+    rsse_sse::build_index_external_with(
+        entries,
+        SpillOrder::ByKeywordAndPayload,
+        |keyword: &[u8; K], payloads: &mut Vec<[u8; P]>| {
+            permute::keyed_shuffle(&shuffle, keyword, payloads);
+            SseScheme::trapdoor(key, keyword)
+        },
+        config,
+        rng,
+    )
 }
 
 /// Encodes a `(value, start, end)` triple — the "(domain value, tuple
@@ -173,7 +186,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_sse::pibas::reference;
-    use rsse_sse::{SseDatabase, SseScheme};
+    use rsse_sse::SseDatabase;
 
     #[test]
     fn cover_kind_dispatches() {
@@ -211,7 +224,7 @@ mod tests {
         db.add(b"a".to_vec(), 1u64.to_le_bytes().to_vec());
         db.add(b"a".to_vec(), 2u64.to_le_bytes().to_vec());
         db.add(b"b".to_vec(), 3u64.to_le_bytes().to_vec());
-        let index = SseScheme::build_index(&key, &db, &mut rng);
+        let index = reference::build_arena(&key, &db, &mut rng);
         let tokens = vec![
             SseScheme::trapdoor(&key, b"a"),
             SseScheme::trapdoor(&key, b"b"),
@@ -250,19 +263,19 @@ mod tests {
             let oracle = reference::build_index(&key, &db, &mut build_rng());
             let expected = testutil::oracle_search_ids(&oracle, &tokens);
 
-            let flat = SseScheme::build_index(&key, &db, &mut build_rng());
+            let flat = reference::build_arena(&key, &db, &mut build_rng());
             prop_assert_eq!(&try_search_ids(&flat, &tokens).unwrap(), &expected);
             for bits in [0u32, 4] {
                 let config = StorageConfig::in_memory(bits);
                 let sharded =
-                    SseScheme::build_index_stored(&key, &db, &config, &mut build_rng()).unwrap();
+                    reference::build_stored(&key, &db, &config, &mut build_rng()).unwrap();
                 prop_assert_eq!(&try_search_ids(&sharded, &tokens).unwrap(), &expected);
             }
             // A budgeted FileShard index: one 64-byte cache budget, so
             // nearly every probe pages its block in and evicts another.
             let dir = TempDir::new("scan-oracle");
             let config = StorageConfig::on_disk(4, dir.path());
-            SseScheme::build_index_stored(&key, &db, &config, &mut build_rng()).unwrap();
+            reference::build_stored(&key, &db, &config, &mut build_rng()).unwrap();
             let paged = ShardedIndex::open_dir_with_budget(dir.path(), Some(64)).unwrap();
             prop_assert_eq!(&try_search_ids(&paged, &tokens).unwrap(), &expected);
         }

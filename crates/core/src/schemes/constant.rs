@@ -20,12 +20,12 @@ use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{clamp_query, search_ids, try_search_ids, CoverKind};
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
-use rayon::prelude::*;
 use rsse_cover::{Domain, Node, Range};
 use rsse_crypto::{permute, Dprf, DprfToken, KeyChain, Prf};
 use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
-use rsse_sse::{SearchToken, ShardedIndex, SseScheme, StorageBackend, StorageConfig, StorageError};
-use std::collections::BTreeMap;
+use rsse_sse::{
+    SearchToken, ShardedIndex, SpillOrder, StorageBackend, StorageConfig, StorageError,
+};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -175,77 +175,26 @@ impl ConstantScheme {
         let dprf = Dprf::new(&chain.derive(b"dprf"), domain.bits());
         let shuffle = Prf::new(&chain.derive(b"shuffle"));
 
-        if config.build_budget.is_some() {
-            // Budgeted build: spill (value, id) entries to sorted runs and
-            // merge them back, deriving each value's token from a single
-            // DPRF walk as its group closes. Big-endian keywords make the
-            // lexicographic merge order the numeric value order of the
-            // BTreeMap below; the stable ByKeyword merge keeps each
-            // value's payloads in dataset order, so the keyed shuffle —
-            // and every output byte — matches the in-RAM path.
-            let entries = dataset
-                .records()
-                .iter()
-                .map(|record| (record.value.to_be_bytes(), record.id_payload_array()));
-            let index = rsse_sse::build_index_external_with(
-                entries,
-                rsse_sse::SpillOrder::ByKeyword,
-                |keyword: &[u8; 8], payloads: &mut Vec<[u8; 8]>| {
-                    let value = u64::from_be_bytes(*keyword);
-                    permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), payloads);
-                    SearchToken::derive_from_seed(&dprf.eval(value))
-                },
-                config,
-                rng,
-            )?;
-            if let StorageBackend::OnDisk(dir) = &config.backend {
-                if let Err(error) = write_depth_meta(dir, domain.bits()) {
-                    rsse_sse::storage::cleanup_partial_index(dir, 1usize << config.shard_bits);
-                    return Err(error);
-                }
-            }
-            return Ok((
-                Self {
-                    dprf,
-                    shuffle,
-                    domain,
-                    kind,
-                    history: Vec::new(),
-                },
-                ConstantServer {
-                    index,
-                    depth: domain.bits(),
-                },
-            ));
-        }
-
-        // Group tuple-id payloads by attribute value: each value is a
-        // keyword, and its SSE token is derived from the DPRF value so the
-        // server can recreate it after GGM expansion.
-        let mut by_value: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
-        for record in dataset.records() {
-            by_value
-                .entry(record.value)
-                .or_default()
-                .push(record.id_payload());
-        }
-        // The DPRF values of all distinct attribute values come from one
-        // shared-prefix walk over the sorted set (each needed GGM node is
-        // derived exactly once) instead of an `O(log m)` walk per value;
-        // the remaining per-value work — keyed shuffle and token
-        // derivation — fans out across cores in deterministic value order.
-        let grouped: Vec<(u64, Vec<Vec<u8>>)> = by_value.into_iter().collect();
-        let values: Vec<u64> = grouped.iter().map(|(value, _)| *value).collect();
-        let seeds = dprf.eval_sorted(&values);
-        let jobs: Vec<_> = grouped.into_iter().zip(seeds).collect();
-        let lists: Vec<(SearchToken, Vec<Vec<u8>>)> = jobs
-            .into_par_iter()
-            .map(|((value, mut payloads), seed)| {
-                permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), &mut payloads);
-                (SearchToken::derive_from_seed(&seed), payloads)
-            })
-            .collect();
-        let index = SseScheme::build_index_from_token_lists_stored(&lists, config, rng)?;
+        // Each attribute value is a keyword whose SSE token derives from
+        // the value's DPRF output, so the server can recreate it after GGM
+        // expansion. Big-endian keywords make the pipeline's keyword order
+        // the numeric value order, and the stable `ByKeyword` order keeps
+        // each value's ids in dataset order for the keyed shuffle.
+        let entries = dataset
+            .records()
+            .iter()
+            .map(|record| (record.value.to_be_bytes(), record.id_payload_array()));
+        let index = rsse_sse::build_index_external_with(
+            entries,
+            SpillOrder::ByKeyword,
+            |keyword: &[u8; 8], payloads: &mut Vec<[u8; 8]>| {
+                let value = u64::from_be_bytes(*keyword);
+                permute::keyed_shuffle(&shuffle, &value.to_le_bytes(), payloads);
+                SearchToken::derive_from_seed(&dprf.eval(value))
+            },
+            config,
+            rng,
+        )?;
         if let StorageBackend::OnDisk(dir) = &config.backend {
             if let Err(error) = write_depth_meta(dir, domain.bits()) {
                 // Unwind the already-written index files so a failed build

@@ -18,8 +18,8 @@ use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
 use rsse_crypto::{permute, KeyChain, Prf};
 use rsse_sse::{
-    padding, SearchToken, ShardedIndex, SseDatabase, SseKey, SseScheme, StorageBackend,
-    StorageConfig, StorageError,
+    padding, SearchToken, ShardedIndex, SseKey, SseScheme, StorageBackend, StorageConfig,
+    StorageError,
 };
 use std::path::Path;
 
@@ -101,31 +101,23 @@ impl LogScheme {
         let key = SseScheme::key_from(chain.derive(b"sse"));
         let shuffle_key = chain.derive(b"shuffle");
 
-        // Randomly permuting the documents sharing a keyword, as prescribed
-        // by BuildIndex, happens inside both build paths below (the keyed
+        // Flat (node keyword, id) entries, streamed into the grouped build
+        // — grouped by one sort in RAM, or, under a build budget, spilled
+        // and merged without ever being collected (byte-identical output
+        // either way). Randomly permuting the documents sharing a keyword,
+        // as prescribed by BuildIndex, happens inside it (the keyed
         // shuffle), so storage order leaks nothing about attribute order.
+        let entries = dataset.records().iter().flat_map(|record| {
+            let payload = record.id_payload_array();
+            Node::path_to_root(&domain, record.value)
+                .into_iter()
+                .map(move |node| (node.keyword(), payload))
+        });
         let index = if pad {
-            let mut db = SseDatabase::new();
-            for record in dataset.records() {
-                for node in Node::path_to_root(&domain, record.value) {
-                    db.add(node.keyword().to_vec(), record.id_payload());
-                }
-            }
-            db.shuffle_lists(&shuffle_key);
             let target = padding::logarithmic_padding_target(dataset.len(), domain.size(), false);
-            padding::pad_to(&mut db, target, 8);
-            SseScheme::build_index_stored(&key, &db, config, rng)?
+            let padded = padding::pad_to(entries, target);
+            grouped_fixed_index_stored(&key, &shuffle_key, padded, config, rng)?
         } else {
-            // Unpadded fast path: flat (node keyword, id) entries, streamed
-            // into the grouped build — grouped by one sort in RAM, or,
-            // under a build budget, spilled and merged without ever being
-            // collected (byte-identical output either way).
-            let entries = dataset.records().iter().flat_map(|record| {
-                let payload = record.id_payload_array();
-                Node::path_to_root(&domain, record.value)
-                    .into_iter()
-                    .map(move |node| (node.keyword(), payload))
-            });
             grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((

@@ -18,7 +18,7 @@ use rand::{CryptoRng, RngCore};
 use rsse_cover::{Range, Tdag};
 use rsse_crypto::{Key, KeyChain};
 use rsse_sse::{
-    padding, SearchToken, ShardedIndex, SseDatabase, SseKey, SseScheme, StorageConfig, StorageError,
+    padding, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError,
 };
 use std::path::Path;
 
@@ -82,28 +82,21 @@ impl LogSrcScheme {
         let key = SseScheme::key_from(chain.derive(b"sse"));
         let shuffle_key: Key = chain.derive(b"shuffle");
 
+        // Flat (TDAG keyword, id) entries, streamed into the grouped build
+        // — grouped by one sort in RAM, or, under a build budget, spilled
+        // and merged without ever being collected (byte-identical output
+        // either way).
+        let entries = dataset.records().iter().flat_map(|record| {
+            let payload = record.id_payload_array();
+            tdag.covering_nodes(record.value)
+                .into_iter()
+                .map(move |node| (node.keyword(), payload))
+        });
         let index = if pad {
-            let mut db = SseDatabase::new();
-            for record in dataset.records() {
-                for node in tdag.covering_nodes(record.value) {
-                    db.add(node.keyword().to_vec(), record.id_payload());
-                }
-            }
-            db.shuffle_lists(&shuffle_key);
             let target = padding::logarithmic_padding_target(dataset.len(), domain.size(), true);
-            padding::pad_to(&mut db, target, 8);
-            SseScheme::build_index_stored(&key, &db, config, rng)?
+            let padded = padding::pad_to(entries, target);
+            grouped_fixed_index_stored(&key, &shuffle_key, padded, config, rng)?
         } else {
-            // Unpadded fast path: flat (TDAG keyword, id) entries, streamed
-            // into the grouped build — grouped by one sort in RAM, or,
-            // under a build budget, spilled and merged without ever being
-            // collected (byte-identical output either way).
-            let entries = dataset.records().iter().flat_map(|record| {
-                let payload = record.id_payload_array();
-                tdag.covering_nodes(record.value)
-                    .into_iter()
-                    .map(move |node| (node.keyword(), payload))
-            });
             grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((Self { key, tdag }, LogSrcServer { index }))

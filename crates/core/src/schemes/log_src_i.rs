@@ -288,7 +288,7 @@ impl RangeScheme for LogSrcIScheme {
         let token1 = self
             .trapdoor_stage1(clamped)
             .expect("clamped range is inside the domain");
-        let stage1 = SseScheme::search(&server.index1, &token1)?;
+        let stage1 = stage1_documents(&server.index1, &token1)?;
         let stage1_touched = stage1.len();
 
         // Owner merges the qualifying spans.
@@ -333,6 +333,21 @@ impl RangeScheme for LogSrcIScheme {
             storage_bytes: server.index2.storage_bytes(),
         })
     }
+}
+
+/// Round 1 at the server: the counter scan over `I1` for `token`, each hit
+/// decrypted into its `(value, span)` document (an undecryptable entry is
+/// skipped).
+fn stage1_documents(
+    index: &ShardedIndex,
+    token: &SearchToken,
+) -> Result<Vec<Vec<u8>>, StorageError> {
+    let cipher = token.payload_cipher();
+    let mut documents = Vec::new();
+    SseScheme::search_scan_rounds(index, std::slice::from_ref(token), |round| {
+        documents.extend(round.iter().filter_map(|(_, hit)| cipher.decrypt(hit)));
+    })?;
+    Ok(documents)
 }
 
 /// Index statistics of the two sub-indexes separately (the size of `I1`

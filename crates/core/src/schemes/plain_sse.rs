@@ -13,15 +13,12 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{clamp_query, search_ids};
+use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, try_search_ids};
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::{
-    EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageBackend, StorageConfig,
-    StorageError,
-};
+use rsse_sse::{SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError};
 
 /// Owner-side state of the per-value SSE scheme.
 #[derive(Clone, Debug)]
@@ -30,10 +27,11 @@ pub struct PlainSseScheme {
     domain: Domain,
 }
 
-/// Server-side state: one `O(n)`-entry encrypted multimap.
+/// Server-side state: one `O(n)`-entry encrypted multimap (sharded by label
+/// prefix per the build's `StorageConfig::shard_bits`).
 #[derive(Clone, Debug)]
 pub struct PlainSseServer {
-    index: EncryptedIndex,
+    index: ShardedIndex,
 }
 
 fn value_keyword(value: u64) -> [u8; 9] {
@@ -55,11 +53,15 @@ impl PlainSseScheme {
 
     /// Issues SSE queries for exactly the given values — the "pure SSE
     /// retrieval cost" baseline of Figure 7.
-    pub fn query_values(&self, server: &PlainSseServer, values: &[u64]) -> QueryOutcome {
+    pub fn query_values(
+        &self,
+        server: &PlainSseServer,
+        values: &[u64],
+    ) -> Result<QueryOutcome, StorageError> {
         let tokens = self.trapdoor_values(values);
-        let (ids, groups) = search_ids(&server.index, &tokens);
+        let (ids, groups) = try_search_ids(&server.index, &tokens)?;
         let touched = groups.iter().sum();
-        QueryOutcome {
+        Ok(QueryOutcome {
             ids,
             stats: QueryStats {
                 tokens_sent: tokens.len(),
@@ -68,7 +70,7 @@ impl PlainSseScheme {
                 entries_touched: touched,
                 result_groups: tokens.len(),
             },
-        }
+        })
     }
 }
 
@@ -76,37 +78,29 @@ impl RangeScheme for PlainSseScheme {
     type Server = PlainSseServer;
     const NAME: &'static str = "SSE (per-value)";
 
-    /// The per-value baseline's dictionary is always one in-memory arena:
-    /// `shard_bits` does not apply and an on-disk backend is rejected typed.
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<(Self, Self::Server), StorageError> {
-        if let StorageBackend::OnDisk(_) = &config.backend {
-            return Err(StorageError::Unsupported(Self::NAME));
-        }
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let key = SseScheme::key_from(chain.derive(b"sse"));
-        let mut db = SseDatabase::new();
-        for record in dataset.records() {
-            db.add(value_keyword(record.value).to_vec(), record.id_payload());
-        }
-        db.shuffle_lists(&chain.derive(b"shuffle"));
-        let index = SseScheme::build_index(&key, &db, rng);
+        let entries = dataset
+            .records()
+            .iter()
+            .map(|record| (value_keyword(record.value), record.id_payload_array()));
+        let index =
+            grouped_fixed_index_stored(&key, &chain.derive(b"shuffle"), entries, config, rng)?;
         Ok((Self { key, domain }, PlainSseServer { index }))
     }
 
-    /// The per-value baseline keeps its dictionary in memory
-    /// (`IndexLookup::Error = Infallible`), so the fallible path cannot
-    /// actually fail.
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
         let Some(clamped) = clamp_query(&self.domain, range) else {
             return Ok(QueryOutcome::default());
         };
         let values: Vec<u64> = clamped.iter().collect();
-        Ok(self.query_values(server, &values))
+        self.query_values(server, &values)
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
@@ -159,13 +153,13 @@ mod tests {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(4);
         let (client, server) = PlainSseScheme::build(&dataset, &mut rng);
-        let outcome = client.query_values(&server, &[2, 5]);
+        let outcome = client.query_values(&server, &[2, 5]).unwrap();
         let expected: usize =
             dataset.result_size(Range::point(2)) + dataset.result_size(Range::point(5));
         assert_eq!(outcome.len(), expected);
         assert_eq!(outcome.stats.tokens_sent, 2);
         // Values outside the domain are dropped before token generation.
-        let outcome = client.query_values(&server, &[2, 10_000]);
+        let outcome = client.query_values(&server, &[2, 10_000]).unwrap();
         assert_eq!(outcome.stats.tokens_sent, 1);
     }
 

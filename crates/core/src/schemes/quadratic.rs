@@ -10,12 +10,12 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::clamp_query;
+use crate::schemes::common::{clamp_query, try_search_ids};
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    padding, EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageBackend,
+    build_index_external_with, padding, SearchToken, ShardedIndex, SpillOrder, SseKey, SseScheme,
     StorageConfig, StorageError,
 };
 
@@ -31,28 +31,46 @@ pub struct QuadraticScheme {
     domain: Domain,
 }
 
-/// Server-side state of the Quadratic scheme.
+/// Server-side state of the Quadratic scheme: one `O(n·m²)`-entry
+/// encrypted multimap (sharded by label prefix per the build's
+/// `StorageConfig::shard_bits`).
 #[derive(Clone, Debug)]
 pub struct QuadraticServer {
-    index: EncryptedIndex,
+    index: ShardedIndex,
 }
 
-fn range_keyword(range: Range) -> Vec<u8> {
-    let mut keyword = Vec::with_capacity(17);
-    keyword.push(b'Q');
-    keyword.extend_from_slice(&range.lo().to_le_bytes());
-    keyword.extend_from_slice(&range.hi().to_le_bytes());
+fn range_keyword(range: Range) -> [u8; 17] {
+    let mut keyword = [0u8; 17];
+    keyword[0] = b'Q';
+    keyword[1..9].copy_from_slice(&range.lo().to_le_bytes());
+    keyword[9..].copy_from_slice(&range.hi().to_le_bytes());
     keyword
 }
 
 impl QuadraticScheme {
-    /// Builds the scheme, optionally padding the plaintext multimap to the
-    /// maximum possible size so the index size leaks only `(n, m)`.
+    /// Builds the scheme on the unsharded in-memory configuration,
+    /// optionally padding the plaintext multimap to the maximum possible
+    /// size so the index size leaks only `(n, m)`.
     pub fn build_with<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         pad: bool,
         rng: &mut R,
     ) -> (Self, QuadraticServer) {
+        Self::build_full_stored(dataset, pad, &StorageConfig::in_memory(0), rng)
+            .expect("in-memory build cannot fail")
+    }
+
+    /// Builds the scheme, optionally padded, with the dictionary on the
+    /// backend `config` selects.
+    ///
+    /// # Panics
+    /// Panics if the domain holds more than [`MAX_DOMAIN_SIZE`] values.
+    pub fn build_full_stored<R: RngCore + CryptoRng>(
+        dataset: &Dataset,
+        pad: bool,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<(Self, QuadraticServer), StorageError> {
         let domain = *dataset.domain();
         assert!(
             domain.size() <= MAX_DOMAIN_SIZE,
@@ -61,21 +79,23 @@ impl QuadraticScheme {
             domain.size()
         );
         let key = SseScheme::setup(rng);
-        let mut db = SseDatabase::new();
-        for record in dataset.records() {
-            let v = record.value;
-            for lo in 0..=v {
-                for hi in v..domain.size() {
-                    db.add(range_keyword(Range::new(lo, hi)), record.id_payload());
-                }
-            }
-        }
-        if pad {
+        // Every tuple under the keyword of every range containing its
+        // value; each keyword's list keeps the dataset's order.
+        let entries = dataset.records().iter().flat_map(|record| {
+            let (value, payload) = (record.value, record.id_payload_array());
+            (0..=value).flat_map(move |lo| {
+                (value..domain.size()).map(move |hi| (range_keyword(Range::new(lo, hi)), payload))
+            })
+        });
+        let token = |keyword: &[u8; 17], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword);
+        let index = if pad {
             let target = padding::quadratic_padding_target(dataset.len(), domain.size());
-            padding::pad_to(&mut db, target, 8);
-        }
-        let index = SseScheme::build_index(&key, &db, rng);
-        (Self { key, domain }, QuadraticServer { index })
+            let padded = padding::pad_to(entries, target);
+            build_index_external_with(padded, SpillOrder::ByKeyword, token, config, rng)?
+        } else {
+            build_index_external_with(entries, SpillOrder::ByKeyword, token, config, rng)?
+        };
+        Ok((Self { key, domain }, QuadraticServer { index }))
     }
 
     /// `Trpdr`: the single token for the query's exact range keyword.
@@ -89,27 +109,19 @@ impl RangeScheme for QuadraticScheme {
     type Server = QuadraticServer;
     const NAME: &'static str = "Quadratic";
 
-    /// Quadratic's dictionary is always one in-memory arena: `shard_bits`
-    /// does not apply and an on-disk backend is rejected typed.
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<(Self, Self::Server), StorageError> {
-        if let StorageBackend::OnDisk(_) = &config.backend {
-            return Err(StorageError::Unsupported(Self::NAME));
-        }
-        Ok(Self::build_with(dataset, false, rng))
+        Self::build_full_stored(dataset, false, config, rng)
     }
 
-    /// Quadratic's dictionary is always an in-memory arena
-    /// (`IndexLookup::Error = Infallible`), so the fallible path cannot
-    /// actually fail.
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
         let Some(token) = self.trapdoor(range) else {
             return Ok(QueryOutcome::default());
         };
-        let (ids, groups) = crate::schemes::common::search_ids(&server.index, &[token]);
+        let (ids, groups) = try_search_ids(&server.index, &[token])?;
         let touched = groups.iter().sum();
         Ok(QueryOutcome {
             ids,
@@ -228,6 +240,25 @@ mod tests {
         let (client, server) = QuadraticScheme::build(&dataset, &mut rng);
         let outcome = client.query(&server, Range::new(9, 1_000));
         testutil::assert_exact(&dataset, Range::new(9, 15), &outcome);
+    }
+
+    #[test]
+    fn builds_on_disk_and_answers_like_in_memory() {
+        let dataset = testutil::skewed_dataset();
+        let (client, memory) = QuadraticScheme::build(&dataset, &mut ChaCha20Rng::seed_from_u64(8));
+        let dir = testutil::TempDir::new("quadratic-disk");
+        let (_, disk) = QuadraticScheme::build_stored(
+            &dataset,
+            &StorageConfig::on_disk(2, dir.path()),
+            &mut ChaCha20Rng::seed_from_u64(8),
+        )
+        .unwrap();
+        assert!(disk.index.is_file_backed());
+        for range in testutil::query_mix(dataset.domain().size()) {
+            let outcome = client.query(&disk, range);
+            assert_eq!(outcome, client.query(&memory, range));
+            testutil::assert_exact(&dataset, range, &outcome);
+        }
     }
 
     #[test]

@@ -380,7 +380,7 @@ mod tests {
         for bits in [0u32, 3, 6] {
             let config = StorageConfig::in_memory(bits);
             let mut rng = ChaCha20Rng::seed_from_u64(1);
-            let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+            let index = reference::build_stored(&key, &db, &config, &mut rng).unwrap();
             let qs = QueryServer::new(index);
             assert_eq!(qs.shard_bits(), bits);
             for tokens in &vectors {
@@ -427,7 +427,7 @@ mod tests {
         tokens.insert(2, SseScheme::trapdoor(&key, b"absent"));
         let config = StorageConfig::in_memory(3);
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+        let index = reference::build_stored(&key, &db, &config, &mut rng).unwrap();
         let owner: HashMap<Label, usize> = tokens
             .iter()
             .enumerate()

@@ -113,12 +113,11 @@ pub trait RangeScheme: Sized {
     /// built index is bit-identical across build budgets for the same
     /// dataset and RNG stream (property-tested in
     /// `tests/external_build.rs`): these are layout and residency knobs,
-    /// never semantic ones. Schemes without an encrypted-dictionary server
-    /// ignore the fields that do not apply to them (Quadratic and the
-    /// per-value baseline are always one in-memory arena and report
-    /// [`StorageError::Unsupported`] for an on-disk backend; PB persists
-    /// its filter tree). The update manager routes every batch build and
-    /// consolidation rebuild through this entry point.
+    /// never semantic ones. Every scheme with an encrypted-dictionary
+    /// server builds it through the one pipeline; PB, whose server is a
+    /// Bloom-filter tree, persists that tree. The update manager routes
+    /// every batch build and consolidation rebuild through this entry
+    /// point.
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
@@ -281,37 +280,5 @@ mod tests {
         assert_eq!(outcome.len(), 2);
         assert!(!outcome.is_empty());
         assert!(QueryOutcome::default().is_empty());
-    }
-
-    #[test]
-    fn default_build_stored_supports_memory_and_rejects_disk() {
-        // Quadratic is always one in-memory arena: the in-memory backend
-        // must build and answer, and an on-disk request must surface a
-        // typed Unsupported error instead of silently building a volatile
-        // index.
-        use crate::schemes::quadratic::QuadraticScheme;
-        use crate::schemes::testutil;
-        use rand::SeedableRng;
-        use rand_chacha::ChaCha20Rng;
-
-        let dataset = testutil::skewed_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(1);
-        let (client, server) =
-            QuadraticScheme::build_stored(&dataset, &StorageConfig::in_memory(0), &mut rng)
-                .unwrap();
-        testutil::assert_exact(
-            &dataset,
-            Range::new(2, 7),
-            &client.query(&server, Range::new(2, 7)),
-        );
-
-        let err = QuadraticScheme::build_stored(
-            &dataset,
-            &StorageConfig::on_disk(0, "/tmp/never-created"),
-            &mut rng,
-        )
-        .expect_err("on-disk must be rejected");
-        assert!(matches!(err, StorageError::Unsupported(_)));
-        assert!(!std::path::Path::new("/tmp/never-created").exists());
     }
 }

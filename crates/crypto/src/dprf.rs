@@ -131,71 +131,6 @@ impl Dprf {
         self.ggm.walk(&self.root, value, self.depth)
     }
 
-    /// Evaluates the DPRF on a strictly increasing list of domain values in
-    /// one pass, sharing GGM tree prefixes between neighbouring values.
-    ///
-    /// Independent [`eval`](Self::eval) calls cost `depth` child
-    /// derivations each; for a dense sorted set the shared-prefix walk
-    /// visits each needed tree node exactly once, which for `n` values in a
-    /// `2^ℓ` domain is `O(n·(1 + ℓ − log₂ n))` instead of `O(n·ℓ)` — the
-    /// difference between the Constant schemes' BuildIndex being
-    /// DPRF-bound or not.
-    pub fn eval_sorted(&self, values: &[u64]) -> Vec<Seed> {
-        debug_assert!(
-            values.windows(2).all(|w| w[0] < w[1]),
-            "values must be strictly increasing"
-        );
-        if let Some(&last) = values.last() {
-            assert!(
-                self.depth == 63 || last < (1u64 << self.depth),
-                "value {last} outside the {}-bit domain",
-                self.depth
-            );
-        }
-        let mut out = Vec::with_capacity(values.len());
-        self.eval_sorted_rec(&self.root, self.depth, 0, values, &mut out);
-        out
-    }
-
-    /// DFS helper: `seed` is the GGM node whose subtree spans
-    /// `[base, base + 2^height)`, `values` the sorted values inside it.
-    fn eval_sorted_rec(
-        &self,
-        seed: &Seed,
-        height: u32,
-        base: u64,
-        values: &[u64],
-        out: &mut Vec<Seed>,
-    ) {
-        if values.is_empty() {
-            return;
-        }
-        if height == 0 {
-            out.push(*seed);
-            return;
-        }
-        let mid = base + (1u64 << (height - 1));
-        let split = values.partition_point(|&v| v < mid);
-        let (lo, hi) = values.split_at(split);
-        match (lo.is_empty(), hi.is_empty()) {
-            (false, false) => {
-                // Both subtrees populated: one keying serves both children.
-                let (left, right) = self.ggm.expand(seed);
-                self.eval_sorted_rec(&left, height - 1, base, lo, out);
-                self.eval_sorted_rec(&right, height - 1, mid, hi, out);
-            }
-            (false, true) => {
-                let left = self.ggm.child(seed, false);
-                self.eval_sorted_rec(&left, height - 1, base, lo, out);
-            }
-            (true, false) => {
-                let right = self.ggm.child(seed, true);
-                self.eval_sorted_rec(&right, height - 1, mid, hi, out);
-            }
-            (true, true) => unreachable!("values checked non-empty"),
-        }
-    }
-
     /// Delegates the PRF over the sub-ranges described by `nodes`.
     ///
     /// Each node is given as `(level, index)`: the node at height `level`
@@ -203,9 +138,9 @@ impl Dprf {
     /// covering-node lists are produced by the BRC/URC algorithms of
     /// `rsse-cover`; this function only turns them into GGM seeds.
     ///
-    /// Like [`eval_sorted`](Self::eval_sorted), the walk **shares GGM
-    /// prefixes** between covering nodes: the nodes of a BRC/URC cover sit
-    /// on at most two root-to-leaf paths, so independent walks re-derive
+    /// The walk **shares GGM prefixes** between covering nodes: the nodes
+    /// of a BRC/URC cover sit on at most two root-to-leaf paths, so
+    /// independent walks re-derive
     /// almost every inner node up to `2·log m` times — one DFS over the
     /// requested set derives each needed GGM node exactly once (the
     /// difference matters for URC, whose covers are larger by design). The
@@ -412,16 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_sorted_matches_individual_evals() {
-        let dprf = Dprf::new(&key(7), 16);
-        let values: Vec<u64> = vec![0, 1, 2, 100, 101, 4000, 65535];
-        let batch = dprf.eval_sorted(&values);
-        let individual: Vec<_> = values.iter().map(|&v| dprf.eval(v)).collect();
-        assert_eq!(batch, individual);
-        assert!(dprf.eval_sorted(&[]).is_empty());
-    }
-
-    #[test]
     fn delegate_shares_prefixes_without_changing_trapdoors() {
         // The ISSUE's satellite guard: batched delegation must hand out the
         // exact seeds independent per-node root walks produced before —
@@ -493,19 +418,6 @@ mod tests {
                 prop_assert_eq!(got.level, level);
                 let reference = dprf.ggm.walk(&dprf.root, index, depth - level);
                 prop_assert_eq!(got.seed, reference);
-            }
-        }
-
-        #[test]
-        fn eval_sorted_agrees_on_arbitrary_sets(values in proptest::collection::hash_set(any::<u64>(), 0..40)) {
-            let depth = 63u32;
-            let dprf = Dprf::new(&key(9), depth);
-            let mut sorted: Vec<u64> = values.into_iter().map(|v| v >> 1).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let batch = dprf.eval_sorted(&sorted);
-            for (value, seed) in sorted.iter().zip(&batch) {
-                prop_assert_eq!(*seed, dprf.eval(*value));
             }
         }
 

@@ -970,7 +970,7 @@ mod tests {
         }
         let dir = TempDir::new("guarded-prefetch");
         let config = StorageConfig::on_disk(2, dir.path());
-        SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+        rsse_sse::pibas::reference::build_stored(&key, &db, &config, &mut rng).unwrap();
         let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
         let injector = index.inject_fault_plan(FaultPlan::dead_after(0));
         let server = ResilientServer::new(index, ServeConfig::default());

@@ -1,17 +1,16 @@
-//! The plaintext multimap handed to `BuildIndex`.
+//! The plaintext multimap the reference build reads.
 
 use std::collections::BTreeMap;
 
 /// A plaintext searchable database: a multimap from keywords to payloads.
 ///
-/// Keywords and payloads are opaque byte strings. The range schemes of
-/// `rsse-core` populate this with node-label keywords and tuple-id payloads;
-/// nothing in this crate interprets either.
+/// Keywords and payloads are opaque byte strings of any length; nothing in
+/// this crate interprets either. It is the input of the sequential oracle
+/// ([`pibas::reference`](crate::pibas::reference)) the fixed-stride
+/// `BuildIndex` is tested against.
 ///
 /// Internally a `BTreeMap` keyed by keyword keeps iteration deterministic,
-/// which makes index construction reproducible given the same key and RNG —
-/// useful both for tests and for the consolidation step of the update
-/// manager.
+/// which makes index construction reproducible given the same key and RNG.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SseDatabase {
     entries: BTreeMap<Vec<u8>, Vec<Vec<u8>>>,

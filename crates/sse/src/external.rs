@@ -42,13 +42,14 @@
 //! **Byte identity.** Sorted in RAM or merged from runs, the stream has the
 //! same order, so the seeds are drawn in the same sequence, the keyed
 //! shuffle sees the same payload order, and entries reach each shard in the
-//! global (keyword, counter) order. The per-keyword chunk build over an
-//! [`SseDatabase`](crate::SseDatabase) (`build_index_stored`) shares none
-//! of this code and is the reference: the batteries at the bottom of this
-//! module (and `tests/external_build.rs` at the scheme level) pin the two
-//! byte for byte — tables, arenas, shard files and RNG state — for no
-//! budget, budgets the corpus fits, and budgets forcing one, two and many
-//! runs, on both backends, with corpora on every batch edge.
+//! global (keyword, counter) order. The sequential oracle over an
+//! [`SseDatabase`](crate::SseDatabase) of the same lists
+//! ([`pibas::reference::build_stored`](crate::pibas::reference::build_stored))
+//! shares none of this code: the batteries at the bottom of this module
+//! (and `tests/external_build.rs` at the scheme level) pin the two byte for
+//! byte — tables, arenas, shard files and RNG state — for no budget,
+//! budgets the corpus fits, and budgets forcing one, two and many runs, on
+//! both backends, with corpora on every batch edge.
 //!
 //! **Filesystem and crash safety.** A build that fits does no filesystem
 //! work beyond its index files (an in-memory one: none). The spill
@@ -72,9 +73,7 @@
 //! written and reopened in parallel.
 
 use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter};
-use crate::pibas::{
-    encrypt_list_into, EncryptedIndex, Label, SearchToken, SseKey, SseScheme, LABEL_LEN,
-};
+use crate::pibas::{encrypt_list_into, EncryptedIndex, Label, SearchToken, LABEL_LEN};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
     shard_file_name, write_manifest, write_shard_header, BlockCache, FileShard, StorageBackend,
@@ -1091,32 +1090,7 @@ fn finalize_shard(
 // The build driver
 // ---------------------------------------------------------------------------
 
-/// The fixed-stride `BuildIndex` every replication-based range scheme
-/// runs (`grouped_fixed_index_stored` in `rsse-core`): orders `(keyword,
-/// payload)` entries — in RAM, or through sorted runs on disk once a
-/// `BuildBudget` is exceeded — then per keyword group applies the keyed
-/// shuffle, derives the trapdoor from `key`, and encrypts.
-pub fn build_index_fixed_external<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: impl IntoIterator<Item = ([u8; K], [u8; P])>,
-    config: &StorageConfig,
-    rng: &mut R,
-) -> Result<ShardedIndex, StorageError> {
-    let shuffle = rsse_crypto::Prf::new(shuffle_key);
-    build_index_external_with(
-        entries,
-        SpillOrder::ByKeywordAndPayload,
-        |keyword: &[u8; K], payloads: &mut Vec<[u8; P]>| {
-            rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
-            SseScheme::trapdoor(key, keyword)
-        },
-        config,
-        rng,
-    )
-}
-
-/// The one fixed-stride `BuildIndex`, in four stages (module docs):
+/// The one `BuildIndex`, in four stages (module docs):
 /// **source** — `entries` sorted by `order`, in RAM unless
 /// `config.build_budget` is set and exceeded (`None` never spills);
 /// **group + seed** — sequential, one 32-byte nonce seed per keyword group
@@ -1124,9 +1098,11 @@ pub fn build_index_fixed_external<const K: usize, const P: usize, R: RngCore + C
 /// parts that run in parallel, each handing its groups to `group_token`,
 /// which may reorder the payloads (keyed shuffle) and must return the
 /// group's [`SearchToken`], then expanding labels and encrypting into the
-/// part's flat buffers; **sink** — one parallel job per shard. Schemes
-/// whose tokens come from a delegatable PRF rather than the SSE master key
-/// (Constant-BRC/URC) call this directly.
+/// part's flat buffers; **sink** — one parallel job per shard. Every
+/// scheme builds through it: the replication-based ones through
+/// `grouped_fixed_index_stored` in `rsse-core` (keyed shuffle, then the
+/// trapdoor under the SSE master key), Constant-BRC/URC with tokens derived
+/// from DPRF values, Quadratic with the bare trapdoor.
 ///
 /// `group_token` runs on worker threads, once per group, in no particular
 /// order; it must be a pure function of the keyword and the payloads. The
@@ -1214,7 +1190,7 @@ fn sweep_stale_spill_files(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pibas::SseScheme;
+    use crate::pibas::{SseKey, SseScheme};
     use crate::storage::test_support::TempDir;
     use crate::storage::BuildBudget;
     use proptest::prelude::*;
@@ -1233,10 +1209,12 @@ mod tests {
         k
     }
 
-    /// The in-RAM reference: the chunk build over an [`SseDatabase`] of the
+    /// The oracle: the reference build over an [`SseDatabase`] of the
     /// sorted entries with every list pre-shuffled — the same keyword
     /// order and the same one-seed-per-keyword draw as the pipeline, and
     /// none of its code.
+    ///
+    /// [`SseDatabase`]: crate::SseDatabase
     fn in_ram_reference(
         key: &SseKey,
         shuffle_key: &Key,
@@ -1260,38 +1238,31 @@ mod tests {
     ) -> ShardedIndex {
         let mut database: crate::SseDatabase = entries.into_iter().collect();
         database.shuffle_lists(shuffle_key);
-        SseScheme::build_index_stored(key, &database, config, rng).unwrap()
+        crate::pibas::reference::build_stored(key, &database, config, rng).unwrap()
     }
 
-    /// The pipeline under `order`, keyed like the reference.
-    fn pipeline(
+    /// The pipeline under `order`, keyed like the reference: each group's
+    /// list permuted by the keyed shuffle, then encrypted under the
+    /// keyword's trapdoor.
+    fn pipeline<const K: usize>(
         key: &SseKey,
         shuffle_key: &Key,
-        entries: &[([u8; 13], [u8; 8])],
+        entries: impl IntoIterator<Item = ([u8; K], [u8; 8])>,
         order: SpillOrder,
         config: &StorageConfig,
         rng: &mut ChaCha20Rng,
-    ) -> ShardedIndex {
-        let entries = entries.iter().copied();
-        match order {
-            SpillOrder::ByKeywordAndPayload => {
-                build_index_fixed_external(key, shuffle_key, entries, config, rng)
-            }
-            SpillOrder::ByKeyword => {
-                let shuffle = rsse_crypto::Prf::new(shuffle_key);
-                build_index_external_with(
-                    entries,
-                    order,
-                    |keyword: &[u8; 13], payloads: &mut Vec<[u8; 8]>| {
-                        rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
-                        SseScheme::trapdoor(key, keyword)
-                    },
-                    config,
-                    rng,
-                )
-            }
-        }
-        .unwrap()
+    ) -> Result<ShardedIndex, StorageError> {
+        let shuffle = rsse_crypto::Prf::new(shuffle_key);
+        build_index_external_with(
+            entries,
+            order,
+            |keyword: &[u8; K], payloads: &mut Vec<[u8; 8]>| {
+                rsse_crypto::permute::keyed_shuffle(&shuffle, keyword, payloads);
+                SseScheme::trapdoor(key, keyword)
+            },
+            config,
+            rng,
+        )
     }
 
     fn dirs_equal(a: &Path, b: &Path) -> bool {
@@ -1367,7 +1338,15 @@ mod tests {
             };
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
             let config = configure(StorageConfig::in_memory(shard_bits));
-            let index = pipeline(&key, &shuffle_key, entries, order, &config, &mut rng);
+            let index = pipeline(
+                &key,
+                &shuffle_key,
+                entries.iter().copied(),
+                order,
+                &config,
+                &mut rng,
+            )
+            .unwrap();
             assert!(arenas_equal(&ref_idx, &index), "arenas differ: {context}");
             assert_eq!(rng.next_u64(), ref_draw, "RNG state differs: {context}");
             assert_eq!(spill_root.subdir_count(), 0, "spill left: {context}");
@@ -1375,7 +1354,15 @@ mod tests {
             let dir = TempDir::new("ext-id-disk");
             let config = configure(StorageConfig::on_disk(shard_bits, dir.path()));
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
-            pipeline(&key, &shuffle_key, entries, order, &config, &mut rng);
+            pipeline(
+                &key,
+                &shuffle_key,
+                entries.iter().copied(),
+                order,
+                &config,
+                &mut rng,
+            )
+            .unwrap();
             assert!(
                 dirs_equal(ref_dir.path(), dir.path()),
                 "files differ: {context}"
@@ -1426,7 +1413,7 @@ mod tests {
 
         /// The byte-identity contract: for any entries, seed, budget, and
         /// shard count, the pipeline produces bit-identical tables, arenas
-        /// and shard files to the chunk build — on both backends, whether
+        /// and shard files to the reference build — on both backends, whether
         /// the budget is absent, fits the corpus, or forces several runs.
         #[test]
         fn external_build_is_byte_identical(
@@ -1554,10 +1541,12 @@ mod tests {
         let roomy = BuildBudget::with_memory(64 << 20);
         let build = |config: &StorageConfig| {
             let mut rng = ChaCha20Rng::seed_from_u64(4);
-            build_index_fixed_external(
+            let order = SpillOrder::ByKeywordAndPayload;
+            pipeline(
                 &key,
                 &shuffle_key,
                 entries.iter().copied(),
+                order,
                 config,
                 &mut rng,
             )
@@ -1648,10 +1637,11 @@ mod tests {
         let spill_root = TempDir::new("ext-empty-spill");
         let config = StorageConfig::in_memory(2)
             .with_build_budget(BuildBudget::with_memory(1).with_spill_root(spill_root.path()));
-        let idx = build_index_fixed_external::<13, 8, _>(
+        let idx = pipeline::<13>(
             &key,
             &shuffle_key,
             std::iter::empty(),
+            SpillOrder::ByKeywordAndPayload,
             &config,
             &mut ChaCha20Rng::seed_from_u64(1),
         )
@@ -1687,10 +1677,11 @@ mod tests {
             .collect();
         let budget = BuildBudget::with_memory(1);
         let build = |dir: &Path, seed: u64| {
-            build_index_fixed_external(
+            pipeline(
                 &key,
                 &shuffle_key,
                 entries.iter().copied(),
+                SpillOrder::ByKeywordAndPayload,
                 &StorageConfig::on_disk(2, dir).with_build_budget(budget.clone()),
                 &mut ChaCha20Rng::seed_from_u64(seed),
             )

@@ -100,7 +100,7 @@ impl QueryLeakage {
 mod tests {
     use super::*;
     use crate::database::SseDatabase;
-    use crate::pibas::SseScheme;
+    use crate::pibas::{reference, SseScheme};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
@@ -119,8 +119,8 @@ mod tests {
                 (i * 7).to_le_bytes().to_vec(),
             );
         }
-        let i1 = SseScheme::build_index(&key, &db1, &mut rng);
-        let i2 = SseScheme::build_index(&key, &db2, &mut rng);
+        let i1 = reference::build_arena(&key, &db1, &mut rng);
+        let i2 = reference::build_arena(&key, &db2, &mut rng);
         assert_eq!(IndexLeakage::of(&i1), IndexLeakage::of(&i2));
     }
 

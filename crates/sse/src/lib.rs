@@ -7,12 +7,15 @@
 //! construction of Cash et al. (NDSS 2014), which is also the SSE scheme the
 //! paper's own evaluation builds on:
 //!
-//! * [`SseDatabase`] — the plaintext multimap `keyword → list of payloads`
-//!   handed to `BuildIndex` (payloads are opaque byte strings; the range
-//!   schemes store encrypted tuple ids or (value, position-range) pairs);
-//! * [`SseScheme`] — the four algorithms of the paper's Section 2.2:
-//!   [`SseScheme::setup`], [`SseScheme::build_index`],
-//!   [`SseScheme::trapdoor`], [`SseScheme::search`];
+//! * [`SseScheme`] — the paper's Section 2.2 algorithms:
+//!   [`SseScheme::setup`], [`SseScheme::trapdoor`], and `Search` as the
+//!   counter scan [`SseScheme::search_scan_rounds`]; `BuildIndex` is
+//!   [`build_index_external_with`] over fixed-stride `(keyword, payload)`
+//!   entries (the range schemes store tuple ids or (value, position-range)
+//!   pairs);
+//! * [`SseDatabase`] — a plaintext multimap of arbitrary-length keywords
+//!   and payloads, the input of the sequential oracle
+//!   [`pibas::reference`] the build and the scan are tested against;
 //! * [`EncryptedIndex`] — the server-side dictionary of PRF-labelled,
 //!   individually encrypted entries;
 //! * [`ShardedIndex`] — the same dictionary split into `2^k`
@@ -26,14 +29,14 @@
 //! * [`formats`] — the codec kit every on-disk format of the workspace is
 //!   read and written with (magic + version header, bounds-checked
 //!   little-endian cursor, checked row counts, tmp + rename commit);
-//! * [`external`] — the external-memory `BuildIndex` pipeline: entries
-//!   spill to sorted `RSSE-SPL` runs on disk and are k-way-merged back
-//!   through the encrypt/scatter stages, so peak RSS is bounded by a
-//!   [`BuildBudget`] rather than corpus size, with byte-identical output;
+//! * [`external`] — the one `BuildIndex` pipeline: entries sorted in RAM,
+//!   or spilled to sorted `RSSE-SPL` runs on disk and k-way-merged back
+//!   once a [`BuildBudget`] is exceeded, then encrypted in bounded parallel
+//!   batches into the shards — byte-identical output either way;
 //! * [`fault`] — deterministic fault injection (seeded [`FaultPlan`]s
 //!   behind the [`FaultInjectable`] trait) shared by the resilience tests,
 //!   the chaos battery and the bench harness;
-//! * [`padding`] — owner-side padding of the multimap to a fixed size, the
+//! * [`padding`] — owner-side padding of the entry stream to a fixed size, the
 //!   countermeasure the paper prescribes for Quadratic and Logarithmic-SRC
 //!   so that the index size leaks only `n` and `m`;
 //! * [`leakage`] — explicit `L1`/`L2` leakage profiles (size, access
@@ -54,12 +57,11 @@ pub mod storage;
 mod table;
 
 pub use database::SseDatabase;
-pub use external::{build_index_external_with, build_index_fixed_external, SpillOrder};
+pub use external::{build_index_external_with, SpillOrder};
 pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
-    CipherSpan, CorruptEntry, EncryptedIndex, IndexLookup, Label, SearchError, SearchToken, SseKey,
-    SseScheme, TokenLabeler,
+    CipherSpan, EncryptedIndex, IndexLookup, Label, SearchToken, SseKey, SseScheme, TokenLabeler,
 };
 pub use sharded::{FaultShard, Shard, ShardedIndex};
 pub use storage::{

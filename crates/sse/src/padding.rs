@@ -10,37 +10,57 @@
 //! Dummy entries are inserted under reserved keywords that real queries can
 //! never produce (they live in a distinct namespace byte), carrying payloads
 //! of the same length as real ones so they are indistinguishable inside the
-//! encrypted dictionary.
-
-use crate::database::SseDatabase;
+//! encrypted dictionary. They join the build's entry stream after the real
+//! entries ([`pad_to`]).
 
 /// Namespace prefix for padding keywords. Scheme keywords produced by
 /// `rsse-cover` start with `b'B'` or `b'T'`, and the schemes' own auxiliary
 /// keywords never use this byte, so padding can never be matched by a query.
 pub const PADDING_KEYWORD_TAG: u8 = 0xFF;
 
-/// Pads `database` with dummy entries until it holds exactly `target_entries`
-/// (keyword, payload) pairs. Dummy payloads are `payload_len` bytes of zeros
-/// (they are encrypted individually, so their content is irrelevant).
-///
-/// Returns the number of dummy entries added.
+/// The `K`-byte keyword of dummy entry `i`: [`PADDING_KEYWORD_TAG`], `i`
+/// little-endian, then zeros.
+fn padding_keyword<const K: usize>(i: u64) -> [u8; K] {
+    assert!(
+        K >= 9,
+        "a padding keyword takes 9 bytes, these keywords {K}"
+    );
+    let mut keyword = [0u8; K];
+    keyword[0] = PADDING_KEYWORD_TAG;
+    keyword[1..9].copy_from_slice(&i.to_le_bytes());
+    keyword
+}
+
+/// Extends a build's entry stream with dummy entries until it holds exactly
+/// `target_entries`: after the last real entry come `(keyword_i, 0^P)` for
+/// `i = 0, 1, …`, each under a padding keyword of its own. Dummy payloads
+/// are zeros (they are encrypted individually, so their content is
+/// irrelevant).
 ///
 /// # Panics
-/// Panics if the database already exceeds `target_entries`.
-pub fn pad_to(database: &mut SseDatabase, target_entries: usize, payload_len: usize) -> usize {
-    let current = database.entry_count();
-    assert!(
-        current <= target_entries,
-        "database has {current} entries, more than the padding target {target_entries}"
-    );
-    let missing = target_entries - current;
-    for i in 0..missing {
-        let mut keyword = Vec::with_capacity(9);
-        keyword.push(PADDING_KEYWORD_TAG);
-        keyword.extend_from_slice(&(i as u64).to_le_bytes());
-        database.add(keyword, vec![0u8; payload_len]);
-    }
-    missing
+/// Panics, once `entries` runs out, if it held more than `target_entries`.
+pub fn pad_to<const K: usize, const P: usize>(
+    entries: impl IntoIterator<Item = ([u8; K], [u8; P])>,
+    target_entries: usize,
+) -> impl Iterator<Item = ([u8; K], [u8; P])> {
+    let mut entries = entries.into_iter();
+    let mut real = 0usize;
+    let mut dummies: Option<std::ops::Range<u64>> = None;
+    std::iter::from_fn(move || {
+        if dummies.is_none() {
+            if let Some(entry) = entries.next() {
+                real += 1;
+                return Some(entry);
+            }
+            assert!(
+                real <= target_entries,
+                "the stream has {real} entries, more than the padding target {target_entries}"
+            );
+            dummies = Some(0..(target_entries - real) as u64);
+        }
+        let i = dummies.as_mut()?.next()?;
+        Some((padding_keyword(i), [0u8; P]))
+    })
 }
 
 /// The padding target used by the Quadratic scheme: every tuple is
@@ -77,57 +97,69 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
-    use crate::pibas::SseScheme;
+    use crate::pibas::{reference, SseScheme};
+    use crate::{build_index_external_with, SpillOrder, StorageConfig};
+
+    /// `count` entries under the one keyword `keyword`.
+    fn list(keyword: &[u8], count: u64) -> Vec<([u8; 13], [u8; 8])> {
+        let mut fixed = [0u8; 13];
+        fixed[..keyword.len()].copy_from_slice(keyword);
+        (0..count).map(|i| (fixed, i.to_le_bytes())).collect()
+    }
+
+    fn dummies(stream: &[([u8; 13], [u8; 8])]) -> usize {
+        stream
+            .iter()
+            .filter(|(keyword, _)| keyword[0] == PADDING_KEYWORD_TAG)
+            .count()
+    }
 
     #[test]
     fn pad_to_reaches_exact_target() {
-        let mut db = SseDatabase::new();
-        db.add(b"w".to_vec(), vec![1u8; 8]);
-        db.add(b"w".to_vec(), vec![2u8; 8]);
-        let added = pad_to(&mut db, 10, 8);
-        assert_eq!(added, 8);
-        assert_eq!(db.entry_count(), 10);
+        let padded: Vec<_> = pad_to(list(b"w", 2), 10).collect();
+        assert_eq!(padded.len(), 10);
+        assert_eq!(dummies(&padded), 8);
+        // Every dummy has a keyword of its own and a zero payload.
+        let mut keywords: Vec<[u8; 13]> = padded[2..].iter().map(|(k, _)| *k).collect();
+        keywords.dedup();
+        assert_eq!(keywords.len(), 8);
+        assert!(padded[2..].iter().all(|(_, payload)| *payload == [0; 8]));
     }
 
     #[test]
     fn padding_is_invisible_to_real_queries() {
         let mut rng = ChaCha20Rng::seed_from_u64(1);
         let key = SseScheme::setup(&mut rng);
-        let mut db = SseDatabase::new();
-        db.add(b"Breal".to_vec(), vec![7u8; 8]);
-        pad_to(&mut db, 64, 8);
-        let index = SseScheme::build_index(&key, &db, &mut rng);
+        let index = build_index_external_with(
+            pad_to(list(b"Breal", 1), 64),
+            SpillOrder::ByKeywordAndPayload,
+            |keyword: &[u8; 13], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword),
+            &StorageConfig::in_memory(0),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(index.len(), 64);
-        let token = SseScheme::trapdoor(&key, b"Breal");
-        assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);
+        let token = SseScheme::trapdoor(&key, &list(b"Breal", 1)[0].0);
+        assert_eq!(reference::search(&index, &token).unwrap().len(), 1);
     }
 
     #[test]
     fn two_distributions_pad_to_identical_size() {
         // The whole point of padding: a skewed and a uniform dataset of the
-        // same cardinality end up with byte-identical index sizes.
-        let mut skewed = SseDatabase::new();
-        for i in 0..20u64 {
-            skewed.add(b"hot".to_vec(), i.to_le_bytes().to_vec());
-        }
-        let mut uniform = SseDatabase::new();
-        for i in 0..10u64 {
-            uniform.add(format!("w{i}").into_bytes(), i.to_le_bytes().to_vec());
-        }
+        // same cardinality end up with identical index sizes.
+        let skewed = list(b"hot", 20);
+        let uniform: Vec<_> = (0..10u8).flat_map(|i| list(&[b'w', i], 1)).collect();
         let target = 50;
-        pad_to(&mut skewed, target, 8);
-        pad_to(&mut uniform, target, 8);
-        assert_eq!(skewed.entry_count(), uniform.entry_count());
+        assert_eq!(
+            pad_to(skewed, target).count(),
+            pad_to(uniform, target).count()
+        );
     }
 
     #[test]
     #[should_panic(expected = "more than the padding target")]
     fn overful_database_rejected() {
-        let mut db = SseDatabase::new();
-        for i in 0..5u64 {
-            db.add(b"w".to_vec(), i.to_le_bytes().to_vec());
-        }
-        pad_to(&mut db, 3, 8);
+        pad_to(list(b"w", 5), 3).for_each(drop);
     }
 
     #[test]
@@ -148,15 +180,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn padding_never_shrinks_and_hits_target(real in 0usize..40, extra in 0usize..40) {
-            let mut db = SseDatabase::new();
-            for i in 0..real {
-                db.add(b"k".to_vec(), (i as u64).to_le_bytes().to_vec());
-            }
-            let target = real + extra;
-            let added = pad_to(&mut db, target, 8);
-            prop_assert_eq!(added, extra);
-            prop_assert_eq!(db.entry_count(), target);
+        fn padding_never_shrinks_and_hits_target(real in 0u64..40, extra in 0usize..40) {
+            let target = real as usize + extra;
+            let padded: Vec<_> = pad_to(list(b"k", real), target).collect();
+            prop_assert_eq!(dummies(&padded), extra);
+            prop_assert_eq!(padded.len(), target);
         }
     }
 }

@@ -29,20 +29,16 @@
 //! read, so the counter scan can [`prefetch`](IndexLookup::prefetch) a
 //! round's slots before it probes them, and a probe is usually one slot.
 //!
-//! `BuildIndex` parallelizes across keywords with rayon: per-keyword nonce
-//! seeds are drawn from the caller's RNG *sequentially* (keeping the build
-//! a deterministic function of key + RNG stream), the per-keyword label
-//! PRF + encryption work runs on all cores, and the chunks are merged into
-//! the arena in keyword order, so the resulting index is deterministic
-//! regardless of thread scheduling.
+//! `BuildIndex` is the fixed-stride pipeline of the
+//! [`external`](crate::external) module: one nonce seed per keyword drawn
+//! from the caller's RNG in keyword order, then each keyword's label PRF
+//! and list encryption on all cores. [`reference`](mod@reference) is the
+//! sequential oracle every byte-identity test holds it to.
 
-use crate::database::SseDatabase;
 use crate::table::LabelTable;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
-use rayon::prelude::*;
 use rsse_crypto::{Key, Prf, StreamCipher, KEY_LEN};
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -98,9 +94,10 @@ impl SearchToken {
     }
 
     /// The keyed cipher decrypting this token's payloads — what `Search`
-    /// instantiates server-side. Exposed so batched callers can decrypt
-    /// hits from [`SseScheme::search_batch_scan`] themselves (e.g. into one
-    /// reused scratch buffer instead of a fresh allocation per payload).
+    /// instantiates server-side. Exposed so callers of
+    /// [`SseScheme::search_scan_rounds`] decrypt its hits themselves (e.g.
+    /// into one reused scratch buffer instead of a fresh allocation per
+    /// payload).
     pub fn payload_cipher(&self) -> StreamCipher {
         StreamCipher::new(&self.payload_key)
     }
@@ -226,9 +223,9 @@ impl Eq for CipherSpan<'_> {}
 /// Read-side interface shared by the dictionary variants: the single-arena
 /// [`EncryptedIndex`] and the [`ShardedIndex`](crate::sharded::ShardedIndex).
 ///
-/// The counter scan ([`SseScheme::search_batch_scan`]) and its thin
-/// callers are generic over this trait, so a scheme can move between the
-/// unsharded and sharded server layouts without touching its query logic.
+/// The counter scan ([`SseScheme::search_scan_rounds`]) is generic over
+/// this trait, so a scheme can move between the unsharded and sharded
+/// server layouts without touching its query logic.
 ///
 /// Probes are **fallible**: a disk-backed index distinguishes "label
 /// absent" (`Ok(None)`) from "the storage failed" (`Err`). The in-memory
@@ -284,25 +281,35 @@ pub trait IndexLookup {
 
 /// The server-side encrypted index: a flat dictionary from labels to
 /// encrypted payloads, stored as one contiguous ciphertext arena plus a
-/// `label → (offset, len)` table.
+/// `label → (offset, len)` table — one shard of an in-memory
+/// [`ShardedIndex`](crate::ShardedIndex).
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{SseDatabase, SseScheme};
+/// use rsse_sse::{build_index_external_with, SpillOrder, SseScheme, StorageConfig, TokenLabeler};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
 /// let key = SseScheme::setup(&mut rng);
-/// let mut db = SseDatabase::new();
-/// db.add(b"keyword".to_vec(), b"payload".to_vec());
+/// let entries = [(*b"keyword", 7u64.to_le_bytes())];
+/// let index = build_index_external_with(
+///     entries,
+///     SpillOrder::ByKeyword,
+///     |keyword: &[u8; 7], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword),
+///     &StorageConfig::in_memory(0),
+///     &mut rng,
+/// )
+/// .unwrap();
+/// // An unsharded in-memory index is one arena.
+/// let arena = index.shards()[0].as_memory().unwrap();
+/// assert_eq!(arena.len(), 1);
 ///
-/// let index = SseScheme::build_index(&key, &db, &mut rng);
-/// assert_eq!(index.len(), 1);
 /// let token = SseScheme::trapdoor(&key, b"keyword");
+/// let ciphertext = arena.get(&TokenLabeler::new(&token).label_at(0)).unwrap();
 /// assert_eq!(
-///     SseScheme::search(&index, &token).unwrap(),
-///     vec![b"payload".to_vec()]
+///     token.payload_cipher().decrypt(ciphertext),
+///     Some(7u64.to_le_bytes().to_vec())
 /// );
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -363,16 +370,6 @@ impl EncryptedIndex {
             .map(|&(offset, len)| &self.arena[offset as usize..(offset + len) as usize])
     }
 
-    /// Appends an entry; the value bytes were already appended to the arena
-    /// by the caller at `offset`.
-    fn insert_span(&mut self, label: Label, offset: usize, len: usize) {
-        assert!(
-            offset + len <= u32::MAX as usize,
-            "arena limited to 4 GiB per index; shard the dataset first"
-        );
-        self.table.insert(label, (offset as u32, len as u32));
-    }
-
     /// Creates an empty index with pre-sized table and arena — the shard
     /// builder knows both exactly from its tally pass.
     pub(crate) fn with_capacity(entries: usize, arena_bytes: usize) -> Self {
@@ -385,8 +382,13 @@ impl EncryptedIndex {
     /// Appends one `(label, ciphertext)` entry at the end of the arena.
     pub(crate) fn append_entry(&mut self, label: Label, ciphertext: &[u8]) {
         let offset = self.arena.len();
+        assert!(
+            offset + ciphertext.len() <= u32::MAX as usize,
+            "arena limited to 4 GiB per index; shard the dataset first"
+        );
         self.arena.extend_from_slice(ciphertext);
-        self.insert_span(label, offset, ciphertext.len());
+        self.table
+            .insert(label, (offset as u32, ciphertext.len() as u32));
     }
 
     /// The `(label, offset, len)` directory sorted by arena offset — the
@@ -420,54 +422,12 @@ impl EncryptedIndex {
     }
 }
 
-/// One keyword's worth of encrypted entries, produced on a worker thread
-/// and merged into the arena (or distributed across shards) in
-/// deterministic keyword order.
-pub(crate) struct KeywordChunk {
-    /// Entry labels in counter order.
-    pub(crate) labels: Vec<Label>,
-    /// Ciphertext spans (offset within `buf`, len), parallel to `labels`.
-    pub(crate) spans: Vec<(u32, u32)>,
-    /// Concatenated ciphertexts for this keyword.
-    pub(crate) buf: Vec<u8>,
-}
-
-/// Encrypts one keyword's payload list into a chunk of its own;
-/// `nonce_seed` keys the per-entry encryption nonce stream.
-fn encrypt_list(
-    token: &SearchToken,
-    payloads: &[Vec<u8>],
-    nonce_seed: [u8; KEY_LEN],
-) -> KeywordChunk {
-    let lens = payloads
-        .iter()
-        .map(|p| StreamCipher::ciphertext_len(p.len()));
-    let mut chunk = KeywordChunk {
-        labels: Vec::with_capacity(payloads.len()),
-        spans: Vec::with_capacity(payloads.len()),
-        buf: Vec::with_capacity(lens.clone().sum()),
-    };
-    encrypt_list_into(
-        token,
-        payloads.iter().map(Vec::as_slice),
-        nonce_seed,
-        &mut chunk.labels,
-        &mut chunk.buf,
-    );
-    let mut offset = 0u32;
-    for len in lens {
-        chunk.spans.push((offset, len as u32));
-        offset += len as u32;
-    }
-    chunk
-}
-
 /// The encryption core of every build: appends one keyword's entries to
 /// two flat buffers — the labels `F(K1_w, 0), F(K1_w, 1), …` in counter
 /// order to `labels`, the ciphertexts back to back to `ciphertexts` — with
-/// the label PRF and the cipher keyed once for the list. The chunk build
-/// hands it a chunk's own buffers, the fixed-stride pipeline
-/// ([`external`](crate::external)) the buffers a whole batch part shares.
+/// the label PRF and the cipher keyed once for the list. The fixed-stride
+/// pipeline ([`external`](crate::external)) hands it the buffers a whole
+/// batch part shares.
 pub(crate) fn encrypt_list_into<'a>(
     token: &SearchToken,
     payloads: impl Iterator<Item = &'a [u8]> + Clone,
@@ -487,41 +447,8 @@ pub(crate) fn encrypt_list_into<'a>(
     cipher.encrypt_list_to(&mut nonce_rng, payloads, ciphertexts);
 }
 
-/// Merges per-keyword chunks (already in deterministic keyword order) into
-/// the final arena-backed index.
-pub(crate) fn merge_chunks(chunks: Vec<KeywordChunk>) -> EncryptedIndex {
-    let entries: usize = chunks.iter().map(|c| c.labels.len()).sum();
-    let arena_len: usize = chunks.iter().map(|c| c.buf.len()).sum();
-    let mut index = EncryptedIndex {
-        table: LabelTable::with_capacity(entries),
-        arena: Vec::with_capacity(arena_len),
-    };
-    for chunk in chunks {
-        let base = index.arena.len();
-        index.arena.extend_from_slice(&chunk.buf);
-        for (label, (offset, len)) in chunk.labels.into_iter().zip(chunk.spans) {
-            index.insert_span(label, base + offset as usize, len as usize);
-        }
-    }
-    index
-}
-
-/// Draws one 32-byte nonce seed per keyword from the caller's RNG.
-///
-/// Drawing happens sequentially, in keyword order, so the whole build stays
-/// a deterministic function of (key, RNG stream) no matter how the
-/// follow-on encryption work is scheduled across threads.
-fn draw_nonce_seeds<R: RngCore + CryptoRng>(count: usize, rng: &mut R) -> Vec<[u8; KEY_LEN]> {
-    (0..count)
-        .map(|_| {
-            let mut seed = [0u8; KEY_LEN];
-            rng.fill_bytes(&mut seed);
-            seed
-        })
-        .collect()
-}
-
-/// The static SSE scheme (Setup, BuildIndex, Trpdr, Search).
+/// The static SSE scheme (Setup, Trpdr, Search); `BuildIndex` is
+/// [`build_index_external_with`](crate::build_index_external_with).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SseScheme;
 
@@ -537,53 +464,6 @@ impl SseScheme {
         SseKey {
             prf: Prf::new(&master),
         }
-    }
-
-    /// `BuildIndex(k, D)`: encrypts the multimap into a flat dictionary.
-    ///
-    /// Per-keyword work (trapdoor derivation, label PRF, payload
-    /// encryption) runs in parallel across all cores; the merge order is
-    /// the database's keyword order, so the output is deterministic.
-    pub fn build_index<R: RngCore + CryptoRng>(
-        key: &SseKey,
-        database: &SseDatabase,
-        rng: &mut R,
-    ) -> EncryptedIndex {
-        merge_chunks(Self::chunks_from_database(key, database, rng))
-    }
-
-    /// Produces the per-keyword encrypted chunks of [`build_index`]
-    /// (shared by the arena and sharded assembly paths; RNG consumption is
-    /// identical in both, one nonce seed per keyword).
-    ///
-    /// [`build_index`]: Self::build_index
-    pub(crate) fn chunks_from_database<R: RngCore + CryptoRng>(
-        key: &SseKey,
-        database: &SseDatabase,
-        rng: &mut R,
-    ) -> Vec<KeywordChunk> {
-        let keywords: Vec<(&[u8], &[Vec<u8>])> = database.iter().collect();
-        let seeds = draw_nonce_seeds(keywords.len(), rng);
-        let jobs: Vec<_> = keywords.into_iter().zip(seeds).collect();
-        jobs.into_par_iter()
-            .map(|((keyword, payloads), seed)| {
-                let token = Self::trapdoor(key, keyword);
-                encrypt_list(&token, payloads, seed)
-            })
-            .collect()
-    }
-
-    /// Per-keyword encrypted chunks for pre-derived tokens (the core of
-    /// `build_index_from_token_lists_stored`; one nonce seed per list).
-    pub(crate) fn chunks_from_token_lists<R: RngCore + CryptoRng>(
-        lists: &[(SearchToken, Vec<Vec<u8>>)],
-        rng: &mut R,
-    ) -> Vec<KeywordChunk> {
-        let seeds = draw_nonce_seeds(lists.len(), rng);
-        let jobs: Vec<_> = lists.iter().zip(seeds).collect();
-        jobs.into_par_iter()
-            .map(|((token, payloads), seed)| encrypt_list(token, payloads, seed))
-            .collect()
     }
 
     /// `Trpdr(k, w)`: derives the search token for keyword `w`.
@@ -604,93 +484,12 @@ impl SseScheme {
         }
     }
 
-    /// `Search(t, I)`: returns the decrypted payloads for the token's
-    /// keyword, in storage-counter order — the counter scan
-    /// ([`search_batch_scan`](Self::search_batch_scan)) over a one-token
-    /// vector.
-    ///
-    /// A corrupt (undecryptable) entry is **skipped**, not a panic: the
-    /// server must stay available even if a stored ciphertext was damaged.
-    /// Use [`try_search`](Self::try_search) to surface corruption instead.
-    ///
-    /// A *storage* failure (a disk-backed index that could not read a
-    /// block) is never skipped: it aborts the scan with the backend's
-    /// typed error, so a caller can distinguish "no more entries" from
-    /// "the disk failed mid-scan". In-memory indexes have
-    /// `Error = Infallible` and cannot take that branch.
-    pub fn search<I: IndexLookup>(
-        index: &I,
-        token: &SearchToken,
-    ) -> Result<Vec<Vec<u8>>, I::Error> {
-        let cipher = StreamCipher::new(&token.payload_key);
-        let mut results = Vec::new();
-        Self::search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
-            if let Some(plaintext) = cipher.decrypt(ciphertext) {
-                results.push(plaintext);
-            }
-        })?;
-        Ok(results)
-    }
-
-    /// Like [`search`](Self::search) but also propagates corruption:
-    /// returns [`SearchError::Corrupt`] with the counter position of the
-    /// first undecryptable entry, or [`SearchError::Storage`] if the
-    /// backend failed mid-scan.
-    pub fn try_search<I: IndexLookup>(
-        index: &I,
-        token: &SearchToken,
-    ) -> Result<Vec<Vec<u8>>, SearchError<I::Error>> {
-        let cipher = StreamCipher::new(&token.payload_key);
-        let mut results = Vec::new();
-        let mut corrupt: Option<usize> = None;
-        let mut position = 0usize;
-        Self::search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
-            match cipher.decrypt(ciphertext) {
-                Some(plaintext) => results.push(plaintext),
-                None => {
-                    if corrupt.is_none() {
-                        corrupt = Some(position);
-                    }
-                }
-            }
-            position += 1;
-        })
-        .map_err(SearchError::Storage)?;
-        match corrupt {
-            Some(position) => Err(SearchError::Corrupt(CorruptEntry { position })),
-            None => Ok(results),
-        }
-    }
-
-    /// Like [`search`](Self::search) but only counts matches without
-    /// decrypting — handy for benchmarks isolating dictionary lookups.
+    /// The number of entries stored under `token`, without decrypting any:
+    /// the counter scan ([`search_scan_rounds`](Self::search_scan_rounds))
+    /// over a one-token vector.
     pub fn search_count<I: IndexLookup>(index: &I, token: &SearchToken) -> Result<usize, I::Error> {
-        let counts = Self::search_batch_scan(index, std::slice::from_ref(token), |_, _| {})?;
+        let counts = Self::search_scan_rounds(index, std::slice::from_ref(token), |_| {})?;
         Ok(counts[0])
-    }
-
-    /// The counter scan, one hit at a time: [`search_scan_rounds`] with each
-    /// round's hits passed on singly as `visit(token_index, ciphertext)`.
-    /// Each token's visit sequence is its entries in storage-counter order.
-    ///
-    /// Callers post-process the ciphertexts themselves (e.g. decrypting
-    /// with [`SearchToken::payload_cipher`] into one reused buffer).
-    /// Returns the per-token match counts (matched entries, decryptable or
-    /// not). A failed probe aborts the whole scan with the backend's typed
-    /// error instead of being treated as the end of a list; every hit
-    /// resolved before it has been visited by then.
-    ///
-    /// [`search_scan_rounds`]: Self::search_scan_rounds
-    pub fn search_batch_scan<I: IndexLookup>(
-        index: &I,
-        tokens: &[SearchToken],
-        mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<Vec<usize>, I::Error> {
-        Self::search_scan_rounds(index, tokens, |round| {
-            for (t, ciphertext) in round {
-                visit(*t as usize, ciphertext);
-            }
-        })
     }
 
     /// The counter scan — the one `Search` walk every entry point runs.
@@ -821,116 +620,221 @@ impl SseScheme {
     }
 }
 
-/// Error returned by [`SseScheme::try_search`] when a stored entry fails to
-/// decrypt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CorruptEntry {
-    /// Counter position of the first corrupt entry within the keyword's list.
-    pub position: usize,
-}
-
-impl std::fmt::Display for CorruptEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "index entry at counter {} failed to decrypt",
-            self.position
-        )
-    }
-}
-
-impl std::error::Error for CorruptEntry {}
-
-/// Error returned by [`SseScheme::try_search`]: either a stored entry
-/// failed to decrypt, or the storage backend failed to resolve a probe.
+/// The oracle the build and the scan are tested against, and the
+/// conveniences the tests search with.
 ///
-/// `E` is the index's [`IndexLookup::Error`]; for in-memory indexes it is
-/// [`std::convert::Infallible`], so only the corruption variant can occur.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchError<E> {
-    /// An entry matched the token but could not be decrypted.
-    Corrupt(CorruptEntry),
-    /// The storage backend failed mid-scan.
-    Storage(E),
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for SearchError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SearchError::Corrupt(corrupt) => corrupt.fmt(f),
-            SearchError::Storage(error) => write!(f, "storage failed during search: {error}"),
-        }
-    }
-}
-
-impl<E: std::error::Error + 'static> std::error::Error for SearchError<E> {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SearchError::Corrupt(corrupt) => Some(corrupt),
-            SearchError::Storage(error) => Some(error),
-        }
-    }
-}
-
-/// Reference (pre-arena) implementation used by the equivalence property
-/// tests: one `HashMap<Label, Vec<u8>>` with a heap allocation per entry
-/// and SipHash hashing, built sequentially. Kept runnable so the tests can
-/// prove the arena-backed path byte-identical.
+/// [`build_index`](reference::build_index) and
+/// [`build_stored`](reference::build_stored) encrypt an [`SseDatabase`] of
+/// keywords and payloads of any length, sequentially and with none of the
+/// pipeline's code — their own label derivation and one
+/// [`StreamCipher::encrypt`] call per payload — drawing one nonce seed per
+/// keyword in keyword order, as the pipeline does. So for fixed-stride lists
+/// in the order the pipeline groups them, the two write byte-identical
+/// indexes.
+///
+/// [`SseDatabase`]: crate::SseDatabase
 pub mod reference {
     use super::*;
+    use crate::database::SseDatabase;
+    use crate::sharded::{shard_of_label, Shard, ShardedIndex};
+    use crate::storage::{StorageBackend, StorageConfig, StorageError};
+    use std::collections::HashMap;
 
-    /// The old per-entry dictionary.
+    /// The per-entry dictionary: one heap allocation per ciphertext, SipHash
+    /// hashing.
     #[derive(Clone, Debug, Default)]
     pub struct ReferenceIndex {
         /// Label → individually allocated ciphertext.
         pub dictionary: HashMap<Label, Vec<u8>>,
     }
 
-    /// Sequential `BuildIndex` against the per-entry dictionary, consuming
-    /// the RNG exactly like [`SseScheme::build_index`] (one nonce seed per
-    /// keyword) so both paths produce byte-identical ciphertexts.
+    impl ReferenceIndex {
+        /// The single-token counter walk over the dictionary — the oracle
+        /// the counter scan is compared against (it shares no code with
+        /// it: own label derivation, own loop, own decrypt).
+        pub fn search(&self, token: &SearchToken) -> Vec<Vec<u8>> {
+            let label_prf = Prf::new(&token.label_key);
+            let cipher = StreamCipher::new(&token.payload_key);
+            (0u64..)
+                .map_while(|counter| {
+                    let label: Label = label_prf.eval_truncated(&counter.to_le_bytes());
+                    self.dictionary.get(&label)
+                })
+                .filter_map(|ciphertext| cipher.decrypt(ciphertext))
+                .collect()
+        }
+    }
+
+    /// Every `(label, ciphertext)` of `database`, in (keyword, counter)
+    /// order.
+    fn encrypt<R: RngCore + CryptoRng>(
+        key: &SseKey,
+        database: &SseDatabase,
+        rng: &mut R,
+    ) -> Vec<(Label, Vec<u8>)> {
+        let mut entries = Vec::with_capacity(database.entry_count());
+        for (keyword, payloads) in database.iter() {
+            let token = SseScheme::trapdoor(key, keyword);
+            let label_prf = Prf::new(&token.label_key);
+            let cipher = StreamCipher::new(&token.payload_key);
+            let mut seed = [0u8; KEY_LEN];
+            rng.fill_bytes(&mut seed);
+            let mut nonces = ChaCha20Rng::from_seed(seed);
+            for (counter, payload) in (0u64..).zip(payloads) {
+                let label: Label = label_prf.eval_truncated(&counter.to_le_bytes());
+                entries.push((label, cipher.encrypt(&mut nonces, payload)));
+            }
+        }
+        entries
+    }
+
+    /// `BuildIndex` into the per-entry dictionary.
     pub fn build_index<R: RngCore + CryptoRng>(
         key: &SseKey,
         database: &SseDatabase,
         rng: &mut R,
     ) -> ReferenceIndex {
-        let mut dictionary = HashMap::new();
-        for (keyword, payloads) in database.iter() {
-            let token = SseScheme::trapdoor(key, keyword);
-            let mut seed = [0u8; KEY_LEN];
-            rng.fill_bytes(&mut seed);
-            let chunk = encrypt_list(&token, payloads, seed);
-            for (label, (offset, len)) in chunk.labels.iter().zip(&chunk.spans) {
-                let span = &chunk.buf[*offset as usize..(*offset + *len) as usize];
-                dictionary.insert(*label, span.to_vec());
-            }
+        ReferenceIndex {
+            dictionary: encrypt(key, database, rng).into_iter().collect(),
         }
-        ReferenceIndex { dictionary }
     }
 
-    /// The single-token counter walk over the per-entry dictionary — the
-    /// test oracle the counter scan is compared against (it shares no
-    /// code with it: own label derivation, own loop, own decrypt).
-    #[cfg(test)]
-    pub(crate) fn search(index: &ReferenceIndex, token: &SearchToken) -> Vec<Vec<u8>> {
-        let label_prf = Prf::new(&token.label_key);
-        let cipher = StreamCipher::new(&token.payload_key);
-        (0u64..)
-            .map_while(|counter| {
-                let label: Label = label_prf.eval_truncated(&counter.to_le_bytes());
-                index.dictionary.get(&label)
-            })
-            .filter_map(|ciphertext| cipher.decrypt(ciphertext))
-            .collect()
+    /// `BuildIndex` into the layout `config` selects: each entry appended
+    /// to the shard its label prefix picks, in (keyword, counter) order. An
+    /// on-disk configuration saves the shards into its directory and
+    /// reopens them paged, under its cache budget.
+    pub fn build_stored<R: RngCore + CryptoRng>(
+        key: &SseKey,
+        database: &SseDatabase,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<ShardedIndex, StorageError> {
+        let bits = config.shard_bits;
+        let mut shards = vec![EncryptedIndex::default(); 1usize << bits];
+        for (label, ciphertext) in encrypt(key, database, rng) {
+            shards[shard_of_label(&label, bits)].append_entry(label, &ciphertext);
+        }
+        let index = ShardedIndex::from_parts(bits, shards.into_iter().map(Shard::Memory).collect());
+        match &config.backend {
+            StorageBackend::InMemory => Ok(index),
+            StorageBackend::OnDisk(dir) => {
+                index.save_to_dir(dir)?;
+                ShardedIndex::open_dir_with_budget(dir, config.cache_budget)
+            }
+        }
+    }
+
+    /// [`build_stored`] unsharded and in memory: the one arena.
+    pub fn build_arena<R: RngCore + CryptoRng>(
+        key: &SseKey,
+        database: &SseDatabase,
+        rng: &mut R,
+    ) -> EncryptedIndex {
+        let index = build_stored(key, database, &StorageConfig::in_memory(0), rng)
+            .expect("an in-memory build cannot fail");
+        index.shards()[0]
+            .as_memory()
+            .expect("an in-memory build has in-memory shards")
+            .clone()
+    }
+
+    /// `Search(t, I)`: the decrypted payloads of `token`, in
+    /// storage-counter order — the counter scan over a one-token vector.
+    ///
+    /// A corrupt (undecryptable) entry is skipped; use [`try_search`] to
+    /// surface it. A storage failure aborts the scan with the backend's
+    /// typed error.
+    pub fn search<I: IndexLookup>(
+        index: &I,
+        token: &SearchToken,
+    ) -> Result<Vec<Vec<u8>>, I::Error> {
+        let cipher = token.payload_cipher();
+        let mut results = Vec::new();
+        search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
+            results.extend(cipher.decrypt(ciphertext));
+        })?;
+        Ok(results)
+    }
+
+    /// Like [`search`] but also propagates corruption: returns
+    /// [`SearchError::Corrupt`] with the counter position of the first
+    /// undecryptable entry, or [`SearchError::Storage`] if the backend
+    /// failed mid-scan.
+    pub fn try_search<I: IndexLookup>(
+        index: &I,
+        token: &SearchToken,
+    ) -> Result<Vec<Vec<u8>>, SearchError<I::Error>> {
+        let cipher = token.payload_cipher();
+        let mut results = Vec::new();
+        let mut corrupt: Option<usize> = None;
+        let mut position = 0usize;
+        search_batch_scan(index, std::slice::from_ref(token), |_, ciphertext| {
+            match cipher.decrypt(ciphertext) {
+                Some(plaintext) => results.push(plaintext),
+                None => {
+                    if corrupt.is_none() {
+                        corrupt = Some(position);
+                    }
+                }
+            }
+            position += 1;
+        })
+        .map_err(SearchError::Storage)?;
+        match corrupt {
+            Some(position) => Err(SearchError::Corrupt(CorruptEntry { position })),
+            None => Ok(results),
+        }
+    }
+
+    /// The counter scan, one hit at a time:
+    /// [`SseScheme::search_scan_rounds`] with each round's hits passed on
+    /// singly as `visit(token_index, ciphertext)`. Returns the per-token
+    /// match counts.
+    pub fn search_batch_scan<I: IndexLookup>(
+        index: &I,
+        tokens: &[SearchToken],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<Vec<usize>, I::Error> {
+        SseScheme::search_scan_rounds(index, tokens, |round| {
+            for (t, ciphertext) in round {
+                visit(*t as usize, ciphertext);
+            }
+        })
+    }
+
+    /// Error returned by [`try_search`] when a stored entry fails to
+    /// decrypt.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct CorruptEntry {
+        /// Counter position of the first corrupt entry within the keyword's
+        /// list.
+        pub position: usize,
+    }
+
+    /// Error returned by [`try_search`]: either a stored entry failed to
+    /// decrypt, or the storage backend failed to resolve a probe.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum SearchError<E> {
+        /// An entry matched the token but could not be decrypted.
+        Corrupt(CorruptEntry),
+        /// The storage backend failed mid-scan.
+        Storage(E),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{
+        build_arena, build_stored, search, search_batch_scan, try_search, CorruptEntry, SearchError,
+    };
     use super::*;
+    use crate::database::SseDatabase;
+    use crate::storage::StorageConfig;
+    use crate::{build_index_external_with, SpillOrder};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
+    use std::collections::HashMap;
 
     fn sample_db() -> SseDatabase {
         let mut db = SseDatabase::new();
@@ -945,11 +849,11 @@ mod tests {
     fn roundtrip_search_returns_exactly_the_payloads() {
         let mut rng = ChaCha20Rng::seed_from_u64(1);
         let key = SseScheme::setup(&mut rng);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         assert_eq!(index.len(), 4);
 
         let token = SseScheme::trapdoor(&key, b"apple");
-        let results = SseScheme::search(&index, &token).unwrap();
+        let results = search(&index, &token).unwrap();
         assert_eq!(
             results,
             vec![
@@ -960,16 +864,16 @@ mod tests {
         );
 
         let token = SseScheme::trapdoor(&key, b"banana");
-        assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);
+        assert_eq!(search(&index, &token).unwrap().len(), 1);
     }
 
     #[test]
     fn absent_keyword_returns_nothing() {
         let mut rng = ChaCha20Rng::seed_from_u64(2);
         let key = SseScheme::setup(&mut rng);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         let token = SseScheme::trapdoor(&key, b"cherry");
-        assert!(SseScheme::search(&index, &token).unwrap().is_empty());
+        assert!(search(&index, &token).unwrap().is_empty());
         assert_eq!(SseScheme::search_count(&index, &token).unwrap(), 0);
     }
 
@@ -992,9 +896,9 @@ mod tests {
         let mut rng = ChaCha20Rng::seed_from_u64(4);
         let key = SseScheme::setup(&mut rng);
         let other = SseScheme::setup(&mut rng);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         let token = SseScheme::trapdoor(&other, b"apple");
-        assert!(SseScheme::search(&index, &token).unwrap().is_empty());
+        assert!(search(&index, &token).unwrap().is_empty());
     }
 
     #[test]
@@ -1002,11 +906,16 @@ mod tests {
         // The index must not contain the plaintext payloads anywhere.
         let mut rng = ChaCha20Rng::seed_from_u64(5);
         let key = SseScheme::setup(&mut rng);
-        let mut db = SseDatabase::new();
-        let secret = b"super-secret-payload-value".to_vec();
-        db.add(b"w".to_vec(), secret.clone());
-        let index = SseScheme::build_index(&key, &db, &mut rng);
-        for value in index.ciphertexts() {
+        let secret = *b"super-secret-payload-value";
+        let index = build_index_external_with(
+            [(*b"w", secret)],
+            SpillOrder::ByKeyword,
+            |keyword: &[u8; 1], _: &mut Vec<[u8; 26]>| SseScheme::trapdoor(&key, keyword),
+            &StorageConfig::in_memory(0),
+            &mut rng,
+        )
+        .unwrap();
+        for value in index.shards()[0].as_memory().unwrap().ciphertexts() {
             assert!(!value
                 .windows(secret.len())
                 .any(|window| window == secret.as_slice()));
@@ -1017,7 +926,7 @@ mod tests {
     fn search_count_matches_search_len() {
         let mut rng = ChaCha20Rng::seed_from_u64(6);
         let key = SseScheme::setup(&mut rng);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         for kw in [
             b"apple".as_slice(),
             b"banana".as_slice(),
@@ -1026,7 +935,7 @@ mod tests {
             let token = SseScheme::trapdoor(&key, kw);
             assert_eq!(
                 SseScheme::search_count(&index, &token).unwrap(),
-                SseScheme::search(&index, &token).unwrap().len()
+                search(&index, &token).unwrap().len()
             );
         }
     }
@@ -1035,7 +944,7 @@ mod tests {
     fn storage_accounting_counts_labels_and_ciphertexts() {
         let mut rng = ChaCha20Rng::seed_from_u64(7);
         let key = SseScheme::setup(&mut rng);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         // 4 entries, each: 16-byte label + (16-byte nonce + 8-byte payload).
         assert_eq!(index.storage_bytes(), 4 * (LABEL_LEN + 16 + 8));
     }
@@ -1045,38 +954,37 @@ mod tests {
         let master = Key::from_bytes([9u8; KEY_LEN]);
         let key = SseScheme::key_from(master.clone());
         let mut rng = ChaCha20Rng::seed_from_u64(8);
-        let index = SseScheme::build_index(&key, &sample_db(), &mut rng);
+        let index = build_arena(&key, &sample_db(), &mut rng);
         // A key reconstructed from the same master must produce working tokens.
         let key2 = SseScheme::key_from(master);
         let token = SseScheme::trapdoor(&key2, b"apple");
-        assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 3);
+        assert_eq!(search(&index, &token).unwrap().len(), 3);
     }
 
     #[test]
     fn token_lists_build_is_searchable_with_same_tokens() {
+        // Constant-BRC/URC's shape: the pipeline keyed by tokens derived
+        // from seeds rather than from the SSE master key.
         let mut rng = ChaCha20Rng::seed_from_u64(9);
-        let seed_a = [1u8; KEY_LEN];
-        let seed_b = [2u8; KEY_LEN];
-        let ta = SearchToken::derive_from_seed(&seed_a);
-        let tb = SearchToken::derive_from_seed(&seed_b);
-        let index = SseScheme::build_index_from_token_lists_stored(
-            &[
-                (ta.clone(), vec![b"x".to_vec(), b"y".to_vec()]),
-                (tb.clone(), vec![b"z".to_vec()]),
-            ],
-            &crate::storage::StorageConfig::in_memory(0),
+        let token_of = |keyword: &[u8; 1]| SearchToken::derive_from_seed(&[keyword[0]; KEY_LEN]);
+        let index = build_index_external_with(
+            [(*b"\x01", *b"x"), (*b"\x02", *b"z"), (*b"\x01", *b"y")],
+            SpillOrder::ByKeyword,
+            |keyword: &[u8; 1], _: &mut Vec<[u8; 1]>| token_of(keyword),
+            &StorageConfig::in_memory(0),
             &mut rng,
         )
         .unwrap();
         assert_eq!(index.len(), 3);
+        let (ta, tb) = (token_of(b"\x01"), token_of(b"\x02"));
         assert_eq!(
-            SseScheme::search(&index, &ta).unwrap(),
+            search(&index, &ta).unwrap(),
             vec![b"x".to_vec(), b"y".to_vec()]
         );
-        assert_eq!(SseScheme::search(&index, &tb).unwrap(), vec![b"z".to_vec()]);
+        assert_eq!(search(&index, &tb).unwrap(), vec![b"z".to_vec()]);
         // A token from an unrelated seed finds nothing.
         let tc = SearchToken::derive_from_seed(&[3u8; KEY_LEN]);
-        assert!(SseScheme::search(&index, &tc).unwrap().is_empty());
+        assert!(search(&index, &tc).unwrap().is_empty());
     }
 
     #[test]
@@ -1101,20 +1009,19 @@ mod tests {
         let mut db = SseDatabase::new();
         db.add(b"w".to_vec(), b"payload".to_vec());
         db.add(b"w".to_vec(), b"payload-2".to_vec());
-        let mut index = SseScheme::build_index(&key, &db, &mut rng);
+        let mut index = build_arena(&key, &db, &mut rng);
         // Truncate the first entry's span to 3 bytes (< NONCE_LEN).
         let token = SseScheme::trapdoor(&key, b"w");
-        let label_prf = Prf::new(&Key::from_bytes(*token.label_key.as_bytes()));
-        let first: Label = label_prf.eval_truncated(&0u64.to_le_bytes());
+        let first = TokenLabeler::new(&token).label_at(0);
         let span = index.table.get_mut(&first).expect("entry exists");
         span.1 = 3;
 
         // search skips the corrupt entry, still returning the healthy one.
-        let results = SseScheme::search(&index, &token).unwrap();
+        let results = search(&index, &token).unwrap();
         assert_eq!(results, vec![b"payload-2".to_vec()]);
         // try_search reports the corrupt position.
         assert_eq!(
-            SseScheme::try_search(&index, &token),
+            try_search(&index, &token),
             Err(SearchError::Corrupt(CorruptEntry { position: 0 }))
         );
         // search_count is unaffected (it never decrypts).
@@ -1238,7 +1145,7 @@ mod tests {
             // payloads in order; its count is their number.
             let recording = Recording::new(index, None);
             let mut visited: Vec<Vec<Vec<u8>>> = vec![Vec::new(); vector.len()];
-            let counts = SseScheme::search_batch_scan(&recording, vector, |t, ciphertext| {
+            let counts = search_batch_scan(&recording, vector, |t, ciphertext| {
                 visited[t].push(ciphertext.to_vec());
             })
             .unwrap();
@@ -1248,7 +1155,7 @@ mod tests {
                     .iter()
                     .map(|ciphertext| cipher.decrypt(ciphertext).unwrap())
                     .collect();
-                let want = reference::search(oracle, token);
+                let want = oracle.search(token);
                 assert_eq!(counts[t], want.len(), "{context}: count of token {t}");
                 assert_eq!(got, want, "{context}: visits of token {t}");
             }
@@ -1281,18 +1188,17 @@ mod tests {
     #[test]
     fn windowed_walk_matches_the_reference_walk_on_every_layout() {
         use crate::storage::test_support::TempDir;
-        use crate::storage::StorageConfig;
         use crate::ShardedIndex;
 
         let (key, db, tokens) = edge_database(&EDGE_LENGTHS);
         let rng = || ChaCha20Rng::seed_from_u64(21);
         let oracle = reference::build_index(&key, &db, &mut rng());
 
-        let arena = SseScheme::build_index(&key, &db, &mut rng());
+        let arena = build_arena(&key, &db, &mut rng());
         check_walk("arena", &arena, &oracle, &key, &tokens);
         for bits in [0u32, 3, 6] {
             let config = StorageConfig::in_memory(bits);
-            let sharded = SseScheme::build_index_stored(&key, &db, &config, &mut rng()).unwrap();
+            let sharded = build_stored(&key, &db, &config, &mut rng()).unwrap();
             check_walk(
                 &format!("{bits} shard bits"),
                 &sharded,
@@ -1303,7 +1209,7 @@ mod tests {
         }
         let dir = TempDir::new("windowed-walk");
         let config = StorageConfig::on_disk(3, dir.path());
-        SseScheme::build_index_stored(&key, &db, &config, &mut rng()).unwrap();
+        build_stored(&key, &db, &config, &mut rng()).unwrap();
         let resident = ShardedIndex::open_dir(dir.path()).unwrap();
         assert!(resident.is_file_backed());
         check_walk("file-backed", &resident, &oracle, &key, &tokens);
@@ -1318,10 +1224,10 @@ mod tests {
         // returns the error, and what it visited by then is exactly the
         // hits among the k probes before it, in probe order.
         let (key, db, tokens) = edge_database(&[3, 0, 7, 1, 15, 2]);
-        let index = SseScheme::build_index_stored(
+        let index = build_stored(
             &key,
             &db,
-            &crate::storage::StorageConfig::in_memory(3),
+            &StorageConfig::in_memory(3),
             &mut ChaCha20Rng::seed_from_u64(22),
         )
         .unwrap();
@@ -1335,14 +1241,14 @@ mod tests {
             .collect();
 
         let healthy = Recording::new(&index, None);
-        SseScheme::search_batch_scan(&healthy, &tokens, |_, _| {}).unwrap();
+        search_batch_scan(&healthy, &tokens, |_, _| {}).unwrap();
         let probes = healthy.probes.into_inner();
         assert_eq!(probes.len(), 3 + 7 + 1 + 15 + 2 + 6);
 
         for k in 0..probes.len() {
             let failing = Recording::new(&index, Some(k));
             let mut visited: Vec<(usize, Vec<u8>)> = Vec::new();
-            let result = SseScheme::search_batch_scan(&failing, &tokens, |t, ciphertext| {
+            let result = search_batch_scan(&failing, &tokens, |t, ciphertext| {
                 visited.push((t, ciphertext.to_vec()));
             });
             assert!(matches!(result, Err(None)), "probe {k} fails the scan");
@@ -1364,9 +1270,9 @@ mod tests {
         // (d) One list of 20 spanning four rounds of the walk: damage each
         // entry in turn; `try_search` names its counter, `search` skips it.
         let (key, db, tokens) = edge_database(&[20]);
-        let healthy = SseScheme::build_index(&key, &db, &mut ChaCha20Rng::seed_from_u64(23));
-        let all = SseScheme::search(&healthy, &tokens[0]).unwrap();
-        assert_eq!(SseScheme::try_search(&healthy, &tokens[0]), Ok(all.clone()));
+        let healthy = build_arena(&key, &db, &mut ChaCha20Rng::seed_from_u64(23));
+        let all = search(&healthy, &tokens[0]).unwrap();
+        assert_eq!(try_search(&healthy, &tokens[0]), Ok(all.clone()));
         let labeler = TokenLabeler::new(&tokens[0]);
         for position in 0..20usize {
             let mut index = healthy.clone();
@@ -1377,12 +1283,12 @@ mod tests {
                 .unwrap()
                 .1 = 3;
             assert_eq!(
-                SseScheme::try_search(&index, &tokens[0]),
+                try_search(&index, &tokens[0]),
                 Err(SearchError::Corrupt(CorruptEntry { position }))
             );
             let mut skipped = all.clone();
             skipped.remove(position);
-            assert_eq!(SseScheme::search(&index, &tokens[0]).unwrap(), skipped);
+            assert_eq!(search(&index, &tokens[0]).unwrap(), skipped);
             assert_eq!(SseScheme::search_count(&index, &tokens[0]).unwrap(), 20);
         }
     }
@@ -1401,37 +1307,45 @@ mod tests {
             for (k, v) in &entries {
                 db.add(k.clone(), v.clone());
             }
-            let index = SseScheme::build_index(&key, &db, &mut rng);
+            let index = build_arena(&key, &db, &mut rng);
             prop_assert_eq!(index.len(), db.entry_count());
             // Every keyword's payload list is returned exactly (same multiset,
             // Π_bas preserves insertion order per keyword).
             for (keyword, expected) in db.iter() {
                 let token = SseScheme::trapdoor(&key, keyword);
-                let got = SseScheme::search(&index, &token).unwrap();
+                let got = search(&index, &token).unwrap();
                 prop_assert_eq!(got, expected.to_vec());
             }
         }
 
-        /// The ISSUE's acceptance property: for arbitrary multimaps, the
-        /// arena-backed index stores **byte-identical** (label, ciphertext)
-        /// pairs to the reference per-entry dictionary, given the same key
-        /// and RNG stream — and searches agree byte-for-byte.
+        /// For arbitrary fixed-stride entries, the pipeline's arena stores
+        /// **byte-identical** (label, ciphertext) pairs to the per-entry
+        /// reference dictionary of the same lists, given the same key and
+        /// RNG stream — and searches agree byte for byte.
         #[test]
-        fn arena_index_is_byte_identical_to_reference(entries in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..6),
-             proptest::collection::vec(any::<u8>(), 0..40)), 0..50),
+        fn arena_index_is_byte_identical_to_reference(raw in proptest::collection::vec(
+            (0u16..12, any::<u64>()), 0..50),
             seed in any::<u64>())
         {
-            let mut db = SseDatabase::new();
-            for (k, v) in &entries {
-                db.add(k.clone(), v.clone());
-            }
+            let entries: Vec<([u8; 2], [u8; 8])> = raw
+                .iter()
+                .map(|&(keyword, payload)| (keyword.to_be_bytes(), payload.to_le_bytes()))
+                .collect();
+            // The database keeps each keyword's arrival order, as the
+            // pipeline's `ByKeyword` order does.
+            let db: SseDatabase = entries.iter().copied().collect();
             let key = SseScheme::key_from(Key::from_bytes([0xA5; KEY_LEN]));
 
-            let mut rng_arena = ChaCha20Rng::seed_from_u64(seed);
-            let arena = SseScheme::build_index(&key, &db, &mut rng_arena);
-            let mut rng_reference = ChaCha20Rng::seed_from_u64(seed);
-            let reference = reference::build_index(&key, &db, &mut rng_reference);
+            let index = build_index_external_with(
+                entries.iter().copied(),
+                SpillOrder::ByKeyword,
+                |keyword: &[u8; 2], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword),
+                &StorageConfig::in_memory(0),
+                &mut ChaCha20Rng::seed_from_u64(seed),
+            )
+            .unwrap();
+            let arena = index.shards()[0].as_memory().unwrap();
+            let reference = reference::build_index(&key, &db, &mut ChaCha20Rng::seed_from_u64(seed));
 
             prop_assert_eq!(arena.len(), reference.dictionary.len());
             for (label, ciphertext) in &reference.dictionary {
@@ -1440,8 +1354,8 @@ mod tests {
             }
             for (keyword, expected) in db.iter() {
                 let token = SseScheme::trapdoor(&key, keyword);
-                prop_assert_eq!(SseScheme::search(&arena, &token).unwrap(), expected.to_vec());
-                prop_assert_eq!(reference::search(&reference, &token), expected.to_vec());
+                prop_assert_eq!(search(arena, &token).unwrap(), expected.to_vec());
+                prop_assert_eq!(reference.search(&token), expected.to_vec());
             }
         }
     }

@@ -13,11 +13,10 @@
 //!
 //! What sharding buys:
 //!
-//! * **Fully parallel BuildIndex assembly.** The single-arena build ends in
-//!   one sequential "append every chunk to the arena" pass; the sharded
-//!   build replaces it with one *independent* assembly job per shard (after
-//!   a cheap index-scatter pass), so the byte-copying and table insertion
-//!   fan out across cores with no final single-threaded append.
+//! * **Fully parallel BuildIndex assembly.** The build appends each batch
+//!   with one *independent* job per shard (see the
+//!   [`external`](crate::external) module), so the byte-copying and table
+//!   insertion fan out across cores with no single-threaded append.
 //! * **Lock-free concurrent reads.** Shards are plain immutable structs
 //!   behind `&self`; any number of query threads can probe any shards
 //!   simultaneously with no synchronization whatsoever.
@@ -30,27 +29,23 @@
 //!   [`ShardStorage`] backend behind the [`Shard`] enum: the in-memory
 //!   arena (byte-identical to the PR 2 layout) or an on-disk
 //!   [`FileShard`] serialized during BuildIndex and
-//!   served via paged reads — see [`StorageConfig`] and the
+//!   served via paged reads — see
+//!   [`StorageConfig`](crate::storage::StorageConfig) and the
 //!   [`storage`](crate::storage) module. [`ShardedIndex::save_to_dir`] and
 //!   [`ShardedIndex::open_dir`] persist an index across processes.
 //!
 //! With `k = 0` the in-memory index is a single shard whose arena and table
-//! are **byte-identical** to the unsharded [`EncryptedIndex`] build — the
-//! property test `unsharded_is_byte_identical_to_plain_arena` pins this, so
-//! the sharded type is a strict generalization, not a fork.
+//! are **byte-identical** to the reference build's unsharded
+//! [`EncryptedIndex`] — the property test
+//! `unsharded_is_byte_identical_to_plain_arena` pins this, so the sharded
+//! type is a strict generalization, not a fork.
 
-use crate::database::SseDatabase;
 use crate::formats;
-use crate::pibas::{
-    merge_chunks, CipherSpan, EncryptedIndex, IndexLookup, KeywordChunk, Label, SearchToken,
-    SseKey, SseScheme,
-};
+use crate::pibas::{CipherSpan, EncryptedIndex, IndexLookup, Label};
 use crate::storage::{
     merge_shard_files, open_shards_from_dir, read_manifest, save_shards_to_dir, shard_file_name,
-    write_chunk_shard, write_manifest, BlockCache, CacheStats, FileShard, ShardStorage,
-    StorageBackend, StorageConfig, StorageError,
+    write_manifest, BlockCache, CacheStats, FileShard, ShardStorage, StorageError,
 };
-use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
@@ -215,24 +210,24 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{SseDatabase, SseScheme, StorageConfig};
+/// use rsse_sse::{build_index_external_with, SpillOrder, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
 /// let key = SseScheme::setup(&mut rng);
-/// let mut db = SseDatabase::new();
-/// for i in 0..100u64 {
-///     db.add(b"w".to_vec(), i.to_le_bytes().to_vec());
-/// }
+/// let entries = (0..100u64).map(|i| (*b"w", i.to_le_bytes()));
+/// let token_of = |keyword: &[u8; 1], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword);
 ///
 /// // 2^4 = 16 shards; entries distribute by label prefix.
 /// let config = StorageConfig::in_memory(4);
-/// let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+/// let index =
+///     build_index_external_with(entries, SpillOrder::ByKeyword, token_of, &config, &mut rng)
+///         .unwrap();
 /// assert_eq!(index.shard_count(), 16);
 /// assert_eq!(index.len(), 100);
 ///
 /// // Same search API as the unsharded index.
 /// let token = SseScheme::trapdoor(&key, b"w");
-/// assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 100);
+/// assert_eq!(SseScheme::search_count(&index, &token).unwrap(), 100);
 /// ```
 ///
 /// Persistence: an index can be saved to (or built straight into) a
@@ -240,14 +235,20 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{ShardedIndex, SseDatabase, SseScheme, StorageConfig};
+/// use rsse_sse::{build_index_external_with, ShardedIndex, SpillOrder, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(2);
 /// let key = SseScheme::setup(&mut rng);
-/// let mut db = SseDatabase::new();
-/// db.add(b"w".to_vec(), b"payload".to_vec());
+/// let token_of = |keyword: &[u8; 1], _: &mut Vec<[u8; 7]>| SseScheme::trapdoor(&key, keyword);
 /// let config = StorageConfig::in_memory(2);
-/// let index = SseScheme::build_index_stored(&key, &db, &config, &mut rng).unwrap();
+/// let index = build_index_external_with(
+///     [(*b"w", *b"payload")],
+///     SpillOrder::ByKeyword,
+///     token_of,
+///     &config,
+///     &mut rng,
+/// )
+/// .unwrap();
 ///
 /// let dir = std::env::temp_dir().join(format!("rsse-doc-{}", std::process::id()));
 /// index.save_to_dir(&dir).unwrap();
@@ -255,10 +256,7 @@ impl ShardStorage for FaultShard {
 ///
 /// let reopened = ShardedIndex::open_dir(&dir).unwrap();
 /// let token = SseScheme::trapdoor(&key, b"w");
-/// assert_eq!(
-///     SseScheme::search(&reopened, &token).unwrap(),
-///     vec![b"payload".to_vec()]
-/// );
+/// assert_eq!(SseScheme::search_count(&reopened, &token).unwrap(), 1);
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Clone, Debug)]
@@ -280,9 +278,8 @@ impl Default for ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Assembles an index from already-built shards (the external-memory
-    /// build path constructs its shards incrementally instead of through
-    /// [`shard_chunks`]). `shards.len()` must be `2^bits`.
+    /// Assembles an index from already-built shards. `shards.len()` must
+    /// be `2^bits`.
     pub(crate) fn from_parts(bits: u32, shards: Vec<Shard>) -> Self {
         debug_assert_eq!(shards.len(), 1usize << bits);
         Self { bits, shards }
@@ -367,7 +364,8 @@ impl ShardedIndex {
 
     /// Aggregated block-cache counters of all file-backed shards: probe
     /// hits and misses, evictions performed to stay inside the
-    /// [`StorageConfig::cache_budget`], and the ciphertext-block bytes
+    /// [`StorageConfig::cache_budget`](crate::StorageConfig::cache_budget),
+    /// and the ciphertext-block bytes
     /// currently resident (always 0 hits/misses/resident for a fully
     /// in-memory index, whose arenas bypass the block layer).
     pub fn cache_stats(&self) -> CacheStats {
@@ -438,7 +436,8 @@ impl ShardedIndex {
     }
 
     /// Cold-opens an index previously written by [`save_to_dir`] (or built
-    /// straight to disk through a [`StorageConfig::on_disk`] build): loads
+    /// straight to disk through a
+    /// [`StorageConfig::on_disk`](crate::StorageConfig::on_disk) build): loads
     /// each shard's bucket directory, leaves the ciphertext regions on
     /// disk, and serves them through paged reads.
     ///
@@ -674,204 +673,30 @@ impl IndexLookup for ShardedIndex {
     }
 }
 
-/// One shard's assembly job: member entries as (chunk, entry) index pairs
-/// in global order, plus the exact ciphertext byte tally.
-type ShardJob = (Vec<(u32, u32)>, usize);
-
-/// The per-entry shard scatter shared by the in-memory and on-disk builds:
-/// per-shard member lists (chunk, entry index pairs in global order) plus
-/// each shard's exact ciphertext byte tally.
-fn scatter_members(bits: u32, chunks: &[KeywordChunk]) -> Vec<ShardJob> {
-    let shard_count = 1usize << bits;
-
-    // Pass 1: per-entry shard ids (parallel across chunks).
-    let shard_ids: Vec<Vec<u16>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            chunk
-                .labels
-                .iter()
-                .map(|label| shard_of_label(label, bits) as u16)
-                .collect()
-        })
-        .collect();
-
-    // Pass 2: index scatter. Only (chunk, entry) index pairs move here —
-    // O(entries) u32 writes — not ciphertext bytes; the byte copying in the
-    // assembly passes is fully parallel per shard.
-    let mut members: Vec<Vec<(u32, u32)>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut arena_bytes: Vec<usize> = vec![0; shard_count];
-    for (c, ids) in shard_ids.iter().enumerate() {
-        for (e, &shard) in ids.iter().enumerate() {
-            members[shard as usize].push((c as u32, e as u32));
-            arena_bytes[shard as usize] += chunks[c].spans[e].1 as usize;
-        }
-    }
-    members.into_iter().zip(arena_bytes).collect()
-}
-
-/// Distributes per-keyword chunks over `2^bits` shards and assembles every
-/// shard's arena + table **in parallel**.
-///
-/// Three passes:
-/// 1. per-entry shard ids, computed in parallel across chunks;
-/// 2. a cheap sequential scatter building each shard's member list (indices
-///    only — no ciphertext bytes move here) together with its exact entry
-///    and byte tallies;
-/// 3. one independent assembly job per shard, in parallel: append the
-///    member ciphertexts to the shard arena (pre-sized exactly) and insert
-///    the labels.
-///
-/// Entries keep the global `(keyword, counter)` order within each shard, so
-/// the result is deterministic regardless of thread scheduling, and with
-/// `bits == 0` the single shard is produced by the exact same
-/// [`merge_chunks`] pass as the unsharded build — byte-identical output.
-pub(crate) fn shard_chunks(bits: u32, chunks: Vec<KeywordChunk>) -> ShardedIndex {
-    assert!(
-        bits <= MAX_SHARD_BITS,
-        "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
-    );
-    if bits == 0 {
-        return ShardedIndex {
-            bits,
-            shards: vec![Shard::Memory(merge_chunks(chunks))],
-        };
-    }
-
-    let jobs = scatter_members(bits, &chunks);
-
-    // Pass 3: per-shard assembly (parallel across shards, lock-free — each
-    // job reads the shared chunks and writes only its own shard).
-    let shards: Vec<Shard> = jobs
-        .into_par_iter()
-        .map(|(member_list, bytes)| {
-            let mut shard = EncryptedIndex::with_capacity(member_list.len(), bytes);
-            for (c, e) in member_list {
-                let chunk = &chunks[c as usize];
-                let (offset, len) = chunk.spans[e as usize];
-                shard.append_entry(
-                    chunk.labels[e as usize],
-                    &chunk.buf[offset as usize..(offset + len) as usize],
-                );
-            }
-            Shard::Memory(shard)
-        })
-        .collect();
-    ShardedIndex { bits, shards }
-}
-
-/// Backend-dispatching variant of [`shard_chunks`]: in-memory configs run
-/// the parallel arena assembly; on-disk configs stream every shard straight
-/// into its serialized file (same entry order, hence the same bytes a
-/// `save_to_dir` of the in-memory build would write) and reopen the files
-/// as paged [`FileShard`]s.
-pub(crate) fn shard_chunks_stored(
-    config: &StorageConfig,
-    chunks: Vec<KeywordChunk>,
-) -> Result<ShardedIndex, StorageError> {
-    match &config.backend {
-        StorageBackend::InMemory => Ok(shard_chunks(config.shard_bits, chunks)),
-        StorageBackend::OnDisk(dir) => {
-            shard_chunks_to_dir(config.shard_bits, chunks, dir, config.cache_budget)
-        }
-    }
-}
-
-/// The on-disk BuildIndex tail: writes each shard's serialized file
-/// directly from the per-keyword chunks (no intermediate arena), in
-/// parallel across shards, then opens them as paged [`FileShard`]s
-/// (sharing one budgeted block cache when `cache_budget` is set).
-fn shard_chunks_to_dir(
-    bits: u32,
-    chunks: Vec<KeywordChunk>,
-    dir: &Path,
-    cache_budget: Option<usize>,
-) -> Result<ShardedIndex, StorageError> {
-    assert!(
-        bits <= MAX_SHARD_BITS,
-        "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
-    );
-    formats::create_dir_all(dir)?;
-    let built = (|| {
-        write_manifest(dir, bits)?;
-        let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
-        let jobs: Vec<(usize, ShardJob)> = scatter_members(bits, &chunks)
-            .into_iter()
-            .enumerate()
-            .collect();
-        let results: Vec<Result<Shard, StorageError>> = jobs
-            .into_par_iter()
-            .map(|(i, (member_list, bytes))| {
-                let path = dir.join(shard_file_name(i));
-                write_chunk_shard(&path, &chunks, &member_list, bytes)?;
-                FileShard::open_shard(&path, i as u32, bits, cache.clone()).map(Shard::File)
-            })
-            .collect();
-        let shards = results
-            .into_iter()
-            .collect::<Result<Vec<Shard>, StorageError>>()?;
-        Ok(ShardedIndex { bits, shards })
-    })();
-    if built.is_err() {
-        // Don't leave a half-written index behind for any caller (the
-        // update manager additionally removes the directories it owns).
-        crate::storage::cleanup_partial_index(dir, 1usize << bits);
-    }
-    built
-}
-
-impl SseScheme {
-    /// [`build_index`](Self::build_index) onto the layout and backend a
-    /// [`StorageConfig`] selects: same per-keyword encryption (and the same
-    /// RNG consumption — one nonce seed per keyword, so every ciphertext
-    /// byte is identical for every `shard_bits` and backend), with the
-    /// entries distributed over `2^shard_bits` label-prefix shards that are
-    /// assembled in memory or streamed straight to their serialized files.
-    pub fn build_index_stored<R: RngCore + CryptoRng>(
-        key: &SseKey,
-        database: &SseDatabase,
-        config: &StorageConfig,
-        rng: &mut R,
-    ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_database(key, database, rng))
-    }
-
-    /// [`build_index_stored`](Self::build_index_stored) from pre-derived
-    /// per-keyword tokens.
-    ///
-    /// Used by schemes (Constant-BRC/URC) whose decryption capability must
-    /// come from a delegatable PRF rather than from the SSE master key; the
-    /// index produced is structurally identical to `build_index_stored`'s
-    /// and is searched with the exact same algorithm.
-    pub fn build_index_from_token_lists_stored<R: RngCore + CryptoRng>(
-        lists: &[(SearchToken, Vec<Vec<u8>>)],
-        config: &StorageConfig,
-        rng: &mut R,
-    ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_token_lists(lists, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultInjectable;
-    use crate::pibas::{reference, LABEL_LEN};
+    use crate::pibas::reference::{self, build_stored, search, search_batch_scan};
+    use crate::pibas::{SearchToken, SseKey, SseScheme, LABEL_LEN};
     use crate::storage::test_support::TempDir;
+    use crate::storage::StorageConfig;
+    use crate::{build_index_external_with, SpillOrder, SseDatabase};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_crypto::{Key, KEY_LEN};
+    use std::collections::BTreeSet;
     use std::fs;
 
-    /// In-memory build over `2^bits` shards.
+    /// The reference build, in memory over `2^bits` shards.
     fn in_memory_index(
         key: &SseKey,
         db: &SseDatabase,
         bits: u32,
         rng: &mut ChaCha20Rng,
     ) -> ShardedIndex {
-        SseScheme::build_index_stored(key, db, &StorageConfig::in_memory(bits), rng).unwrap()
+        build_stored(key, db, &StorageConfig::in_memory(bits), rng).unwrap()
     }
 
     /// Every token's decrypted payloads from one counter scan, in token
@@ -882,7 +707,7 @@ mod tests {
     ) -> Result<Vec<Vec<Vec<u8>>>, I::Error> {
         let ciphers: Vec<_> = tokens.iter().map(SearchToken::payload_cipher).collect();
         let mut results = vec![Vec::new(); tokens.len()];
-        SseScheme::search_batch_scan(index, tokens, |t, ciphertext| {
+        search_batch_scan(index, tokens, |t, ciphertext| {
             results[t].extend(ciphers[t].decrypt(ciphertext));
         })?;
         Ok(results)
@@ -894,6 +719,39 @@ mod tests {
             db.add(k.clone(), v.clone());
         }
         db
+    }
+
+    /// Fixed-stride entries from generated `(keyword, payload)` numbers.
+    fn fixed_entries(raw: &[(u16, u64)]) -> Vec<([u8; 2], [u8; 8])> {
+        raw.iter()
+            .map(|&(keyword, payload)| (keyword.to_be_bytes(), payload.to_le_bytes()))
+            .collect()
+    }
+
+    /// The pipeline over `entries`, each keyword's list in arrival order.
+    fn pipeline_index(
+        key: &SseKey,
+        entries: &[([u8; 2], [u8; 8])],
+        config: &StorageConfig,
+        rng: &mut ChaCha20Rng,
+    ) -> ShardedIndex {
+        build_index_external_with(
+            entries.iter().copied(),
+            SpillOrder::ByKeyword,
+            |keyword: &[u8; 2], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(key, keyword),
+            config,
+            rng,
+        )
+        .unwrap()
+    }
+
+    /// One token per distinct keyword of `entries`.
+    fn keyword_tokens(key: &SseKey, entries: &[([u8; 2], [u8; 8])]) -> Vec<SearchToken> {
+        let keywords: BTreeSet<[u8; 2]> = entries.iter().map(|(keyword, _)| *keyword).collect();
+        keywords
+            .iter()
+            .map(|keyword| SseScheme::trapdoor(key, keyword))
+            .collect()
     }
 
     #[test]
@@ -951,7 +809,7 @@ mod tests {
         }
         for kw in 0..8u64 {
             let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
-            assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 8);
+            assert_eq!(search(&index, &token).unwrap().len(), 8);
         }
     }
 
@@ -973,7 +831,7 @@ mod tests {
         let tokens: Vec<SearchToken> = (0..6u64)
             .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
             .collect();
-        let counts = SseScheme::search_batch_scan(&index, &tokens, |_, _| {}).unwrap();
+        let counts = search_batch_scan(&index, &tokens, |_, _| {}).unwrap();
         let expected: Vec<usize> = tokens
             .iter()
             .map(|t| SseScheme::search_count(&index, t).unwrap())
@@ -994,7 +852,7 @@ mod tests {
         }
         let dir = TempDir::new("paged");
         let mut rng_build = ChaCha20Rng::seed_from_u64(4);
-        let index = SseScheme::build_index_stored(
+        let index = build_stored(
             &key,
             &db,
             &StorageConfig::on_disk(0, dir.path()),
@@ -1012,7 +870,7 @@ mod tests {
             "nothing faulted in yet"
         );
         let token = SseScheme::trapdoor(&key, b"kw7");
-        assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);
+        assert_eq!(search(&index, &token).unwrap().len(), 1);
         let resident = index.resident_bytes() - directory_bytes;
         let region_bytes = index.storage_bytes() - index.len() * LABEL_LEN;
         assert!(resident > 0, "the probed block must be resident");
@@ -1043,7 +901,7 @@ mod tests {
         let db = multi_block_db(200, 4096);
         let dir = TempDir::new("budget");
         let mut rng_build = ChaCha20Rng::seed_from_u64(41);
-        SseScheme::build_index_stored(
+        build_stored(
             &key,
             &db,
             &StorageConfig::on_disk(2, dir.path()),
@@ -1059,8 +917,8 @@ mod tests {
         for kw in 0..200u64 {
             let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
             assert_eq!(
-                SseScheme::search(&budgeted, &token).unwrap(),
-                SseScheme::search(&unbounded, &token).unwrap(),
+                search(&budgeted, &token).unwrap(),
+                search(&unbounded, &token).unwrap(),
                 "budgeted results must be identical to unbounded for kw{kw}"
             );
             let stats = budgeted.cache_stats();
@@ -1087,7 +945,7 @@ mod tests {
         let token = SseScheme::trapdoor(&key, b"kw0");
         let before = budgeted.cache_stats();
         for _ in 0..4 {
-            SseScheme::search(&budgeted, &token).unwrap();
+            search(&budgeted, &token).unwrap();
         }
         let after = budgeted.cache_stats();
         assert!(after.hits > before.hits, "warm probes must hit the cache");
@@ -1105,20 +963,14 @@ mod tests {
             let key = SseScheme::setup(&mut rng);
             let db = multi_block_db(400, payload_len);
             let dir = TempDir::new("page-unit");
-            SseScheme::build_index_stored(
-                &key,
-                &db,
-                &StorageConfig::on_disk(0, dir.path()),
-                &mut rng,
-            )
-            .unwrap();
+            build_stored(&key, &db, &StorageConfig::on_disk(0, dir.path()), &mut rng).unwrap();
             let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(1 << 20)).unwrap();
             let entry = (index.storage_bytes() - index.len() * LABEL_LEN) / index.len();
             assert!(entry >= payload_len && 400 * entry > 4 * CUT);
 
             let token = SseScheme::trapdoor(&key, b"kw7");
             assert_eq!(
-                SseScheme::search(&index, &token).unwrap(),
+                search(&index, &token).unwrap(),
                 vec![vec![7u8; payload_len]]
             );
             let stats = index.cache_stats();
@@ -1145,7 +997,7 @@ mod tests {
         let db = multi_block_db(40, 2048);
         let dir = TempDir::new("budget-zero");
         let mut rng_build = ChaCha20Rng::seed_from_u64(43);
-        SseScheme::build_index_stored(
+        build_stored(
             &key,
             &db,
             &StorageConfig::on_disk(0, dir.path()),
@@ -1155,7 +1007,7 @@ mod tests {
         let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
         for kw in 0..40u64 {
             let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
-            assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);
+            assert_eq!(search(&index, &token).unwrap().len(), 1);
         }
         let stats = index.cache_stats();
         assert_eq!(stats.resident_bytes, 0, "nothing fits a zero budget");
@@ -1187,8 +1039,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let dir = TempDir::new("prefetch");
-        SseScheme::build_index_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng)
-            .unwrap();
+        build_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng).unwrap();
         for budget in [0, 4 << 10] {
             let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(budget)).unwrap();
             let injector = index.inject_fault_plan(FaultPlan::seeded(3).fault_rate(0.25));
@@ -1209,7 +1060,7 @@ mod tests {
                 IndexLookup::prefetch(&index, &labels);
                 assert_eq!(counters(&index), before, "budget {budget}, kw{kw}");
                 // The query itself probes, reads and draws faults.
-                let _ = SseScheme::search(&index, &token);
+                let _ = search(&index, &token);
                 assert!(injector.probes_issued() > before.2);
             }
             assert!(injector.faults_injected() > 0);
@@ -1233,13 +1084,13 @@ mod tests {
         );
         let mut index = in_memory_index(&key, &db, 2, &mut rng);
         let token = SseScheme::trapdoor(&key, b"kw1");
-        assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 8);
+        assert_eq!(search(&index, &token).unwrap().len(), 8);
 
         // Let the first 3 probes through, then fail everything: the scan
         // (8 hits + 1 terminating miss) must abort with the typed error
         // instead of returning a silently shortened result.
         index.inject_read_faults(3);
-        match SseScheme::search(&index, &token) {
+        match search(&index, &token) {
             Err(StorageError::Io { path, .. }) => {
                 assert_eq!(path, Path::new(FaultShard::FAULT_PATH));
             }
@@ -1248,8 +1099,8 @@ mod tests {
         // The batched scan fails the same way…
         assert!(scan_payloads(&index, std::slice::from_ref(&token)).is_err());
         // …and try_search reports it as a storage failure, not corruption.
-        match SseScheme::try_search(&index, &token) {
-            Err(crate::pibas::SearchError::Storage(StorageError::Io { .. })) => {}
+        match reference::try_search(&index, &token) {
+            Err(reference::SearchError::Storage(StorageError::Io { .. })) => {}
             other => panic!("expected Storage error, got {other:?}"),
         }
     }
@@ -1257,23 +1108,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The PR 2 acceptance property, still pinned: a `shard_bits = 0`
-        /// in-memory ShardedIndex is **byte-identical** to the PR 1
-        /// arena-backed `EncryptedIndex` — same arena bytes, same offset
-        /// table — given the same key and RNG stream.
+        /// A `shard_bits = 0` in-memory index from the pipeline is
+        /// **byte-identical** to the reference build's single arena — same
+        /// arena bytes, same offset table — given the same key and RNG
+        /// stream.
         #[test]
-        fn unsharded_is_byte_identical_to_plain_arena(entries in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..6),
-             proptest::collection::vec(any::<u8>(), 0..32)), 0..60),
+        fn unsharded_is_byte_identical_to_plain_arena(raw in proptest::collection::vec(
+            (0u16..12, any::<u64>()), 0..60),
             seed in any::<u64>())
         {
-            let db = db_from(&entries);
+            let entries = fixed_entries(&raw);
+            let db: SseDatabase = entries.iter().copied().collect();
             let key = SseScheme::key_from(Key::from_bytes([0x5A; KEY_LEN]));
 
             let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
-            let flat = SseScheme::build_index(&key, &db, &mut rng_flat);
+            let flat = reference::build_arena(&key, &db, &mut rng_flat);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = in_memory_index(&key, &db, 0, &mut rng_sharded);
+            let sharded =
+                pipeline_index(&key, &entries, &StorageConfig::in_memory(0), &mut rng_sharded);
 
             prop_assert_eq!(sharded.shard_count(), 1);
             let shard = sharded.shards()[0].as_memory().expect("in-memory build");
@@ -1283,23 +1135,23 @@ mod tests {
                 "k=0 shard offset table must equal the flat table");
         }
 
-        /// Sharding is layout-only: for arbitrary multimaps and any k, the
+        /// Sharding is layout-only: for arbitrary entries and any k, the
         /// sharded index stores the same (label, ciphertext) pairs as the
         /// k=0 build and answers every keyword search identically.
         #[test]
-        fn sharded_search_equals_unsharded_for_random_datasets(entries in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..5),
-             proptest::collection::vec(any::<u8>(), 0..24)), 0..50),
+        fn sharded_search_equals_unsharded_for_random_datasets(raw in proptest::collection::vec(
+            (0u16..12, any::<u64>()), 0..50),
             bits in 1u32..9,
             seed in any::<u64>())
         {
-            let db = db_from(&entries);
+            let entries = fixed_entries(&raw);
             let key = SseScheme::key_from(Key::from_bytes([0xC3; KEY_LEN]));
 
             let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
-            let flat = in_memory_index(&key, &db, 0, &mut rng_flat);
+            let flat = pipeline_index(&key, &entries, &StorageConfig::in_memory(0), &mut rng_flat);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = in_memory_index(&key, &db, bits, &mut rng_sharded);
+            let sharded =
+                pipeline_index(&key, &entries, &StorageConfig::in_memory(bits), &mut rng_sharded);
 
             prop_assert_eq!(sharded.len(), flat.len());
             prop_assert_eq!(sharded.storage_bytes(), flat.storage_bytes());
@@ -1313,25 +1165,23 @@ mod tests {
                 }
             }
             // Search-level equality, per-token and batched.
-            let tokens: Vec<SearchToken> = db.iter()
-                .map(|(kw, _)| SseScheme::trapdoor(&key, kw))
-                .collect();
+            let tokens = keyword_tokens(&key, &entries);
             for token in &tokens {
                 prop_assert_eq!(
-                    SseScheme::search(&sharded, token).unwrap(),
-                    SseScheme::search(&flat, token).unwrap()
+                    search(&sharded, token).unwrap(),
+                    search(&flat, token).unwrap()
                 );
             }
             let batched = scan_payloads(&sharded, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
-                .map(|t| SseScheme::search(&flat, t).unwrap())
+                .map(|t| search(&flat, t).unwrap())
                 .collect();
             prop_assert_eq!(batched, per_token);
         }
 
         /// Regression: the counter scan on a *shuffled* token vector
         /// returns, per token, exactly what the single-token reference walk
-        /// (`pibas::reference::search` over the per-entry dictionary — no
+        /// (`ReferenceIndex::search` over the per-entry dictionary — no
         /// code shared with the scan) returns — so the result multiset over
         /// the whole vector is independent of token order and of batching.
         #[test]
@@ -1362,11 +1212,11 @@ mod tests {
 
             let batched = scan_payloads(&index, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
-                .map(|t| reference::search(&oracle, t))
+                .map(|t| oracle.search(t))
                 .collect();
             prop_assert_eq!(&batched, &per_token, "per-token results must be identical");
             for (token, expected) in tokens.iter().zip(&per_token) {
-                prop_assert_eq!(&SseScheme::search(&index, token).unwrap(), expected);
+                prop_assert_eq!(&search(&index, token).unwrap(), expected);
             }
 
             // Multiset equality over the flattened result vector.
@@ -1382,22 +1232,22 @@ mod tests {
         /// answers every search identically to the in-memory arena, at
         /// shard_bits ∈ {0, 4}.
         #[test]
-        fn file_backed_build_equals_in_memory(entries in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..5),
-             proptest::collection::vec(any::<u8>(), 0..24)), 0..40),
+        fn file_backed_build_equals_in_memory(raw in proptest::collection::vec(
+            (0u16..12, any::<u64>()), 0..40),
             four_bits in any::<bool>(),
             seed in any::<u64>())
         {
             let bits = if four_bits { 4 } else { 0 };
-            let db = db_from(&entries);
+            let entries = fixed_entries(&raw);
             let key = SseScheme::key_from(Key::from_bytes([0x3C; KEY_LEN]));
 
             let mut rng_mem = ChaCha20Rng::seed_from_u64(seed);
-            let memory = in_memory_index(&key, &db, bits, &mut rng_mem);
+            let memory =
+                pipeline_index(&key, &entries, &StorageConfig::in_memory(bits), &mut rng_mem);
             let dir = TempDir::new("prop-eq");
             let mut rng_file = ChaCha20Rng::seed_from_u64(seed);
-            let file = SseScheme::build_index_stored(
-                &key, &db, &StorageConfig::on_disk(bits, dir.path()), &mut rng_file).unwrap();
+            let file = pipeline_index(
+                &key, &entries, &StorageConfig::on_disk(bits, dir.path()), &mut rng_file);
 
             prop_assert!(file.is_file_backed());
             prop_assert_eq!(file.len(), memory.len());
@@ -1410,13 +1260,11 @@ mod tests {
                     );
                 }
             }
-            let tokens: Vec<SearchToken> = db.iter()
-                .map(|(kw, _)| SseScheme::trapdoor(&key, kw))
-                .collect();
+            let tokens = keyword_tokens(&key, &entries);
             for token in &tokens {
                 prop_assert_eq!(
-                    SseScheme::search(&file, token).unwrap(),
-                    SseScheme::search(&memory, token).unwrap()
+                    search(&file, token).unwrap(),
+                    search(&memory, token).unwrap()
                 );
             }
             let batched = scan_payloads(&file, &tokens).unwrap();
@@ -1428,18 +1276,17 @@ mod tests {
         /// and the manifest), at shard_bits ∈ {0, 4} — and the streamed
         /// on-disk build writes those exact bytes in the first place.
         #[test]
-        fn save_open_save_round_trips_byte_identically(entries in proptest::collection::vec(
-            (proptest::collection::vec(any::<u8>(), 1..5),
-             proptest::collection::vec(any::<u8>(), 0..24)), 0..40),
+        fn save_open_save_round_trips_byte_identically(raw in proptest::collection::vec(
+            (0u16..12, any::<u64>()), 0..40),
             four_bits in any::<bool>(),
             seed in any::<u64>())
         {
             let bits = if four_bits { 4 } else { 0 };
-            let db = db_from(&entries);
+            let entries = fixed_entries(&raw);
             let key = SseScheme::key_from(Key::from_bytes([0x77; KEY_LEN]));
 
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
-            let memory = in_memory_index(&key, &db, bits, &mut rng);
+            let memory = pipeline_index(&key, &entries, &StorageConfig::in_memory(bits), &mut rng);
 
             let saved = TempDir::new("prop-rt-a");
             memory.save_to_dir(saved.path()).unwrap();
@@ -1455,8 +1302,8 @@ mod tests {
             // The streamed build writes the same bytes as save_to_dir.
             let streamed = TempDir::new("prop-rt-c");
             let mut rng_stream = ChaCha20Rng::seed_from_u64(seed);
-            SseScheme::build_index_stored(
-                &key, &db, &StorageConfig::on_disk(bits, streamed.path()), &mut rng_stream).unwrap();
+            pipeline_index(
+                &key, &entries, &StorageConfig::on_disk(bits, streamed.path()), &mut rng_stream);
             prop_assert!(dirs_equal(saved.path(), streamed.path()),
                 "streamed build must write the bytes save_to_dir writes");
         }
@@ -1500,8 +1347,8 @@ mod tests {
             for kw in 0..7u64 {
                 for byte in 1u8..=3 {
                     let token = SseScheme::trapdoor(key, format!("p{byte}-kw{kw}").as_bytes());
-                    let merged_hits = SseScheme::search(&merged, &token).unwrap();
-                    let part_hits = SseScheme::search(index, &token).unwrap();
+                    let merged_hits = search(&merged, &token).unwrap();
+                    let part_hits = search(index, &token).unwrap();
                     assert_eq!(
                         merged_hits, part_hits,
                         "part key must see exactly its own entries in the merge"
@@ -1548,8 +1395,8 @@ mod tests {
                 for byte in 5u8..=7 {
                     let token = SseScheme::trapdoor(key, format!("p{byte}-kw{kw}").as_bytes());
                     assert_eq!(
-                        SseScheme::search(&merged_paged, &token).unwrap(),
-                        SseScheme::search(&merged_memory, &token).unwrap()
+                        search(&merged_paged, &token).unwrap(),
+                        search(&merged_memory, &token).unwrap()
                     );
                 }
             }

@@ -63,7 +63,7 @@
 use crate::formats::{
     self, io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION,
 };
-use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LABEL_LEN};
+use crate::pibas::{CipherSpan, EncryptedIndex, Label, LABEL_LEN};
 use crate::sharded::shard_of_label;
 use crate::table::{fold_mix, LabelTable};
 use rayon::prelude::*;
@@ -385,9 +385,9 @@ pub struct StorageConfig {
     pub cache_budget: Option<usize>,
     /// Memory budget for the build itself. `None` (the default) never
     /// spills: the transformed corpus is sorted in RAM. `Some` bounds the
-    /// peak working set of budget-aware builds (the range schemes' grouped
-    /// paths, `RangeScheme::build_stored` in `rsse-core`, and every build
-    /// of the update manager): entries past the budget are sorted through
+    /// peak working set of every build (each scheme's
+    /// `RangeScheme::build_stored` in `rsse-core`, and every build of the
+    /// update manager): entries past the budget are sorted through
     /// spill runs on disk (the [`external`](crate::external) module) —
     /// **byte-identical output** either way, and a corpus that fits the
     /// budget builds exactly as it does without one.
@@ -1307,39 +1307,6 @@ fn write_file_shard(path: &Path, shard: &FileShard) -> Result<(), StorageError> 
     write_file_atomic(path, |writer| shard.write_to(writer))
 }
 
-/// Streams one shard's serialized file directly from the per-keyword build
-/// chunks — the on-disk BuildIndex path: no intermediate arena is ever
-/// materialized, and the bytes written are exactly what `save_to_dir` of
-/// the equivalent in-memory shard would produce (same entry order, offsets
-/// as the running length sum).
-pub(crate) fn write_chunk_shard(
-    path: &Path,
-    chunks: &[KeywordChunk],
-    members: &[(u32, u32)],
-    region_len: usize,
-) -> Result<(), StorageError> {
-    assert!(
-        region_len <= u32::MAX as usize,
-        "arena limited to 4 GiB per index; shard the dataset first"
-    );
-    write_file_atomic(path, |writer| {
-        write_shard_header(writer, members.len() as u64, region_len as u64)?;
-        write_shard_directory(
-            writer,
-            members.iter().map(|&(c, e)| {
-                let chunk = &chunks[c as usize];
-                (chunk.labels[e as usize], chunk.spans[e as usize].1)
-            }),
-        )?;
-        for &(c, e) in members {
-            let chunk = &chunks[c as usize];
-            let (offset, len) = chunk.spans[e as usize];
-            writer.write_all(&chunk.buf[offset as usize..(offset + len) as usize])?;
-        }
-        Ok(())
-    })
-}
-
 /// Structurally merges already-encrypted shard files into one shard file
 /// at `path`: the inputs' ciphertext regions are concatenated **verbatim**
 /// in input order, and the offset-sorted label directory is re-emitted
@@ -1739,6 +1706,7 @@ mod tests {
     use super::test_support::TempDir;
     use super::*;
     use crate::database::SseDatabase;
+    use crate::pibas::reference::{build_stored, search};
     use crate::pibas::SseScheme;
     use crate::sharded::ShardedIndex;
     use rand::SeedableRng;
@@ -1756,9 +1724,7 @@ mod tests {
                 i.to_le_bytes().to_vec(),
             );
         }
-        let index =
-            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(bits), &mut rng)
-                .unwrap();
+        let index = build_stored(&key, &db, &StorageConfig::in_memory(bits), &mut rng).unwrap();
         let dir = TempDir::new("robust");
         index.save_to_dir(dir.path()).unwrap();
         let shard0 = dir.path().join(shard_file_name(0));
@@ -2017,24 +1983,20 @@ mod tests {
         // Occupy the last shard file's path with a directory: the manifest
         // write (and, with two shards, shard 0's) succeeds, the occupied
         // shard's write fails, and the cleanup must remove what the build
-        // wrote without touching the (pre-existing) occupant — through the
-        // chunk build and through the fixed-stride pipeline.
-        type Build = fn(&StorageConfig) -> Result<ShardedIndex, StorageError>;
-        let chunk_build: Build = |config| {
+        // wrote without touching the (pre-existing) occupant.
+        let build = |config: &StorageConfig| {
             let mut rng = ChaCha20Rng::seed_from_u64(2);
             let key = SseScheme::setup(&mut rng);
-            let mut db = SseDatabase::new();
-            db.add(b"w".to_vec(), b"payload".to_vec());
-            SseScheme::build_index_stored(&key, &db, config, &mut rng)
-        };
-        let pipeline: Build = |config| {
-            let mut rng = ChaCha20Rng::seed_from_u64(2);
-            let key = SseScheme::setup(&mut rng);
-            let shuffle_key = rsse_crypto::Key::generate(&mut rng);
             let entries = (0..64u64).map(|i| ((i % 5).to_le_bytes(), i.to_le_bytes()));
-            crate::build_index_fixed_external(&key, &shuffle_key, entries, config, &mut rng)
+            crate::build_index_external_with(
+                entries,
+                crate::SpillOrder::ByKeywordAndPayload,
+                |keyword: &[u8; 8], _: &mut Vec<[u8; 8]>| SseScheme::trapdoor(&key, keyword),
+                config,
+                &mut rng,
+            )
         };
-        for (build, shard_bits) in [(chunk_build, 0), (pipeline, 0), (pipeline, 1)] {
+        for shard_bits in [0, 1] {
             let dir = TempDir::new("partial-clean");
             let occupant = dir.path().join(shard_file_name((1 << shard_bits) - 1));
             fs::create_dir_all(&occupant).unwrap();
@@ -2068,9 +2030,7 @@ mod tests {
                 i.to_le_bytes().to_vec(),
             );
         }
-        let index =
-            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(2), &mut rng)
-                .unwrap();
+        let index = build_stored(&key, &db, &StorageConfig::in_memory(2), &mut rng).unwrap();
         let dir = TempDir::new("inplace-resave");
         index.save_to_dir(dir.path()).unwrap();
         let before = fs::read(dir.path().join(shard_file_name(0))).unwrap();
@@ -2086,9 +2046,9 @@ mod tests {
         );
         // Both the still-open handle and a fresh open keep answering.
         let token = SseScheme::trapdoor(&key, b"kw1");
-        assert_eq!(SseScheme::search(&reopened, &token).unwrap().len(), 8);
+        assert_eq!(search(&reopened, &token).unwrap().len(), 8);
         let fresh = ShardedIndex::open_dir(dir.path()).unwrap();
-        assert_eq!(SseScheme::search(&fresh, &token).unwrap().len(), 8);
+        assert_eq!(search(&fresh, &token).unwrap().len(), 8);
     }
 
     #[test]
@@ -2100,11 +2060,11 @@ mod tests {
         let mut db = SseDatabase::new();
         db.add(b"w".to_vec(), b"payload".to_vec());
         let dir = TempDir::new("stale-shards");
-        SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(3), &mut rng)
+        build_stored(&key, &db, &StorageConfig::in_memory(3), &mut rng)
             .unwrap()
             .save_to_dir(dir.path())
             .unwrap();
-        SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
+        build_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
             .unwrap()
             .save_to_dir(dir.path())
             .unwrap();
@@ -2169,9 +2129,7 @@ mod tests {
         for i in 0..16u64 {
             db.add(format!("other{i}").into_bytes(), i.to_le_bytes().to_vec());
         }
-        let other =
-            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(1), &mut rng)
-                .unwrap();
+        let other = build_stored(&key, &db, &StorageConfig::in_memory(1), &mut rng).unwrap();
         fs::write(staging_path(dir.path()), b"occupied").unwrap();
         let err = other
             .save_to_dir(dir.path())

@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
+use rsse::core::schemes::common::grouped_fixed_index_stored;
 use rsse::core::schemes::constant::{ConstantScheme, ConstantServer};
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::pb::{PbScheme, PbServer};
@@ -36,7 +37,7 @@ use rsse::sse::external::{recode_spill_dir, run_file_name, SPILL_DIR, SPILL_MANI
 use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::storage::{shard_file_name, MANIFEST_FILE};
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{build_index_fixed_external, BuildBudget, SpillOrder, SseScheme};
+use rsse::sse::{BuildBudget, SpillOrder, SseScheme};
 use rsse::updates::manifest::{
     read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
     ManagerManifest, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
@@ -232,7 +233,7 @@ fn killed_spill_dir(index_dir: &Path) -> PathBuf {
             keyword[5..].copy_from_slice(&(i % 5).to_le_bytes());
             (keyword, i.to_le_bytes())
         });
-        build_index_fixed_external(
+        grouped_fixed_index_stored(
             &key,
             &shuffle_key,
             entries,

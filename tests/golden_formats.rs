@@ -31,6 +31,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
+use rsse::core::schemes::common::grouped_fixed_index_stored;
 use rsse::core::schemes::constant::{ConstantScheme, ConstantServer};
 use rsse::core::schemes::log_brc_urc::{LogScheme, LogServer};
 use rsse::core::schemes::pb::{PbScheme, PbServer};
@@ -40,7 +41,7 @@ use rsse::prelude::*;
 use rsse::sse::external::{recode_spill_dir, SPILL_DIR, SPILL_MANIFEST_FILE};
 use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{build_index_fixed_external, BuildBudget, SpillOrder, SseScheme};
+use rsse::sse::{BuildBudget, SpillOrder, SseScheme};
 use rsse::updates::manifest::{
     open_manager_root, read_manager_manifest, read_owner_meta, write_manager_manifest,
     write_owner_meta, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
@@ -174,7 +175,7 @@ fn build_spill() -> TempDir {
         let mut rng = ChaCha20Rng::seed_from_u64(77);
         let key = SseScheme::setup(&mut rng);
         let shuffle_key = Key::generate(&mut rng);
-        build_index_fixed_external(
+        grouped_fixed_index_stored(
             &key,
             &shuffle_key,
             spill_entries(),

@@ -105,14 +105,6 @@ impl ConstantServer {
     }
 }
 
-/// Chaos-harness support (see the `rsse_sse::fault` module): injected
-/// faults wrap this server's dictionary.
-impl rsse_sse::FaultInjectable for ConstantServer {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![&mut self.index]
-    }
-}
-
 /// Writes the GGM-depth sidecar file.
 fn write_depth_meta(dir: &Path, depth: u32) -> Result<(), StorageError> {
     MetaWriter::new(&DEPTH_META_MAGIC)

@@ -75,14 +75,6 @@ impl LogServer {
     }
 }
 
-/// Chaos-harness support (see the `rsse_sse::fault` module): injected
-/// faults wrap this server's dictionary.
-impl rsse_sse::FaultInjectable for LogServer {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![&mut self.index]
-    }
-}
-
 impl LogScheme {
     /// Builds the scheme with an explicit covering technique, optional
     /// padding of the multimap to `n · (⌈log m⌉ + 1)` entries, and the

@@ -57,14 +57,6 @@ impl LogSrcServer {
     }
 }
 
-/// Chaos-harness support (see the `rsse_sse::fault` module): injected
-/// faults wrap this server's dictionary.
-impl rsse_sse::FaultInjectable for LogSrcServer {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![&mut self.index]
-    }
-}
-
 impl LogSrcScheme {
     /// Builds the scheme, optionally padding the multimap to
     /// `n · (2⌈log m⌉ + 1)` entries; the dictionary lives on the backend

@@ -73,15 +73,6 @@ impl LogSrcIServer {
     }
 }
 
-/// Chaos-harness support (see the `rsse_sse::fault` module): injected
-/// faults wrap **both** indexes, sharing one injector — probe counting is
-/// global across the two dictionaries.
-impl rsse_sse::FaultInjectable for LogSrcIServer {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![&mut self.index1, &mut self.index2]
-    }
-}
-
 impl LogSrcIScheme {
     /// Builds both indexes on the backend `config` selects; with an
     /// on-disk backend `I1` and `I2` are streamed into the

@@ -313,15 +313,6 @@ impl QueryServer {
     }
 }
 
-/// Chaos-harness support: faults injected into a `QueryServer` wrap its
-/// dictionary's shards (see the `rsse_sse::fault` module). Test support
-/// only — production servers never carry fault wrappers.
-impl rsse_sse::FaultInjectable for QueryServer {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![&mut self.index]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{scan_query_into_with, QueryServer, ScanScratch};

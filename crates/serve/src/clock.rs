@@ -74,8 +74,8 @@ impl VirtualClock {
     }
 
     /// An [`rsse_sse::DelayHook`] that advances this clock — hand it to
-    /// `FaultInjectable::inject_fault_plan_with_delay` so injected probe
-    /// latency consumes virtual (not wall) time.
+    /// `rsse_sse::formats::arm_faults` so injected probe latency consumes
+    /// virtual (not wall) time.
     pub fn delay_hook(self: &Arc<Self>) -> DelayHook {
         let clock = Arc::clone(self);
         Arc::new(move |d| clock.advance(d))

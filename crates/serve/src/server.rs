@@ -948,10 +948,9 @@ impl ResilientServer<QueryServer> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rsse_sse::formats::arm_faults;
     use rsse_sse::test_support::TempDir;
-    use rsse_sse::{
-        FaultInjectable, FaultPlan, SseDatabase, SseScheme, StorageConfig, TokenLabeler,
-    };
+    use rsse_sse::{FaultPlan, SseDatabase, SseScheme, StorageConfig, TokenLabeler};
 
     /// The guarded scan's prefetch reaches the backend and nothing else: no
     /// deadline check, breaker, retry or probe count sees it, and the
@@ -971,8 +970,8 @@ mod tests {
         let dir = TempDir::new("guarded-prefetch");
         let config = StorageConfig::on_disk(2, dir.path());
         rsse_sse::pibas::reference::build_stored(&key, &db, &config, &mut rng).unwrap();
-        let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
-        let injector = index.inject_fault_plan(FaultPlan::dead_after(0));
+        let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
+        let injector = arm_faults(dir.path(), FaultPlan::dead_after(0), None);
         let server = ResilientServer::new(index, ServeConfig::default());
         let guard = QueryGuard {
             server: &server,

@@ -1,40 +1,36 @@
-//! Deterministic fault injection: the chaos harness behind the resilience
-//! tests and benches.
+//! Deterministic fault injection: the plan language of the chaos harness.
 //!
-//! PR 4 introduced [`FaultShard`], a storage wrapper that fails probes after
-//! a countdown, and PR 5 sprinkled `inject_read_faults` /
-//! `inject_transient_read_faults` convenience hooks over every server type
-//! that owns a [`ShardedIndex`] — seven hand-rolled copies of the same two
-//! lines. This module replaces all of that with one shared vocabulary:
+//! A test arms a plan on a directory with
+//! [`formats::arm_faults`](crate::formats::arm_faults), the probe gate
+//! beside the crash seam's [`arm_crash`](crate::formats::arm_crash). Until
+//! the returned scope drops, every probe of a [`FileShard`] whose file lies
+//! under that directory first asks the plan whether it fails:
 //!
 //! * [`FaultPlan`] — a small declarative DSL describing *when* probes fail:
 //!   a seeded per-probe fault rate, periodic burst windows, per-shard
 //!   targeting, permanently dead shards, bounded per-shard outages, probe
-//!   latency, and the two legacy countdown shapes (`dead_after`,
-//!   `transient_window`) kept semantics-identical to the PR 4/5 hooks;
-//! * [`FaultInjector`] — the shared runtime state of one plan: a global
-//!   probe counter (shared across every shard of every wrapped index, and
-//!   across clones) plus the countdowns, making every decision a pure
-//!   function of `(seed, probe_index, shard)` — **fully deterministic** for
-//!   a sequentially probing caller, and result-stable under parallel
-//!   callers whose retries absorb rate faults;
-//! * [`FaultInjectable`] — the one trait every index-owning server type
-//!   implements (one line: return the indexes) to inherit the whole
-//!   injection surface, instead of re-implementing the hooks.
+//!   latency, and one window on the global probe index (`dead_after`,
+//!   `transient_window`);
+//! * [`FaultInjector`] — the runtime state of one armed plan: a global
+//!   probe counter shared by every shard file under the armed directory
+//!   (both dictionaries of a two-index server, if both lie under it),
+//!   making every decision a pure function of `(seed, probe_index, shard)`
+//!   — **fully deterministic** for a sequentially probing caller, and
+//!   result-stable under parallel callers whose retries absorb rate faults.
 //!
-//! Failures surface as [`StorageError::Io`] at the synthetic path
-//! [`FaultShard::FAULT_PATH`] — exactly what a real failed block read
-//! produces, so everything downstream (typed error propagation, retry
-//! layers, circuit breakers) exercises its production path. A production
-//! index never contains fault wrappers; this is test/bench support that
-//! ships in the library only because downstream crates' integration tests
-//! and the bench harness need to reach it.
+//! The gate runs before the probe touches the label table or the block
+//! cache, so a failed probe reads nothing and counts no read error. It
+//! surfaces as [`StorageError::Io`] at the shard file's own path — exactly
+//! what a real failed block read reports — so everything downstream (typed
+//! error propagation, retry layers, circuit breakers) exercises its
+//! production path. An in-memory shard has no file and never fails.
+//!
+//! [`FileShard`]: crate::FileShard
+//! [`StorageError::Io`]: crate::StorageError::Io
 
-use crate::sharded::{FaultShard, ShardedIndex};
-use crate::storage::StorageError;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,7 +51,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// A declarative description of *which dictionary probes fail and how* —
 /// the input to [`FaultInjector`]. All clauses compose: a probe fails if
-/// **any** failing clause matches it (dead shard, outage window, countdown
+/// **any** failing clause matches it (probe window, dead shard, outage
 /// window, or the seeded rate draw inside the targeting/burst gates).
 ///
 /// # Examples
@@ -96,9 +92,8 @@ pub struct FaultPlan {
     /// Injected latency per probe (absorbed by the [`DelayHook`] if one is
     /// installed, otherwise a real `thread::sleep`).
     latency: Option<Duration>,
-    /// Legacy countdown window: `(successful_probes, failing_probes)`;
-    /// `failing_probes == None` fails forever once the countdown expires.
-    countdown: Option<(u64, Option<u64>)>,
+    /// Probes whose global index lies in this window fail, on every shard.
+    window: Option<Range<u64>>,
 }
 
 impl FaultPlan {
@@ -111,21 +106,21 @@ impl FaultPlan {
         }
     }
 
-    /// The PR 4 hook's shape: the first `successful_probes` probes succeed,
-    /// every later one fails — a disk that dies mid-search.
+    /// The first `successful_probes` probes succeed, every later one
+    /// fails — a disk that dies mid-search.
     pub fn dead_after(successful_probes: u64) -> Self {
         Self {
-            countdown: Some((successful_probes, None)),
+            window: Some(successful_probes..u64::MAX),
             ..Self::default()
         }
     }
 
-    /// The PR 5 hook's shape: after `successful_probes` probes, exactly
-    /// `failing_probes` fail, then the storage recovers — a transient blip
-    /// a retry is meant to absorb.
+    /// After `successful_probes` probes, exactly `failing_probes` fail,
+    /// then the storage recovers — a transient blip a retry is meant to
+    /// absorb.
     pub fn transient_window(successful_probes: u64, failing_probes: u64) -> Self {
         Self {
-            countdown: Some((successful_probes, Some(failing_probes))),
+            window: Some(successful_probes..successful_probes.saturating_add(failing_probes)),
             ..Self::default()
         }
     }
@@ -171,26 +166,16 @@ impl FaultPlan {
     }
 }
 
-/// The shared runtime of one [`FaultPlan`]: a global probe counter plus the
-/// legacy countdown state, consulted by every [`FaultShard`] wrapping any
-/// shard of any index the plan was injected into (and by clones of them).
+/// The shared runtime of one [`FaultPlan`]: a global probe counter,
+/// consulted by every probe the plan's armed scope covers.
 ///
 /// Exposes its counters so tests can assert how much chaos actually
 /// happened — e.g. "the retry layer absorbed exactly `faults_injected()`
 /// transient faults".
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Global probe index: one per `decide` call, across all wrapped shards.
+    /// Global probe index: one per `decide` call, across all shards.
     probes: AtomicU64,
-    /// Remaining successful probes of the legacy countdown (negative once
-    /// in the failing window). `i64::MAX` when no countdown is configured.
-    countdown: AtomicI64,
-    /// Whether the countdown window fails forever once expired (the
-    /// `dead_after` shape); otherwise `failures_left` bounds it.
-    dead_forever: bool,
-    /// Remaining failing probes once the countdown expired (transient
-    /// window only).
-    failures_left: AtomicI64,
     /// Total probes this injector failed.
     faults: AtomicU64,
     /// Latency sink (virtual clock) — `None` falls back to `thread::sleep`.
@@ -217,26 +202,15 @@ impl FaultInjector {
     /// Builds the runtime state with an optional [`DelayHook`] absorbing
     /// injected latency (virtual-clock tests).
     pub fn with_delay_hook(plan: FaultPlan, delay: Option<DelayHook>) -> Self {
-        let (countdown, dead_forever, failures_left) = match plan.countdown {
-            Some((successes, failing)) => (
-                i64::try_from(successes).unwrap_or(i64::MAX),
-                failing.is_none(),
-                failing.map_or(0, |n| i64::try_from(n).unwrap_or(i64::MAX)),
-            ),
-            None => (i64::MAX, false, 0),
-        };
         Self {
             plan,
             probes: AtomicU64::new(0),
-            countdown: AtomicI64::new(countdown),
-            dead_forever,
-            failures_left: AtomicI64::new(failures_left),
             faults: AtomicU64::new(0),
             delay,
         }
     }
 
-    /// Number of probes decided so far (across all wrapped shards).
+    /// Number of probes decided so far (across all shards).
     pub fn probes_issued(&self) -> u64 {
         self.probes.load(Ordering::SeqCst)
     }
@@ -248,8 +222,9 @@ impl FaultInjector {
 
     /// Decides the fate of the next probe against shard `shard`: applies
     /// injected latency, then either passes the probe through (`Ok`) or
-    /// fails it with the synthetic typed I/O error.
-    pub fn decide(&self, shard: u32) -> Result<(), StorageError> {
+    /// fails it with an I/O error (the probe gate attaches the shard
+    /// file's path).
+    pub fn decide(&self, shard: u32) -> io::Result<()> {
         let probe = self.probes.fetch_add(1, Ordering::SeqCst);
         if let Some(delay) = self.plan.latency {
             match &self.delay {
@@ -259,10 +234,7 @@ impl FaultInjector {
         }
         if self.probe_fails(probe, shard) {
             self.faults.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io {
-                path: PathBuf::from(FaultShard::FAULT_PATH),
-                error: io::Error::other("injected block-read fault"),
-            });
+            return Err(io::Error::other("injected block-read fault"));
         }
         Ok(())
     }
@@ -270,14 +242,9 @@ impl FaultInjector {
     /// Whether probe number `probe` against `shard` fails under the plan.
     fn probe_fails(&self, probe: u64, shard: u32) -> bool {
         let plan = &self.plan;
-        // Legacy countdown window (shared across shards, like PR 4/5).
-        if plan.countdown.is_some()
-            && self.countdown.fetch_sub(1, Ordering::SeqCst) <= 0
-            && (self.dead_forever || self.failures_left.fetch_sub(1, Ordering::SeqCst) > 0)
+        if plan.window.as_ref().is_some_and(|w| w.contains(&probe))
+            || plan.dead_shards.contains(&shard)
         {
-            return true;
-        }
-        if plan.dead_shards.contains(&shard) {
             return true;
         }
         if plan
@@ -304,74 +271,6 @@ impl FaultInjector {
         let draw = splitmix64(plan.seed ^ probe.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let threshold = (plan.fault_rate * u64::MAX as f64) as u64;
         draw <= threshold
-    }
-}
-
-/// Everything that owns one or more [`ShardedIndex`]es and wants the fault
-/// injection surface: implement [`fault_indexes`](Self::fault_indexes) (one
-/// line) and the provided methods do the rest — one shared
-/// [`FaultInjector`] wraps every shard of every returned index, so probe
-/// counting is global across them (multi-index servers like
-/// Logarithmic-SRC-i count both indexes' probes on one clock).
-///
-/// The two legacy hooks ([`inject_read_faults`](Self::inject_read_faults),
-/// [`inject_transient_read_faults`](Self::inject_transient_read_faults))
-/// keep their PR 4/5 semantics; new tests should speak [`FaultPlan`].
-pub trait FaultInjectable {
-    /// The indexes faults should be injected into.
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex>;
-
-    /// Wraps every shard of every [`fault_indexes`](Self::fault_indexes)
-    /// index with an already-built injector and returns it (for reading
-    /// its counters, or for sharing one injector across servers).
-    fn inject_fault_injector(&mut self, injector: &Arc<FaultInjector>) {
-        for index in self.fault_indexes() {
-            index.attach_fault_injector(injector);
-        }
-    }
-
-    /// Injects a [`FaultPlan`] and returns its [`FaultInjector`] for
-    /// counter inspection. Injected latency really sleeps; use
-    /// [`inject_fault_plan_with_delay`](Self::inject_fault_plan_with_delay)
-    /// to route it into a virtual clock instead.
-    fn inject_fault_plan(&mut self, plan: FaultPlan) -> Arc<FaultInjector> {
-        let injector = Arc::new(FaultInjector::new(plan));
-        self.inject_fault_injector(&injector);
-        injector
-    }
-
-    /// Like [`inject_fault_plan`](Self::inject_fault_plan), but injected
-    /// latency is delivered to `delay` instead of sleeping.
-    fn inject_fault_plan_with_delay(
-        &mut self,
-        plan: FaultPlan,
-        delay: DelayHook,
-    ) -> Arc<FaultInjector> {
-        let injector = Arc::new(FaultInjector::with_delay_hook(plan, Some(delay)));
-        self.inject_fault_injector(&injector);
-        injector
-    }
-
-    /// Legacy hook: every probe after the first `successful_probes` fails —
-    /// a disk that dies mid-search ([`FaultPlan::dead_after`]).
-    fn inject_read_faults(&mut self, successful_probes: u64) {
-        self.inject_fault_plan(FaultPlan::dead_after(successful_probes));
-    }
-
-    /// Legacy hook: after `successful_probes` probes, exactly
-    /// `failing_probes` fail, then the storage recovers
-    /// ([`FaultPlan::transient_window`]).
-    fn inject_transient_read_faults(&mut self, successful_probes: u64, failing_probes: u64) {
-        self.inject_fault_plan(FaultPlan::transient_window(
-            successful_probes,
-            failing_probes,
-        ));
-    }
-}
-
-impl FaultInjectable for ShardedIndex {
-    fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex> {
-        vec![self]
     }
 }
 

@@ -20,19 +20,23 @@
 //!   of the plain functions at the bottom of this module. Each call is one
 //!   *op* and passes one gate — the **crash seam** — which a test arms for
 //!   its own temp root ([`arm_crash`]) to log a scenario's ops and to kill
-//!   the "process" at any one of them.
+//!   the "process" at any one of them;
+//! * every probe of a file shard passes a second gate — the **probe gate**
+//!   — which a test arms for a directory ([`arm_faults`]) to fail or delay
+//!   the probes of every shard file under it by a [`FaultPlan`].
 //!
 //! The kit is for headers and small metadata files. Bulk bodies — a shard's
 //! label directory, an owner payload's entry table — are validated as one
 //! length through the reader and then walked with `chunks_exact`.
 
+use crate::fault::{DelayHook, FaultInjector, FaultPlan};
 use crate::storage::StorageError;
 use std::ffi::OsStr;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Current serialization format version, shared by every format.
 pub const FORMAT_VERSION: u32 = 1;
@@ -403,6 +407,71 @@ fn gate(op: &'static str, path: &Path, tearable: bool) -> Result<Option<Picks>, 
         }
         _ => Ok(None),
     }
+}
+
+/// An armed fault scope: its plan's counters; disarmed on drop.
+#[doc(hidden)]
+pub struct FaultScope(Arc<FaultInjector>);
+
+/// The number of armed fault scopes: an unarmed probe gate is one relaxed
+/// load of it (published like [`ARMED`]).
+static FAULTS_ARMED: AtomicUsize = AtomicUsize::new(0);
+static FAULT_SCOPES: RwLock<Vec<(PathBuf, Arc<FaultInjector>)>> = RwLock::new(Vec::new());
+
+/// Arms the probe gate for every file shard under `prefix`: each probe is
+/// one global probe of `plan` — delayed by its latency (through `delay`
+/// when set, else a real sleep) and failed when the plan says so.
+#[doc(hidden)]
+pub fn arm_faults(prefix: &Path, plan: FaultPlan, delay: Option<DelayHook>) -> FaultScope {
+    let injector = Arc::new(FaultInjector::with_delay_hook(plan, delay));
+    let mut scopes = FAULT_SCOPES.write().expect(LOCK);
+    scopes.push((prefix.to_path_buf(), Arc::clone(&injector)));
+    FAULTS_ARMED.fetch_add(1, Ordering::Relaxed);
+    FaultScope(injector)
+}
+
+impl FaultScope {
+    /// Probes the plan has decided so far, across every shard under the
+    /// prefix.
+    pub fn probes_issued(&self) -> u64 {
+        self.0.probes_issued()
+    }
+
+    /// Probes the plan has failed so far.
+    pub fn faults_injected(&self) -> u64 {
+        self.0.faults_injected()
+    }
+}
+
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        FAULTS_ARMED.fetch_sub(1, Ordering::Relaxed);
+        // Every update leaves the list valid, so a poisoned lock is usable.
+        let mut scopes = FAULT_SCOPES.write().unwrap_or_else(PoisonError::into_inner);
+        scopes.retain(|(_, injector)| !Arc::ptr_eq(injector, &self.0));
+    }
+}
+
+/// The probe gate: the first step of every probe of shard `shard`, served
+/// from the file at `path`. A failed probe is an I/O error at `path`.
+#[inline]
+pub(crate) fn probe_gate(path: &Path, shard: u32) -> Result<(), StorageError> {
+    if FAULTS_ARMED.load(Ordering::Relaxed) == 0 {
+        return Ok(());
+    }
+    armed_probe_gate(path, shard)
+}
+
+#[cold]
+fn armed_probe_gate(path: &Path, shard: u32) -> Result<(), StorageError> {
+    let injector = {
+        let scopes = FAULT_SCOPES.read().expect(LOCK);
+        match scopes.iter().find(|(prefix, _)| path.starts_with(prefix)) {
+            Some((_, injector)) => Arc::clone(injector),
+            None => return Ok(()),
+        }
+    };
+    injector.decide(shard).map_err(|e| io_err(path, e))
 }
 
 #[cfg(test)]

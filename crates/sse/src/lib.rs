@@ -28,14 +28,17 @@
 //!   [`ShardedIndex::save_to_dir`] / [`ShardedIndex::open_dir`];
 //! * [`formats`] — the codec kit every on-disk format of the workspace is
 //!   read and written with (magic + version header, bounds-checked
-//!   little-endian cursor, checked row counts, tmp + rename commit);
+//!   little-endian cursor, checked row counts, tmp + rename commit), and
+//!   the two gates a test arms per directory: the crash seam every
+//!   filesystem mutation passes, and the probe gate every file-shard probe
+//!   passes;
 //! * [`external`] — the one `BuildIndex` pipeline: entries sorted in RAM,
 //!   or spilled to sorted `RSSE-SPL` runs on disk and k-way-merged back
 //!   once a [`BuildBudget`] is exceeded, then encrypted in bounded parallel
 //!   batches into the shards — byte-identical output either way;
-//! * [`fault`] — deterministic fault injection (seeded [`FaultPlan`]s
-//!   behind the [`FaultInjectable`] trait) shared by the resilience tests,
-//!   the chaos battery and the bench harness;
+//! * [`fault`] — deterministic fault injection: the seeded [`FaultPlan`]s
+//!   the resilience tests and the chaos battery arm on an index directory
+//!   through the probe gate;
 //! * [`padding`] — owner-side padding of the entry stream to a fixed size, the
 //!   countermeasure the paper prescribes for Quadratic and Logarithmic-SRC
 //!   so that the index size leaks only `n` and `m`;
@@ -58,12 +61,12 @@ mod table;
 
 pub use database::SseDatabase;
 pub use external::{build_index_external_with, SpillOrder};
-pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan};
+pub use fault::{DelayHook, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
     CipherSpan, EncryptedIndex, IndexLookup, Label, SearchToken, SseKey, SseScheme, TokenLabeler,
 };
-pub use sharded::{FaultShard, Shard, ShardedIndex};
+pub use sharded::{Shard, ShardedIndex};
 pub use storage::{
     BuildBudget, CacheStats, FileShard, ShardStorage, StorageBackend, StorageConfig, StorageError,
 };

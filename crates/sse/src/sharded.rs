@@ -76,9 +76,6 @@ pub enum Shard {
     Memory(EncryptedIndex),
     /// A disk-resident shard served via paged reads.
     File(FileShard),
-    /// A fault-injection wrapper around another shard (test support; see
-    /// the [`fault`](crate::fault) module).
-    Fault(FaultShard),
 }
 
 impl Shard {
@@ -86,45 +83,26 @@ impl Shard {
     pub fn as_memory(&self) -> Option<&EncryptedIndex> {
         match self {
             Shard::Memory(index) => Some(index),
-            Shard::File(_) | Shard::Fault(_) => None,
+            Shard::File(_) => None,
         }
-    }
-
-    /// The file backend of this shard, if that is what it is.
-    pub fn as_file(&self) -> Option<&FileShard> {
-        match self {
-            Shard::Memory(_) | Shard::Fault(_) => None,
-            Shard::File(shard) => Some(shard),
-        }
-    }
-
-    /// The shard underneath any fault-injection wrappers.
-    pub(crate) fn unwrap_faults(&self) -> &Shard {
-        let mut shard = self;
-        while let Shard::Fault(fault) = shard {
-            shard = &fault.inner;
-        }
-        shard
     }
 
     /// Loads `label`'s table slot ahead of its probe (the
-    /// [`IndexLookup::prefetch`] hint). A fault wrapper forwards it to the
-    /// shard it wraps without consulting its injector: a hint is no probe.
+    /// [`IndexLookup::prefetch`] hint). A hint is no probe: it passes no
+    /// probe gate.
     fn prefetch(&self, label: &Label) {
         match self {
             Shard::Memory(index) => index.table.prefetch(label),
             Shard::File(shard) => shard.prefetch(label),
-            Shard::Fault(fault) => fault.inner.prefetch(label),
         }
     }
 
     /// Returns this shard's stored ciphertexts (copied out; used by
     /// leakage-oriented tests and tooling).
     pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        match self.unwrap_faults() {
+        match self {
             Shard::Memory(index) => Ok(index.ciphertexts().map(<[u8]>::to_vec).collect()),
             Shard::File(shard) => shard.ciphertexts(),
-            Shard::Fault(_) => unreachable!("unwrap_faults removes fault wrappers"),
         }
     }
 }
@@ -134,7 +112,6 @@ impl ShardStorage for Shard {
         match self {
             Shard::Memory(index) => Ok(index.get(label).map(CipherSpan::borrowed)),
             Shard::File(shard) => ShardStorage::try_get(shard, label),
-            Shard::Fault(fault) => ShardStorage::try_get(fault, label),
         }
     }
 
@@ -142,7 +119,6 @@ impl ShardStorage for Shard {
         match self {
             Shard::Memory(index) => index.len(),
             Shard::File(shard) => ShardStorage::len(shard),
-            Shard::Fault(fault) => ShardStorage::len(fault),
         }
     }
 
@@ -150,50 +126,7 @@ impl ShardStorage for Shard {
         match self {
             Shard::Memory(index) => index.storage_bytes(),
             Shard::File(shard) => ShardStorage::storage_bytes(shard),
-            Shard::Fault(fault) => ShardStorage::storage_bytes(fault),
         }
-    }
-}
-
-/// A [`ShardStorage`] wrapper that routes every probe through a shared
-/// [`FaultInjector`](crate::fault::FaultInjector) before delegating to the
-/// wrapped shard — failing probes surface as typed [`StorageError::Io`]s,
-/// exactly what a real failed block read produces.
-///
-/// The injector is shared across every shard wrapped in one
-/// [`FaultInjectable`](crate::fault::FaultInjectable) injection call (and
-/// across clones), so probe counting is global: "the N-th block read of the
-/// index fails" holds regardless of which shard the N-th probe lands in.
-/// Used by the fault-injection tests and the chaos harness; a production
-/// index never contains fault wrappers.
-#[derive(Clone, Debug)]
-pub struct FaultShard {
-    inner: Box<Shard>,
-    /// The wrapped shard's id (label-prefix value) — the unit of per-shard
-    /// fault targeting.
-    shard_id: u32,
-    /// The shared fault-decision state (see the [`fault`](crate::fault)
-    /// module).
-    injector: Arc<crate::fault::FaultInjector>,
-}
-
-impl FaultShard {
-    /// The synthetic path reported by injected failures.
-    pub const FAULT_PATH: &'static str = "<injected-fault>";
-}
-
-impl ShardStorage for FaultShard {
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        self.injector.decide(self.shard_id)?;
-        ShardStorage::try_get(&*self.inner, label)
-    }
-
-    fn len(&self) -> usize {
-        ShardStorage::len(&*self.inner)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        ShardStorage::storage_bytes(&*self.inner)
     }
 }
 
@@ -303,9 +236,7 @@ impl ShardedIndex {
     /// Whether the shards are served from disk (paged reads) rather than
     /// from in-memory arenas.
     pub fn is_file_backed(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| matches!(s.unwrap_faults(), Shard::File(_)))
+        self.shards.iter().any(|s| matches!(s, Shard::File(_)))
     }
 
     /// The shard an entry with this label would live in.
@@ -340,10 +271,9 @@ impl ShardedIndex {
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| match shard.unwrap_faults() {
+            .map(|shard| match shard {
                 Shard::Memory(index) => index.resident_bytes(),
                 Shard::File(file) => file.directory_bytes() + file.resident_bytes(),
-                Shard::Fault(_) => unreachable!("unwrap_faults removes fault wrappers"),
             })
             .sum()
     }
@@ -355,9 +285,9 @@ impl ShardedIndex {
     pub fn read_errors(&self) -> u64 {
         self.shards
             .iter()
-            .map(|shard| match shard.unwrap_faults() {
+            .map(|shard| match shard {
                 Shard::File(file) => file.read_errors(),
-                _ => 0,
+                Shard::Memory(_) => 0,
             })
             .sum()
     }
@@ -372,7 +302,7 @@ impl ShardedIndex {
         let mut stats = CacheStats::default();
         let mut caches: Vec<*const BlockCache> = Vec::new();
         for shard in &self.shards {
-            if let Shard::File(file) = shard.unwrap_faults() {
+            if let Shard::File(file) = shard {
                 let shard_stats = file.cache_stats();
                 stats.hits += shard_stats.hits;
                 stats.misses += shard_stats.misses;
@@ -409,22 +339,6 @@ impl ShardedIndex {
             out.extend(shard.ciphertexts()?);
         }
         Ok(out)
-    }
-
-    /// Wraps every shard in a [`FaultShard`] consulting the given shared
-    /// [`FaultInjector`](crate::fault::FaultInjector) — the primitive
-    /// underneath the [`FaultInjectable`](crate::fault::FaultInjectable)
-    /// trait, which is the surface tests should use. Test support; a
-    /// production index never contains fault wrappers.
-    pub fn attach_fault_injector(&mut self, injector: &Arc<crate::fault::FaultInjector>) {
-        for (shard_id, shard) in self.shards.iter_mut().enumerate() {
-            let inner = Box::new(shard.clone());
-            *shard = Shard::Fault(FaultShard {
-                inner,
-                shard_id: shard_id as u32,
-                injector: Arc::clone(injector),
-            });
-        }
     }
 
     /// Serializes every shard (plus an `index.meta` manifest) into `dir`,
@@ -676,7 +590,8 @@ impl IndexLookup for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultInjectable;
+    use crate::fault::FaultPlan;
+    use crate::formats::arm_faults;
     use crate::pibas::reference::{self, build_stored, search, search_batch_scan};
     use crate::pibas::{SearchToken, SseKey, SseScheme, LABEL_LEN};
     use crate::storage::test_support::TempDir;
@@ -1016,14 +931,12 @@ mod tests {
     }
 
     /// `IndexLookup::prefetch` is a hint and nothing else: on a budgeted
-    /// on-disk index (budget 0, then one 4 KiB block) behind a fault
-    /// injector, prefetching every label a query will probe — and labels
-    /// past its list — reads no block, moves no cache counter and
-    /// consults no injector, while the queries between the hints move all
-    /// of them.
+    /// on-disk index (budget 0, then one 4 KiB block) under an armed fault
+    /// plan, prefetching every label a query will probe — and labels past
+    /// its list — reads no block, moves no cache counter and consults no
+    /// injector, while the queries between the hints move all of them.
     #[test]
     fn prefetch_reads_no_block_and_consults_no_injector() {
-        use crate::fault::FaultPlan;
         use crate::pibas::TokenLabeler;
 
         let mut rng = ChaCha20Rng::seed_from_u64(45);
@@ -1041,8 +954,8 @@ mod tests {
         let dir = TempDir::new("prefetch");
         build_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng).unwrap();
         for budget in [0, 4 << 10] {
-            let mut index = ShardedIndex::open_dir_with_budget(dir.path(), Some(budget)).unwrap();
-            let injector = index.inject_fault_plan(FaultPlan::seeded(3).fault_rate(0.25));
+            let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(budget)).unwrap();
+            let injector = arm_faults(dir.path(), FaultPlan::seeded(3).fault_rate(0.25), None);
             let counters = |index: &ShardedIndex| {
                 (
                     index.cache_stats(),
@@ -1082,17 +995,22 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut index = in_memory_index(&key, &db, 2, &mut rng);
+        let dir = TempDir::new("injected-faults");
+        let index =
+            build_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng).unwrap();
         let token = SseScheme::trapdoor(&key, b"kw1");
         assert_eq!(search(&index, &token).unwrap().len(), 8);
 
         // Let the first 3 probes through, then fail everything: the scan
         // (8 hits + 1 terminating miss) must abort with the typed error
-        // instead of returning a silently shortened result.
-        index.inject_read_faults(3);
+        // instead of returning a silently shortened result. The error names
+        // the file the fourth probe (counter 3) was routed to.
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(3), None);
+        let failing = crate::pibas::TokenLabeler::new(&token).label_at(3);
+        let failing_file = dir.path().join(shard_file_name(index.shard_of(&failing)));
         match search(&index, &token) {
             Err(StorageError::Io { path, .. }) => {
-                assert_eq!(path, Path::new(FaultShard::FAULT_PATH));
+                assert_eq!(path, failing_file);
             }
             other => panic!("expected Err(Io), got {other:?}"),
         }
@@ -1103,6 +1021,85 @@ mod tests {
             Err(reference::SearchError::Storage(StorageError::Io { .. })) => {}
             other => panic!("expected Storage error, got {other:?}"),
         }
+    }
+
+    /// A fault scope covers its prefix and nothing else: two on-disk
+    /// indexes under sibling roots are probed from two threads while one
+    /// root is armed to fail every probe. The other answers exactly as it
+    /// does fault-free, the scope counts only its own root's probes, the
+    /// armed index answers fault-free once the scope drops, and a prefix
+    /// with no shard file under it draws no probe at all.
+    #[test]
+    fn fault_scopes_cover_their_prefix_and_disarm_on_drop() {
+        let mut rng = ChaCha20Rng::seed_from_u64(46);
+        let key = SseScheme::setup(&mut rng);
+        let db = db_from(
+            &(0..64u64)
+                .map(|i| {
+                    (
+                        format!("kw{}", i % 4).into_bytes(),
+                        i.to_le_bytes().to_vec(),
+                    )
+                })
+                .collect::<Vec<_>>(),
+        );
+        let (root_a, root_b) = (TempDir::new("scope-a"), TempDir::new("scope-b"));
+        let a = build_stored(
+            &key,
+            &db,
+            &StorageConfig::on_disk(2, root_a.path()),
+            &mut rng,
+        )
+        .unwrap();
+        let b = build_stored(
+            &key,
+            &db,
+            &StorageConfig::on_disk(1, root_b.path()),
+            &mut rng,
+        )
+        .unwrap();
+        let tokens: Vec<SearchToken> = (0..4)
+            .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
+            .collect();
+        let answers = |index: &ShardedIndex| -> Vec<Vec<Vec<u8>>> {
+            tokens.iter().map(|t| search(index, t).unwrap()).collect()
+        };
+        let (reference_a, reference_b) = (answers(&a), answers(&b));
+
+        let scope = arm_faults(root_a.path(), FaultPlan::seeded(1).fault_rate(1.0), None);
+        let rounds = 50;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|threads| {
+            threads.spawn(|| {
+                start.wait();
+                for _ in 0..rounds {
+                    for token in &tokens {
+                        assert!(matches!(
+                            search(&a, token),
+                            Err(StorageError::Io { path, .. }) if path.starts_with(root_a.path())
+                        ));
+                    }
+                }
+            });
+            threads.spawn(|| {
+                start.wait();
+                for _ in 0..rounds {
+                    assert_eq!(answers(&b), reference_b, "the unarmed root is untouched");
+                }
+            });
+        });
+        // Every search of A fails at its first probe; B's probes count nowhere.
+        let searches = (rounds * tokens.len()) as u64;
+        assert_eq!(scope.probes_issued(), searches);
+        assert_eq!(scope.faults_injected(), searches);
+        assert_eq!(a.read_errors(), 0, "an injected fault reads nothing");
+        drop(scope);
+        assert_eq!(answers(&a), reference_a, "disarmed on drop");
+
+        let empty = TempDir::new("scope-empty");
+        let scope = arm_faults(empty.path(), FaultPlan::seeded(1).fault_rate(1.0), None);
+        assert_eq!((answers(&a), answers(&b)), (reference_a, reference_b));
+        assert_eq!(scope.probes_issued(), 0);
     }
 
     proptest! {

@@ -21,7 +21,8 @@
 //!   through the index-wide clock block cache when a budget is set. A
 //!   span's block is found by arithmetic — a page → block index, one entry
 //!   per 4 KiB of region — and the cache hashes its `(shard, block)` key
-//!   with one multiply, not SipHash.
+//!   with one multiply, not SipHash. Every probe first passes the probe
+//!   gate of [`formats`], where a test can arm a fault plan.
 //! * [`StorageConfig`] / [`StorageBackend`] / [`BuildBudget`] — the knob
 //!   threaded through `BuildIndex` (and, in `rsse-core`, through
 //!   `RangeScheme::build_stored` and the update manager) selecting where an
@@ -743,18 +744,19 @@ enum BlockStore {
     /// poisons a block permanently (the probe itself surfaces the failure
     /// as a typed error).
     Resident(Vec<OnceLock<Box<[u8]>>>),
-    /// Budgeted: blocks live in the index-wide clock [`BlockCache`] and
-    /// can be evicted; probes pin the block they need via `Arc`.
-    Cached {
-        cache: Arc<BlockCache>,
-        /// This shard's index within the cache key space.
-        shard: u32,
-    },
+    /// Budgeted: blocks live in the index-wide clock [`BlockCache`], keyed
+    /// by shard number and block, and can be evicted; probes pin the block
+    /// they need via `Arc`.
+    Cached(Arc<BlockCache>),
 }
 
 struct FileShardInner {
-    /// Path the shard was opened from (error reporting, re-serialization).
+    /// Path the shard was opened from (error reporting, re-serialization,
+    /// the probe gate).
     path: PathBuf,
+    /// This shard's number in its index: the probe gate's shard and the
+    /// block cache's key space.
+    shard: u32,
     /// The open shard file; all reads go through positioned `read_at`.
     file: File,
     /// The resident bucket directory: label → (region offset, len).
@@ -804,7 +806,7 @@ impl fmt::Debug for FileShard {
             .field("blocks", &self.inner.blocks.len())
             .field(
                 "budgeted",
-                &matches!(self.inner.store, BlockStore::Cached { .. }),
+                &matches!(self.inner.store, BlockStore::Cached(_)),
             )
             .field("resident_bytes", &self.resident_bytes())
             .finish()
@@ -1002,12 +1004,13 @@ impl FileShard {
             blocks.push((block_start as u32, (running - block_start) as u32));
         }
         let store = match cache {
-            Some(cache) => BlockStore::Cached { cache, shard },
+            Some(cache) => BlockStore::Cached(cache),
             None => BlockStore::Resident(blocks.iter().map(|_| OnceLock::new()).collect()),
         };
         Ok(Self {
             inner: Arc::new(FileShardInner {
                 path: path.to_path_buf(),
+                shard,
                 file,
                 table,
                 region_offset: SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN,
@@ -1060,7 +1063,7 @@ impl FileShard {
                 .filter_map(OnceLock::get)
                 .map(|data| data.len())
                 .sum(),
-            BlockStore::Cached { cache, shard } => cache.shard_resident_bytes(*shard),
+            BlockStore::Cached(cache) => cache.shard_resident_bytes(self.inner.shard),
         }
     }
 
@@ -1082,7 +1085,7 @@ impl FileShard {
     pub(crate) fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         match &self.inner.store {
             BlockStore::Resident(_) => None,
-            BlockStore::Cached { cache, .. } => Some(cache),
+            BlockStore::Cached(cache) => Some(cache),
         }
     }
 
@@ -1131,8 +1134,8 @@ impl FileShard {
                 };
                 Ok(CipherSpan::borrowed(&data[rel..rel + len as usize]))
             }
-            BlockStore::Cached { cache, shard } => {
-                let key = (*shard, index as u32);
+            BlockStore::Cached(cache) => {
+                let key = (inner.shard, index as u32);
                 let data = match cache.get(key) {
                     Some(data) => {
                         inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -1244,6 +1247,7 @@ impl FileShard {
 
 impl ShardStorage for FileShard {
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
+        formats::probe_gate(&self.inner.path, self.inner.shard)?;
         match self.inner.table.get(label) {
             Some(&(offset, len)) => self.span(offset, len).map(Some),
             None => Ok(None),
@@ -1458,12 +1462,9 @@ fn write_shard_files(
         .into_par_iter()
         .map(|(i, shard)| {
             let path = dir.join(shard_file_name(i));
-            match shard.unwrap_faults() {
+            match shard {
                 crate::sharded::Shard::Memory(index) => write_memory_shard(&path, index),
                 crate::sharded::Shard::File(file) => write_file_shard(&path, file),
-                crate::sharded::Shard::Fault(_) => {
-                    unreachable!("unwrap_faults removes fault wrappers")
-                }
             }
         })
         .collect();

@@ -19,9 +19,10 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
-use rsse::core::StorageConfig;
+use rsse::core::{QueryServer, StorageConfig};
 use rsse::prelude::*;
-use rsse::sse::{FaultInjectable, FaultPlan, SearchToken};
+use rsse::sse::formats::arm_faults;
+use rsse::sse::{FaultPlan, SearchToken};
 
 fn main() {
     // ---------------------------------------------------------------
@@ -100,13 +101,19 @@ fn main() {
     );
 
     // ---------------------------------------------------------------
-    // 4. Degraded mode: a transient fault window hits the first probes,
-    //    the serving layer retries just the failed blocks under its token
-    //    budget, and the batch comes back byte-identical.
+    // 4. Degraded mode: the index is saved to disk and served from there,
+    //    a transient fault window armed on its directory hits the first
+    //    probes, the serving layer retries just the failed blocks under its
+    //    token budget, and the batch comes back byte-identical.
     // ---------------------------------------------------------------
-    let mut chaotic = sequential_server.into_query_server();
-    chaotic.inject_fault_plan(FaultPlan::transient_window(0, 3));
-    let degraded = ResilientServer::new(chaotic, ServeConfig::default());
+    let dir = std::env::temp_dir().join(format!("rsse-batched-demo-{}", std::process::id()));
+    sequential_server
+        .index()
+        .save_to_dir(&dir)
+        .expect("save the index");
+    let on_disk = QueryServer::open_dir(&dir).expect("cold-open saved index");
+    let hiccup = arm_faults(&dir, FaultPlan::transient_window(0, 3), None);
+    let degraded = ResilientServer::new(on_disk, ServeConfig::default());
     let recovered: Vec<QueryOutcome> = degraded
         .answer_many(&queries)
         .into_iter()
@@ -122,6 +129,8 @@ fn main() {
          outcomes byte-identical",
         stats.faults_absorbed, stats.retries, stats.retry_tokens,
     );
+    drop(hiccup);
+    std::fs::remove_dir_all(&dir).expect("clean up demo directory");
 
     // ---------------------------------------------------------------
     // 5. Zipf-hot traffic: many clients hammering the same few ranges.

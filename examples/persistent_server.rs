@@ -32,7 +32,8 @@ use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::StorageConfig;
 use rsse::prelude::*;
-use rsse::sse::{FaultInjectable, FaultPlan, SearchToken};
+use rsse::sse::formats::arm_faults;
+use rsse::sse::{FaultPlan, SearchToken};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("rsse-persistent-demo-{}", std::process::id()));
@@ -151,13 +152,14 @@ fn main() {
 
     // ---------------------------------------------------------------
     // 5. Degraded mode on the persistent path: the first probes of a fresh
-    //    cold-open fail transiently (an injected fault window — say a NAS
-    //    hiccup right after a failover); failed blocks are never cached, so
-    //    each retry re-reads from disk and the batch completes
-    //    byte-identically, with the absorption visible in the stats.
+    //    cold-open fail transiently (a fault window armed on the index
+    //    directory — say a NAS hiccup right after a failover); failed
+    //    blocks are never cached, so each retry re-reads from disk and the
+    //    batch completes byte-identically, with the absorption visible in
+    //    the stats.
     // ---------------------------------------------------------------
-    let mut flaky = QueryServer::open_dir(&dir).expect("cold-open saved index");
-    flaky.inject_fault_plan(FaultPlan::transient_window(0, 3));
+    let flaky = QueryServer::open_dir(&dir).expect("cold-open saved index");
+    let hiccup = arm_faults(&dir, FaultPlan::transient_window(0, 3), None);
     let degraded = ResilientServer::new(flaky, ServeConfig::default());
     let recovered: Vec<QueryOutcome> = degraded
         .answer_many(&queries)
@@ -174,6 +176,7 @@ fn main() {
          byte-identical",
         stats.faults_absorbed, stats.retries,
     );
+    drop(hiccup);
 
     std::fs::remove_dir_all(&dir).expect("clean up demo directory");
 }

@@ -29,8 +29,10 @@ use rsse::serve::{
     AdmissionConfig, BatchConfig, BreakerConfig, BreakerState, Clock, ResilientServer, ServeConfig,
     ServeError, VirtualClock,
 };
+use rsse::sse::formats::{arm_faults, FaultScope};
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{FaultInjectable, FaultPlan, SearchToken, TokenLabeler};
+use rsse::sse::{FaultPlan, SearchToken, TokenLabeler};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,7 +76,14 @@ struct Lane {
     name: &'static str,
     client: LogScheme,
     qs: QueryServer,
-    _dir: Option<TempDir>,
+    dir: Option<TempDir>,
+}
+
+impl Lane {
+    /// The on-disk lane's index directory, where a fault plan is armed.
+    fn dir(&self) -> &Path {
+        self.dir.as_ref().expect("the on-disk lane").path()
+    }
 }
 
 /// Builds both backend lanes for one seed: an in-memory sharded index, and
@@ -93,7 +102,7 @@ fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
         name: "in_memory",
         client,
         qs: server.into_query_server(),
-        _dir: None,
+        dir: None,
     };
 
     let dir = TempDir::new(tag);
@@ -113,7 +122,7 @@ fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
         name: "on_disk",
         client,
         qs,
-        _dir: Some(dir),
+        dir: Some(dir),
     };
 
     vec![mem, disk]
@@ -235,8 +244,8 @@ fn identical_queries_share_every_probe() {
 /// outcomes stay byte-identical to the healthy server's.
 #[test]
 fn batch_absorbs_transient_faults_byte_identically() {
-    let lane = lanes(11, "batch-fault").remove(0);
-    let qs = lane.qs;
+    let lane = lanes(11, "batch-fault").remove(1);
+    let qs = lane.qs.clone();
     let queries: Vec<Vec<SearchToken>> = query_mix(11, Domain::new(1 << 12), 24)
         .into_iter()
         .filter_map(|r| lane.client.trapdoor(r))
@@ -245,9 +254,8 @@ fn batch_absorbs_transient_faults_byte_identically() {
     let healthy = ResilientServer::new(qs.clone(), serve_config());
     let expected = healthy.answer_batch(&queries);
 
-    let mut chaotic = qs;
-    chaotic.inject_fault_plan(FaultPlan::transient_window(2, 4));
-    let degraded = ResilientServer::new(chaotic, serve_config());
+    let _faults = arm_faults(lane.dir(), FaultPlan::transient_window(2, 4), None);
+    let degraded = ResilientServer::new(qs, serve_config());
     let recovered = degraded.answer_batch(&queries);
 
     for (slot, expect) in recovered.iter().zip(&expected) {
@@ -446,27 +454,29 @@ proptest! {
 /// A deadline-staggered pair on one virtual clock: `first` is enqueued with
 /// 4.5 ms of its 10 s budget left by drain time, `second` with the whole
 /// budget — effectively unbounded at 1 ms of injected latency per probe.
-/// Returns the server (drained through `drain_batched`, scanning inline so
-/// the probe order is the plan order) and its clock.
+/// Returns the server over `lane` (drained through `drain_batched`,
+/// scanning inline so the probe order is the plan order), its clock, and
+/// the latency plan armed on the lane's directory.
 fn staggered_pair(
-    mut qs: QueryServer,
+    lane: &Lane,
     first: &[SearchToken],
     second: &[SearchToken],
-) -> (ResilientServer, Arc<VirtualClock>) {
+) -> (ResilientServer, Arc<VirtualClock>, FaultScope) {
     let clock = Arc::new(VirtualClock::new());
-    qs.inject_fault_plan_with_delay(
+    let latency = arm_faults(
+        lane.dir(),
         FaultPlan::seeded(1).latency(Duration::from_millis(1)),
-        clock.delay_hook(),
+        Some(clock.delay_hook()),
     );
     let config = ServeConfig {
         default_deadline: Some(Duration::from_secs(10)),
         ..config_of(1)
     };
-    let serve = ResilientServer::with_clock(qs, config, clock.clone());
+    let serve = ResilientServer::with_clock(lane.qs.clone(), config, clock.clone());
     serve.enqueue("tenant-a", first.to_vec()).expect("fits");
     clock.advance(Duration::from_secs(10) - Duration::from_micros(4500));
     serve.enqueue("tenant-b", second.to_vec()).expect("fits");
-    (serve, clock)
+    (serve, clock, latency)
 }
 
 /// A deadline passing *mid-scan* cuts only the work nobody else can use:
@@ -476,7 +486,7 @@ fn staggered_pair(
 /// byte-identically.
 #[test]
 fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
-    let lane = lanes(3, "batch-midscan").remove(0);
+    let lane = lanes(3, "batch-midscan").remove(1);
     let reference = ResilientServer::new(lane.qs.clone(), serve_config());
     // BRC covers sharing exactly the node [512, 767] (trapdoors come
     // shuffled, so the shared token sits anywhere in either vector).
@@ -518,7 +528,7 @@ fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
     let full: usize = groups.iter().map(Vec::len).sum();
     assert!(expected_ids.len() < full, "the cut must lose something");
 
-    let (serve, _clock) = staggered_pair(lane.qs, &cut, &sharer);
+    let (serve, _clock, _latency) = staggered_pair(&lane, &cut, &sharer);
     let drained = serve.drain_batched();
     match &drained[0].1 {
         Err(ServeError::DeadlineExceeded {
@@ -549,7 +559,7 @@ fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
 /// discard an answer that is already there.
 #[test]
 fn fully_resolved_query_is_not_cut_by_its_deadline() {
-    let lane = lanes(3, "batch-resolved").remove(0);
+    let lane = lanes(3, "batch-resolved").remove(1);
     let tokens = lane
         .client
         .trapdoor(Range::new(50, 700))
@@ -558,7 +568,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
         .answer(&tokens)
         .expect("healthy backend");
 
-    let (serve, clock) = staggered_pair(lane.qs, &tokens, &tokens);
+    let (serve, clock, _latency) = staggered_pair(&lane, &tokens, &tokens);
     let drained = serve.drain_batched();
     assert!(
         clock.now() > Duration::from_secs(10),
@@ -576,7 +586,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
 /// `ShardUnavailable` — and every other query completes byte-identically.
 #[test]
 fn open_breaker_fails_only_the_queries_probing_its_shard() {
-    let lane = lanes(17, "batch-breaker").remove(0);
+    let lane = lanes(17, "batch-breaker").remove(1);
     let reference = ResilientServer::new(lane.qs.clone(), serve_config());
     // Narrow ranges (a handful of probes each), every one asked twice.
     let queries: Vec<Vec<SearchToken>> = (0..24u64)
@@ -594,17 +604,23 @@ fn open_breaker_fails_only_the_queries_probing_its_shard() {
             for counter in 0u64.. {
                 let label = labeler.label_at(counter);
                 shards.push(index.shard_of(&label) as u32);
-                if index.try_get(&label).expect("in-memory").is_none() {
+                if index.try_get(&label).expect("healthy backend").is_none() {
                     break;
                 }
             }
         }
         shards
     };
-    let dead = shards_of(&queries[0])[0];
+    // Both are read off the same files the plan is armed on, so before it.
+    let probed: Vec<Vec<u32>> = queries.iter().map(|query| shards_of(query)).collect();
+    let answers: Vec<_> = queries
+        .iter()
+        .map(|query| reference.answer(query))
+        .collect();
+    let dead = probed[0][0];
 
-    let mut qs = lane.qs.clone();
-    qs.inject_fault_plan(FaultPlan::seeded(1).dead_shard(dead));
+    let _faults = arm_faults(lane.dir(), FaultPlan::seeded(1).dead_shard(dead), None);
+    let qs = lane.qs.clone();
     let config = ServeConfig {
         breaker: BreakerConfig {
             failure_threshold: 1,
@@ -621,8 +637,8 @@ fn open_breaker_fails_only_the_queries_probing_its_shard() {
 
     let outcomes = serve.answer_batch(&queries);
     let mut failed = 0u64;
-    for (query, outcome) in queries.iter().zip(&outcomes) {
-        if shards_of(query).contains(&dead) {
+    for ((shards, answer), outcome) in probed.iter().zip(&answers).zip(&outcomes) {
+        if shards.contains(&dead) {
             failed += 1;
             match outcome {
                 Err(ServeError::ShardUnavailable { shard, .. }) => assert_eq!(*shard, dead),
@@ -631,7 +647,7 @@ fn open_breaker_fails_only_the_queries_probing_its_shard() {
         } else {
             assert_eq!(
                 outcome.as_ref().expect("never probes the open shard"),
-                &reference.answer(query).expect("healthy backend"),
+                answer.as_ref().expect("healthy backend"),
             );
         }
     }

@@ -17,8 +17,9 @@ use rsse::core::schemes::log_src_i::LogSrcIScheme;
 use rsse::core::{QueryServer, RangeScheme, StorageConfig, StorageError};
 use rsse::prelude::*;
 use rsse::serve::{ResilientServer, ServeConfig};
+use rsse::sse::formats::arm_faults;
 use rsse::sse::test_support::TempDir;
-use rsse::sse::FaultInjectable;
+use rsse::sse::FaultPlan;
 
 fn dataset(domain_size: u64, n: u64) -> Dataset {
     let domain = Domain::new(domain_size);
@@ -52,7 +53,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
     for kind in [CoverKind::Brc, CoverKind::Urc] {
         let dir = TempDir::new("fault-log");
         let mut rng = ChaCha20Rng::seed_from_u64(1);
-        let (client, mut server) = LogScheme::build_full_stored(
+        let (client, server) = LogScheme::build_full_stored(
             &data,
             kind,
             false,
@@ -68,7 +69,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
             ),
             expected
         );
-        server.inject_read_faults(5);
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(5), None);
         let err = client
             .try_query(&server, range)
             .expect_err("a failing disk must not produce an Ok outcome");
@@ -83,7 +84,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
     {
         let dir = TempDir::new("fault-constant");
         let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let (client, mut server) = ConstantScheme::build_stored_with(
+        let (client, server) = ConstantScheme::build_stored_with(
             &data,
             CoverKind::Brc,
             &StorageConfig::on_disk(0, dir.path()),
@@ -98,7 +99,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
             ),
             expected
         );
-        server.inject_read_faults(5);
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(5), None);
         let err = client
             .try_query(&server, range)
             .expect_err("must fail typed");
@@ -109,7 +110,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
     {
         let dir = TempDir::new("fault-src");
         let mut rng = ChaCha20Rng::seed_from_u64(3);
-        let (client, mut server) = LogSrcScheme::build_full_stored(
+        let (client, server) = LogSrcScheme::build_full_stored(
             &data,
             false,
             &StorageConfig::on_disk(1, dir.path()),
@@ -117,7 +118,7 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
         )
         .expect("on-disk build");
         assert!(client.try_query(&server, range).is_ok());
-        server.inject_read_faults(2);
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(2), None);
         let err = client
             .try_query(&server, range)
             .expect_err("must fail typed");
@@ -128,14 +129,15 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
     {
         let dir = TempDir::new("fault-srci");
         let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (client, mut server) = LogSrcIScheme::build_impl_stored(
+        let (client, server) = LogSrcIScheme::build_impl_stored(
             &data,
             &StorageConfig::on_disk(0, dir.path()),
             &mut rng,
         )
         .expect("on-disk build");
         assert!(client.try_query(&server, range).is_ok());
-        server.inject_read_faults(0);
+        // One scope over the root covers both dictionaries, `i1/` and `i2/`.
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(0), None);
         let err = client
             .try_query(&server, range)
             .expect_err("must fail typed");
@@ -174,7 +176,7 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
         .map(|&r| client.trapdoor(r).expect("in-domain range"))
         .collect();
 
-    let mut qs = QueryServer::open_dir(dir.path()).expect("cold-open");
+    let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
     let healthy = qs
         .answer_many(&queries)
         .into_iter()
@@ -191,7 +193,7 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
 
     // "Disk failed mid-search" is a typed error — NOT an empty result —
     // and with per-query reporting, every affected slot carries its own.
-    qs.inject_read_faults(25);
+    let _faults = arm_faults(dir.path(), FaultPlan::dead_after(25), None);
     let slots = qs.answer_many(&queries);
     assert_eq!(slots.len(), queries.len());
     assert!(
@@ -307,8 +309,9 @@ fn healthy_queries_in_a_faulted_batch_still_succeed() {
     let mut queries: Vec<Vec<rsse::sse::SearchToken>> = vec![Vec::new()];
     queries.extend((0..4u64).map(|i| client.trapdoor(Range::new(i * 500, i * 500 + 499)).unwrap()));
 
-    let mut qs = QueryServer::open_dir(dir.path()).expect("cold-open");
-    qs.inject_read_faults(0); // the disk is dead from the first probe
+    let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
+    // The disk is dead from the first probe.
+    let _faults = arm_faults(dir.path(), FaultPlan::dead_after(0), None);
     let slots = qs.answer_many(&queries);
     assert!(
         slots[0]
@@ -353,8 +356,8 @@ fn resilient_retry_absorbs_a_transient_fault_window() {
     // sees the failure, and its per-probe retry re-reads the now-healthy
     // block. Every slot must come back Ok and byte-identical, and the
     // absorption must be observable in the serving stats.
-    let mut qs = QueryServer::open_dir(dir.path()).expect("cold-open");
-    qs.inject_transient_read_faults(0, 1);
+    let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
+    let _faults = arm_faults(dir.path(), FaultPlan::transient_window(0, 1), None);
     let serve = ResilientServer::new(qs, ServeConfig::default());
     let slots = serve.answer_many(&queries);
     for (slot, expected) in slots.iter().zip(&reference) {

@@ -871,7 +871,11 @@ impl<B: ServeIndex> ResilientServer<B> {
     pub fn enqueue(&self, tenant: &str, tokens: Vec<SearchToken>) -> Result<Ticket, ServeError> {
         let now = self.clock.now();
         let deadline = self.config.default_deadline.map(|d| now + d);
-        let resident = self.backend.cache_stats().resident_bytes;
+        // Residency is sampled only when a pressure limit will read it.
+        let resident = match self.config.admission.shed_at_resident_bytes {
+            Some(_) => self.backend.cache_stats().resident_bytes,
+            None => 0,
+        };
         let mut queue = self.admission.lock().expect("admission lock");
         queue
             .enqueue(tenant, tokens, deadline, resident)

@@ -76,7 +76,7 @@ use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter};
 use crate::pibas::{encrypt_list_into, EncryptedIndex, Label, SearchToken, LABEL_LEN};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
-    shard_file_name, write_manifest, write_shard_header, BlockCache, FileShard, StorageBackend,
+    serve_shards, shard_file_name, write_manifest, write_shard_header, ShardLayout, StorageBackend,
     StorageConfig, StorageError,
 };
 use rand::{CryptoRng, RngCore};
@@ -991,25 +991,29 @@ impl Sink {
                 shards.into_iter().map(Shard::Memory).collect(),
             )),
             Sink::Disk { dir, shards, .. } => {
-                let cache = cache_budget.map(|budget| std::sync::Arc::new(BlockCache::new(budget)));
-                let finalize = |(i, stage): (usize, StageShard)| -> Result<Shard, StorageError> {
-                    let path = dir.join(shard_file_name(i));
-                    finalize_shard(&path, &spill.path, i, stage)?;
-                    FileShard::open_shard(&path, i as u32, bits, cache.clone()).map(Shard::File)
-                };
+                let finalize =
+                    |(i, stage): (usize, StageShard)| -> Result<ShardLayout, StorageError> {
+                        let path = dir.join(shard_file_name(i));
+                        finalize_shard(&path, &spill.path, i, stage)?;
+                        ShardLayout::open(&path, i as u32, bits, cache_budget.is_some())
+                    };
                 // Shards held in their buffers serialize and reopen in
                 // parallel. A build that overflowed to stage files is bound
                 // by the disk either way; it finalizes in shard order,
                 // which keeps its gated op log deterministic.
                 let jobs: Vec<(usize, StageShard)> = shards.into_iter().enumerate().collect();
-                let results: Vec<Result<Shard, StorageError>> =
+                let results: Vec<Result<ShardLayout, StorageError>> =
                     if jobs.iter().any(|(_, stage)| stage.staged) {
                         jobs.into_iter().map(finalize).collect()
                     } else {
                         jobs.into_par_iter().map(finalize).collect()
                     };
-                let shards = results.into_iter().collect::<Result<_, _>>()?;
-                Ok(ShardedIndex::from_parts(bits, shards))
+                let layouts = results.into_iter().collect::<Result<_, _>>()?;
+                let shards = serve_shards(layouts, cache_budget);
+                Ok(ShardedIndex::from_parts(
+                    bits,
+                    shards.into_iter().map(Shard::File).collect(),
+                ))
             }
         }
     }

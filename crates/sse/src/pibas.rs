@@ -40,7 +40,6 @@ use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rsse_crypto::{Key, Prf, StreamCipher, KEY_LEN};
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// Byte length of dictionary labels (128-bit truncated PRF outputs).
 pub const LABEL_LEN: usize = 16;
@@ -165,13 +164,20 @@ fn expand_labels<'p>(mut jobs: impl Iterator<Item = (&'p Prf, u64)>, out: &mut V
     }
 }
 
+/// Longest span a [`CipherSpan`] copied out of a cache holds inline: every
+/// fixed-stride ciphertext (a 24-byte id, a 40-byte SRC-i span) fits, so a
+/// probe of a budgeted shard allocates nothing.
+const INLINE_SPAN: usize = 40;
+
 /// A ciphertext resolved by a dictionary probe.
 ///
-/// In-memory arenas hand out plain borrows of their arena bytes; budgeted
-/// disk-backed shards hand out spans **pinned** inside a reference-counted
-/// cache block, which stays alive for as long as the span does even if the
-/// cache evicts the block concurrently. Either way the payload bytes are
-/// reached through [`Deref`], so search code never distinguishes the two.
+/// In-memory arenas and resident blocks hand out plain borrows of their
+/// bytes; a budgeted disk-backed shard hands out a **copy** of the span,
+/// taken out of its cache frame (or the block it just read), because the
+/// frame may be refilled with another block the moment the probe returns.
+/// A copy of up to 40 bytes is held inline, a longer one on the heap.
+/// Either way the payload bytes are reached through [`Deref`], so search
+/// code never distinguishes the two.
 #[derive(Clone, Debug)]
 pub struct CipherSpan<'a>(SpanRepr<'a>);
 
@@ -179,13 +185,10 @@ pub struct CipherSpan<'a>(SpanRepr<'a>);
 enum SpanRepr<'a> {
     /// Borrowed straight from an in-memory arena (or a resident block).
     Borrowed(&'a [u8]),
-    /// Pinned inside a shared cache block; the `Arc` keeps the block's
-    /// bytes alive across a concurrent eviction.
-    Pinned {
-        block: Arc<[u8]>,
-        offset: usize,
-        len: usize,
-    },
+    /// Copied out of a cache, short enough to live inline.
+    Inline { len: u8, bytes: [u8; INLINE_SPAN] },
+    /// Copied out of a cache, too long to live inline.
+    Owned(Box<[u8]>),
 }
 
 impl<'a> CipherSpan<'a> {
@@ -194,10 +197,21 @@ impl<'a> CipherSpan<'a> {
         CipherSpan(SpanRepr::Borrowed(bytes))
     }
 
-    /// A span pinned inside a reference-counted cache block.
-    pub fn pinned(block: Arc<[u8]>, offset: usize, len: usize) -> Self {
-        debug_assert!(offset + len <= block.len());
-        CipherSpan(SpanRepr::Pinned { block, offset, len })
+    /// A `len`-byte span copied out of storage that does not outlive the
+    /// probe: `fill` writes the bytes.
+    pub(crate) fn copied(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        if len <= INLINE_SPAN {
+            let mut bytes = [0u8; INLINE_SPAN];
+            fill(&mut bytes[..len]);
+            CipherSpan(SpanRepr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        } else {
+            let mut bytes = vec![0u8; len].into_boxed_slice();
+            fill(&mut bytes);
+            CipherSpan(SpanRepr::Owned(bytes))
+        }
     }
 }
 
@@ -207,7 +221,8 @@ impl Deref for CipherSpan<'_> {
     fn deref(&self) -> &[u8] {
         match &self.0 {
             SpanRepr::Borrowed(bytes) => bytes,
-            SpanRepr::Pinned { block, offset, len } => &block[*offset..*offset + *len],
+            SpanRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            SpanRepr::Owned(bytes) => bytes,
         }
     }
 }
@@ -1213,8 +1228,13 @@ mod tests {
         let resident = ShardedIndex::open_dir(dir.path()).unwrap();
         assert!(resident.is_file_backed());
         check_walk("file-backed", &resident, &oracle, &key, &tokens);
-        // A budget of one 4 KiB cache block: every block read evicts the last.
-        let paged = ShardedIndex::open_dir_with_budget(dir.path(), Some(4 << 10)).unwrap();
+        // A budget of one ~512-byte cache frame: every block read evicts
+        // the last.
+        let paged = ShardedIndex::open_dir_with_budget(dir.path(), Some(600)).unwrap();
+        assert_eq!(
+            paged.block_cache().map(|cache| cache.frame_count()),
+            Some(1)
+        );
         check_walk("file-backed, one block", &paged, &oracle, &key, &tokens);
     }
 

@@ -43,8 +43,9 @@
 use crate::formats;
 use crate::pibas::{CipherSpan, EncryptedIndex, IndexLookup, Label};
 use crate::storage::{
-    merge_shard_files, open_shards_from_dir, read_manifest, save_shards_to_dir, shard_file_name,
-    write_manifest, BlockCache, CacheStats, FileShard, ShardStorage, StorageError,
+    merge_shard_files, open_shards_from_dir, read_manifest, save_shards_to_dir, serve_shards,
+    shard_file_name, write_manifest, CacheStats, FileShard, ShardLayout, ShardStorage,
+    StorageError,
 };
 use rayon::prelude::*;
 use std::path::Path;
@@ -269,13 +270,15 @@ impl ShardedIndex {
     /// when one is set). The blocks are the part the spill-to-disk backend
     /// exists to bound.
     pub fn resident_bytes(&self) -> usize {
-        self.shards
+        let tables: usize = self
+            .shards
             .iter()
             .map(|shard| match shard {
                 Shard::Memory(index) => index.resident_bytes(),
-                Shard::File(file) => file.directory_bytes() + file.resident_bytes(),
+                Shard::File(file) => file.directory_bytes(),
             })
-            .sum()
+            .sum();
+        tables + self.cache_stats().resident_bytes
     }
 
     /// Number of paged block reads that have failed across all file-backed
@@ -298,26 +301,31 @@ impl ShardedIndex {
     /// and the ciphertext-block bytes
     /// currently resident (always 0 hits/misses/resident for a fully
     /// in-memory index, whose arenas bypass the block layer).
+    ///
+    /// Under a budget this is O(shards): per shard two counter loads, and
+    /// the shared cache's eviction and resident totals read once — cheap
+    /// enough for a server to sample per admitted query.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        let mut caches: Vec<*const BlockCache> = Vec::new();
+        let mut cache = None;
         for shard in &self.shards {
             if let Shard::File(file) = shard {
-                let shard_stats = file.cache_stats();
-                stats.hits += shard_stats.hits;
-                stats.misses += shard_stats.misses;
+                let (hits, misses) = file.probe_counts();
+                stats.hits += hits;
+                stats.misses += misses;
                 match file.block_cache() {
-                    Some(cache) => {
-                        let ptr = Arc::as_ptr(cache);
-                        if !caches.contains(&ptr) {
-                            caches.push(ptr);
-                            stats.evictions += cache.evictions();
-                            stats.resident_bytes += cache.resident_bytes();
-                        }
+                    Some(shared) => {
+                        debug_assert!(cache.is_none_or(|seen| Arc::ptr_eq(seen, shared)));
+                        cache = Some(shared);
                     }
-                    None => stats.resident_bytes += shard_stats.resident_bytes,
+                    None => stats.resident_bytes += file.resident_bytes(),
                 }
             }
+        }
+        // Every file shard of an index shares its one cache.
+        if let Some(cache) = cache {
+            stats.evictions = cache.evictions();
+            stats.resident_bytes += cache.resident_bytes();
         }
         stats
     }
@@ -506,8 +514,7 @@ impl ShardedIndex {
         formats::create_dir_all(out)?;
         let built = (|| {
             write_manifest(out, bits)?;
-            let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
-            let results: Vec<Result<Shard, StorageError>> = (0..1usize << bits)
+            let results: Vec<Result<ShardLayout, StorageError>> = (0..1usize << bits)
                 .collect::<Vec<_>>()
                 .into_par_iter()
                 .map(|s| {
@@ -515,13 +522,17 @@ impl ShardedIndex {
                         opened.iter().map(|(_, shards)| shards[s].clone()).collect();
                     let path = out.join(shard_file_name(s));
                     merge_shard_files(&parts, &path)?;
-                    FileShard::open_shard(&path, s as u32, bits, cache.clone()).map(Shard::File)
+                    ShardLayout::open(&path, s as u32, bits, cache_budget.is_some())
                 })
                 .collect();
-            let shards = results
+            let layouts = results
                 .into_iter()
-                .collect::<Result<Vec<Shard>, StorageError>>()?;
-            Ok(ShardedIndex { bits, shards })
+                .collect::<Result<Vec<ShardLayout>, StorageError>>()?;
+            let shards = serve_shards(layouts, cache_budget);
+            Ok(ShardedIndex {
+                bits,
+                shards: shards.into_iter().map(Shard::File).collect(),
+            })
         })();
         if built.is_err() {
             crate::storage::cleanup_partial_index(out, 1usize << bits);
@@ -603,6 +614,16 @@ mod tests {
     use rsse_crypto::{Key, KEY_LEN};
     use std::collections::BTreeSet;
     use std::fs;
+
+    impl ShardedIndex {
+        /// The block cache the index's file shards share, if budgeted.
+        pub(crate) fn block_cache(&self) -> Option<&Arc<crate::storage::BlockCache>> {
+            self.shards.iter().find_map(|shard| match shard {
+                Shard::File(file) => file.block_cache(),
+                Shard::Memory(_) => None,
+            })
+        }
+    }
 
     /// The reference build, in memory over `2^bits` shards.
     fn in_memory_index(
@@ -808,7 +829,7 @@ mod tests {
     #[test]
     fn budgeted_cache_bounds_residency_and_answers_identically() {
         // ~800 KiB of ciphertext → 200 cached blocks, one per entry (each
-        // is larger than the 4 KiB cut of a budgeted shard). A 25% budget
+        // is larger than the 512-byte cut of a budgeted shard). A 25% budget
         // must keep residency bounded while every query answers exactly
         // what the unbounded index answers.
         let mut rng = ChaCha20Rng::seed_from_u64(40);
@@ -867,12 +888,12 @@ mod tests {
     }
 
     /// The paging unit: one cold probe of a budgeted index faults in one
-    /// block of at most the 4 KiB cut plus the entry that crossed it, and
-    /// an entry larger than the cut is a block to itself — a block
+    /// block of at most the 512-byte cut plus the entry that crossed it,
+    /// and an entry larger than the cut is a block to itself — a block
     /// boundary never splits an entry.
     #[test]
-    fn cold_probe_faults_in_one_page_sized_block() {
-        const CUT: usize = 4 << 10;
+    fn cold_probe_faults_in_one_block() {
+        const CUT: usize = 512;
         for payload_len in [32usize, 6000] {
             let mut rng = ChaCha20Rng::seed_from_u64(46);
             let key = SseScheme::setup(&mut rng);
@@ -905,6 +926,65 @@ mod tests {
         }
     }
 
+    /// Cache frames are as large as the index's largest block, so
+    /// oversized entries (each a block to itself) still cache and hit on
+    /// repeat probes; and a budget far larger than the region allocates
+    /// no more frames than the index has blocks.
+    #[test]
+    fn frames_fit_the_largest_block_and_never_outnumber_the_blocks() {
+        let mut rng = ChaCha20Rng::seed_from_u64(47);
+        let key = SseScheme::setup(&mut rng);
+        let db = multi_block_db(60, 6000);
+        let dir = TempDir::new("frame-sizing");
+        build_stored(&key, &db, &StorageConfig::on_disk(1, dir.path()), &mut rng).unwrap();
+        let unbudgeted = ShardedIndex::open_dir(dir.path()).unwrap();
+        let region_bytes = unbudgeted.storage_bytes() - unbudgeted.len() * LABEL_LEN;
+        let index =
+            ShardedIndex::open_dir_with_budget(dir.path(), Some(20 * region_bytes)).unwrap();
+        // One entry per keyword, each larger than the cut: 60 blocks.
+        let frames = index.block_cache().expect("budgeted").frame_count();
+        assert!(frames > 0 && frames <= 60, "{frames} frames for 60 blocks");
+        for kw in 0..60u64 {
+            let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
+            assert_eq!(search(&index, &token).unwrap(), vec![vec![kw as u8; 6000]]);
+            let cold = index.cache_stats();
+            assert_eq!(search(&index, &token).unwrap(), vec![vec![kw as u8; 6000]]);
+            let warm = index.cache_stats();
+            assert_eq!(warm.misses, cold.misses, "kw{kw}: a repeat probe must hit");
+            assert!(warm.hits > cold.hits);
+        }
+        assert_eq!(index.cache_stats().evictions, 0);
+        assert_eq!(index.cache_stats().resident_bytes, region_bytes);
+    }
+
+    /// `cache_stats` reads the shared cache's resident total once instead
+    /// of walking it per shard: at rest the two agree.
+    #[test]
+    fn cache_stats_resident_equals_the_per_shard_walk() {
+        let mut rng = ChaCha20Rng::seed_from_u64(48);
+        let key = SseScheme::setup(&mut rng);
+        let db = multi_block_db(300, 40);
+        let dir = TempDir::new("stats-walk");
+        build_stored(&key, &db, &StorageConfig::on_disk(3, dir.path()), &mut rng).unwrap();
+        let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(8 << 10)).unwrap();
+        for kw in 0..300u64 {
+            let token = SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes());
+            search(&index, &token).unwrap();
+            let walked: usize = index
+                .shards
+                .iter()
+                .map(|shard| match shard {
+                    Shard::File(file) => file.cache_stats().resident_bytes,
+                    Shard::Memory(_) => 0,
+                })
+                .sum();
+            let stats = index.cache_stats();
+            assert_eq!(stats.resident_bytes, walked, "after kw{kw}");
+            assert!(stats.resident_bytes <= 8 << 10);
+        }
+        assert!(index.cache_stats().evictions > 0);
+    }
+
     #[test]
     fn zero_budget_still_answers_with_nothing_resident() {
         let mut rng = ChaCha20Rng::seed_from_u64(42);
@@ -931,7 +1011,7 @@ mod tests {
     }
 
     /// `IndexLookup::prefetch` is a hint and nothing else: on a budgeted
-    /// on-disk index (budget 0, then one 4 KiB block) under an armed fault
+    /// on-disk index (budget 0, then 4 KiB of frames) under an armed fault
     /// plan, prefetching every label a query will probe — and labels past
     /// its list — reads no block, moves no cache counter and consults no
     /// injector, while the queries between the hints move all of them.

@@ -16,13 +16,14 @@
 //!   in-memory arena's, sized once from the header's entry count; the one
 //!   pass that fills it also checks the spans' tiling, duplicate labels
 //!   and each label's shard routing. The region is cut into blocks along
-//!   entry boundaries (~64 KiB resident blocks, or ~4 KiB blocks under a
-//!   cache budget); a probe faults in only the block holding its span,
+//!   entry boundaries (~64 KiB resident blocks, or ~512-byte blocks under
+//!   a cache budget); a probe faults in only the block holding its span,
 //!   through the index-wide clock block cache when a budget is set. A
 //!   span's block is found by arithmetic — a page → block index, one entry
-//!   per 4 KiB of region — and the cache hashes its `(shard, block)` key
-//!   with one multiply, not SipHash. Every probe first passes the probe
-//!   gate of [`formats`], where a test can arm a fault plan.
+//!   per 512 bytes of region — and under a budget the shard's block →
+//!   frame map names the cache frame to copy the span out of, without a
+//!   lock. Every probe first passes the probe gate of [`formats`], where a
+//!   test can arm a fault plan.
 //! * [`StorageConfig`] / [`StorageBackend`] / [`BuildBudget`] — the knob
 //!   threaded through `BuildIndex` (and, in `rsse-core`, through
 //!   `RangeScheme::build_stored` and the update manager) selecting where an
@@ -66,15 +67,13 @@ use crate::formats::{
 };
 use crate::pibas::{CipherSpan, EncryptedIndex, Label, LABEL_LEN};
 use crate::sharded::shard_of_label;
-use crate::table::{fold_mix, LabelTable};
+use crate::table::LabelTable;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Positioned read into `buf` at `offset`, without touching any shared
@@ -124,15 +123,27 @@ const DIR_ENTRY_LEN: u64 = 24;
 /// Manifest file length in bytes.
 const MANIFEST_LEN: u64 = 24;
 
-/// Target paged-read block size of a **budgeted** shard: one page. A probe
-/// wants one entry of a few dozen bytes, so the block is what a miss
-/// over-reads and what the cache budget is spent on — larger blocks fill a
-/// budget with bytes no probe asked for. Blocks are cut along entry
-/// boundaries, so a block is at least this large only when its last entry
-/// crosses the threshold; a single entry larger than the target gets its
-/// own block. The cut is made at [`FileShard::open`] and is no part of the
-/// file format.
-const CACHED_BLOCK_TARGET: usize = 4 << 10;
+/// Target paged-read block size of a **budgeted** shard. A probe wants one
+/// entry of a few dozen bytes, so the block is what a miss over-reads and
+/// what the cache budget is spent on — larger blocks fill a budget with
+/// bytes no probe asked for. Blocks are cut along entry boundaries, so a
+/// block is at least this large only when its last entry crosses the
+/// threshold; a single entry larger than the target gets its own block.
+/// The cut is made at [`FileShard::open`] and is no part of the file
+/// format.
+///
+/// Measured, not a knob: traced `perf` `disk_hot` (2.1 M entries of ~24
+/// bytes, hot tenant ranges, budget = region / 10), seeds 1 and 7, on this
+/// frame cache —
+///
+/// | target | `sse.cache_hit_rate` | misses / query | resident |
+/// |--------|----------------------|----------------|----------|
+/// | 4 KiB  | 0.961, 0.954         | 3.75, 4.54     | 4.8 MB   |
+/// | 1 KiB  | 1.000, 1.000         | 0, 0           | 4.3 MB   |
+/// | 512 B  | 1.000, 1.000         | 0, 0           | 2.4 MB   |
+///
+/// 512 bytes holds the same hot set in half the memory of 1 KiB.
+const CACHED_BLOCK_TARGET: usize = 512;
 
 /// Target block size of an **unbudgeted** shard, cut the same way. A
 /// resident block is loaded once and never evicted, so over-reading costs
@@ -379,10 +390,12 @@ pub struct StorageConfig {
     /// file-backed index (`None` = unlimited: blocks stay resident once
     /// touched, exactly the pre-budget behavior). The budget covers the
     /// ciphertext blocks of **one** index — the bucket directories are
-    /// always resident — and is enforced by a sharded clock cache shared
-    /// by all of the index's shards; see
+    /// always resident — and is enforced by one clock cache of fixed-size
+    /// frames shared by all of the index's shards, which never holds more
+    /// than the budget; see
     /// [`ShardedIndex::cache_stats`](crate::ShardedIndex::cache_stats).
-    /// In-memory backends ignore it.
+    /// A budget below one frame (the index's largest block) caches
+    /// nothing. In-memory backends ignore it.
     pub cache_budget: Option<usize>,
     /// Memory budget for the build itself. `None` (the default) never
     /// spills: the transformed corpus is sorted in RAM. `Some` bounds the
@@ -521,181 +534,185 @@ pub struct CacheStats {
     pub resident_bytes: usize,
 }
 
-/// Number of independently locked cache segments. Keys spread over the
-/// segments by block hash, so concurrent probes rarely contend on one
-/// lock; the byte budget is split evenly across segments.
-const CACHE_SEGMENTS: usize = 8;
-
-/// A cached region block and its clock "referenced" bit.
-struct CacheSlot {
-    data: Arc<[u8]>,
-    referenced: bool,
+/// Key of a block in its index's cache: shard number above block number.
+fn block_key(shard: u32, block: usize) -> u64 {
+    (u64::from(shard) << 32) | block as u64
 }
 
-/// Hashes a `(shard, block)` cache key with one folded multiply instead of
-/// SipHash. The keys are the server's own block numbers — no other party
-/// chooses them — so a keyed, flood-resistant hash buys nothing on a path
-/// every probe of a budgeted index takes.
-#[derive(Default)]
-struct BlockKeyHasher(u64);
+/// Key of a frame that has never held a block (no shard reaches
+/// `u32::MAX`).
+const EMPTY_FRAME: u64 = u64::MAX;
 
-impl Hasher for BlockKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
-        }
-    }
+/// A shard's block → frame entry before the block is first cached (no
+/// index reaches `u32::MAX` frames).
+const NO_FRAME: u32 = u32::MAX;
 
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 << 32) | u64::from(n);
-    }
-
-    fn finish(&self) -> u64 {
-        fold_mix(self.0)
-    }
+/// The header of one cache frame; the frame's bytes are its words in
+/// [`BlockCache::words`].
+struct Frame {
+    /// Seqlock version: odd while a fill rewrites the frame. A reader that
+    /// sees the same even version before and after its copy copied one
+    /// block whole.
+    version: AtomicU64,
+    /// The [`block_key`] held, or [`EMPTY_FRAME`].
+    key: AtomicU64,
+    /// Length in bytes of the block held.
+    len: AtomicU32,
+    /// The clock's second-chance bit, set by hits.
+    referenced: AtomicBool,
 }
 
-/// One locked segment of the cache: the block map plus the clock ring the
-/// eviction hand walks.
-#[derive(Default)]
-struct CacheSegment {
-    slots: HashMap<(u32, u32), CacheSlot, BuildHasherDefault<BlockKeyHasher>>,
-    ring: Vec<(u32, u32)>,
-    hand: usize,
-}
-
-impl CacheSegment {
-    /// Evicts one block (second-chance clock: a referenced block gets its
-    /// bit cleared and the hand moves on; the first unreferenced block
-    /// goes). The ring is non-empty when this is called.
-    fn evict_one(&mut self) -> usize {
-        loop {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            let key = self.ring[self.hand];
-            let slot = self.slots.get_mut(&key).expect("ring keys are cached");
-            if slot.referenced {
-                slot.referenced = false;
-                self.hand += 1;
-                continue;
-            }
-            let freed = slot.data.len();
-            self.slots.remove(&key);
-            self.ring.swap_remove(self.hand);
-            return freed;
-        }
-    }
-}
-
-/// A sharded clock block cache bounding the resident ciphertext bytes of
-/// one file-backed index.
+/// The clock block cache bounding the resident ciphertext bytes of one
+/// file-backed index: a fixed array of frames, each the size of the
+/// index's largest block.
 ///
-/// All shards of an index share one cache; keys are
-/// `(shard index, block index)`, which the shard computes from a span's
-/// offset by arithmetic (its page → block index) and the segments hash
-/// with one multiply ([`BlockKeyHasher`]). Lookups set the block's clock bit;
-/// inserts evict unreferenced blocks — walking the segments round-robin,
-/// one lock at a time — until the **whole cache** is back inside the
-/// budget. Blocks are handed out as `Arc<[u8]>`, so a probe that is still
-/// decrypting a span keeps the bytes alive even if the block is evicted
-/// concurrently — eviction only drops the cache's reference.
+/// All shards of an index share one cache. A shard maps each of its blocks
+/// to the frame that last held it (an `AtomicU32` per block, kept by the
+/// shard); the frame's key tells a current entry from a stale one, so
+/// eviction never writes another shard's map. A **hit** takes no lock and
+/// writes nothing in the cache beyond setting a clear referenced bit: it
+/// copies its span's words out of the frame between two reads of the
+/// frame's seqlock version, and a version that moved makes it a miss,
+/// never torn bytes. A **miss** reads its block outside any lock; one fill mutex then
+/// covers picking the victim (second-chance clock), rewriting the frame
+/// under an odd version and publishing the shard's map entry.
+///
+/// The frame count is `min(budget / frame size, blocks in the index)`, so
+/// resident bytes never exceed the budget — at any instant, not only at
+/// rest — and a budget larger than the region allocates only what the
+/// region needs. A budget smaller than one frame caches nothing.
 pub(crate) struct BlockCache {
-    /// Total byte budget across all segments.
-    budget: usize,
-    segments: Vec<Mutex<CacheSegment>>,
-    /// Round-robin segment rotor the evictor walks.
-    evict_from: AtomicUsize,
+    frames: Box<[Frame]>,
+    /// The frames' bytes, `frame_words` little-endian words per frame.
+    words: Box<[AtomicU64]>,
+    frame_words: usize,
+    /// The clock hand; its lock is the fill mutex.
+    hand: Mutex<usize>,
     evictions: AtomicU64,
     resident: AtomicUsize,
 }
 
 impl BlockCache {
-    /// A cache enforcing `budget` bytes across all segments.
-    pub(crate) fn new(budget: usize) -> Self {
+    /// A cache of `budget` bytes for an index of `blocks` blocks whose
+    /// largest is `largest_block` bytes.
+    pub(crate) fn new(budget: usize, largest_block: usize, blocks: usize) -> Self {
+        let frame_words = largest_block.div_ceil(8).max(1);
+        let count = (budget / (frame_words * 8))
+            .min(blocks)
+            .min(NO_FRAME as usize);
         Self {
-            budget,
-            segments: (0..CACHE_SEGMENTS).map(|_| Mutex::default()).collect(),
-            evict_from: AtomicUsize::new(0),
+            frames: (0..count)
+                .map(|_| Frame {
+                    version: AtomicU64::new(0),
+                    key: AtomicU64::new(EMPTY_FRAME),
+                    len: AtomicU32::new(0),
+                    referenced: AtomicBool::new(false),
+                })
+                .collect(),
+            words: (0..count * frame_words)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            frame_words,
+            hand: Mutex::new(0),
             evictions: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
         }
     }
 
-    fn segment(&self, key: (u32, u32)) -> &Mutex<CacheSegment> {
-        let mix = (key.0 as usize).wrapping_mul(0x9E37_79B9) ^ (key.1 as usize);
-        &self.segments[mix % CACHE_SEGMENTS]
+    /// The words of frame `at`.
+    fn frame_words(&self, at: usize) -> &[AtomicU64] {
+        &self.words[at * self.frame_words..(at + 1) * self.frame_words]
     }
 
-    /// Looks up a block, marking it recently used.
-    fn get(&self, key: (u32, u32)) -> Option<Arc<[u8]>> {
-        let mut segment = self.segment(key).lock().expect("cache lock poisoned");
-        let slot = segment.slots.get_mut(&key)?;
-        slot.referenced = true;
-        Some(Arc::clone(&slot.data))
-    }
-
-    /// Evicts blocks — walking the segments round-robin, one lock at a
-    /// time, never nested — until `incoming` more bytes would fit the
-    /// budget. `attempts` bounds the walk in the rare case every segment
-    /// is empty while `resident` is still being settled by concurrent
-    /// inserts.
-    fn evict_to_fit(&self, incoming: usize) {
-        let mut attempts = 0usize;
-        while self.resident.load(Ordering::Relaxed) + incoming > self.budget
-            && attempts < 4 * CACHE_SEGMENTS
-        {
-            let at = self.evict_from.fetch_add(1, Ordering::Relaxed) % CACHE_SEGMENTS;
-            let mut segment = self.segments[at].lock().expect("cache lock poisoned");
-            if segment.ring.is_empty() {
-                attempts += 1;
-                continue;
+    /// Copies bytes `rel..rel + len` of the block `key` out of frame `at`
+    /// (the block's map entry), or `None` — a miss — if the frame holds
+    /// another block or a fill rewrote it during the copy.
+    fn read(&self, at: u32, key: u64, rel: usize, len: usize) -> Option<CipherSpan<'static>> {
+        let frame = self.frames.get(at as usize)?;
+        // Seqlock read. This Acquire pairs with the fill's closing Release
+        // store of the version, so an even version shows that fill's key,
+        // length and words. The Acquire fence after the copy pairs with the
+        // Release fence after a later fill's odd store: a copy that read
+        // any word that fill wrote re-reads a version that moved.
+        let version = frame.version.load(Ordering::Acquire);
+        if version & 1 == 1 || frame.key.load(Ordering::Relaxed) != key {
+            return None;
+        }
+        let words = &self.frame_words(at as usize)[rel / 8..(rel + len).div_ceil(8)];
+        let span = CipherSpan::copied(len, |out| {
+            // The first word starts `rel % 8` bytes before the span; every
+            // later word is copied from its first byte.
+            let mut skip = rel % 8;
+            let mut written = 0;
+            for word in words {
+                let bytes = word.load(Ordering::Relaxed).to_le_bytes();
+                let take = (8 - skip).min(len - written);
+                out[written..written + take].copy_from_slice(&bytes[skip..skip + take]);
+                written += take;
+                skip = 0;
             }
-            let freed = segment.evict_one();
-            drop(segment);
-            self.resident.fetch_sub(freed, Ordering::Relaxed);
+        });
+        fence(Ordering::Acquire);
+        if frame.version.load(Ordering::Relaxed) != version {
+            return None;
+        }
+        if !frame.referenced.load(Ordering::Relaxed) {
+            frame.referenced.store(true, Ordering::Relaxed);
+        }
+        Some(span)
+    }
+
+    /// Caches the freshly read `block` under `key` and points the shard's
+    /// map entry `slot` at its frame, evicting the first unreferenced frame
+    /// the clock hand finds. A block another miss published first is
+    /// discarded; with no frames nothing is cached.
+    fn fill(&self, slot: &AtomicU32, key: u64, block: &[u8]) {
+        if self.frames.is_empty() {
+            return;
+        }
+        let mut hand = self.hand.lock().expect("cache lock poisoned");
+        let published = slot.load(Ordering::Relaxed) as usize;
+        if self
+            .frames
+            .get(published)
+            .is_some_and(|frame| frame.key.load(Ordering::Relaxed) == key)
+        {
+            return;
+        }
+        let at = loop {
+            let at = *hand;
+            *hand = (at + 1) % self.frames.len();
+            let frame = &self.frames[at];
+            if !frame.referenced.load(Ordering::Relaxed) {
+                break at;
+            }
+            frame.referenced.store(false, Ordering::Relaxed);
+        };
+        let frame = &self.frames[at];
+        if frame.key.load(Ordering::Relaxed) != EMPTY_FRAME {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Inserts a freshly read block, evicting as needed. A block larger
-    /// than the whole budget is served but never cached, so the budget
-    /// holds even for pathological block sizes.
-    ///
-    /// Concurrency note: the budget check and the insert are not one
-    /// atomic step, so N threads missing on cold blocks simultaneously
-    /// can overshoot the budget transiently (by at most one in-flight
-    /// block each). The trailing `evict_to_fit(0)` restores the bound
-    /// before the insert returns, so the cache is back inside the budget
-    /// whenever no insert is mid-flight.
-    fn insert(&self, key: (u32, u32), data: Arc<[u8]>) {
-        let len = data.len();
-        if len > self.budget {
-            return;
+        // Seqlock write; the fill lock makes this the frame's only writer.
+        let version = frame.version.load(Ordering::Relaxed);
+        frame.version.store(version + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let old_len = frame.len.swap(block.len() as u32, Ordering::Relaxed) as usize;
+        frame.key.store(key, Ordering::Relaxed);
+        for (word, bytes) in self.frame_words(at).iter().zip(block.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            word.store(u64::from_le_bytes(le), Ordering::Relaxed);
         }
-        // Make room first, then insert.
-        self.evict_to_fit(len);
-        let mut segment = self.segment(key).lock().expect("cache lock poisoned");
-        if segment.slots.contains_key(&key) {
-            // A concurrent probe of the same cold block won the race.
-            return;
-        }
-        segment.slots.insert(
-            key,
-            CacheSlot {
-                data,
-                referenced: false,
-            },
-        );
-        segment.ring.push(key);
-        // Counted before the lock goes: once it is released another thread
-        // may evict this very block, and its subtraction must find the
-        // addition already made or `resident` wraps below zero.
-        self.resident.fetch_add(len, Ordering::Relaxed);
-        drop(segment);
-        // Self-correct any racy overshoot: whoever finishes last leaves
-        // the cache inside the budget.
-        self.evict_to_fit(0);
+        frame.version.store(version + 2, Ordering::Release);
+        // One store under the fill lock: an observer sees the total before
+        // or after this fill, both inside the budget.
+        let resident = self.resident.load(Ordering::Relaxed);
+        self.resident
+            .store(resident - old_len + block.len(), Ordering::Relaxed);
+        // Published last (Release, paired with the Acquire load in
+        // `FileShard::span`); a reader still checks the entry by key and
+        // version, so a stale entry costs a miss, never bytes.
+        slot.store(at as u32, Ordering::Release);
     }
 
     /// Total block bytes currently cached.
@@ -709,19 +726,16 @@ impl BlockCache {
     }
 
     /// Cached bytes attributable to one shard (observability only — walks
-    /// every segment under its lock).
+    /// every frame under the fill lock).
     fn shard_resident_bytes(&self, shard: u32) -> usize {
-        self.segments
+        let _fills = self.hand.lock().expect("cache lock poisoned");
+        self.frames
             .iter()
-            .map(|segment| {
-                let segment = segment.lock().expect("cache lock poisoned");
-                segment
-                    .slots
-                    .iter()
-                    .filter(|((s, _), _)| *s == shard)
-                    .map(|(_, slot)| slot.data.len())
-                    .sum::<usize>()
+            .filter(|frame| {
+                let key = frame.key.load(Ordering::Relaxed);
+                key != EMPTY_FRAME && key >> 32 == u64::from(shard)
             })
+            .map(|frame| frame.len.load(Ordering::Relaxed) as usize)
             .sum()
     }
 }
@@ -731,9 +745,9 @@ impl BlockCache {
 // ---------------------------------------------------------------------------
 
 /// Log2 of the region bytes one entry of a shard's page → block index
-/// covers: 4 KiB, a page, no longer than any block target, so at most one
+/// covers: 512 bytes, no longer than any block target, so at most one
 /// block starts inside a page after its first byte.
-const PAGE_SHIFT: u32 = 12;
+const PAGE_SHIFT: u32 = 9;
 
 /// Where a shard's region blocks live once faulted in.
 enum BlockStore {
@@ -744,13 +758,22 @@ enum BlockStore {
     /// poisons a block permanently (the probe itself surfaces the failure
     /// as a typed error).
     Resident(Vec<OnceLock<Box<[u8]>>>),
-    /// Budgeted: blocks live in the index-wide clock [`BlockCache`], keyed
-    /// by shard number and block, and can be evicted; probes pin the block
-    /// they need via `Arc`.
-    Cached(Arc<BlockCache>),
+    /// Budgeted: blocks live in the frames of the index-wide clock
+    /// [`BlockCache`] and can be evicted; probes copy their span out.
+    Cached {
+        cache: Arc<BlockCache>,
+        /// Per block, the cache frame that last held it ([`NO_FRAME`]
+        /// before its first fill). An entry whose frame has since been
+        /// refilled is stale; the frame's key tells.
+        frames: Box<[AtomicU32]>,
+    },
 }
 
-struct FileShardInner {
+/// A shard file opened up to its block store: header checked, label
+/// directory loaded and validated, region cut into blocks. The block store
+/// comes last because a budgeted index sizes its cache frames by the
+/// largest block of all its shards.
+pub(crate) struct ShardLayout {
     /// Path the shard was opened from (error reporting, re-serialization,
     /// the probe gate).
     path: PathBuf,
@@ -772,6 +795,10 @@ struct FileShardInner {
     /// `p << PAGE_SHIFT`. A span's block is that entry or a later one —
     /// the next, since every block but the last is at least a page long.
     pages: Box<[u32]>,
+}
+
+struct FileShardInner {
+    layout: ShardLayout,
     /// Where the blocks live once read, resident or cache-backed.
     store: BlockStore,
     /// Probes served from an already-loaded block.
@@ -789,9 +816,11 @@ struct FileShardInner {
 /// ciphertext region served via paged reads.
 ///
 /// Cloning is cheap (the file handle, directory, and block cache are
-/// shared), and probes from any number of threads are lock-free after a
-/// block's one-time load — the [`OnceLock`] per block is the only
-/// synchronization.
+/// shared), and probes from any number of threads take no lock once their
+/// block is loaded: without a budget a block's [`OnceLock`] is the only
+/// synchronization; under one a hit copies its span out of a cache frame
+/// between two reads of the frame's seqlock version, and only a miss takes
+/// the cache's fill lock.
 #[derive(Clone)]
 pub struct FileShard {
     inner: Arc<FileShardInner>,
@@ -800,13 +829,13 @@ pub struct FileShard {
 impl fmt::Debug for FileShard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FileShard")
-            .field("path", &self.inner.path)
-            .field("entries", &self.inner.table.len())
-            .field("region_len", &self.inner.region_len)
-            .field("blocks", &self.inner.blocks.len())
+            .field("path", &self.inner.layout.path)
+            .field("entries", &self.inner.layout.table.len())
+            .field("region_len", &self.inner.layout.region_len)
+            .field("blocks", &self.inner.layout.blocks.len())
             .field(
                 "budgeted",
-                &matches!(self.inner.store, BlockStore::Cached(_)),
+                &matches!(self.inner.store, BlockStore::Cached { .. }),
             )
             .field("resident_bytes", &self.resident_bytes())
             .finish()
@@ -853,33 +882,20 @@ fn block_of(blocks: &[(u32, u32)], pages: &[u32], offset: u32) -> usize {
     block
 }
 
-impl FileShard {
-    /// Opens a serialized shard file: validates the header, loads the label
-    /// directory into memory, and prepares the paged-read block table. The
-    /// ciphertext region itself stays on disk, and touched blocks stay
-    /// resident for the life of the handle (no budget).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`StorageError`] for every malformed input —
-    /// truncated files, wrong magic, unsupported versions, and directories
-    /// whose spans do not exactly tile the ciphertext region.
-    pub fn open(path: &Path) -> Result<Self, StorageError> {
-        Self::open_shard(path, 0, 0, None)
-    }
-
+impl ShardLayout {
     /// Opens the file of shard `shard` of a `2^shard_bits`-shard index:
-    /// [`open`](Self::open), plus the routing check — every label must
+    /// [`FileShard::open`], plus the routing check — every label must
     /// carry prefix `shard` at `shard_bits` bits, or probes routed by
     /// label prefix would silently miss, so swapped or foreign shard files
     /// (each valid on its own) are rejected typed instead of answering
-    /// empty. With a `cache`, region blocks are served through that
-    /// index-wide budgeted [`BlockCache`] under shard key `shard`.
-    pub(crate) fn open_shard(
+    /// empty. A `budgeted` shard's region is cut into
+    /// [`CACHED_BLOCK_TARGET`]-sized blocks, an unbudgeted one's into
+    /// [`RESIDENT_BLOCK_TARGET`]-sized ones.
+    pub(crate) fn open(
         path: &Path,
         shard: u32,
         shard_bits: u32,
-        cache: Option<Arc<BlockCache>>,
+        budgeted: bool,
     ) -> Result<Self, StorageError> {
         let file = File::open(path).map_err(|e| io_err(path, e))?;
         let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
@@ -939,9 +955,10 @@ impl FileShard {
         let mut directory = vec![0u8; entry_count * DIR_ENTRY_LEN as usize];
         read_exact_at(&file, &mut directory, SHARD_HEADER_LEN).map_err(|e| io_err(path, e))?;
         let mut table = LabelTable::with_capacity(entry_count);
-        let block_target = match cache {
-            Some(_) => CACHED_BLOCK_TARGET,
-            None => RESIDENT_BLOCK_TARGET,
+        let block_target = if budgeted {
+            CACHED_BLOCK_TARGET
+        } else {
+            RESIDENT_BLOCK_TARGET
         } as u64;
         let mut blocks: Vec<(u32, u32)> = Vec::new();
         let mut running = 0u64;
@@ -1003,31 +1020,91 @@ impl FileShard {
         if running > block_start {
             blocks.push((block_start as u32, (running - block_start) as u32));
         }
-        let store = match cache {
-            Some(cache) => BlockStore::Cached(cache),
-            None => BlockStore::Resident(blocks.iter().map(|_| OnceLock::new()).collect()),
-        };
         Ok(Self {
+            path: path.to_path_buf(),
+            shard,
+            file,
+            table,
+            region_offset: SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN,
+            region_len: region_len as u32,
+            pages: page_index(&blocks, region_len as u32),
+            blocks,
+        })
+    }
+
+    /// Length of the shard's largest block (0 for an empty region).
+    fn largest_block(&self) -> usize {
+        self.blocks
+            .iter()
+            .map(|&(_, len)| len as usize)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Serves opened shard layouts as one index's [`FileShard`]s: with a
+/// `cache_budget`, every shard shares one [`BlockCache`] whose frames fit
+/// the largest block of any of them; without one, each keeps its blocks
+/// resident.
+pub(crate) fn serve_shards(
+    layouts: Vec<ShardLayout>,
+    cache_budget: Option<usize>,
+) -> Vec<FileShard> {
+    let cache = cache_budget.map(|budget| {
+        let largest = layouts.iter().map(ShardLayout::largest_block).max();
+        let blocks = layouts.iter().map(|layout| layout.blocks.len()).sum();
+        Arc::new(BlockCache::new(budget, largest.unwrap_or(0), blocks))
+    });
+    layouts
+        .into_iter()
+        .map(|layout| FileShard::serve(layout, cache.clone()))
+        .collect()
+}
+
+impl FileShard {
+    /// Opens a serialized shard file: validates the header, loads the label
+    /// directory into memory, and prepares the paged-read block table. The
+    /// ciphertext region itself stays on disk, and touched blocks stay
+    /// resident for the life of the handle (no budget).
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`StorageError`] for every malformed input —
+    /// truncated files, wrong magic, unsupported versions, and directories
+    /// whose spans do not exactly tile the ciphertext region.
+    pub fn open(path: &Path) -> Result<Self, StorageError> {
+        ShardLayout::open(path, 0, 0, false).map(|layout| Self::serve(layout, None))
+    }
+
+    /// A shard served from `layout`: its blocks resident once read, or,
+    /// with a `cache`, held in the frames of that index-wide budgeted
+    /// [`BlockCache`] under shard key `layout.shard`.
+    fn serve(layout: ShardLayout, cache: Option<Arc<BlockCache>>) -> Self {
+        let store = match cache {
+            Some(cache) => BlockStore::Cached {
+                cache,
+                frames: layout
+                    .blocks
+                    .iter()
+                    .map(|_| AtomicU32::new(NO_FRAME))
+                    .collect(),
+            },
+            None => BlockStore::Resident(layout.blocks.iter().map(|_| OnceLock::new()).collect()),
+        };
+        Self {
             inner: Arc::new(FileShardInner {
-                path: path.to_path_buf(),
-                shard,
-                file,
-                table,
-                region_offset: SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN,
-                region_len: region_len as u32,
-                pages: page_index(&blocks, region_len as u32),
-                blocks,
+                layout,
                 store,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 read_errors: AtomicU64::new(0),
             }),
-        })
+        }
     }
 
     /// The file this shard is served from.
     pub fn path(&self) -> &Path {
-        &self.inner.path
+        &self.inner.layout.path
     }
 
     /// Number of block reads that have failed since this shard was opened.
@@ -1045,17 +1122,26 @@ impl FileShard {
     /// blocks. In cached mode, evictions are reported index-wide (0 here)
     /// — aggregate through `ShardedIndex::cache_stats` instead.
     pub fn cache_stats(&self) -> CacheStats {
+        let (hits, misses) = self.probe_counts();
         CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
+            hits,
+            misses,
             evictions: 0,
             resident_bytes: self.resident_bytes(),
         }
     }
 
+    /// This shard's probe hits and misses.
+    pub(crate) fn probe_counts(&self) -> (u64, u64) {
+        (
+            self.inner.hits.load(Ordering::Relaxed),
+            self.inner.misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// Bytes of the ciphertext region currently faulted into memory (the
     /// bucket directory itself is always resident). In cached mode this
-    /// walks the shared cache and counts only this shard's blocks.
+    /// walks the shared cache's frames and counts only this shard's blocks.
     pub fn resident_bytes(&self) -> usize {
         match &self.inner.store {
             BlockStore::Resident(blocks) => blocks
@@ -1063,7 +1149,7 @@ impl FileShard {
                 .filter_map(OnceLock::get)
                 .map(|data| data.len())
                 .sum(),
-            BlockStore::Cached(cache) => cache.shard_resident_bytes(self.inner.shard),
+            BlockStore::Cached { cache, .. } => cache.shard_resident_bytes(self.inner.layout.shard),
         }
     }
 
@@ -1071,21 +1157,21 @@ impl FileShard {
     /// allocated (a tag and a 24-byte slot per slot, at a load of at most
     /// 3/4).
     pub(crate) fn directory_bytes(&self) -> usize {
-        self.inner.table.allocated_bytes()
+        self.inner.layout.table.allocated_bytes()
     }
 
     /// Loads `label`'s directory slot ahead of its probe — the
     /// [`IndexLookup::prefetch`](crate::IndexLookup::prefetch) hint for
     /// one shard. The region block is not touched.
     pub(crate) fn prefetch(&self, label: &Label) {
-        self.inner.table.prefetch(label);
+        self.inner.layout.table.prefetch(label);
     }
 
     /// The index-wide block cache this shard probes through, if budgeted.
     pub(crate) fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         match &self.inner.store {
             BlockStore::Resident(_) => None,
-            BlockStore::Cached(cache) => Some(cache),
+            BlockStore::Cached { cache, .. } => Some(cache),
         }
     }
 
@@ -1093,12 +1179,17 @@ impl FileShard {
     /// `block` (the buffer the block store keeps — no intermediate copy).
     fn read_block(&self, start: u32, block: &mut [u8]) -> Result<(), StorageError> {
         let inner = &*self.inner;
-        read_exact_at(&inner.file, block, inner.region_offset + u64::from(start)).map_err(|error| {
+        read_exact_at(
+            &inner.layout.file,
+            block,
+            inner.layout.region_offset + u64::from(start),
+        )
+        .map_err(|error| {
             // Record the failure for the aggregate counter; the probe
             // itself carries the typed error to the caller. The block
             // stays uncached, so the next probe retries.
             inner.read_errors.fetch_add(1, Ordering::Relaxed);
-            io_err(&inner.path, error)
+            io_err(&inner.layout.path, error)
         })
     }
 
@@ -1111,8 +1202,8 @@ impl FileShard {
             return Ok(CipherSpan::borrowed(&[]));
         }
         let inner = &*self.inner;
-        let index = block_of(&inner.blocks, &inner.pages, offset);
-        let (start, block_len) = inner.blocks[index];
+        let index = block_of(&inner.layout.blocks, &inner.layout.pages, offset);
+        let (start, block_len) = inner.layout.blocks[index];
         let rel = (offset - start) as usize;
         match &inner.store {
             BlockStore::Resident(blocks) => {
@@ -1134,35 +1225,30 @@ impl FileShard {
                 };
                 Ok(CipherSpan::borrowed(&data[rel..rel + len as usize]))
             }
-            BlockStore::Cached(cache) => {
-                let key = (inner.shard, index as u32);
-                let data = match cache.get(key) {
-                    Some(data) => {
-                        inner.hits.fetch_add(1, Ordering::Relaxed);
-                        data
-                    }
-                    None => {
-                        inner.misses.fetch_add(1, Ordering::Relaxed);
-                        // One allocation, read straight into the `Arc`
-                        // the cache keeps (a `TrustedLen` collect).
-                        let mut data: Arc<[u8]> =
-                            std::iter::repeat_n(0u8, block_len as usize).collect();
-                        let block = Arc::get_mut(&mut data).expect("a fresh Arc is unshared");
-                        self.read_block(start, block)?;
-                        cache.insert(key, Arc::clone(&data));
-                        data
-                    }
-                };
-                Ok(CipherSpan::pinned(data, rel, len as usize))
+            BlockStore::Cached { cache, frames } => {
+                let slot = &frames[index];
+                let key = block_key(inner.layout.shard, index);
+                let len = len as usize;
+                if let Some(span) = cache.read(slot.load(Ordering::Acquire), key, rel, len) {
+                    inner.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(span);
+                }
+                inner.misses.fetch_add(1, Ordering::Relaxed);
+                let mut block = vec![0u8; block_len as usize];
+                self.read_block(start, &mut block)?;
+                cache.fill(slot, key, &block);
+                Ok(CipherSpan::copied(len, |out| {
+                    out.copy_from_slice(&block[rel..rel + len])
+                }))
             }
         }
     }
 
     /// Returns the stored ciphertexts in region order, faulting blocks in
     /// as needed (used by leakage-oriented tests and tooling; copies each
-    /// span out so cached blocks are not pinned past the call).
+    /// span out so resident blocks are not borrowed past the call).
     pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        let mut spans: Vec<(u32, u32)> = self.inner.table.values().copied().collect();
+        let mut spans: Vec<(u32, u32)> = self.inner.layout.table.values().copied().collect();
         spans.sort_unstable_by_key(|&(offset, _)| offset);
         spans
             .into_iter()
@@ -1177,7 +1263,7 @@ impl FileShard {
         write_shard_header(
             writer,
             entries.len() as u64,
-            u64::from(self.inner.region_len),
+            u64::from(self.inner.layout.region_len),
         )?;
         write_shard_directory(writer, entries.iter().map(|&(label, _, len)| (label, len)))?;
         self.stream_region_to(writer)
@@ -1189,6 +1275,7 @@ impl FileShard {
     pub(crate) fn entries_by_offset(&self) -> Vec<(Label, u32, u32)> {
         let mut entries: Vec<(Label, u32, u32)> = self
             .inner
+            .layout
             .table
             .iter()
             .map(|(label, &(offset, len))| (*label, offset, len))
@@ -1199,12 +1286,12 @@ impl FileShard {
 
     /// Ciphertext-region length in bytes.
     pub(crate) fn region_len(&self) -> u32 {
-        self.inner.region_len
+        self.inner.layout.region_len
     }
 
     /// The labels stored in this shard, in table order.
     pub(crate) fn labels(&self) -> impl Iterator<Item = &Label> {
-        self.inner.table.keys()
+        self.inner.layout.table.keys()
     }
 
     /// Streams the raw ciphertext region into `writer` in bounded chunks,
@@ -1212,12 +1299,12 @@ impl FileShard {
     /// verbatim — nothing is decrypted.
     fn stream_region_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
         let inner = &*self.inner;
-        let mut remaining = u64::from(inner.region_len);
-        let mut at = inner.region_offset;
+        let mut remaining = u64::from(inner.layout.region_len);
+        let mut at = inner.layout.region_offset;
         let mut buf = vec![0u8; STREAM_CHUNK];
         while remaining > 0 {
             let take = remaining.min(STREAM_CHUNK as u64) as usize;
-            read_exact_at(&inner.file, &mut buf[..take], at)?;
+            read_exact_at(&inner.layout.file, &mut buf[..take], at)?;
             writer.write_all(&buf[..take])?;
             at += take as u64;
             remaining -= take as u64;
@@ -1230,9 +1317,9 @@ impl FileShard {
     /// offset), same ciphertext bytes, same offset table.
     pub(crate) fn to_memory(&self) -> Result<EncryptedIndex, StorageError> {
         let inner = &*self.inner;
-        let mut region = vec![0u8; inner.region_len as usize];
-        read_exact_at(&inner.file, &mut region, inner.region_offset)
-            .map_err(|e| io_err(&inner.path, e))?;
+        let mut region = vec![0u8; inner.layout.region_len as usize];
+        read_exact_at(&inner.layout.file, &mut region, inner.layout.region_offset)
+            .map_err(|e| io_err(&inner.layout.path, e))?;
         let entries = self.entries_by_offset();
         let mut index = EncryptedIndex::with_capacity(entries.len(), region.len());
         for (label, offset, len) in entries {
@@ -1247,19 +1334,19 @@ impl FileShard {
 
 impl ShardStorage for FileShard {
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        formats::probe_gate(&self.inner.path, self.inner.shard)?;
-        match self.inner.table.get(label) {
+        formats::probe_gate(&self.inner.layout.path, self.inner.layout.shard)?;
+        match self.inner.layout.table.get(label) {
             Some(&(offset, len)) => self.span(offset, len).map(Some),
             None => Ok(None),
         }
     }
 
     fn len(&self) -> usize {
-        self.inner.table.len()
+        self.inner.layout.table.len()
     }
 
     fn storage_bytes(&self) -> usize {
-        self.inner.table.len() * LABEL_LEN + self.inner.region_len as usize
+        self.inner.layout.table.len() * LABEL_LEN + self.inner.layout.region_len as usize
     }
 }
 
@@ -1639,23 +1726,22 @@ pub(crate) fn open_shards_from_dir(
     recover_displaced_snapshot(dir);
     let shard_bits = read_manifest(dir)?;
     let shard_count = 1usize << shard_bits;
-    let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
     let indices: Vec<usize> = (0..shard_count).collect();
-    let results: Vec<Result<FileShard, StorageError>> = indices
+    let results: Vec<Result<ShardLayout, StorageError>> = indices
         .into_par_iter()
         .map(|i| {
-            FileShard::open_shard(
+            ShardLayout::open(
                 &dir.join(shard_file_name(i)),
                 i as u32,
                 shard_bits,
-                cache.clone(),
+                cache_budget.is_some(),
             )
         })
         .collect();
-    let shards = results
+    let layouts = results
         .into_iter()
-        .collect::<Result<Vec<FileShard>, StorageError>>()?;
-    Ok((shard_bits, shards))
+        .collect::<Result<Vec<ShardLayout>, StorageError>>()?;
+    Ok((shard_bits, serve_shards(layouts, cache_budget)))
 }
 
 pub mod test_support {
@@ -1712,6 +1798,13 @@ mod tests {
     use crate::sharded::ShardedIndex;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
+
+    impl BlockCache {
+        /// Number of frames the cache allocated.
+        pub(crate) fn frame_count(&self) -> usize {
+            self.frames.len()
+        }
+    }
 
     /// Builds a small saved index directory and returns (tempdir, shard-0
     /// file path, valid shard-0 bytes).
@@ -1856,7 +1949,8 @@ mod tests {
             }
             (blocks, running)
         };
-        let layouts: [(Vec<u32>, u32); 5] = [
+        let layouts: [(Vec<u32>, u32); 6] = [
+            (vec![24; 2000], 512),
             (vec![24; 2000], 4 << 10),
             (vec![6000; 9], 4 << 10),
             ((0..700).map(|i| 1 + i * 37 % 9000).collect(), 4 << 10),
@@ -1866,7 +1960,7 @@ mod tests {
         for (lens, target) in layouts {
             let (blocks, region_len) = cut(&lens, target);
             let pages = page_index(&blocks, region_len);
-            assert_eq!(pages.len(), region_len.div_ceil(4096) as usize);
+            assert_eq!(pages.len(), region_len.div_ceil(1 << PAGE_SHIFT) as usize);
             for offset in 0..region_len {
                 let expected = blocks.partition_point(|&(start, _)| start <= offset) - 1;
                 assert_eq!(
@@ -2241,83 +2335,212 @@ mod tests {
         assert!(reopened.try_get(&[0u8; LABEL_LEN]).unwrap().is_none());
     }
 
-    /// The documented `BlockCache` concurrency contract under adversarial
-    /// mixed hit/miss/eviction traffic: with N threads inserting
-    /// fixed-size blocks, mid-flight residency never exceeds
-    /// `budget + N × block` (each in-flight insert may overshoot by its
-    /// own block, nothing more), the eviction counter is monotone, and
-    /// once every insert returns the cache is back inside the budget with
-    /// the resident counter exactly matching the bytes actually held.
+    /// The `BlockCache` concurrency contract under adversarial mixed
+    /// hit/miss/eviction traffic: with N threads reading and filling
+    /// blocks of varying length, residency never exceeds the budget at any
+    /// observation — no per-thread slack — every hit copies exactly the
+    /// bytes its block holds (never a torn mix of two fills), the eviction
+    /// counter is monotone, and once every fill returns the resident
+    /// counter matches the bytes the frames hold.
     #[test]
     fn block_cache_stats_stay_consistent_under_concurrent_traffic() {
-        use std::sync::atomic::AtomicBool;
-
-        const THREADS: usize = 8;
+        const THREADS: u32 = 8;
+        const SHARDS: u32 = 4;
         const BLOCK: usize = 1 << 10;
         const BLOCKS_IN_BUDGET: usize = 24;
         const KEY_SPACE: u32 = 192; // 8× the budget: constant eviction churn
         let budget = BLOCKS_IN_BUDGET * BLOCK;
-        let cache = BlockCache::new(budget);
-        let stop = AtomicBool::new(false);
+        let cache = BlockCache::new(budget, BLOCK, (SHARDS * KEY_SPACE) as usize);
+        assert_eq!(cache.frame_count(), BLOCKS_IN_BUDGET);
+        let maps: Vec<Vec<AtomicU32>> = (0..SHARDS)
+            .map(|_| (0..KEY_SPACE).map(|_| AtomicU32::new(NO_FRAME)).collect())
+            .collect();
+        // Each block's bytes are a function of its key, and its length
+        // varies with it, so a torn read or a wrong length shows.
+        let block_of_key = |key: u64| -> Vec<u8> {
+            let len = BLOCK - (key % 61) as usize;
+            (0..len).map(|i| (key as usize * 31 + i) as u8).collect()
+        };
 
         std::thread::scope(|scope| {
-            for thread in 0..THREADS as u32 {
-                let cache = &cache;
-                let stop = &stop;
-                scope.spawn(move || {
-                    // Overlapping key windows: some keys are shared across
-                    // threads (hits + insert races), some private (misses).
-                    for round in 0..400u32 {
-                        let key = (thread % 4, (round * 13 + thread * 29) % KEY_SPACE);
-                        if cache.get(key).is_none() {
-                            cache.insert(key, vec![0u8; BLOCK].into());
+            let workers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (cache, maps) = (&cache, &maps);
+                    scope.spawn(move || {
+                        // Overlapping key windows: some keys are shared
+                        // across threads (hits + fill races), some private
+                        // (misses).
+                        for round in 0..400u32 {
+                            let (shard, block) =
+                                (thread % SHARDS, (round * 13 + thread * 29) % KEY_SPACE);
+                            let key = block_key(shard, block as usize);
+                            let slot = &maps[shard as usize][block as usize];
+                            let bytes = block_of_key(key);
+                            let (rel, len) = ((round as usize * 7) % 900, 1 + round as usize % 100);
+                            match cache.read(slot.load(Ordering::Acquire), key, rel, len) {
+                                Some(span) => assert_eq!(&*span, &bytes[rel..rel + len]),
+                                None => cache.fill(slot, key, &bytes),
+                            }
+                            let resident = cache.resident_bytes();
+                            assert!(
+                                resident <= budget,
+                                "mid-flight resident {resident} exceeds budget {budget}"
+                            );
                         }
-                        // Every thread validates the mid-flight bound on
-                        // every step, not just at a sampling cadence.
-                        let resident = cache.resident_bytes();
-                        assert!(
-                            resident <= budget + THREADS * BLOCK,
-                            "mid-flight resident {resident} exceeds budget {budget} \
-                             plus one in-flight block per thread"
-                        );
-                    }
-                    stop.store(true, Ordering::Relaxed);
-                });
+                    })
+                })
+                .collect();
+            // The scope's own thread samples while the workers run:
+            // counters must be monotone and residency bounded at every
+            // observation.
+            let mut last_evictions = 0u64;
+            while !workers.iter().all(|worker| worker.is_finished()) {
+                let evictions = cache.evictions();
+                assert!(
+                    evictions >= last_evictions,
+                    "eviction counter went backwards: {last_evictions} -> {evictions}"
+                );
+                last_evictions = evictions;
+                assert!(cache.resident_bytes() <= budget);
+                std::thread::yield_now();
             }
-            // A dedicated sampler races the workers: counters must be
-            // monotone and residency bounded at every observation.
-            let cache = &cache;
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut last_evictions = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let evictions = cache.evictions();
-                    assert!(
-                        evictions >= last_evictions,
-                        "eviction counter went backwards: {last_evictions} -> {evictions}"
-                    );
-                    last_evictions = evictions;
-                    assert!(cache.resident_bytes() <= budget + THREADS * BLOCK);
-                    std::thread::yield_now();
-                }
-            });
         });
 
-        // Quiescent: no insert mid-flight, so the budget holds exactly and
-        // the resident counter agrees byte-for-byte with the slots held.
-        let resident = cache.resident_bytes();
-        assert!(
-            resident <= budget,
-            "quiescent resident {resident} exceeds budget {budget}"
-        );
-        let held: usize = (0..4).map(|s| cache.shard_resident_bytes(s)).sum();
+        // Quiescent: the resident counter agrees byte-for-byte with the
+        // blocks the frames hold.
+        let held: usize = (0..SHARDS).map(|s| cache.shard_resident_bytes(s)).sum();
         assert_eq!(
-            resident, held,
+            cache.resident_bytes(),
+            held,
             "resident counter must match the bytes actually cached"
         );
         assert!(
             cache.evictions() > 0,
             "a working set 8× the budget must evict"
         );
+    }
+
+    /// The seqlock under the race it exists for: one frame, refilled with
+    /// two blocks in turn for as long as a reader copies whole blocks out
+    /// of it. Every copy a read returns is one block's bytes — never half
+    /// of each.
+    #[test]
+    fn a_hit_never_returns_bytes_torn_by_a_concurrent_fill() {
+        const BLOCK: usize = 4 << 10;
+        const READS: usize = 20_000;
+        const FILLS: usize = 10_000;
+        let cache = BlockCache::new(BLOCK, BLOCK, 2);
+        assert_eq!(cache.frame_count(), 1);
+        let blocks = [vec![0xAAu8; BLOCK], vec![0x55u8; BLOCK]];
+        let slots = [AtomicU32::new(NO_FRAME), AtomicU32::new(NO_FRAME)];
+        let read = |block: usize| {
+            let at = slots[block].load(Ordering::Acquire);
+            let span = cache.read(at, block_key(0, block), 0, BLOCK)?;
+            assert!(
+                &*span == blocks[block].as_slice(),
+                "torn read of block {block}"
+            );
+            Some(())
+        };
+        let fills = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            // The reader keeps reading until the refills below have run
+            // their course too, so the two overlap however the threads
+            // are scheduled. It runs on its own thread, so a failed
+            // assertion ends it and with it the refill loop.
+            let reader = scope.spawn(|| {
+                let mut reads = 0;
+                while reads < READS || fills.load(Ordering::Relaxed) < FILLS {
+                    read(0);
+                    read(1);
+                    reads += 1;
+                }
+            });
+            while !reader.is_finished() {
+                let fill = fills.load(Ordering::Relaxed);
+                cache.fill(&slots[fill % 2], block_key(0, fill % 2), &blocks[fill % 2]);
+                fills.store(fill + 1, Ordering::Relaxed);
+            }
+        });
+        // At rest the frame holds the last block filled, whole.
+        let last = (fills.into_inner() - 1) % 2;
+        assert_eq!(read(last), Some(()));
+        assert_eq!(read(1 - last), None);
+    }
+
+    /// Eight threads query a budgeted index whose budget holds a handful of
+    /// frames — fewer than one query's blocks, so every query evicts: each
+    /// answer must equal the unbudgeted index's, and a sampler checks the
+    /// budget and the counters' monotonicity meanwhile.
+    #[test]
+    fn a_few_frames_under_eight_threads_answer_like_no_budget() {
+        const THREADS: usize = 8;
+        const KEYWORDS: u64 = 48;
+        let mut rng = ChaCha20Rng::seed_from_u64(9);
+        let key = SseScheme::setup(&mut rng);
+        let mut db = SseDatabase::new();
+        for i in 0..3_000u64 {
+            db.add(
+                format!("kw{}", i % KEYWORDS).into_bytes(),
+                i.to_le_bytes().to_vec(),
+            );
+        }
+        let dir = TempDir::new("few-frames");
+        build_stored(&key, &db, &StorageConfig::on_disk(2, dir.path()), &mut rng).unwrap();
+        let unbudgeted = ShardedIndex::open_dir(dir.path()).unwrap();
+        let budget = 5 * CACHED_BLOCK_TARGET;
+        let budgeted = ShardedIndex::open_dir_with_budget(dir.path(), Some(budget)).unwrap();
+        let frames = budgeted.block_cache().expect("budgeted").frame_count();
+        assert!((2..=5).contains(&frames), "{frames} frames");
+        let tokens: Vec<_> = (0..KEYWORDS)
+            .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
+            .collect();
+        let expected: Vec<_> = tokens
+            .iter()
+            .map(|token| search(&unbudgeted, token).unwrap())
+            .collect();
+        // Alone, once the frames are full, every query evicts.
+        search(&budgeted, &tokens[0]).unwrap();
+        for (kw, token) in tokens.iter().enumerate().skip(1) {
+            let before = budgeted.cache_stats().evictions;
+            assert_eq!(search(&budgeted, token).unwrap(), expected[kw]);
+            assert!(budgeted.cache_stats().evictions > before, "kw{kw}");
+        }
+
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (budgeted, tokens, expected) = (&budgeted, &tokens, &expected);
+                    scope.spawn(move || {
+                        for round in 0..2 {
+                            for at in 0..tokens.len() {
+                                let kw = (at * 7 + thread * 5 + round) % tokens.len();
+                                assert_eq!(
+                                    search(budgeted, &tokens[kw]).unwrap(),
+                                    expected[kw],
+                                    "thread {thread}, kw{kw}"
+                                );
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut last = budgeted.cache_stats();
+            while !workers.iter().all(|worker| worker.is_finished()) {
+                let stats = budgeted.cache_stats();
+                assert!(stats.resident_bytes <= budget, "{stats:?}");
+                assert!(
+                    stats.hits >= last.hits
+                        && stats.misses >= last.misses
+                        && stats.evictions >= last.evictions,
+                    "{last:?} -> {stats:?}"
+                );
+                last = stats;
+                std::thread::yield_now();
+            }
+        });
+        let stats = budgeted.cache_stats();
+        assert!(stats.resident_bytes <= budget);
+        assert!(stats.misses > 0 && stats.evictions > 0, "{stats:?}");
     }
 }

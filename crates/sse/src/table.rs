@@ -36,10 +36,9 @@ const SLOT_BYTES: usize = 1 + std::mem::size_of::<(Label, Span)>();
 
 /// Folded multiply of `x` by a fixed odd constant (the 64-bit golden
 /// ratio): the high and low halves of the 128-bit product, XORed, so every
-/// output bit depends on every input bit. Shared with the block cache's
-/// key hash.
+/// output bit depends on every input bit.
 #[inline]
-pub(crate) fn fold_mix(x: u64) -> u64 {
+fn fold_mix(x: u64) -> u64 {
     let product = u128::from(x) * 0x9E37_79B9_7F4A_7C15;
     (product as u64) ^ ((product >> 64) as u64)
 }

@@ -404,10 +404,11 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
         .collect::<Result<Vec<_>, _>>()
         .expect("unbounded serves");
 
-    // 25% of the ciphertext region: a fraction of its ~4 KiB blocks fit, so
-    // the cache genuinely caches and genuinely evicts. (Budgets below one
-    // block size still bound residency — nothing caches — which the sse
-    // crate's `zero_budget_still_answers_with_nothing_resident` pins.)
+    // 25% of the ciphertext region: a fraction of its ~512-byte blocks
+    // fit, so the cache genuinely caches and genuinely evicts. (Budgets
+    // below one block size still bound residency — nothing caches — which
+    // the sse crate's `zero_budget_still_answers_with_nothing_resident`
+    // pins.)
     let budget = region_bytes / 4;
     let budgeted =
         QueryServer::open_dir_with_budget(dir.path(), Some(budget)).expect("budgeted open");
@@ -440,18 +441,16 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
 /// public serving surface: eight threads replay overlapping query sets
 /// against one budgeted server while a sampler watches the counters. Every
 /// observation must show monotone hit/miss/eviction counters and residency
-/// inside the budget plus the documented transient overshoot (at most one
-/// in-flight ~4 KiB block per probing thread); at quiescence the budget
-/// holds exactly.
+/// inside the budget — the cache's frames never hold more, so no in-flight
+/// probe may overshoot it.
 #[test]
 fn cache_stats_stay_consistent_under_concurrent_query_traffic() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const THREADS: usize = 8;
-    // Block slack: blocks are cut at a 4 KiB target plus at most one
-    // (here: tens of bytes) entry, so 8 KiB per in-flight thread is a safe
-    // per-block bound.
-    const BLOCK_SLACK: usize = 8 << 10;
+    // Block slack: none. The budget bounds residency at every instant,
+    // not only at rest.
+    const BLOCK_SLACK: usize = 0;
 
     let data = dataset(1 << 12, 3_000);
     let dir = TempDir::new("budget-concurrent");

@@ -9,13 +9,14 @@
 use crate::dataset::Dataset;
 use crate::metrics::IndexStats;
 use crate::schemes::common::CoverKind;
-use crate::schemes::constant::{ConstantScheme, ConstantServer};
-use crate::schemes::log_brc_urc::{LogScheme, LogServer};
-use crate::schemes::log_src::{LogSrcScheme, LogSrcServer};
-use crate::schemes::log_src_i::{LogSrcIScheme, LogSrcIServer};
+use crate::schemes::constant::ConstantScheme;
+use crate::schemes::log_brc_urc::LogScheme;
+use crate::schemes::log_src::LogSrcScheme;
+use crate::schemes::log_src_i::LogSrcIScheme;
 use crate::schemes::pb::{PbScheme, PbServer};
-use crate::schemes::plain_sse::{PlainSseScheme, PlainSseServer};
-use crate::schemes::quadratic::{QuadraticScheme, QuadraticServer};
+use crate::schemes::plain_sse::PlainSseScheme;
+use crate::schemes::quadratic::QuadraticScheme;
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::Range;
@@ -117,13 +118,13 @@ impl SchemeKind {
 // add an indirection on the query path.
 #[allow(clippy::large_enum_variant)]
 enum Inner {
-    Quadratic(QuadraticScheme, QuadraticServer),
-    Constant(ConstantScheme, ConstantServer),
-    Logarithmic(LogScheme, LogServer),
-    LogSrc(LogSrcScheme, LogSrcServer),
-    LogSrcI(LogSrcIScheme, LogSrcIServer),
+    Quadratic(QuadraticScheme, QueryServer),
+    Constant(ConstantScheme, QueryServer),
+    Logarithmic(LogScheme, QueryServer),
+    LogSrc(LogSrcScheme, QueryServer),
+    LogSrcI(LogSrcIScheme, [QueryServer; 2]),
     Pb(PbScheme, PbServer),
-    PlainSse(PlainSseScheme, PlainSseServer),
+    PlainSse(PlainSseScheme, QueryServer),
 }
 
 /// A built scheme (client + server) behind runtime dispatch.
@@ -273,13 +274,13 @@ impl AnyScheme {
     /// Index statistics of the server state.
     pub fn index_stats(&self) -> IndexStats {
         match &self.inner {
-            Inner::Quadratic(_, s) => QuadraticScheme::index_stats(s),
-            Inner::Constant(_, s) => ConstantScheme::index_stats(s),
-            Inner::Logarithmic(_, s) => LogScheme::index_stats(s),
-            Inner::LogSrc(_, s) => LogSrcScheme::index_stats(s),
+            Inner::Quadratic(_, s)
+            | Inner::Constant(_, s)
+            | Inner::Logarithmic(_, s)
+            | Inner::LogSrc(_, s)
+            | Inner::PlainSse(_, s) => s.index_stats(),
             Inner::LogSrcI(_, s) => LogSrcIScheme::index_stats(s),
             Inner::Pb(_, s) => PbScheme::index_stats(s),
-            Inner::PlainSse(_, s) => PlainSseScheme::index_stats(s),
         }
     }
 }

@@ -18,17 +18,13 @@
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{clamp_query, search_ids, try_search_ids, CoverKind};
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
 use rsse_crypto::{permute, Dprf, DprfToken, KeyChain, Prf};
-use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
-use rsse_sse::{
-    SearchToken, ShardedIndex, SpillOrder, StorageBackend, StorageConfig, StorageError,
-};
+use rsse_sse::{SearchToken, SpillOrder, StorageConfig, StorageError};
 use std::fmt;
-use std::fs;
-use std::path::Path;
 
 /// Error returned by [`ConstantScheme::query_guarded`] when the new query
 /// intersects a previously issued one (the functional restriction under
@@ -64,64 +60,6 @@ pub struct ConstantScheme {
     history: Vec<Range>,
 }
 
-/// Server-side state: the `O(n)`-entry encrypted index (sharded by label
-/// prefix per the build's `StorageConfig::shard_bits`) plus the (public)
-/// depth of the GGM tree, which the server needs to expand tokens.
-#[derive(Clone, Debug)]
-pub struct ConstantServer {
-    index: ShardedIndex,
-    depth: u32,
-}
-
-/// File recording the (public) GGM tree depth next to a saved Constant
-/// server's shard files.
-const DEPTH_META_FILE: &str = "constant.meta";
-
-/// Magic bytes of the depth metadata file.
-const DEPTH_META_MAGIC: [u8; 8] = *b"RSSE-CMD";
-
-impl ConstantServer {
-    /// Number of label-prefix bits sharding the dictionary.
-    pub fn shard_bits(&self) -> u32 {
-        self.index.shard_bits()
-    }
-
-    /// Serializes the dictionary (and the public GGM depth, in a
-    /// `constant.meta` sidecar) into `dir`.
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        let dir = dir.as_ref();
-        self.index.save_to_dir(dir)?;
-        write_depth_meta(dir, self.depth)
-    }
-
-    /// Cold-opens a server over a previously saved (or disk-built)
-    /// dictionary; the shards are served via paged reads without a rebuild.
-    pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref();
-        Ok(Self {
-            index: ShardedIndex::open_dir(dir)?,
-            depth: read_depth_meta(dir)?,
-        })
-    }
-}
-
-/// Writes the GGM-depth sidecar file.
-fn write_depth_meta(dir: &Path, depth: u32) -> Result<(), StorageError> {
-    MetaWriter::new(&DEPTH_META_MAGIC)
-        .u32(depth)
-        .commit(&dir.join(DEPTH_META_FILE))
-}
-
-/// Reads and validates the GGM-depth sidecar file.
-fn read_depth_meta(dir: &Path) -> Result<u32, StorageError> {
-    let path = dir.join(DEPTH_META_FILE);
-    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut fields = MetaReader::open(&path, &bytes, &DEPTH_META_MAGIC, 16)?;
-    let depth = fields.u32()?;
-    fields.finish()?;
-    Ok(depth)
-}
-
 /// The trapdoor of the Constant schemes: a delegated DPRF token.
 #[derive(Clone, Debug)]
 pub struct ConstantTrapdoor {
@@ -147,21 +85,21 @@ impl ConstantScheme {
         dataset: &Dataset,
         kind: CoverKind,
         rng: &mut R,
-    ) -> (Self, ConstantServer) {
+    ) -> (Self, QueryServer) {
         Self::build_stored_with(dataset, kind, &StorageConfig::in_memory(0), rng)
             .expect("in-memory build cannot fail")
     }
 
     /// Builds the scheme with an explicit covering technique and the
-    /// dictionary held by the storage backend `config` selects; on-disk
-    /// builds also record the (public) GGM depth in a `constant.meta`
-    /// sidecar so [`ConstantServer::open_dir`] can cold-open the server.
+    /// dictionary held by the storage backend `config` selects. The server
+    /// is the `O(n)`-entry encrypted index alone: a trapdoor carries each
+    /// delegated node's level, so expansion needs no server-side depth.
     pub fn build_stored_with<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         kind: CoverKind,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, ConstantServer), StorageError> {
+    ) -> Result<(Self, QueryServer), StorageError> {
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let dprf = Dprf::new(&chain.derive(b"dprf"), domain.bits());
@@ -187,15 +125,6 @@ impl ConstantScheme {
             config,
             rng,
         )?;
-        if let StorageBackend::OnDisk(dir) = &config.backend {
-            if let Err(error) = write_depth_meta(dir, domain.bits()) {
-                // Unwind the already-written index files so a failed build
-                // never leaves a directory that looks like a complete index
-                // but cannot be cold-opened as a Constant server.
-                rsse_sse::storage::cleanup_partial_index(dir, 1usize << config.shard_bits);
-                return Err(error);
-            }
-        }
         Ok((
             Self {
                 dprf,
@@ -204,10 +133,7 @@ impl ConstantScheme {
                 kind,
                 history: Vec::new(),
             },
-            ConstantServer {
-                index,
-                depth: domain.bits(),
-            },
+            QueryServer::new(index),
         ))
     }
 
@@ -238,12 +164,12 @@ impl ConstantScheme {
     /// a disk-backed dictionary aborts the query with a typed
     /// [`StorageError`] instead of silently dropping the affected leaves.
     pub fn try_search(
-        server: &ConstantServer,
+        server: &QueryServer,
         trapdoor: &ConstantTrapdoor,
     ) -> Result<QueryOutcome, StorageError> {
         let leaves = Dprf::expand_token(&trapdoor.token);
         let tokens: Vec<SearchToken> = leaves.iter().map(SearchToken::derive_from_seed).collect();
-        let (ids, groups) = try_search_ids(&server.index, &tokens)?;
+        let (ids, groups) = try_search_ids(server.index(), &tokens)?;
         let touched = groups.iter().sum();
         Ok(QueryOutcome {
             ids,
@@ -264,7 +190,7 @@ impl ConstantScheme {
     /// I/O failures, not leakage.)
     pub fn query_guarded(
         &mut self,
-        server: &ConstantServer,
+        server: &QueryServer,
         range: Range,
     ) -> Result<QueryOutcome, IntersectingQuery> {
         let effective = clamp_query(&self.domain, range).unwrap_or(range);
@@ -282,15 +208,10 @@ impl ConstantScheme {
         self.history.push(effective);
         Ok(self.query(server, range))
     }
-
-    /// The GGM tree depth the server uses for expansion (public parameter).
-    pub fn server_depth(server: &ConstantServer) -> u32 {
-        server.depth
-    }
 }
 
 impl RangeScheme for ConstantScheme {
-    type Server = ConstantServer;
+    type Server = QueryServer;
     const NAME: &'static str = "Constant-BRC/URC";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -309,10 +230,7 @@ impl RangeScheme for ConstantScheme {
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index.len(),
-            storage_bytes: server.index.storage_bytes(),
-        }
+        server.index_stats()
     }
 }
 
@@ -321,7 +239,7 @@ impl RangeScheme for ConstantScheme {
 /// subtree (the paper's `(µ(N_i), ℓ(N_i), idmap(N_i))` without the aliases).
 pub fn structural_leakage(
     client: &ConstantScheme,
-    server: &ConstantServer,
+    server: &QueryServer,
     range: Range,
 ) -> Vec<(u32, usize)> {
     let Some(clamped) = clamp_query(&client.domain, range) else {
@@ -336,7 +254,7 @@ pub fn structural_leakage(
             let leaves = Dprf::expand_token(&token);
             let tokens: Vec<SearchToken> =
                 leaves.iter().map(SearchToken::derive_from_seed).collect();
-            let (ids, _) = search_ids(&server.index, &tokens);
+            let (ids, _) = search_ids(server.index(), &tokens);
             (node.level(), ids.len())
         })
         .collect()
@@ -348,6 +266,11 @@ mod tests {
     use crate::schemes::testutil;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
+
+    #[test]
+    fn disk_built_server_cold_opens_and_answers_identically() {
+        testutil::cold_opens_like_in_memory::<ConstantScheme>(&testutil::skewed_dataset(), 21);
+    }
 
     #[test]
     fn brc_and_urc_return_exact_results() {
@@ -453,39 +376,5 @@ mod tests {
         let (client, server) = ConstantScheme::build(&dataset, &mut rng);
         assert!(client.query(&server, Range::new(64, 100)).is_empty());
         assert!(client.trapdoor(Range::new(64, 100)).is_none());
-    }
-
-    #[test]
-    fn disk_built_server_cold_opens_and_answers_identically() {
-        let dataset = testutil::skewed_dataset();
-        let dir = testutil::TempDir::new("constant-disk");
-        let mut rng_mem = ChaCha20Rng::seed_from_u64(21);
-        let (_, mem_server) = ConstantScheme::build_with(&dataset, CoverKind::Brc, &mut rng_mem);
-        let mut rng_disk = ChaCha20Rng::seed_from_u64(21);
-        let (client, disk_server) = ConstantScheme::build_stored_with(
-            &dataset,
-            CoverKind::Brc,
-            &StorageConfig::on_disk(2, dir.path()),
-            &mut rng_disk,
-        )
-        .unwrap();
-        drop(disk_server);
-        let reopened = ConstantServer::open_dir(dir.path()).unwrap();
-        assert_eq!(ConstantScheme::server_depth(&reopened), 6);
-        for range in testutil::query_mix(dataset.domain().size()) {
-            assert_eq!(
-                client.query(&reopened, range).ids,
-                client.query(&mem_server, range).ids,
-                "cold-open must answer like the in-memory server for {range}"
-            );
-        }
-    }
-
-    #[test]
-    fn server_depth_matches_domain_bits() {
-        let dataset = testutil::uniform_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(9);
-        let (_, server) = ConstantScheme::build(&dataset, &mut rng);
-        assert_eq!(ConstantScheme::server_depth(&server), 8);
     }
 }

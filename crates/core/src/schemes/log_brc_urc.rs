@@ -12,7 +12,7 @@
 use crate::dataset::Dataset;
 use crate::metrics::IndexStats;
 use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, search_ids, CoverKind};
-use crate::server::{assemble_outcome, scan_query_into_with, QueryServer, ScanScratch};
+use crate::server::QueryServer;
 use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
@@ -33,61 +33,20 @@ pub struct LogScheme {
     kind: CoverKind,
 }
 
-/// Server-side state: one encrypted multimap with `O(n log m)` entries,
-/// split into `2^k` label-prefix shards (`k` is the build's
-/// `StorageConfig::shard_bits`; `k = 0` is a single arena).
-#[derive(Clone, Debug)]
-pub struct LogServer {
-    index: ShardedIndex,
-}
-
-impl LogServer {
-    /// Number of label-prefix bits sharding the dictionary.
-    pub fn shard_bits(&self) -> u32 {
-        self.index.shard_bits()
-    }
-
-    /// The underlying sharded dictionary.
-    pub fn index(&self) -> &ShardedIndex {
-        &self.index
-    }
-
-    /// Converts this server into a [`QueryServer`] answering batched
-    /// multi-query workloads over the same dictionary.
-    pub fn into_query_server(self) -> QueryServer {
-        QueryServer::new(self.index)
-    }
-
-    /// Serializes the server's dictionary into `dir` (see
-    /// [`ShardedIndex::save_to_dir`]).
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        self.index.save_to_dir(dir)
-    }
-
-    /// Cold-opens a server over a dictionary previously saved with
-    /// [`save_to_dir`](Self::save_to_dir) or built on disk through
-    /// [`LogScheme::build_full_stored`]; the shards are served via paged
-    /// reads without a rebuild.
-    pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        Ok(Self {
-            index: ShardedIndex::open_dir(dir)?,
-        })
-    }
-}
-
 impl LogScheme {
     /// Builds the scheme with an explicit covering technique, optional
     /// padding of the multimap to `n · (⌈log m⌉ + 1)` entries, and the
     /// dictionary held by the storage backend `config` selects — in-memory
     /// shard arenas, or shard files streamed to disk during BuildIndex and
-    /// served via paged reads.
+    /// served via paged reads. The server is one encrypted multimap with
+    /// `O(n log m)` entries.
     pub fn build_full_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         kind: CoverKind,
         pad: bool,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, LogServer), StorageError> {
+    ) -> Result<(Self, QueryServer), StorageError> {
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let key = SseScheme::key_from(chain.derive(b"sse"));
@@ -119,7 +78,7 @@ impl LogScheme {
                 domain,
                 kind,
             },
-            LogServer { index },
+            QueryServer::new(index),
         ))
     }
 
@@ -129,7 +88,7 @@ impl LogScheme {
         dataset: &Dataset,
         kind: CoverKind,
         rng: &mut R,
-    ) -> (Self, LogServer) {
+    ) -> (Self, QueryServer) {
         Self::build_full_stored(dataset, kind, false, &StorageConfig::in_memory(0), rng)
             .expect("in-memory build cannot fail")
     }
@@ -156,27 +115,13 @@ impl LogScheme {
         Some(tokens)
     }
 
-    /// `Search`: the whole token vector in one counter scan; the union of
-    /// the per-token groups is the result. A failed block read on a
-    /// disk-backed dictionary aborts the query with a typed
-    /// [`StorageError`] instead of silently dropping the affected group.
-    pub fn try_search(
-        server: &LogServer,
-        tokens: &[SearchToken],
-    ) -> Result<QueryOutcome, StorageError> {
-        let mut per_token = Vec::new();
-        let mut scratch = ScanScratch::default();
-        let counts = scan_query_into_with(&server.index, tokens, &mut per_token, &mut scratch)?;
-        Ok(assemble_outcome(tokens, per_token, &counts))
-    }
-
     /// The per-token result-group sizes of a query — the "result
     /// partitioning" leakage that distinguishes this scheme from
     /// Logarithmic-SRC (used by leakage tests and the ablation benches).
-    pub fn result_partitioning(&self, server: &LogServer, range: Range) -> Vec<usize> {
+    pub fn result_partitioning(&self, server: &QueryServer, range: Range) -> Vec<usize> {
         match self.trapdoor(range) {
             Some(tokens) => {
-                let (_, groups) = search_ids(&server.index, &tokens);
+                let (_, groups) = search_ids(server.index(), &tokens);
                 groups
             }
             None => Vec::new(),
@@ -185,7 +130,7 @@ impl LogScheme {
 }
 
 impl RangeScheme for LogScheme {
-    type Server = LogServer;
+    type Server = QueryServer;
     const NAME: &'static str = "Logarithmic-BRC/URC";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -214,7 +159,6 @@ impl RangeScheme for LogScheme {
                 let chain = KeyChain::generate(rng);
                 let key = SseScheme::key_from(chain.derive(b"sse"));
                 let shuffle_key = chain.derive(b"shuffle");
-                let index = ShardedIndex::open_dir_with_budget(dir, config.cache_budget)?;
                 Ok((
                     Self {
                         key,
@@ -222,7 +166,7 @@ impl RangeScheme for LogScheme {
                         domain: *dataset.domain(),
                         kind: CoverKind::Brc,
                     },
-                    LogServer { index },
+                    QueryServer::open_dir_with_budget(dir, config.cache_budget)?,
                 ))
             }
         }
@@ -262,7 +206,7 @@ impl RangeScheme for LogScheme {
                 ShardedIndex::merge_dirs(&dirs, out, config.cache_budget)?
             }
         };
-        Ok(LogServer { index })
+        Ok(QueryServer::new(index))
     }
 
     /// Exactly the key-material draws `build_full_stored` makes before it
@@ -282,27 +226,23 @@ impl RangeScheme for LogScheme {
     }
 
     fn open_merged(dir: &Path, config: &StorageConfig) -> Result<Self::Server, StorageError> {
-        let index = match &config.backend {
-            StorageBackend::InMemory => ShardedIndex::open_dir_resident(dir)?,
+        match &config.backend {
+            StorageBackend::InMemory => Ok(QueryServer::new(ShardedIndex::open_dir_resident(dir)?)),
             StorageBackend::OnDisk(_) => {
-                ShardedIndex::open_dir_with_budget(dir, config.cache_budget)?
+                QueryServer::open_dir_with_budget(dir, config.cache_budget)
             }
-        };
-        Ok(LogServer { index })
+        }
     }
 
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
         match self.trapdoor(range) {
-            Some(tokens) => Self::try_search(server, &tokens),
+            Some(tokens) => server.answer(&tokens),
             None => Ok(QueryOutcome::default()),
         }
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index.len(),
-            storage_bytes: server.index.storage_bytes(),
-        }
+        server.index_stats()
     }
 }
 

@@ -11,16 +11,14 @@
 //! skew, which motivates Logarithmic-SRC-i.
 
 use crate::dataset::Dataset;
-use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, try_search_ids};
+use crate::metrics::IndexStats;
+use crate::schemes::common::{clamp_query, grouped_fixed_index_stored};
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Range, Tdag};
 use rsse_crypto::{Key, KeyChain};
-use rsse_sse::{
-    padding, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError,
-};
-use std::path::Path;
+use rsse_sse::{padding, SearchToken, SseKey, SseScheme, StorageConfig, StorageError};
 
 /// Owner-side state of Logarithmic-SRC.
 #[derive(Clone, Debug)]
@@ -29,45 +27,18 @@ pub struct LogSrcScheme {
     tdag: Tdag,
 }
 
-/// Server-side state: one encrypted multimap with `O(n log m)` entries
-/// (sharded by label prefix per the build's `StorageConfig::shard_bits`).
-#[derive(Clone, Debug)]
-pub struct LogSrcServer {
-    index: ShardedIndex,
-}
-
-impl LogSrcServer {
-    /// Number of label-prefix bits sharding the dictionary.
-    pub fn shard_bits(&self) -> u32 {
-        self.index.shard_bits()
-    }
-
-    /// Serializes the server's dictionary into `dir` (see
-    /// [`ShardedIndex::save_to_dir`]).
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        self.index.save_to_dir(dir)
-    }
-
-    /// Cold-opens a server over a previously saved (or disk-built)
-    /// dictionary; the shards are served via paged reads without a rebuild.
-    pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        Ok(Self {
-            index: ShardedIndex::open_dir(dir)?,
-        })
-    }
-}
-
 impl LogSrcScheme {
     /// Builds the scheme, optionally padding the multimap to
     /// `n · (2⌈log m⌉ + 1)` entries; the dictionary lives on the backend
     /// `config` selects (in-memory arenas or shard files streamed to disk
-    /// during BuildIndex).
+    /// during BuildIndex). The server is one encrypted multimap with
+    /// `O(n log m)` entries.
     pub fn build_full_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         pad: bool,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, LogSrcServer), StorageError> {
+    ) -> Result<(Self, QueryServer), StorageError> {
         let domain = *dataset.domain();
         let tdag = Tdag::new(domain);
         let chain = KeyChain::generate(rng);
@@ -91,7 +62,7 @@ impl LogSrcScheme {
         } else {
             grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
         };
-        Ok((Self { key, tdag }, LogSrcServer { index }))
+        Ok((Self { key, tdag }, QueryServer::new(index)))
     }
 
     /// `Trpdr`: the single token for the SRC covering node of the range.
@@ -109,7 +80,7 @@ impl LogSrcScheme {
 }
 
 impl RangeScheme for LogSrcScheme {
-    type Server = LogSrcServer;
+    type Server = QueryServer;
     const NAME: &'static str = "Logarithmic-SRC";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -121,28 +92,14 @@ impl RangeScheme for LogSrcScheme {
     }
 
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
-        let Some(token) = self.trapdoor(range) else {
-            return Ok(QueryOutcome::default());
-        };
-        let (ids, groups) = try_search_ids(&server.index, &[token])?;
-        let touched = groups.iter().sum();
-        Ok(QueryOutcome {
-            ids,
-            stats: QueryStats {
-                tokens_sent: 1,
-                token_bytes: SearchToken::SIZE_BYTES,
-                rounds: 1,
-                entries_touched: touched,
-                result_groups: 1,
-            },
-        })
+        match self.trapdoor(range) {
+            Some(token) => server.answer(&[token]),
+            None => Ok(QueryOutcome::default()),
+        }
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index.len(),
-            storage_bytes: server.index.storage_bytes(),
-        }
+        server.index_stats()
     }
 }
 
@@ -156,6 +113,11 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_cover::Domain;
+
+    #[test]
+    fn disk_built_server_cold_opens_and_answers_identically() {
+        testutil::cold_opens_like_in_memory::<LogSrcScheme>(&testutil::skewed_dataset(), 51);
+    }
 
     #[test]
     fn results_are_complete_with_bounded_false_positives_on_uniform_data() {
@@ -247,32 +209,6 @@ mod tests {
         let mut rng = ChaCha20Rng::seed_from_u64(6);
         let (client, server) = LogSrcScheme::build(&dataset, &mut rng);
         assert!(client.query(&server, Range::new(100, 200)).is_empty());
-    }
-
-    #[test]
-    fn disk_built_server_cold_opens_and_answers_identically() {
-        let dataset = testutil::skewed_dataset();
-        let dir = testutil::TempDir::new("logsrc-disk");
-        let mut rng_mem = ChaCha20Rng::seed_from_u64(51);
-        let (_, mem_server) = LogSrcScheme::build(&dataset, &mut rng_mem);
-        let mut rng_disk = ChaCha20Rng::seed_from_u64(51);
-        let (client, disk_server) = LogSrcScheme::build_full_stored(
-            &dataset,
-            false,
-            &StorageConfig::on_disk(3, dir.path()),
-            &mut rng_disk,
-        )
-        .unwrap();
-        drop(disk_server);
-        let reopened = LogSrcServer::open_dir(dir.path()).unwrap();
-        assert_eq!(reopened.shard_bits(), 3);
-        for range in testutil::query_mix(dataset.domain().size()) {
-            assert_eq!(
-                client.query(&reopened, range).ids,
-                client.query(&mem_server, range).ids,
-                "cold-open must answer like the in-memory server for {range}"
-            );
-        }
     }
 
     proptest! {

@@ -22,14 +22,13 @@ use crate::dataset::{Dataset, Record};
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{
     clamp_query, decode_value_span, encode_value_span_array, grouped_fixed_index_stored,
-    try_search_ids,
 };
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range, Tdag};
 use rsse_crypto::{permute, KeyChain, Prf};
 use rsse_sse::{SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError};
-use std::path::Path;
 
 /// Owner-side state of Logarithmic-SRC-i.
 #[derive(Clone, Debug)]
@@ -40,50 +39,20 @@ pub struct LogSrcIScheme {
     tdag2: Tdag,
 }
 
-/// Server-side state: the two encrypted indexes (each sharded by label
-/// prefix per the build's `StorageConfig::shard_bits`).
-#[derive(Clone, Debug)]
-pub struct LogSrcIServer {
-    index1: ShardedIndex,
-    index2: ShardedIndex,
-}
-
-impl LogSrcIServer {
-    /// Subdirectory of a saved SRC-i server holding the first index.
-    pub const I1_SUBDIR: &'static str = "i1";
-    /// Subdirectory of a saved SRC-i server holding the second index.
-    pub const I2_SUBDIR: &'static str = "i2";
-
-    /// Serializes both dictionaries into `dir` (subdirectories
-    /// [`I1_SUBDIR`](Self::I1_SUBDIR) and [`I2_SUBDIR`](Self::I2_SUBDIR)).
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        let dir = dir.as_ref();
-        self.index1.save_to_dir(dir.join(Self::I1_SUBDIR))?;
-        self.index2.save_to_dir(dir.join(Self::I2_SUBDIR))
-    }
-
-    /// Cold-opens a server over two previously saved (or disk-built)
-    /// dictionaries; both are served via paged reads without a rebuild.
-    pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref();
-        Ok(Self {
-            index1: ShardedIndex::open_dir(dir.join(Self::I1_SUBDIR))?,
-            index2: ShardedIndex::open_dir(dir.join(Self::I2_SUBDIR))?,
-        })
-    }
-}
+/// Subdirectories of an on-disk SRC-i server's directory holding `I1` and
+/// `I2`, in the order of the server's two [`QueryServer`]s.
+pub const INDEX_SUBDIRS: [&str; 2] = ["i1", "i2"];
 
 impl LogSrcIScheme {
     /// Builds both indexes on the backend `config` selects; with an
     /// on-disk backend `I1` and `I2` are streamed into the
-    /// [`I1_SUBDIR`](LogSrcIServer::I1_SUBDIR) /
-    /// [`I2_SUBDIR`](LogSrcIServer::I2_SUBDIR) subdirectories of the
-    /// configured directory.
+    /// [`INDEX_SUBDIRS`] of the configured directory. The server is the
+    /// two dictionaries, `[I1, I2]`.
     pub fn build_impl_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, LogSrcIServer), StorageError> {
+    ) -> Result<(Self, [QueryServer; 2]), StorageError> {
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let key1 = SseScheme::key_from(chain.derive(b"sse-i1"));
@@ -124,7 +93,7 @@ impl LogSrcIScheme {
             &key1,
             &chain.derive(b"shuffle-i1"),
             entries1,
-            &config.subdir(LogSrcIServer::I1_SUBDIR),
+            &config.subdir(INDEX_SUBDIRS[0]),
             rng,
         )?;
 
@@ -146,7 +115,7 @@ impl LogSrcIScheme {
             &key2,
             &chain.derive(b"shuffle-i2"),
             entries2,
-            &config.subdir(LogSrcIServer::I2_SUBDIR),
+            &config.subdir(INDEX_SUBDIRS[1]),
             rng,
         ) {
             Ok(index2) => index2,
@@ -155,7 +124,7 @@ impl LogSrcIScheme {
                 // failed build never leaves half a two-index server behind.
                 if let rsse_sse::StorageBackend::OnDisk(dir) = &config.backend {
                     rsse_sse::storage::cleanup_partial_index(
-                        &dir.join(LogSrcIServer::I1_SUBDIR),
+                        &dir.join(INDEX_SUBDIRS[0]),
                         1usize << config.shard_bits,
                     );
                     let _ = rsse_sse::formats::remove_dir(dir);
@@ -170,7 +139,7 @@ impl LogSrcIScheme {
                 tdag1,
                 tdag2,
             },
-            LogSrcIServer { index1, index2 },
+            [QueryServer::new(index1), QueryServer::new(index2)],
         ))
     }
 
@@ -217,7 +186,7 @@ impl LogSrcIScheme {
 }
 
 impl RangeScheme for LogSrcIScheme {
-    type Server = LogSrcIServer;
+    type Server = [QueryServer; 2];
     const NAME: &'static str = "Logarithmic-SRC-i";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -249,14 +218,10 @@ impl RangeScheme for LogSrcIScheme {
                 let key2 = SseScheme::key_from(chain.derive(b"sse-i2"));
                 let tdag1 = Tdag::new(*dataset.domain());
                 let tdag2 = Tdag::new(Domain::new(dataset.len().max(1) as u64));
-                let index1 = ShardedIndex::open_dir_with_budget(
-                    dir.join(LogSrcIServer::I1_SUBDIR),
-                    config.cache_budget,
-                )?;
-                let index2 = ShardedIndex::open_dir_with_budget(
-                    dir.join(LogSrcIServer::I2_SUBDIR),
-                    config.cache_budget,
-                )?;
+                let open = |subdir| {
+                    QueryServer::open_dir_with_budget(dir.join(subdir), config.cache_budget)
+                };
+                let server = [open(INDEX_SUBDIRS[0])?, open(INDEX_SUBDIRS[1])?];
                 Ok((
                     Self {
                         key1,
@@ -264,7 +229,7 @@ impl RangeScheme for LogSrcIScheme {
                         tdag1,
                         tdag2,
                     },
-                    LogSrcIServer { index1, index2 },
+                    server,
                 ))
             }
         }
@@ -279,7 +244,7 @@ impl RangeScheme for LogSrcIScheme {
         let token1 = self
             .trapdoor_stage1(clamped)
             .expect("clamped range is inside the domain");
-        let stage1 = stage1_documents(&server.index1, &token1)?;
+        let stage1 = stage1_documents(server[0].index(), &token1)?;
         let stage1_touched = stage1.len();
 
         // Owner merges the qualifying spans.
@@ -301,28 +266,21 @@ impl RangeScheme for LogSrcIScheme {
         let token2 = self
             .trapdoor_stage2(positions)
             .expect("merged positions are valid indices into the sorted dataset");
-        let (ids, groups2) = try_search_ids(&server.index2, &[token2])?;
+        let stage2 = server[1].answer(&[token2])?;
         Ok(QueryOutcome {
-            ids,
+            ids: stage2.ids,
             stats: QueryStats {
                 tokens_sent: 2,
                 token_bytes: 2 * SearchToken::SIZE_BYTES,
                 rounds: 2,
-                entries_touched: stage1_touched + groups2.iter().sum::<usize>(),
+                entries_touched: stage1_touched + stage2.stats.entries_touched,
                 result_groups: 1,
             },
         })
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index1.len(),
-            storage_bytes: server.index1.storage_bytes(),
-        }
-        .merged(IndexStats {
-            entries: server.index2.len(),
-            storage_bytes: server.index2.storage_bytes(),
-        })
+        server[0].index_stats().merged(server[1].index_stats())
     }
 }
 
@@ -339,22 +297,6 @@ fn stage1_documents(
         documents.extend(round.iter().filter_map(|(_, hit)| cipher.decrypt(hit)));
     })?;
     Ok(documents)
-}
-
-/// Index statistics of the two sub-indexes separately (the size of `I1`
-/// leaks the number of distinct values — part of the scheme's extra
-/// leakage, reported in the qualitative comparison of Section 6.3).
-pub fn per_index_stats(server: &LogSrcIServer) -> (IndexStats, IndexStats) {
-    (
-        IndexStats {
-            entries: server.index1.len(),
-            storage_bytes: server.index1.storage_bytes(),
-        },
-        IndexStats {
-            entries: server.index2.len(),
-            storage_bytes: server.index2.storage_bytes(),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -450,7 +392,9 @@ mod tests {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(5);
         let (client, server) = LogSrcIScheme::build(&dataset, &mut rng);
-        let (i1, i2) = per_index_stats(&server);
+        // The size of `I1` leaks the number of distinct values — part of
+        // the scheme's extra leakage (Section 6.3).
+        let (i1, i2) = (server[0].index_stats(), server[1].index_stats());
         let (tdag1, _) = client.tdags();
         let expected_i1: usize = {
             use std::collections::BTreeSet;
@@ -515,9 +459,12 @@ mod tests {
             &mut rng_disk,
         )
         .unwrap();
-        assert!(disk_server.index1.is_file_backed() && disk_server.index2.is_file_backed());
+        assert!(disk_server.iter().all(|s| s.index().is_file_backed()));
         drop(disk_server);
-        let reopened = LogSrcIServer::open_dir(dir.path()).unwrap();
+        let open = |root: &std::path::Path| {
+            INDEX_SUBDIRS.map(|subdir| QueryServer::open_dir(root.join(subdir)).unwrap())
+        };
+        let reopened = open(dir.path());
         for range in testutil::query_mix(dataset.domain().size()) {
             assert_eq!(
                 client.query(&reopened, range).ids,
@@ -527,10 +474,13 @@ mod tests {
         }
         // Round-trip: save the reopened server and reopen again.
         let dir2 = testutil::TempDir::new("srci-resave");
-        reopened.save_to_dir(dir2.path()).unwrap();
-        let again = LogSrcIServer::open_dir(dir2.path()).unwrap();
-        assert_eq!(again.index1.len(), reopened.index1.len());
-        assert_eq!(again.index2.len(), reopened.index2.len());
+        for (server, subdir) in reopened.iter().zip(INDEX_SUBDIRS) {
+            server.save_to_dir(dir2.path().join(subdir)).unwrap();
+        }
+        let again = open(dir2.path());
+        for (again, reopened) in again.iter().zip(&reopened) {
+            assert_eq!(again.index_stats(), reopened.index_stats());
+        }
     }
 
     proptest! {

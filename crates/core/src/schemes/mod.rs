@@ -26,8 +26,12 @@ pub(crate) mod testutil {
 
     use crate::dataset::{Dataset, DocId, Record};
     use crate::metrics::Evaluation;
-    use crate::traits::QueryOutcome;
+    use crate::server::QueryServer;
+    use crate::traits::{QueryOutcome, RangeScheme};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha20Rng;
     use rsse_cover::{Domain, Range};
+    use rsse_sse::StorageConfig;
 
     /// A small skewed dataset over a 64-value domain: ten tuples piled on
     /// value 2 (mirroring the USPS-style skew of the paper's Figure 4
@@ -165,7 +169,54 @@ pub(crate) mod testutil {
         (key, db, tokens)
     }
 
+    /// Builds `S` on disk, drops the built server, cold-opens the directory
+    /// with [`QueryServer::open_dir`] and checks that the reopened server
+    /// answers the query mix exactly like an in-memory build from the same
+    /// RNG stream — ids and stats.
+    pub fn cold_opens_like_in_memory<S: RangeScheme<Server = QueryServer>>(
+        dataset: &Dataset,
+        seed: u64,
+    ) {
+        let rng = || ChaCha20Rng::seed_from_u64(seed);
+        let (_, memory) = S::build_stored(dataset, &StorageConfig::in_memory(0), &mut rng())
+            .expect("in-memory build cannot fail");
+        let dir = TempDir::new("cold-open");
+        let (client, built) =
+            S::build_stored(dataset, &StorageConfig::on_disk(3, dir.path()), &mut rng())
+                .expect("on-disk build");
+        drop(built);
+        let reopened = QueryServer::open_dir(dir.path()).unwrap();
+        assert_eq!(reopened.shard_bits(), 3, "{}", S::NAME);
+        assert!(reopened.index().is_file_backed(), "{}", S::NAME);
+        assert_eq!(S::index_stats(&reopened), S::index_stats(&memory));
+        for range in query_mix(dataset.domain().size()) {
+            assert_eq!(
+                client.try_query(&reopened, range).unwrap(),
+                client.query(&memory, range),
+                "{}: cold-open must answer like the in-memory server for {range}",
+                S::NAME
+            );
+        }
+    }
+
     /// Unique scratch directory for persistence tests (shared helper from
     /// `rsse-sse`'s test support, so every crate maintains one copy).
     pub use rsse_sse::test_support::TempDir;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::log_brc_urc::LogScheme;
+    use super::plain_sse::PlainSseScheme;
+    use super::quadratic::QuadraticScheme;
+    use super::testutil;
+
+    /// Constant and SRC run the same check in their own modules.
+    #[test]
+    fn every_dictionary_server_cold_opens_and_answers_identically() {
+        let dataset = testutil::skewed_dataset();
+        testutil::cold_opens_like_in_memory::<LogScheme>(&dataset, 11);
+        testutil::cold_opens_like_in_memory::<QuadraticScheme>(&dataset, 8);
+        testutil::cold_opens_like_in_memory::<PlainSseScheme>(&dataset, 61);
+    }
 }

@@ -14,24 +14,18 @@
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, try_search_ids};
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::{SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError};
+use rsse_sse::{SearchToken, SseKey, SseScheme, StorageConfig, StorageError};
 
 /// Owner-side state of the per-value SSE scheme.
 #[derive(Clone, Debug)]
 pub struct PlainSseScheme {
     key: SseKey,
     domain: Domain,
-}
-
-/// Server-side state: one `O(n)`-entry encrypted multimap (sharded by label
-/// prefix per the build's `StorageConfig::shard_bits`).
-#[derive(Clone, Debug)]
-pub struct PlainSseServer {
-    index: ShardedIndex,
 }
 
 fn value_keyword(value: u64) -> [u8; 9] {
@@ -55,11 +49,11 @@ impl PlainSseScheme {
     /// retrieval cost" baseline of Figure 7.
     pub fn query_values(
         &self,
-        server: &PlainSseServer,
+        server: &QueryServer,
         values: &[u64],
     ) -> Result<QueryOutcome, StorageError> {
         let tokens = self.trapdoor_values(values);
-        let (ids, groups) = try_search_ids(&server.index, &tokens)?;
+        let (ids, groups) = try_search_ids(server.index(), &tokens)?;
         let touched = groups.iter().sum();
         Ok(QueryOutcome {
             ids,
@@ -75,7 +69,7 @@ impl PlainSseScheme {
 }
 
 impl RangeScheme for PlainSseScheme {
-    type Server = PlainSseServer;
+    type Server = QueryServer;
     const NAME: &'static str = "SSE (per-value)";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -92,7 +86,7 @@ impl RangeScheme for PlainSseScheme {
             .map(|record| (value_keyword(record.value), record.id_payload_array()));
         let index =
             grouped_fixed_index_stored(&key, &chain.derive(b"shuffle"), entries, config, rng)?;
-        Ok((Self { key, domain }, PlainSseServer { index }))
+        Ok((Self { key, domain }, QueryServer::new(index)))
     }
 
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
@@ -104,10 +98,7 @@ impl RangeScheme for PlainSseScheme {
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index.len(),
-            storage_bytes: server.index.storage_bytes(),
-        }
+        server.index_stats()
     }
 }
 

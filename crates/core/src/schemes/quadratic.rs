@@ -9,14 +9,15 @@
 //! conceptual baseline; construction is guarded by [`MAX_DOMAIN_SIZE`].
 
 use crate::dataset::Dataset;
-use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{clamp_query, try_search_ids};
+use crate::metrics::IndexStats;
+use crate::schemes::common::clamp_query;
+use crate::server::QueryServer;
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    build_index_external_with, padding, SearchToken, ShardedIndex, SpillOrder, SseKey, SseScheme,
-    StorageConfig, StorageError,
+    build_index_external_with, padding, SearchToken, SpillOrder, SseKey, SseScheme, StorageConfig,
+    StorageError,
 };
 
 /// Largest domain for which Quadratic will agree to build an index. The
@@ -29,14 +30,6 @@ pub const MAX_DOMAIN_SIZE: u64 = 4096;
 pub struct QuadraticScheme {
     key: SseKey,
     domain: Domain,
-}
-
-/// Server-side state of the Quadratic scheme: one `O(n·m²)`-entry
-/// encrypted multimap (sharded by label prefix per the build's
-/// `StorageConfig::shard_bits`).
-#[derive(Clone, Debug)]
-pub struct QuadraticServer {
-    index: ShardedIndex,
 }
 
 fn range_keyword(range: Range) -> [u8; 17] {
@@ -55,13 +48,14 @@ impl QuadraticScheme {
         dataset: &Dataset,
         pad: bool,
         rng: &mut R,
-    ) -> (Self, QuadraticServer) {
+    ) -> (Self, QueryServer) {
         Self::build_full_stored(dataset, pad, &StorageConfig::in_memory(0), rng)
             .expect("in-memory build cannot fail")
     }
 
     /// Builds the scheme, optionally padded, with the dictionary on the
-    /// backend `config` selects.
+    /// backend `config` selects. The server is one `O(n·m²)`-entry
+    /// encrypted multimap.
     ///
     /// # Panics
     /// Panics if the domain holds more than [`MAX_DOMAIN_SIZE`] values.
@@ -70,7 +64,7 @@ impl QuadraticScheme {
         pad: bool,
         config: &StorageConfig,
         rng: &mut R,
-    ) -> Result<(Self, QuadraticServer), StorageError> {
+    ) -> Result<(Self, QueryServer), StorageError> {
         let domain = *dataset.domain();
         assert!(
             domain.size() <= MAX_DOMAIN_SIZE,
@@ -95,7 +89,7 @@ impl QuadraticScheme {
         } else {
             build_index_external_with(entries, SpillOrder::ByKeyword, token, config, rng)?
         };
-        Ok((Self { key, domain }, QuadraticServer { index }))
+        Ok((Self { key, domain }, QueryServer::new(index)))
     }
 
     /// `Trpdr`: the single token for the query's exact range keyword.
@@ -106,7 +100,7 @@ impl QuadraticScheme {
 }
 
 impl RangeScheme for QuadraticScheme {
-    type Server = QuadraticServer;
+    type Server = QueryServer;
     const NAME: &'static str = "Quadratic";
 
     fn build_stored<R: RngCore + CryptoRng>(
@@ -118,28 +112,14 @@ impl RangeScheme for QuadraticScheme {
     }
 
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
-        let Some(token) = self.trapdoor(range) else {
-            return Ok(QueryOutcome::default());
-        };
-        let (ids, groups) = try_search_ids(&server.index, &[token])?;
-        let touched = groups.iter().sum();
-        Ok(QueryOutcome {
-            ids,
-            stats: QueryStats {
-                tokens_sent: 1,
-                token_bytes: SearchToken::SIZE_BYTES,
-                rounds: 1,
-                entries_touched: touched,
-                result_groups: 1,
-            },
-        })
+        match self.trapdoor(range) {
+            Some(token) => server.answer(&[token]),
+            None => Ok(QueryOutcome::default()),
+        }
     }
 
     fn index_stats(server: &Self::Server) -> IndexStats {
-        IndexStats {
-            entries: server.index.len(),
-            storage_bytes: server.index.storage_bytes(),
-        }
+        server.index_stats()
     }
 }
 
@@ -253,7 +233,7 @@ mod tests {
             &mut ChaCha20Rng::seed_from_u64(8),
         )
         .unwrap();
-        assert!(disk.index.is_file_backed());
+        assert!(disk.index().is_file_backed());
         for range in testutil::query_mix(dataset.domain().size()) {
             let outcome = client.query(&disk, range);
             assert_eq!(outcome, client.query(&memory, range));

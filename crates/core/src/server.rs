@@ -26,7 +26,7 @@
 //! returns outcomes in query order regardless of scheduling.
 
 use crate::dataset::{decode_id_payload, DocId};
-use crate::metrics::QueryStats;
+use crate::metrics::{IndexStats, QueryStats};
 use crate::traits::QueryOutcome;
 use rayon::prelude::*;
 use rsse_crypto::StreamCipher;
@@ -173,6 +173,12 @@ pub fn assemble_outcome(
 /// A server-side search endpoint answering whole token vectors — and whole
 /// batches of concurrent queries — over one sharded encrypted dictionary.
 ///
+/// It is the server of every encrypted-dictionary scheme: the
+/// `RangeScheme::Server` of Logarithmic-BRC/URC, Logarithmic-SRC,
+/// Constant-BRC/URC, Quadratic and per-value SSE, and — one per index —
+/// of Logarithmic-SRC-i. Only PB, whose server is a Bloom-filter tree,
+/// has a server of its own.
+///
 /// # Examples
 ///
 /// ```
@@ -190,7 +196,6 @@ pub fn assemble_outcome(
 /// // Build with a 2^4-way sharded dictionary and stand up the server.
 /// let config = StorageConfig::in_memory(4);
 /// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
-/// let server = server.into_query_server();
 ///
 /// // A batch of concurrent range queries: one token vector each, one
 /// // `Result` per query.
@@ -262,6 +267,22 @@ impl QueryServer {
     /// Number of label-prefix bits sharding the dictionary.
     pub fn shard_bits(&self) -> u32 {
         self.index.shard_bits()
+    }
+
+    /// Entry count and storage bytes of the served dictionary.
+    pub fn index_stats(&self) -> IndexStats {
+        IndexStats {
+            entries: self.index.len(),
+            storage_bytes: self.index.storage_bytes(),
+        }
+    }
+
+    /// Identity: the server a scheme builds already is a `QueryServer`.
+    /// Kept only because `perf/src/adapter.rs` (`build_in_memory`) still
+    /// calls it on `LogScheme`'s server; it leaves with that call.
+    #[doc(hidden)]
+    pub fn into_query_server(self) -> Self {
+        self
     }
 
     /// Answers one range query's whole token vector in a single counter
@@ -340,9 +361,7 @@ mod tests {
     ) -> (LogScheme, QueryServer) {
         let mut rng = ChaCha20Rng::seed_from_u64(seed);
         let config = StorageConfig::in_memory(bits);
-        let (client, server) =
-            LogScheme::build_full_stored(dataset, kind, false, &config, &mut rng).unwrap();
-        (client, server.into_query_server())
+        LogScheme::build_full_stored(dataset, kind, false, &config, &mut rng).unwrap()
     }
 
     /// All-or-nothing collection of `answer_many`.
@@ -542,10 +561,9 @@ mod tests {
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(4);
         let config = StorageConfig::in_memory(5);
-        let (client, single_server) =
+        let (client, qs) =
             LogScheme::build_full_stored(&dataset, CoverKind::Urc, false, &config, &mut rng)
                 .unwrap();
-        let qs = single_server.clone().into_query_server();
         let ranges: Vec<Range> = testutil::query_mix(dataset.domain().size());
         let queries: Vec<Vec<SearchToken>> = ranges
             .iter()
@@ -553,7 +571,7 @@ mod tests {
             .collect();
         let batched = answer_all(&qs, &queries).unwrap();
         for (range, outcome) in ranges.iter().zip(&batched) {
-            assert_eq!(outcome, &client.query(&single_server, *range));
+            assert_eq!(outcome, &client.query(&qs, *range));
             testutil::assert_exact(&dataset, *range, outcome);
         }
     }

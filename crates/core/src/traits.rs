@@ -149,7 +149,7 @@ pub trait RangeScheme: Sized {
     /// rewrite the directory with byte-identical files. Schemes with a
     /// cheap reopen path (Logarithmic-BRC/URC, Logarithmic-SRC-i)
     /// override it to re-derive only the keys and cold-open the persisted
-    /// shards via `ShardedIndex::open_dir_with_budget` — no re-encryption,
+    /// shards via `QueryServer::open_dir_with_budget` — no re-encryption,
     /// no full-index residency.
     fn open_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
@@ -165,16 +165,17 @@ pub trait RangeScheme: Sized {
     /// decrypt/re-encrypt, while every input client's trapdoors keep
     /// answering exactly as before against the merged server.
     ///
-    /// This holds for schemes whose server is a single encrypted multimap
-    /// probed by exact label lookups under per-instance keys
-    /// (Logarithmic-BRC/URC): distinct instances' labels are disjoint with
-    /// overwhelming probability, so the union of the dictionaries is
-    /// itself a valid dictionary for each input client. Schemes whose
-    /// query processing depends on global index structure — SRC's single
-    /// covering node over the whole corpus, SRC-i's id-domain second
-    /// index, PB's filter tree, the Constant schemes' DPRF-positioned
-    /// subtrees — cannot merge structurally and report `false`, keeping
-    /// the rebuild consolidation path.
+    /// The condition is a server of encrypted dictionaries probed only by
+    /// exact labels under per-instance keys: distinct instances' labels
+    /// are disjoint with overwhelming probability, so the union of the
+    /// dictionaries is itself a valid dictionary for each input client.
+    /// Every scheme whose server is a [`QueryServer`](crate::QueryServer)
+    /// (two of them for Logarithmic-SRC-i) meets it; only PB's Bloom-filter
+    /// tree does not. Today only Logarithmic-BRC/URC opts in. The others
+    /// report `false` and keep the rebuild consolidation path until each
+    /// has a [`derive_client`](Self::derive_client) replaying its key
+    /// draw, and — for SRC-i — until a merged instance keeps each part's
+    /// dataset size, which fixes that part's position TDAG.
     fn supports_structural_merge() -> bool {
         false
     }

@@ -398,7 +398,7 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
 /// let config = StorageConfig::in_memory(4);
 /// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
-/// let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
+/// let serve = ResilientServer::new(server, ServeConfig::default());
 ///
 /// let tokens = client.trapdoor(Range::new(0, 100)).unwrap();
 /// let outcome = serve.answer(&tokens).unwrap();

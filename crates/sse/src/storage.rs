@@ -1616,8 +1616,8 @@ fn clear_save_leftover(path: &Path) -> Result<(), StorageError> {
 }
 
 /// Whether `name` is one of the files a save itself writes (shard files,
-/// the manifest, or their tmp scratch siblings) — as opposed to scheme
-/// sidecars like `constant.meta` that must survive a re-save.
+/// the manifest, or their tmp scratch siblings) — as opposed to sidecars
+/// like a manager instance's `owner.meta` that must survive a re-save.
 fn is_index_file(name: &str) -> bool {
     if name == MANIFEST_FILE || name == "index.meta.tmp" {
         return true;
@@ -1630,7 +1630,7 @@ fn is_index_file(name: &str) -> bool {
 
 /// Directory-level atomic re-save: the whole new snapshot (shard files,
 /// manifest, and copies of any non-index sidecar files such as
-/// `constant.meta`) is written into a `<dir>.staging` sibling, then
+/// `owner.meta`) is written into a `<dir>.staging` sibling, then
 /// committed by renaming it into place — the old directory is moved aside
 /// first and removed after. A crash while staging leaves the old snapshot
 /// untouched (stale staging directories are cleaned up at the next save);
@@ -2176,11 +2176,11 @@ mod tests {
 
     #[test]
     fn resave_preserves_sidecar_files() {
-        // Scheme sidecars (Constant's depth meta, PB's tree) live next to
-        // the shard files; the staged re-save must carry them into the
+        // Sidecars (a manager instance's owner meta, PB's tree) live next
+        // to the shard files; the staged re-save must carry them into the
         // committed snapshot.
         let (dir, _, _) = saved_index(1);
-        let sidecar = dir.path().join("constant.meta");
+        let sidecar = dir.path().join("owner.meta");
         fs::write(&sidecar, b"sidecar-bytes").unwrap();
         let index = ShardedIndex::open_dir(dir.path()).unwrap();
         index.save_to_dir(dir.path()).unwrap();

@@ -24,10 +24,10 @@
 //! hierarchy **persistent**: each instance's index is streamed to its own
 //! directory during the build and served from disk via paged reads, and a
 //! consolidation removes the directories of the instances it supersedes
-//! once the merged index is durably written. Schemes without an
-//! encrypted-dictionary server layout (Quadratic, the plain-SSE baseline)
-//! fall back to the trait's default, which supports the in-memory backend
-//! and rejects on-disk requests with a typed error.
+//! once the merged index is durably written. Every scheme builds on disk:
+//! the encrypted-dictionary schemes (Quadratic and the plain-SSE baseline
+//! included) stream their shard files through the one BuildIndex
+//! pipeline, and PB persists its filter tree.
 //!
 //! [`ConsolidationMode::Structural`] replaces the re-encrypting rebuild
 //! with a **structural merge** for capable schemes: the inputs' committed

@@ -51,7 +51,7 @@ fn main() {
     // per-probe retries around the batched query server (shards are
     // immutable — concurrent reads are lock-free).
     let sequential_server = server.clone();
-    let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
+    let serve = ResilientServer::new(server, ServeConfig::default());
 
     // ---------------------------------------------------------------
     // 2. A burst of concurrent clients, each with its own range query.

@@ -39,7 +39,7 @@ fn main() {
     let (client, server) =
         LogScheme::build_stored(&dataset, &StorageConfig::in_memory(4), &mut rng)
             .expect("in-memory build cannot fail");
-    let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
+    let serve = ResilientServer::new(server, ServeConfig::default());
 
     // ---------------------------------------------------------------
     // 2. The trace: one virtual second of Poisson arrivals at 800/s,

@@ -96,12 +96,12 @@ fn lanes(seed: u64, tag: &str) -> Vec<Lane> {
 /// [`lanes`] over a caller-chosen dataset.
 fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let (client, server) = LogScheme::build_stored(data, &StorageConfig::in_memory(4), &mut rng)
+    let (client, qs) = LogScheme::build_stored(data, &StorageConfig::in_memory(4), &mut rng)
         .expect("in-memory build cannot fail");
     let mem = Lane {
         name: "in_memory",
         client,
-        qs: server.into_query_server(),
+        qs,
         dir: None,
     };
 

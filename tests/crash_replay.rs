@@ -23,7 +23,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use rsse::core::schemes::log_brc_urc::{LogScheme, LogServer};
+use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{BuildBudget, StorageConfig};
 use rsse::prelude::*;
 use rsse::sse::formats::{arm_crash, Crash};
@@ -292,7 +292,7 @@ fn dataset() -> Dataset {
     Dataset::new(Domain::new(DOMAIN), records).unwrap()
 }
 
-fn answers(client: &LogScheme, server: &LogServer) -> Vec<QueryOutcome> {
+fn answers(client: &LogScheme, server: &QueryServer) -> Vec<QueryOutcome> {
     [
         Range::new(0, DOMAIN - 1),
         Range::new(40, 300),
@@ -433,7 +433,7 @@ fn save_into_the_served_directory_heals_after_every_op() {
                 (client, served, old)
             }
         };
-        let open = |root: &Path| LogServer::open_dir(root.join("index"));
+        let open = |root: &Path| QueryServer::open_dir(root.join("index"));
 
         let reference = TempDir::new("replay-save-ref");
         let (client, saved, old) = prepare(reference.path());

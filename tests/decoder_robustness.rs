@@ -1,7 +1,7 @@
 //! One mutation battery over every on-disk decoder.
 //!
-//! Each of the eight formats (`RSSE-SHD`, `RSSE-IDX`, `RSSE-MGR`,
-//! `RSSE-OWN` framing, `RSSE-SPM`, `RSSE-SPL`, `RSSE-CMD`, `RSSE-PBT`) and
+//! Each of the seven formats (`RSSE-SHD`, `RSSE-IDX`, `RSSE-MGR`,
+//! `RSSE-OWN` framing, `RSSE-SPM`, `RSSE-SPL`, `RSSE-PBT`) and
 //! both `owner.meta` payload bodies is a [`Format`]: a valid file written by
 //! the real encoder, and a `recode` function that decodes a candidate byte
 //! string in that file's place and re-encodes what it decoded. The same
@@ -27,7 +27,6 @@ use proptest::test_runner::TestRunner;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::common::grouped_fixed_index_stored;
-use rsse::core::schemes::constant::{ConstantScheme, ConstantServer};
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
@@ -282,16 +281,6 @@ fn formats(scratch: &Path) -> Vec<Format> {
             |index, out| index.save_to_dir(out),
         ));
     }
-
-    let dir = scratch.join("RSSE-CMD");
-    ConstantScheme::build_stored(&dataset(), &StorageConfig::on_disk(0, &dir), &mut rng()).unwrap();
-    formats.push(in_dir(
-        "RSSE-CMD",
-        dir,
-        "constant.meta".to_string(),
-        |dir| ConstantServer::open_dir(dir),
-        |server, out| server.save_to_dir(out),
-    ));
 
     let dir = scratch.join("RSSE-PBT");
     PbScheme::build_stored(&dataset(), &StorageConfig::on_disk(0, &dir), &mut rng()).unwrap();

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! log/        2-shard Logarithmic-BRC index   RSSE-IDX, RSSE-SHD
-//! constant/   Constant-BRC index              … plus constant.meta (RSSE-CMD)
+//! constant/   Constant-BRC index              RSSE-IDX, RSSE-SHD
 //! pb/         PB filter tree                  pb-tree.bin (RSSE-PBT)
 //! manager/    a manager root after 7 ingests  manager.meta (RSSE-MGR) and three
 //!             at step 3                       owner.meta (RSSE-OWN): a raw batch,
@@ -32,8 +32,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::common::grouped_fixed_index_stored;
-use rsse::core::schemes::constant::{ConstantScheme, ConstantServer};
-use rsse::core::schemes::log_brc_urc::{LogScheme, LogServer};
+use rsse::core::schemes::constant::ConstantScheme;
+use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
 use rsse::crypto::Key;
@@ -338,14 +338,14 @@ fn every_format_matches_its_golden_files() {
         "log",
         11,
         digests["log"],
-        |dir| LogServer::open_dir(dir),
+        |dir| QueryServer::open_dir(dir),
         |server, dir| server.save_to_dir(dir),
     );
     reopened::<ConstantScheme>(
         "constant",
         12,
         digests["constant"],
-        |dir| ConstantServer::open_dir(dir),
+        |dir| QueryServer::open_dir(dir),
         |server, dir| server.save_to_dir(dir),
     );
     reopened::<PbScheme>(

@@ -71,7 +71,7 @@ fn endpoint(
     let (client, server) =
         LogScheme::build_stored(&data, &StorageConfig::in_memory(shard_bits), &mut rng)
             .expect("in-memory build cannot fail");
-    (data, client, server.into_query_server(), None)
+    (data, client, server, None)
 }
 
 /// The on-disk endpoint, file-backed behind a 256 KiB block cache in the
@@ -87,7 +87,7 @@ fn disk_endpoint(tag: &str, shard_bits: u32, build_seed: u64) -> (LogScheme, Que
         &mut rng,
     )
     .expect("on-disk build");
-    (client, server.into_query_server(), dir)
+    (client, server, dir)
 }
 
 fn batch(client: &LogScheme) -> Vec<Vec<SearchToken>> {

@@ -15,7 +15,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::{BuildBudget, StorageConfig};
 use rsse::prelude::*;
+use rsse::serve::{ResilientServer, ServeConfig};
 use rsse::sse::test_support::TempDir;
+use rsse::sse::SearchToken;
 
 fn sorted(mut ids: Vec<DocId>) -> Vec<DocId> {
     ids.sort_unstable();
@@ -173,6 +175,117 @@ fn clients_and_servers_from_different_builds_do_not_mix() {
     // nothing in server A's index.
     let outcome = client_b.query(&server_a, Range::new(0, (1 << 12) - 1));
     assert!(outcome.is_empty());
+}
+
+/// A spread of in-domain query ranges: the whole domain, both edges,
+/// points, halves, a middle third and short spans.
+fn query_mix(domain_size: u64) -> Vec<Range> {
+    let max = domain_size - 1;
+    vec![
+        Range::new(0, max),
+        Range::point(0),
+        Range::point(max),
+        Range::point(domain_size / 2),
+        Range::new(1, domain_size / 2),
+        Range::new(domain_size / 3, 2 * domain_size / 3),
+        Range::new(max - 5, max),
+        Range::new(2, 7),
+        Range::new(3, 5),
+    ]
+}
+
+/// Checks that `server`, wrapped in the serve plane, answers the tokens of
+/// each range of the query mix exactly like the scheme's own query path —
+/// ids and stats.
+fn assert_servable<S: RangeScheme<Server = QueryServer>>(
+    what: &str,
+    domain: &Domain,
+    client: &S,
+    server: &QueryServer,
+    tokens: impl Fn(Range) -> Vec<SearchToken>,
+) {
+    let serve = ResilientServer::new(server.clone(), ServeConfig::default());
+    for range in query_mix(domain.size()) {
+        let served = serve
+            .answer(&tokens(range))
+            .expect("the serve plane answers the battery");
+        let scheme = client
+            .try_query(server, range)
+            .expect("the scheme answers the battery");
+        assert_eq!(served, scheme, "{what} served differently for {range}");
+    }
+}
+
+/// Every single-dictionary scheme's server is a `QueryServer`, so the serve
+/// plane (`ResilientServer`) can stand in front of any of them and answer
+/// their trapdoors exactly as the scheme's own `try_query` does — on both
+/// backends.
+#[test]
+fn every_single_dictionary_server_is_servable() {
+    use rsse::core::schemes::log_brc_urc::LogScheme;
+    use rsse::core::schemes::log_src::LogSrcScheme;
+    use rsse::core::schemes::plain_sse::PlainSseScheme;
+    use rsse::core::schemes::quadratic::QuadraticScheme;
+
+    let mut rng = ChaCha20Rng::seed_from_u64(6);
+    // A 64-value domain keeps Quadratic's O(n·m²) index small.
+    let dataset = gowalla_like(150, 1 << 6, &mut rng);
+    let domain = dataset.domain();
+    for on_disk in [false, true] {
+        let dir = TempDir::new("servable");
+        let config = |name: &str| {
+            if on_disk {
+                StorageConfig::on_disk(2, dir.path().join(name)).with_cache_budget(256 << 10)
+            } else {
+                StorageConfig::in_memory(2)
+            }
+        };
+        let lane = if on_disk { "on disk" } else { "in memory" };
+
+        for kind in [CoverKind::Brc, CoverKind::Urc] {
+            let (client, server) = LogScheme::build_full_stored(
+                &dataset,
+                kind,
+                false,
+                &config(kind.label()),
+                &mut rng,
+            )
+            .unwrap();
+            let what = format!("Log-{} {lane}", kind.label());
+            assert_servable(&what, domain, &client, &server, |r| {
+                client.trapdoor(r).unwrap()
+            });
+        }
+
+        let (client, server) =
+            LogSrcScheme::build_stored(&dataset, &config("src"), &mut rng).unwrap();
+        assert_servable(&format!("SRC {lane}"), domain, &client, &server, |r| {
+            vec![client.trapdoor(r).unwrap()]
+        });
+
+        let (client, server) =
+            QuadraticScheme::build_stored(&dataset, &config("quadratic"), &mut rng).unwrap();
+        assert_servable(
+            &format!("Quadratic {lane}"),
+            domain,
+            &client,
+            &server,
+            |r| vec![client.trapdoor(r).unwrap()],
+        );
+
+        let (client, server) =
+            PlainSseScheme::build_stored(&dataset, &config("plain"), &mut rng).unwrap();
+        assert_servable(
+            &format!("per-value {lane}"),
+            domain,
+            &client,
+            &server,
+            |r| {
+                let values: Vec<u64> = domain.clamp(r).unwrap().iter().collect();
+                client.trapdoor_values(&values)
+            },
+        );
+    }
 }
 
 /// Dataset profiles generated by the workload crate match the paper's

@@ -14,6 +14,8 @@ use rsse::core::schemes::constant::ConstantScheme;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::log_src::LogSrcScheme;
 use rsse::core::schemes::log_src_i::LogSrcIScheme;
+use rsse::core::schemes::plain_sse::PlainSseScheme;
+use rsse::core::schemes::quadratic::QuadraticScheme;
 use rsse::core::{QueryServer, RangeScheme, StorageConfig, StorageError};
 use rsse::prelude::*;
 use rsse::serve::{ResilientServer, ServeConfig};
@@ -29,12 +31,13 @@ fn dataset(domain_size: u64, n: u64) -> Dataset {
     Dataset::new(domain, records).expect("values fit the domain")
 }
 
-/// Every probe after the first few fails: the five scheme query paths —
-/// Logarithmic-BRC, Logarithmic-URC, Constant, Logarithmic-SRC and
-/// Logarithmic-SRC-i — must all return `Err(StorageError)` from
-/// `try_query` instead of a silently incomplete `Ok`.
+/// Every probe after the first few fails: the seven encrypted-dictionary
+/// query paths — Logarithmic-BRC, Logarithmic-URC, Constant,
+/// Logarithmic-SRC, Logarithmic-SRC-i, Quadratic and per-value SSE — must
+/// all return `Err(StorageError)` from `try_query` instead of a silently
+/// incomplete `Ok`.
 #[test]
-fn all_five_scheme_query_paths_surface_block_read_failures() {
+fn every_dictionary_query_path_surfaces_block_read_failures() {
     let data = dataset(1 << 10, 400);
     let range = Range::new(0, 900);
     let expected = {
@@ -142,6 +145,56 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
             .try_query(&server, range)
             .expect_err("must fail typed");
         assert!(matches!(err, StorageError::Io { .. }), "Log-SRC-i: {err}");
+    }
+
+    // Quadratic (one exact-range token, answered by `QueryServer::answer`),
+    // on a 32-value domain: its index has O(n·m²) entries.
+    {
+        let small = dataset(32, 100);
+        let range = Range::new(0, 30);
+        let dir = TempDir::new("fault-quadratic");
+        let mut rng = ChaCha20Rng::seed_from_u64(6);
+        let (client, server) =
+            QuadraticScheme::build_stored(&small, &StorageConfig::on_disk(1, dir.path()), &mut rng)
+                .expect("on-disk build");
+        let mut expected = small.matching_ids(range);
+        expected.sort_unstable();
+        assert_eq!(
+            sorted(
+                client
+                    .try_query(&server, range)
+                    .expect("healthy disk answers")
+            ),
+            expected
+        );
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(5), None);
+        let err = client
+            .try_query(&server, range)
+            .expect_err("must fail typed");
+        assert!(matches!(err, StorageError::Io { .. }), "Quadratic: {err}");
+    }
+
+    // Per-value SSE (one token per value of the range, scanned in
+    // per-thread chunks).
+    {
+        let dir = TempDir::new("fault-plain");
+        let mut rng = ChaCha20Rng::seed_from_u64(7);
+        let (client, server) =
+            PlainSseScheme::build_stored(&data, &StorageConfig::on_disk(2, dir.path()), &mut rng)
+                .expect("on-disk build");
+        assert_eq!(
+            sorted(
+                client
+                    .try_query(&server, range)
+                    .expect("healthy disk answers")
+            ),
+            expected
+        );
+        let _faults = arm_faults(dir.path(), FaultPlan::dead_after(5), None);
+        let err = client
+            .try_query(&server, range)
+            .expect_err("must fail typed");
+        assert!(matches!(err, StorageError::Io { .. }), "per-value: {err}");
     }
 }
 
@@ -266,10 +319,7 @@ fn undecryptable_entry_counts_the_same_on_every_query_path() {
     std::fs::write(&path, bytes).unwrap();
 
     let scheme_path = client
-        .try_query(
-            &rsse::core::schemes::log_brc_urc::LogServer::open_dir(dir.path()).unwrap(),
-            range,
-        )
+        .try_query(&QueryServer::open_dir(dir.path()).unwrap(), range)
         .expect("a corrupt entry is skipped, not an error");
     let server_path = QueryServer::open_dir(dir.path())
         .unwrap()

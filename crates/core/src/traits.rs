@@ -250,6 +250,14 @@ pub trait RangeScheme: Sized {
     /// resolve a probe mid-search — the two are **not** interchangeable,
     /// which is the whole point of the fallible path. In-memory servers
     /// never return `Err`.
+    ///
+    /// An `Ok` outcome never lists an id twice, false-positive schemes
+    /// included. Every scheme meets it by construction: the keywords one
+    /// query searches — a disjoint BRC/URC cover, one TDAG node, one range
+    /// keyword, a run of distinct values — hold each tuple at most once,
+    /// and PB's tree reports each matching leaf once. The update manager
+    /// relies on it to refine a fan-out without a dedup set;
+    /// `tests/scheme_consistency.rs` pins it for every scheme.
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError>;
 
     /// Issues a range query against the server and returns the outcome.

@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
+mod id_map;
 pub mod manager;
 pub mod manifest;
 pub mod persist;

@@ -12,6 +12,7 @@
 //! from outside (`tests/crash_replay.rs`).
 
 use crate::batch::{UpdateEntry, UpdateOp};
+use crate::id_map::IdMap;
 use crate::manifest::{
     read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
     ManagerManifest, ManifestInstance, OwnerMeta, MANAGER_MANIFEST_FILE,
@@ -135,8 +136,10 @@ struct BatchInstance<S: RangeScheme> {
     /// is the **compacted** log: the deduped latest-per-id surviving
     /// entries, not the raw update history.
     entries: Vec<UpdateEntry>,
-    /// Latest operation per id inside this instance.
-    ops: HashMap<DocId, UpdateOp>,
+    /// Latest operation per id inside this instance. Read by merges (the
+    /// purge decision) and by the authority index's maintenance, never by
+    /// a query: the index carries the op's tombstone bit.
+    ops: IdMap<UpdateOp>,
     /// Directory holding this instance's persisted index, when the manager
     /// runs on an on-disk backend; removed when the instance is consumed by
     /// a consolidation.
@@ -158,7 +161,7 @@ enum InstanceKind<S: RangeScheme> {
         /// One `(client, seed)` per flattened part, in merge order.
         parts: Vec<(S, [u8; SEED_LEN])>,
         /// `id → flattened part index` of the authoritative version.
-        authority: HashMap<DocId, u32>,
+        authority: IdMap<u32>,
     },
 }
 
@@ -181,8 +184,8 @@ fn latest_of(entries: &[UpdateEntry]) -> BTreeMap<DocId, UpdateEntry> {
 
 /// The latest operation per id of a **deduped** log (one entry per id),
 /// allocated once at its final size.
-fn ops_of<'a>(deduped: impl ExactSizeIterator<Item = &'a UpdateEntry>) -> HashMap<DocId, UpdateOp> {
-    let mut ops = HashMap::with_capacity(deduped.len());
+fn ops_of<'a>(deduped: impl ExactSizeIterator<Item = &'a UpdateEntry>) -> IdMap<UpdateOp> {
+    let mut ops = IdMap::with_capacity_and_hasher(deduped.len(), Default::default());
     ops.extend(deduped.map(|entry| (entry.record.id, entry.op)));
     ops
 }
@@ -298,7 +301,7 @@ impl<S: RangeScheme> BatchInstance<S> {
         let server = S::open_merged(dir, config)?;
         let entries: Vec<UpdateEntry> = tagged_entries.iter().map(|(entry, _)| *entry).collect();
         let ops = ops_of(entries.iter());
-        let authority: HashMap<DocId, u32> = tagged_entries
+        let authority: IdMap<u32> = tagged_entries
             .iter()
             .map(|(entry, part)| (entry.record.id, *part))
             .collect();
@@ -318,7 +321,9 @@ impl<S: RangeScheme> BatchInstance<S> {
     /// instance asks its one client; a structural instance asks every
     /// part's client in part order, keeping only the hits the part is
     /// authoritative for (stale copies of an id in other parts are
-    /// refined away) and accumulating the parts' costs.
+    /// refined away) and accumulating the parts' costs. Like every
+    /// scheme's `try_query`, it never returns an id twice: each id has one
+    /// authoritative part.
     fn try_query(&self, range: Range) -> Result<QueryOutcome, StorageError> {
         match &self.kind {
             InstanceKind::Plain { client, .. } => client.try_query(&self.server, range),
@@ -328,11 +333,9 @@ impl<S: RangeScheme> BatchInstance<S> {
                 for (index, (client, _)) in parts.iter().enumerate() {
                     let outcome = client.try_query(&self.server, range)?;
                     stats.absorb(&outcome.stats);
-                    for id in outcome.ids {
-                        if authority.get(&id) == Some(&(index as u32)) {
-                            ids.push(id);
-                        }
-                    }
+                    let part = index as u32;
+                    let authoritative = |id: &DocId| authority.get(id) == Some(&part);
+                    ids.extend(outcome.ids.into_iter().filter(authoritative));
                 }
                 Ok(QueryOutcome { ids, stats })
             }
@@ -362,11 +365,58 @@ impl<S: RangeScheme> BatchInstance<S> {
     }
 }
 
+/// Whether no id occurs twice in `ids` (only ever evaluated under
+/// `debug_assert!`).
+fn all_distinct(ids: &[DocId]) -> bool {
+    let mut seen = HashSet::with_capacity(ids.len());
+    ids.iter().all(|id| seen.insert(id))
+}
+
 /// Best-effort removal of the instance directory a failed build or merge
 /// was writing (a leftover is swept by the next `open_root`).
 fn discard_build(config: &StorageConfig) {
     if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
         let _ = formats::remove_dir_all(dir);
+    }
+}
+
+/// One entry of the authority index: the seq of the newest live instance
+/// touching an id, with the top bit set when that instance's op for the id
+/// is a deletion. Seqs count ingests and stay below 2^63 (`open_root`
+/// rejects a root claiming more), so the bit never clashes and an index
+/// entry stays 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Touch(u64);
+
+impl Touch {
+    /// The tombstone bit, and the bound every seq stays below.
+    const TOMBSTONE: u64 = 1 << 63;
+
+    /// The touch of `op` by the instance numbered `seq`.
+    fn new(seq: u64, op: UpdateOp) -> Self {
+        debug_assert!(seq < Self::TOMBSTONE, "seq {seq} reaches the tombstone bit");
+        match op {
+            UpdateOp::Delete => Self(seq | Self::TOMBSTONE),
+            UpdateOp::Insert | UpdateOp::Modify => Self(seq),
+        }
+    }
+
+    /// The entry under which a query keeps an id the instance numbered
+    /// `seq` returns: that instance is the newest to touch the id, and
+    /// did not delete it.
+    fn live(seq: u64) -> Self {
+        Self(seq)
+    }
+
+    /// The seq of the newest instance touching the id.
+    fn seq(self) -> u64 {
+        self.0 & !Self::TOMBSTONE
+    }
+
+    /// Whether that instance's op for the id is a deletion.
+    #[cfg(test)]
+    fn is_tombstone(self) -> bool {
+        self.0 & Self::TOMBSTONE != 0
     }
 }
 
@@ -382,16 +432,17 @@ pub struct UpdateManager<S: RangeScheme> {
     /// `levels[l]` holds the not-yet-consolidated instances at height `l` of
     /// the s-ary merge tree (level 0 = raw batches).
     levels: Vec<Vec<BatchInstance<S>>>,
-    /// The owner's refinement (authority) index: `id → seq` of the newest
-    /// live instance touching the id — the one instance whose answer for
-    /// the id counts (its `ops` holds the op). One entry per id any live
-    /// instance touches. Derived from `levels` and never persisted; it
-    /// changes only where the set of instances does: an ingest overwrites
-    /// its batch's ids (O(batch)), a committed merge re-points or drops its
-    /// group's ids ([`Self::repoint_merged`], O(group)), and `open_root`
-    /// computes it once from the recovered levels (O(live ids)). Queries
-    /// only read it.
-    newest_touch: HashMap<DocId, u64>,
+    /// The owner's refinement (authority) index: `id → (seq, tombstone)`
+    /// of the newest live instance touching the id — the one instance
+    /// whose answer for the id counts — and whether its op there is a
+    /// deletion ([`Touch`]). One entry per id any live instance touches.
+    /// Derived from `levels` and never persisted; it changes only where
+    /// the set of instances does: an ingest overwrites its batch's ids
+    /// (O(batch)), a committed merge re-points or drops its group's ids
+    /// ([`Self::repoint_merged`], O(group)), and `open_root` computes it
+    /// once from the recovered levels (O(live ids)). Queries only read it,
+    /// one probe per returned id.
+    newest_touch: IdMap<Touch>,
     next_seq: u64,
     /// Monotonic counter naming persisted instance directories — a merged
     /// instance reuses the newest `seq` of its group, so `seq` alone would
@@ -421,7 +472,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             config,
             chain: None,
             levels: Vec::new(),
-            newest_touch: HashMap::new(),
+            newest_touch: IdMap::default(),
             next_seq: 0,
             next_build: 0,
             batches_ingested: 0,
@@ -638,8 +689,11 @@ impl<S: RangeScheme> UpdateManager<S> {
         }
         // The batch carries the newest sequence number there is, so it owns
         // every id it touches.
-        self.newest_touch
-            .extend(instance.ops.keys().map(|&id| (id, seq)));
+        let touches = instance
+            .ops
+            .iter()
+            .map(|(&id, &op)| (id, Touch::new(seq, op)));
+        self.newest_touch.extend(touches);
         self.levels[0].push(instance);
         self.consolidate_due_levels(rng)?;
         // The manifest is committed last, once every instance directory it
@@ -706,21 +760,21 @@ impl<S: RangeScheme> UpdateManager<S> {
 
     /// The authority-index rule of a committed merge: an id whose newest
     /// touch was one of the `inputs` now belongs to `merged` (which carries
-    /// the group's newest sequence number) — or leaves the index, when the
-    /// merge purged its tombstone, which it only does if no instance outside
-    /// the group touches the id. An id a newer instance outside the group
-    /// owns stays put. O(ids of the group), not of the database.
+    /// the group's newest sequence number), tombstoned as `merged`'s op
+    /// says — or leaves the index, when the merge purged its tombstone,
+    /// which it only does if no instance outside the group touches the id.
+    /// An id a newer instance outside the group owns stays put. O(ids of
+    /// the group), not of the database.
     fn repoint_merged(&mut self, inputs: &[BatchInstance<S>], merged: &BatchInstance<S>) {
         for input in inputs {
             for &id in input.ops.keys() {
-                if self.newest_touch.get(&id) != Some(&input.seq) {
+                if self.newest_touch.get(&id).map(|touch| touch.seq()) != Some(input.seq) {
                     continue;
                 }
-                if merged.ops.contains_key(&id) {
-                    self.newest_touch.insert(id, merged.seq);
-                } else {
-                    self.newest_touch.remove(&id);
-                }
+                match merged.ops.get(&id) {
+                    Some(&op) => self.newest_touch.insert(id, Touch::new(merged.seq, op)),
+                    None => self.newest_touch.remove(&id),
+                };
             }
         }
     }
@@ -728,18 +782,19 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// The authority index from scratch, one pass over every id of every
     /// instance: [`open_root`](Self::open_root)'s initializer, and the
     /// oracle debug builds hold the incremental rules to.
-    fn newest_touch_of(levels: &[Vec<BatchInstance<S>>]) -> HashMap<DocId, u64> {
+    fn newest_touch_of(levels: &[Vec<BatchInstance<S>>]) -> IdMap<Touch> {
         // Sized once for every touch — the number of ids when none lives
         // in two instances, never more than the `ops` maps hold together.
         // Growing from empty instead costs the pass 3× (1.9 vs 0.7 ms at
         // 40 k ids).
         let touches = levels.iter().flatten().map(|i| i.ops.len()).sum();
-        let mut newest_touch: HashMap<DocId, u64> = HashMap::with_capacity(touches);
+        let mut newest_touch = IdMap::with_capacity_and_hasher(touches, Default::default());
         for instance in levels.iter().flatten() {
-            for &id in instance.ops.keys() {
-                let entry = newest_touch.entry(id).or_insert(instance.seq);
-                if instance.seq > *entry {
-                    *entry = instance.seq;
+            for (&id, &op) in &instance.ops {
+                let touch = Touch::new(instance.seq, op);
+                let entry = newest_touch.entry(id).or_insert(touch);
+                if instance.seq > entry.seq() {
+                    *entry = touch;
                 }
             }
         }
@@ -935,7 +990,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         };
         let entries: Vec<UpdateEntry> = surviving.iter().map(|(entry, _)| *entry).collect();
         let ops = ops_of(entries.iter());
-        let authority: HashMap<DocId, u32> = surviving
+        let authority: IdMap<u32> = surviving
             .iter()
             .map(|(entry, part)| (entry.record.id, *part))
             .collect();
@@ -956,7 +1011,10 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// filtered out.
     ///
     /// **Cost:** one index scan per active instance (per flattened part of
-    /// a structural one) plus one owner-side lookup per returned id. The
+    /// a structural one) plus one probe of the authority index per
+    /// returned id — it holds both the newest instance's seq and the
+    /// tombstone bit, and no dedup set is needed: only that one instance
+    /// contributes the id, and no instance returns an id twice. The
     /// refinement state is kept current by ingests, merges and `open_root`,
     /// so a query does no work and allocates nothing in proportion to the
     /// database — only to its answer.
@@ -974,29 +1032,23 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// [`StorageError`] instead of silently dropping that instance's
     /// results (which would be indistinguishable from the tuples not
     /// existing — exactly the confusion the fallible path removes). Same
-    /// cost as [`query`](Self::query): instances × (one index scan) + O(ids
-    /// returned).
+    /// cost as [`query`](Self::query): instances × (one index scan) + one
+    /// probe per id returned.
     pub fn try_query(&self, range: Range) -> Result<QueryOutcome, StorageError> {
         let mut ids: Vec<DocId> = Vec::new();
-        let mut seen: HashSet<DocId> = HashSet::new();
         let mut stats = QueryStats::default();
         for instance in self.levels.iter().flatten() {
             let outcome = instance.try_query(range)?;
             stats.absorb(&outcome.stats);
-            for id in outcome.ids {
-                // Only the instance that holds the *newest* version of the
-                // tuple is authoritative for it.
-                if self.newest_touch.get(&id) != Some(&instance.seq) {
-                    continue;
-                }
-                if instance.ops.get(&id) == Some(&UpdateOp::Delete) {
-                    continue;
-                }
-                if seen.insert(id) {
-                    ids.push(id);
-                }
-            }
+            // Only the instance that holds the *newest* version of the
+            // tuple is authoritative for it, and only if that version is
+            // no tombstone. Live instances have distinct seqs, so no id
+            // passes for two of them.
+            let live = Touch::live(instance.seq);
+            let authoritative = |id: &DocId| self.newest_touch.get(id) == Some(&live);
+            ids.extend(outcome.ids.into_iter().filter(authoritative));
         }
+        debug_assert!(all_distinct(&ids), "a query returned an id twice");
         Ok(QueryOutcome { ids, stats })
     }
 
@@ -1318,6 +1370,14 @@ impl<S: RangeScheme> UpdateManager<S> {
             let mut instances = Vec::with_capacity(level.len());
             for (build_id, seq, record) in level {
                 let dir = &on_disk[build_id];
+                // The authority index keeps a tombstone in a seq's top bit;
+                // no honest manager comes near it.
+                if *seq >= Touch::TOMBSTONE {
+                    return Err(StorageError::CorruptDirectory {
+                        path: dir.clone(),
+                        detail: format!("instance seq {seq} is out of range (max 2^63 - 1)"),
+                    });
+                }
                 let payload = opened.remove(build_id).expect("payload opened above");
                 if let Some(record) = record {
                     let (mut inserts, mut modifies, mut deletes) = (0u64, 0u64, 0u64);
@@ -1922,7 +1982,9 @@ mod tests {
 
     /// The authority index holds exactly the ids some live instance
     /// touches — a purge leaks no entry, a merge loses none — each under
-    /// the newest instance touching it.
+    /// the newest instance touching it, tombstoned exactly where that
+    /// instance's op is a deletion (the from-scratch pass compares both
+    /// halves of every entry).
     fn assert_index_is_exact(mgr: &LogManager, when: &str) {
         let touched: HashSet<DocId> = (mgr.levels.iter().flatten())
             .flat_map(|instance| instance.ops.keys().copied())
@@ -1933,6 +1995,26 @@ mod tests {
             LogManager::newest_touch_of(&mgr.levels),
             "index {when}"
         );
+    }
+
+    /// `(seq of the newest instance touching id, tombstone bit)`.
+    fn touch(mgr: &LogManager, id: DocId) -> (u64, bool) {
+        let touch = mgr.newest_touch[&id];
+        (touch.seq(), touch.is_tombstone())
+    }
+
+    #[test]
+    fn touch_packs_the_tombstone_into_the_top_bit() {
+        for seq in [0, 1, 41, Touch::TOMBSTONE - 1] {
+            for op in [UpdateOp::Insert, UpdateOp::Modify, UpdateOp::Delete] {
+                let touch = Touch::new(seq, op);
+                assert_eq!(touch.seq(), seq);
+                assert_eq!(touch.is_tombstone(), op == UpdateOp::Delete);
+                assert_eq!(touch == Touch::live(seq), op != UpdateOp::Delete);
+                assert_ne!(touch, Touch::live(seq ^ 1));
+            }
+        }
+        assert_eq!(std::mem::size_of::<(DocId, Touch)>(), 16);
     }
 
     #[test]
@@ -1962,12 +2044,13 @@ mod tests {
             ingest(&mut mgr, vec![UpdateEntry::insert(5, 50)], "after a merge");
             // A = {1..5} sits at level 1, carrying the seq of its newest input.
             assert_eq!((mgr.active_instances(), mgr.consolidations()), (1, 1));
-            assert!(mgr.newest_touch.values().all(|&seq| seq == 2));
+            assert!(mgr.newest_touch.values().all(|&t| t == Touch::live(2)));
 
             // The next level-0 group deletes 1 and modifies 2, both living
             // in A: the tombstone must survive the merge (A still touches
             // 1), and the merged instance B owns both ids.
             ingest(&mut mgr, vec![UpdateEntry::delete(1, 10)], "after a delete");
+            assert_eq!(touch(&mgr, 1), (3, true), "the batch's tombstone");
             ingest(
                 &mut mgr,
                 vec![UpdateEntry::insert(6, 60)],
@@ -1977,7 +2060,8 @@ mod tests {
             assert_eq!((mgr.active_instances(), mgr.consolidations()), (2, 2));
             assert_eq!(mgr.newest_touch.len(), 6, "ids 1..=6, the tombstone's too");
             for (id, owner) in [(1, 5), (2, 5), (3, 2), (4, 2), (5, 2), (6, 5)] {
-                assert_eq!(mgr.newest_touch[&id], owner, "owner of id {id}");
+                // Only the deleted-but-unpurged id carries the bit.
+                assert_eq!(touch(&mgr, id), (owner, id == 1), "touch of id {id}");
             }
             assert_eq!(
                 sorted(mgr.query(Range::new(0, 255)).ids),
@@ -1996,11 +2080,28 @@ mod tests {
             assert_eq!((mgr.active_instances(), mgr.consolidations()), (1, 4));
             assert!(!mgr.newest_touch.contains_key(&1), "purged id leaked");
             assert_eq!(mgr.newest_touch.len(), 8);
-            assert!(mgr.newest_touch.values().all(|&seq| seq == 8));
+            assert!(mgr.newest_touch.values().all(|&t| t == Touch::live(8)));
             assert_eq!(
                 mgr.structural_instances(),
                 usize::from(mode == ConsolidationMode::Structural)
             );
+
+            // A delete above the merged instance sets the bit, and a later
+            // re-insert of the same id clears it.
+            ingest(&mut mgr, vec![UpdateEntry::delete(3, 30)], "after a delete");
+            assert_eq!(touch(&mgr, 3), (9, true));
+            assert_eq!(
+                sorted(mgr.query(Range::new(0, 255)).ids),
+                vec![2, 4, 5, 6, 7, 8, 9]
+            );
+            ingest(
+                &mut mgr,
+                vec![UpdateEntry::insert(3, 33)],
+                "after a re-insert",
+            );
+            assert_eq!(touch(&mgr, 3), (10, false));
+            assert_eq!(mgr.query(Range::new(31, 35)).ids, vec![3]);
+            assert!(mgr.query(Range::new(30, 30)).is_empty());
         }
     }
 
@@ -2030,7 +2131,7 @@ mod tests {
         assert_eq!((mgr.active_instances(), mgr.consolidations()), (2, 2));
         assert_index_is_exact(&mgr, "after a rolled-back merge");
         for (id, owner) in [(1, 3), (2, 1), (3, 1), (4, 3)] {
-            assert_eq!(mgr.newest_touch[&id], owner, "owner of id {id}");
+            assert_eq!(touch(&mgr, id), (owner, id == 1), "touch of id {id}");
         }
 
         // The next batch (seq 4) stays at level 0 while the retried merge
@@ -2043,7 +2144,7 @@ mod tests {
         assert_index_is_exact(&mgr, "after a merge below a newer instance");
         assert_eq!(mgr.newest_touch.len(), 4);
         for (id, owner) in [(2, 4), (3, 3), (4, 3), (5, 4)] {
-            assert_eq!(mgr.newest_touch[&id], owner, "owner of id {id}");
+            assert_eq!(touch(&mgr, id), (owner, false), "touch of id {id}");
         }
         assert_eq!(mgr.query(Range::new(90, 255)).ids, vec![2]);
         assert!(mgr.query(Range::new(0, 25)).is_empty());
@@ -2055,10 +2156,18 @@ mod tests {
         assert_eq!(reopened.newest_touch, index);
     }
 
-    /// `try_query` as it ran before the index was maintained: the id →
-    /// newest-seq map built from scratch per call, then the refinement.
+    /// `try_query` as it ran before the index was maintained, sharing none
+    /// of the refinement's state: its own id → newest-seq map built from
+    /// scratch per call with std's hasher, then per id one lookup of that
+    /// map, one of the instance's ops, and a dedup set.
     fn per_query_pass(mgr: &LogManager, range: Range) -> QueryOutcome {
-        let newest_touch = LogManager::newest_touch_of(&mgr.levels);
+        let mut newest_seq: HashMap<DocId, u64> = HashMap::new();
+        for instance in mgr.levels.iter().flatten() {
+            for &id in instance.ops.keys() {
+                let seq = newest_seq.entry(id).or_insert(instance.seq);
+                *seq = (*seq).max(instance.seq);
+            }
+        }
         let mut ids: Vec<DocId> = Vec::new();
         let mut seen: HashSet<DocId> = HashSet::new();
         let mut stats = QueryStats::default();
@@ -2066,7 +2175,7 @@ mod tests {
             let outcome = instance.try_query(range).unwrap();
             stats.absorb(&outcome.stats);
             for id in outcome.ids {
-                if newest_touch.get(&id) == Some(&instance.seq)
+                if newest_seq.get(&id) == Some(&instance.seq)
                     && instance.ops.get(&id) != Some(&UpdateOp::Delete)
                     && seen.insert(id)
                 {
@@ -2080,43 +2189,96 @@ mod tests {
     #[test]
     fn try_query_outcome_equals_the_per_query_pass_on_the_churn_stream() {
         // The churn of `tests/consolidation.rs`: every batch modifies and
-        // deletes into the one before it, ten batches at s = 3. The whole
+        // deletes into the one before it and re-inserts the id it deleted
+        // from the one before that, ten batches at s = 3. The whole
         // outcome — ids in emission order and every `QueryStats` counter —
-        // must be what the per-query pass produced, after every batch.
+        // must be what the per-query pass produced, after every batch, in
+        // memory and on disk, and again once the on-disk manager reopens
+        // (its index then comes from the from-scratch pass).
         const DOMAIN: u64 = 1 << 10;
         let seed = 3u64;
+        let ranges = [(0, DOMAIN - 1), (0, 127), (200, 500), (700, DOMAIN - 1)];
+        let assert_equal = |mgr: &LogManager, when: &str| {
+            for (lo, hi) in ranges {
+                let range = Range::new(lo, hi);
+                assert_eq!(
+                    mgr.try_query(range).unwrap(),
+                    per_query_pass(mgr, range),
+                    "{when}, {range:?}"
+                );
+            }
+        };
+        let key = || OwnerKey::from_bytes([3u8; 32]);
         for mode in MODES {
-            let mut mgr = LogManager::new(
-                Domain::new(DOMAIN),
-                UpdateConfig {
+            for on_disk in [false, true] {
+                let root = TempDir::new("churn-oracle");
+                let config = UpdateConfig {
                     consolidation_step: 3,
                     consolidation_mode: mode,
+                    storage_root: on_disk.then(|| root.path().to_path_buf()),
                     ..UpdateConfig::default()
-                },
-            );
-            for b in 0..10u64 {
-                let mut entries: Vec<UpdateEntry> = (0..10u64)
-                    .map(|i| {
-                        UpdateEntry::insert(b * 20 + i, (seed * 71 + b * 97 + i * 13) % DOMAIN)
-                    })
-                    .collect();
-                if b > 0 {
-                    let modified = (b - 1) * 20 + (b % 7);
-                    entries.push(UpdateEntry::modify(modified, (seed * 31 + b * 53) % DOMAIN));
-                    let value = (seed * 71 + (b - 1) * 97 + 13) % DOMAIN;
-                    entries.push(UpdateEntry::delete((b - 1) * 20 + 1, value));
+                };
+                let mut mgr = LogManager::with_key(key(), Domain::new(DOMAIN), config.clone());
+                for b in 0..10u64 {
+                    let mut entries: Vec<UpdateEntry> = (0..10u64)
+                        .map(|i| {
+                            UpdateEntry::insert(b * 20 + i, (seed * 71 + b * 97 + i * 13) % DOMAIN)
+                        })
+                        .collect();
+                    if b > 0 {
+                        let modified = (b - 1) * 20 + (b % 7);
+                        entries.push(UpdateEntry::modify(modified, (seed * 31 + b * 53) % DOMAIN));
+                        let value = (seed * 71 + (b - 1) * 97 + 13) % DOMAIN;
+                        entries.push(UpdateEntry::delete((b - 1) * 20 + 1, value));
+                    }
+                    if b > 1 {
+                        let value = (seed * 17 + b * 41) % DOMAIN;
+                        entries.push(UpdateEntry::insert((b - 2) * 20 + 1, value));
+                    }
+                    let mut rng = ChaCha20Rng::seed_from_u64(seed * 10_000 + b);
+                    mgr.ingest_batch(entries, &mut rng);
+                    assert_equal(&mgr, &format!("{mode:?}, on disk {on_disk}, batch {b}"));
                 }
-                mgr.ingest_batch(entries, &mut ChaCha20Rng::seed_from_u64(seed * 10_000 + b));
-                for (lo, hi) in [(0, DOMAIN - 1), (0, 127), (200, 500), (700, DOMAIN - 1)] {
-                    let range = Range::new(lo, hi);
-                    assert_eq!(
-                        mgr.try_query(range).unwrap(),
-                        per_query_pass(&mgr, range),
-                        "{mode:?}, after batch {b}, {range:?}"
-                    );
+                assert_eq!(mgr.consolidations(), 4);
+                if on_disk {
+                    drop(mgr);
+                    let reopened = LogManager::open_root(key(), root.path(), config).unwrap();
+                    assert_equal(&reopened, &format!("{mode:?}, reopened"));
                 }
             }
-            assert_eq!(mgr.consolidations(), 4);
         }
+    }
+
+    #[test]
+    fn open_root_rejects_a_seq_that_reaches_the_tombstone_bit() {
+        let root = TempDir::new("seq-bound");
+        let config = UpdateConfig {
+            storage_root: Some(root.path().to_path_buf()),
+            ..UpdateConfig::default()
+        };
+        let key = || OwnerKey::from_bytes([4u8; 32]);
+        let mut mgr = LogManager::with_key(key(), Domain::new(256), config.clone());
+        mgr.ingest_batch(
+            vec![UpdateEntry::insert(1, 10)],
+            &mut ChaCha20Rng::seed_from_u64(52),
+        );
+        let dir = mgr.levels[0][0].dir.clone().unwrap();
+        drop(mgr);
+        // Forge seq 2^63 into the manifest and the sidecar alike, so that
+        // the two agree and only the bound can catch it.
+        let mut manifest = read_manager_manifest(root.path()).unwrap();
+        manifest.levels[0][0].seq = Touch::TOMBSTONE;
+        manifest.next_seq = Touch::TOMBSTONE + 1;
+        write_manager_manifest(root.path(), &manifest).unwrap();
+        let mut meta = read_owner_meta(&dir).unwrap();
+        meta.seq = Touch::TOMBSTONE;
+        write_owner_meta(&dir, &meta).unwrap();
+        let err = LogManager::open_root(key(), root.path(), config)
+            .err()
+            .expect("a seq at the tombstone bit is corrupt");
+        assert!(
+            matches!(&err, StorageError::CorruptDirectory { detail, .. } if detail.contains("out of range")),
+            "{err:?}"
+        );
     }
 }

@@ -25,6 +25,15 @@ fn sorted(mut ids: Vec<DocId>) -> Vec<DocId> {
     ids
 }
 
+/// `RangeScheme::try_query`'s contract: one query never returns an id
+/// twice (`sorted` dedups, so the batteries would not notice otherwise).
+fn assert_distinct(ids: &[DocId], what: &str) {
+    let mut unique = ids.to_vec();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), ids.len(), "{what} returned an id twice");
+}
+
 /// What every battery runs under — (on disk?, build budget): both
 /// backends, each without a budget (the in-RAM build) and with one small
 /// enough that every budgeted build spills several sorted runs.
@@ -81,6 +90,7 @@ fn all_schemes_are_complete_and_exact_schemes_agree() {
                 let outcome = scheme
                     .try_query(query)
                     .expect("storage backend answers the battery");
+                assert_distinct(&outcome.ids, &format!("{} for {query}", scheme.name()));
                 let eval = Evaluation::compare(&outcome.ids, &expected);
                 assert!(
                     eval.is_complete(),
@@ -119,8 +129,38 @@ fn skewed_data_keeps_every_scheme_complete() {
                 let outcome = scheme
                     .try_query(query)
                     .expect("storage backend answers the battery");
+                assert_distinct(&outcome.ids, &format!("{} for {query}", scheme.name()));
                 let eval = Evaluation::compare(&outcome.ids, &expected);
                 assert!(eval.is_complete(), "{} missed results", scheme.name());
+            }
+        }
+    }
+}
+
+/// Every one of the nine schemes — Quadratic and the per-value baseline
+/// too, so on a domain Quadratic accepts — returns each id at most once
+/// per query, on every backend and build path, skewed data included: the
+/// update manager keeps an id from an instance without a dedup set.
+#[test]
+fn no_scheme_repeats_an_id_within_one_query() {
+    let mut rng = ChaCha20Rng::seed_from_u64(7);
+    let domain_size = 1u64 << 6;
+    let datasets = [
+        gowalla_like(300, domain_size, &mut rng),
+        usps_like(300, domain_size, &mut rng),
+    ];
+    for dataset in &datasets {
+        for variant in build_variants() {
+            for kind in SchemeKind::ALL {
+                let (scheme, _dir) = build_scheme(kind, dataset, &variant, &mut rng, "distinct");
+                for range in query_mix(domain_size) {
+                    let outcome = scheme
+                        .try_query(range)
+                        .expect("storage backend answers the battery");
+                    assert_distinct(&outcome.ids, &format!("{} for {range}", scheme.name()));
+                    let eval = Evaluation::compare(&outcome.ids, &dataset.matching_ids(range));
+                    assert!(eval.is_complete(), "{} missed results", scheme.name());
+                }
             }
         }
     }

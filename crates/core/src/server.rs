@@ -17,18 +17,17 @@
 //! * [`assemble_outcome`] flattens the groups and fills in the
 //!   [`QueryStats`].
 //!
-//! [`QueryServer`] is the endpoint over a [`ShardedIndex`];
-//! [`QueryServer::answer_many`] fans concurrent queries out across cores
-//! (shards are immutable behind `&self`, so the reads are lock-free).
+//! [`QueryServer`] is the endpoint over a [`ShardedIndex`]; shards are
+//! immutable behind `&self`, so concurrent callers of
+//! [`QueryServer::answer`] read them lock-free. Batches, deadlines, tenants
+//! and retries are the serving layer's (`rsse_serve::ResilientServer`).
 //!
 //! Results are **deterministic**: per query, ids come back grouped by token
-//! in token order, each group in storage-counter order, and `answer_many`
-//! returns outcomes in query order regardless of scheduling.
+//! in token order, each group in storage-counter order.
 
 use crate::dataset::{decode_id_payload, DocId};
 use crate::metrics::{IndexStats, QueryStats};
 use crate::traits::QueryOutcome;
-use rayon::prelude::*;
 use rsse_crypto::StreamCipher;
 use rsse_sse::{CipherSpan, IndexLookup, SearchToken, ShardedIndex, SseScheme, StorageError};
 use std::path::Path;
@@ -170,8 +169,8 @@ pub fn assemble_outcome(
     }
 }
 
-/// A server-side search endpoint answering whole token vectors — and whole
-/// batches of concurrent queries — over one sharded encrypted dictionary.
+/// A server-side search endpoint answering whole token vectors over one
+/// sharded encrypted dictionary.
 ///
 /// It is the server of every encrypted-dictionary scheme: the
 /// `RangeScheme::Server` of Logarithmic-BRC/URC, Logarithmic-SRC,
@@ -197,15 +196,11 @@ pub fn assemble_outcome(
 /// let config = StorageConfig::in_memory(4);
 /// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 ///
-/// // A batch of concurrent range queries: one token vector each, one
-/// // `Result` per query.
-/// let ranges = [Range::new(0, 100), Range::new(500, 800)];
-/// let queries: Vec<_> = ranges.iter().map(|&r| client.trapdoor(r).unwrap()).collect();
-/// let outcomes = server.answer_many(&queries);
-///
-/// for (range, outcome) in ranges.iter().zip(&outcomes) {
-///     let mut got = outcome.as_ref().unwrap().ids.clone();
-///     let mut expected = dataset.matching_ids(*range);
+/// // Range queries: one token vector each, one `Result` per query.
+/// for range in [Range::new(0, 100), Range::new(500, 800)] {
+///     let outcome = server.answer(&client.trapdoor(range).unwrap());
+///     let mut got = outcome.unwrap().ids;
+///     let mut expected = dataset.matching_ids(range);
 ///     got.sort(); expected.sort();
 ///     assert_eq!(got, expected);
 /// }
@@ -216,16 +211,16 @@ pub struct QueryServer {
 }
 
 impl QueryServer {
-    /// Wraps a sharded dictionary in a batched search endpoint.
+    /// Wraps a sharded dictionary in a search endpoint.
     pub fn new(index: ShardedIndex) -> Self {
         Self { index }
     }
 
-    /// Cold-opens a batched search endpoint over an index previously
+    /// Cold-opens a search endpoint over an index previously
     /// persisted with [`ShardedIndex::save_to_dir`] (or built straight to
     /// disk through a `StorageConfig::on_disk` build): the shard
     /// directories are loaded, the ciphertext regions stay on disk behind
-    /// paged reads, and [`answer_many`](Self::answer_many) serves queries
+    /// paged reads, and [`answer`](Self::answer) serves queries
     /// immediately — no rebuild, no full-index residency.
     ///
     /// # Errors
@@ -296,41 +291,18 @@ impl QueryServer {
     /// typed [`StorageError`] instead of silently shortening the result —
     /// the caller can tell "label absent" (an empty group in `Ok`) from
     /// "the disk failed" (`Err`) per query. In-memory indexes never fail.
+    ///
+    /// This is the **raw** serving path: a probe failure surfaces at once,
+    /// with no retry. Callers that want transient faults absorbed (budgeted
+    /// per-probe retries, deadlines, per-shard circuit breakers, batches
+    /// that share repeated tokens) serve through
+    /// `rsse_serve::ResilientServer`, which wraps this server and keeps
+    /// outcomes byte-identical.
     pub fn answer(&self, tokens: &[SearchToken]) -> Result<QueryOutcome, StorageError> {
         let mut per_token: Vec<Vec<DocId>> = Vec::new();
         let mut scratch = ScanScratch::default();
         let counts = scan_query_into_with(&self.index, tokens, &mut per_token, &mut scratch)?;
         Ok(assemble_outcome(tokens, per_token, &counts))
-    }
-
-    /// Answers a batch of concurrent queries — one token vector per client
-    /// — in parallel, returning **per-query** results in query order.
-    ///
-    /// The shards are immutable behind `&self`, so the per-query worker
-    /// threads read them lock-free; each query is answered with the
-    /// single-query scan of [`answer`](Self::answer), and the output order
-    /// is the input order regardless of thread scheduling.
-    ///
-    /// # Partial-batch error reporting
-    ///
-    /// Queries are independent, so one query's storage fault does not abort
-    /// its whole batch: each slot carries its own `Result`, and a healthy
-    /// query in a faulted batch still returns `Ok`. This is the **raw**
-    /// serving path — a probe failure surfaces immediately as its typed
-    /// [`StorageError`] with no retry. Production callers that want
-    /// transient faults absorbed (budgeted per-probe retries with jittered
-    /// backoff, deadlines, per-shard circuit breakers) should serve through
-    /// `rsse_serve::ResilientServer`, which wraps this server and keeps
-    /// outcomes byte-identical. Callers that want all-or-nothing collection
-    /// `collect` the slots into a `Result<Vec<_>, _>`.
-    pub fn answer_many(
-        &self,
-        queries: &[Vec<SearchToken>],
-    ) -> Vec<Result<QueryOutcome, StorageError>> {
-        queries
-            .par_iter()
-            .map(|tokens| self.answer(tokens))
-            .collect()
     }
 }
 
@@ -364,12 +336,12 @@ mod tests {
         LogScheme::build_full_stored(dataset, kind, false, &config, &mut rng).unwrap()
     }
 
-    /// All-or-nothing collection of `answer_many`.
+    /// Every query through `answer`, collected all-or-nothing.
     fn answer_all(
         qs: &QueryServer,
         queries: &[Vec<SearchToken>],
     ) -> Result<Vec<QueryOutcome>, StorageError> {
-        qs.answer_many(queries).into_iter().collect()
+        queries.iter().map(|tokens| qs.answer(tokens)).collect()
     }
 
     #[test]
@@ -480,23 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn answer_many_is_deterministic_and_query_ordered() {
-        let dataset = testutil::skewed_dataset();
-        let (client, qs) = build_log(&dataset, CoverKind::Brc, 4, 2);
-        let ranges: Vec<Range> = (0..16u64).map(|i| Range::new(i, i + 7)).collect();
-        let queries: Vec<Vec<SearchToken>> = ranges
-            .iter()
-            .map(|&r| client.trapdoor(r).unwrap())
-            .collect();
-        let a = answer_all(&qs, &queries).unwrap();
-        let b = answer_all(&qs, &queries).unwrap();
-        assert_eq!(a, b, "same batch must produce identical outcomes");
-        for (outcome, range) in a.iter().zip(&ranges) {
-            testutil::assert_exact(&dataset, *range, outcome);
-        }
-    }
-
-    #[test]
     fn query_many_handles_out_of_domain_queries() {
         // An out-of-domain range has no trapdoor; the owner answers it
         // empty without contacting the server.
@@ -519,7 +474,7 @@ mod tests {
     fn cold_opened_server_answers_identically_to_in_memory() {
         // The PR 3 acceptance criterion: build with the file backend (same
         // RNG stream as the in-memory build), drop everything, reopen from
-        // disk via QueryServer::open_dir, and serve answer_many with
+        // disk via QueryServer::open_dir, and serve every query with
         // results identical to the in-memory backend — no rebuild.
         let dataset = testutil::uniform_dataset();
         for bits in [0u32, 4] {

@@ -63,6 +63,28 @@ pub(crate) struct Pending {
     pub deadline: Option<Duration>,
 }
 
+/// The cache-pressure shed of queued and direct requests alike: `tenant`
+/// is shed typed while the block cache holds more than
+/// [`shed_at_resident_bytes`](AdmissionConfig::shed_at_resident_bytes).
+/// Residency is sampled only when a limit is set, and the queue depth the
+/// error reports only when it sheds.
+pub(crate) fn shed_on_pressure(
+    config: &AdmissionConfig,
+    tenant: &str,
+    resident_bytes: impl FnOnce() -> usize,
+    queued: impl FnOnce() -> usize,
+) -> Result<(), ServeError> {
+    match config.shed_at_resident_bytes {
+        Some(limit) if resident_bytes() > limit => Err(ServeError::Overloaded {
+            tenant: tenant.to_string(),
+            reason: OverloadReason::CachePressure,
+            queued: queued(),
+            limit,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// The bounded multi-tenant queue. Callers hold it behind a mutex; all
 /// methods are plain `&mut self`.
 #[derive(Debug, Default)]
@@ -97,16 +119,7 @@ impl AdmissionQueue {
         deadline: Option<Duration>,
         resident_bytes: usize,
     ) -> Result<Ticket, ServeError> {
-        if let Some(limit) = self.config.shed_at_resident_bytes {
-            if resident_bytes > limit {
-                return Err(ServeError::Overloaded {
-                    tenant: tenant.to_string(),
-                    reason: OverloadReason::CachePressure,
-                    queued: self.queued,
-                    limit,
-                });
-            }
-        }
+        shed_on_pressure(&self.config, tenant, || resident_bytes, || self.queued)?;
         if self.queued >= self.config.max_queued {
             return Err(ServeError::Overloaded {
                 tenant: tenant.to_string(),

@@ -1,10 +1,21 @@
 //! The batch executor: plan once, scan each unique token once, fan out.
 //!
-//! Serving one query runs the counter scan over its token vector
-//! (`rsse_core::server::scan_query_into_with`). A batch of queries from hot
-//! tenant ranges repeats whole *tokens* — trapdoors are deterministic, so
-//! two queries covering the same node carry byte-equal tokens — and this
-//! module serves every distinct token of a batch exactly once:
+//! Every query the serve plane answers is served here: `answer_batch` and
+//! `drain` hand their batch to `execute_batch`, and `answer` is a batch of
+//! one, which `execute_batch` serves with `serve_alone` too.
+//!
+//! **A batch of one** has nothing to share. Its whole token vector goes
+//! through one guarded counter scan
+//! (`rsse_core::server::scan_query_into_with`), which advances all its
+//! tokens in lock-step windows and prefetches from the window of 4. Routing
+//! it through the plan below instead cost `mem_point` +31 % p50: the plan's
+//! map, a scan per token and the fan-out's id copies are pure overhead when
+//! no other query can use the work.
+//!
+//! **A larger batch** of queries from hot tenant ranges repeats whole
+//! *tokens* — trapdoors are deterministic, so two queries covering the same
+//! node carry byte-equal tokens — and the executor serves every distinct
+//! token of it exactly once:
 //!
 //! 1. **Plan** — one pass over the admitted batch maps each
 //!    [`SearchToken`] to a unique-token slot. Token-level dedup *is*
@@ -14,16 +25,16 @@
 //!    that each demander's own scan would have decrypted. (Distinct tokens
 //!    share a label only on a 128-bit PRF collision.)
 //! 2. **Scan** — the unique tokens are the work units. Workers pull them
-//!    off a shared cursor; each unit is the sequential path's own guarded
-//!    counter scan over a one-token slice, so every probe still goes
-//!    deadline check → `probe_guarded` (breaker and budgeted retry once a
-//!    shard has failed), and the executor keeps no counter loop of its own. Threads are forked **at
-//!    most once per batch** ([`BatchConfig::workers`]), and not at all when
-//!    the batch holds too few units to amortise a fork.
+//!    off a shared cursor; each unit is a batch of one's guarded counter
+//!    scan over a one-token slice, so every probe still goes deadline check
+//!    → `probe_guarded` (breaker and budgeted retry once a shard has
+//!    failed), and the executor keeps no counter loop of its own. Threads
+//!    are forked **at most once per batch** ([`BatchConfig::workers`]), and
+//!    not at all when the batch holds too few units to amortise a fork.
 //! 3. **Fan out** — per query, in item order, `assemble_outcome` over its
 //!    slots' id groups and counts: outcomes, `QueryStats`, per-query
-//!    `probes_resolved` and the `ServeStats` totals are byte-identical to
-//!    sequential serving.
+//!    `probes_resolved` and the per-query `ServeStats` totals are
+//!    byte-identical to serving each query as a batch of one.
 //!
 //! ## Control plane
 //!
@@ -41,8 +52,9 @@
 //! * **Breakers and retries** act per unique probe inside the unit's scan.
 //!   A fail-fast or an exhausted retry stops that unit and fails exactly
 //!   the queries demanding its token, each with its own typed error
-//!   (`Trip::fan_out`); a transiently faulty block is re-read once for
-//!   the whole batch, not once per demander.
+//!   (`Trip::fan_out`, which keeps the failing shard file and the I/O
+//!   error's kind); a transiently faulty block is re-read once for the
+//!   whole batch, not once per demander.
 //!
 //! ## Leakage
 //!
@@ -52,7 +64,7 @@
 //! its savings only through counters the server operator already holds.
 //! Per-query accounting is unchanged — a query's `probes_resolved` counts
 //! its *demanded* probes whether or not storage was read, so outcomes and
-//! the per-query leakage profile are byte-identical to sequential serving.
+//! the per-query leakage profile are byte-identical to serving it alone.
 
 use crate::error::{PartialOutcome, ServeError};
 use crate::server::{GuardedScan, ResilientServer, ServeIndex, Trip};
@@ -64,10 +76,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Tuning of the batch executor
-/// ([`ResilientServer::answer_batch`] / [`drain_batched`]).
-///
-/// [`drain_batched`]: ResilientServer::drain_batched
+/// Tuning of the batch executor (every answer of a [`ResilientServer`]).
 #[derive(Clone, Debug, Default)]
 pub struct BatchConfig {
     /// Threads scanning a batch's unique tokens: `None` (default) uses the
@@ -84,7 +93,9 @@ pub struct BatchConfig {
 const MIN_UNITS_PER_WORKER: usize = 8;
 
 /// One admitted query entering [`execute_batch`]: its tokens plus the
-/// admission instant and absolute deadline it is served against.
+/// admission instant and the absolute deadline (server clock) it is served
+/// against — a [`Query`](crate::server::Query)'s budget resolved at
+/// admission, or a queued request's fixed when it was enqueued.
 pub(crate) struct BatchItem<'a> {
     pub(crate) tokens: &'a [SearchToken],
     pub(crate) admitted_at: Duration,
@@ -116,14 +127,16 @@ struct UnitScan {
 }
 
 /// Runs one batch to completion. Outcomes are in item order and
-/// byte-identical to serving each item alone through the guarded
-/// sequential path (pinned by the `batch_executor` test battery).
+/// byte-identical to serving each item as a batch of one (pinned by the
+/// `batch_executor` test battery).
 pub(crate) fn execute_batch<B: ServeIndex>(
     server: &ResilientServer<B>,
     items: Vec<BatchItem<'_>>,
 ) -> Vec<Result<QueryOutcome, ServeError>> {
-    if items.is_empty() {
-        return Vec::new();
+    match items.as_slice() {
+        [] => return Vec::new(),
+        [item] => return vec![serve_alone(server, item)],
+        _ => {}
     }
     let counters = &server.counters;
     counters
@@ -170,16 +183,14 @@ pub(crate) fn execute_batch<B: ServeIndex>(
     counters
         .batch_rounds
         .fetch_add(units.len() as u64, Ordering::Relaxed);
-    counters
-        .batch_probes_unique
-        .fetch_add(unique, Ordering::Relaxed);
     counters.faults_absorbed.fetch_add(
         scanned.iter().map(|unit| unit.scan.faults_absorbed).sum(),
         Ordering::Relaxed,
     );
 
     // Fan out: every query reads its slots' shared results, in token order.
-    items
+    let mut demanded_total = 0u64;
+    let outcomes = items
         .iter()
         .zip(plans)
         .map(|(item, plan)| {
@@ -198,11 +209,9 @@ pub(crate) fn execute_batch<B: ServeIndex>(
             };
             let demanded = || slots.iter().map(|&slot| &scanned[slot as usize]);
             let probes_resolved: u64 = demanded().map(|unit| unit.scan.probes_resolved).sum();
+            demanded_total += probes_resolved;
             counters
                 .probes_resolved
-                .fetch_add(probes_resolved, Ordering::Relaxed);
-            counters
-                .batch_probes_demanded
                 .fetch_add(probes_resolved, Ordering::Relaxed);
             let counts: Result<Vec<usize>, &Trip> = demanded()
                 .map(|unit| unit.scan.counts.as_ref().map(|counts| counts[0]))
@@ -230,7 +239,54 @@ pub(crate) fn execute_batch<B: ServeIndex>(
                 }
             }
         })
-        .collect()
+        .collect();
+    counters
+        .batch_dedup_hits
+        .fetch_add(demanded_total - unique, Ordering::Relaxed);
+    outcomes
+}
+
+/// A batch of one: the query's whole token vector in one guarded scan,
+/// counted as one round per token on one lane.
+pub(crate) fn serve_alone<B: ServeIndex>(
+    server: &ResilientServer<B>,
+    item: &BatchItem<'_>,
+) -> Result<QueryOutcome, ServeError> {
+    let counters = &server.counters;
+    counters.admitted.fetch_add(1, Ordering::Relaxed);
+    server.retry.credit_query();
+    let tokens = item.tokens;
+    let mut per_token: Vec<Vec<DocId>> = Vec::new();
+    let scan = server.scan_guarded(
+        tokens,
+        item.deadline,
+        &mut per_token,
+        &mut ScanScratch::default(),
+    );
+    let rounds = tokens.len() as u64;
+    counters.batch_rounds.fetch_add(rounds, Ordering::Relaxed);
+    counters
+        .batch_max_lane_depth
+        .fetch_max(rounds, Ordering::Relaxed);
+    counters
+        .probes_resolved
+        .fetch_add(scan.probes_resolved, Ordering::Relaxed);
+    counters
+        .faults_absorbed
+        .fetch_add(scan.faults_absorbed, Ordering::Relaxed);
+    match scan.counts {
+        Ok(counts) => {
+            counters.served_ok.fetch_add(1, Ordering::Relaxed);
+            Ok(assemble_outcome(tokens, per_token, &counts))
+        }
+        Err(trip) => Err(
+            server.trip_error(trip, item.admitted_at, || PartialOutcome {
+                ids: per_token.into_iter().flatten().collect(),
+                probes_resolved: scan.probes_resolved,
+                tokens_total: tokens.len(),
+            }),
+        ),
+    }
 }
 
 /// Scans every unit once, in parallel across the worker count the batch

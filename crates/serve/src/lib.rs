@@ -17,11 +17,15 @@
 //! - [`error`] — every degraded outcome as a typed, matchable
 //!   [`ServeError`], including partial results for expired deadlines.
 //! - [`server`] — [`ResilientServer`], the guarded probe loop tying it all
-//!   together over any [`ServeIndex`] backend.
-//! - [`executor`] — the batch executor behind
-//!   [`ResilientServer::answer_batch`]: each distinct token of a batch is
-//!   scanned once and shared across the queries demanding it,
-//!   byte-identical outcomes.
+//!   together over any [`ServeIndex`] backend. It answers through one
+//!   entry: a [`Query`] (tokens, tenant, deadline budget) goes in a batch,
+//!   [`answer`](ResilientServer::answer) being a batch of one,
+//!   [`answer_batch`](ResilientServer::answer_batch) any batch and
+//!   [`drain`](ResilientServer::drain) the queued admission plan.
+//! - [`executor`] — the batch executor behind that entry: a batch of one
+//!   runs its token vector through one guarded scan; in a larger batch
+//!   each distinct token is scanned once and shared across the queries
+//!   demanding it, byte-identical outcomes.
 //!
 //! Completed queries are byte-identical to the raw `rsse_core` path; the
 //! resilience machinery only changes *when* probes happen and how failures
@@ -45,4 +49,4 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::{OverloadReason, PartialOutcome, ServeError};
 pub use executor::BatchConfig;
 pub use retry::{RetryConfig, RetryPolicy};
-pub use server::{ResilientServer, ServeConfig, ServeIndex, ServeStats};
+pub use server::{Query, ResilientServer, ServeConfig, ServeIndex, ServeStats};

@@ -1,11 +1,10 @@
 //! Budgeted, jittered retries.
 //!
-//! PR 5's `answer_many` retried each failed query exactly once, whole-query,
-//! immediately — no backoff, no cap on how much retrying a degraded disk
-//! could trigger, and no way to observe it happening. This module replaces
-//! that with a **global retry budget**: a token pool shared by every query a
-//! server answers, credited per admitted query (so sustained load earns
-//! sustained repair capacity, up to a cap) and drained one token per retry.
+//! A failed probe is retried only while a **global retry budget** allows
+//! it: a token pool shared by every query a server answers, credited per
+//! admitted query (so sustained load earns sustained repair capacity, up to
+//! a cap) and drained one token per retry. The budget bounds how much
+//! retrying a degraded disk can trigger, and its counters make it visible.
 //! When the pool is dry, failures surface immediately as typed errors — a
 //! sick storage layer degrades the service gracefully instead of
 //! multiplying its own load with retry storms.

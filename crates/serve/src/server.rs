@@ -3,8 +3,12 @@
 //!
 //! [`ResilientServer`] wraps any [`ServeIndex`] backend (a
 //! [`QueryServer`], a bare [`ShardedIndex`], or anything else that can
-//! resolve labeled probes) and serves range queries through a guarded probe
-//! loop:
+//! resolve labeled probes) and serves range queries through one entry, the
+//! batch executor ([`executor`](crate::executor)): a [`Query`] carries its
+//! tokens, tenant and deadline budget, [`answer`](ResilientServer::answer)
+//! is a batch of one, [`answer_batch`](ResilientServer::answer_batch) any
+//! batch, and [`drain`](ResilientServer::drain) the queued admission plan.
+//! Every query passes the same guarded probe loop:
 //!
 //! 1. **Admission** — direct calls check cache pressure; queued requests
 //!    ([`enqueue`](ResilientServer::enqueue) /
@@ -38,21 +42,20 @@
 //! primitives, so resilience changes when probes happen, never what a
 //! completed query returns.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Pending, Ticket};
+use crate::admission::{shed_on_pressure, AdmissionConfig, AdmissionQueue, Pending, Ticket};
 use crate::breaker::{Admit, BreakerConfig, BreakerState, ShardHealth};
 use crate::clock::{Clock, SystemClock};
 use crate::error::{OverloadReason, PartialOutcome, ServeError};
-use crate::executor::{execute_batch, BatchConfig, BatchItem};
+use crate::executor::{execute_batch, serve_alone, BatchConfig, BatchItem};
 use crate::retry::{RetryConfig, RetryPolicy};
-use rayon::prelude::*;
-use rsse_core::server::{assemble_outcome, scan_query_into_with, ScanScratch};
+use rsse_core::server::{scan_query_into_with, ScanScratch};
 use rsse_core::{DocId, QueryOutcome, QueryServer};
 use rsse_sse::{
     CacheStats, CipherSpan, IndexLookup, Label, SearchToken, ShardedIndex, StorageError,
 };
 use std::cell::Cell;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -139,18 +142,16 @@ pub struct ServeConfig {
     /// Deadline applied to queries that don't bring their own (`None` =
     /// unbounded).
     pub default_deadline: Option<Duration>,
-    /// Tenant that unattributed queries ([`ResilientServer::answer`],
-    /// [`answer_within`](ResilientServer::answer_within),
-    /// [`answer_many`](ResilientServer::answer_many),
-    /// [`answer_batch`](ResilientServer::answer_batch)) are admitted as.
+    /// Tenant that unattributed queries ([`ResilientServer::answer`], and
+    /// every [`Query`] of [`answer_batch`](ResilientServer::answer_batch)
+    /// whose `tenant` is `None`) are admitted as.
     ///
     /// Admission implication: every unattributed query charges this one
     /// tenant's bounded queue and shows up as it in shed errors, so a
-    /// multi-tenant deployment that mixes attributed
-    /// ([`answer_for`](ResilientServer::answer_for) /
-    /// [`enqueue`](ResilientServer::enqueue)) and unattributed traffic
-    /// shares the default tenant's fairness slot across all unattributed
-    /// callers. Defaults to `"adhoc"`.
+    /// multi-tenant deployment that mixes attributed (a [`Query`] naming
+    /// its tenant, [`enqueue`](ResilientServer::enqueue)) and unattributed
+    /// traffic shares the default tenant's fairness slot across all
+    /// unattributed callers. Defaults to `"adhoc"`.
     pub default_tenant: String,
     /// Seed of the backoff jitter RNG (deterministic tests pin it).
     pub seed: u64,
@@ -211,22 +212,23 @@ pub struct ServeStats {
     pub breaker_fail_fast: u64,
     /// Requests currently queued.
     pub queued: u64,
-    /// Unique-token scans the batch executor ran (all batches) — its
-    /// units of work.
+    /// Token scans the batch executor ran — its units of work: each
+    /// unique token of a multi-query batch, every token of a batch of one.
     pub batch_rounds: u64,
-    /// Probes batch queries demanded (the leakage-profile count: every
-    /// query's logical probe, whether or not storage was actually read).
+    /// Probes queries demanded (the leakage-profile count: every query's
+    /// logical probe, whether or not storage was actually read). Every
+    /// query is served as a batch, so this is `probes_resolved`.
     pub batch_probes_demanded: u64,
     /// Probes the batch executor actually issued after cross-query dedup —
     /// each unique token of a batch is scanned once (equals
     /// `batch_probes_demanded` when no two queries of a batch share a
-    /// token).
+    /// token, as in a batch of one).
     pub batch_probes_unique: u64,
     /// Demanded probes satisfied by another query's identical probe
     /// (`batch_probes_demanded - batch_probes_unique`).
     pub batch_dedup_hits: u64,
-    /// Most unique tokens one scan worker took in a single batch (the
-    /// whole batch when it was scanned inline).
+    /// Most token scans one worker took in a single batch (the whole batch
+    /// when it was scanned inline, every token of a batch of one).
     pub batch_max_lane_depth: u64,
 }
 
@@ -256,8 +258,9 @@ pub(crate) struct Counters {
     pub(crate) probes_resolved: AtomicU64,
     pub(crate) faults_absorbed: AtomicU64,
     pub(crate) batch_rounds: AtomicU64,
-    pub(crate) batch_probes_demanded: AtomicU64,
-    pub(crate) batch_probes_unique: AtomicU64,
+    /// Demanded probes a multi-query batch served from another query's
+    /// scan; `batch_probes_unique` is `probes_resolved` minus these.
+    pub(crate) batch_dedup_hits: AtomicU64,
     pub(crate) batch_max_lane_depth: AtomicU64,
 }
 
@@ -286,8 +289,9 @@ pub(crate) enum Trip {
 impl Trip {
     /// A copy of this trip for one more query demanding the same shared
     /// batch token. The underlying [`StorageError`] is not clonable (it may
-    /// wrap an [`io::Error`]), so the copy carries a faithful re-rendering
-    /// of the same failure.
+    /// wrap an [`io::Error`]); a probe's error is an I/O error naming the
+    /// shard file, and the copy keeps that path and the error's kind and
+    /// message.
     pub(crate) fn fan_out(&self) -> Trip {
         match self {
             Trip::Deadline { deadline } => Trip::Deadline {
@@ -304,9 +308,15 @@ impl Trip {
             } => Trip::Exhausted {
                 attempts: *attempts,
                 budget_empty: *budget_empty,
-                source: StorageError::Io {
-                    path: PathBuf::from("<shared-batch-probe>"),
-                    error: io::Error::other(source.to_string()),
+                source: match source {
+                    StorageError::Io { path, error } => StorageError::Io {
+                        path: path.clone(),
+                        error: io::Error::new(error.kind(), error.to_string()),
+                    },
+                    other => StorageError::Io {
+                        path: PathBuf::from("<shared-batch-probe>"),
+                        error: io::Error::other(other.to_string()),
+                    },
                 },
             },
         }
@@ -480,6 +490,8 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// Samples every resilience counter.
     pub fn stats(&self) -> ServeStats {
         let c = &self.counters;
+        let probes_resolved = c.probes_resolved.load(Ordering::Relaxed);
+        let batch_dedup_hits = c.batch_dedup_hits.load(Ordering::Relaxed);
         ServeStats {
             admitted: c.admitted.load(Ordering::Relaxed),
             served_ok: c.served_ok.load(Ordering::Relaxed),
@@ -489,7 +501,7 @@ impl<B: ServeIndex> ResilientServer<B> {
             deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
             shard_unavailable: c.shard_unavailable.load(Ordering::Relaxed),
             retry_exhausted: c.retry_exhausted.load(Ordering::Relaxed),
-            probes_resolved: c.probes_resolved.load(Ordering::Relaxed),
+            probes_resolved,
             faults_absorbed: c.faults_absorbed.load(Ordering::Relaxed),
             retries: self.retry.retries_performed(),
             retry_denials: self.retry.denials(),
@@ -500,12 +512,9 @@ impl<B: ServeIndex> ResilientServer<B> {
             breaker_fail_fast: self.breakers.fail_fast(),
             queued: self.admission.lock().expect("admission lock").queued() as u64,
             batch_rounds: c.batch_rounds.load(Ordering::Relaxed),
-            batch_probes_demanded: c.batch_probes_demanded.load(Ordering::Relaxed),
-            batch_probes_unique: c.batch_probes_unique.load(Ordering::Relaxed),
-            batch_dedup_hits: c
-                .batch_probes_demanded
-                .load(Ordering::Relaxed)
-                .saturating_sub(c.batch_probes_unique.load(Ordering::Relaxed)),
+            batch_probes_demanded: probes_resolved,
+            batch_probes_unique: probes_resolved.saturating_sub(batch_dedup_hits),
+            batch_dedup_hits,
             batch_max_lane_depth: c.batch_max_lane_depth.load(Ordering::Relaxed),
         }
     }
@@ -523,73 +532,33 @@ impl<B: ServeIndex> ResilientServer<B> {
         err
     }
 
-    /// Admission-time cache-pressure check for the direct (unqueued)
-    /// serving paths.
-    fn check_pressure(&self, tenant: &str) -> Result<(), ServeError> {
-        if let Some(limit) = self.config.admission.shed_at_resident_bytes {
-            let resident = self.backend.cache_stats().resident_bytes;
-            if resident > limit {
-                return Err(self.count_shed(ServeError::Overloaded {
-                    tenant: tenant.to_string(),
-                    reason: OverloadReason::CachePressure,
-                    queued: self.admission.lock().expect("admission lock").queued(),
-                    limit,
-                }));
-            }
-        }
-        Ok(())
-    }
-
-    /// The admitted-query core: runs the guarded scan against an absolute
-    /// deadline and translates any trip into its typed error.
-    fn serve_admitted(
+    /// Admits one direct (unqueued) query at `admitted_at`: the
+    /// cache-pressure check under its tenant, then its deadline budget
+    /// resolved to an absolute deadline on the server clock.
+    fn admit<'q>(
         &self,
-        tokens: &[SearchToken],
+        query: Query<'q>,
         admitted_at: Duration,
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, ServeError> {
-        let mut scratch = ScanScratch::default();
-        self.serve_admitted_with(tokens, admitted_at, deadline, &mut scratch)
-    }
-
-    /// [`serve_admitted`](Self::serve_admitted) with caller-owned scan
-    /// scratch — batch paths keep one `ScanScratch` per worker thread so
-    /// the per-token ciphers and the decrypt buffer are reused across the
-    /// queries of a batch instead of reallocated per query.
-    fn serve_admitted_with(
-        &self,
-        tokens: &[SearchToken],
-        admitted_at: Duration,
-        deadline: Option<Duration>,
-        scratch: &mut ScanScratch,
-    ) -> Result<QueryOutcome, ServeError> {
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.retry.credit_query();
-        let mut per_token: Vec<Vec<DocId>> = Vec::new();
-        let scan = self.scan_guarded(tokens, deadline, &mut per_token, scratch);
-        self.counters
-            .probes_resolved
-            .fetch_add(scan.probes_resolved, Ordering::Relaxed);
-        self.counters
-            .faults_absorbed
-            .fetch_add(scan.faults_absorbed, Ordering::Relaxed);
-        match scan.counts {
-            Ok(counts) => {
-                self.counters.served_ok.fetch_add(1, Ordering::Relaxed);
-                Ok(assemble_outcome(tokens, per_token, &counts))
-            }
-            Err(trip) => Err(self.trip_error(trip, admitted_at, || PartialOutcome {
-                ids: per_token.into_iter().flatten().collect(),
-                probes_resolved: scan.probes_resolved,
-                tokens_total: tokens.len(),
-            })),
-        }
+    ) -> Result<BatchItem<'q>, ServeError> {
+        shed_on_pressure(
+            &self.config.admission,
+            query.tenant.unwrap_or(&self.config.default_tenant),
+            || self.backend.cache_stats().resident_bytes,
+            || self.admission.lock().expect("admission lock").queued(),
+        )
+        .map_err(|err| self.count_shed(err))?;
+        let deadline = query.deadline.or(self.config.default_deadline);
+        Ok(BatchItem {
+            tokens: query.tokens,
+            admitted_at,
+            deadline: deadline.map(|budget| admitted_at + budget),
+        })
     }
 
     /// The guarded counter scan — `rsse_core`'s one scan of `tokens` behind
-    /// a [`QueryGuard`] carrying `deadline`. The sequential paths run it
-    /// over a query's whole token vector, the batch executor over one
-    /// unique token at a time. `per_token` receives the id groups (on a
+    /// a [`QueryGuard`] carrying `deadline`. The batch executor runs it over
+    /// the whole token vector of a batch of one, and over one unique token
+    /// at a time of a larger batch. `per_token` receives the id groups (on a
     /// trip: everything decoded before it). Counts nothing server-wide —
     /// callers attribute the returned accounting.
     pub(crate) fn scan_guarded(
@@ -749,120 +718,59 @@ impl<B: ServeIndex> ResilientServer<B> {
         error
     }
 
-    /// Answers one query under the configured
+    /// Answers one query as a batch of one — exactly what
+    /// [`answer_batch`](Self::answer_batch) returns for `&[tokens]`,
+    /// without its vectors — under the configured
     /// [`default_deadline`](ServeConfig::default_deadline), admitted as the
     /// configured [`default_tenant`](ServeConfig::default_tenant) (see
     /// there for the admission implication of unattributed traffic).
     pub fn answer(&self, tokens: &[SearchToken]) -> Result<QueryOutcome, ServeError> {
-        self.answer_for(&self.config.default_tenant, tokens, None)
-    }
-
-    /// Answers one query with an explicit deadline budget, measured from
-    /// admission, admitted as the configured
-    /// [`default_tenant`](ServeConfig::default_tenant).
-    pub fn answer_within(
-        &self,
-        tokens: &[SearchToken],
-        deadline: Duration,
-    ) -> Result<QueryOutcome, ServeError> {
-        self.answer_for(&self.config.default_tenant, tokens, Some(deadline))
-    }
-
-    /// Answers one query on the direct (unqueued) path, attributed to
-    /// `tenant` — sheds report the real tenant instead of `"adhoc"`. This is
-    /// the replay-harness entry point: open-loop traces tag every event with
-    /// a tenant and must never sit in a queue (queueing would hide the lag
-    /// the harness exists to measure). A `None` deadline falls back to the
-    /// configured [`default_deadline`](ServeConfig::default_deadline).
-    pub fn answer_for(
-        &self,
-        tenant: &str,
-        tokens: &[SearchToken],
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, ServeError> {
-        self.check_pressure(tenant)?;
-        let admitted_at = self.clock.now();
-        let deadline = deadline.or(self.config.default_deadline);
-        self.serve_admitted(tokens, admitted_at, deadline.map(|d| admitted_at + d))
-    }
-
-    /// Answers a batch of queries in parallel (rayon fan-out, outcomes in
-    /// query order), every query under the full guarded loop and the
-    /// **shared** retry budget and breakers. This is the resilient
-    /// counterpart of [`QueryServer::answer_many`]. Scan scratch (payload
-    /// ciphers, decrypt buffer) is thread-local and reused across the
-    /// queries a worker serves, not reallocated per query.
-    ///
-    /// Queries here stay fully independent; to share work between them
-    /// (scan a token repeated across the batch once) use
-    /// [`answer_batch`](Self::answer_batch).
-    pub fn answer_many(
-        &self,
-        queries: &[Vec<SearchToken>],
-    ) -> Vec<Result<QueryOutcome, ServeError>> {
-        queries
-            .par_iter()
-            .map_init(ScanScratch::default, |scratch, tokens| {
-                self.check_pressure(&self.config.default_tenant)?;
-                let admitted_at = self.clock.now();
-                let deadline = self
-                    .config
-                    .default_deadline
-                    .map(|budget| admitted_at + budget);
-                self.serve_admitted_with(tokens, admitted_at, deadline, scratch)
-            })
-            .collect()
+        let query = Query {
+            tokens,
+            ..Query::default()
+        };
+        let item = self.admit(query, self.clock.now())?;
+        serve_alone(self, &item)
     }
 
     /// Answers a batch of queries through the batch executor (see the
-    /// [`executor`](crate::executor) module): the batch's tokens are mapped
-    /// to unique-token slots once, each unique token is scanned once by the
-    /// same guarded counter scan [`answer`](Self::answer) runs — on
-    /// [`BatchConfig::workers`] threads forked at most once per batch — and
-    /// its hits go to every query demanding it. Outcomes are
-    /// **byte-identical** to serving each query alone, in query order.
+    /// [`executor`](crate::executor) module), outcomes in query order and
+    /// **byte-identical** to serving each query alone. A batch of one runs
+    /// its whole token vector through one guarded scan; a larger batch maps
+    /// its tokens to unique-token slots once, scans each unique token once
+    /// by the same guarded scan — on [`BatchConfig::workers`] threads
+    /// forked at most once per batch — and hands its hits to every query
+    /// demanding it.
     ///
-    /// The whole batch is admitted at one instant (queries shed for cache
-    /// pressure fail typed without joining the batch), and the configured
-    /// [`default_deadline`](ServeConfig::default_deadline) runs from that
-    /// instant. A token stops being scanned once the deadline of every
-    /// query demanding it has passed; a query missing one of its tokens is
-    /// cut with a typed partial, a query whose tokens all completed is
-    /// answered.
-    pub fn answer_batch(
-        &self,
-        queries: &[Vec<SearchToken>],
-    ) -> Vec<Result<QueryOutcome, ServeError>> {
+    /// Items are anything that converts into a [`Query`]: a token vector
+    /// (unattributed, under the default deadline) or a `Query` naming its
+    /// tenant and deadline budget. The whole batch is admitted at one
+    /// instant (a query shed for cache pressure fails typed without joining
+    /// the batch), and every deadline runs from that instant. A token stops
+    /// being scanned once the deadline of every query demanding it has
+    /// passed; a query missing one of its tokens is cut with a typed
+    /// partial, a query whose tokens all completed is answered.
+    pub fn answer_batch<'q, Q>(&self, queries: &'q [Q]) -> Vec<Result<QueryOutcome, ServeError>>
+    where
+        &'q Q: Into<Query<'q>>,
+    {
         let admitted_at = self.clock.now();
-        let deadline = self
-            .config
-            .default_deadline
-            .map(|budget| admitted_at + budget);
-        let mut slots: Vec<Option<Result<QueryOutcome, ServeError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut admitted: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut items: Vec<BatchItem<'_>> = Vec::with_capacity(queries.len());
-        for (slot, tokens) in queries.iter().enumerate() {
-            match self.check_pressure(&self.config.default_tenant) {
-                Ok(()) => {
-                    admitted.push(slot);
-                    items.push(BatchItem {
-                        tokens,
-                        admitted_at,
-                        deadline,
-                    });
-                }
-                Err(shed) => slots[slot] = Some(Err(shed)),
-            }
+        let mut shed: Vec<(usize, ServeError)> = Vec::new();
+        let items: Vec<BatchItem<'q>> = queries
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, query)| {
+                self.admit(query.into(), admitted_at)
+                    .map_err(|err| shed.push((slot, err)))
+                    .ok()
+            })
+            .collect();
+        let mut outcomes = execute_batch(self, items);
+        // Ascending slots: each shed lands where its query stood.
+        for (slot, err) in shed {
+            outcomes.insert(slot, Err(err));
         }
-        let outcomes = execute_batch(self, items);
-        for (slot, outcome) in admitted.into_iter().zip(outcomes) {
-            slots[slot] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch slot resolves"))
-            .collect()
+        outcomes
     }
 
     /// Queues one tenant's query for a later [`drain`](Self::drain),
@@ -882,30 +790,15 @@ impl<B: ServeIndex> ResilientServer<B> {
             .map_err(|err| self.count_shed(err))
     }
 
-    /// Serves everything queued, in oldest-tenant-fair round-robin order
-    /// (see the [`admission`](crate::admission) module), sequentially and
-    /// deterministically. Returns each request's ticket with its outcome,
-    /// in serving order.
+    /// Serves everything queued as one batch through the batch executor:
+    /// the drain plan's queries (oldest-tenant-fair round-robin, see the
+    /// [`admission`](crate::admission) module) are admitted together,
+    /// tokens repeated across them are scanned once, and each request's
+    /// ticket comes back with its outcome in plan order. Every request
+    /// keeps the deadline it was enqueued under — one whose deadline passed
+    /// while queued is cut at batch start with a zero-probe typed partial,
+    /// without cancelling probes other requests share.
     pub fn drain(&self) -> Vec<(Ticket, Result<QueryOutcome, ServeError>)> {
-        let plan: Vec<Pending> = self.admission.lock().expect("admission lock").drain_plan();
-        plan.into_iter()
-            .map(|pending| {
-                let admitted_at = self.clock.now();
-                let outcome = self.serve_admitted(&pending.tokens, admitted_at, pending.deadline);
-                (pending.ticket, outcome)
-            })
-            .collect()
-    }
-
-    /// Serves everything queued as **one batch** through the batch
-    /// executor: the drain plan's queries (same oldest-tenant-fair order as
-    /// [`drain`](Self::drain)) are admitted together, tokens repeated
-    /// across them are scanned once, and each request's ticket comes back
-    /// with its outcome in plan order. Every request keeps the deadline it
-    /// was enqueued under — one whose deadline passed while queued is cut
-    /// at batch start with a zero-probe typed partial, without cancelling
-    /// probes other requests share.
-    pub fn drain_batched(&self) -> Vec<(Ticket, Result<QueryOutcome, ServeError>)> {
         let plan: Vec<Pending> = self.admission.lock().expect("admission lock").drain_plan();
         let admitted_at = self.clock.now();
         let items: Vec<BatchItem<'_>> = plan
@@ -924,27 +817,33 @@ impl<B: ServeIndex> ResilientServer<B> {
     }
 }
 
-impl ResilientServer<QueryServer> {
-    /// Cold-opens a resilient endpoint over an index persisted with
-    /// `ShardedIndex::save_to_dir` (or built on disk): the resilient
-    /// counterpart of [`QueryServer::open_dir`].
-    pub fn open_dir(dir: impl AsRef<Path>, config: ServeConfig) -> Result<Self, StorageError> {
-        Ok(Self::new(QueryServer::open_dir(dir)?, config))
-    }
+/// One query as the serve plane takes it: the token vector the owner's
+/// `Trpdr` sent, the tenant it is admitted as and its deadline budget,
+/// measured from admission. `None` falls back to the server's
+/// [`default_tenant`](ServeConfig::default_tenant) /
+/// [`default_deadline`](ServeConfig::default_deadline).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Query<'a> {
+    /// One search token per covering node.
+    pub tokens: &'a [SearchToken],
+    /// The tenant the query is admitted (and shed) as.
+    pub tenant: Option<&'a str>,
+    /// The deadline budget, from the batch's admission instant.
+    pub deadline: Option<Duration>,
+}
 
-    /// Like [`open_dir`](Self::open_dir) with a block-cache budget bounding
-    /// resident ciphertext bytes (see [`QueryServer::open_dir_with_budget`])
-    /// — pairs naturally with
-    /// [`AdmissionConfig::shed_at_resident_bytes`] pressure shedding.
-    pub fn open_dir_with_budget(
-        dir: impl AsRef<Path>,
-        cache_budget: Option<usize>,
-        config: ServeConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(Self::new(
-            QueryServer::open_dir_with_budget(dir, cache_budget)?,
-            config,
-        ))
+impl<'a> From<&'a Vec<SearchToken>> for Query<'a> {
+    fn from(tokens: &'a Vec<SearchToken>) -> Self {
+        Query {
+            tokens,
+            ..Query::default()
+        }
+    }
+}
+
+impl<'a, 'b: 'a> From<&'a Query<'b>> for Query<'a> {
+    fn from(query: &'a Query<'b>) -> Self {
+        *query
     }
 }
 

@@ -22,7 +22,7 @@ use crate::histogram::LatencyHistogram;
 use crate::trace::{EventKind, Trace};
 use rsse_core::QueryOutcome;
 use rsse_cover::Range;
-use rsse_serve::{ResilientServer, ServeError, ServeIndex};
+use rsse_serve::{Query, ResilientServer, ServeError, ServeIndex};
 use rsse_sse::SearchToken;
 use rsse_updates::UpdateEntry;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,9 +72,11 @@ pub trait ReplayTarget {
 }
 
 /// Query-only adapter over a [`ResilientServer`]: ranges are turned into
-/// search tokens by `trapdoor` and served on the direct tenant-attributed
-/// path ([`ResilientServer::answer_for`]). Insert events are rejected: the
-/// server holds a static index.
+/// search tokens by `trapdoor` and each is served as a batch of one,
+/// attributed to its tenant, on the direct path
+/// ([`ResilientServer::answer_batch`]; never queued, which would hide the
+/// lag the replay measures). Insert events are rejected: the server holds
+/// a static index.
 pub struct ResilientTarget<'a, B: ServeIndex, F> {
     server: &'a ResilientServer<B>,
     trapdoor: F,
@@ -106,7 +108,13 @@ where
         let Some(tokens) = (self.trapdoor)(range) else {
             return QueryFate::Failed;
         };
-        QueryFate::of_serve(&self.server.answer_for(tenant, &tokens, self.deadline))
+        let query = Query {
+            tokens: &tokens,
+            tenant: Some(tenant),
+            deadline: self.deadline,
+        };
+        let mut outcomes = self.server.answer_batch(&[query]);
+        QueryFate::of_serve(&outcomes.pop().expect("one outcome per query"))
     }
 
     fn insert(&self, _entries: &[UpdateEntry]) -> bool {

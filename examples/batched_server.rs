@@ -67,7 +67,7 @@ fn main() {
         .map(|&r| client.trapdoor(r).expect("in-domain range"))
         .collect();
     let outcomes: Vec<QueryOutcome> = serve
-        .answer_many(&queries)
+        .answer_batch(&queries)
         .into_iter()
         .map(|slot| slot.expect("healthy in-memory backend"))
         .collect();
@@ -115,7 +115,7 @@ fn main() {
     let hiccup = arm_faults(&dir, FaultPlan::transient_window(0, 3), None);
     let degraded = ResilientServer::new(on_disk, ServeConfig::default());
     let recovered: Vec<QueryOutcome> = degraded
-        .answer_many(&queries)
+        .answer_batch(&queries)
         .into_iter()
         .map(|slot| slot.expect("per-probe retries absorb the blip"))
         .collect();
@@ -150,7 +150,10 @@ fn main() {
         .iter()
         .map(|&r| client.trapdoor(r).expect("in-domain range"))
         .collect();
-    let batched = serve.answer_batch(&hot_queries);
+    // A fresh frontend, so its counters are the hot batch's alone.
+    let fresh = ResilientServer::new(sequential_server.clone(), ServeConfig::default());
+    let batched = fresh.answer_batch(&hot_queries);
+    let stats = fresh.stats();
     for ((range, tokens), slot) in hot.iter().zip(&hot_queries).zip(&batched) {
         let alone = serve.answer(tokens).expect("healthy in-memory backend");
         let outcome = slot.as_ref().expect("healthy in-memory backend");
@@ -159,7 +162,6 @@ fn main() {
             "batch-executed outcome must be byte-identical for {range}"
         );
     }
-    let stats = serve.stats();
     println!(
         "batch executor: {} probes demanded, {} unique after cross-query dedup \
          ({:.0}% saved), {} unique-token scans, at most {} per worker — outcomes \

@@ -10,13 +10,14 @@
 //!    first moment;
 //! 2. the server state is dropped entirely;
 //! 3. a "fresh process" cold-opens the index behind a
-//!    [`ResilientServer`] (`ResilientServer::open_dir`) — shard bucket
+//!    [`ResilientServer`] (`ResilientServer::new` over
+//!    `QueryServer::open_dir`) — shard bucket
 //!    directories load, ciphertext regions stay on disk — and answers a
 //!    batch of range queries, with paged reads faulting in only the probed
 //!    blocks (a failed read surfaces as a typed error, never as a silently
 //!    empty result);
 //! 4. the same index is reopened with a block-cache budget
-//!    (`ResilientServer::open_dir_with_budget`), which caps resident
+//!    (`QueryServer::open_dir_with_budget`), which caps resident
 //!    ciphertext blocks with a clock cache — residency then tracks the
 //!    working set, not everything ever touched;
 //! 5. a transient fault window hits the cold path and the serving layer's
@@ -71,8 +72,10 @@ fn main() {
     //    batch of range queries. Only the bucket directories are loaded;
     //    ciphertext blocks fault in as the queries probe them.
     // ---------------------------------------------------------------
-    let serve =
-        ResilientServer::open_dir(&dir, ServeConfig::default()).expect("cold-open saved index");
+    let serve = ResilientServer::new(
+        QueryServer::open_dir(&dir).expect("cold-open saved index"),
+        ServeConfig::default(),
+    );
     // Right after the open, what is resident is the directories alone:
     // each shard's label table, a tag and a 24-byte slot per slot.
     let directories = serve.backend().index().resident_bytes();
@@ -88,7 +91,7 @@ fn main() {
         .map(|&r| client.trapdoor(r).expect("in-domain range"))
         .collect();
     let outcomes: Vec<QueryOutcome> = serve
-        .answer_many(&queries)
+        .answer_batch(&queries)
         .into_iter()
         .map(|slot| slot.expect("cold-opened index answers the batch"))
         .collect();
@@ -127,11 +130,12 @@ fn main() {
     //    retries give up).
     // ---------------------------------------------------------------
     let budget = region_bytes / 10;
-    let budgeted =
-        ResilientServer::open_dir_with_budget(&dir, Some(budget), ServeConfig::default())
-            .expect("budgeted cold-open");
+    let budgeted = ResilientServer::new(
+        QueryServer::open_dir_with_budget(&dir, Some(budget)).expect("budgeted cold-open"),
+        ServeConfig::default(),
+    );
     let budgeted_outcomes: Vec<QueryOutcome> = budgeted
-        .answer_many(&queries)
+        .answer_batch(&queries)
         .into_iter()
         .map(|slot| slot.expect("healthy disk serves the batch"))
         .collect();
@@ -162,7 +166,7 @@ fn main() {
     let hiccup = arm_faults(&dir, FaultPlan::transient_window(0, 3), None);
     let degraded = ResilientServer::new(flaky, ServeConfig::default());
     let recovered: Vec<QueryOutcome> = degraded
-        .answer_many(&queries)
+        .answer_batch(&queries)
         .into_iter()
         .map(|slot| slot.expect("per-probe retries absorb the blip"))
         .collect();

@@ -4,9 +4,9 @@
 //! The contract pinned here, across seeds × {in_memory, on_disk} backends:
 //!
 //! * **Byte-identical outcomes** — `answer_batch` returns exactly what
-//!   serving each query alone through the sequential guarded path returns,
-//!   which in turn is exactly what the raw `QueryServer` returns: same ids
-//!   in the same order, same `QueryStats`.
+//!   serving each query alone (a batch of one, the sequential guarded
+//!   scan) returns, which in turn is exactly what the raw `QueryServer`
+//!   returns: same ids in the same order, same `QueryStats`.
 //! * **Identical per-query probe counts** — the per-query leakage profile
 //!   (probes demanded: every hit plus each token's terminating miss) is
 //!   the sequential path's; only the *storage* read count shrinks, and the
@@ -15,8 +15,9 @@
 //!   without cancelling probes other queries share (a shared token runs
 //!   under its latest demander's deadline); a fully resolved query is never
 //!   cut; an open breaker fails exactly the queries demanding a token that
-//!   probes its shard; transient faults are absorbed per unique probe; the
-//!   batched drain serves the same fair plan as the sequential drain.
+//!   probes its shard, and a shared probe's failure keeps its shard file
+//!   and error kind; transient faults are absorbed per unique probe; the
+//!   drain serves the fair plan, each request as if answered alone.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -26,12 +27,13 @@ use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{QueryServer, StorageConfig};
 use rsse::prelude::*;
 use rsse::serve::{
-    AdmissionConfig, BatchConfig, BreakerConfig, BreakerState, Clock, ResilientServer, ServeConfig,
-    ServeError, VirtualClock,
+    AdmissionConfig, BatchConfig, BreakerConfig, BreakerState, Clock, ResilientServer, RetryConfig,
+    ServeConfig, ServeError, VirtualClock,
 };
 use rsse::sse::formats::{arm_faults, FaultScope};
+use rsse::sse::storage::shard_file_name;
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{FaultPlan, SearchToken, TokenLabeler};
+use rsse::sse::{FaultPlan, SearchToken, StorageError, TokenLabeler};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -158,7 +160,7 @@ fn batched_dedup_is_byte_identical_with_identical_probe_counts() {
 
             // Three servers over clones of one backend: the whole mix as
             // one batch, each query as a batch of its own (nothing to share
-            // across queries), and the sequential guarded path.
+            // across queries), and each query through `answer`.
             let batch = ResilientServer::new(qs.clone(), serve_config());
             let singles = ResilientServer::new(qs.clone(), serve_config());
             let naive = ResilientServer::new(qs, serve_config());
@@ -175,13 +177,26 @@ fn batched_dedup_is_byte_identical_with_identical_probe_counts() {
                     "batched/sequential outcomes differ (seed {seed}, {backend}, query {i})"
                 );
                 assert_eq!(single[0].as_ref().expect("healthy backend"), &expected);
-                // Per-query probe counts (the leakage profile) are the
-                // sequential path's.
+                // A single query is a batch of one: every counter moves
+                // alike, the per-query probe count (the leakage profile)
+                // among them.
                 assert_eq!(
-                    after.1.batch_probes_demanded - before.1.batch_probes_demanded,
-                    after.0.probes_resolved - before.0.probes_resolved,
-                    "a batch must demand each query's own probes (seed {seed}, {backend}, query {i})"
+                    before.0, before.1,
+                    "both servers start equal (seed {seed}, {backend}, query {i})"
                 );
+                assert_eq!(
+                    after.0, after.1,
+                    "`answer` is `answer_batch` of one (seed {seed}, {backend}, query {i})"
+                );
+                // A cover repeats no node: one round per token, on one
+                // lane, and nothing deduplicated.
+                let tokens = query.len() as u64;
+                assert_eq!(after.1.batch_rounds - before.1.batch_rounds, tokens);
+                assert_eq!(
+                    after.1.batch_probes_unique - before.1.batch_probes_unique,
+                    after.1.probes_resolved - before.1.probes_resolved
+                );
+                assert!(after.1.batch_max_lane_depth >= tokens);
             }
 
             // The whole batch demands the sequential totals ...
@@ -299,7 +314,7 @@ fn expired_deadline_cuts_query_without_cancelling_shared_probes() {
         .enqueue("tenant-b", tokens.clone())
         .expect("queue empty");
 
-    let drained = serve.drain_batched();
+    let drained = serve.drain();
     assert_eq!(drained.len(), 2);
     match &drained[0].1 {
         Err(ServeError::DeadlineExceeded { partial, .. }) => {
@@ -315,35 +330,124 @@ fn expired_deadline_cuts_query_without_cancelling_shared_probes() {
     );
 }
 
-/// The batched drain serves the same oldest-tenant-fair plan as the
-/// sequential drain: same tickets in the same order, byte-identical
-/// outcomes.
+/// The drain serves the oldest-tenant-fair plan as one batch: the tickets
+/// come back in plan order, each with exactly the outcome of answering its
+/// request alone, in plan order, and the same probe totals.
 #[test]
 fn drain_batched_matches_sequential_drain() {
     let lane = lanes(9, "batch-drain").remove(0);
     let qs = lane.qs;
     let ranges = query_mix(9, Domain::new(1 << 12), 12);
 
-    let sequential = ResilientServer::new(qs.clone(), serve_config());
+    let alone = ResilientServer::new(qs.clone(), serve_config());
     let batched = ResilientServer::new(qs, serve_config());
+    let mut queued: Vec<Vec<SearchToken>> = Vec::new();
     for (i, range) in ranges.iter().enumerate() {
-        let Some(tokens) = lane.client.trapdoor(*range) else {
-            continue;
-        };
+        let tokens = lane.client.trapdoor(*range).expect("in-domain");
         let tenant = format!("tenant-{}", i % 3);
-        sequential.enqueue(&tenant, tokens.clone()).expect("fits");
-        batched.enqueue(&tenant, tokens).expect("fits");
+        let ticket = batched.enqueue(&tenant, tokens.clone()).expect("fits");
+        assert_eq!(ticket.0 as usize, queued.len(), "tickets count from 0");
+        queued.push(tokens);
     }
 
-    let a = sequential.drain();
-    let b = batched.drain_batched();
-    assert_eq!(a.len(), b.len());
-    for ((ticket_a, outcome_a), (ticket_b, outcome_b)) in a.iter().zip(&b) {
-        assert_eq!(ticket_a, ticket_b, "same fair plan order");
+    let drained = batched.drain();
+    // Three tenants enqueued in turn: each fair round takes one request of
+    // each, oldest first, which is the enqueue order.
+    let order: Vec<usize> = drained
+        .iter()
+        .map(|(ticket, _)| ticket.0 as usize)
+        .collect();
+    assert_eq!(order, (0..queued.len()).collect::<Vec<_>>());
+    for (ticket, outcome) in &drained {
+        let expected = alone.answer(&queued[ticket.0 as usize]);
         assert_eq!(
-            outcome_a.as_ref().expect("healthy backend"),
-            outcome_b.as_ref().expect("healthy backend"),
+            outcome.as_ref().expect("healthy backend"),
+            expected.as_ref().expect("healthy backend"),
+            "ticket {ticket:?}"
         );
+    }
+    let (stats, reference) = (batched.stats(), alone.stats());
+    assert_eq!(stats.probes_resolved, reference.probes_resolved);
+    assert_eq!(stats.served_ok, reference.served_ok);
+}
+
+/// A shared probe that runs out of retries fails every query demanding it
+/// with the error a query answered alone reports: the same shard file, the
+/// same I/O error kind and message — not a placeholder path.
+#[test]
+fn shared_probe_failure_keeps_its_file_and_error_kind() {
+    let lane = lanes(3, "batch-shared-fault").remove(1);
+    // BRC covers sharing exactly the node [512, 767].
+    let first = lane
+        .client
+        .trapdoor(Range::new(200, 767))
+        .expect("in-domain");
+    let second = lane
+        .client
+        .trapdoor(Range::new(512, 895))
+        .expect("in-domain");
+    let shared = first
+        .iter()
+        .find(|token| second.contains(token))
+        .expect("one shared node");
+    let dead = lane
+        .qs
+        .index()
+        .shard_of(&TokenLabeler::new(shared).label_at(0)) as u32;
+
+    let _faults = arm_faults(lane.dir(), FaultPlan::seeded(1).dead_shard(dead), None);
+    let config = ServeConfig {
+        retry: RetryConfig {
+            max_attempts: 2,
+            ..RetryConfig::default()
+        },
+        breaker: BreakerConfig {
+            failure_threshold: u32::MAX,
+            cooldown: Duration::from_secs(600),
+        },
+        ..serve_config()
+    };
+    let server = || {
+        let clock = Arc::new(VirtualClock::new());
+        ResilientServer::with_clock(lane.qs.clone(), config.clone(), clock)
+    };
+    let alone = server();
+    let serve = server();
+    serve.enqueue("tenant-a", first.clone()).expect("fits");
+    serve.enqueue("tenant-b", second.clone()).expect("fits");
+    let drained = serve.drain();
+
+    for ((_, outcome), tokens) in drained.iter().zip([&first, &second]) {
+        let expected = alone.answer(tokens).expect_err("demands the dead shard");
+        let got = outcome.as_ref().expect_err("demands the dead shard");
+        match (got, &expected) {
+            (
+                ServeError::RetriesExhausted {
+                    attempts: 2,
+                    source: StorageError::Io { path, error },
+                    ..
+                },
+                ServeError::RetriesExhausted {
+                    attempts: 2,
+                    source:
+                        StorageError::Io {
+                            path: expected_path,
+                            error: expected_error,
+                        },
+                    ..
+                },
+            ) => {
+                assert_eq!(path, expected_path);
+                assert!(
+                    path.ends_with(shard_file_name(dead as usize)),
+                    "{}",
+                    path.display()
+                );
+                assert_eq!(error.kind(), expected_error.kind());
+            }
+            other => panic!("expected two exhausted retries, got {other:?}"),
+        }
+        assert_eq!(got.to_string(), expected.to_string());
     }
 }
 
@@ -454,8 +558,8 @@ proptest! {
 /// A deadline-staggered pair on one virtual clock: `first` is enqueued with
 /// 4.5 ms of its 10 s budget left by drain time, `second` with the whole
 /// budget — effectively unbounded at 1 ms of injected latency per probe.
-/// Returns the server over `lane` (drained through `drain_batched`,
-/// scanning inline so the probe order is the plan order), its clock, and
+/// Returns the server over `lane` (drained through `drain`, scanning
+/// inline so the probe order is the plan order), its clock, and
 /// the latency plan armed on the lane's directory.
 fn staggered_pair(
     lane: &Lane,
@@ -529,7 +633,7 @@ fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
     assert!(expected_ids.len() < full, "the cut must lose something");
 
     let (serve, _clock, _latency) = staggered_pair(&lane, &cut, &sharer);
-    let drained = serve.drain_batched();
+    let drained = serve.drain();
     match &drained[0].1 {
         Err(ServeError::DeadlineExceeded {
             deadline, partial, ..
@@ -569,7 +673,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
         .expect("healthy backend");
 
     let (serve, clock, _latency) = staggered_pair(&lane, &tokens, &tokens);
-    let drained = serve.drain_batched();
+    let drained = serve.drain();
     assert!(
         clock.now() > Duration::from_secs(10),
         "the batch must have run past the first query's deadline"

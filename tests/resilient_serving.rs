@@ -25,8 +25,8 @@ use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{QueryServer, StorageConfig, StorageError};
 use rsse::prelude::*;
 use rsse::serve::{
-    AdmissionConfig, BreakerConfig, BreakerState, OverloadReason, ResilientServer, RetryConfig,
-    ServeConfig, ServeError, VirtualClock,
+    AdmissionConfig, BreakerConfig, BreakerState, OverloadReason, Query, ResilientServer,
+    RetryConfig, ServeConfig, ServeError, VirtualClock,
 };
 use rsse::sse::formats::arm_faults;
 use rsse::sse::test_support::TempDir;
@@ -125,26 +125,28 @@ fn chaos_config(seed: u64) -> ServeConfig {
 }
 
 /// The headline acceptance test: under a seeded 10% per-probe transient
-/// fault rate, the resilient `answer_many` absorbs every fault and returns
-/// outcomes byte-identical to the fault-free server's — with the absorption
-/// fully observable in the serving stats.
+/// fault rate, the resilient server, answering each query on its own,
+/// absorbs every fault and returns outcomes byte-identical to the
+/// fault-free server's — with the absorption fully observable in the
+/// serving stats.
 #[test]
 fn chaos_rate_faults_leave_outcomes_byte_identical() {
     let (client, qs, dir) = disk_endpoint("chaos-rate", 3, 11);
     let queries = batch(&client);
-    let reference = qs
-        .answer_many(&queries)
-        .into_iter()
+    let reference = queries
+        .iter()
+        .map(|query| qs.answer(query))
         .collect::<Result<Vec<_>, _>>()
         .expect("fault-free reference");
 
     let plan = FaultPlan::seeded(chaos_seed()).fault_rate(0.10);
     let injector = arm_faults(dir.path(), plan, None);
     let serve = ResilientServer::new(qs, chaos_config(chaos_seed()));
-    let slots = serve.answer_many(&queries);
-    for (slot, expected) in slots.iter().zip(&reference) {
+    for (query, expected) in queries.iter().zip(&reference) {
         assert_eq!(
-            slot.as_ref().expect("the retry layer absorbs rate faults"),
+            &serve
+                .answer(query)
+                .expect("the retry layer absorbs rate faults"),
             expected,
             "resilient outcomes must be byte-identical to the fault-free server"
         );
@@ -236,7 +238,7 @@ fn dead_shard_opens_breaker_and_later_queries_fail_fast() {
         },
     );
 
-    let slots = serve.answer_many(&queries);
+    let slots: Vec<_> = queries.iter().map(|query| serve.answer(query)).collect();
     let mut dead_hits = 0;
     for slot in &slots {
         match slot {
@@ -402,7 +404,12 @@ fn deadline_cuts_fanout_mid_batch_with_typed_partial_outcome() {
     // 4.5ms of budget at 1ms/probe: probes 1..=4 start before the deadline
     // trips... plus the probe that was already in flight at 4ms. The check
     // sits at the probe boundary, so exactly 5 probes resolve.
-    match serve.answer_within(&tokens, Duration::from_micros(4500)) {
+    let query = Query {
+        tokens: &tokens,
+        tenant: None,
+        deadline: Some(Duration::from_micros(4500)),
+    };
+    match serve.answer_batch(&[query]).remove(0) {
         Err(ServeError::DeadlineExceeded {
             deadline,
             elapsed,
@@ -687,7 +694,12 @@ fn deadline_expired_before_first_probe_yields_zero_probe_partial() {
     // A zero budget is expired at the very first deadline check — before
     // probe 0. The scan must stop with an empty-but-typed partial outcome,
     // not a panic and not a silently empty Ok.
-    match serve.answer_for("tenant-0", &tokens, Some(Duration::ZERO)) {
+    let query = Query {
+        tokens: &tokens,
+        tenant: Some("tenant-0"),
+        deadline: Some(Duration::ZERO),
+    };
+    match serve.answer_batch(&[query]).remove(0) {
         Err(ServeError::DeadlineExceeded {
             deadline,
             elapsed,
@@ -711,8 +723,13 @@ fn deadline_expired_before_first_probe_yields_zero_probe_partial() {
     assert_eq!(stats.probes_resolved, 0);
 
     // The same query with real budget serves in full on the same server.
+    let unbounded = Query {
+        deadline: None,
+        ..query
+    };
     let full = serve
-        .answer_for("tenant-0", &tokens, None)
+        .answer_batch(&[unbounded])
+        .remove(0)
         .expect("an unbounded pass serves in full");
     assert!(!full.ids.is_empty());
 }
@@ -780,8 +797,13 @@ fn latency_only_faults_never_open_breaker_and_slow_trial_recloses() {
     // breaker sees only successful (if slow) probes — it must stay closed
     // and the opened counter must not move. Slow ≠ dead.
     let probes_before = injector.probes_issued();
+    let query = Query {
+        tokens: &tokens,
+        tenant: None,
+        deadline: Some(Duration::from_micros(2500)),
+    };
     for _ in 0..5 {
-        match serve.answer_within(&tokens, Duration::from_micros(2500)) {
+        match serve.answer_batch(&[query]).remove(0) {
             Err(ServeError::DeadlineExceeded { partial, .. }) => {
                 assert!(
                     partial.probes_resolved >= 1,

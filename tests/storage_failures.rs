@@ -4,7 +4,7 @@
 //! The acceptance criteria of the typed-I/O-error refactor: a block-read
 //! failure in the middle of a search must surface as a typed
 //! `StorageError` from every scheme's query path and from
-//! `QueryServer::answer_many` — never as a silently shortened ("entry
+//! `QueryServer::answer` — never as a silently shortened ("entry
 //! missing") result — and a cache budget must bound resident bytes while
 //! leaving query outcomes byte-identical to the unbounded configuration.
 
@@ -22,6 +22,14 @@ use rsse::serve::{ResilientServer, ServeConfig};
 use rsse::sse::formats::arm_faults;
 use rsse::sse::test_support::TempDir;
 use rsse::sse::FaultPlan;
+
+/// Every query through the raw `QueryServer::answer`, one `Result` each.
+fn answer_all(
+    qs: &QueryServer,
+    queries: &[Vec<rsse::sse::SearchToken>],
+) -> Vec<Result<QueryOutcome, StorageError>> {
+    queries.iter().map(|tokens| qs.answer(tokens)).collect()
+}
 
 fn dataset(domain_size: u64, n: u64) -> Dataset {
     let domain = Domain::new(domain_size);
@@ -200,8 +208,8 @@ fn every_dictionary_query_path_surfaces_block_read_failures() {
 
 /// The headline acceptance test: a block-read failure in the middle of a
 /// served batch surfaces as a typed `StorageError` from
-/// `QueryServer::answer_many` — and is distinguishable from a genuinely
-/// empty result, which still comes back as `Ok`.
+/// `QueryServer::answer`, one `Result` per query — and is distinguishable
+/// from a genuinely empty result, which still comes back as `Ok`.
 #[test]
 fn answer_many_surfaces_mid_search_failure_as_typed_error() {
     // Values live in the lower half of the domain, so the upper half is a
@@ -230,8 +238,7 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
         .collect();
 
     let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
-    let healthy = qs
-        .answer_many(&queries)
+    let healthy = answer_all(&qs, &queries)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .expect("healthy disk serves the batch");
@@ -247,7 +254,7 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
     // "Disk failed mid-search" is a typed error — NOT an empty result —
     // and with per-query reporting, every affected slot carries its own.
     let _faults = arm_faults(dir.path(), FaultPlan::dead_after(25), None);
-    let slots = qs.answer_many(&queries);
+    let slots = answer_all(&qs, &queries);
     assert_eq!(slots.len(), queries.len());
     assert!(
         slots.iter().any(Result::is_err),
@@ -261,8 +268,7 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
             );
         }
     }
-    let err = qs
-        .answer_many(&queries)
+    let err = answer_all(&qs, &queries)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .expect_err("the strict collection must abort the batch");
@@ -342,8 +348,7 @@ fn undecryptable_entry_counts_the_same_on_every_query_path() {
 /// Partial-batch error reporting: one query's storage fault must not take
 /// down its batch-mates. A query that never touches the dying storage
 /// (out-of-domain → empty token vector) keeps answering `Ok` while every
-/// probing query in the same `answer_many` batch reports its own typed
-/// error.
+/// probing query in the same batch reports its own typed error.
 #[test]
 fn healthy_queries_in_a_faulted_batch_still_succeed() {
     let data = dataset(1 << 12, 600);
@@ -362,7 +367,7 @@ fn healthy_queries_in_a_faulted_batch_still_succeed() {
     let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
     // The disk is dead from the first probe.
     let _faults = arm_faults(dir.path(), FaultPlan::dead_after(0), None);
-    let slots = qs.answer_many(&queries);
+    let slots = answer_all(&qs, &queries);
     assert!(
         slots[0]
             .as_ref()
@@ -379,9 +384,9 @@ fn healthy_queries_in_a_faulted_batch_still_succeed() {
 /// The retry that makes per-query results worth having: failed blocks are
 /// never cached, so retrying a failed probe re-reads from storage — a
 /// transient fault window is absorbed invisibly, with outcomes identical
-/// to the healthy server's. The raw `answer_many` no longer retries (it
-/// reports the first failure typed); absorption is the resilient serving
-/// layer's job, observable through its stats.
+/// to the healthy server's. The raw `QueryServer::answer` does not retry
+/// (it reports the first failure typed); absorption is the resilient
+/// serving layer's job, observable through its stats.
 #[test]
 fn resilient_retry_absorbs_a_transient_fault_window() {
     let data = dataset(1 << 12, 600);
@@ -395,12 +400,13 @@ fn resilient_retry_absorbs_a_transient_fault_window() {
     let queries: Vec<Vec<rsse::sse::SearchToken>> = (0..8u64)
         .map(|i| client.trapdoor(Range::new(i * 500, i * 500 + 499)).unwrap())
         .collect();
-    let reference = QueryServer::open_dir(dir.path())
-        .expect("cold-open")
-        .answer_many(&queries)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .expect("healthy reference");
+    let reference = answer_all(
+        &QueryServer::open_dir(dir.path()).expect("cold-open"),
+        &queries,
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .expect("healthy reference");
 
     // The first probe fails, then the "disk" recovers: exactly one probe
     // sees the failure, and its per-probe retry re-reads the now-healthy
@@ -409,10 +415,9 @@ fn resilient_retry_absorbs_a_transient_fault_window() {
     let qs = QueryServer::open_dir(dir.path()).expect("cold-open");
     let _faults = arm_faults(dir.path(), FaultPlan::transient_window(0, 1), None);
     let serve = ResilientServer::new(qs, ServeConfig::default());
-    let slots = serve.answer_many(&queries);
-    for (slot, expected) in slots.iter().zip(&reference) {
+    for (query, expected) in queries.iter().zip(&reference) {
         assert_eq!(
-            slot.as_ref().expect("the retry absorbs the blip"),
+            &serve.answer(query).expect("the retry absorbs the blip"),
             expected,
             "post-retry outcomes must be byte-identical to the healthy server"
         );
@@ -448,8 +453,7 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
         .collect();
 
     let unbounded = QueryServer::open_dir(dir.path()).expect("cold-open");
-    let reference = unbounded
-        .answer_many(&queries)
+    let reference = answer_all(&unbounded, &queries)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .expect("unbounded serves");
@@ -525,8 +529,7 @@ fn cache_stats_stay_consistent_under_concurrent_query_traffic() {
     let budget = region_bytes / 4;
     let budgeted =
         QueryServer::open_dir_with_budget(dir.path(), Some(budget)).expect("budgeted open");
-    let reference = budgeted
-        .answer_many(&queries)
+    let reference = answer_all(&budgeted, &queries)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .expect("warm reference");

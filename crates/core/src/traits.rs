@@ -84,9 +84,10 @@ impl QueryOutcome {
 /// let (client, server) = LogScheme::build(&dataset, &mut rng);
 /// assert!(!client.query(&server, Range::new(10, 40)).is_empty());
 /// ```
-pub trait RangeScheme: Sized {
-    /// The server-side state (encrypted indexes).
-    type Server;
+pub trait RangeScheme: Sized + Sync {
+    /// The server-side state (encrypted indexes). `Sync`, like the owner
+    /// state: the update manager scans its instances from two threads.
+    type Server: Sync;
 
     /// Human-readable scheme name as used in the paper's tables and figures.
     const NAME: &'static str;

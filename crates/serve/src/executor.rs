@@ -28,9 +28,11 @@
 //!    off a shared cursor; each unit is a batch of one's guarded counter
 //!    scan over a one-token slice, so every probe still goes deadline check
 //!    → `probe_guarded` (breaker and budgeted retry once a shard has
-//!    failed), and the executor keeps no counter loop of its own. Threads
-//!    are forked **at most once per batch** ([`BatchConfig::workers`]), and
-//!    not at all when the batch holds too few units to amortise a fork.
+//!    failed), and the executor keeps no counter loop of its own. The
+//!    lanes run on the global `rayon` pool, the calling thread always one
+//!    of them; the pool's width and [`BatchConfig::workers`] bound how
+//!    many take part, and a batch too small to amortise a hand-off is
+//!    scanned inline.
 //! 3. **Fan out** — per query, in item order, `assemble_outcome` over its
 //!    slots' id groups and counts: outcomes, `QueryStats`, per-query
 //!    `probes_resolved` and the per-query `ServeStats` totals are
@@ -79,17 +81,21 @@ use std::time::Duration;
 /// Tuning of the batch executor (every answer of a [`ResilientServer`]).
 #[derive(Clone, Debug, Default)]
 pub struct BatchConfig {
-    /// Threads scanning a batch's unique tokens: `None` (default) uses the
-    /// machine's available parallelism, `Some(n)` pins `n` (the
-    /// `batch_executor` battery sweeps 1–3). Forked at most once per batch,
-    /// and capped by the batch itself — one worker per 8 unique tokens — so
-    /// a small batch is scanned inline.
+    /// The most lanes scanning a batch's unique tokens: `None` (default)
+    /// lets every thread of the global `rayon` pool take part, `Some(n)`
+    /// caps them at `n` (the `batch_executor` battery sweeps 1–3). The
+    /// pool's width caps them too — lanes run on its parked workers, the
+    /// calling thread always one of them — and so does the batch itself,
+    /// one lane per 8 unique tokens, so a small batch is scanned inline.
     pub workers: Option<usize>,
 }
 
-/// Unique tokens a batch must hold per scanning thread: spawning and
-/// joining a thread costs tens of microseconds, a token's scan a few, so
-/// below this many units per worker the fork is not amortised.
+/// Unique tokens a batch must hold per lane. Handing a lane to the pool
+/// costs the caller ≈ 2 µs while a worker polls and ≈ 8 µs when it is
+/// parked, and a parked worker starts ≈ 25–65 µs later (2-vCPU VM: its
+/// halted vCPU has to be rescheduled). Against units of ≈ 2 µs, two lanes
+/// took 1.1× the inline time at 8 units and 0.9× at 16, so a second lane
+/// pays from about 8 units each.
 const MIN_UNITS_PER_WORKER: usize = 8;
 
 /// One admitted query entering [`execute_batch`]: its tokens plus the
@@ -289,16 +295,18 @@ pub(crate) fn serve_alone<B: ServeIndex>(
     }
 }
 
-/// Scans every unit once, in parallel across the worker count the batch
-/// supports, and returns the results in unit order. Workers pull units off
-/// one shared cursor, so a slow or retried unit delays only the worker
-/// holding it; the calling thread is one of the workers.
+/// Scans every unit once, in parallel across the lanes the batch and the
+/// pool support, and returns the results in unit order. Lanes pull units
+/// off one shared cursor, so a slow or retried unit delays only the lane
+/// holding it; the calling thread is one of the lanes, and scans the rest
+/// itself when no worker is free.
 fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) -> Vec<UnitScan> {
-    let workers = server
+    let lanes = server
         .config
         .batch
         .workers
-        .unwrap_or_else(rayon::current_num_threads)
+        .unwrap_or(usize::MAX)
+        .min(rayon::current_num_threads())
         .min(units.len() / MIN_UNITS_PER_WORKER)
         .max(1);
     let results: Vec<OnceLock<UnitScan>> = units.iter().map(|_| OnceLock::new()).collect();
@@ -328,12 +336,12 @@ fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) ->
             .batch_max_lane_depth
             .fetch_max(scanned, Ordering::Relaxed);
     };
-    if workers == 1 {
+    if lanes == 1 {
         work();
     } else {
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
+        rayon::scope(|scope| {
+            for _ in 1..lanes {
+                scope.spawn(|_| work());
             }
             work();
         });

@@ -738,9 +738,9 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// **byte-identical** to serving each query alone. A batch of one runs
     /// its whole token vector through one guarded scan; a larger batch maps
     /// its tokens to unique-token slots once, scans each unique token once
-    /// by the same guarded scan — on [`BatchConfig::workers`] threads
-    /// forked at most once per batch — and hands its hits to every query
-    /// demanding it.
+    /// by the same guarded scan — on lanes of the global `rayon` pool,
+    /// at most [`BatchConfig::workers`] of them — and hands its hits to
+    /// every query demanding it.
     ///
     /// Items are anything that converts into a [`Query`]: a token vector
     /// (unattributed, under the default deadline) or a `Query` naming its

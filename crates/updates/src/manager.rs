@@ -365,6 +365,19 @@ impl<S: RangeScheme> BatchInstance<S> {
     }
 }
 
+/// Where to cut `instances` into a front and a back half holding record
+/// counts as close to equal as a cut between instances allows: in
+/// `1..len` for two or more instances (both halves non-empty), `len`
+/// otherwise.
+fn record_balanced_split<S: RangeScheme>(instances: &[&BatchInstance<S>]) -> usize {
+    let records = |half: &[&BatchInstance<S>]| -> usize {
+        half.iter().map(|instance| instance.entries.len()).sum()
+    };
+    (1..instances.len())
+        .min_by_key(|&cut| records(&instances[..cut]).abs_diff(records(&instances[cut..])))
+        .unwrap_or(instances.len())
+}
+
 /// Whether no id occurs twice in `ids` (only ever evaluated under
 /// `debug_assert!`).
 fn all_distinct(ids: &[DocId]) -> bool {
@@ -1017,7 +1030,13 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// contributes the id, and no instance returns an id twice. The
     /// refinement state is kept current by ingests, merges and `open_root`,
     /// so a query does no work and allocates nothing in proportion to the
-    /// database — only to its answer.
+    /// database — only to its answer. The instances are scanned in two
+    /// halves of about equal record count, side by side on the global
+    /// `rayon` pool (one `join`, whose second half the calling thread
+    /// takes back when no worker is free), so the wall time is that of
+    /// the larger half. Scanning instances concurrently shows the server
+    /// nothing beyond the instance set and sizes it already sees: the same
+    /// tokens reach the same instances, only their order of arrival moves.
     ///
     /// Convenience wrapper over [`try_query`](Self::try_query) that
     /// **panics** if a persisted instance's storage fails mid-search;
@@ -1033,11 +1052,44 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// results (which would be indistinguishable from the tuples not
     /// existing — exactly the confusion the fallible path removes). Same
     /// cost as [`query`](Self::query): instances × (one index scan) + one
-    /// probe per id returned.
+    /// probe per id returned, the scans in two halves side by side.
+    ///
+    /// Ids come back in instance order, and when several instances fail
+    /// the error is the earliest one's — exactly what a walk over the
+    /// instances one after another returns.
     pub fn try_query(&self, range: Range) -> Result<QueryOutcome, StorageError> {
+        let instances: Vec<&BatchInstance<S>> = self.levels.iter().flatten().collect();
+        let (front, back) = instances.split_at(record_balanced_split(&instances));
+        let (front, back) = match back {
+            [] => (
+                self.scan_instances(front, range),
+                Ok(QueryOutcome::default()),
+            ),
+            _ => rayon::join(
+                || self.scan_instances(front, range),
+                || self.scan_instances(back, range),
+            ),
+        };
+        // The front half holds the earlier instances, so its error is the
+        // one the sequential walk would have stopped at.
+        let mut outcome = front?;
+        let back = back?;
+        outcome.ids.extend(back.ids);
+        outcome.stats.absorb(&back.stats);
+        debug_assert!(all_distinct(&outcome.ids), "a query returned an id twice");
+        Ok(outcome)
+    }
+
+    /// Queries `instances` one after another, stopping at the first error,
+    /// and keeps each id only from the instance authoritative for it.
+    fn scan_instances(
+        &self,
+        instances: &[&BatchInstance<S>],
+        range: Range,
+    ) -> Result<QueryOutcome, StorageError> {
         let mut ids: Vec<DocId> = Vec::new();
         let mut stats = QueryStats::default();
-        for instance in self.levels.iter().flatten() {
+        for instance in instances {
             let outcome = instance.try_query(range)?;
             stats.absorb(&outcome.stats);
             // Only the instance that holds the *newest* version of the
@@ -1048,7 +1100,6 @@ impl<S: RangeScheme> UpdateManager<S> {
             let authoritative = |id: &DocId| self.newest_touch.get(id) == Some(&live);
             ids.extend(outcome.ids.into_iter().filter(authoritative));
         }
-        debug_assert!(all_distinct(&ids), "a query returned an id twice");
         Ok(QueryOutcome { ids, stats })
     }
 
@@ -2245,6 +2296,97 @@ mod tests {
                     let reopened = LogManager::open_root(key(), root.path(), config).unwrap();
                     assert_equal(&reopened, &format!("{mode:?}, reopened"));
                 }
+            }
+        }
+    }
+
+    /// What a walk over the instances one after another returns: each
+    /// instance's authoritative ids in instance order, and the first
+    /// failing instance's error.
+    fn sequential_walk(mgr: &LogManager, range: Range) -> Result<QueryOutcome, StorageError> {
+        let mut walked = QueryOutcome::default();
+        for instance in mgr.levels.iter().flatten() {
+            let outcome = instance.try_query(range)?;
+            walked.stats.absorb(&outcome.stats);
+            let live = Touch::live(instance.seq);
+            let authoritative = |id: &DocId| mgr.newest_touch.get(id) == Some(&live);
+            walked
+                .ids
+                .extend(outcome.ids.into_iter().filter(authoritative));
+        }
+        Ok(walked)
+    }
+
+    /// The failing file and the I/O error's kind of a storage error.
+    fn io_failure(err: &StorageError) -> (PathBuf, std::io::ErrorKind) {
+        match err {
+            StorageError::Io { path, error } => (path.clone(), error.kind()),
+            other => panic!("an injected fault surfaces as I/O: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn try_query_fans_out_like_the_sequential_walk() {
+        use rsse_sse::fault::FaultPlan;
+        use rsse_sse::formats::arm_faults;
+        use std::time::Duration;
+
+        // Five unconsolidated on-disk instances of uneven size; each batch
+        // after the first modifies an id of an older one and deletes
+        // another, so refinement drops ids from both halves.
+        let root = TempDir::new("fan-out");
+        let mut mgr = LogManager::new(
+            Domain::new(256),
+            UpdateConfig {
+                consolidation_step: 8,
+                storage_root: Some(root.path().to_path_buf()),
+                ..UpdateConfig::default()
+            },
+        );
+        let mut values: BTreeMap<DocId, u64> = BTreeMap::new();
+        let mut next = 0u64;
+        for (b, size) in [40u64, 10, 10, 10, 40].into_iter().enumerate() {
+            let b = b as u64;
+            let mut entries: Vec<UpdateEntry> = (next..next + size)
+                .map(|id| UpdateEntry::insert(id, (id * 37 + b * 11) % 256))
+                .collect();
+            next += size;
+            if b > 0 {
+                entries.push(UpdateEntry::modify(3 * b, (b * 59) % 256));
+                let deleted = 3 * b + 1;
+                entries.push(UpdateEntry::delete(deleted, values[&deleted]));
+            }
+            for entry in &entries {
+                values.insert(entry.record.id, entry.record.value);
+            }
+            mgr.ingest_batch(entries, &mut ChaCha20Rng::seed_from_u64(60 + b));
+        }
+        let instances: Vec<&BatchInstance<LogScheme>> = mgr.levels.iter().flatten().collect();
+        assert_eq!(instances.len(), 5, "no consolidation ran");
+        let cut = record_balanced_split(&instances);
+        assert!((1..instances.len()).contains(&cut), "both halves scan");
+
+        let ranges = [Range::new(0, 255), Range::new(0, 90), Range::new(100, 200)];
+        for range in ranges {
+            let outcome = mgr.try_query(range).unwrap();
+            assert_eq!(outcome, sequential_walk(&mgr, range).unwrap(), "{range:?}");
+        }
+
+        // The last instance of the front half fails slowly, the first of
+        // the back half at once: whenever a worker scans the back half,
+        // its error comes first in time, yet the earlier instance's error
+        // is the one the walk meets and the one to return.
+        let slow = instances[cut - 1].dir.clone().expect("on disk");
+        let fast = instances[cut].dir.clone().expect("on disk");
+        let slow_plan = FaultPlan::dead_after(0).latency(Duration::from_millis(30));
+        let _slow = arm_faults(&slow, slow_plan, None);
+        let _fast = arm_faults(&fast, FaultPlan::dead_after(0), None);
+        for range in ranges {
+            let walked = io_failure(&sequential_walk(&mgr, range).unwrap_err());
+            assert!(walked.0.starts_with(&slow), "{walked:?}");
+            for _ in 0..3 {
+                let err = mgr.try_query(range).unwrap_err();
+                assert_eq!(io_failure(&err), walked, "{range:?}");
             }
         }
     }

@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use rsse_bloom::{element_hashes, BloomFilter, BloomParams};
 use rsse_cover::{brc, Domain, Node, Range};
 use rsse_crypto::{permute, Key, KeyChain};
-use rsse_sse::formats::{self, io_err, MetaReader, MetaWriter};
+use rsse_sse::formats::{self, io_err, MetaReader, MetaWriter, FORMAT_VERSION};
 use rsse_sse::{StorageBackend, StorageConfig, StorageError};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,7 +81,7 @@ impl PbServer {
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
         let dir = dir.as_ref();
         formats::create_dir_all(dir)?;
-        let mut tree = MetaWriter::new(&PB_MAGIC);
+        let mut tree = MetaWriter::new(&PB_MAGIC, FORMAT_VERSION);
         tree.u32(0)
             .u64(self.leaf_offset as u64)
             .u64(self.nodes.len() as u64);
@@ -106,7 +106,7 @@ impl PbServer {
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
         let path: PathBuf = dir.as_ref().join(PB_TREE_FILE);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let mut r = MetaReader::open(&path, &bytes, &PB_MAGIC, 32)?;
+        let mut r = MetaReader::open(&path, &bytes, &PB_MAGIC, FORMAT_VERSION, 32)?;
         r.reserved()?;
         let leaf_offset = r.u64()? as usize;
         let node_count = r.u64()?;

@@ -56,44 +56,63 @@ pub fn decode_hit_into(
 /// Reusable per-query scan state: the per-token payload ciphers and the two
 /// plaintext buffers a pair of hits decrypts into. A serving layer
 /// answering many queries keeps one `ScanScratch` per worker thread and
-/// rekeys it per query, so steady-state serving does no per-query scratch
+/// resets it per query, so steady-state serving does no per-query scratch
 /// allocation.
+///
+/// A token's cipher is keyed at its first hit, not up front: a token
+/// whose keyword has no entry misses at counter 0 and never runs the
+/// AES key schedule — most tokens of a short range.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    ciphers: Vec<StreamCipher>,
+    /// One slot per token of the current query, keyed on first use.
+    ciphers: Vec<Option<StreamCipher>>,
     plaintext: Vec<u8>,
     /// The second hit of a pair.
     plaintext_pair: Vec<u8>,
 }
 
 impl ScanScratch {
-    /// (Re)derives the payload ciphers of `tokens` into the reused vector.
-    pub fn rekey(&mut self, tokens: &[SearchToken]) {
+    /// Forgets the previous query's ciphers and makes room for `tokens`
+    /// unkeyed ones.
+    pub fn reset(&mut self, tokens: usize) {
         self.ciphers.clear();
-        self.ciphers
-            .extend(tokens.iter().map(SearchToken::payload_cipher));
+        self.ciphers.resize_with(tokens, || None);
+    }
+
+    /// Keys token `t`'s cipher unless an earlier hit already did.
+    fn key(&mut self, tokens: &[SearchToken], t: u32) {
+        self.ciphers[t as usize].get_or_insert_with(|| tokens[t as usize].payload_cipher());
     }
 
     /// Decodes one round of scan hits — `(token_index, ciphertext)` as
-    /// [`SseScheme::search_scan_rounds`] delivers them — pushing each id
-    /// onto its token's group in `per_token`, in the round's order. Hits
-    /// are decrypted two at a time ([`StreamCipher::decrypt_pair_into`]),
-    /// an odd last one alone; what each decodes to is [`decode_hit_into`]'s
-    /// answer, a corrupt entry being skipped. Call [`rekey`](Self::rekey)
-    /// with the query's tokens first.
-    pub fn decode_round(&mut self, round: &[(u32, CipherSpan<'_>)], per_token: &mut [Vec<DocId>]) {
-        let Self {
-            ciphers,
-            plaintext,
-            plaintext_pair,
-        } = self;
+    /// [`SseScheme::search_scan_rounds`] delivers them over `tokens` —
+    /// pushing each id onto its token's group in `per_token`, in the
+    /// round's order. Hits are decrypted two at a time
+    /// ([`StreamCipher::decrypt_pair_into`]), an odd last one alone; what
+    /// each decodes to is [`decode_hit_into`]'s answer, a corrupt entry
+    /// being skipped. Call [`reset`](Self::reset) with the query's token
+    /// count first.
+    pub fn decode_round(
+        &mut self,
+        tokens: &[SearchToken],
+        round: &[(u32, CipherSpan<'_>)],
+        per_token: &mut [Vec<DocId>],
+    ) {
         let mut push = |t: u32, id: Option<DocId>| per_token[t as usize].extend(id);
         let mut pairs = round.chunks_exact(2);
         for pair in &mut pairs {
             let ((ta, hit_a), (tb, hit_b)) = (&pair[0], &pair[1]);
+            self.key(tokens, *ta);
+            self.key(tokens, *tb);
+            let Self {
+                ciphers,
+                plaintext,
+                plaintext_pair,
+            } = self;
+            let keyed = |t: u32| ciphers[t as usize].as_ref().expect("keyed above");
             let (ok_a, ok_b) = StreamCipher::decrypt_pair_into(
-                (&ciphers[*ta as usize], hit_a, plaintext),
-                (&ciphers[*tb as usize], hit_b, plaintext_pair),
+                (keyed(*ta), hit_a, plaintext),
+                (keyed(*tb), hit_b, plaintext_pair),
             );
             push(*ta, ok_a.then(|| decode_id_payload(plaintext)).flatten());
             push(
@@ -102,7 +121,9 @@ impl ScanScratch {
             );
         }
         if let [(t, hit)] = pairs.remainder() {
-            push(*t, decode_hit_into(&ciphers[*t as usize], hit, plaintext));
+            self.key(tokens, *t);
+            let cipher = self.ciphers[*t as usize].as_ref().expect("keyed above");
+            push(*t, decode_hit_into(cipher, hit, &mut self.plaintext));
         }
     }
 }
@@ -138,9 +159,9 @@ pub fn scan_query_into_with<I: IndexLookup>(
 ) -> Result<Vec<usize>, I::Error> {
     per_token.clear();
     per_token.resize_with(tokens.len(), Vec::new);
-    scratch.rekey(tokens);
+    scratch.reset(tokens.len());
     SseScheme::search_scan_rounds(index, tokens, |round| {
-        scratch.decode_round(round, per_token)
+        scratch.decode_round(tokens, round, per_token)
     })
 }
 

@@ -14,8 +14,8 @@
 //!   inner-node seeds) from which an untrusted party can derive the PRF
 //!   values of an entire sub-range of the domain, and nothing else;
 //! * a **semantically secure symmetric cipher** ([`cipher::StreamCipher`]) —
-//!   a counter-mode stream cipher keyed by the PRF, used to encrypt index
-//!   payloads and records.
+//!   AES-256 in counter mode (the paper uses AES-128-CBC), used to encrypt
+//!   index payloads and the owner's state on disk.
 //!
 //! In addition it offers a keyed [`permute::keyed_shuffle`] (Fisher–Yates
 //! driven by a PRF keystream) used by the schemes to randomly permute

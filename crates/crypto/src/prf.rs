@@ -2,25 +2,26 @@
 //!
 //! The paper instantiates its PRFs with HMAC (HMAC-SHA-512 in the Java
 //! implementation); we use HMAC-SHA-256 which is an equally standard PRF.
-//! All higher layers (DPRF, SSE labels, stream cipher, keyed shuffle, key
-//! chains) are built on [`Prf`], and [`Prf`] on the vendored `hmac` crate's
+//! The DPRF, the SSE labels and trapdoors, the keyed shuffle and the key
+//! chains are built on [`Prf`], and [`Prf`] on the vendored `hmac` crate's
 //! block-level `Hmac` — as is the GGM generator, which keys one `Hmac` per
 //! node — so swapping the underlying hash only requires touching this
-//! module and `ggm`.
+//! module and `ggm`. Payload encryption is not a PRF use: the
+//! [`StreamCipher`](crate::StreamCipher) is AES-256-CTR on the vendored
+//! `aes` crate, keyed with a PRF output.
 //!
 //! A keyed [`Prf`] is 64 bytes of HMAC midstate (plus a two-byte `Debug`
 //! fingerprint); an evaluation on at most 55 bytes of input is exactly two
 //! SHA-256 compressions, and two evaluations share them: the second waits
 //! on the first within one evaluation, so [`Prf::eval_pair_into`] and
 //! [`Prf::eval_parts_pair_into`] run two evaluations' compressions side by
-//! side on the two-lane kernel — the label of two counters, the keystream
-//! block of two ciphertexts, the two halves of a trapdoor. Longer inputs
+//! side on the two-lane kernel — the label of two counters, the two key
+//! halves of a token. Longer inputs
 //! take two single evaluations behind the same call, so no caller needs to
 //! know where one block ends. [`Prf::eval_parts_into`] frames each part
 //! behind an 8-byte length, so its two-part callers stay inside one block
-//! up to 39 bytes of parts: the keystream block (16 + 8), the trapdoor pair
-//! (5 or 7 bytes of tag + a 13-byte keyword) and the shuffle draw (17 + 8)
-//! all do.
+//! up to 39 bytes of parts: the trapdoor pair (5 or 7 bytes of tag + a
+//! 13-byte keyword) and the shuffle draw (17 + 8) both do.
 
 use hmac::{Hmac, ONE_BLOCK_MAX};
 use rand::{CryptoRng, RngCore};
@@ -74,7 +75,7 @@ impl AsRef<[u8]> for Key {
 ///
 /// Keying runs the HMAC key schedule (two compression-function calls)
 /// exactly once, in [`Prf::new`], and keeps its two midstates. An
-/// evaluation on up to 55 input bytes — every label, keystream block,
+/// evaluation on up to 55 input bytes — every label,
 /// trapdoor and shuffle draw in the workspace — is then exactly two more
 /// compressions, laid out block by block with no hasher object in between;
 /// longer inputs take one more compression per further 64 bytes. Two such
@@ -123,7 +124,7 @@ impl Prf {
 
     /// Evaluates the PRF on `input` into a caller-provided buffer, avoiding
     /// any per-call allocation. This is the hot-path entry point: callers
-    /// that evaluate in a loop (labels, keystream blocks, GGM nodes) reuse
+    /// that evaluate in a loop (labels, shuffle draws, GGM nodes) reuse
     /// one output buffer across iterations.
     pub fn eval_into(&self, input: &[u8], out: &mut [u8; KEY_LEN]) {
         self.mac.mac([input], out);
@@ -150,7 +151,7 @@ impl Prf {
     /// about three quarters of the two single calls; anything longer *is*
     /// the two single calls.
     // Inlined with the MAC under it so that an input whose length the
-    // caller fixes (a counter, a framed keystream block) is laid into its
+    // caller fixes (a counter, a framed trapdoor part) is laid into its
     // hash block by fixed-size moves: ~10 ns of 70 per evaluation.
     #[inline(always)]
     pub fn eval_pair_into(
@@ -197,7 +198,7 @@ impl Prf {
     }
 
     /// Evaluates the PRF on a `u64` (little-endian encoded) — the
-    /// counter-mode fast path used for dictionary labels and keystreams.
+    /// counter-mode fast path used for dictionary labels.
     pub fn eval_u64(&self, input: u64) -> [u8; KEY_LEN] {
         let mut bytes = [0u8; KEY_LEN];
         self.eval_u64_into(input, &mut bytes);

@@ -72,7 +72,7 @@
 //! build's op log is deterministic; shards still in their buffers are
 //! written and reopened in parallel.
 
-use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter};
+use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION};
 use crate::pibas::{encrypt_list_into, EncryptedIndex, Label, SearchToken, LABEL_LEN};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
@@ -349,14 +349,14 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
 
 /// The 32-byte header of a spill run of `entries` entries.
 fn run_header<const K: usize, const P: usize>(entries: u64) -> MetaWriter {
-    let mut header = MetaWriter::new(&SPILL_RUN_MAGIC);
+    let mut header = MetaWriter::new(&SPILL_RUN_MAGIC, FORMAT_VERSION);
     header.u32(0).u64(entries).u32(K as u32).u32(P as u32);
     header
 }
 
 /// The spill manifest over `runs`.
 fn spill_meta<const K: usize, const P: usize>(order: SpillOrder, runs: &[RunInfo]) -> MetaWriter {
-    let mut meta = MetaWriter::new(&SPILL_MANIFEST_MAGIC);
+    let mut meta = MetaWriter::new(&SPILL_MANIFEST_MAGIC, FORMAT_VERSION);
     meta.u32(order.code())
         .u32(K as u32)
         .u32(P as u32)
@@ -387,6 +387,7 @@ fn read_spill_meta<const K: usize, const P: usize>(
         &path,
         &bytes,
         &SPILL_MANIFEST_MAGIC,
+        FORMAT_VERSION,
         SPILL_MANIFEST_HEADER_LEN,
     )?;
     let code = fields.u32()?;
@@ -454,7 +455,13 @@ impl<const K: usize, const P: usize> RunReader<K, P> {
         let mut reader = BufReader::with_capacity(buffer, file);
         let mut header = [0u8; RUN_HEADER_LEN as usize];
         reader.read_exact(&mut header).map_err(io)?;
-        let mut fields = MetaReader::open(&path, &header, &SPILL_RUN_MAGIC, RUN_HEADER_LEN)?;
+        let mut fields = MetaReader::open(
+            &path,
+            &header,
+            &SPILL_RUN_MAGIC,
+            FORMAT_VERSION,
+            RUN_HEADER_LEN,
+        )?;
         fields.reserved()?;
         let entries = fields.u64()?;
         let (keyword_len, payload_len) = (fields.u32()?, fields.u32()?);

@@ -4,9 +4,10 @@
 //! kit and ownership", has the table); this module owns the rules all of
 //! them share:
 //!
-//! * a file starts with an 8-byte magic and the little-endian
-//!   [`FORMAT_VERSION`] — [`MetaWriter::new`] writes them,
-//!   [`MetaReader::open`] checks them;
+//! * a file starts with an 8-byte magic and its format's little-endian
+//!   version — [`FORMAT_VERSION`], or [`CIPHERTEXT_FORMAT_VERSION`] for
+//!   the two formats that hold payload ciphertext — [`MetaWriter::new`]
+//!   writes them, [`MetaReader::open`] checks them;
 //! * every integer is little-endian and every read is bounds-checked: a
 //!   read past the end is [`StorageError::Truncated`], never a panic;
 //! * a count or length taken from the file is validated against the bytes
@@ -38,8 +39,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Current serialization format version, shared by every format.
+/// Version of every format that holds no payload ciphertext: the index
+/// manifest (`RSSE-IDX`), the spill files (`RSSE-SPM`, `RSSE-SPL`), the PB
+/// tree (`RSSE-PBT`) and the manager manifest (`RSSE-MGR`).
 pub const FORMAT_VERSION: u32 = 1;
+
+/// Version of the two formats that hold `rsse_crypto::StreamCipher`
+/// output: shard files (`RSSE-SHD`) and the owner sidecar (`RSSE-OWN`).
+/// Version 1 was written under the HMAC-SHA-256 keystream, which this
+/// build does not decrypt; version 2 is AES-256-CTR. A version-1 file of
+/// either kind is refused as [`StorageError::UnsupportedVersion`] instead
+/// of decrypting to wrong ids.
+pub const CIPHERTEXT_FORMAT_VERSION: u32 = 2;
 
 /// Attaches a path to a raw I/O error.
 pub fn io_err(path: &Path, error: io::Error) -> StorageError {
@@ -59,13 +70,14 @@ pub struct MetaReader<'a> {
 
 impl<'a> MetaReader<'a> {
     /// The one header check: the 8-byte `magic`, a minimum length of
-    /// `min_len` (the format's fixed part) and the [`FORMAT_VERSION`] at
-    /// bytes 8..12, each with its standard typed error. Leaves the cursor
-    /// on the first field after the version.
+    /// `min_len` (the format's fixed part) and `version` at bytes 8..12,
+    /// each with its standard typed error. Leaves the cursor on the first
+    /// field after the version.
     pub fn open(
         path: &'a Path,
         bytes: &'a [u8],
         magic: &[u8; 8],
+        version: u32,
         min_len: u64,
     ) -> Result<Self, StorageError> {
         if bytes.len() < 8 || &bytes[..8] != magic {
@@ -86,10 +98,11 @@ impl<'a> MetaReader<'a> {
         }
         let mut reader = Self { path, bytes, at: 8 };
         match reader.u32()? {
-            FORMAT_VERSION => Ok(reader),
-            version => Err(StorageError::UnsupportedVersion {
+            found if found == version => Ok(reader),
+            found => Err(StorageError::UnsupportedVersion {
                 path: path.to_path_buf(),
-                version,
+                version: found,
+                expected: version,
             }),
         }
     }
@@ -182,16 +195,16 @@ impl<'a> MetaReader<'a> {
 }
 
 /// The encoder matching [`MetaReader`]: little-endian fields appended to a
-/// buffer that starts with `magic ‖ FORMAT_VERSION`.
+/// buffer that starts with `magic ‖ version`.
 pub struct MetaWriter {
     bytes: Vec<u8>,
 }
 
 impl MetaWriter {
-    /// Starts a file: `magic` and the format version.
-    pub fn new(magic: &[u8; 8]) -> Self {
+    /// Starts a file: `magic` and the format's `version`.
+    pub fn new(magic: &[u8; 8], version: u32) -> Self {
         let mut writer = Self::body();
-        writer.bytes(magic).u32(FORMAT_VERSION);
+        writer.bytes(magic).u32(version);
         writer
     }
 
@@ -483,7 +496,7 @@ mod tests {
     const MAGIC: [u8; 8] = *b"RSSE-TST";
 
     fn file(fields: impl FnOnce(&mut MetaWriter)) -> Vec<u8> {
-        let mut writer = MetaWriter::new(&MAGIC);
+        let mut writer = MetaWriter::new(&MAGIC, FORMAT_VERSION);
         fields(&mut writer);
         writer.into_bytes()
     }
@@ -493,7 +506,7 @@ mod tests {
         let bytes = file(|w| {
             w.u8(7).u32(0).u32(9).u64(1 << 40).bytes(b"abc");
         });
-        let mut r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, 12).unwrap();
+        let mut r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, FORMAT_VERSION, 12).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         r.reserved().unwrap();
         assert_eq!(r.u32().unwrap(), 9);
@@ -508,7 +521,9 @@ mod tests {
         let valid = file(|w| {
             w.u64(1);
         });
-        let open = |bytes: &[u8], min_len| MetaReader::open(path, bytes, &MAGIC, min_len).err();
+        let open = |bytes: &[u8], min_len| {
+            MetaReader::open(path, bytes, &MAGIC, FORMAT_VERSION, min_len).err()
+        };
         assert!(matches!(
             open(b"RSSE", 20),
             Some(StorageError::BadMagic { .. })
@@ -525,7 +540,11 @@ mod tests {
         versioned[8] = 9;
         assert!(matches!(
             open(&versioned, 20),
-            Some(StorageError::UnsupportedVersion { version: 9, .. })
+            Some(StorageError::UnsupportedVersion {
+                version: 9,
+                expected: FORMAT_VERSION,
+                ..
+            })
         ));
         assert!(open(&valid, 20).is_none());
     }
@@ -535,7 +554,7 @@ mod tests {
         let bytes = file(|w| {
             w.bytes(&[0u8; 32]);
         });
-        let r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, 12).unwrap();
+        let r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, FORMAT_VERSION, 12).unwrap();
         assert_eq!(r.rows(2, 16).unwrap(), 2);
         assert_eq!(r.rows(0, 16).unwrap(), 0);
         for absurd in [3, 1 << 60, u64::MAX] {
@@ -551,7 +570,7 @@ mod tests {
         let bytes = file(|w| {
             w.u32(5);
         });
-        let mut r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, 12).unwrap();
+        let mut r = MetaReader::open(Path::new("f"), &bytes, &MAGIC, FORMAT_VERSION, 12).unwrap();
         assert!(matches!(
             r.finish(),
             Err(StorageError::CorruptDirectory { .. })
@@ -571,7 +590,9 @@ mod tests {
         append(&file, b"x").unwrap();
         copy(&file, &dir.path().join("b")).unwrap();
         rename(&dir.path().join("b"), &dir.path().join("sub/c")).unwrap();
-        MetaWriter::new(&MAGIC).commit(&file).unwrap();
+        MetaWriter::new(&MAGIC, FORMAT_VERSION)
+            .commit(&file)
+            .unwrap();
         remove_file(&file).unwrap();
         assert!(remove_dir(&dir.path().join("sub")).is_err(), "not empty");
         remove_dir_all(&dir.path().join("sub")).unwrap();
@@ -623,7 +644,9 @@ mod tests {
 
         let scope = arm_crash(dir.path(), torn(0));
         let target = victim.join("owner.meta");
-        assert!(MetaWriter::new(&MAGIC).commit(&target).is_err());
+        assert!(MetaWriter::new(&MAGIC, FORMAT_VERSION)
+            .commit(&target)
+            .is_err());
         drop(scope);
         assert!(tmp_path(&target).exists() && !target.exists());
 

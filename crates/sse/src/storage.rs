@@ -63,7 +63,8 @@
 //! the ciphertext region — instead of panicking at query time.
 
 use crate::formats::{
-    self, io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION,
+    self, io_err, tmp_path, write_file_atomic, MetaReader, MetaWriter, CIPHERTEXT_FORMAT_VERSION,
+    FORMAT_VERSION,
 };
 use crate::pibas::{CipherSpan, EncryptedIndex, Label, LABEL_LEN};
 use crate::sharded::shard_of_label;
@@ -196,6 +197,8 @@ pub enum StorageError {
         path: PathBuf,
         /// The version recorded in the file.
         version: u32,
+        /// The version this build reads for that format.
+        expected: u32,
     },
     /// The file is shorter than its header/directory claims.
     Truncated {
@@ -229,9 +232,13 @@ impl fmt::Display for StorageError {
                 "{} is not a serialized index file (magic {found:02x?})",
                 path.display()
             ),
-            StorageError::UnsupportedVersion { path, version } => write!(
+            StorageError::UnsupportedVersion {
+                path,
+                version,
+                expected,
+            } => write!(
                 f,
-                "{} uses unsupported format version {version} (this build reads {FORMAT_VERSION})",
+                "{} uses unsupported format version {version} (this build reads {expected})",
                 path.display()
             ),
             StorageError::Truncated {
@@ -908,7 +915,13 @@ impl ShardLayout {
         }
         let mut header = [0u8; SHARD_HEADER_LEN as usize];
         read_exact_at(&file, &mut header, 0).map_err(|e| io_err(path, e))?;
-        let mut fields = MetaReader::open(path, &header, &SHARD_MAGIC, SHARD_HEADER_LEN)?;
+        let mut fields = MetaReader::open(
+            path,
+            &header,
+            &SHARD_MAGIC,
+            CIPHERTEXT_FORMAT_VERSION,
+            SHARD_HEADER_LEN,
+        )?;
         fields.reserved()?;
         let entry_count = fields.u64()?;
         let region_len = fields.u64()?;
@@ -1360,7 +1373,7 @@ pub(crate) fn write_shard_header<W: Write>(
     entries: u64,
     region_len: u64,
 ) -> io::Result<()> {
-    let mut header = MetaWriter::new(&SHARD_MAGIC);
+    let mut header = MetaWriter::new(&SHARD_MAGIC, CIPHERTEXT_FORMAT_VERSION);
     header.u32(0).u64(entries).u64(region_len);
     writer.write_all(&header.into_bytes())
 }
@@ -1474,7 +1487,7 @@ pub fn cleanup_partial_index(dir: &Path, shard_count: usize) {
 
 /// Writes the index manifest (`index.meta`).
 pub(crate) fn write_manifest(dir: &Path, shard_bits: u32) -> Result<(), StorageError> {
-    MetaWriter::new(&MANIFEST_MAGIC)
+    MetaWriter::new(&MANIFEST_MAGIC, FORMAT_VERSION)
         .u32(shard_bits)
         .u64(1u64 << shard_bits)
         .commit(&dir.join(MANIFEST_FILE))
@@ -1484,7 +1497,8 @@ pub(crate) fn write_manifest(dir: &Path, shard_bits: u32) -> Result<(), StorageE
 pub(crate) fn read_manifest(dir: &Path) -> Result<u32, StorageError> {
     let path = dir.join(MANIFEST_FILE);
     let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut fields = MetaReader::open(&path, &bytes, &MANIFEST_MAGIC, MANIFEST_LEN)?;
+    let mut fields =
+        MetaReader::open(&path, &bytes, &MANIFEST_MAGIC, FORMAT_VERSION, MANIFEST_LEN)?;
     let shard_bits = fields.u32()?;
     let shard_count = fields.u64()?;
     if shard_bits > crate::sharded::MAX_SHARD_BITS || shard_count != 1u64 << shard_bits {

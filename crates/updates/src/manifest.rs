@@ -18,7 +18,9 @@
 //! [`open_manager_root`].
 
 use rsse_core::{QueryServer, StorageError};
-use rsse_sse::formats::{io_err, MetaReader, MetaWriter};
+use rsse_sse::formats::{
+    io_err, MetaReader, MetaWriter, CIPHERTEXT_FORMAT_VERSION, FORMAT_VERSION,
+};
 use rsse_sse::sharded::MAX_SHARD_BITS;
 use std::fs;
 use std::path::Path;
@@ -132,7 +134,7 @@ impl ManagerManifest {
     /// Serializes the manifest into its on-disk byte layout (see
     /// `docs/FORMATS.md` for the byte-by-byte specification).
     fn encode(&self) -> MetaWriter {
-        let mut out = MetaWriter::new(&MANAGER_MANIFEST_MAGIC);
+        let mut out = MetaWriter::new(&MANAGER_MANIFEST_MAGIC, FORMAT_VERSION);
         out.u32(self.scheme.len() as u32)
             .bytes(self.scheme.as_bytes())
             .u64(self.domain_size)
@@ -183,7 +185,13 @@ pub fn write_manager_manifest(root: &Path, manifest: &ManagerManifest) -> Result
 pub fn read_manager_manifest(root: &Path) -> Result<ManagerManifest, StorageError> {
     let path = root.join(MANAGER_MANIFEST_FILE);
     let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut reader = MetaReader::open(&path, &bytes, &MANAGER_MANIFEST_MAGIC, MANAGER_HEADER_LEN)?;
+    let mut reader = MetaReader::open(
+        &path,
+        &bytes,
+        &MANAGER_MANIFEST_MAGIC,
+        FORMAT_VERSION,
+        MANAGER_HEADER_LEN,
+    )?;
     let name_len = reader.u32()? as usize;
     if name_len > 256 {
         return Err(reader.corrupt(format!(
@@ -304,7 +312,7 @@ pub struct OwnerMeta {
 
 /// Writes an instance's owner sidecar into `dir/owner.meta` atomically.
 pub fn write_owner_meta(dir: &Path, meta: &OwnerMeta) -> Result<(), StorageError> {
-    MetaWriter::new(&OWNER_META_MAGIC)
+    MetaWriter::new(&OWNER_META_MAGIC, CIPHERTEXT_FORMAT_VERSION)
         .u32(meta.level)
         .u64(meta.build_id)
         .u64(meta.seq)
@@ -319,7 +327,13 @@ pub fn write_owner_meta(dir: &Path, meta: &OwnerMeta) -> Result<(), StorageError
 pub fn read_owner_meta(dir: &Path) -> Result<OwnerMeta, StorageError> {
     let path = dir.join(OWNER_META_FILE);
     let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut reader = MetaReader::open(&path, &bytes, &OWNER_META_MAGIC, OWNER_META_HEADER_LEN)?;
+    let mut reader = MetaReader::open(
+        &path,
+        &bytes,
+        &OWNER_META_MAGIC,
+        CIPHERTEXT_FORMAT_VERSION,
+        OWNER_META_HEADER_LEN,
+    )?;
     let level = reader.u32()?;
     let build_id = reader.u64()?;
     let seq = reader.u64()?;

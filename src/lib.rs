@@ -12,7 +12,7 @@
 //!   baseline), the [`RangeScheme`] trait, datasets and metrics;
 //! * [`cover`] — range-covering structures (BRC, URC, TDAG, SRC);
 //! * [`sse`] — the underlying single-keyword SSE (encrypted multimap);
-//! * [`crypto`] — PRF, GGM, delegatable PRF, stream cipher;
+//! * [`crypto`] — PRF, GGM, delegatable PRF, AES-256-CTR payload cipher;
 //! * [`bloom`] — keyed Bloom filters (used by the PB baseline);
 //! * [`serve`] — the resilient serving layer (admission control, deadlines,
 //!   retry budgets, per-shard circuit breakers);

@@ -21,6 +21,11 @@
 //! Never a panic — and never a single allocation beyond a small multiple of
 //! the bytes on disk, checked with a recording global allocator: a crafted
 //! count must be rejected before it sizes anything.
+//!
+//! Beside the battery, the two formats that hold payload ciphertext
+//! (`RSSE-SHD`, `RSSE-OWN`) must refuse a file of version 1 — written under
+//! the HMAC keystream, which would decrypt to wrong ids under AES-256-CTR —
+//! with a typed error.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
@@ -33,7 +38,7 @@ use rsse::core::{StorageConfig, StorageError};
 use rsse::crypto::Key;
 use rsse::prelude::*;
 use rsse::sse::external::{recode_spill_dir, run_file_name, SPILL_DIR, SPILL_MANIFEST_FILE};
-use rsse::sse::formats::{arm_crash, Crash};
+use rsse::sse::formats::{arm_crash, Crash, CIPHERTEXT_FORMAT_VERSION};
 use rsse::sse::storage::{shard_file_name, MANIFEST_FILE};
 use rsse::sse::test_support::TempDir;
 use rsse::sse::{BuildBudget, SpillOrder, SseScheme};
@@ -465,4 +470,102 @@ fn arbitrary_bytes_behind_a_valid_header_are_an_error_or_a_faithful_decode() {
             Ok(())
         });
     });
+}
+
+/// Version 1 of a shard file or an owner sidecar is ciphertext under the
+/// HMAC keystream: the decoder must refuse it as `UnsupportedVersion`
+/// instead of decrypting it to wrong ids.
+#[test]
+fn a_version_1_shard_or_owner_sidecar_is_refused_typed() {
+    with_formats("decoders-version-1", |formats| {
+        for name in ["RSSE-SHD", "RSSE-OWN"] {
+            let format = formats.iter().find(|f| f.name == name).unwrap();
+            let version = CIPHERTEXT_FORMAT_VERSION.to_le_bytes();
+            assert_eq!(
+                format.valid[8..12],
+                version,
+                "{name} is written at version 2"
+            );
+            let mut candidate = format.valid.clone();
+            candidate[8..12].copy_from_slice(&1u32.to_le_bytes());
+            match (format.recode)(&candidate) {
+                Err(StorageError::UnsupportedVersion {
+                    version: 1,
+                    expected: 2,
+                    ..
+                }) => {}
+                other => panic!("{name}: a version-1 file decoded to {other:?}"),
+            }
+        }
+    });
+}
+
+/// The same refusal one level up: a manager root whose owner sidecars are
+/// version 1 does not reopen — and reopening it deletes nothing — and an
+/// index directory with a version-1 shard does not open for serving.
+#[test]
+fn a_version_1_manager_root_or_index_does_not_open() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let scratch = TempDir::new("decoders-version-1-roots");
+    let root = scratch.path().join("manager");
+    let config = UpdateConfig {
+        consolidation_step: 3,
+        storage_root: Some(root.clone()),
+        ..UpdateConfig::default()
+    };
+    let key = || OwnerKey::from_bytes([3u8; 32]);
+    let mut manager: UpdateManager<LogScheme> =
+        UpdateManager::with_key(key(), Domain::new(64), config.clone());
+    for b in 0..2u64 {
+        let batch = (0..4).map(|i| UpdateEntry::insert(b * 4 + i, (b * 7 + i) % 64));
+        manager.ingest_batch(batch.collect(), &mut ChaCha20Rng::seed_from_u64(60 + b));
+    }
+    drop(manager);
+    let mut sidecars = 0;
+    for entry in fs::read_dir(&root).unwrap() {
+        let sidecar = entry.unwrap().path().join(OWNER_META_FILE);
+        if let Ok(mut bytes) = fs::read(&sidecar) {
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            fs::write(&sidecar, bytes).unwrap();
+            sidecars += 1;
+        }
+    }
+    assert_eq!(sidecars, 2, "one sidecar per ingested batch");
+    let before = dir_tree(&root);
+    match UpdateManager::<LogScheme>::open_root(key(), &root, config) {
+        Err(StorageError::UnsupportedVersion { version: 1, .. }) => {}
+        other => panic!("a version-1 root reopened: {:?}", other.err()),
+    }
+    assert_eq!(dir_tree(&root), before, "the refused open removed a file");
+
+    let dir = scratch.path().join("index");
+    LogScheme::build_stored(
+        &dataset(),
+        &StorageConfig::on_disk(1, &dir),
+        &mut ChaCha20Rng::seed_from_u64(5),
+    )
+    .unwrap();
+    let shard = dir.join(shard_file_name(1));
+    let mut bytes = fs::read(&shard).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    fs::write(&shard, bytes).unwrap();
+    match QueryServer::open_dir(&dir) {
+        Err(StorageError::UnsupportedVersion { version: 1, .. }) => {}
+        other => panic!("an index with a version-1 shard opened: {:?}", other.err()),
+    }
+}
+
+/// Every file under `dir`, by path, with its bytes.
+fn dir_tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(dir_tree(&path));
+        } else {
+            files.push((path.clone(), fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
 }

@@ -2,7 +2,11 @@
 //!
 //! `tests/golden/` holds one small instance of every persisted format,
 //! generated from the fixed seeds below at the commit *before* the codecs
-//! were re-expressed on the `rsse_sse::formats` kit (e133c4c):
+//! were re-expressed on the `rsse_sse::formats` kit (e133c4c). The shard
+//! files and `owner.meta` sidecars — the two formats that hold payload
+//! ciphertext — were re-taken once when the payload cipher became
+//! AES-256-CTR (their format version 2); every other file, and every
+//! digest, stayed byte-equal:
 //!
 //! ```text
 //! log/        2-shard Logarithmic-BRC index   RSSE-IDX, RSSE-SHD

@@ -17,11 +17,8 @@
 //! a seeded uniform draw) so concurrent retriers spread out instead of
 //! thundering in lockstep; the RNG is seeded, so tests are deterministic.
 
-use crate::clock::Clock;
-use crate::error::ServeError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
-use rsse_sse::StorageError;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -157,60 +154,11 @@ impl RetryPolicy {
     pub fn denials(&self) -> u64 {
         self.denied.load(Ordering::Relaxed)
     }
-
-    /// Runs `op` under this policy against `clock`: each failure costs one
-    /// budget token and a jittered backoff sleep, until `op` succeeds, the
-    /// per-probe attempt limit is reached, or the budget runs dry — the two
-    /// exhaustion cases surface as [`ServeError::RetriesExhausted`].
-    ///
-    /// This is the standalone whole-operation form used by callers outside
-    /// the probe loop (e.g. `rsse-workload`'s replay, which retries a whole
-    /// `UpdateManager::try_query` because manager-side refinement folds
-    /// every instance's results together).
-    pub fn run<T>(
-        &self,
-        clock: &dyn Clock,
-        mut op: impl FnMut() -> Result<T, StorageError>,
-    ) -> Result<T, ServeError> {
-        let mut attempt: u32 = 0;
-        loop {
-            match op() {
-                Ok(value) => return Ok(value),
-                Err(source) => {
-                    attempt += 1;
-                    if attempt >= self.config.max_attempts.max(1) {
-                        return Err(ServeError::RetriesExhausted {
-                            attempts: attempt,
-                            budget_empty: false,
-                            source,
-                        });
-                    }
-                    if !self.try_consume() {
-                        return Err(ServeError::RetriesExhausted {
-                            attempts: attempt,
-                            budget_empty: true,
-                            source,
-                        });
-                    }
-                    clock.sleep(self.backoff(attempt));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
-    use std::path::PathBuf;
-
-    fn fault() -> StorageError {
-        StorageError::Io {
-            path: PathBuf::from("<test>"),
-            error: std::io::Error::other("synthetic"),
-        }
-    }
 
     #[test]
     fn budget_drains_and_credits_up_to_cap() {
@@ -264,64 +212,5 @@ mod tests {
         let c = RetryPolicy::new(policy.config().clone(), 7);
         let d: Vec<Duration> = (1..6).map(|n| c.backoff(n)).collect();
         assert_eq!(b, d, "fresh policies with one seed draw identically");
-    }
-
-    #[test]
-    fn run_succeeds_after_transient_failures_and_sleeps_backoff() {
-        let clock = VirtualClock::new();
-        let policy = RetryPolicy::new(RetryConfig::default(), 3);
-        let mut failures_left = 2;
-        let out = policy.run(&clock, || {
-            if failures_left > 0 {
-                failures_left -= 1;
-                Err(fault())
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(out.unwrap(), 42);
-        assert_eq!(policy.retries_performed(), 2);
-        assert!(
-            clock.now() >= Duration::from_micros(1000),
-            "two backoffs slept"
-        );
-    }
-
-    #[test]
-    fn run_reports_attempt_exhaustion_and_budget_exhaustion_distinctly() {
-        let clock = VirtualClock::new();
-        let policy = RetryPolicy::new(
-            RetryConfig {
-                max_attempts: 3,
-                ..RetryConfig::default()
-            },
-            5,
-        );
-        match policy.run::<()>(&clock, || Err(fault())) {
-            Err(ServeError::RetriesExhausted {
-                attempts: 3,
-                budget_empty: false,
-                ..
-            }) => {}
-            other => panic!("expected attempt exhaustion, got {other:?}"),
-        }
-
-        let broke = RetryPolicy::new(
-            RetryConfig {
-                max_attempts: 10,
-                initial_tokens: 1,
-                tokens_per_query: 0,
-                ..RetryConfig::default()
-            },
-            5,
-        );
-        match broke.run::<()>(&clock, || Err(fault())) {
-            Err(ServeError::RetriesExhausted {
-                attempts: 2,
-                budget_empty: true,
-                ..
-            }) => {}
-            other => panic!("expected budget exhaustion, got {other:?}"),
-        }
     }
 }

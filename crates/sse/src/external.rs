@@ -6,7 +6,7 @@
 //! ```text
 //!  1 source        entries ──▶ buffer ──sort──▶ the sorted stream          (sequential)
 //!                    │ buffer reached the budget's run limit?
-//!                    └─▶ run-NNNNN.spl … spill.meta ──k-way merge──┘
+//!                    └─▶ run-NNNNN.spl … ──k-way merge──┘
 //!  2 group + seed  walk a batch of the stream: close each keyword group
 //!                  as a range, draw its 32-byte nonce seed from the
 //!                  caller's RNG, in keyword order                          (sequential)
@@ -56,8 +56,10 @@
 //! directory ([`SPILL_DIR`] inside the index directory for on-disk builds,
 //! a unique temp directory otherwise) is created at the first run flush or
 //! the first stage overflow, and swept of a crashed build's leftovers right
-//! then. Its files follow the workspace's `.tmp` + rename commit protocol;
-//! `spill.meta` is written last, as the spill's commit record. Cleanup —
+//! then. Its files follow the workspace's `.tmp` + rename commit protocol.
+//! A run is raw sorted `(keyword, payload)` rows with no header: only the
+//! process that wrote it reads it back, against the run table it holds in
+//! memory, so a run outlives its build only as debris. Cleanup —
 //! at first use, after success, after a failure, and from
 //! [`cleanup_partial_index`](crate::storage::cleanup_partial_index) — only
 //! ever removes *recognized* spill file names and then the directory if
@@ -72,7 +74,7 @@
 //! build's op log is deterministic; shards still in their buffers are
 //! written and reopened in parallel.
 
-use crate::formats::{self, io_err, write_file_atomic, MetaReader, MetaWriter, FORMAT_VERSION};
+use crate::formats::{self, io_err, write_file_atomic};
 use crate::pibas::{encrypt_list_into, EncryptedIndex, Label, SearchToken, LABEL_LEN};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
@@ -93,24 +95,6 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 /// its index directory. The `.tmp` suffix marks it as never part of a
 /// committed index: reopen paths ignore it and cleanup may sweep it.
 pub const SPILL_DIR: &str = "spill.tmp";
-
-/// Magic bytes opening every spill run file (`run-NNNNN.spl`).
-pub const SPILL_RUN_MAGIC: [u8; 8] = *b"RSSE-SPL";
-
-/// Magic bytes opening the spill manifest (`spill.meta`).
-pub const SPILL_MANIFEST_MAGIC: [u8; 8] = *b"RSSE-SPM";
-
-/// File name of the spill manifest inside a spill directory.
-pub const SPILL_MANIFEST_FILE: &str = "spill.meta";
-
-/// Fixed spill-run header length in bytes.
-const RUN_HEADER_LEN: u64 = 32;
-
-/// Fixed-length prefix of the spill manifest, before the run table.
-const SPILL_MANIFEST_HEADER_LEN: u64 = 40;
-
-/// Bytes per run-table row in the spill manifest.
-const RUN_TABLE_ROW_LEN: usize = 16;
 
 /// One fixed-stride spill entry: keyword plus payload.
 type SpillEntry<const K: usize, const P: usize> = ([u8; K], [u8; P]);
@@ -134,10 +118,11 @@ fn stage_region_name(shard: usize) -> String {
 
 /// Whether `name` is a file the external build may have created inside a
 /// spill directory (including the `.tmp` siblings of its atomic writes).
-/// Cleanup removes exactly these and nothing else.
+/// Cleanup removes exactly these and nothing else. `spill.meta` is the run
+/// manifest earlier builds committed; a crashed one may have left it.
 fn is_spill_file(name: &str) -> bool {
     let base = name.strip_suffix(".tmp").unwrap_or(name);
-    if base == SPILL_MANIFEST_FILE {
+    if base == "spill.meta" {
         return true;
     }
     if let Some(rest) = base.strip_prefix("run-") {
@@ -185,25 +170,6 @@ pub enum SpillOrder {
     ByKeyword,
 }
 
-impl SpillOrder {
-    /// On-disk encoding in the spill manifest.
-    fn code(self) -> u32 {
-        match self {
-            SpillOrder::ByKeywordAndPayload => 0,
-            SpillOrder::ByKeyword => 1,
-        }
-    }
-
-    /// Decodes the manifest encoding.
-    fn from_code(code: u32) -> Option<Self> {
-        match code {
-            0 => Some(SpillOrder::ByKeywordAndPayload),
-            1 => Some(SpillOrder::ByKeyword),
-            _ => None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Stage 1 — source: a sorted buffer, spilled to runs only past the run limit
 // ---------------------------------------------------------------------------
@@ -240,9 +206,9 @@ impl SpillDir {
     }
 
     /// The directory, created on first use. Leftovers of a previously
-    /// crashed build are healed before it is reused: stale runs would
-    /// shadow this build's manifest, and stale stage files would corrupt
-    /// the append-only scatter. Foreign files survive the sweep (and the
+    /// crashed build are healed before it is reused: stale stage files
+    /// would corrupt the append-only scatter, and stale runs are debris no
+    /// run table names. Foreign files survive the sweep (and the
     /// directory, therefore, survives too).
     fn create(&mut self) -> Result<&Path, StorageError> {
         if !self.created {
@@ -254,14 +220,6 @@ impl SpillDir {
     }
 }
 
-/// Per-run row of the spill manifest.
-struct RunInfo {
-    /// Entries in the run.
-    entries: u64,
-    /// Total file length in bytes (header + entries).
-    bytes: u64,
-}
-
 /// Collects the entry stream into a buffer that is sorted in RAM and, only
 /// when it reaches `limit` entries, committed as a sorted run file.
 struct Spiller<'a, const K: usize, const P: usize> {
@@ -270,7 +228,9 @@ struct Spiller<'a, const K: usize, const P: usize> {
     /// Entries per run (the bounded write buffer).
     limit: usize,
     buf: Vec<SpillEntry<K, P>>,
-    runs: Vec<RunInfo>,
+    /// Entries in each committed run, in run order: the run table the
+    /// merge reads the runs back against.
+    runs: Vec<u64>,
 }
 
 impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
@@ -311,26 +271,22 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         }
         self.sort();
         let path = self.dir.create()?.join(run_file_name(self.runs.len()));
-        let entries = self.buf.len() as u64;
-        let bytes = RUN_HEADER_LEN + entries * (K + P) as u64;
         let buf = &self.buf;
         write_file_atomic(&path, |writer| {
-            writer.write_all(&run_header::<K, P>(entries).into_bytes())?;
             for (keyword, payload) in buf {
                 writer.write_all(keyword)?;
                 writer.write_all(payload)?;
             }
             Ok(())
         })?;
-        self.runs.push(RunInfo { entries, bytes });
+        self.runs.push(self.buf.len() as u64);
         self.buf.clear();
         Ok(())
     }
 
     /// Ends the stream. With no run on disk the sorted buffer *is* the
-    /// source; once one exists the tail is flushed too, the spill manifest
-    /// — the spill's atomic commit record — is written last, and the source
-    /// is the k-way merge of the runs, its read buffers sized from the
+    /// source; once one exists the tail is flushed too, and the source is
+    /// the k-way merge of the runs, its read buffers sized from the
     /// budget's `memory` bytes.
     fn finish(mut self, memory: usize) -> Result<Source<K, P>, StorageError> {
         if self.runs.is_empty() {
@@ -341,93 +297,8 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
             });
         }
         self.flush()?;
-        let dir = self.dir.create()?;
-        spill_meta::<K, P>(self.order, &self.runs).commit(&dir.join(SPILL_MANIFEST_FILE))?;
-        Source::merge(dir, self.order, memory)
+        Source::merge(self.dir.create()?, self.order, &self.runs, memory)
     }
-}
-
-/// The 32-byte header of a spill run of `entries` entries.
-fn run_header<const K: usize, const P: usize>(entries: u64) -> MetaWriter {
-    let mut header = MetaWriter::new(&SPILL_RUN_MAGIC, FORMAT_VERSION);
-    header.u32(0).u64(entries).u32(K as u32).u32(P as u32);
-    header
-}
-
-/// The spill manifest over `runs`.
-fn spill_meta<const K: usize, const P: usize>(order: SpillOrder, runs: &[RunInfo]) -> MetaWriter {
-    let mut meta = MetaWriter::new(&SPILL_MANIFEST_MAGIC, FORMAT_VERSION);
-    meta.u32(order.code())
-        .u32(K as u32)
-        .u32(P as u32)
-        .u64(runs.len() as u64)
-        .u64(runs.iter().map(|r| r.entries).sum());
-    for run in runs {
-        meta.u64(run.entries).u64(run.bytes);
-    }
-    meta
-}
-
-/// The decoded spill manifest the merge rebuilds its state from.
-struct SpillMeta {
-    order: SpillOrder,
-    total_entries: u64,
-    runs: Vec<RunInfo>,
-}
-
-/// Reads and validates the spill manifest against the build's expected
-/// entry geometry.
-fn read_spill_meta<const K: usize, const P: usize>(
-    dir: &Path,
-    order: SpillOrder,
-) -> Result<SpillMeta, StorageError> {
-    let path = dir.join(SPILL_MANIFEST_FILE);
-    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let mut fields = MetaReader::open(
-        &path,
-        &bytes,
-        &SPILL_MANIFEST_MAGIC,
-        FORMAT_VERSION,
-        SPILL_MANIFEST_HEADER_LEN,
-    )?;
-    let code = fields.u32()?;
-    let got_order = SpillOrder::from_code(code)
-        .ok_or_else(|| fields.corrupt(format!("unknown spill sort mode {code}")))?;
-    if got_order != order {
-        return Err(fields.corrupt(format!(
-            "spill sort mode {got_order:?} does not match this build ({order:?})"
-        )));
-    }
-    let (keyword_len, payload_len) = (fields.u32()?, fields.u32()?);
-    if keyword_len != K as u32 || payload_len != P as u32 {
-        return Err(fields.corrupt(format!(
-            "spill entry geometry ({keyword_len}, {payload_len}) does not match this build ({K}, {P})"
-        )));
-    }
-    let run_count = fields.u64()?;
-    let total_entries = fields.u64()?;
-    let runs = (0..fields.rows(run_count, RUN_TABLE_ROW_LEN)?)
-        .map(|_| {
-            Ok(RunInfo {
-                entries: fields.u64()?,
-                bytes: fields.u64()?,
-            })
-        })
-        .collect::<Result<Vec<RunInfo>, StorageError>>()?;
-    let summed = runs
-        .iter()
-        .try_fold(0u64, |sum, run| sum.checked_add(run.entries));
-    if summed != Some(total_entries) {
-        return Err(
-            fields.corrupt("run table entry counts do not sum to the recorded total".to_string())
-        );
-    }
-    fields.finish()?;
-    Ok(SpillMeta {
-        order,
-        total_entries,
-        runs,
-    })
 }
 
 /// Sequential reader over one committed spill run.
@@ -438,46 +309,24 @@ struct RunReader<const K: usize, const P: usize> {
 }
 
 impl<const K: usize, const P: usize> RunReader<K, P> {
-    /// Opens run `run`, validating its header and length against the
-    /// manifest row.
-    fn open(dir: &Path, run: usize, info: &RunInfo, buffer: usize) -> Result<Self, StorageError> {
+    /// Opens run `run` of `entries` entries, checking its length against
+    /// that row of the run table.
+    fn open(dir: &Path, run: usize, entries: u64, buffer: usize) -> Result<Self, StorageError> {
         let path = dir.join(run_file_name(run));
         let io = |error| io_err(&path, error);
         let file = File::open(&path).map_err(io)?;
+        let expected = entries * (K + P) as u64;
         let actual = file.metadata().map_err(io)?.len();
-        if actual != info.bytes {
+        if actual != expected {
             return Err(StorageError::Truncated {
                 path,
-                expected: info.bytes,
+                expected,
                 actual,
-            });
-        }
-        let mut reader = BufReader::with_capacity(buffer, file);
-        let mut header = [0u8; RUN_HEADER_LEN as usize];
-        reader.read_exact(&mut header).map_err(io)?;
-        let mut fields = MetaReader::open(
-            &path,
-            &header,
-            &SPILL_RUN_MAGIC,
-            FORMAT_VERSION,
-            RUN_HEADER_LEN,
-        )?;
-        fields.reserved()?;
-        let entries = fields.u64()?;
-        let (keyword_len, payload_len) = (fields.u32()?, fields.u32()?);
-        if entries != info.entries || keyword_len != K as u32 || payload_len != P as u32 {
-            return Err(StorageError::CorruptDirectory {
-                path,
-                detail: format!(
-                    "run header ({entries} entries, geometry ({keyword_len}, {payload_len})) \
-                     disagrees with the spill manifest ({} entries, ({K}, {P}))",
-                    info.entries
-                ),
             });
         }
         Ok(Self {
             path,
-            reader,
+            reader: BufReader::with_capacity(buffer, file),
             remaining: entries,
         })
     }
@@ -496,24 +345,6 @@ impl<const K: usize, const P: usize> RunReader<K, P> {
         self.remaining -= 1;
         Ok(Some((keyword, payload)))
     }
-}
-
-/// Decoder-robustness hook (`tests/decoder_robustness.rs`,
-/// `tests/golden_formats.rs`): decodes `dir`'s spill manifest and the
-/// header of every run it lists, and returns what the encoders map the
-/// decoded values back to — the manifest first, then one header per run.
-#[doc(hidden)]
-pub fn recode_spill_dir<const K: usize, const P: usize>(
-    dir: &Path,
-    order: SpillOrder,
-) -> Result<Vec<Vec<u8>>, StorageError> {
-    let meta = read_spill_meta::<K, P>(dir, order)?;
-    let mut files = vec![spill_meta::<K, P>(meta.order, &meta.runs).into_bytes()];
-    for (run, info) in meta.runs.iter().enumerate() {
-        let reader = RunReader::<K, P>::open(dir, run, info, 4 << 10)?;
-        files.push(run_header::<K, P>(reader.remaining).into_bytes());
-    }
-    Ok(files)
 }
 
 /// One head-of-run entry in the merge heap.
@@ -567,8 +398,8 @@ enum Source<const K: usize, const P: usize> {
     /// The k-way merge of the committed runs; a batch is merged into
     /// `batch` and handed out from there.
     Merge {
-        /// The spill manifest, named by the entry-count check.
-        meta: PathBuf,
+        /// The spill directory, named by the entry-count check.
+        dir: PathBuf,
         readers: Vec<RunReader<K, P>>,
         heap: BinaryHeap<Reverse<HeapEntry<K, P>>>,
         full: bool,
@@ -579,18 +410,22 @@ enum Source<const K: usize, const P: usize> {
 }
 
 impl<const K: usize, const P: usize> Source<K, P> {
-    /// Opens the merge over the runs `dir`'s manifest lists, with a
-    /// quarter of `memory` split across the run read buffers.
-    fn merge(dir: &Path, order: SpillOrder, memory: usize) -> Result<Self, StorageError> {
-        let meta = read_spill_meta::<K, P>(dir, order)?;
-        let run_buffer = (memory / 4 / meta.runs.len().max(1)).clamp(16 << 10, 1 << 20);
-        let mut readers: Vec<RunReader<K, P>> = meta
-            .runs
+    /// Opens the merge over the runs in `dir`, whose entry counts are
+    /// `runs`, with a quarter of `memory` split across the run read
+    /// buffers.
+    fn merge(
+        dir: &Path,
+        order: SpillOrder,
+        runs: &[u64],
+        memory: usize,
+    ) -> Result<Self, StorageError> {
+        let run_buffer = (memory / 4 / runs.len().max(1)).clamp(16 << 10, 1 << 20);
+        let mut readers: Vec<RunReader<K, P>> = runs
             .iter()
             .enumerate()
-            .map(|(i, info)| RunReader::open(dir, i, info, run_buffer))
+            .map(|(i, &entries)| RunReader::open(dir, i, entries, run_buffer))
             .collect::<Result<_, _>>()?;
-        let full = meta.order == SpillOrder::ByKeywordAndPayload;
+        let full = order == SpillOrder::ByKeywordAndPayload;
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (run, reader) in readers.iter_mut().enumerate() {
             if let Some((keyword, payload)) = reader.next_entry()? {
@@ -603,13 +438,13 @@ impl<const K: usize, const P: usize> Source<K, P> {
             }
         }
         Ok(Source::Merge {
-            meta: dir.join(SPILL_MANIFEST_FILE),
+            dir: dir.to_path_buf(),
             readers,
             heap,
             full,
             batch: Vec::new(),
             merged: 0,
-            total: meta.total_entries,
+            total: runs.iter().sum(),
         })
     }
 
@@ -636,7 +471,7 @@ impl<const K: usize, const P: usize> Source<K, P> {
                 Ok(&entries[start..end])
             }
             Source::Merge {
-                meta,
+                dir,
                 readers,
                 heap,
                 full,
@@ -663,10 +498,8 @@ impl<const K: usize, const P: usize> Source<K, P> {
                 *merged += batch.len() as u64;
                 if heap.is_empty() && merged != total {
                     return Err(StorageError::CorruptDirectory {
-                        path: meta.clone(),
-                        detail: format!(
-                            "merged {merged} entries but the spill manifest records {total}"
-                        ),
+                        path: dir.clone(),
+                        detail: format!("merged {merged} entries but the runs hold {total}"),
                     });
                 }
                 Ok(batch.as_slice())
@@ -1676,10 +1509,11 @@ mod tests {
 
     /// Shared scaffolding of the crash tests: build once uninterrupted
     /// with the gate recording (the reference bytes and the op log), then
-    /// once crashing right after the op that commits `committed` — which
-    /// must be an op in the log — assert debris + foreign-file survival,
-    /// then build again and require byte convergence with the reference.
-    fn crash_and_converge(committed: String) {
+    /// once crashing right after the last op that commits a file named as
+    /// `commits` accepts — which must be an op in the log — assert that
+    /// debris and a foreign file survive, then build again and require
+    /// byte convergence with the reference.
+    fn crash_and_converge(commits: impl Fn(&str) -> bool) {
         let mut rng = ChaCha20Rng::seed_from_u64(11);
         let key = SseScheme::setup(&mut rng);
         let shuffle_key = Key::generate(&mut rng);
@@ -1705,9 +1539,16 @@ mod tests {
         drop(recording);
         let at = log
             .iter()
-            .position(|(op, path)| *op == "write" && path.ends_with(&committed))
-            .unwrap_or_else(|| panic!("no op commits {committed}: {log:?}"))
+            .rposition(|(op, path)| {
+                *op == "write"
+                    && path
+                        .file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(&commits)
+            })
+            .unwrap_or_else(|| panic!("no op commits the file: {log:?}"))
             + 1;
+        let committed = log[at - 1].1.strip_prefix(reference.path()).unwrap();
 
         let dir = TempDir::new("ext-kill");
         // A foreign file inside the spill directory: neither the crashed
@@ -1721,17 +1562,10 @@ mod tests {
         let err = build(dir.path(), 42).unwrap_err();
         assert!(matches!(err, StorageError::Io { .. }), "{err:?}");
         drop(crash);
-        // The crash leaves debris behind (spill dir and, for the later
-        // windows, partial index files).
+        // The crash leaves debris behind: the spill dir and the file the
+        // killed op committed (a run, or a partial index's shard).
         assert!(spill.exists(), "crash must not clean up");
-        if committed == run_file_name(0) {
-            assert!(spill.join(run_file_name(0)).exists());
-            assert!(!spill.join(SPILL_MANIFEST_FILE).exists());
-        } else if committed == SPILL_MANIFEST_FILE {
-            assert!(spill.join(SPILL_MANIFEST_FILE).exists());
-        } else {
-            assert!(dir.path().join(crate::storage::shard_file_name(0)).exists());
-        }
+        assert!(dir.path().join(committed).exists(), "{committed:?}");
         assert_eq!(fs::read(&foreign).unwrap(), b"do not delete");
 
         // The restarted build heals the debris and converges byte-for-byte.
@@ -1748,38 +1582,11 @@ mod tests {
         assert!(dirs_equal(reference.path(), dir.path()));
     }
 
-    /// A `spill.meta` whose `run_count` is far past what the file holds
-    /// must fail typed: the count is validated against the bytes left
-    /// before it sizes anything (it used to overflow the length check and
-    /// panic).
+    /// A run file one row short of the in-process run table is refused
+    /// typed before a single entry is read.
     #[test]
-    fn spill_meta_with_an_absurd_run_count_is_rejected_typed() {
-        let dir = TempDir::new("ext-spm-count");
-        // Header only: magic, version, order 0, geometry (13, 8),
-        // run_count = 2^60, total_entries = 0 — and no run table.
-        let mut meta = Vec::new();
-        meta.extend_from_slice(&SPILL_MANIFEST_MAGIC);
-        meta.extend_from_slice(&1u32.to_le_bytes());
-        meta.extend_from_slice(&0u32.to_le_bytes());
-        meta.extend_from_slice(&13u32.to_le_bytes());
-        meta.extend_from_slice(&8u32.to_le_bytes());
-        meta.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        meta.extend_from_slice(&0u64.to_le_bytes());
-        assert_eq!(meta.len() as u64, SPILL_MANIFEST_HEADER_LEN);
-        fs::write(dir.path().join(SPILL_MANIFEST_FILE), &meta).unwrap();
-        let result = read_spill_meta::<13, 8>(dir.path(), SpillOrder::ByKeywordAndPayload);
-        assert!(
-            matches!(result, Err(StorageError::Truncated { .. })),
-            "{:?}",
-            result.err()
-        );
-    }
-
-    /// A run file whose own header claims more entries than its manifest
-    /// row fails typed before a single entry is read.
-    #[test]
-    fn run_header_disagreeing_with_its_manifest_row_is_rejected_typed() {
-        let dir = TempDir::new("ext-spl-count");
+    fn run_one_row_short_of_its_table_is_rejected_typed() {
+        let dir = TempDir::new("ext-spl-short");
         let mut spill = SpillDir {
             path: dir.path().to_path_buf(),
             created: false,
@@ -1788,18 +1595,21 @@ mod tests {
         for i in 0..4u64 {
             spiller.push((keyword(0, i), i.to_le_bytes())).unwrap();
         }
-        drop(spiller.finish(0).unwrap());
-        let meta = read_spill_meta::<13, 8>(dir.path(), SpillOrder::ByKeywordAndPayload).unwrap();
-        assert_eq!(meta.runs.len(), 1);
-        assert!(RunReader::<13, 8>::open(dir.path(), 0, &meta.runs[0], 4 << 10).is_ok());
-
+        assert_eq!(spiller.runs, vec![4]);
         let path = dir.path().join(run_file_name(0));
-        let mut run = fs::read(&path).unwrap();
-        run[16..24].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        fs::write(&path, &run).unwrap();
-        let result = RunReader::<13, 8>::open(dir.path(), 0, &meta.runs[0], 4 << 10);
+        let run = fs::read(&path).unwrap();
+        assert_eq!(run.len(), 4 * (13 + 8));
+        fs::write(&path, &run[..3 * (13 + 8)]).unwrap();
+        let result = spiller.finish(0);
         assert!(
-            matches!(result, Err(StorageError::CorruptDirectory { .. })),
+            matches!(
+                result,
+                Err(StorageError::Truncated {
+                    expected: 84,
+                    actual: 63,
+                    ..
+                })
+            ),
             "{:?}",
             result.err()
         );
@@ -1807,16 +1617,17 @@ mod tests {
 
     #[test]
     fn killed_mid_spill_restart_converges() {
-        crash_and_converge(run_file_name(0));
+        crash_and_converge(|name| name == run_file_name(0));
     }
 
+    /// Killed after the last run's commit, before the merge starts.
     #[test]
     fn killed_after_spill_restart_converges() {
-        crash_and_converge(SPILL_MANIFEST_FILE.to_string());
+        crash_and_converge(|name| name.ends_with(".spl"));
     }
 
     #[test]
     fn killed_mid_shard_write_restart_converges() {
-        crash_and_converge(crate::storage::shard_file_name(0));
+        crash_and_converge(|name| name == crate::storage::shard_file_name(0));
     }
 }

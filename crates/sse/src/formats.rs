@@ -40,8 +40,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Version of every format that holds no payload ciphertext: the index
-/// manifest (`RSSE-IDX`), the spill files (`RSSE-SPM`, `RSSE-SPL`), the PB
-/// tree (`RSSE-PBT`) and the manager manifest (`RSSE-MGR`).
+/// manifest (`RSSE-IDX`), the PB tree (`RSSE-PBT`) and the manager manifest
+/// (`RSSE-MGR`).
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Version of the two formats that hold `rsse_crypto::StreamCipher`

@@ -33,7 +33,7 @@
 //!   filesystem mutation passes, and the probe gate every file-shard probe
 //!   passes;
 //! * [`external`] — the one `BuildIndex` pipeline: entries sorted in RAM,
-//!   or spilled to sorted `RSSE-SPL` runs on disk and k-way-merged back
+//!   or spilled to headerless sorted runs on disk and k-way-merged back
 //!   once a [`BuildBudget`] is exceeded, then encrypted in bounded parallel
 //!   batches into the shards — byte-identical output either way;
 //! * [`fault`] — deterministic fault injection: the seeded [`FaultPlan`]s

@@ -302,7 +302,7 @@ pub enum StorageBackend {
 /// grouped paths and every build of the update manager) collect their
 /// `(keyword, payload)` entries in a buffer of at most ~`memory_bytes / 2`
 /// bytes. A corpus that fits is sorted right there. One that does not is
-/// written out as sorted `RSSE-SPL` spill runs, the runs are k-way merged,
+/// written out as sorted spill runs, the runs are k-way merged,
 /// and — on an on-disk backend — shard buffers past their share of the
 /// budget overflow to stage files, so peak RSS is bounded by the budget
 /// (run buffer + merge scratch + one encrypt batch + write buffers), not

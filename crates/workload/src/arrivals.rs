@@ -1,32 +1,17 @@
 //! Open-loop arrival processes: *when* requests reach the server.
 //!
-//! Every bench before PR 7 issued queries back-to-back (closed loop), which
-//! measures service time but hides queueing: a server that stalls simply
-//! slows the generator down. An **open-loop** trace fixes send times ahead
-//! of time from an arrival process, so a stalled server accumulates lag that
-//! shows up as tail latency — the regime a service with millions of
-//! independent users actually lives in.
-//!
-//! Three processes cover the scenarios the replay harness tracks:
-//!
-//! * [`ArrivalProcess::Poisson`] — memoryless steady load at a constant
-//!   rate, the classic independent-users model;
-//! * [`ArrivalProcess::Diurnal`] — a sinusoidal day/night rate swing
-//!   between a trough and a peak;
-//! * [`ArrivalProcess::BurstStorm`] — a calm base rate interrupted by
-//!   periodic storm windows at a much higher rate (retry storms, batch
-//!   jobs, thundering herds).
-//!
-//! All three are generated by thinning a homogeneous Poisson process at the
-//! peak rate, so a single seeded RNG stream fully determines the trace:
-//! same seed, byte-identical timestamps.
+//! An **open-loop** trace fixes send times ahead of time from an arrival
+//! process, so a stalled server would accumulate lag instead of slowing the
+//! generator down. [`ArrivalProcess::Poisson`] — memoryless steady load at
+//! a constant rate, the classic independent-users model — is the one
+//! process, and a single seeded RNG stream fully determines it: same seed,
+//! byte-identical timestamps.
 
 use rand::Rng;
 use std::time::Duration;
 
 /// A seeded, deterministic arrival-time generator (see the [module
-/// docs](self)). Rates are events per second; all variants require strictly
-/// positive rates.
+/// docs](self)). Rates are events per second and must be positive.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ArrivalProcess {
     /// Constant-rate memoryless arrivals: exponential inter-arrival times
@@ -35,148 +20,39 @@ pub enum ArrivalProcess {
         /// Mean arrival rate, events per second.
         rate_per_sec: f64,
     },
-    /// Sinusoidal rate modulation between a trough and a peak, starting at
-    /// the trough: `λ(t) = trough + (peak - trough) · (1 - cos(2πt/T)) / 2`.
-    Diurnal {
-        /// Rate at the quietest point of the cycle.
-        trough_per_sec: f64,
-        /// Rate at the busiest point of the cycle.
-        peak_per_sec: f64,
-        /// Length of one full trough→peak→trough cycle.
-        period: Duration,
-    },
-    /// A calm base rate with periodic storm windows: every `storm_every`,
-    /// the rate jumps to `storm_per_sec` for `storm_len`.
-    BurstStorm {
-        /// Rate outside storm windows.
-        base_per_sec: f64,
-        /// Rate inside storm windows.
-        storm_per_sec: f64,
-        /// Storm period (measured start to start).
-        storm_every: Duration,
-        /// Storm duration (must not exceed the period).
-        storm_len: Duration,
-    },
 }
 
 impl ArrivalProcess {
-    /// A short label for reports ("poisson", "diurnal", "burst_storm").
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Poisson { .. } => "poisson",
-            Self::Diurnal { .. } => "diurnal",
-            Self::BurstStorm { .. } => "burst_storm",
-        }
-    }
-
-    /// The maximum instantaneous rate — the thinning envelope.
-    fn peak_rate(&self) -> f64 {
-        match *self {
-            Self::Poisson { rate_per_sec } => rate_per_sec,
-            Self::Diurnal { peak_per_sec, .. } => peak_per_sec,
-            Self::BurstStorm {
-                base_per_sec,
-                storm_per_sec,
-                ..
-            } => base_per_sec.max(storm_per_sec),
-        }
-    }
-
-    /// The instantaneous rate at time `t` seconds.
-    fn rate_at(&self, t: f64) -> f64 {
-        match *self {
-            Self::Poisson { rate_per_sec } => rate_per_sec,
-            Self::Diurnal {
-                trough_per_sec,
-                peak_per_sec,
-                period,
-            } => {
-                let phase = std::f64::consts::TAU * t / period.as_secs_f64();
-                trough_per_sec + (peak_per_sec - trough_per_sec) * (1.0 - phase.cos()) / 2.0
-            }
-            Self::BurstStorm {
-                base_per_sec,
-                storm_per_sec,
-                storm_every,
-                storm_len,
-            } => {
-                if t % storm_every.as_secs_f64() < storm_len.as_secs_f64() {
-                    storm_per_sec
-                } else {
-                    base_per_sec
-                }
-            }
-        }
-    }
-
-    /// Validates the variant's parameters.
-    ///
-    /// # Panics
-    /// Panics on non-positive rates, an inverted diurnal trough/peak pair,
-    /// or a storm longer than its period.
-    fn validate(&self) {
-        match *self {
-            Self::Poisson { rate_per_sec } => {
-                assert!(rate_per_sec > 0.0, "Poisson rate must be positive");
-            }
-            Self::Diurnal {
-                trough_per_sec,
-                peak_per_sec,
-                period,
-            } => {
-                assert!(trough_per_sec > 0.0, "diurnal trough rate must be positive");
-                assert!(
-                    peak_per_sec >= trough_per_sec,
-                    "diurnal peak must be at least the trough"
-                );
-                assert!(period > Duration::ZERO, "diurnal period must be positive");
-            }
-            Self::BurstStorm {
-                base_per_sec,
-                storm_per_sec,
-                storm_every,
-                storm_len,
-            } => {
-                assert!(base_per_sec > 0.0, "base rate must be positive");
-                assert!(storm_per_sec > 0.0, "storm rate must be positive");
-                assert!(
-                    Duration::ZERO < storm_len && storm_len <= storm_every,
-                    "storm window must be positive and fit its period"
-                );
-            }
-        }
-    }
-
     /// Generates every arrival timestamp in `[0, horizon)`, ascending.
     ///
-    /// Thinning (Lewis & Shedler): candidate arrivals are drawn as a
-    /// homogeneous Poisson process at the peak rate, and each candidate at
-    /// time `t` is kept with probability `λ(t) / λ_peak`. The whole
-    /// timestamp vector is a pure function of `(self, horizon, rng
-    /// stream)`.
+    /// Inter-arrival times are exponential at the rate. Each arrival also
+    /// draws a uniform `keep` — the thinning draw (Lewis & Shedler) of a
+    /// variable-rate process, which a constant rate always passes. The draw
+    /// stays: dropping it would shift the RNG stream and with it every
+    /// trace generated from a seed, the query sets of the benchmark's hot
+    /// workloads included (`trace`'s `perf_hotspot_trace_is_pinned` pins
+    /// one). The whole timestamp vector is a pure function of `(self,
+    /// horizon, rng stream)`.
     ///
     /// # Panics
-    /// Panics if the parameters are invalid (see the variant docs) or the
-    /// horizon is zero.
+    /// Panics if the rate is not positive or the horizon is zero.
     pub fn timestamps<R: Rng + ?Sized>(&self, horizon: Duration, rng: &mut R) -> Vec<Duration> {
-        self.validate();
+        let Self::Poisson { rate_per_sec: rate } = *self;
+        assert!(rate > 0.0, "Poisson rate must be positive");
         assert!(horizon > Duration::ZERO, "horizon must be positive");
-        let peak = self.peak_rate();
         let horizon_s = horizon.as_secs_f64();
-        let mut out = Vec::with_capacity((peak * horizon_s) as usize + 16);
+        let mut out = Vec::with_capacity((rate * horizon_s) as usize + 16);
         let mut t = 0.0f64;
         loop {
-            // Exponential inter-arrival at the envelope rate. `1 - u` keeps
-            // the argument of ln strictly positive for u in [0, 1).
+            // Exponential inter-arrival at the rate. `1 - u` keeps the
+            // argument of ln strictly positive for u in [0, 1).
             let u: f64 = rng.gen_range(0.0..1.0);
-            t += -(1.0 - u).ln() / peak;
+            t += -(1.0 - u).ln() / rate;
             if t >= horizon_s {
                 return out;
             }
-            let keep: f64 = rng.gen_range(0.0..1.0);
-            if keep < self.rate_at(t) / peak {
-                out.push(Duration::from_secs_f64(t));
-            }
+            let _keep: f64 = rng.gen_range(0.0..1.0);
+            out.push(Duration::from_secs_f64(t));
         }
     }
 }
@@ -207,74 +83,14 @@ mod tests {
     #[test]
     fn timestamps_are_sorted_and_inside_the_horizon() {
         let horizon = Duration::from_millis(500);
-        for process in [
-            ArrivalProcess::Poisson {
-                rate_per_sec: 500.0,
-            },
-            ArrivalProcess::Diurnal {
-                trough_per_sec: 100.0,
-                peak_per_sec: 900.0,
-                period: Duration::from_millis(200),
-            },
-            ArrivalProcess::BurstStorm {
-                base_per_sec: 100.0,
-                storm_per_sec: 2000.0,
-                storm_every: Duration::from_millis(100),
-                storm_len: Duration::from_millis(20),
-            },
-        ] {
-            let mut rng = ChaCha20Rng::seed_from_u64(2);
-            let stamps = process.timestamps(horizon, &mut rng);
-            assert!(!stamps.is_empty(), "{} produced no events", process.label());
-            assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
-            assert!(*stamps.last().unwrap() < horizon);
-        }
-    }
-
-    #[test]
-    fn burst_storm_concentrates_events_in_storm_windows() {
-        let process = ArrivalProcess::BurstStorm {
-            base_per_sec: 100.0,
-            storm_per_sec: 5000.0,
-            storm_every: Duration::from_millis(100),
-            storm_len: Duration::from_millis(10),
+        let process = ArrivalProcess::Poisson {
+            rate_per_sec: 500.0,
         };
-        let mut rng = ChaCha20Rng::seed_from_u64(3);
-        let stamps = process.timestamps(Duration::from_secs(2), &mut rng);
-        let in_storm = stamps
-            .iter()
-            .filter(|at| at.as_secs_f64() % 0.1 < 0.01)
-            .count();
-        // Storm windows are 10% of the time but ~83% of the expected mass
-        // (5000·0.01 vs 100·0.09 events per period).
-        assert!(
-            in_storm * 2 > stamps.len(),
-            "storms must dominate: {in_storm} of {}",
-            stamps.len()
-        );
-    }
-
-    #[test]
-    fn diurnal_peak_half_outweighs_trough_half() {
-        let period = Duration::from_secs(1);
-        let process = ArrivalProcess::Diurnal {
-            trough_per_sec: 100.0,
-            peak_per_sec: 1900.0,
-            period,
-        };
-        let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let stamps = process.timestamps(period, &mut rng);
-        // λ starts at the trough and peaks mid-period, so the middle half
-        // of the cycle holds most of the mass.
-        let mid = stamps
-            .iter()
-            .filter(|at| (0.25..0.75).contains(&at.as_secs_f64()))
-            .count();
-        assert!(
-            mid * 3 > stamps.len() * 2,
-            "mid-cycle must dominate: {mid} of {}",
-            stamps.len()
-        );
+        let mut rng = ChaCha20Rng::seed_from_u64(2);
+        let stamps = process.timestamps(horizon, &mut rng);
+        assert!(!stamps.is_empty(), "no events");
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
+        assert!(*stamps.last().unwrap() < horizon);
     }
 
     #[test]
@@ -318,17 +134,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "storm window")]
-    fn storm_longer_than_period_rejected() {
-        let _ = ArrivalProcess::BurstStorm {
-            base_per_sec: 1.0,
-            storm_per_sec: 2.0,
-            storm_every: Duration::from_millis(10),
-            storm_len: Duration::from_millis(20),
-        }
-        .timestamps(Duration::from_secs(1), &mut ChaCha20Rng::seed_from_u64(0));
     }
 }

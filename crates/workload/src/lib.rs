@@ -17,34 +17,21 @@
 //! parameterised generators ([`datasets::synthetic`]) and the query
 //! workloads of Figures 6–8 ([`queries`]).
 //!
-//! On top of the static generators sits a **trace-driven replay harness**:
-//!
-//! * [`arrivals`] — seeded open-loop arrival processes (Poisson, diurnal,
-//!   burst-storm);
-//! * [`trace`] — deterministic multi-tenant event streams mixing
-//!   Zipf-hotspot range queries with insert batches;
-//! * [`mod@replay`] — an open-loop engine firing a trace at a live server with
-//!   coordinated-omission-corrected latency recording;
-//! * [`histogram`] — the mergeable log-bucketed latency histogram the
-//!   engine reports tails with.
+//! Beside them, [`trace`] generates deterministic multi-tenant event
+//! streams — Zipf-hotspot range queries mixed with insert batches — on the
+//! Poisson arrivals of [`arrivals`], and [`insert_batches`] the update
+//! batches of the ingest workloads.
 
 #![deny(missing_docs)]
 
 pub mod arrivals;
 pub mod datasets;
 pub mod distributions;
-pub mod histogram;
 pub mod queries;
-pub mod replay;
 pub mod trace;
 
 pub use arrivals::ArrivalProcess;
 pub use datasets::{gowalla_like, synthetic, usps_like, DatasetProfile, SyntheticConfig};
 pub use distributions::{ClusteredValues, UniformValues, ValueDistribution, Zipf};
-pub use histogram::{bucket_bounds, LatencyHistogram};
 pub use queries::{percent_of_domain, random_queries_of_len, random_queries_percent, QuerySet};
-pub use replay::{
-    replay, QueryFate, ReplayConfig, ReplayReport, ReplayTarget, ResilientTarget, TenantCounts,
-    TenantReport,
-};
 pub use trace::{insert_batch, insert_batches, EventKind, Trace, TraceEvent, TraceSpec};

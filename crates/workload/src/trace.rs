@@ -1,13 +1,11 @@
 //! Timestamped, multi-tenant event traces: *what* is sent *when* by *whom*.
 //!
-//! A [`Trace`] is the replay harness's unit of work: a time-sorted list of
-//! [`TraceEvent`]s — range queries with Zipf-skewed hotspot centers
-//! interleaved with insert batches — each tagged with the tenant that sends
-//! it, so the admission layer's per-tenant queues see realistic mixed
-//! traffic. Traces are generated from a declarative [`TraceSpec`] and one
-//! seeded RNG: the same spec and seed produce a **byte-identical** trace
-//! (checkable via [`Trace::to_bytes`]), which is what makes replay runs
-//! comparable across machines and CI runs.
+//! A [`Trace`] is a time-sorted list of [`TraceEvent`]s — range queries
+//! with Zipf-skewed hotspot centers interleaved with insert batches — each
+//! tagged with the tenant that sends it. Traces are generated from a
+//! declarative [`TraceSpec`] and one seeded RNG: the same spec and seed
+//! produce a **byte-identical** trace (checkable via [`Trace::to_bytes`]),
+//! which is what makes two runs over one trace comparable across machines.
 
 use crate::arrivals::ArrivalProcess;
 use rand::Rng;
@@ -27,7 +25,7 @@ pub enum EventKind {
 /// One timestamped, tenant-tagged event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Scheduled send time, relative to the start of the replay.
+    /// Scheduled send time, relative to the start of the trace.
     pub at: Duration,
     /// Index into [`Trace::tenants`].
     pub tenant: u32,
@@ -116,7 +114,7 @@ impl Trace {
     }
 
     /// FNV-1a digest of [`to_bytes`](Self::to_bytes) — a cheap fingerprint
-    /// for bench reports ("these two runs replayed the same trace").
+    /// for bench reports ("these two runs ran the same trace").
     pub fn digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for byte in self.to_bytes() {
@@ -393,6 +391,32 @@ mod tests {
             a.iter().flatten().map(|e| e.record.id).collect();
         assert_eq!(ids.len(), 64);
         assert_eq!(ids.iter().next(), Some(&100));
+    }
+
+    /// Pins the query input of the benchmark's hot workloads: this is the
+    /// spec of `perf`'s `hotspot_ranges` for its 2 048 ranges (2^20 domain,
+    /// 8 tenants, 0.1 % ranges, Poisson at twice the count over 1 s). Poisson
+    /// arrivals draw a thinning `keep` for every candidate although they
+    /// always accept it; dropping that draw would shift the RNG stream and
+    /// silently swap the query set of `disk_hot` and `disk_hot_batch`.
+    #[test]
+    fn perf_hotspot_trace_is_pinned() {
+        let domain = Domain::new(1 << 20);
+        let count = 2048;
+        let spec = TraceSpec {
+            tenants: 8,
+            range_len: domain.size() / 1000,
+            ..TraceSpec::queries_only(
+                domain,
+                ArrivalProcess::Poisson {
+                    rate_per_sec: 2.0 * count as f64,
+                },
+                Duration::from_secs(1),
+            )
+        };
+        let trace = spec.generate(&mut ChaCha20Rng::seed_from_u64(1));
+        assert!(trace.query_count() >= count);
+        assert_eq!(trace.digest(), 16_388_033_794_540_069_886);
     }
 
     #[test]

@@ -384,9 +384,7 @@ fn spilling_in_memory_build_restarts_after_every_op() {
             for path in debris.keys().filter(|path| path.components().count() > 1) {
                 let name = path.file_name().unwrap().to_str().unwrap();
                 assert!(
-                    ["run-", "stage-", "spill.meta"]
-                        .iter()
-                        .any(|p| name.starts_with(p)),
+                    ["run-", "stage-"].iter().any(|p| name.starts_with(p)),
                     "not a spill file: {}",
                     path.display()
                 );

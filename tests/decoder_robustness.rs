@@ -1,10 +1,10 @@
 //! One mutation battery over every on-disk decoder.
 //!
-//! Each of the seven formats (`RSSE-SHD`, `RSSE-IDX`, `RSSE-MGR`,
-//! `RSSE-OWN` framing, `RSSE-SPM`, `RSSE-SPL`, `RSSE-PBT`) and
-//! both `owner.meta` payload bodies is a [`Format`]: a valid file written by
-//! the real encoder, and a `recode` function that decodes a candidate byte
-//! string in that file's place and re-encodes what it decoded. The same
+//! Each of the five formats (`RSSE-SHD`, `RSSE-IDX`, `RSSE-MGR`,
+//! `RSSE-OWN` framing, `RSSE-PBT`) and both `owner.meta` payload bodies is
+//! a [`Format`]: a valid file written by the real encoder, and a `recode`
+//! function that decodes a candidate byte string in that file's place and
+//! re-encodes what it decoded. The same
 //! four mutations run against all of them:
 //!
 //! 1. truncation at every length;
@@ -31,17 +31,13 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use rsse::core::schemes::common::grouped_fixed_index_stored;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
-use rsse::crypto::Key;
 use rsse::prelude::*;
-use rsse::sse::external::{recode_spill_dir, run_file_name, SPILL_DIR, SPILL_MANIFEST_FILE};
-use rsse::sse::formats::{arm_crash, Crash, CIPHERTEXT_FORMAT_VERSION};
+use rsse::sse::formats::CIPHERTEXT_FORMAT_VERSION;
 use rsse::sse::storage::{shard_file_name, MANIFEST_FILE};
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{BuildBudget, SpillOrder, SseScheme};
 use rsse::updates::manifest::{
     read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
     ManagerManifest, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
@@ -163,13 +159,15 @@ fn dir_bytes(dir: &Path) -> usize {
         .sum()
 }
 
-/// A format living at `dir/file`: `recode` gets the directory (with the
-/// candidate already written in the file's place) and the candidate.
-fn at_file(
+/// A format living at `dir/file` whose decoder is "open `dir`" (with the
+/// candidate written in the file's place) and whose encoder is "save into
+/// a scratch directory" (prepared only for what decoded).
+fn in_dir<T>(
     name: &'static str,
     dir: PathBuf,
     file: String,
-    recode: impl Fn(&Path, &[u8]) -> Result<Vec<u8>, StorageError> + 'static,
+    open: impl Fn(&Path) -> Result<T, StorageError> + 'static,
+    save: impl Fn(&T, &Path) -> Result<(), StorageError> + 'static,
 ) -> Format {
     let valid = fs::read(dir.join(&file)).unwrap();
     Format {
@@ -179,29 +177,14 @@ fn at_file(
         header_len: 12,
         recode: Box::new(move |candidate| {
             fs::write(dir.join(&file), candidate).unwrap();
-            recode(&dir, candidate)
+            let decoded = open(&dir)?;
+            let out = dir.join("recoded");
+            let _ = fs::remove_dir_all(&out);
+            fs::create_dir_all(&out).unwrap();
+            save(&decoded, &out)?;
+            Ok(fs::read(out.join(&file)).unwrap())
         }),
     }
-}
-
-/// A format whose decoder is "open `dir`" and whose encoder is "save into
-/// a scratch directory" (prepared only for what decoded).
-fn in_dir<T>(
-    name: &'static str,
-    dir: PathBuf,
-    file: String,
-    open: impl Fn(&Path) -> Result<T, StorageError> + 'static,
-    save: impl Fn(&T, &Path) -> Result<(), StorageError> + 'static,
-) -> Format {
-    let saved = file.clone();
-    at_file(name, dir, file, move |dir, _| {
-        let decoded = open(dir)?;
-        let out = dir.join("recoded");
-        let _ = fs::remove_dir_all(&out);
-        fs::create_dir_all(&out).unwrap();
-        save(&decoded, &out)?;
-        Ok(fs::read(out.join(&saved)).unwrap())
-    })
 }
 
 fn dataset() -> Dataset {
@@ -222,47 +205,6 @@ fn payload_format(name: &'static str, payload: OwnerPayload) -> Format {
                 .map(|payload| payload.to_plaintext())
         }),
     }
-}
-
-/// Runs an on-disk external build of 520 entries under `index_dir`, killed
-/// right after the op that commits `spill.meta` (looked up in the gate's
-/// log of an uninterrupted build), and returns its spill directory.
-fn killed_spill_dir(index_dir: &Path) -> PathBuf {
-    let build = |dir: &Path| {
-        let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let key = SseScheme::setup(&mut rng);
-        let shuffle_key = Key::generate(&mut rng);
-        let entries = (0..520u64).map(|i| {
-            let mut keyword = [0u8; 13];
-            keyword[5..].copy_from_slice(&(i % 5).to_le_bytes());
-            (keyword, i.to_le_bytes())
-        });
-        grouped_fixed_index_stored(
-            &key,
-            &shuffle_key,
-            entries,
-            &StorageConfig::on_disk(0, dir).with_build_budget(BuildBudget::with_memory(1)),
-            &mut rng,
-        )
-    };
-    let whole = TempDir::new("robust-spill-whole");
-    let recording = arm_crash(whole.path(), None);
-    build(whole.path()).unwrap();
-    let committed = recording
-        .trace()
-        .iter()
-        .position(|(op, path)| *op == "write" && path.ends_with(SPILL_MANIFEST_FILE))
-        .expect("an op commits spill.meta");
-    drop(recording);
-
-    let crash = Crash {
-        at: committed + 1,
-        torn: None,
-    };
-    let armed = arm_crash(index_dir, Some(crash));
-    assert!(build(index_dir).is_err(), "the armed crash must fire");
-    drop(armed);
-    index_dir.join(SPILL_DIR)
 }
 
 /// Builds a valid instance of everything under `scratch`. Every format
@@ -364,29 +306,6 @@ fn formats(scratch: &Path) -> Vec<Format> {
         },
     ));
 
-    // The spill directory of an external build killed after pass 1: 520
-    // entries at the minimum run size are a 512-entry run and an 8-entry
-    // one; the small one is the `RSSE-SPL` under test. The hook decodes the
-    // whole directory and returns [manifest, run 0 header, run 1 header].
-    let recode_spill = |dir: &Path| recode_spill_dir::<13, 8>(dir, SpillOrder::ByKeywordAndPayload);
-    formats.push(at_file(
-        "RSSE-SPM",
-        killed_spill_dir(&scratch.join("RSSE-SPM")),
-        SPILL_MANIFEST_FILE.to_string(),
-        move |dir, _| Ok(recode_spill(dir)?.swap_remove(0)),
-    ));
-    formats.push(at_file(
-        "RSSE-SPL",
-        killed_spill_dir(&scratch.join("RSSE-SPL")),
-        run_file_name(1),
-        move |dir, candidate| {
-            // A run's entries are opaque fixed-stride rows; only its
-            // header is decoded.
-            let mut run = recode_spill(dir)?.swap_remove(2);
-            run.extend_from_slice(&candidate[run.len()..]);
-            Ok(run)
-        },
-    ));
     formats
 }
 

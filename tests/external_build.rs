@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::{BuildBudget, StorageConfig};
 use rsse::prelude::*;
-use rsse::sse::external::{run_file_name, SPILL_DIR, SPILL_MANIFEST_FILE};
+use rsse::sse::external::{run_file_name, SPILL_DIR};
 use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::storage::shard_file_name;
 use rsse::sse::test_support::TempDir;
@@ -219,8 +219,8 @@ fn external_in_memory_builds_answer_identically() {
 }
 
 /// A scheme build killed in each spill crash window — right after the op
-/// that commits the first sorted run, the spill manifest, the first final
-/// shard file, each looked up in the gate's log of the uninterrupted build:
+/// that commits the first sorted run, the last one, the first final shard
+/// file, each looked up in the gate's log of the uninterrupted build:
 /// the debris never includes foreign files being deleted, and the restarted
 /// build converges byte-identically to an uninterrupted one.
 #[test]
@@ -241,11 +241,18 @@ fn killed_scheme_build_heals_and_converges() {
     let log = recording.trace();
     drop(recording);
 
-    for committed in [
-        run_file_name(0),
-        SPILL_MANIFEST_FILE.to_string(),
-        shard_file_name(0),
-    ] {
+    let last_run = log
+        .iter()
+        .rev()
+        .filter(|(op, _)| *op == "write")
+        .find_map(|(_, path)| {
+            let name = path.file_name()?.to_str()?;
+            name.ends_with(".spl").then(|| name.to_string())
+        })
+        .expect("the build spills");
+    assert_ne!(last_run, run_file_name(0), "the build spills several runs");
+
+    for committed in [run_file_name(0), last_run, shard_file_name(0)] {
         let after = log
             .iter()
             .position(|(op, path)| *op == "write" && path.ends_with(&committed))

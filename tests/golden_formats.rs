@@ -17,8 +17,6 @@
 //!                                             a rebuild-consolidated instance
 //!                                             (payload kind 0) and a structurally
 //!                                             merged one (payload kind 1)
-//! spill/      the spill.tmp/ of an external   spill.meta (RSSE-SPM) and
-//!             build stopped after pass 1      run-NNNNN.spl (RSSE-SPL)
 //! digests.txt one line per directory: the digest of its fixed query set
 //! ```
 //!
@@ -35,17 +33,12 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use rsse::core::schemes::common::grouped_fixed_index_stored;
 use rsse::core::schemes::constant::ConstantScheme;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::schemes::pb::{PbScheme, PbServer};
 use rsse::core::{StorageConfig, StorageError};
-use rsse::crypto::Key;
 use rsse::prelude::*;
-use rsse::sse::external::{recode_spill_dir, SPILL_DIR, SPILL_MANIFEST_FILE};
-use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::test_support::TempDir;
-use rsse::sse::{BuildBudget, SpillOrder, SseScheme};
 use rsse::updates::manifest::{
     open_manager_root, read_manager_manifest, read_owner_meta, write_manager_manifest,
     write_owner_meta, MANAGER_MANIFEST_FILE, OWNER_META_FILE,
@@ -158,56 +151,6 @@ fn manager_answers(manager: &UpdateManager<LogScheme>) -> u64 {
     )
 }
 
-fn spill_entries() -> Vec<([u8; 13], [u8; 8])> {
-    (0..1300u64)
-        .map(|i| {
-            let mut keyword = [0u8; 13];
-            keyword[0] = b'B';
-            keyword[1..5].copy_from_slice(&((i % 3) as u32).to_le_bytes());
-            keyword[5..13].copy_from_slice(&(i % 7).to_le_bytes());
-            (keyword, i.to_le_bytes())
-        })
-        .collect()
-}
-
-/// An on-disk external build at a one-byte budget (512-entry runs), killed
-/// right after the op that commits `spill.meta` — looked up in the gate's
-/// log of an uninterrupted build; returns the index directory holding the
-/// debris.
-fn build_spill() -> TempDir {
-    let build = |dir: &Path| {
-        let mut rng = ChaCha20Rng::seed_from_u64(77);
-        let key = SseScheme::setup(&mut rng);
-        let shuffle_key = Key::generate(&mut rng);
-        grouped_fixed_index_stored(
-            &key,
-            &shuffle_key,
-            spill_entries(),
-            &StorageConfig::on_disk(1, dir).with_build_budget(BuildBudget::with_memory(1)),
-            &mut rng,
-        )
-    };
-    let whole = TempDir::new("golden-spill-whole");
-    let recording = arm_crash(whole.path(), None);
-    build(whole.path()).unwrap();
-    let committed = recording
-        .trace()
-        .iter()
-        .position(|(op, path)| *op == "write" && path.ends_with(SPILL_MANIFEST_FILE))
-        .expect("an op commits spill.meta");
-    drop(recording);
-
-    let dir = TempDir::new("golden-spill");
-    let crash = Crash {
-        at: committed + 1,
-        torn: None,
-    };
-    let armed = arm_crash(dir.path(), Some(crash));
-    assert!(build(dir.path()).is_err(), "the armed crash must fire");
-    drop(armed);
-    dir
-}
-
 /// Everything built from the fixed seeds under `out`, plus the digest of
 /// each directory's query set.
 fn build_all(out: &Path) -> BTreeMap<&'static str, u64> {
@@ -243,9 +186,6 @@ fn build_all(out: &Path) -> BTreeMap<&'static str, u64> {
         "manager",
         manager_answers(&build_manager(&out.join("manager"))),
     );
-
-    let killed = build_spill();
-    copy_tree(&killed.path().join(SPILL_DIR), &out.join("spill"));
     digests
 }
 
@@ -394,23 +334,6 @@ fn every_format_matches_its_golden_files() {
         fs::create_dir_all(recoded.join(&name)).unwrap();
         write_owner_meta(&recoded.join(&name), &meta).unwrap();
         same_file(&Path::new(&name).join(OWNER_META_FILE));
-    }
-
-    // The spill directory has no reader outside the build that wrote it;
-    // the hook decodes the manifest and every run header and hands back
-    // their re-encoding.
-    let spill = golden.join("spill");
-    let recoded = recode_spill_dir::<13, 8>(&spill, SpillOrder::ByKeywordAndPayload).unwrap();
-    let files = tree(&spill);
-    assert_eq!(
-        recoded.len(),
-        files.len(),
-        "one manifest plus one header per run"
-    );
-    assert!(recoded[0] == files[Path::new("spill.meta")]);
-    for (run, header) in recoded[1..].iter().enumerate() {
-        let file = &files[Path::new(&rsse::sse::external::run_file_name(run))];
-        assert!(header[..] == file[..header.len()], "run {run} header");
     }
 }
 

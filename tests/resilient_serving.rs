@@ -674,6 +674,71 @@ fn chaos_runs_are_deterministic_for_a_fixed_seed() {
     );
 }
 
+/// The number of threads answering moves only latency: one fixed query
+/// list over a budgeted on-disk index, answered by 1, 2 and 4 threads
+/// through one `ResilientServer` each, returns the sequential run's
+/// outcomes and resolves the same number of storage probes at every width.
+#[test]
+fn thread_width_moves_neither_outcomes_nor_probes() {
+    let domain = Domain::new(1 << 12);
+    let records = (0..2_000u64)
+        .map(|i| Record::new(i, (i * 6151 + 17) % domain.size()))
+        .collect();
+    let data = Dataset::new(domain, records).expect("values fit the domain");
+    let dir = TempDir::new("chaos-width");
+    let (client, server) = LogScheme::build_stored(
+        &data,
+        &StorageConfig::on_disk(4, dir.path()),
+        &mut ChaCha20Rng::seed_from_u64(5),
+    )
+    .expect("on-disk build");
+    drop(server);
+    let qs = QueryServer::open_dir_with_budget(dir.path(), Some(64 << 10))
+        .expect("reopen the budgeted on-disk index");
+    let tokens: Vec<Vec<SearchToken>> = (0..200u64)
+        .map(|i| {
+            let lo = (i * 977) % (domain.size() - 64);
+            client
+                .trapdoor(Range::new(lo, lo + 8 + i % 56))
+                .expect("in-domain")
+        })
+        .collect();
+
+    let sequential = ResilientServer::new(qs.clone(), ServeConfig::default());
+    let expected: Vec<QueryOutcome> = tokens
+        .iter()
+        .map(|t| sequential.answer(t).expect("fault-free"))
+        .collect();
+    let probes = sequential.stats().probes_resolved;
+    assert!(probes > 0, "the queries must probe storage");
+
+    for width in [1, 2, 4] {
+        let server = ResilientServer::new(qs.clone(), ServeConfig::default());
+        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; tokens.len()];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..width)
+                .map(|w| {
+                    let (server, tokens) = (&server, &tokens);
+                    scope.spawn(move || {
+                        (w..tokens.len())
+                            .step_by(width)
+                            .map(|i| (i, server.answer(&tokens[i]).expect("fault-free")))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (i, outcome) in worker.join().expect("worker panicked") {
+                    outcomes[i] = Some(outcome);
+                }
+            }
+        });
+        let outcomes: Vec<QueryOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
+        assert_eq!(outcomes, expected, "{width} threads");
+        assert_eq!(server.stats().probes_resolved, probes, "{width} threads");
+    }
+}
+
 /// The zero-probe `PartialOutcome` edge: a deadline that has already
 /// expired when the guarded scan starts trips before the *first* probe, so
 /// the typed partial outcome reports no ids, zero probes resolved, and the

@@ -11,7 +11,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::IndexStats;
-use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, search_ids, CoverKind};
+use crate::schemes::common::{clamp_query, grouped_fixed_index_stored, CoverKind};
 use crate::server::QueryServer;
 use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
@@ -113,19 +113,6 @@ impl LogScheme {
         label.extend_from_slice(&clamped.hi().to_le_bytes());
         permute::keyed_shuffle(&self.shuffle, &label, &mut tokens);
         Some(tokens)
-    }
-
-    /// The per-token result-group sizes of a query — the "result
-    /// partitioning" leakage that distinguishes this scheme from
-    /// Logarithmic-SRC (used by leakage tests and the ablation benches).
-    pub fn result_partitioning(&self, server: &QueryServer, range: Range) -> Vec<usize> {
-        match self.trapdoor(range) {
-            Some(tokens) => {
-                let (_, groups) = search_ids(server.index(), &tokens);
-                groups
-            }
-            None => Vec::new(),
-        }
     }
 }
 
@@ -250,6 +237,7 @@ impl RangeScheme for LogScheme {
 mod tests {
     use super::*;
     use crate::dataset::Record;
+    use crate::schemes::common::search_ids;
     use crate::schemes::testutil;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -322,7 +310,8 @@ mod tests {
         let mut rng = ChaCha20Rng::seed_from_u64(5);
         let (client, server) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
         let range = Range::new(2, 7);
-        let groups = client.result_partitioning(&server, range);
+        let tokens = client.trapdoor(range).unwrap();
+        let (_, groups) = search_ids(server.index(), &tokens);
         assert!(groups.len() >= 2, "BRC covers [2,7] with multiple nodes");
         assert_eq!(
             groups.iter().sum::<usize>(),

@@ -178,11 +178,6 @@ impl LogSrcIScheme {
         }
         merged
     }
-
-    /// The two TDAGs (domain, positions) — exposed for tests and benches.
-    pub fn tdags(&self) -> (&Tdag, &Tdag) {
-        (&self.tdag1, &self.tdag2)
-    }
 }
 
 impl RangeScheme for LogSrcIScheme {
@@ -395,7 +390,7 @@ mod tests {
         // The size of `I1` leaks the number of distinct values — part of
         // the scheme's extra leakage (Section 6.3).
         let (i1, i2) = (server[0].index_stats(), server[1].index_stats());
-        let (tdag1, _) = client.tdags();
+        let tdag1 = &client.tdag1;
         let expected_i1: usize = {
             use std::collections::BTreeSet;
             let distinct: BTreeSet<u64> = dataset.records().iter().map(|r| r.value).collect();

@@ -95,14 +95,6 @@ pub enum ServeError {
     },
 }
 
-impl ServeError {
-    /// Whether this is an admission-time shed (safe to retry later without
-    /// having consumed serving resources).
-    pub fn is_overloaded(&self) -> bool {
-        matches!(self, Self::Overloaded { .. })
-    }
-}
-
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -64,11 +64,13 @@
 //! [`cleanup_partial_index`](crate::storage::cleanup_partial_index) — only
 //! ever removes *recognized* spill file names and then the directory if
 //! that left it empty, so foreign files can never be collateral damage.
-//! The index directory keeps the commit discipline of a save (manifest
-//! first, every shard file atomic). The build has no crash hooks: every
-//! file it creates, appends to or removes goes through [`formats`], whose
-//! gate `tests/crash_replay.rs` arms to kill a spilling build at every op
-//! and require the restarted build to converge byte for byte. Stage
+//! The index directory is written manifest first, every shard file
+//! atomic, and swept on failure (a save into a fresh directory writes its
+//! manifest last instead, as its commit record). The build has no crash
+//! hooks: every file it creates, appends to or removes goes through
+//! [`formats`], whose gate `tests/crash_replay.rs` arms to kill a spilling
+//! build at every op and require the restarted build to converge byte for
+//! byte. Stage
 //! overflows happen after a batch's parallel step, in shard order, and a
 //! build that staged finalizes its shards in order too, so a spilling
 //! build's op log is deterministic; shards still in their buffers are
@@ -743,8 +745,11 @@ impl Sink {
                     .collect(),
             }),
             StorageBackend::OnDisk(dir) => {
-                // Same commit discipline as a save: the index manifest
-                // goes in first, shard files follow.
+                // The index manifest goes in first and the shard files
+                // follow, each tmp + renamed; on error the build sweeps
+                // the partial directory. (A save into a fresh directory
+                // writes `index.meta` last, as its commit record; under
+                // the update manager `owner.meta`, written after both, is.)
                 formats::create_dir_all(dir)?;
                 write_manifest(dir, config.shard_bits)?;
                 // A quarter of the budget across all shard buffers, floored

@@ -43,9 +43,8 @@
 use crate::formats;
 use crate::pibas::{CipherSpan, EncryptedIndex, IndexLookup, Label};
 use crate::storage::{
-    merge_shard_files, open_shards_from_dir, read_manifest, save_shards_to_dir, serve_shards,
-    shard_file_name, write_manifest, CacheStats, FileShard, ShardLayout, ShardStorage,
-    StorageError,
+    merge_shard_files, open_shards_from_dir, save_shards_to_dir, serve_shards, shard_file_name,
+    write_manifest, CacheStats, FileShard, ShardLayout, ShardStorage, StorageError,
 };
 use rayon::prelude::*;
 use std::path::Path;
@@ -481,11 +480,12 @@ impl ShardedIndex {
     /// merged files are opened as paged [`FileShard`]s (sharing one
     /// budgeted block cache when `cache_budget` is set).
     ///
-    /// The output directory follows the standard commit discipline of the
-    /// streamed build: `index.meta` is written first, shard files after
-    /// (each tmp+renamed), and any failure sweeps the partial output
-    /// before the error propagates. The caller owns the durable commit
-    /// record (the update manager writes its `owner.meta` sidecar last).
+    /// Like the streamed build, the merge writes `index.meta` first and the
+    /// shard files after (each tmp+renamed), and any failure sweeps the
+    /// partial output before the error propagates; a save into a fresh
+    /// directory instead writes `index.meta` last, as its commit record.
+    /// The caller owns the durable commit record (the update manager
+    /// writes its `owner.meta` sidecar last).
     ///
     /// # Errors
     ///
@@ -538,13 +538,6 @@ impl ShardedIndex {
             crate::storage::cleanup_partial_index(out, 1usize << bits);
         }
         built
-    }
-
-    /// Validates that `dir` holds a saved index with this layout's shard
-    /// bits (cheap manifest read — used by merge planning to reject
-    /// mismatched inputs before any shard file is touched).
-    pub fn dir_shard_bits(dir: impl AsRef<Path>) -> Result<u32, StorageError> {
-        read_manifest(dir.as_ref())
     }
 }
 
@@ -1448,7 +1441,7 @@ mod tests {
         let input_paths: Vec<&Path> = dirs.iter().map(|d| d.path()).collect();
         let merged_paged = ShardedIndex::merge_dirs(&input_paths, out.path(), None).unwrap();
         assert!(merged_paged.is_file_backed());
-        assert_eq!(ShardedIndex::dir_shard_bits(out.path()).unwrap(), 2);
+        assert_eq!(crate::storage::read_manifest(out.path()).unwrap(), 2);
 
         let inputs: Vec<&ShardedIndex> = parts.iter().map(|(_, index)| index).collect();
         let merged_memory = ShardedIndex::merge_in_memory(&inputs).unwrap();

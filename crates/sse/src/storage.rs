@@ -39,12 +39,12 @@
 //! (`docs/FORMATS.md` has the table); in particular the update manager's
 //! `manager.meta`/`owner.meta` belong to `rsse-updates`.
 //!
-//! # Shard file format (version 1)
+//! # Shard file format (version 2)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "RSSE-SHD"
-//! 8       4     format version (LE u32, = 1)
+//! 8       4     format version (LE u32, = 2: CIPHERTEXT_FORMAT_VERSION)
 //! 12      4     reserved (0)
 //! 16      8     entry count n (LE u64)
 //! 24      8     ciphertext-region length (LE u64, < 4 GiB)
@@ -466,11 +466,6 @@ impl StorageConfig {
                 build_budget: self.build_budget.clone(),
             },
         }
-    }
-
-    /// Whether this configuration persists the index to disk.
-    pub fn is_on_disk(&self) -> bool {
-        matches!(self.backend, StorageBackend::OnDisk(_))
     }
 }
 

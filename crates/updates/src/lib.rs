@@ -50,9 +50,10 @@
 //! the level table) and one encrypted `owner.meta` sidecar per instance
 //! (the build seed and update log, sealed under the owner's master key).
 //! [`UpdateManager::open_root`] reopens the whole manager from the root
-//! and the key alone — healing any window a crash between an index
-//! commit and the manifest commit can leave — and serves queries
-//! byte-identical to the pre-crash manager. Both formats are owned by the
+//! and the key alone — the manifest is each ingest's one commit point, so
+//! recovery reopens the state it describes and sweeps every instance
+//! directory it does not reference — and serves queries byte-identical to
+//! the pre-crash manager. Both formats are owned by the
 //! [`manifest`] module — no other crate reads or writes them — and a
 //! serving process without the key restarts from the same root through
 //! [`open_manager_root`]. See `docs/FORMATS.md` at the repository root

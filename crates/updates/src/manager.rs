@@ -1,12 +1,13 @@
 //! The owner-side update manager: ingestion, querying across active
 //! instances, and hierarchical consolidation.
 //!
-//! A persisted manager's ingest is **atomic on disk**. Every instance
-//! directory is committed by its `owner.meta` (written last), a cascade of
-//! consolidations removes no input before its last merge has committed, and
-//! the root manifest is rewritten last of all; [`UpdateManager::open_root`]
-//! turns whatever a crash leaves between those points back into the pre- or
-//! the post-ingest state (`docs/FORMATS.md`, "Manager crash recovery"). No
+//! A persisted manager's ingest is **atomic on disk**, with one commit
+//! point: every instance directory is committed by its `owner.meta`
+//! (written last), the root manifest is rewritten once all of them are,
+//! and only then are the directories it no longer references removed.
+//! [`UpdateManager::open_root`] reopens whatever state the manifest on disk
+//! describes — the pre- or the post-ingest one — and sweeps every
+//! unreferenced directory (`docs/FORMATS.md`, "Manager crash recovery"). No
 //! function here takes a crash or kill argument: every filesystem mutation
 //! is a call into [`rsse_sse::formats`], whose gate the crash tests arm
 //! from outside (`tests/crash_replay.rs`).
@@ -74,7 +75,8 @@ pub struct UpdateConfig {
     /// this root during the build (batch ingests and consolidation rebuilds
     /// alike write through the on-disk backend and are served via paged
     /// reads), and the subdirectories of instances consumed by a
-    /// consolidation are removed once the merged instance is durably built.
+    /// consolidation are removed once the root manifest that drops them
+    /// has committed.
     /// `None` (the default) keeps every instance in memory, exactly as
     /// before.
     pub storage_root: Option<PathBuf>,
@@ -141,8 +143,8 @@ struct BatchInstance<S: RangeScheme> {
     /// a query: the index carries the op's tombstone bit.
     ops: IdMap<UpdateOp>,
     /// Directory holding this instance's persisted index, when the manager
-    /// runs on an on-disk backend; removed when the instance is consumed by
-    /// a consolidation.
+    /// runs on an on-disk backend; removed once a consolidation has
+    /// consumed the instance and the manifest that drops it has committed.
     dir: Option<PathBuf>,
 }
 
@@ -708,33 +710,36 @@ impl<S: RangeScheme> UpdateManager<S> {
             .map(|(&id, &op)| (id, Touch::new(seq, op)));
         self.newest_touch.extend(touches);
         self.levels[0].push(instance);
-        self.consolidate_due_levels(rng)?;
-        // The manifest is committed last, once every instance directory it
-        // references is durable: a crash anywhere above leaves a manifest
-        // describing the previous consistent state, which open_root heals
-        // (rolling an uncommitted ingest back, a fully consolidated one
-        // forward).
-        self.persist_manifest()
+        let superseded = self.consolidate_due_levels(rng)?;
+        // The manifest is the ingest's one commit point, written once every
+        // instance directory it references is durable: a crash anywhere
+        // above leaves the previous manifest with all its directories
+        // intact, and `open_root` sweeps what it does not reference.
+        self.persist_manifest()?;
+        // No committed manifest references the superseded inputs any more.
+        // Best effort: a leftover wastes disk until the next `open_root`
+        // sweeps it, but cannot corrupt the committed state.
+        for dir in superseded {
+            let _ = formats::remove_dir_all(&dir);
+        }
+        Ok(())
     }
 
-    /// Runs every due consolidation, bottom-up, as one atomic cascade: the
-    /// directories of every merge's inputs stay until the last merge has
-    /// committed and are removed only then. A crash before that point
-    /// leaves the whole pre-ingest state on disk for `open_root` to roll
-    /// back to; a crash after it leaves the top merged instance, which
-    /// supersedes everything below it. A failed merge keeps its inputs
-    /// active and the merges before it stand; the directories those
-    /// superseded are left for the next `open_root` to sweep, so that the
-    /// stale manifest never references a removed directory.
+    /// Runs every due consolidation, bottom-up, and returns the directories
+    /// of the instances they superseded, for the caller to remove once the
+    /// manifest that drops them has committed. A failed merge keeps its
+    /// inputs active and the merges before it stand; the directories those
+    /// superseded stay on disk, since the manifest still on disk references
+    /// them, until a reopen after a later commit sweeps them.
     fn consolidate_due_levels<R: RngCore + CryptoRng>(
         &mut self,
         rng: &mut R,
-    ) -> Result<(), StorageError> {
+    ) -> Result<Vec<PathBuf>, StorageError> {
+        let mut superseded: Vec<PathBuf> = Vec::new();
         let step = self.config.consolidation_step;
         if step == 0 {
-            return Ok(());
+            return Ok(superseded);
         }
-        let mut superseded: Vec<PathBuf> = Vec::new();
         let mut level = 0;
         while level < self.levels.len() {
             if self.levels[level].len() >= step {
@@ -763,12 +768,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
             level += 1;
         }
-        // Best effort: a leftover directory wastes disk until the next
-        // `open_root` sweeps it, but cannot corrupt the merged state.
-        for dir in superseded {
-            let _ = formats::remove_dir_all(&dir);
-        }
-        Ok(())
+        Ok(superseded)
     }
 
     /// The authority-index rule of a committed merge: an id whose newest
@@ -1140,7 +1140,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// * `config.storage_root == Some(root)` — instances cold-open from
     ///   their directories (paged reads, bounded by
     ///   `config.cache_budget`), future ingests keep persisting, and the
-    ///   healed manifest is re-committed;
+    ///   manifest is re-committed;
     /// * `config.storage_root == None` — the durable state is **restored
     ///   into RAM**: every instance rebuilds in memory from its persisted
     ///   update log, nothing at `root` is modified beyond crash cleanup,
@@ -1148,41 +1148,30 @@ impl<S: RangeScheme> UpdateManager<S> {
     ///
     /// # Crash recovery
     ///
-    /// The manifest commits only after the instance directories it
-    /// references are durable, and a consolidation cascade removes its
-    /// inputs only after its last merge committed. A crash anywhere in an
-    /// ingest therefore leaves a stale manifest plus some of the
-    /// following, each of which this method heals:
-    ///
-    /// * a directory **without a readable commit record** that no live
-    ///   instance needs — half-built, or half-removed — is swept;
-    /// * a **batch instance** committed but unreferenced — the ingest
-    ///   never returned to the caller, so it is rolled back (the
-    ///   directory is swept after its sidecar authenticates);
-    /// * **consolidated instances** committed but unreferenced — adopted
-    ///   bottom-up, each superseding every instance *below* it with a
-    ///   sequence number at or below its own, whether that instance's
-    ///   directory is gone, intact or partly removed. If that leaves no
-    ///   level due, the cascade had finished: the ingest is rolled
-    ///   *forward* and the consolidation counters advance. If a level is
-    ///   still due it had not, no input has been touched, and the whole
-    ///   ingest is rolled back. One that supersedes nothing is a leftover
-    ///   of a failed merge or removal and is swept;
-    /// * an instance **still live after adoption** whose directory or
-    ///   commit record is missing — genuine damage: the open fails typed.
+    /// `manager.meta` is an ingest's one commit point: it is written only
+    /// after every instance directory it references is durable, and an
+    /// ingest removes the directories it superseded only after the
+    /// manifest that drops them has committed. Whatever a crash leaves,
+    /// the manifest on disk therefore describes a whole state — the pre-
+    /// or the post-ingest one — and every directory it references is
+    /// intact. This method reopens exactly that state and sweeps every
+    /// canonical instance directory the manifest does not reference: the
+    /// crashed ingest's uncommitted builds, superseded inputs whose
+    /// removal was cut short, and half-built debris. The counters come
+    /// from the manifest.
     ///
     /// # Errors
     ///
     /// Everything malformed surfaces as a typed [`StorageError`]: a
-    /// missing or corrupt manifest, a scheme-kind mismatch, a live
-    /// instance whose directory or sidecar is missing (with no superseding
-    /// consolidation), foreign or stale sidecars (sequence or level
-    /// disagreeing with the manifest), and owner payloads failing
-    /// authentication — the wrong master key refuses to open rather than
-    /// misinterpreting the root, and **nothing is deleted before the
-    /// sidecars of the directories involved have authenticated** under
-    /// the supplied key. A swept directory that cannot be removed also
-    /// fails the open, since its name may be built into again.
+    /// missing or corrupt manifest, a scheme-kind mismatch, a referenced
+    /// instance whose directory or sidecar is missing, foreign or stale
+    /// sidecars (sequence, level or counts disagreeing with the
+    /// manifest), and owner payloads failing authentication — the wrong
+    /// master key refuses to open rather than misinterpreting the root,
+    /// and **nothing is deleted before every readable sidecar has
+    /// authenticated** under the supplied key. A swept directory that
+    /// cannot be removed also fails the open, since its name may be built
+    /// into again.
     ///
     /// # Examples
     ///
@@ -1255,7 +1244,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         let chain = KeyChain::new(key);
 
         // Inventory the canonical instance directories under the root.
-        let mut on_disk: HashMap<u64, PathBuf> = HashMap::new();
+        let mut on_disk: BTreeMap<u64, PathBuf> = BTreeMap::new();
         let dir_iter = std::fs::read_dir(root).map_err(|e| io_err(root, e))?;
         for entry in dir_iter {
             let entry = entry.map_err(|e| io_err(root, e))?;
@@ -1269,205 +1258,88 @@ impl<S: RangeScheme> UpdateManager<S> {
                 }
             }
         }
-        let referenced: HashSet<u64> = manifest
-            .levels
-            .iter()
-            .flatten()
-            .map(|instance| instance.build_id)
-            .collect();
 
-        // Read every commit record (owner sidecar). A directory without a
-        // readable one is judged after adoption: no longer live, it is a
-        // half-built or half-removed instance and is swept; still live, its
-        // error is the open's error.
-        let mut sidecars: HashMap<u64, OwnerMeta> = HashMap::new();
-        let mut unreadable: HashMap<u64, StorageError> = HashMap::new();
+        // Every referenced instance must be referenced once, have its
+        // directory, and lie below the manifest's counters (the next build
+        // must not land in it).
+        let mut referenced: HashSet<u64> = HashSet::new();
+        for instance in manifest.levels.iter().flatten() {
+            let name = ManagerManifest::instance_dir_name(instance.build_id);
+            if !referenced.insert(instance.build_id) {
+                return Err(corrupt(format!("instance {name} is referenced twice")));
+            }
+            if !on_disk.contains_key(&instance.build_id) {
+                return Err(corrupt(format!(
+                    "instance {name} (seq {}) is referenced by the manifest but its \
+                     directory is missing",
+                    instance.seq
+                )));
+            }
+            if instance.build_id >= manifest.next_build || instance.seq >= manifest.next_seq {
+                return Err(corrupt(format!(
+                    "instance {name} (seq {}) is not below the manifest's next build {} \
+                     and next seq {}",
+                    instance.seq, manifest.next_build, manifest.next_seq
+                )));
+            }
+        }
+
+        // Read every commit record (owner sidecar), then decrypt and
+        // authenticate its payload — the referenced instances' and those of
+        // the directories about to be swept — BEFORE touching the disk: a
+        // wrong master key must fail the open, never delete. A referenced
+        // directory needs a readable sidecar; an unreferenced one without it
+        // is half-built or half-removed, and is swept below.
+        let mut opened: HashMap<u64, (u64, u32, OwnerPayload)> = HashMap::new();
         for (&build_id, dir) in &on_disk {
-            match read_owner_meta(dir) {
-                Ok(meta) if meta.build_id != build_id => {
+            let meta = match read_owner_meta(dir) {
+                Ok(meta) => meta,
+                Err(error) if referenced.contains(&build_id) => return Err(error),
+                Err(_) => continue,
+            };
+            if meta.build_id != build_id {
+                return Err(StorageError::CorruptDirectory {
+                    path: dir.clone(),
+                    detail: format!(
+                        "owner sidecar names build {} inside directory {} — \
+                         a foreign instance",
+                        meta.build_id,
+                        ManagerManifest::instance_dir_name(build_id)
+                    ),
+                });
+            }
+            let payload = persist::open_payload(&chain, build_id, dir, &meta.payload)?;
+            opened.insert(build_id, (meta.seq, meta.level, payload));
+        }
+
+        // Reopen the referenced instances in level order; each sidecar must
+        // agree with the manifest on sequence number, level and counts.
+        let persist_instances = config.storage_root.is_some();
+        let mut levels: Vec<Vec<BatchInstance<S>>> = Vec::with_capacity(manifest.levels.len());
+        for (level, records) in manifest.levels.iter().enumerate() {
+            let mut instances = Vec::with_capacity(records.len());
+            for record in records {
+                let (build_id, seq) = (record.build_id, record.seq);
+                let dir = &on_disk[&build_id];
+                let (meta_seq, meta_level, payload) =
+                    opened.remove(&build_id).expect("payload opened above");
+                if meta_seq != seq || meta_level != level as u32 {
                     return Err(StorageError::CorruptDirectory {
                         path: dir.clone(),
                         detail: format!(
-                            "owner sidecar names build {} inside directory {} — \
-                             a foreign instance",
-                            meta.build_id,
-                            ManagerManifest::instance_dir_name(build_id)
+                            "owner sidecar says (seq {meta_seq}, level {meta_level}) but the \
+                             manifest records (seq {seq}, level {level}) — a stale or \
+                             foreign instance"
                         ),
                     });
                 }
-                Ok(meta) => {
-                    sidecars.insert(build_id, meta);
-                }
-                Err(error) => {
-                    unreadable.insert(build_id, error);
-                }
-            }
-        }
-
-        // Working level table seeded from the manifest; referenced
-        // sidecars must agree with it on sequence number and level.
-        let mut levels: Vec<Vec<(u64, u64, Option<ManifestInstance>)>> = manifest
-            .levels
-            .iter()
-            .map(|level| {
-                level
-                    .iter()
-                    .map(|instance| (instance.build_id, instance.seq, Some(instance.clone())))
-                    .collect()
-            })
-            .collect();
-        for (level_index, level) in levels.iter().enumerate() {
-            for &(build_id, seq, _) in level {
-                if let Some(meta) = sidecars.get(&build_id) {
-                    if meta.seq != seq || meta.level != level_index as u32 {
-                        return Err(StorageError::CorruptDirectory {
-                            path: on_disk[&build_id].clone(),
-                            detail: format!(
-                                "owner sidecar says (seq {}, level {}) but the manifest \
-                                 records (seq {seq}, level {level_index}) — a stale or \
-                                 foreign instance",
-                                meta.seq, meta.level
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Committed-but-unreferenced instances are what a crashed ingest
-        // left. Its batch (level 0) never reached the caller and is rolled
-        // back; its consolidations are adopted bottom-up, each superseding
-        // every instance below it with a sequence number at or below its
-        // own (a cascade drains whole levels) — but only if that finishes
-        // the cascade. While a level is still due the ingest had not
-        // committed its last merge, no input has been removed yet, and the
-        // whole ingest rolls back instead. One that supersedes nothing is
-        // not this ingest's at all — a leftover of a failed merge or
-        // removal — and is swept.
-        let mut orphans: Vec<(u32, u64, u64)> = sidecars
-            .iter()
-            .filter(|(build_id, meta)| !referenced.contains(build_id) && meta.level > 0)
-            .map(|(&build_id, meta)| (meta.level, meta.seq, build_id))
-            .collect();
-        orphans.sort_unstable();
-        let mut adopted = levels.clone();
-        orphans.retain(|&(level, seq, build_id)| {
-            let level = level as usize;
-            adopted.resize(adopted.len().max(level + 1), Vec::new());
-            let mut superseded = 0;
-            for inputs in &mut adopted[..level] {
-                superseded += inputs.len();
-                inputs.retain(|input| input.1 > seq);
-                superseded -= inputs.len();
-            }
-            if superseded > 0 {
-                adopted[level].push((build_id, seq, None));
-            }
-            superseded > 0
-        });
-        let step = manifest.consolidation_step as usize;
-        if step > 0 && adopted.iter().any(|level| level.len() >= step) {
-            orphans.clear();
-        } else {
-            levels = adopted;
-        }
-
-        // Every instance still live must have its directory and a readable
-        // commit record: anything less is genuine damage, not a crash window.
-        for level in &levels {
-            for &(build_id, seq, _) in level {
-                if !on_disk.contains_key(&build_id) {
-                    return Err(corrupt(format!(
-                        "instance {} (seq {seq}) is referenced by the manifest but its \
-                         directory is missing and no committed consolidation supersedes it",
-                        ManagerManifest::instance_dir_name(build_id)
-                    )));
-                }
-                if let Some(error) = unreadable.remove(&build_id) {
-                    return Err(error);
-                }
-            }
-        }
-
-        // Decrypt and authenticate every readable owner payload — the kept
-        // instances and the directories about to be swept — BEFORE touching
-        // the disk: a wrong master key must fail the open, never delete.
-        let mut opened: HashMap<u64, OwnerPayload> = HashMap::new();
-        for (&build_id, meta) in &sidecars {
-            let payload =
-                persist::open_payload(&chain, build_id, &on_disk[&build_id], &meta.payload)?;
-            opened.insert(build_id, payload);
-        }
-        // The adopted ingest ran one consolidation per level up to its top
-        // one. Each is classified by its payload's kind byte; one whose
-        // directory is already gone, by the top one's.
-        let (mut adopted_structural, mut adopted_rebuild) = (0u64, 0u64);
-        if let Some(&(top_level, _, top)) = orphans.last() {
-            let structural = |id: &u64| matches!(opened[id], OwnerPayload::Structural { .. });
-            let gone = (top_level as usize).saturating_sub(orphans.len());
-            adopted_structural = orphans.iter().filter(|o| structural(&o.2)).count() as u64;
-            adopted_rebuild = orphans.len() as u64 - adopted_structural;
-            if structural(&top) {
-                adopted_structural += gone as u64;
-            } else {
-                adopted_rebuild += gone as u64;
-            }
-        }
-
-        // Reconstruct the instances in level order.
-        let persist_instances = config.storage_root.is_some();
-        let mut rebuilt: Vec<Vec<BatchInstance<S>>> = Vec::with_capacity(levels.len());
-        for level in &levels {
-            let mut instances = Vec::with_capacity(level.len());
-            for (build_id, seq, record) in level {
-                let dir = &on_disk[build_id];
                 // The authority index keeps a tombstone in a seq's top bit;
                 // no honest manager comes near it.
-                if *seq >= Touch::TOMBSTONE {
+                if seq >= Touch::TOMBSTONE {
                     return Err(StorageError::CorruptDirectory {
                         path: dir.clone(),
                         detail: format!("instance seq {seq} is out of range (max 2^63 - 1)"),
                     });
-                }
-                let payload = opened.remove(build_id).expect("payload opened above");
-                if let Some(record) = record {
-                    let (mut inserts, mut modifies, mut deletes) = (0u64, 0u64, 0u64);
-                    let (entry_count, ops) = match &payload {
-                        OwnerPayload::Plain { entries, .. } => (
-                            entries.len(),
-                            entries.iter().map(|entry| entry.op).collect::<Vec<_>>(),
-                        ),
-                        OwnerPayload::Structural { entries, .. } => (
-                            entries.len(),
-                            entries
-                                .iter()
-                                .map(|(entry, _)| entry.op)
-                                .collect::<Vec<_>>(),
-                        ),
-                    };
-                    for op in ops {
-                        match op {
-                            UpdateOp::Insert => inserts += 1,
-                            UpdateOp::Modify => modifies += 1,
-                            UpdateOp::Delete => deletes += 1,
-                        }
-                    }
-                    if entry_count as u64 != record.entry_count
-                        || inserts != record.inserts
-                        || modifies != record.modifies
-                        || deletes != record.deletes
-                    {
-                        return Err(StorageError::CorruptDirectory {
-                            path: dir.clone(),
-                            detail: format!(
-                                "owner payload holds {entry_count} entries \
-                                 ({inserts}/{modifies}/{deletes} ins/mod/del) but the \
-                                 manifest records {} ({}/{}/{}) — manifest and instance \
-                                 disagree",
-                                record.entry_count, record.inserts, record.modifies, record.deletes
-                            ),
-                        });
-                    }
                 }
                 let instance_config = if persist_instances {
                     let cfg = StorageConfig::on_disk(manifest.shard_bits, dir.clone());
@@ -1478,77 +1350,77 @@ impl<S: RangeScheme> UpdateManager<S> {
                 } else {
                     StorageConfig::in_memory(manifest.shard_bits)
                 };
-                instances.push(match payload {
+                let instance = match payload {
                     OwnerPayload::Plain { seed, entries } => BatchInstance::reopen(
                         domain,
-                        *build_id,
-                        *seq,
+                        build_id,
+                        seq,
                         entries,
                         &instance_config,
                         seed,
                     )?,
+                    // A structural instance reopens structurally no matter
+                    // the current consolidation mode: its payload kind, not
+                    // the runtime knob, dictates.
                     OwnerPayload::Structural { seeds, entries } => {
-                        // A structural instance reopens structurally no
-                        // matter the current consolidation mode: its
-                        // payload kind, not the runtime knob, dictates.
                         BatchInstance::reopen_structural(
                             domain,
-                            *build_id,
-                            *seq,
+                            build_id,
+                            seq,
                             seeds,
                             entries,
                             dir,
                             &instance_config,
                         )?
                     }
-                });
+                };
+                let held = instance.manifest_record();
+                if held != *record {
+                    return Err(StorageError::CorruptDirectory {
+                        path: dir.clone(),
+                        detail: format!(
+                            "owner payload holds {} entries ({}/{}/{} ins/mod/del) but the \
+                             manifest records {} ({}/{}/{}) — manifest and instance disagree",
+                            held.entry_count,
+                            held.inserts,
+                            held.modifies,
+                            held.deletes,
+                            record.entry_count,
+                            record.inserts,
+                            record.modifies,
+                            record.deletes
+                        ),
+                    });
+                }
+                instances.push(instance);
             }
-            rebuilt.push(instances);
+            levels.push(instances);
         }
 
-        // Commit the cleanup: every directory that is not a live instance
-        // — superseded, rolled back (both authenticated above where they
-        // could be), half-built or half-removed — goes. A directory that
-        // cannot be removed fails the open: its name may be built into again.
-        let live: HashSet<u64> = rebuilt.iter().flatten().map(|i| i.build_id).collect();
+        // Sweep every directory the manifest does not reference: a crashed
+        // ingest's uncommitted builds, inputs whose removal a crash or a
+        // failure cut short, half-built debris. One that cannot be removed
+        // fails the open: its name may be built into again.
         for (build_id, dir) in &on_disk {
-            if !live.contains(build_id) {
+            if !referenced.contains(build_id) {
                 formats::remove_dir_all(dir)?;
             }
         }
 
-        // Counters: adopted consolidations advance them past the stale
-        // manifest's values (an adopted merge whose newest input was the
-        // crashed ingest's batch also advances the batch counters).
-        let max_seq = rebuilt
-            .iter()
-            .flatten()
-            .map(|instance| instance.seq + 1)
-            .max()
-            .unwrap_or(0);
-        let next_seq = manifest.next_seq.max(max_seq);
-        let next_build = live
-            .iter()
-            .map(|id| id + 1)
-            .max()
-            .unwrap_or(0)
-            .max(manifest.next_build);
         let manager = Self {
             domain,
             config,
             chain: Some(chain),
-            // Recovery has settled which instances are live: index them.
-            newest_touch: Self::newest_touch_of(&rebuilt),
-            levels: rebuilt,
-            next_seq,
-            next_build,
-            batches_ingested: (manifest.batches_ingested + (next_seq - manifest.next_seq)) as usize,
-            structural_consolidations: (manifest.structural_consolidations + adopted_structural)
-                as usize,
-            rebuild_consolidations: (manifest.rebuild_consolidations + adopted_rebuild) as usize,
+            newest_touch: Self::newest_touch_of(&levels),
+            levels,
+            next_seq: manifest.next_seq,
+            next_build: manifest.next_build,
+            batches_ingested: manifest.batches_ingested as usize,
+            structural_consolidations: manifest.structural_consolidations as usize,
+            rebuild_consolidations: manifest.rebuild_consolidations as usize,
         };
-        // Re-commit the healed manifest (no-op for an in-memory restore),
-        // so the next crash starts from this consistent state.
+        // Re-commit the manifest under the reopening configuration (no-op
+        // for an in-memory restore).
         manager.persist_manifest()?;
         // True by construction today; it keeps any later step of recovery
         // that moves `levels` after the initializer above from going unseen.

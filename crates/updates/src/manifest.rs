@@ -3,7 +3,7 @@
 //!
 //! * **`manager.meta`** (`RSSE-MGR`, [`ManagerManifest`]) — the root
 //!   manifest: public bookkeeping (scheme kind and parameters, counters,
-//!   the level table), rewritten atomically as the last step of every
+//!   the level table), rewritten atomically as the commit point of every
 //!   ingest;
 //! * **`owner.meta`** (`RSSE-OWN`, [`OwnerMeta`]) — one sidecar per
 //!   instance directory: the instance's identity framing an opaque payload
@@ -77,10 +77,11 @@ pub struct ManifestInstance {
 /// The manifest is deliberately **public data**: scheme kind and
 /// parameters, counters, and the level table with per-instance sequence
 /// numbers and operation counts. It is written through the same
-/// tmp+rename atomic-write machinery as every other metadata file, and
-/// always *after* the instance directories it references are durably
-/// committed, so a crash between an index commit and the manifest commit
-/// leaves a manifest describing the previous consistent state.
+/// tmp+rename atomic-write machinery as every other metadata file, always
+/// *after* the instance directories it references are durably committed
+/// and *before* any directory it drops is removed, so it is an ingest's
+/// one commit point: a crash before it leaves the previous manifest and
+/// every directory that one references.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ManagerManifest {
     /// `RangeScheme::NAME` of the scheme the manager is instantiated with;
@@ -352,7 +353,10 @@ pub fn read_owner_meta(dir: &Path) -> Result<OwnerMeta, StorageError> {
 /// persisted update manager, in level order, from the manager's storage
 /// root alone — the server-side half of a process restart
 /// ([`UpdateManager::open_root`](crate::UpdateManager::open_root) is the
-/// owner-side half, and heals any crash leftovers first).
+/// owner-side half, and sweeps what a crash left unreferenced). The
+/// manifest is an ingest's one commit point, so whatever instant a crash
+/// hit, every directory it references is intact and this needs no
+/// recovery first.
 ///
 /// Reads the root's `manager.meta` manifest, cold-opens every instance
 /// directory it references under the manifest's recorded cache budget,
@@ -369,9 +373,7 @@ pub fn read_owner_meta(dir: &Path) -> Result<OwnerMeta, StorageError> {
 /// # Errors
 ///
 /// Surfaces a missing or corrupt manifest, and every malformed instance
-/// directory, as typed [`StorageError`]s. A manifest left stale by a crash
-/// (referencing GC'd directories) also fails typed — run the owner-side
-/// `open_root` recovery first, which re-commits a healed manifest.
+/// directory, as typed [`StorageError`]s.
 pub fn open_manager_root(root: impl AsRef<Path>) -> Result<Vec<QueryServer>, StorageError> {
     let root = root.as_ref();
     let manifest = read_manager_manifest(root)?;

@@ -214,23 +214,24 @@ fn op_index(log: &[(&'static str, PathBuf)], op: &str, suffix: &str) -> usize {
 }
 
 /// A two-batch root whose third ingest dies at `crash`; the victim manager
-/// is dropped like the dead process it stands for.
+/// is dropped like the dead process it stands for. The ingest fails unless
+/// the crash hit the best-effort removal of its superseded inputs, after
+/// its manifest committed.
 fn crashed_third_ingest(mode: ConsolidationMode, crash: Crash) -> TempDir {
     let root = TempDir::new("kill-point");
     let mut victim =
         LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(root.path(), mode));
     ingest(&mut victim, 0..2);
     let armed = arm_crash(root.path(), Some(crash));
-    victim
-        .try_ingest_batch(batch_entries(2), &mut batch_rng(2))
-        .expect_err("the crash fails the ingest");
+    let _ = victim.try_ingest_batch(batch_entries(2), &mut batch_rng(2));
     drop(armed);
     root
 }
 
-/// The headline kill-point battery: a crash between the index commit and
-/// the manifest commit, at each stage of ingest/consolidation.
-/// Batch 2 (0-indexed) is the one that trips the s = 3 consolidation.
+/// The headline kill-point battery: a crash at each stage of the ingest
+/// that trips the s = 3 consolidation (batch 2, 0-indexed). The manifest
+/// is the ingest's one commit point: before it the ingest rolls back,
+/// after it the committed state stands.
 #[test]
 fn kill_between_index_and_manifest_commit_heals_on_reopen() {
     for mode in MODES {
@@ -264,16 +265,22 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
                 &rolled_back,
                 "after-batch-build",
             ),
-            // The merged instance committed (inputs still on disk): the
-            // committed consolidation rolls forward.
+            // The merged instance committed, the manifest did not: the
+            // ingest still rolls back, and the merge is swept.
             (
                 op_index(&log, "write", "instance-00000003/owner.meta"),
-                &rolled_forward,
+                &rolled_back,
                 "after-merge-build",
             ),
-            // The merged instance committed and the inputs were GC'd, but the
-            // stale manifest still references them: recovery resolves the
-            // GC'd directories via the committed consolidation.
+            // The manifest committed and still no input was removed: the
+            // committed state stands and the inputs are swept.
+            (
+                op_index(&log, "write", MANAGER_MANIFEST_FILE),
+                &rolled_forward,
+                "after-manifest",
+            ),
+            // The inputs were removed too: the process died after the
+            // ingest returned.
             (
                 op_index(&log, "remove_dir_all", ""),
                 &rolled_forward,
@@ -297,10 +304,10 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
 
             // Rolled back: re-driving the interrupted batch converges with the
             // uninterrupted manager, byte for byte.
-            if label == "after-batch-build" {
+            if expected == &rolled_back {
                 let mut reopened = reopened;
                 ingest(&mut reopened, 2..3);
-                assert_eq!(&fingerprint(&reopened), &rolled_forward);
+                assert_eq!(&fingerprint(&reopened), &rolled_forward, "{label} re-drive");
             }
         }
     }
@@ -396,44 +403,45 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-/// Regression: a consolidation committed, the crash came while its inputs
-/// were being removed, and the removal had taken a referenced input's
-/// `owner.meta` first. The stale manifest still references that input, but
-/// the committed consolidation supersedes it, so `open_root` must roll the
-/// ingest forward and sweep the half-removed directory — exactly as it does
-/// when the input is intact or gone. (The open used to fail on the
-/// unreadable sidecar before adoption had decided anything.) Built from
-/// plain file operations so it states the on-disk shape, not a mechanism.
+/// A consolidating ingest committed its manifest, and the crash came while
+/// its superseded inputs were being removed, after the removal had taken an
+/// input's `owner.meta` first. No committed manifest references that input
+/// any more, so `open_root` opens the post-ingest state and sweeps the
+/// half-removed directory, exactly as it does when the input is intact or
+/// gone. Built from plain file operations so it states the on-disk shape,
+/// not a mechanism.
 #[test]
 fn half_removed_superseded_input_rolls_forward() {
     for mode in MODES {
-        // The crashed root: two batches and their manifest…
+        // The crashed root: three batches, their merge and its manifest…
         let root = TempDir::new("half-gc");
         let cfg = config(root.path(), mode);
         let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-        ingest(&mut manager, 0..2);
+        ingest(&mut manager, 0..3);
+        let rolled_forward = fingerprint(&manager);
         drop(manager);
-        // …plus the merged instance the third ingest committed (builds are
-        // deterministic, so an uninterrupted twin's copy is that instance)…
+        // …plus the first input the merge superseded (builds are
+        // deterministic, so a two-batch twin's copy is that input), half
+        // removed: its commit record went first.
         let twin_root = TempDir::new("half-gc-twin");
         let mut twin = LogManager::with_key(
             owner_key(),
             Domain::new(DOMAIN),
             config(twin_root.path(), mode),
         );
-        ingest(&mut twin, 0..3);
-        let rolled_forward = fingerprint(&twin);
-        let merged = "instance-00000003";
-        copy_tree(&twin_root.path().join(merged), &root.path().join(merged));
-        // …and the first input half-removed: its commit record went first.
-        fs::remove_file(root.path().join("instance-00000000").join(OWNER_META_FILE)).unwrap();
+        ingest(&mut twin, 0..2);
+        let input = "instance-00000000";
+        copy_tree(&twin_root.path().join(input), &root.path().join(input));
+        fs::remove_file(root.path().join(input).join(OWNER_META_FILE)).unwrap();
 
         let reopened = LogManager::open_root(owner_key(), root.path(), cfg.clone()).unwrap();
         assert_eq!(fingerprint(&reopened), rolled_forward);
         assert_eq!(instance_dirs(root.path()), reopened.active_instances());
+        assert!(!root.path().join(input).exists(), "the input is swept");
 
         // A live instance with an unreadable sidecar is still damage.
         drop(reopened);
+        let merged = "instance-00000003";
         fs::remove_file(root.path().join(merged).join(OWNER_META_FILE)).unwrap();
         assert!(matches!(
             LogManager::open_root(owner_key(), root.path(), cfg),
@@ -446,8 +454,7 @@ fn half_removed_superseded_input_rolls_forward() {
 /// before it stand: the manager keeps answering and ingesting, and the
 /// next ingest retries the failed level. The directories the standing
 /// merges superseded are not removed (the stale manifest still references
-/// them); once a later manifest has dropped them, `open_root` sweeps them —
-/// a committed consolidation that supersedes nothing is never adopted.
+/// them); once a later manifest has dropped them, `open_root` sweeps them.
 #[test]
 fn failed_cascade_merge_keeps_every_level_answering() {
     for mode in MODES {
@@ -515,10 +522,9 @@ fn failed_cascade_merge_keeps_every_level_answering() {
     }
 }
 
-/// A committed consolidation that nothing references and that supersedes
-/// nothing is a leftover (a superseded input whose best-effort removal
-/// failed), not a crashed ingest's merge: adopting it would let the stale
-/// versions it holds shadow purged tombstones. It is swept.
+/// A committed consolidation that nothing references is a leftover (a
+/// superseded input whose best-effort removal failed): keeping it would let
+/// the stale versions it holds shadow purged tombstones. It is swept.
 #[test]
 fn stale_consolidation_leftover_is_swept_not_adopted() {
     for mode in MODES {
@@ -626,6 +632,27 @@ fn manifest_corruption_battery_rejects_typed() {
             other => panic!("expected CorruptDirectory, got {:?}", other.err()),
         }
 
+        // A level table naming one instance twice, or counters that do not
+        // lie above every referenced instance (the next build would land in
+        // a live directory).
+        type Forge = fn(&mut ManagerManifest);
+        let forgeries: [(Forge, &str); 2] = [
+            (|m| m.levels[0][1] = m.levels[0][0].clone(), "twice"),
+            (|m| m.next_seq = m.levels[0][1].seq, "not below"),
+        ];
+        for (forge, expected) in forgeries {
+            fs::write(&manifest_path, &valid).unwrap();
+            let mut manifest = read_manager_manifest(root.path()).unwrap();
+            forge(&mut manifest);
+            write_manager_manifest(root.path(), &manifest).unwrap();
+            match open(root.path()) {
+                Err(StorageError::CorruptDirectory { detail, .. }) => {
+                    assert!(detail.contains(expected), "unexpected detail: {detail}")
+                }
+                other => panic!("expected CorruptDirectory, got {:?}", other.err()),
+            }
+        }
+
         // Scheme-kind mismatch: the same root reopened as a different scheme.
         fs::write(&manifest_path, &valid).unwrap();
         match UpdateManager::<LogSrcIScheme>::open_root(
@@ -671,8 +698,8 @@ fn missing_instance_dir_without_superseding_merge_fails_typed() {
         ingest(&mut manager, 0..2);
         drop(manager);
 
-        // Remove a referenced instance directory outright: no committed
-        // consolidation covers it, so this is genuine damage.
+        // Remove a referenced instance directory outright: the manifest
+        // never references a removed directory, so this is genuine damage.
         let manifest = read_manager_manifest(root.path()).unwrap();
         let victim = manifest.levels[0][0].build_id;
         fs::remove_dir_all(root.path().join(ManagerManifest::instance_dir_name(victim))).unwrap();
@@ -740,6 +767,65 @@ fn open_manager_root_stands_up_one_server_per_instance() {
         );
         for server in &servers {
             assert!(server.index().is_file_backed());
+        }
+    }
+}
+
+/// The server half of a restart needs no recovery: the manifest is an
+/// ingest's one commit point, so whatever op a crash hits, every directory
+/// the manifest on disk references is intact, and `open_manager_root`
+/// stands up one server per instance of the pre-ingest state (a crash up
+/// to the manifest write, clean or torn) or of the post-ingest state
+/// (after it) — without `open_root` running first. Run on the ingest that
+/// trips the s = 3 consolidation and on the s = 2 two-level cascade, in
+/// both modes.
+#[test]
+fn keyless_server_stands_up_at_every_crash_instant() {
+    // Entries served per endpoint, in instance order.
+    let served = |root: &Path| -> Vec<usize> {
+        let servers = open_manager_root(root).expect("the keyless server stands up");
+        servers.iter().map(|server| server.index().len()).collect()
+    };
+    for mode in MODES {
+        for (step, prior) in [(3, 2), (2, 3)] {
+            let cfg = |root: &Path| UpdateConfig {
+                consolidation_step: step,
+                ..config(root, mode)
+            };
+            let fresh = |name: &str| {
+                let root = TempDir::new(name);
+                let mut manager =
+                    LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg(root.path()));
+                ingest(&mut manager, 0..prior);
+                (root, manager)
+            };
+            let (root, mut manager) = fresh("keyless-ref");
+            let pre = served(root.path());
+            let recording = arm_crash(root.path(), None);
+            ingest(&mut manager, prior..prior + 1);
+            let log = recording.trace();
+            drop(recording);
+            let post = served(root.path());
+            assert!(manager.consolidations() > 0 && pre != post);
+            let commit = op_index(&log, "write", MANAGER_MANIFEST_FILE);
+
+            for (at, op) in log.iter().enumerate() {
+                for torn in [None, Some((|_| true) as fn(&std::ffi::OsStr) -> bool)] {
+                    let (root, mut victim) = fresh("keyless-victim");
+                    let armed = arm_crash(root.path(), Some(Crash { at, torn }));
+                    let _ = victim.try_ingest_batch(batch_entries(prior), &mut batch_rng(prior));
+                    drop(armed);
+                    drop(victim);
+                    let expected = if at <= commit { &pre } else { &post };
+                    assert_eq!(
+                        &served(root.path()),
+                        expected,
+                        "s = {step}, {mode:?}: crash at op {at} ({:?}), torn: {}",
+                        op,
+                        torn.is_some()
+                    );
+                }
+            }
         }
     }
 }

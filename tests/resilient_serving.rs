@@ -532,12 +532,10 @@ fn load_shedding_and_drain_fairness() {
         let t0 = serve.enqueue("b", q(0)).expect("admitted");
         let t1 = serve.enqueue("b", q(1)).expect("admitted");
         match serve.enqueue("b", q(2)) {
-            Err(
-                err @ ServeError::Overloaded {
-                    reason: OverloadReason::TenantQueueFull,
-                    ..
-                },
-            ) => assert!(err.is_overloaded()),
+            Err(ServeError::Overloaded {
+                reason: OverloadReason::TenantQueueFull,
+                ..
+            }) => {}
             other => panic!("the noisy tenant must shed itself, got {other:?}"),
         }
         let t2 = serve.enqueue("a", q(2)).expect("other tenants admit fine");

@@ -137,11 +137,6 @@ impl ConstantScheme {
         ))
     }
 
-    /// The covering technique this client uses.
-    pub fn cover_kind(&self) -> CoverKind {
-        self.kind
-    }
-
     /// `Trpdr`: delegates the DPRF over the BRC/URC cover of the range.
     /// Returns `None` if the range lies entirely outside the domain.
     pub fn trapdoor(&self, range: Range) -> Option<ConstantTrapdoor> {

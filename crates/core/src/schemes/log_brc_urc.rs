@@ -93,11 +93,6 @@ impl LogScheme {
             .expect("in-memory build cannot fail")
     }
 
-    /// The covering technique this client uses.
-    pub fn cover_kind(&self) -> CoverKind {
-        self.kind
-    }
-
     /// `Trpdr`: one SSE token per covering node, randomly permuted.
     /// Returns `None` if the range lies entirely outside the domain.
     pub fn trapdoor(&self, range: Range) -> Option<Vec<SearchToken>> {

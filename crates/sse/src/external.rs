@@ -64,9 +64,11 @@
 //! [`cleanup_partial_index`](crate::storage::cleanup_partial_index) — only
 //! ever removes *recognized* spill file names and then the directory if
 //! that left it empty, so foreign files can never be collateral damage.
-//! The index directory is written manifest first, every shard file
-//! atomic, and swept on failure (a save into a fresh directory writes its
-//! manifest last instead, as its commit record). The build has no crash
+//! The index directory is written like every other: each shard file
+//! atomic, `index.meta` last as the commit record, and the partial
+//! directory swept on failure. Unlike a save, the build writes over an
+//! index it finds in its directory — a manager reopen rebuilds an
+//! instance into its own directory, byte for byte. The build has no crash
 //! hooks: every file it creates, appends to or removes goes through
 //! [`formats`], whose gate `tests/crash_replay.rs` arms to kill a spilling
 //! build at every op and require the restarted build to converge byte for
@@ -745,13 +747,11 @@ impl Sink {
                     .collect(),
             }),
             StorageBackend::OnDisk(dir) => {
-                // The index manifest goes in first and the shard files
-                // follow, each tmp + renamed; on error the build sweeps
-                // the partial directory. (A save into a fresh directory
-                // writes `index.meta` last, as its commit record; under
-                // the update manager `owner.meta`, written after both, is.)
+                // The shard files go in first, each tmp + renamed, and
+                // `index.meta` last, in `finish`: a crash leaves no
+                // manifest, and on error the build sweeps the partial
+                // directory.
                 formats::create_dir_all(dir)?;
-                write_manifest(dir, config.shard_bits)?;
                 // A quarter of the budget across all shard buffers, floored
                 // so very high shard counts degrade to more frequent
                 // appends rather than per-byte syscalls. Without a budget
@@ -854,6 +854,7 @@ impl Sink {
                         jobs.into_par_iter().map(finalize).collect()
                     };
                 let layouts = results.into_iter().collect::<Result<_, _>>()?;
+                write_manifest(&dir, bits)?;
                 let shards = serve_shards(layouts, cache_budget);
                 Ok(ShardedIndex::from_parts(
                     bits,
@@ -1377,8 +1378,8 @@ mod tests {
     /// A build that never spills does no filesystem work beyond its index
     /// files: an in-memory build under a budget it fits records no gated op
     /// (nothing under its spill root), and an on-disk build — unbudgeted or
-    /// within its budget — records the directory, the manifest and one
-    /// atomic write per shard, nothing else.
+    /// within its budget — records the directory, one atomic write per
+    /// shard and the manifest last, nothing else.
     #[test]
     fn a_build_that_fits_touches_only_its_index_files() {
         let mut rng = ChaCha20Rng::seed_from_u64(21);
@@ -1420,13 +1421,11 @@ mod tests {
             let mut log = recording.trace();
             drop(recording);
             // The shard writers run in parallel: their four ops come in
-            // any order, after the first two.
-            log[2..].sort();
-            let mut expected = vec![
-                ("create_dir_all", index_dir.clone()),
-                ("write", index_dir.join(crate::storage::MANIFEST_FILE)),
-            ];
+            // any order, between the directory and the manifest.
+            log[1..5].sort();
+            let mut expected = vec![("create_dir_all", index_dir.clone())];
             expected.extend((0..4).map(|i| ("write", index_dir.join(shard_file_name(i)))));
+            expected.push(("write", index_dir.join(crate::storage::MANIFEST_FILE)));
             assert_eq!(log, expected);
         }
     }

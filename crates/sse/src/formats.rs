@@ -17,8 +17,8 @@
 //! * a file is committed by writing a `.tmp` sibling and renaming it over
 //!   the target ([`MetaWriter::commit`], and the same helper underneath
 //!   for streamed shard and run files);
-//! * every create, rename, append, copy and removal in the workspace is one
-//!   of the plain functions at the bottom of this module. Each call is one
+//! * every create, write, append and removal in the workspace is one of
+//!   the plain functions at the bottom of this module. Each call is one
 //!   *op* and passes one gate — the **crash seam** — which a test arms for
 //!   its own temp root ([`arm_crash`]) to log a scenario's ops and to kill
 //!   the "process" at any one of them;
@@ -253,12 +253,11 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Writes `path` atomically: content goes to a `.tmp` sibling first and is
-/// renamed over the target only once fully flushed. This makes re-saving
-/// an index into the directory it is currently being served from safe —
-/// open `FileShard` handles keep reading the old inode while the new file
-/// is written, so the serializer's own read-back never sees a truncated
-/// file — and a failed write can never destroy an existing good file.
-/// One op; torn, the `.tmp` is written and never renamed.
+/// renamed over the target only once fully flushed, so a reader never sees
+/// a half-written file under the final name and a failed write never
+/// destroys an existing one. A directory's files are written this way and
+/// its one commit record (`index.meta`, `owner.meta`, `manager.meta`)
+/// last. One op; torn, the `.tmp` is written and never renamed.
 pub(crate) fn write_file_atomic(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
@@ -281,18 +280,6 @@ pub(crate) fn write_file_atomic(
 pub fn create_dir_all(path: &Path) -> Result<(), StorageError> {
     gate("create_dir_all", path, false)?;
     fs::create_dir_all(path).map_err(|e| io_err(path, e))
-}
-
-/// Renames `from` to `to`.
-pub fn rename(from: &Path, to: &Path) -> Result<(), StorageError> {
-    gate("rename", to, false)?;
-    fs::rename(from, to).map_err(|e| io_err(to, e))
-}
-
-/// Copies the file `from` to `to`.
-pub fn copy(from: &Path, to: &Path) -> Result<(), StorageError> {
-    gate("copy", to, false)?;
-    fs::copy(from, to).map(drop).map_err(|e| io_err(from, e))
 }
 
 /// Appends `bytes` to `path`, creating it if missing.
@@ -588,8 +575,7 @@ mod tests {
         let file = dir.path().join("a");
         create_dir_all(&dir.path().join("sub")).unwrap();
         append(&file, b"x").unwrap();
-        copy(&file, &dir.path().join("b")).unwrap();
-        rename(&dir.path().join("b"), &dir.path().join("sub/c")).unwrap();
+        append(&dir.path().join("sub/c"), b"y").unwrap();
         MetaWriter::new(&MAGIC, FORMAT_VERSION)
             .commit(&file)
             .unwrap();

@@ -348,10 +348,19 @@ impl ShardedIndex {
         Ok(out)
     }
 
-    /// Serializes every shard (plus an `index.meta` manifest) into `dir`,
-    /// creating it if needed. Works for both backends; shard files are
-    /// written in parallel and the output is deterministic, so saving the
-    /// same index twice produces byte-identical directories.
+    /// Serializes every shard into `dir`, creating it if needed, and then
+    /// the `index.meta` manifest — the directory's commit record, written
+    /// last. Works for both backends; shard files are written in parallel
+    /// and the output is deterministic, so saving the same index twice
+    /// produces byte-identical directories.
+    ///
+    /// # Errors
+    ///
+    /// A directory is written once: if `dir` already holds an
+    /// `index.meta`, the save fails with [`StorageError::Io`] of kind
+    /// [`AlreadyExists`](std::io::ErrorKind::AlreadyExists), naming that
+    /// file, and leaves the directory unchanged. A crashed save leaves no
+    /// manifest, so saving again into the same directory completes it.
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
         save_shards_to_dir(dir.as_ref(), self.bits, &self.shards)
     }
@@ -480,12 +489,11 @@ impl ShardedIndex {
     /// merged files are opened as paged [`FileShard`]s (sharing one
     /// budgeted block cache when `cache_budget` is set).
     ///
-    /// Like the streamed build, the merge writes `index.meta` first and the
-    /// shard files after (each tmp+renamed), and any failure sweeps the
-    /// partial output before the error propagates; a save into a fresh
-    /// directory instead writes `index.meta` last, as its commit record.
-    /// The caller owns the durable commit record (the update manager
-    /// writes its `owner.meta` sidecar last).
+    /// Like every writer of an index directory, the merge writes the shard
+    /// files first (each tmp + renamed) and `index.meta` last, as the
+    /// directory's commit record; any failure sweeps the partial output
+    /// before the error propagates. (Under the update manager, the
+    /// instance's `owner.meta`, written after it, commits the instance.)
     ///
     /// # Errors
     ///
@@ -513,7 +521,6 @@ impl ShardedIndex {
         }
         formats::create_dir_all(out)?;
         let built = (|| {
-            write_manifest(out, bits)?;
             let results: Vec<Result<ShardLayout, StorageError>> = (0..1usize << bits)
                 .collect::<Vec<_>>()
                 .into_par_iter()
@@ -528,6 +535,7 @@ impl ShardedIndex {
             let layouts = results
                 .into_iter()
                 .collect::<Result<Vec<ShardLayout>, StorageError>>()?;
+            write_manifest(out, bits)?;
             let shards = serve_shards(layouts, cache_budget);
             Ok(ShardedIndex {
                 bits,

@@ -74,9 +74,10 @@ pub struct UpdateConfig {
     /// instance's encrypted index is streamed into its own subdirectory of
     /// this root during the build (batch ingests and consolidation rebuilds
     /// alike write through the on-disk backend and are served via paged
-    /// reads), and the subdirectories of instances consumed by a
-    /// consolidation are removed once the root manifest that drops them
-    /// has committed.
+    /// reads). The root manifest `manager.meta` is each ingest's commit
+    /// record; after it commits, the ingest sweeps every instance
+    /// subdirectory it does not reference — those a consolidation
+    /// consumed included.
     /// `None` (the default) keeps every instance in memory, exactly as
     /// before.
     pub storage_root: Option<PathBuf>,
@@ -388,11 +389,43 @@ fn all_distinct(ids: &[DocId]) -> bool {
 }
 
 /// Best-effort removal of the instance directory a failed build or merge
-/// was writing (a leftover is swept by the next `open_root`).
+/// was writing (a leftover is swept after the next commit).
 fn discard_build(config: &StorageConfig) {
     if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
         let _ = formats::remove_dir_all(dir);
     }
+}
+
+/// The canonical instance directories under `root`, by build number: only
+/// the exact names the manager writes; anything else (a user's
+/// `instance-1`, scratch siblings) is left alone.
+fn instance_dirs(root: &Path) -> Result<BTreeMap<u64, PathBuf>, StorageError> {
+    let mut on_disk = BTreeMap::new();
+    for entry in std::fs::read_dir(root).map_err(|e| io_err(root, e))? {
+        let entry = entry.map_err(|e| io_err(root, e))?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(build_id) = ManagerManifest::parse_instance_dir_name(name) {
+            if name == ManagerManifest::instance_dir_name(build_id) && entry.path().is_dir() {
+                on_disk.insert(build_id, entry.path());
+            }
+        }
+    }
+    Ok(on_disk)
+}
+
+/// Removes every directory of `on_disk` whose build the committed manifest
+/// does not reference — the sweep that follows each commit and ends
+/// [`UpdateManager::open_root`]. Stops at the first directory that cannot
+/// be removed.
+fn sweep_unreferenced(
+    on_disk: &BTreeMap<u64, PathBuf>,
+    referenced: &HashSet<u64>,
+) -> Result<(), StorageError> {
+    on_disk
+        .iter()
+        .filter(|(build_id, _)| !referenced.contains(build_id))
+        .try_for_each(|(_, dir)| formats::remove_dir_all(dir))
 }
 
 /// One entry of the authority index: the seq of the newest live instance
@@ -710,35 +743,35 @@ impl<S: RangeScheme> UpdateManager<S> {
             .map(|(&id, &op)| (id, Touch::new(seq, op)));
         self.newest_touch.extend(touches);
         self.levels[0].push(instance);
-        let superseded = self.consolidate_due_levels(rng)?;
+        self.consolidate_due_levels(rng)?;
         // The manifest is the ingest's one commit point, written once every
         // instance directory it references is durable: a crash anywhere
         // above leaves the previous manifest with all its directories
         // intact, and `open_root` sweeps what it does not reference.
         self.persist_manifest()?;
-        // No committed manifest references the superseded inputs any more.
-        // Best effort: a leftover wastes disk until the next `open_root`
-        // sweeps it, but cannot corrupt the committed state.
-        for dir in superseded {
-            let _ = formats::remove_dir_all(&dir);
+        // No committed manifest references the superseded inputs any more,
+        // nor those of merges that stood in an earlier, failed cascade.
+        // Best effort: a leftover wastes disk until the next sweep, but
+        // cannot corrupt the committed state.
+        if let Some(root) = &self.config.storage_root {
+            let referenced: HashSet<u64> =
+                self.levels.iter().flatten().map(|i| i.build_id).collect();
+            let _ = instance_dirs(root).and_then(|dirs| sweep_unreferenced(&dirs, &referenced));
         }
         Ok(())
     }
 
-    /// Runs every due consolidation, bottom-up, and returns the directories
-    /// of the instances they superseded, for the caller to remove once the
-    /// manifest that drops them has committed. A failed merge keeps its
+    /// Runs every due consolidation, bottom-up. A failed merge keeps its
     /// inputs active and the merges before it stand; the directories those
     /// superseded stay on disk, since the manifest still on disk references
-    /// them, until a reopen after a later commit sweeps them.
+    /// them, until the sweep after the next commit removes them.
     fn consolidate_due_levels<R: RngCore + CryptoRng>(
         &mut self,
         rng: &mut R,
-    ) -> Result<Vec<PathBuf>, StorageError> {
-        let mut superseded: Vec<PathBuf> = Vec::new();
+    ) -> Result<(), StorageError> {
         let step = self.config.consolidation_step;
         if step == 0 {
-            return Ok(superseded);
+            return Ok(());
         }
         let mut level = 0;
         while level < self.levels.len() {
@@ -756,7 +789,6 @@ impl<S: RangeScheme> UpdateManager<S> {
                         } else {
                             self.rebuild_consolidations += 1;
                         }
-                        superseded.extend(group.into_iter().filter_map(|input| input.dir));
                     }
                     Err(error) => {
                         // Roll back: the inputs stay active, nothing lost
@@ -768,7 +800,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
             level += 1;
         }
-        Ok(superseded)
+        Ok(())
     }
 
     /// The authority-index rule of a committed merge: an id whose newest
@@ -1243,21 +1275,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         let domain = Domain::new(manifest.domain_size);
         let chain = KeyChain::new(key);
 
-        // Inventory the canonical instance directories under the root.
-        let mut on_disk: BTreeMap<u64, PathBuf> = BTreeMap::new();
-        let dir_iter = std::fs::read_dir(root).map_err(|e| io_err(root, e))?;
-        for entry in dir_iter {
-            let entry = entry.map_err(|e| io_err(root, e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(build_id) = ManagerManifest::parse_instance_dir_name(name) {
-                // Only the exact names the manager writes; anything else
-                // (a user's `instance-1`, scratch siblings) is left alone.
-                if name == ManagerManifest::instance_dir_name(build_id) && entry.path().is_dir() {
-                    on_disk.insert(build_id, entry.path());
-                }
-            }
-        }
+        let on_disk = instance_dirs(root)?;
 
         // Every referenced instance must be referenced once, have its
         // directory, and lie below the manifest's counters (the next build
@@ -1401,11 +1419,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         // ingest's uncommitted builds, inputs whose removal a crash or a
         // failure cut short, half-built debris. One that cannot be removed
         // fails the open: its name may be built into again.
-        for (build_id, dir) in &on_disk {
-            if !referenced.contains(build_id) {
-                formats::remove_dir_all(dir)?;
-            }
-        }
+        sweep_unreferenced(&on_disk, &referenced)?;
 
         let manager = Self {
             domain,
@@ -2032,9 +2046,10 @@ mod tests {
     fn authority_index_survives_a_rolled_back_merge_and_a_reopen() {
         // s = 2, build numbers: b0 = 0, b1 = 1, A = b0 + b1 = 2, b2 = 3,
         // b3 = 4, B = b2 + b3 = 5, and A + B would be 6 — whose shard file's
-        // place a planted directory occupies, so that merge fails.
+        // place a planted directory occupies, so that merge fails. (Planted
+        // just before that ingest: each commit sweeps unreferenced
+        // instance directories.)
         let root = TempDir::new("index-rollback");
-        std::fs::create_dir_all(root.path().join("instance-00000006/shard-00000.shd")).unwrap();
         let config = UpdateConfig {
             consolidation_step: 2,
             storage_root: Some(root.path().to_path_buf()),
@@ -2047,6 +2062,7 @@ mod tests {
         mgr.ingest_batch(batch, &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::insert(3, 30)], &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::insert(4, 40)], &mut rng);
+        std::fs::create_dir_all(root.path().join("instance-00000006/shard-00000.shd")).unwrap();
         mgr.try_ingest_batch(vec![UpdateEntry::delete(1, 10)], &mut rng)
             .expect_err("the level-1 merge hits the planted directory");
         // B stands, A + B was rolled back: B owns what its inputs owned

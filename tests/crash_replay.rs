@@ -24,7 +24,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
-use rsse::core::{BuildBudget, StorageConfig};
+use rsse::core::{BuildBudget, StorageConfig, StorageError};
 use rsse::prelude::*;
 use rsse::sse::formats::{arm_crash, Crash};
 use rsse::sse::test_support::TempDir;
@@ -110,11 +110,11 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-/// No in-flight temporary, spill directory or save scratch survives.
+/// No in-flight temporary or spill directory survives.
 fn assert_no_debris(dir: &Path) {
     for path in tree(dir).keys() {
         let name = path.file_name().unwrap().to_str().unwrap();
-        let scratch = [".tmp", ".staging", ".old"];
+        let scratch = [".tmp"];
         assert!(
             !scratch.iter().any(|suffix| name.ends_with(suffix)),
             "debris survived: {}",
@@ -144,7 +144,7 @@ fn config(root: &Path, step: usize, mode: ConsolidationMode) -> UpdateConfig {
 
 /// A deterministic mixed batch (inserts, a modify, a delete) for batch `b`,
 /// with its own RNG stream so a re-driven ingest draws the same seeds.
-fn ingest(manager: &mut LogManager, b: u64) -> Result<(), rsse::core::StorageError> {
+fn ingest(manager: &mut LogManager, b: u64) -> Result<(), StorageError> {
     let mut entries: Vec<UpdateEntry> = (0..8u64)
         .map(|i| UpdateEntry::insert(b * 10 + i, (b * 97 + i * 13) % DOMAIN))
         .collect();
@@ -156,6 +156,14 @@ fn ingest(manager: &mut LogManager, b: u64) -> Result<(), rsse::core::StorageErr
         ));
     }
     manager.try_ingest_batch(entries, &mut ChaCha20Rng::seed_from_u64(1_000 + b))
+}
+
+/// The number of directories directly under `root`.
+fn instance_dirs(root: &Path) -> usize {
+    fs::read_dir(root)
+        .unwrap()
+        .filter(|entry| entry.as_ref().unwrap().path().is_dir())
+        .count()
 }
 
 /// The full owner-visible fingerprint of a manager: per-range outcomes
@@ -206,6 +214,11 @@ fn replay_ingest(scenario: &str, step: usize, mode: ConsolidationMode, prior: u6
     let log = recording.trace();
     drop(recording);
     let post = fingerprint(&manager);
+    assert_eq!(
+        instance_dirs(post_root.path()),
+        manager.active_instances(),
+        "the commit sweeps every directory its manifest drops"
+    );
     drop(manager);
     assert_ne!(pre, post);
 
@@ -228,11 +241,11 @@ fn replay_ingest(scenario: &str, step: usize, mode: ConsolidationMode, prior: u6
                 "neither the pre- nor the post-ingest state: {:?}",
                 state.1
             );
-            let instances = tree(root.path())
-                .keys()
-                .filter(|path| path.components().count() == 1 && root.path().join(path).is_dir())
-                .count();
-            assert_eq!(instances, reopened.active_instances(), "stray instance dir");
+            assert_eq!(
+                instance_dirs(root.path()),
+                reopened.active_instances(),
+                "stray instance dir"
+            );
             assert_no_debris(root.path());
             if state == pre {
                 ingest(&mut reopened, prior).expect("the re-driven ingest succeeds");
@@ -406,65 +419,64 @@ fn spilling_in_memory_build_restarts_after_every_op() {
 }
 
 #[test]
-fn save_into_the_served_directory_heals_after_every_op() {
-    // Two cases: the served index re-saved into its own directory (the
-    // serializer reads the very files it replaces), and a different index
-    // saved over it (so a mix of old and new files could not hide).
-    let build = |seed: u64, config: &StorageConfig| {
-        LogScheme::build_stored(&dataset(), config, &mut ChaCha20Rng::seed_from_u64(seed)).unwrap()
+fn fresh_save_commits_with_its_manifest_after_every_op() {
+    // A directory is written once, manifest last: whatever a crash leaves,
+    // an open either refuses typed for want of `index.meta` or answers like
+    // the saved index. Two cases: an in-memory index, and a paged one whose
+    // serializer streams from the shard files it is served from.
+    let build = |config: &StorageConfig| {
+        LogScheme::build_stored(&dataset(), config, &mut ChaCha20Rng::seed_from_u64(7)).unwrap()
     };
-    for other in [false, true] {
-        let scenario = if other {
-            "save over a served directory"
+    for paged in [false, true] {
+        let scenario = if paged {
+            "fresh save of a paged index"
         } else {
-            "re-save into the served directory"
+            "fresh save of an in-memory index"
         };
-        // `root/index` is served from disk; the save stages in siblings of
-        // it, so the gate is armed for `root`.
-        let prepare = |root: &Path| {
-            let (client, served) = build(7, &StorageConfig::on_disk(2, root.join("index")));
-            let old = answers(&client, &served);
-            if other {
-                let (client, saved) = build(8, &StorageConfig::in_memory(2));
-                (client, saved, old)
-            } else {
-                (client, served, old)
-            }
+        let prepare = |root: &Path| match paged {
+            true => build(&StorageConfig::on_disk(2, root.join("served"))),
+            false => build(&StorageConfig::in_memory(2)),
         };
-        let open = |root: &Path| QueryServer::open_dir(root.join("index"));
+        let target = |root: &Path| root.join("index");
 
         let reference = TempDir::new("replay-save-ref");
-        let (client, saved, old) = prepare(reference.path());
+        let (client, saved) = prepare(reference.path());
         let recording = arm_crash(reference.path(), None);
-        saved.save_to_dir(reference.path().join("index")).unwrap();
+        saved.save_to_dir(target(reference.path())).unwrap();
         let log = recording.trace();
         drop(recording);
-        let new = answers(&client, &open(reference.path()).unwrap());
+        let expected = answers(
+            &client,
+            &QueryServer::open_dir(target(reference.path())).unwrap(),
+        );
+        assert_eq!(expected, answers(&client, &saved));
 
-        // The served index's client (same seed, same keys) asks for the old
-        // snapshot's answers.
-        let (old_client, _) = build(7, &StorageConfig::in_memory(2));
         let all = crashes(&log);
         for &crash in &all {
             let root = TempDir::new("replay-save");
-            let (client, saved, _) = prepare(root.path());
+            let (client, saved) = prepare(root.path());
             let armed = arm_crash(root.path(), Some(crash));
-            let _ = saved.save_to_dir(root.path().join("index"));
+            let _ = saved.save_to_dir(target(root.path()));
             let trace = armed.trace();
             drop(armed);
 
             checked(scenario, crash, &trace, || {
-                let reopened = open(root.path()).expect("open_dir heals every crash");
-                let state = (answers(&old_client, &reopened), answers(&client, &reopened));
-                assert!(
-                    state.0 == old || state.1 == new,
-                    "neither the old nor the new snapshot"
-                );
-                // A crashed save's scratch siblings are cleared by the next
-                // save, which must converge with the uninterrupted one.
+                // `index.meta` is the save's last op, so no crash leaves
+                // it: the open refuses typed, naming it.
+                match QueryServer::open_dir(target(root.path())) {
+                    Err(StorageError::Io { path, error }) => {
+                        assert_eq!(path, target(root.path()).join("index.meta"));
+                        assert_eq!(error.kind(), std::io::ErrorKind::NotFound);
+                    }
+                    other => panic!("expected a refusal for want of index.meta, got {other:?}"),
+                }
+                // Saving again completes the directory and converges with
+                // the uninterrupted save.
                 saved
-                    .save_to_dir(root.path().join("index"))
+                    .save_to_dir(target(root.path()))
                     .expect("the re-driven save succeeds");
+                let reopened = QueryServer::open_dir(target(root.path())).unwrap();
+                assert_eq!(answers(&client, &reopened), expected);
                 assert_no_debris(root.path());
                 assert!(tree(root.path()) == tree(reference.path()));
             });
@@ -474,6 +486,9 @@ fn save_into_the_served_directory_heals_after_every_op() {
             log.len(),
             all.len()
         );
-        assert!(log.len() > 1, "one hand-built leftover-staging test before");
+        assert!(
+            log.len() > 5,
+            "a directory, four shard files and a manifest"
+        );
     }
 }

@@ -97,7 +97,8 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 const ALLOCATION_FACTOR: usize = 8;
 
 /// … plus this much that does not depend on them (the 64 KiB region copy
-/// buffer and the `BufWriter`s of a re-save, path strings, error text).
+/// buffer and the `BufWriter`s of the re-encoding save, path strings,
+/// error text).
 const ALLOCATION_SLACK: usize = 128 << 10;
 
 /// Mutation 3 overwrites every window that starts in the first this-many

@@ -503,19 +503,20 @@ fn failed_cascade_merge_keeps_every_level_answering() {
         assert_eq!(answers(&manager), answers(&twin));
 
         // The next ingest retries the failed level and lands on the layout
-        // of the manager that never failed; a reopen then sweeps b2 and b3
-        // (level 0, dropped from the manifest) instead of keeping them.
+        // of the manager that never failed; its commit sweeps b2 and b3
+        // (level 0, superseded by the merge that stood) with the rest.
         ingest(&mut manager, 4..5);
         ingest(&mut twin, 4..5);
         assert_eq!(manager.active_instances(), twin.active_instances());
         assert_eq!(manager.consolidations(), twin.consolidations());
         assert_eq!(answers(&manager), answers(&twin));
+        assert_eq!(
+            instance_dirs(root.path()),
+            manager.active_instances(),
+            "the commit swept every directory its manifest dropped"
+        );
         let state = fingerprint(&manager);
         drop(manager);
-        assert!(
-            instance_dirs(root.path()) > 2,
-            "superseded inputs were kept"
-        );
         let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
         assert_eq!(fingerprint(&reopened), state);
         assert_eq!(instance_dirs(root.path()), reopened.active_instances());

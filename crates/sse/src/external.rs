@@ -15,9 +15,10 @@
 //!                  → list encryption, appended to the part's two flat
 //!                  buffers; then the labels bucketed by shard              (parallel by part)
 //!  4 sink          per shard: append the batch's entries in (part, index)
-//!                  order to a pre-sized arena + label table, or to frame
-//!                  buffers that finalize into shard-NNNNN.shd (overflowing
-//!                  to stage-*.tmp under a budget)                          (parallel by shard)
+//!                  order to a pre-sized arena + label vector (its label
+//!                  table filled at the end), or to frame buffers that
+//!                  finalize into shard-NNNNN.shd (overflowing to
+//!                  stage-*.tmp under a budget)                             (parallel by shard)
 //! ```
 //!
 //! **What is sequential, and why.** The sort is one `sort_unstable` (or a
@@ -30,13 +31,18 @@
 //!
 //! **Memory.** Nothing is allocated per keyword: a part's groups share two
 //! flat buffers (labels, fixed-stride ciphertexts) and one index vector,
-//! and a batch is dropped as soon as the sinks have copied it. What is
-//! alive at the peak is the sorted buffer (or, when spilling, one run
-//! buffer of at most half the budget), one batch, and the sinks — which are
-//! sized once, from the stream's entry count: labels are PRF outputs, so
-//! each of `2^bits` shards gets `total / 2^bits` entries plus a few percent
-//! (`shard_capacity`), and neither an arena nor a label table regrows.
-//! `tests/build_memory.rs` holds a build to 3.5 × its index under a
+//! and a batch is dropped as soon as the sinks have copied it. During the
+//! batch loop what is alive is the sorted buffer (or, when spilling, one
+//! run buffer of at most half the budget), one batch, and the sinks —
+//! which are sized once, from the stream's entry count: labels are PRF
+//! outputs, so each of `2^bits` shards gets `total / 2^bits` entries plus
+//! a few percent (`shard_capacity`), and no arena, label vector or frame
+//! buffer regrows. An in-memory sink appends each shard's ciphertexts to
+//! its arena and its labels to one flat vector, and fills the shard's
+//! label table only after the sorted stream is freed, sized for exactly
+//! its entries (`⌈4n/3⌉` slots of 25 B). Its peak is the larger of sorted
+//! corpus + arenas + labels during the loop and arenas + tables after it.
+//! `tests/build_memory.rs` holds a build to 2.5 × its index under a
 //! peak-tracking allocator.
 //!
 //! **Byte identity.** Sorted in RAM or merged from runs, the stream has the
@@ -85,6 +91,7 @@ use crate::storage::{
     serve_shards, shard_file_name, write_manifest, write_shard_header, ShardLayout, StorageBackend,
     StorageConfig, StorageError,
 };
+use crate::table::LabelTable;
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_crypto::{StreamCipher, KEY_LEN};
@@ -689,6 +696,33 @@ struct StageShard {
     staged: bool,
 }
 
+/// One shard's entries during an in-memory build: entry `i` is `labels[i]`
+/// and the `stride` bytes at `i · stride` of `arena`.
+struct MemoryShard {
+    labels: Vec<Label>,
+    arena: Vec<u8>,
+}
+
+impl MemoryShard {
+    /// The shard's index: a label table sized for exactly its entries,
+    /// filled in append order (a repeated label keeps its last span, as
+    /// inserting as each entry arrived would).
+    fn into_index(self, stride: usize) -> EncryptedIndex {
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "arena limited to 4 GiB per index; shard the dataset first"
+        );
+        let mut table = LabelTable::with_capacity(self.labels.len());
+        for (i, label) in self.labels.into_iter().enumerate() {
+            table.insert(label, ((i * stride) as u32, stride as u32));
+        }
+        EncryptedIndex {
+            table,
+            arena: self.arena,
+        }
+    }
+}
+
 /// Bytes of one staged `(label, ciphertext length)` frame.
 const FRAME_LEN: usize = LABEL_LEN + 4;
 
@@ -699,9 +733,14 @@ const FRAME_LEN: usize = LABEL_LEN + 4;
 /// index) order — the global (keyword, counter) order, whatever the
 /// scheduling.
 enum Sink {
-    /// In-memory backend: one arena and label table per shard, sized once
-    /// from the stream's entry count.
-    Memory { shards: Vec<EncryptedIndex> },
+    /// In-memory backend: per shard, an arena of ciphertexts and a flat
+    /// vector of their labels in the same order, both sized once from the
+    /// stream's entry count. The label tables are built in
+    /// [`finish`](Self::finish), once the sorted stream is freed.
+    Memory {
+        stride: usize,
+        shards: Vec<MemoryShard>,
+    },
     /// On-disk backend: per-shard frame buffers, finalized into
     /// `shard-NNNNN.shd`. Unbudgeted they hold the shard until then;
     /// under a budget a buffer past `flush_bytes` overflows to stage files
@@ -742,8 +781,12 @@ impl Sink {
         let capacity = shard_capacity(total_entries, count);
         match &config.backend {
             StorageBackend::InMemory => Ok(Sink::Memory {
+                stride,
                 shards: (0..count)
-                    .map(|_| EncryptedIndex::with_capacity(capacity, capacity * stride))
+                    .map(|_| MemoryShard {
+                        labels: Vec::with_capacity(capacity),
+                        arena: Vec::with_capacity(capacity * stride),
+                    })
                     .collect(),
             }),
             StorageBackend::OnDisk(dir) => {
@@ -782,11 +825,12 @@ impl Sink {
     /// Appends one encrypted batch, every shard in parallel.
     fn accept(&mut self, parts: &[Part], spill: &mut SpillDir) -> Result<(), StorageError> {
         match self {
-            Sink::Memory { shards } => {
+            Sink::Memory { shards, .. } => {
                 for_each_shard(shards, |i, shard| {
                     for part in parts {
                         for (label, ciphertext) in part.shard_entries(i) {
-                            shard.append_entry(*label, ciphertext);
+                            shard.labels.push(*label);
+                            shard.arena.extend_from_slice(ciphertext);
                         }
                     }
                 });
@@ -831,9 +875,12 @@ impl Sink {
         spill: &SpillDir,
     ) -> Result<ShardedIndex, StorageError> {
         match self {
-            Sink::Memory { shards } => Ok(ShardedIndex::from_parts(
+            Sink::Memory { stride, shards } => Ok(ShardedIndex::from_parts(
                 bits,
-                shards.into_iter().map(Shard::Memory).collect(),
+                shards
+                    .into_par_iter()
+                    .map(|shard| Shard::Memory(shard.into_index(stride)))
+                    .collect(),
             )),
             Sink::Disk { dir, shards, .. } => {
                 let finalize =

@@ -365,8 +365,10 @@ impl EncryptedIndex {
         self.table.len() * LABEL_LEN + self.arena.len()
     }
 
-    /// Bytes the index holds in memory: the label table as allocated (a
-    /// tag and a slot per slot, at a load of at most 3/4) plus the arena.
+    /// Bytes the index holds in memory: the label table as allocated — a
+    /// tag and a 24-byte slot for each of its `⌈4n/3⌉` slots, the least
+    /// count at a load of at most 3/4, so ≈ 33 B an entry — plus the
+    /// arena.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.table.allocated_bytes() + self.arena.len()
     }

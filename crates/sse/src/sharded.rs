@@ -263,8 +263,8 @@ impl ShardedIndex {
     }
 
     /// Bytes currently resident in memory: every shard's label table as
-    /// allocated (a tag and a 24-byte slot per slot, at a load of at most
-    /// 3/4), plus an in-memory shard's whole arena or the region blocks a
+    /// allocated (a tag and a 24-byte slot for each of its `⌈4n/3⌉` slots,
+    /// the least count at a load of at most 3/4), plus an in-memory shard's whole arena or the region blocks a
     /// file-backed shard has faulted in so far (bounded by the cache budget
     /// when one is set). The blocks are the part the spill-to-disk backend
     /// exists to bound.
@@ -798,9 +798,9 @@ mod tests {
         .unwrap();
         assert!(index.is_file_backed());
         // The resident directory is the label table as allocated: 50
-        // entries at a load of at most 3/4 take 128 slots of a tag byte
-        // and a 24-byte slot each.
-        let directory_bytes = 128 * 25;
+        // entries at a load of at most 3/4 take ⌈200/3⌉ = 67 slots of a tag
+        // byte and a 24-byte slot each.
+        let directory_bytes = 67 * 25;
         assert_eq!(
             index.resident_bytes(),
             directory_bytes,

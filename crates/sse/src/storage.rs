@@ -1162,8 +1162,9 @@ impl FileShard {
     }
 
     /// Bytes of the resident bucket directory: its label table as
-    /// allocated (a tag and a 24-byte slot per slot, at a load of at most
-    /// 3/4).
+    /// allocated — a tag and a 24-byte slot for each of its `⌈4n/3⌉`
+    /// slots, the least count at a load of at most 3/4, so ≈ 33 B an
+    /// entry.
     pub(crate) fn directory_bytes(&self) -> usize {
         self.inner.layout.table.allocated_bytes()
     }
@@ -1999,6 +2000,35 @@ mod tests {
         assert!(reopened.is_empty());
         assert!(reopened.is_file_backed());
         assert!(reopened.try_get(&[0u8; LABEL_LEN]).unwrap().is_none());
+    }
+
+    /// An opened shard keeps its directory at the table's load bound: a
+    /// tag and a 24-byte slot for each of the least slot count that holds
+    /// its `n` entries at a load of at most 3/4, `⌈4n/3⌉`.
+    #[test]
+    fn an_opened_directory_is_sized_to_its_entries() {
+        let mut rng = ChaCha20Rng::seed_from_u64(5);
+        let key = SseScheme::setup(&mut rng);
+        for entries in [1usize, 40, 100, 700] {
+            let mut db = SseDatabase::new();
+            for i in 0..entries as u64 {
+                db.add(
+                    format!("kw{}", i % 7).into_bytes(),
+                    i.to_le_bytes().to_vec(),
+                );
+            }
+            let index = build_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng).unwrap();
+            let dir = TempDir::new("directory-bytes");
+            index.save_to_dir(dir.path()).unwrap();
+            let shard = FileShard::open(&dir.path().join(shard_file_name(0))).unwrap();
+            assert_eq!(ShardStorage::len(&shard), entries);
+            let bound = 25 * (entries * 4).div_ceil(3);
+            assert!(
+                shard.directory_bytes() <= bound,
+                "{entries} entries: a {} B directory over the {bound} B bound",
+                shard.directory_bytes()
+            );
+        }
     }
 
     /// The `BlockCache` concurrency contract under adversarial mixed

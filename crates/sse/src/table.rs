@@ -2,12 +2,15 @@
 //! backends — the in-memory arena of [`EncryptedIndex`](crate::EncryptedIndex)
 //! and the resident directory of a [`FileShard`](crate::FileShard).
 //!
-//! A flat open-addressing table: a power-of-two array of 24-byte slots
-//! `(label, (offset, len))` beside an array of one-byte tags, filled to at
-//! most 3/4 and searched by linear probing. A label's home slot and its
-//! 7-bit tag are bits of one fixed mix of its two 8-byte halves, so a
-//! probe's first slot is known before any memory is read — which is what
-//! lets [`prefetch`](LabelTable::prefetch) touch it ahead of the probe.
+//! A flat open-addressing table: an array of 24-byte slots
+//! `(label, (offset, len))` beside an array of one-byte tags, searched by
+//! linear probing that wraps at the last slot. It is sized to its load:
+//! the least slot count that holds its entries at a load of at most 3/4,
+//! `⌈4n/3⌉`. A label's 7-bit tag is the top bits of one fixed mix of its
+//! two 8-byte halves, and its home slot a multiply-shift of the bits below
+//! them onto the slot count, so tag and home are independent and a probe's
+//! first slot is known before any memory is read — which is what lets
+//! [`prefetch`](LabelTable::prefetch) touch it ahead of the probe.
 //! A hit is usually one tag byte and one slot. A miss ends at the first
 //! empty tag: slots whose tag differs are never compared, so a closing
 //! miss reads the tag array alone, as hashbrown decides one from its
@@ -43,8 +46,8 @@ fn fold_mix(x: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// The mix of both label halves: the low bits pick the home slot, the top
-/// seven the tag.
+/// The mix of both label halves: the top seven bits are the tag, the bits
+/// below them pick the home slot.
 #[inline]
 fn label_hash(label: &Label) -> u64 {
     let (first, second) = label.split_at(LABEL_LEN / 2);
@@ -58,9 +61,17 @@ fn tag_of(hash: u64) -> u8 {
     0x80 | (hash >> 57) as u8
 }
 
-/// Slots of a table holding `entries` at a load of at most 3/4.
+/// Slots of a table holding `entries` at a load of at most 3/4: the least
+/// such count, and at least one.
 fn slots_for(entries: usize) -> usize {
-    (entries * 4).div_ceil(3).next_power_of_two()
+    (entries * 4).div_ceil(3).max(1)
+}
+
+/// The home slot of `hash` in a table of `slots` slots: the 57 hash bits
+/// below the tag, read as a fraction of 2^64 and scaled onto the slots.
+#[inline]
+fn home_of(hash: u64, slots: usize) -> usize {
+    ((u128::from(hash << 7) * slots as u128) >> 64) as usize
 }
 
 /// The flat tagged `label → span` table (see the module docs).
@@ -75,13 +86,14 @@ pub(crate) struct LabelTable {
 }
 
 impl LabelTable {
-    /// An empty table sized once for `entries`: the next power of two at
-    /// or above `4/3 · entries` slots, so filling it never rehashes.
+    /// An empty table sized once for `entries`: the least slot count that
+    /// holds them at a load of at most 3/4, `⌈4/3 · entries⌉` (at least
+    /// one), so filling it never rehashes.
     pub(crate) fn with_capacity(entries: usize) -> Self {
         Self::with_slots(slots_for(entries))
     }
 
-    /// An empty table of `slots` slots, a power of two.
+    /// An empty table of `slots` slots, at least one.
     fn with_slots(slots: usize) -> Self {
         Self {
             tags: vec![EMPTY; slots].into_boxed_slice(),
@@ -105,12 +117,6 @@ impl LabelTable {
         self.tags.len() * SLOT_BYTES
     }
 
-    /// The home slot of `hash`.
-    #[inline]
-    fn home(&self, hash: u64) -> usize {
-        hash as usize & (self.tags.len() - 1)
-    }
-
     /// The slot holding `label` (`Ok`), or the empty slot that ends its
     /// walk (`Err`). The walk from the home slot compares a label only
     /// where its tag matches, and stops at the first empty slot; the load
@@ -119,13 +125,13 @@ impl LabelTable {
     fn locate(&self, label: &Label) -> Result<usize, usize> {
         let hash = label_hash(label);
         let tag = tag_of(hash);
-        let mask = self.tags.len() - 1;
-        let mut at = self.home(hash);
+        let slots = self.tags.len();
+        let mut at = home_of(hash, slots);
         loop {
             match self.tags[at] {
                 EMPTY => return Err(at),
                 occupied if occupied == tag && self.slots[at].0 == *label => return Ok(at),
-                _ => at = (at + 1) & mask,
+                _ => at = if at + 1 == slots { 0 } else { at + 1 },
             }
         }
     }
@@ -177,7 +183,7 @@ impl LabelTable {
     /// it changes nothing and returns nothing.
     #[inline]
     pub(crate) fn prefetch(&self, label: &Label) {
-        let at = self.home(label_hash(label));
+        let at = home_of(label_hash(label), self.tags.len());
         std::hint::black_box((self.tags[at], self.slots[at]));
     }
 
@@ -295,37 +301,61 @@ mod tests {
 
     #[test]
     fn sizes_at_the_edges_of_the_load_bound() {
-        for entries in [0usize, 1, 2, 3, 6, 12, 48, 96, 768] {
+        for entries in [0usize, 1, 2, 3, 5, 7, 10, 100, 131_250, 1000] {
             let table = LabelTable::with_capacity(entries);
             let slots = table.tags.len();
-            assert!(slots.is_power_of_two());
             assert!(
                 entries * 4 <= slots * 3,
                 "{entries} entries in {slots} slots"
             );
             assert!(
-                slots == 1 || entries * 4 > slots / 2 * 3,
+                slots == 1 || entries * 4 > (slots - 1) * 3,
                 "{slots} is the least"
             );
         }
-        // Exactly at the load limit: 3/4 of 1 024 slots, no rehash.
-        let labels: Vec<Label> = (0..768u64).map(|i| label_of(fold_mix(i), i)).collect();
+        // Filled to the count it was sized for: 1 000 entries in 1 334
+        // slots, a load of 0.7496, with no rehash.
+        let labels: Vec<Label> = (0..1000u64).map(|i| label_of(fold_mix(i), i)).collect();
         let mut table = LabelTable::with_capacity(labels.len());
-        assert_eq!(table.tags.len(), 1024);
+        assert_eq!(table.tags.len(), 1334);
         let mut oracle = HashMap::new();
         for (i, label) in labels.iter().enumerate() {
             table.insert(*label, (i as u32, 1));
             oracle.insert(*label, (i as u32, 1));
         }
-        assert_eq!(table.tags.len(), 1024, "filling to the bound never grows");
+        assert_eq!(table.tags.len(), 1334, "filling to the count never grows");
         let absent: Vec<Label> = (0..64u64).map(|i| label_of(i, fold_mix(i))).collect();
         check_against(&table, &oracle, &absent);
         // One past it doubles the table and keeps every entry.
         let extra = label_of(1, 2);
         table.insert(extra, (9, 9));
         oracle.insert(extra, (9, 9));
-        assert_eq!(table.tags.len(), 2048);
+        assert_eq!(table.tags.len(), 2668);
         check_against(&table, &oracle, &absent);
+    }
+
+    #[test]
+    fn the_home_slot_ignores_the_tag_bits() {
+        for slots in [1usize, 7, 1334, 175_000] {
+            for i in 0..256u64 {
+                let hash = fold_mix(i);
+                let home = home_of(hash, slots);
+                assert!(home < slots);
+                for tag_bits in [0u64, 1, 0x55, 0x7F] {
+                    let retagged = (hash & (u64::MAX >> 7)) | (tag_bits << 57);
+                    assert_eq!(
+                        home_of(retagged, slots),
+                        home,
+                        "{slots} slots, hash {hash:#x}"
+                    );
+                }
+            }
+        }
+        // And the bits below the tag do move it: the least and the
+        // greatest of them land on the first and the last slot.
+        assert_eq!(home_of(0, 1334), 0);
+        assert_eq!(home_of(u64::MAX >> 7, 1334), 1333);
+        assert_eq!(home_of(u64::MAX, 1334), 1333);
     }
 
     #[test]
@@ -353,7 +383,7 @@ mod tests {
 
     #[test]
     fn a_walk_wraps_past_the_last_slot() {
-        // Labels whose home is the last slot of an 8-slot table: the
+        // Labels whose home is the last slot of a 7-slot table: the
         // second and third land in slots 0 and 1 after the wrap.
         let table_of = |labels: &[Label]| {
             let mut table = LabelTable::with_capacity(5);
@@ -362,13 +392,14 @@ mod tests {
             }
             table
         };
-        assert_eq!(LabelTable::with_capacity(5).tags.len(), 8);
+        assert_eq!(LabelTable::with_capacity(5).tags.len(), 7);
         let last: Vec<Label> = (0u64..)
             .map(|i| label_of(i, 0))
-            .filter(|label| label_hash(label) & 7 == 7)
+            .filter(|label| home_of(label_hash(label), 7) == 6)
             .take(4)
             .collect();
         let table = table_of(&last[..3]);
+        assert_ne!(table.tags[6], EMPTY);
         assert_ne!(table.tags[0], EMPTY, "the walk wrapped to slot 0");
         assert_ne!(table.tags[1], EMPTY);
         let oracle: HashMap<Label, Span> = last[..3]
@@ -376,7 +407,7 @@ mod tests {
             .enumerate()
             .map(|(i, label)| (*label, (i as u32, 3)))
             .collect();
-        // The fourth label's miss walks 7 → 0 → 1 → 2 and stops at slot 2.
+        // The fourth label's miss walks 6 → 0 → 1 → 2 and stops at slot 2.
         check_against(&table, &oracle, &last[3..]);
     }
 

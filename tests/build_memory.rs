@@ -8,7 +8,10 @@
 //! own storage accounting. A build that keeps the whole transformed corpus
 //! alive as per-keyword lists and chunks beside the sorted entries measures
 //! ≈ 4.4 × here; the batch pipeline (sorted buffer + pre-sized sinks + one
-//! bounded batch) ≈ 2.2–2.4 ×.
+//! bounded batch) 3.19 × in memory while its sinks filled label tables at
+//! a load near 1/2 beside the sorted buffer, and 2.05 × since the tables
+//! are sized to their load and filled after the buffer is freed (2.15 × on
+//! disk, a build whose sinks hold no label table).
 //!
 //! Because everything in this process is serialized behind one lock, it is
 //! also where the process-global counts are exact: the cipher-call delta of
@@ -95,7 +98,7 @@ const RECORDS: usize = 20_000;
 const SHARD_BITS: u32 = 4;
 
 /// A build may hold this many times the bytes `index_stats` accounts for.
-const PEAK_FACTOR: f64 = 3.5;
+const PEAK_FACTOR: f64 = 2.5;
 
 fn dataset() -> Dataset {
     gowalla_like(RECORDS, 1 << 20, &mut ChaCha20Rng::seed_from_u64(1))

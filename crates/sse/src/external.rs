@@ -4,16 +4,17 @@
 //! none), through sorted runs on disk once they do not.
 //!
 //! ```text
-//!  1 source        entries ──▶ buffer ──sort──▶ the sorted stream          (sequential)
-//!                    │ buffer reached the budget's run limit?
-//!                    └─▶ run-NNNNN.spl … ──k-way merge──┘
+//!  1 source        entries ──▶ buffer ──sort──▶ the sorted stream          (push sequential;
+//!                    │ buffer reached the budget's run limit?                 sort: a part per
+//!                    └─▶ run-NNNNN.spl … ──k-way merge──┘                    pool thread)
 //!  2 group + seed  walk a batch of the stream: close each keyword group
 //!                  as a range, draw its 32-byte nonce seed from the
 //!                  caller's RNG, in keyword order                          (sequential)
 //!  3 batch         ≈ 64 Ki entries of whole groups, cut into parts;
-//!                  per part: keyed shuffle → trapdoor → label expansion
-//!                  → list encryption, appended to the part's two flat
-//!                  buffers; then the labels bucketed by shard              (parallel by part)
+//!                  per part: keyed shuffle → trapdoor → list encryption,
+//!                  then label expansion as one paired stream over 64
+//!                  groups at a time, into the part's two flat buffers;
+//!                  then the labels bucketed by shard                       (parallel by part)
 //!  4 sink          per shard: append the batch's entries in (part, index)
 //!                  order to a pre-sized arena + label vector (its label
 //!                  table filled at the end), or to frame buffers that
@@ -21,23 +22,25 @@
 //!                  stage-*.tmp under a budget)                             (parallel by shard)
 //! ```
 //!
-//! **What is sequential, and why.** The sort is one `sort_unstable` (or a
-//! stable sort by keyword, see [`SpillOrder`]) of flat arrays. The seed
-//! draws are sequential because they are the build's only use of the
-//! caller's RNG: drawing them in keyword order is what makes the output a
-//! function of (keys, RNG stream) alone — the same bytes for every budget,
-//! backend, batch size and thread count. Everything between a seed and a
-//! shard is a pure function of (keys, group, seed) and runs on all cores.
+//! **What is sequential, and why.** The calling thread alone pushes the
+//! entries, splits a `ByKeywordAndPayload` sort at its median (the halves
+//! sort on the pool; a stable `ByKeyword` sort stays sequential) and walks
+//! the groups. The seed draws are sequential because they are the build's
+//! only use of the caller's RNG: drawing them in keyword order is what
+//! makes the output a function of (keys, RNG stream) alone — the same
+//! bytes for every budget, backend, batch size and thread count.
+//! Everything between a seed and a shard is a pure function of (keys,
+//! group, seed) and runs on all cores. ARCHITECTURE.md times each stage.
 //!
 //! **Memory.** Nothing is allocated per keyword: a part's groups share two
 //! flat buffers (labels, fixed-stride ciphertexts) and one index vector,
-//! and a batch is dropped as soon as the sinks have copied it. During the
-//! batch loop what is alive is the sorted buffer (or, when spilling, one
-//! run buffer of at most half the budget), one batch, and the sinks —
-//! which are sized once, from the stream's entry count: labels are PRF
-//! outputs, so each of `2^bits` shards gets `total / 2^bits` entries plus
-//! a few percent (`shard_capacity`), and no arena, label vector or frame
-//! buffer regrows. An in-memory sink appends each shard's ciphertexts to
+//! and a batch is dropped as soon as the sinks have copied it; the sort
+//! works in place. During the batch loop what is alive is the sorted
+//! buffer (or, when spilling, one run buffer of at most half the budget),
+//! one batch, and the sinks — which are sized once, from the stream's
+//! entry count: labels are PRF outputs, so each of `2^bits` shards gets
+//! `total / 2^bits` entries plus a few percent (`shard_capacity`), and no
+//! arena, label vector or frame buffer regrows. An in-memory sink appends each shard's ciphertexts to
 //! its arena and its labels to one flat vector, and fills the shard's
 //! label table only after the sorted stream is freed, sized for exactly
 //! its entries (`⌈4n/3⌉` slots of 25 B). Its peak is the larger of sorted
@@ -85,14 +88,15 @@
 //! written and reopened in parallel.
 
 use crate::formats::{self, io_err, write_file_atomic};
-use crate::pibas::{encrypt_list_into, EncryptedIndex, Label, SearchToken, LABEL_LEN};
+use crate::pibas::{expand_labels, EncryptedIndex, Label, SearchToken, TokenLabeler, LABEL_LEN};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
     serve_shards, shard_file_name, write_manifest, write_shard_header, ShardLayout, StorageBackend,
     StorageConfig, StorageError,
 };
 use crate::table::LabelTable;
-use rand::{CryptoRng, RngCore};
+use rand::{CryptoRng, RngCore, SeedableRng};
+use rand_chacha::ChaCha20Rng;
 use rayon::prelude::*;
 use rsse_crypto::{StreamCipher, KEY_LEN};
 use std::cmp::{Ordering, Reverse};
@@ -263,11 +267,14 @@ impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
         Ok(())
     }
 
+    /// Sorts the buffer (the in-RAM source, or a run) in place. `ByKeyword`
+    /// stays sequential: a stable parallel sort needs a second buffer the
+    /// size of the corpus, and Constant, its one user, is not benchmarked.
     fn sort(&mut self) {
         match self.order {
-            // Unstable is fine: equal (keyword, payload) pairs are
-            // interchangeable.
-            SpillOrder::ByKeywordAndPayload => self.buf.sort_unstable(),
+            // Unstable, and split across the pool, is fine: equal
+            // (keyword, payload) pairs are interchangeable.
+            SpillOrder::ByKeywordAndPayload => self.buf.par_sort_unstable(),
             // Stable by keyword: arrival order within a keyword survives
             // the run sort, and the merge's run-index tie-break preserves
             // it globally.
@@ -608,9 +615,15 @@ struct Part {
     shard_starts: Vec<u32>,
 }
 
+/// Groups whose labels [`encrypt_part`] expands as one paired stream: an
+/// odd list no longer ends on a one-lane PRF call of its own, and their
+/// label PRF states (≈ 70 B each) stay a few KiB.
+const LABEL_STREAM_GROUPS: usize = 64;
+
 /// Stage 3, one part: keyed shuffle → trapdoor (both inside `group_token`)
-/// → label expansion → list encryption for each group, appended to the
-/// part's flat buffers; then the shard bucketing of the labels.
+/// → list encryption for each group, then the labels of every
+/// [`LABEL_STREAM_GROUPS`] groups, appended to the part's flat buffers;
+/// then the shard bucketing of the labels.
 fn encrypt_part<const K: usize, const P: usize, F>(
     batch: &[SpillEntry<K, P>],
     groups: &[Group],
@@ -624,18 +637,27 @@ where
     let stride = StreamCipher::ciphertext_len(P);
     let mut labels = Vec::with_capacity(entries);
     let mut ciphertexts = Vec::with_capacity(entries * stride);
+    let mut labelers = Vec::with_capacity(LABEL_STREAM_GROUPS.min(groups.len()));
     let mut payloads: Vec<[u8; P]> = Vec::new();
-    for group in groups {
-        let members = &batch[group.start..group.end];
-        payloads.clear();
-        payloads.extend(members.iter().map(|(_, payload)| *payload));
-        let token = group_token(&members[0].0, &mut payloads);
-        encrypt_list_into(
-            &token,
-            payloads.iter().map(|p| p.as_slice()),
-            group.seed,
+    for stream in groups.chunks(LABEL_STREAM_GROUPS) {
+        labelers.clear();
+        for group in stream {
+            let members = &batch[group.start..group.end];
+            payloads.clear();
+            payloads.extend(members.iter().map(|(_, payload)| *payload));
+            let token = group_token(&members[0].0, &mut payloads);
+            token.payload_cipher().encrypt_list_to(
+                &mut ChaCha20Rng::from_seed(group.seed),
+                payloads.iter().map(|p| p.as_slice()),
+                &mut ciphertexts,
+            );
+            labelers.push(TokenLabeler::new(&token));
+        }
+        expand_labels(
+            stream.iter().zip(&labelers).flat_map(|(group, labeler)| {
+                (0..(group.end - group.start) as u64).map(move |counter| (labeler, counter))
+            }),
             &mut labels,
-            &mut ciphertexts,
         );
     }
     let mut shard_starts = vec![0u32; (1 << bits) + 1];

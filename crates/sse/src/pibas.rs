@@ -31,8 +31,9 @@
 //!
 //! `BuildIndex` is the fixed-stride pipeline of the
 //! [`external`](crate::external) module: one nonce seed per keyword drawn
-//! from the caller's RNG in keyword order, then each keyword's label PRF
-//! and list encryption on all cores. [`reference`](mod@reference) is the
+//! from the caller's RNG in keyword order, then each keyword's list
+//! encryption, and its labels as part of a paired stream across 64
+//! keywords, on all cores. [`reference`](mod@reference) is the
 //! sequential oracle every byte-identity test holds it to.
 
 use crate::table::LabelTable;
@@ -142,21 +143,25 @@ fn truncate(full: &[u8; KEY_LEN]) -> Label {
         .expect("a label is shorter than a PRF output")
 }
 
-/// Appends the label `F(prf, counter)` of every job to `out`, in job order
-/// — what [`TokenLabeler::label_at`] returns for each, evaluated two jobs
-/// at a time ([`Prf::eval_pair_into`]). The build expands one list's
-/// counters through this, the scan a round's counters across its tokens.
-fn expand_labels<'p>(mut jobs: impl Iterator<Item = (&'p Prf, u64)>, out: &mut Vec<Label>) {
+/// Appends the label `labeler.label_at(counter)` of every job to `out`,
+/// in job order, evaluated two jobs at a time ([`Prf::eval_pair_into`]).
+/// The build expands the lists of 64 keywords through one stream, the
+/// scan a round's counters across its tokens: both keep the two lanes full
+/// across list boundaries.
+pub(crate) fn expand_labels<'l>(
+    mut jobs: impl Iterator<Item = (&'l TokenLabeler, u64)>,
+    out: &mut Vec<Label>,
+) {
     let (mut full_a, mut full_b) = ([0u8; KEY_LEN], [0u8; KEY_LEN]);
-    while let Some((prf_a, counter_a)) = jobs.next() {
-        let Some((prf_b, counter_b)) = jobs.next() else {
-            prf_a.eval_u64_into(counter_a, &mut full_a);
+    while let Some((labeler_a, counter_a)) = jobs.next() {
+        let Some((labeler_b, counter_b)) = jobs.next() else {
+            labeler_a.prf.eval_u64_into(counter_a, &mut full_a);
             out.push(truncate(&full_a));
             break;
         };
         Prf::eval_pair_into(
-            (prf_a, &counter_a.to_le_bytes()),
-            (prf_b, &counter_b.to_le_bytes()),
+            (&labeler_a.prf, &counter_a.to_le_bytes()),
+            (&labeler_b.prf, &counter_b.to_le_bytes()),
             &mut full_a,
             &mut full_b,
         );
@@ -439,31 +444,6 @@ impl EncryptedIndex {
     }
 }
 
-/// The encryption core of every build: appends one keyword's entries to
-/// two flat buffers — the labels `F(K1_w, 0), F(K1_w, 1), …` in counter
-/// order to `labels`, the ciphertexts back to back to `ciphertexts` — with
-/// the label PRF and the cipher keyed once for the list. The fixed-stride
-/// pipeline ([`external`](crate::external)) hands it the buffers a whole
-/// batch part shares.
-pub(crate) fn encrypt_list_into<'a>(
-    token: &SearchToken,
-    payloads: impl Iterator<Item = &'a [u8]> + Clone,
-    nonce_seed: [u8; KEY_LEN],
-    labels: &mut Vec<Label>,
-    ciphertexts: &mut Vec<u8>,
-) {
-    let label_prf = Prf::new(&token.label_key);
-    let cipher = StreamCipher::new(&token.payload_key);
-    let mut nonce_rng = ChaCha20Rng::from_seed(nonce_seed);
-    expand_labels(
-        (0u64..)
-            .zip(payloads.clone())
-            .map(|(counter, _)| (&label_prf, counter)),
-        labels,
-    );
-    cipher.encrypt_list_to(&mut nonce_rng, payloads, ciphertexts);
-}
-
 /// The static SSE scheme (Setup, Trpdr, Search); `BuildIndex` is
 /// [`build_index_external_with`](crate::build_index_external_with).
 #[derive(Clone, Copy, Debug, Default)]
@@ -581,8 +561,8 @@ impl SseScheme {
             labels.clear();
             expand_labels(
                 live.iter().flat_map(|&t| {
-                    let prf = &labelers[t as usize].prf;
-                    (first_counter..first_counter + window).map(move |counter| (prf, counter))
+                    let labeler = &labelers[t as usize];
+                    (first_counter..first_counter + window).map(move |counter| (labeler, counter))
                 }),
                 &mut labels,
             );

@@ -9,7 +9,9 @@
 //!   index directory byte-identical to its in-RAM build;
 //! * the Logarithmic scheme's build — the fixed-stride pipeline, with or
 //!   without a budget — writes the bytes of the sequential reference build
-//!   over an `SseDatabase` filled the way the paper's BuildIndex reads;
+//!   over an `SseDatabase` filled the way the paper's BuildIndex reads, on
+//!   a small corpus and on one large enough to sort and encrypt in
+//!   parallel;
 //! * the in-memory backend answers queries identically either way — the
 //!   budget is just a `StorageConfig` field, at a deliberately tiny value
 //!   and at `BuildBudget::default()`;
@@ -122,22 +124,25 @@ fn external_disk_builds_are_byte_identical_across_schemes() {
 }
 
 /// The scheme-level differential, against code the pipeline shares nothing
-/// with: Logarithmic-BRC's stored build writes, byte for byte, what the
-/// sequential reference build writes over an `SseDatabase` holding every
-/// record id under each node of its root path, lists shuffled — for every
-/// shard count, without a budget, under one the build fits, and under one
-/// that spills.
-#[test]
-fn log_scheme_build_equals_the_reference_build() {
+/// with: Logarithmic-BRC's stored build of `dataset` writes, byte for byte,
+/// what the sequential reference build writes over an `SseDatabase`
+/// holding every record id under each node of its root path, lists
+/// shuffled — for every shard count and budget given — and leaves the
+/// caller's RNG where the reference leaves it.
+fn assert_log_build_equals_reference(
+    dataset: &Dataset,
+    seed: u64,
+    shard_bits: &[u32],
+    budgets: &[Option<BuildBudget>],
+) {
+    use rand::RngCore;
     use rsse::core::schemes::log_brc_urc::LogScheme;
     use rsse::cover::Node;
     use rsse::crypto::KeyChain;
     use rsse::sse::pibas::reference;
     use rsse::sse::{SseDatabase, SseScheme};
 
-    let seed = 23u64;
-    let dataset = gowalla_like(700, 1 << 10, &mut ChaCha20Rng::seed_from_u64(seed));
-    for shard_bits in [0u32, 2, 4] {
+    for &shard_bits in shard_bits {
         let ref_dir = TempDir::new("ext-db-ref");
         let mut rng = ChaCha20Rng::seed_from_u64(seed ^ 0xb17);
         let chain = KeyChain::generate(&mut rng);
@@ -156,17 +161,16 @@ fn log_scheme_build_equals_the_reference_build() {
         let config = StorageConfig::on_disk(shard_bits, ref_dir.path());
         reference::build_stored(&key, &database, &config, &mut rng).unwrap();
 
-        for budget in [None, Some(BuildBudget::default()), Some(tiny_budget())] {
+        for budget in budgets {
             let dir = TempDir::new("ext-db-new");
             let mut config = StorageConfig::on_disk(shard_bits, dir.path());
             config.build_budget = budget.clone();
             let mut scheme_rng = ChaCha20Rng::seed_from_u64(seed ^ 0xb17);
-            LogScheme::build_stored(&dataset, &config, &mut scheme_rng).unwrap();
+            LogScheme::build_stored(dataset, &config, &mut scheme_rng).unwrap();
             assert!(
                 trees_equal(ref_dir.path(), dir.path()),
                 "{shard_bits} shard bits, {budget:?}: the pipeline diverged from the reference"
             );
-            use rand::RngCore;
             assert_eq!(
                 scheme_rng.next_u64(),
                 rng.clone().next_u64(),
@@ -174,6 +178,40 @@ fn log_scheme_build_equals_the_reference_build() {
             );
         }
     }
+}
+
+/// Every shard count, without a budget, under one the build fits, and
+/// under one that spills, on a corpus of 700 records × 11 levels.
+#[test]
+fn log_scheme_build_equals_the_reference_build() {
+    let seed = 23u64;
+    let dataset = gowalla_like(700, 1 << 10, &mut ChaCha20Rng::seed_from_u64(seed));
+    assert_log_build_equals_reference(
+        &dataset,
+        seed,
+        &[0, 2, 4],
+        &[None, Some(BuildBudget::default()), Some(tiny_budget())],
+    );
+}
+
+/// The same differential at a size where every parallel step runs:
+/// 12 000 records × 17 levels is ≈ 204 k entries, many times the parallel
+/// sort's sequential cut-off. Unbudgeted, the in-RAM sort splits across
+/// the pool and the stream spans four 64 Ki-entry batches; under 4 MiB the
+/// build spills two runs of ≈ 100 k entries, each sorted the same way,
+/// and a short tail run, and merges them into batches of ≈ 44 k. Over a 2^16 domain the leaf and
+/// next levels are mostly one-entry groups, so the first batches' part
+/// cuts fall among single-entry groups.
+#[test]
+fn log_scheme_build_equals_the_reference_build_at_scale() {
+    let seed = 29u64;
+    let dataset = gowalla_like(12_000, 1 << 16, &mut ChaCha20Rng::seed_from_u64(seed));
+    assert_log_build_equals_reference(
+        &dataset,
+        seed,
+        &[2],
+        &[None, Some(BuildBudget::with_memory(4 << 20))],
+    );
 }
 
 /// The in-memory backend: external and in-RAM builds answer every query

@@ -14,6 +14,19 @@
 //! The cost is that a query must be sent to every active instance — the
 //! manager keeps their number at `O(s·log_s b)` for `b` ingested batches.
 //!
+//! An ingest builds **one** instance. A batch that leaves level 0 below
+//! `s` becomes its own index there; a batch that makes level 0 due drains
+//! the chain of levels its carry reaches (level ℓ is due when its
+//! instances plus the carry from below reach `s`) into one merged instance
+//! at the first level that stays below `s`, rather than into one merged
+//! instance per level. What the server sees per ingest is therefore one
+//! new instance directory, and the directories the merge supersedes
+//! disappear. Which levels merge is, as before, a public function of the
+//! batch count and `s` — the server learned it from the directories that
+//! came and went, and still does — and fewer directories are written.
+//! Every index built is still under a fresh key, so forward privacy is
+//! unchanged.
+//!
 //! [`UpdateManager`] is generic over any [`RangeScheme`], exactly as the
 //! paper's mechanism is generic over any static RSSE construction. Every
 //! batch build and consolidation rebuild is routed through

@@ -61,7 +61,10 @@ pub struct UpdateConfig {
     /// The consolidation step `s`: once `s` instances accumulate at a level
     /// of the merge hierarchy, they are consolidated into a single instance
     /// at the next level. `s = 0` disables consolidation (every batch stays
-    /// a separate index forever).
+    /// a separate index forever); otherwise `s` is at least 2, since at
+    /// `s = 1` every merged instance would be due again at once.
+    /// [`UpdateManager::new`] panics on `s = 1` and
+    /// [`UpdateManager::open_root`] refuses it.
     pub consolidation_step: usize,
     /// Label-prefix shard bits for every index the manager builds: each
     /// batch index and every consolidation rebuild goes through
@@ -147,6 +150,17 @@ struct BatchInstance<S: RangeScheme> {
     /// runs on an on-disk backend; removed once a consolidation has
     /// consumed the instance and the manifest that drops it has committed.
     dir: Option<PathBuf>,
+}
+
+/// A batch being ingested: its raw update log, the seq it takes, and the
+/// build number, storage configuration and seed drawn for its own index —
+/// which a rebuild that takes the batch straight in never builds.
+struct Batch {
+    entries: Vec<UpdateEntry>,
+    seq: u64,
+    build_id: u64,
+    config: StorageConfig,
+    seed: [u8; SEED_LEN],
 }
 
 /// The owner-side query state of an instance.
@@ -514,7 +528,15 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// is ever to be reopened with [`open_root`](Self::open_root).
     /// Managers restarted across processes should prefer
     /// [`with_key`](Self::with_key).
+    ///
+    /// # Panics
+    /// Panics if `config.consolidation_step` is 1 (it is 0 or at least 2).
     pub fn new(domain: Domain, config: UpdateConfig) -> Self {
+        assert!(
+            config.consolidation_step != 1,
+            "UpdateConfig::consolidation_step must be 0 or at least 2, got {}",
+            config.consolidation_step
+        );
         Self {
             domain,
             config,
@@ -533,6 +555,9 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// sealed under the given master key — the key
     /// [`open_root`](Self::open_root) will later need to reopen the
     /// manager from its storage root.
+    ///
+    /// # Panics
+    /// Panics if `config.consolidation_step` is 1 (it is 0 or at least 2).
     pub fn with_key(key: OwnerKey, domain: Domain, config: UpdateConfig) -> Self {
         let mut manager = Self::new(domain, config);
         manager.chain = Some(KeyChain::new(key));
@@ -672,7 +697,8 @@ impl<S: RangeScheme> UpdateManager<S> {
     }
 
     /// Ingests one batch of updates: builds a fresh static index under a
-    /// fresh key and triggers any due consolidations.
+    /// fresh key — or, when the batch makes a consolidation due, one index
+    /// over the batch and every instance its carry drains.
     ///
     /// # Panics
     /// Panics if an entry's value lies outside the manager's domain, or if
@@ -686,10 +712,27 @@ impl<S: RangeScheme> UpdateManager<S> {
 
     /// Fallible variant of [`ingest_batch`](Self::ingest_batch): surfaces
     /// storage-backend failures (full disk, permissions, …) as typed
-    /// [`StorageError`]s instead of panicking. A failed batch build leaves
-    /// the manager unchanged; a failed consolidation rebuild restores its
-    /// input instances (the batch itself stays ingested), so active state
-    /// never degrades on error.
+    /// [`StorageError`]s instead of panicking.
+    ///
+    /// An ingest builds one instance. When the batch leaves level 0 below
+    /// `s`, that is the batch's own index at level 0. Otherwise the batch
+    /// drains a chain of levels — level ℓ is due when its instances plus
+    /// the carry from below reach `s` — and one merge of the batch and
+    /// every drained instance lands at the first level that stays below
+    /// `s`. A [`Rebuild`](ConsolidationMode::Rebuild) merge takes the
+    /// batch's updates straight into its rebuild and never builds the
+    /// batch's own index; a [`Structural`](ConsolidationMode::Structural)
+    /// one builds the batch as usual and copies every input once. Either
+    /// way the result is byte for byte the one of merging level by level:
+    /// the seeds and build numbers of the skipped builds are drawn and
+    /// discarded, and each drained level counts as one consolidation.
+    ///
+    /// A failed batch build leaves the manager unchanged. A failed
+    /// consolidation restores its input instances and builds the batch
+    /// alone at level 0 (the batch stays ingested), so active state never
+    /// degrades on error. The next ingest first completes the chain the
+    /// failure left due, then places its own batch, and so lands on the
+    /// layout of a manager that never failed.
     ///
     /// # Panics
     /// Panics if an entry's value lies outside the manager's domain (a
@@ -701,8 +744,9 @@ impl<S: RangeScheme> UpdateManager<S> {
     ) -> Result<(), StorageError> {
         let result = self.ingest_and_consolidate(entries, rng);
         // Whichever way the ingest ended — committed, batch build failed,
-        // a merge failed mid-cascade — the incrementally maintained index
-        // must be what a pass over the live instances computes.
+        // a merge failed and the batch stands alone — the incrementally
+        // maintained index must be what a pass over the live instances
+        // computes.
         debug_assert!(self.index_matches_levels());
         result
     }
@@ -724,33 +768,27 @@ impl<S: RangeScheme> UpdateManager<S> {
         self.ensure_chain(rng);
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
-        let seq = self.next_seq;
         let (build_id, config) = self.next_instance_config();
-        let chain = self.chain.as_ref().expect("chain ensured above");
-        let instance =
-            BatchInstance::build(self.domain, build_id, seq, 0, entries, &config, chain, seed)
-                .inspect_err(|_| discard_build(&config))?;
-        self.next_seq += 1;
-        self.batches_ingested += 1;
-        if self.levels.is_empty() {
-            self.levels.push(Vec::new());
+        let batch = Batch {
+            entries,
+            seq: self.next_seq,
+            build_id,
+            config,
+            seed,
+        };
+        // A chain an earlier failed consolidation left due completes first,
+        // so that the batch lands where it would have without the failure.
+        match self.consolidate_due_levels(rng) {
+            Ok(()) => self.place_batch(batch, rng)?,
+            Err(error) => return self.push_batch(batch).and(Err(error)),
         }
-        // The batch carries the newest sequence number there is, so it owns
-        // every id it touches.
-        let touches = instance
-            .ops
-            .iter()
-            .map(|(&id, &op)| (id, Touch::new(seq, op)));
-        self.newest_touch.extend(touches);
-        self.levels[0].push(instance);
-        self.consolidate_due_levels(rng)?;
         // The manifest is the ingest's one commit point, written once every
         // instance directory it references is durable: a crash anywhere
         // above leaves the previous manifest with all its directories
         // intact, and `open_root` sweeps what it does not reference.
         self.persist_manifest()?;
         // No committed manifest references the superseded inputs any more,
-        // nor those of merges that stood in an earlier, failed cascade.
+        // nor a batch that stood alone after an earlier failed merge.
         // Best effort: a leftover wastes disk until the next sweep, but
         // cannot corrupt the committed state.
         if let Some(root) = &self.config.storage_root {
@@ -761,66 +799,176 @@ impl<S: RangeScheme> UpdateManager<S> {
         Ok(())
     }
 
-    /// Runs every due consolidation, bottom-up. A failed merge keeps its
-    /// inputs active and the merges before it stand; the directories those
-    /// superseded stay on disk, since the manifest still on disk references
-    /// them, until the sweep after the next commit removes them.
+    /// Places the batch: alone at level 0 when that level stays below `s`,
+    /// otherwise as one merge with every level its carry drains. A
+    /// structural merge copies the batch's built dictionary like any other
+    /// input's; a rebuild reads only its updates, so the batch is built
+    /// alone only when the rebuild fails.
+    fn place_batch<R: RngCore + CryptoRng>(
+        &mut self,
+        batch: Batch,
+        rng: &mut R,
+    ) -> Result<(), StorageError> {
+        match self.due_chain(true) {
+            Some(drained) if !self.merges_structurally() => {
+                match self.merge_chain(drained, Some(&batch), rng) {
+                    Ok(()) => {
+                        self.next_seq += 1;
+                        self.batches_ingested += 1;
+                        Ok(())
+                    }
+                    Err(error) => self.push_batch(batch).and(Err(error)),
+                }
+            }
+            _ => {
+                self.push_batch(batch)?;
+                self.consolidate_due_levels(rng)
+            }
+        }
+    }
+
+    /// Builds the batch's own index at level 0 and admits it. A failed
+    /// build leaves the manager as it was.
+    fn push_batch(&mut self, batch: Batch) -> Result<(), StorageError> {
+        let Batch {
+            entries,
+            seq,
+            build_id,
+            config,
+            seed,
+        } = batch;
+        let chain = self.chain.as_ref().expect("every ingest ensures the chain");
+        let instance =
+            BatchInstance::build(self.domain, build_id, seq, 0, entries, &config, chain, seed)
+                .inspect_err(|_| discard_build(&config))?;
+        self.next_seq += 1;
+        self.batches_ingested += 1;
+        // The batch carries the newest sequence number there is, so it owns
+        // every id it touches.
+        let touches = instance
+            .ops
+            .iter()
+            .map(|(&id, &op)| (id, Touch::new(seq, op)));
+        self.newest_touch.extend(touches);
+        if self.levels.is_empty() {
+            self.levels.push(Vec::new());
+        }
+        self.levels[0].push(instance);
+        Ok(())
+    }
+
+    /// Whether due consolidations merge structurally: the mode asks for it
+    /// and the scheme can.
+    fn merges_structurally(&self) -> bool {
+        self.config.consolidation_mode == ConsolidationMode::Structural
+            && S::supports_structural_merge()
+    }
+
+    /// The levels the next merge drains, as `(first, target)`: levels
+    /// `first..target` are due — level ℓ is due when its instances plus the
+    /// carry from below reach `s`, and a due level carries one instance up
+    /// — and `target` is the first level that stays below `s`. With a
+    /// `batch` the chain starts at level 0, carrying the batch; without
+    /// one, at the lowest level that already holds `s` instances, which
+    /// only a failed consolidation (or a reopen under a smaller `s`)
+    /// leaves. `None` when nothing is due or `s` is 0.
+    fn due_chain(&self, batch: bool) -> Option<(usize, usize)> {
+        let step = self.config.consolidation_step;
+        if step == 0 {
+            return None;
+        }
+        let len = |level: usize| self.levels.get(level).map_or(0, Vec::len);
+        let first = match batch {
+            true => (len(0) + 1 >= step).then_some(0)?,
+            false => (0..self.levels.len()).find(|&level| len(level) >= step)?,
+        };
+        let target = (first + 1..)
+            .find(|&level| len(level) + 1 < step)
+            .expect("s ≥ 2, so an empty level stays below it");
+        Some((first, target))
+    }
+
+    /// Runs every chain of due levels that no batch carries — each as one
+    /// merge into its target level — until no level holds `s` instances.
+    /// Only a failed consolidation leaves such a chain, or a structural
+    /// ingest's batch once it stands at level 0. A failed merge restores
+    /// its inputs; the merges before it stand.
     fn consolidate_due_levels<R: RngCore + CryptoRng>(
         &mut self,
         rng: &mut R,
     ) -> Result<(), StorageError> {
-        let step = self.config.consolidation_step;
-        if step == 0 {
-            return Ok(());
-        }
-        let mut level = 0;
-        while level < self.levels.len() {
-            if self.levels[level].len() >= step {
-                let mut group: Vec<BatchInstance<S>> = self.levels[level].drain(..).collect();
-                match self.merge_instances(&mut group, level, rng) {
-                    Ok((instance, structural)) => {
-                        self.repoint_merged(&group, &instance);
-                        if self.levels.len() <= level + 1 {
-                            self.levels.push(Vec::new());
-                        }
-                        self.levels[level + 1].push(instance);
-                        if structural {
-                            self.structural_consolidations += 1;
-                        } else {
-                            self.rebuild_consolidations += 1;
-                        }
-                    }
-                    Err(error) => {
-                        // Roll back: the inputs stay active, nothing lost
-                        // (and the authority index never left them).
-                        self.levels[level] = group;
-                        return Err(error);
-                    }
-                }
-            }
-            level += 1;
+        while let Some(drained) = self.due_chain(false) {
+            self.merge_chain(drained, None, rng)?;
         }
         Ok(())
     }
 
+    /// Drains levels `first..target` and merges their instances — and the
+    /// batch's updates, when given — into one instance at `target`,
+    /// counting one consolidation per drained level. On failure the drained
+    /// instances go back to their levels (the authority index never left
+    /// them) and the error is returned.
+    fn merge_chain<R: RngCore + CryptoRng>(
+        &mut self,
+        (first, target): (usize, usize),
+        batch: Option<&Batch>,
+        rng: &mut R,
+    ) -> Result<(), StorageError> {
+        let drained: Vec<Vec<BatchInstance<S>>> = (first..target)
+            .map(|level| std::mem::take(&mut self.levels[level]))
+            .collect();
+        let mut group: Vec<&BatchInstance<S>> = drained.iter().flatten().collect();
+        group.sort_by_key(|instance| instance.seq);
+        match self.merge_instances(&group, batch, target - first, target, rng) {
+            Ok((merged, structural)) => {
+                self.repoint_merged(&group, batch, &merged);
+                if self.levels.len() <= target {
+                    self.levels.resize_with(target + 1, Vec::new);
+                }
+                self.levels[target].push(merged);
+                let consolidations = match structural {
+                    true => &mut self.structural_consolidations,
+                    false => &mut self.rebuild_consolidations,
+                };
+                *consolidations += target - first;
+                Ok(())
+            }
+            Err(error) => {
+                for (level, instances) in (first..target).zip(drained) {
+                    self.levels[level] = instances;
+                }
+                Err(error)
+            }
+        }
+    }
+
     /// The authority-index rule of a committed merge: an id whose newest
-    /// touch was one of the `inputs` now belongs to `merged` (which carries
-    /// the group's newest sequence number), tombstoned as `merged`'s op
-    /// says — or leaves the index, when the merge purged its tombstone,
-    /// which it only does if no instance outside the group touches the id.
-    /// An id a newer instance outside the group owns stays put. O(ids of
-    /// the group), not of the database.
-    fn repoint_merged(&mut self, inputs: &[BatchInstance<S>], merged: &BatchInstance<S>) {
+    /// touch was one of the `inputs` — or the batch, which is newer than
+    /// every instance — now belongs to `merged` (which carries the group's
+    /// newest sequence number), tombstoned as `merged`'s op says — or
+    /// leaves the index, when the merge purged its tombstone, which it
+    /// only does if no instance outside the group touches the id. An id a
+    /// newer instance outside the group owns stays put. O(ids of the
+    /// group), not of the database.
+    fn repoint_merged(
+        &mut self,
+        inputs: &[&BatchInstance<S>],
+        batch: Option<&Batch>,
+        merged: &BatchInstance<S>,
+    ) {
+        let repoint = |index: &mut IdMap<Touch>, id: DocId| match merged.ops.get(&id) {
+            Some(&op) => index.insert(id, Touch::new(merged.seq, op)),
+            None => index.remove(&id),
+        };
         for input in inputs {
             for &id in input.ops.keys() {
-                if self.newest_touch.get(&id).map(|touch| touch.seq()) != Some(input.seq) {
-                    continue;
+                if self.newest_touch.get(&id).map(|touch| touch.seq()) == Some(input.seq) {
+                    repoint(&mut self.newest_touch, id);
                 }
-                match merged.ops.get(&id) {
-                    Some(&op) => self.newest_touch.insert(id, Touch::new(merged.seq, op)),
-                    None => self.newest_touch.remove(&id),
-                };
             }
+        }
+        for entry in batch.map_or(&[][..], |batch| &batch.entries) {
+            repoint(&mut self.newest_touch, entry.record.id);
         }
     }
 
@@ -852,14 +1000,22 @@ impl<S: RangeScheme> UpdateManager<S> {
         self.newest_touch == Self::newest_touch_of(&self.levels)
     }
 
-    /// Merges a group of instances into one: replays their updates in
-    /// sequence order, drops deleted tuples, and rebuilds a single index
-    /// under a fresh key (the "download, merge, re-encrypt" of the paper) —
+    /// Merges a group of instances (sorted by sequence number) — and the
+    /// batch's updates, when given, which are newer than all of them —
+    /// into one instance at `target`: replays their updates in sequence
+    /// order, drops deleted tuples, and rebuilds a single index under a
+    /// fresh key (the "download, merge, re-encrypt" of the paper) —
     /// written through the configured storage backend, like every other
-    /// build — or, when mode and scheme allow, merges them structurally.
-    /// Returns the merged instance and whether it is a structural one; the
-    /// group (sorted by sequence number) and its directories are untouched
-    /// either way.
+    /// build — or, when mode and scheme allow, merges the inputs'
+    /// dictionaries structurally. Returns the merged instance and whether
+    /// it is a structural one; the inputs and their directories are
+    /// untouched either way.
+    ///
+    /// The merge drains `levels` levels, where merging level by level
+    /// built one instance per level (and, for a rebuild with a batch, the
+    /// batch's own index first). It takes the seeds and build numbers
+    /// those builds took and keeps the last, so that the instance, its
+    /// directory name and every later build come out as they did.
     ///
     /// A deletion tombstone can only be dropped ("physically purged") when
     /// no instance *outside* the merged group still touches the deleted id
@@ -867,22 +1023,30 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// would become authoritative again and the tuple would resurrect.
     /// Tombstones that must survive stay in the merged instance's entries
     /// (and are indexed and query-filtered exactly like a level-0 delete)
-    /// until a later merge meets the stale version and purges both.
+    /// until a later merge meets the stale version and purges both. One
+    /// merge of a whole chain purges exactly what its level-by-level
+    /// merges purged: every input is newer than every instance left
+    /// outside, and a tombstone an intermediate merge purged touched no
+    /// instance above that merge's level.
     fn merge_instances<R: RngCore + CryptoRng>(
         &mut self,
-        group: &mut [BatchInstance<S>],
-        level: usize,
+        group: &[&BatchInstance<S>],
+        batch: Option<&Batch>,
+        levels: usize,
+        target: usize,
         rng: &mut R,
     ) -> Result<(BatchInstance<S>, bool), StorageError> {
-        group.sort_by_key(|instance| instance.seq);
-        let newest_seq = group.last().map(|i| i.seq).unwrap_or(0);
+        let newest_seq = match batch {
+            Some(batch) => batch.seq,
+            None => group.last().map_or(0, |instance| instance.seq),
+        };
         // The flattened part layout of a prospective structural merge:
         // group member `g`'s parts occupy flat indexes starting at
         // `flat_base[g]` (one part for a plain instance, its own part
         // count for an already-structural one).
         let mut flat_base: Vec<u32> = Vec::with_capacity(group.len());
         let mut part_total = 0u32;
-        for instance in group.iter() {
+        for instance in group {
             flat_base.push(part_total);
             part_total += match &instance.kind {
                 InstanceKind::Plain { .. } => 1,
@@ -890,8 +1054,9 @@ impl<S: RangeScheme> UpdateManager<S> {
             };
         }
         // Latest entry per id across the group (instances iterate in seq
-        // order, so later inserts win), each tagged with the flattened
-        // part whose dictionary holds that authoritative version.
+        // order and the batch comes last, so later inserts win), each
+        // tagged with the flattened part whose dictionary holds that
+        // authoritative version.
         let mut latest: BTreeMap<DocId, (UpdateEntry, u32)> = BTreeMap::new();
         for (g, instance) in group.iter().enumerate() {
             for entry in &instance.entries {
@@ -904,7 +1069,10 @@ impl<S: RangeScheme> UpdateManager<S> {
                 latest.insert(entry.record.id, (*entry, part));
             }
         }
-        // `self.levels` no longer contains the drained group, so every
+        for entry in batch.map_or(&[][..], |batch| &batch.entries) {
+            latest.insert(entry.record.id, (*entry, part_total));
+        }
+        // `self.levels` no longer contains the drained levels, so every
         // instance seen here is a live instance outside the merge.
         let outside = &self.levels;
         let touched_elsewhere =
@@ -927,15 +1095,14 @@ impl<S: RangeScheme> UpdateManager<S> {
             })
             .collect();
 
-        // Structural merge first, when the mode and the scheme allow it.
-        // A typed Unsupported — scheme can't merge, incompatible layouts,
-        // a label collision — falls back to the rebuild below (burning a
-        // build number, which is harmless: directory names only need to
-        // be unique, not dense). Anything else is a real failure.
-        if self.config.consolidation_mode == ConsolidationMode::Structural
-            && S::supports_structural_merge()
-        {
-            match self.merge_structural(group, level, newest_seq, &surviving) {
+        // Structural merge first, when the mode and the scheme allow it (a
+        // batch then stands among the inputs, built). A typed Unsupported
+        // — incompatible layouts, a label collision — falls back to the
+        // rebuild below (burning build numbers, which is harmless:
+        // directory names only need to be unique, not dense). Anything
+        // else is a real failure.
+        if self.merges_structurally() {
+            match self.merge_structural(group, levels, target, newest_seq, &surviving) {
                 Ok(instance) => return Ok((instance, true)),
                 Err(StorageError::Unsupported(_)) => {}
                 Err(error) => return Err(error),
@@ -943,6 +1110,12 @@ impl<S: RangeScheme> UpdateManager<S> {
         }
 
         let surviving: Vec<UpdateEntry> = surviving.into_iter().map(|(entry, _)| entry).collect();
+        // The intermediate merges' seeds and build numbers, discarded (the
+        // batch's own were drawn before the chain was known).
+        for _ in 1..levels {
+            rng.fill_bytes(&mut [0u8; SEED_LEN]);
+            self.next_build += 1;
+        }
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
         let (build_id, config) = self.next_instance_config();
@@ -954,7 +1127,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             self.domain,
             build_id,
             newest_seq,
-            (level + 1) as u32,
+            target as u32,
             surviving,
             &config,
             chain,
@@ -965,9 +1138,12 @@ impl<S: RangeScheme> UpdateManager<S> {
     }
 
     /// Attempts the re-encryption-free structural merge of `group` into
-    /// one instance at `level + 1`: the inputs' committed dictionaries
-    /// are combined via [`RangeScheme::merge_stored`] (ciphertext copied
-    /// verbatim), the flattened parts' clients re-derive from their
+    /// one instance at `target`, copying each input's dictionary once
+    /// however many levels the merge drains (`levels`, whose intermediate
+    /// build numbers it burns): the inputs' committed dictionaries are
+    /// combined via [`RangeScheme::merge_stored`] (ciphertext copied
+    /// verbatim, in input order — the layout merging level by level
+    /// produced), the flattened parts' clients re-derive from their
     /// retained seeds, and — for persisted managers — the **compacted**
     /// owner sidecar (deduped latest-per-id log, kind byte `1`) commits
     /// the instance durably, written last like every other commit record.
@@ -976,8 +1152,9 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// structurally — the caller falls back to a rebuild.
     fn merge_structural(
         &mut self,
-        group: &[BatchInstance<S>],
-        level: usize,
+        group: &[&BatchInstance<S>],
+        levels: usize,
+        target: usize,
         newest_seq: u64,
         surviving: &[(UpdateEntry, u32)],
     ) -> Result<BatchInstance<S>, StorageError> {
@@ -997,6 +1174,7 @@ impl<S: RangeScheme> UpdateManager<S> {
                 S::derive_client(&self.domain, &mut rng).map(|client| (client, seed))
             })
             .collect::<Result<Vec<(S, [u8; SEED_LEN])>, StorageError>>()?;
+        self.next_build += levels as u64 - 1;
         let (build_id, config) = self.next_instance_config();
         let chain = self
             .chain
@@ -1017,7 +1195,7 @@ impl<S: RangeScheme> UpdateManager<S> {
                     &OwnerMeta {
                         build_id,
                         seq: newest_seq,
-                        level: (level + 1) as u32,
+                        level: target as u32,
                         payload: persist::seal_structural_payload(
                             chain, build_id, &seeds, surviving,
                         ),
@@ -1203,7 +1381,8 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// and **nothing is deleted before every readable sidecar has
     /// authenticated** under the supplied key. A swept directory that
     /// cannot be removed also fails the open, since its name may be built
-    /// into again.
+    /// into again. A `config.consolidation_step` of 1 is refused as
+    /// [`StorageError::Unsupported`] before anything is read.
     ///
     /// # Examples
     ///
@@ -1250,6 +1429,11 @@ impl<S: RangeScheme> UpdateManager<S> {
                      to restore the instances into memory)",
                 ));
             }
+        }
+        if config.consolidation_step == 1 {
+            return Err(StorageError::Unsupported(
+                "open_root: config.consolidation_step must be 0 or at least 2",
+            ));
         }
         let manifest = read_manager_manifest(root)?;
         let manifest_path = root.join(MANAGER_MANIFEST_FILE);
@@ -1768,6 +1952,44 @@ mod tests {
     }
 
     #[test]
+    fn a_consolidation_step_of_one_is_refused() {
+        let config = UpdateConfig {
+            consolidation_step: 1,
+            ..UpdateConfig::default()
+        };
+        let new = std::panic::catch_unwind(|| LogManager::new(Domain::new(256), config.clone()));
+        let message = *new.err().expect("new panics").downcast::<String>().unwrap();
+        assert!(message.contains("consolidation_step"), "{message}");
+        let key = || OwnerKey::from_bytes([5u8; 32]);
+        let with_key = std::panic::catch_unwind(|| {
+            LogManager::with_key(key(), Domain::new(256), config.clone())
+        });
+        assert!(with_key.is_err(), "with_key panics");
+
+        // A root written at s = 2 reopens at 2, never at 1.
+        let root = TempDir::new("step-one");
+        let on_disk = |step| UpdateConfig {
+            consolidation_step: step,
+            storage_root: Some(root.path().to_path_buf()),
+            ..UpdateConfig::default()
+        };
+        let mut mgr = LogManager::with_key(key(), Domain::new(256), on_disk(2));
+        mgr.ingest_batch(
+            vec![UpdateEntry::insert(1, 10)],
+            &mut ChaCha20Rng::seed_from_u64(53),
+        );
+        drop(mgr);
+        let err = LogManager::open_root(key(), root.path(), on_disk(1))
+            .err()
+            .expect("s = 1 is refused");
+        assert!(
+            matches!(&err, StorageError::Unsupported(why) if why.contains("consolidation_step")),
+            "{err:?}"
+        );
+        assert!(LogManager::open_root(key(), root.path(), on_disk(2)).is_ok());
+    }
+
+    #[test]
     #[should_panic(expected = "outside domain")]
     fn out_of_domain_update_is_rejected() {
         let mut rng = ChaCha20Rng::seed_from_u64(8);
@@ -2044,11 +2266,13 @@ mod tests {
 
     #[test]
     fn authority_index_survives_a_rolled_back_merge_and_a_reopen() {
-        // s = 2, build numbers: b0 = 0, b1 = 1, A = b0 + b1 = 2, b2 = 3,
-        // b3 = 4, B = b2 + b3 = 5, and A + B would be 6 — whose shard file's
-        // place a planted directory occupies, so that merge fails. (Planted
-        // just before that ingest: each commit sweeps unreferenced
-        // instance directories.)
+        // s = 2, build numbers: b0 = 0, b1 = 1, A = b0 + b1 = 2, b2 = 3.
+        // Batch 3 (build 4, never built on success) drains level 0 and
+        // level 1: its one rebuild of A + b2 + b3 takes build 6 (5 is
+        // burned for the level-0 merge the chain skips), whose shard file's
+        // place a planted directory occupies, so that rebuild fails and b3
+        // is built alone under 4. (Planted just before that ingest: each
+        // commit sweeps unreferenced instance directories.)
         let root = TempDir::new("index-rollback");
         let config = UpdateConfig {
             consolidation_step: 2,
@@ -2064,19 +2288,24 @@ mod tests {
         mgr.ingest_batch(vec![UpdateEntry::insert(4, 40)], &mut rng);
         std::fs::create_dir_all(root.path().join("instance-00000006/shard-00000.shd")).unwrap();
         mgr.try_ingest_batch(vec![UpdateEntry::delete(1, 10)], &mut rng)
-            .expect_err("the level-1 merge hits the planted directory");
-        // B stands, A + B was rolled back: B owns what its inputs owned
-        // (the surviving tombstone of 1 included), A keeps the rest.
-        assert_eq!((mgr.active_instances(), mgr.consolidations()), (2, 2));
+            .expect_err("the chain's rebuild hits the planted directory");
+        // The rebuild was rolled back and b3 stands alone at level 0: it
+        // owns the tombstone of 1, A and b2 keep the rest.
+        assert_eq!((mgr.active_instances(), mgr.consolidations()), (3, 1));
+        assert_eq!(mgr.levels[0].len(), 2, "b2 and b3 at level 0");
+        assert_eq!(
+            mgr.levels[0][1].build_id, 4,
+            "b3 under its own build number"
+        );
         assert_index_is_exact(&mgr, "after a rolled-back merge");
-        for (id, owner) in [(1, 3), (2, 1), (3, 1), (4, 3)] {
+        for (id, owner) in [(1, 3), (2, 1), (3, 1), (4, 2)] {
             assert_eq!(touch(&mgr, id), (owner, id == 1), "touch of id {id}");
         }
 
-        // The next batch (seq 4) stays at level 0 while the retried merge
-        // of A + B commits above it with seq 3: id 2 lives in the group but
-        // belongs to the newer batch outside it and must stay there; the
-        // tombstone of 1 is purged and leaves.
+        // The next batch (seq 4) first completes the chain the failure left
+        // due — A + b2 + b3 commit at level 2 with seq 3, and the
+        // tombstone of 1 is purged and leaves — and then stands at level 0:
+        // id 2 lives in the group but belongs to the newer batch.
         let batch = vec![UpdateEntry::modify(2, 99), UpdateEntry::insert(5, 50)];
         mgr.ingest_batch(batch, &mut rng);
         assert_eq!((mgr.active_instances(), mgr.consolidations()), (2, 3));

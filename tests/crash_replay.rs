@@ -287,7 +287,7 @@ fn structural_consolidation_heals_after_every_op() {
 #[test]
 fn two_level_cascade_heals_after_every_op() {
     // s = 2, three batches in: {level 0: [b2], level 1: [b0 + b1]}. Batch 3
-    // merges level 0, which makes level 1 due, which merges into level 2.
+    // drains level 0 and level 1 into one merge at level 2.
     for mode in [ConsolidationMode::Rebuild, ConsolidationMode::Structural] {
         let ops = replay_ingest(&format!("two-level cascade, {mode:?}"), 2, mode, 3);
         assert!(ops > 5, "no named window reached the second merge before");

@@ -257,14 +257,26 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
         let rolled_forward = fingerprint(&ref_b);
 
         let log = third_ingest_log(mode);
-        for (after, expected, label) in [
+        // A rebuild takes the batch's updates straight into the merge, so
+        // only a structural ingest builds the batch's own index (build 2)
+        // before the merged one (build 3).
+        let batch_dir = "instance-00000002";
+        let batch_built = (log.iter()).any(|(_, path)| path.to_str().unwrap().contains(batch_dir));
+        assert_eq!(
+            batch_built,
+            mode == ConsolidationMode::Structural,
+            "{mode:?}"
+        );
+        let batch_window = batch_built.then(|| {
             // The batch's index committed but neither consolidation nor
             // manifest did: the ingest never returned, so it rolls back.
             (
                 op_index(&log, "write", "instance-00000002/owner.meta"),
                 &rolled_back,
                 "after-batch-build",
-            ),
+            )
+        });
+        for (after, expected, label) in batch_window.into_iter().chain([
             // The merged instance committed, the manifest did not: the
             // ingest still rolls back, and the merge is swept.
             (
@@ -286,7 +298,7 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
                 &rolled_forward,
                 "after-gc",
             ),
-        ] {
+        ]) {
             let crash = Crash {
                 at: after + 1,
                 torn: None,
@@ -450,16 +462,18 @@ fn half_removed_superseded_input_rolls_forward() {
     }
 }
 
-/// A merge that fails mid-cascade keeps its inputs active while the merges
-/// before it stand: the manager keeps answering and ingesting, and the
-/// next ingest retries the failed level. The directories the standing
-/// merges superseded are not removed (the stale manifest still references
-/// them); once a later manifest has dropped them, `open_root` sweeps them.
+/// A chain merge whose commit record fails restores its inputs and leaves
+/// the batch standing alone at level 0: the manager keeps answering and
+/// ingesting, and the next ingest first completes the chain the failure
+/// left due, then places its own batch, landing on the layout of the
+/// manager that never failed. Every commit leaves exactly the directories
+/// its manifest references.
 #[test]
 fn failed_cascade_merge_keeps_every_level_answering() {
     for mode in MODES {
         // s = 2, three batches in: {level 0: [b2], level 1: [b0 + b1]}.
-        // Batch 3 merges level 0, then level 1 — whose commit record fails.
+        // Batch 3 drains level 0 and level 1 into one merge at level 2 —
+        // whose commit record fails.
         let cascading = |root: &Path| UpdateConfig {
             consolidation_step: 2,
             ..config(root, mode)
@@ -473,25 +487,28 @@ fn failed_cascade_merge_keeps_every_level_answering() {
         ingest(&mut twin, 0..3);
         let recording = arm_crash(twin_root.path(), None);
         ingest(&mut twin, 3..4);
-        let last_commit = op_index(&recording.trace(), "write", OWNER_META_FILE);
+        let log = recording.trace();
         drop(recording);
+        let last_commit = &log[op_index(&log, "write", OWNER_META_FILE)].1;
+        let merged_dir = last_commit.parent().unwrap().file_name().unwrap();
 
         let root = TempDir::new("undo");
         let cfg = cascading(root.path());
         let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
         ingest(&mut manager, 0..3);
-        let failing = Crash {
-            at: last_commit,
-            torn: None,
-        };
-        let armed = arm_crash(root.path(), Some(failing));
+        // A directory where the merge's commit record goes fails that one
+        // write; the failed merge's cleanup removes it with the rest.
+        fs::create_dir_all(root.path().join(merged_dir).join(OWNER_META_FILE)).unwrap();
         manager
             .try_ingest_batch(batch_entries(3), &mut batch_rng(3))
-            .expect_err("the second merge fails");
-        drop(armed);
-        assert_eq!(manager.active_instances(), 2, "b0+b1 and b2+b3");
-        assert_eq!(manager.consolidations(), 2, "the first merge stands");
+            .expect_err("the chain's merge fails");
+        assert_eq!(manager.active_instances(), 3, "b0+b1, b2 and b3");
+        assert_eq!(manager.consolidations(), 1, "no merge of the chain stands");
         assert_eq!(manager.batches_ingested(), 4);
+        assert!(
+            !root.path().join(merged_dir).exists(),
+            "the failed merge is removed"
+        );
         let answers = |manager: &LogManager| -> Vec<Vec<DocId>> {
             let sorted = |range| {
                 let mut ids = manager.try_query(range).unwrap().ids;
@@ -502,9 +519,9 @@ fn failed_cascade_merge_keeps_every_level_answering() {
         };
         assert_eq!(answers(&manager), answers(&twin));
 
-        // The next ingest retries the failed level and lands on the layout
-        // of the manager that never failed; its commit sweeps b2 and b3
-        // (level 0, superseded by the merge that stood) with the rest.
+        // The next ingest completes the chain and lands on the layout of
+        // the manager that never failed; its commit sweeps b2 and b3 with
+        // the rest of the chain's inputs.
         ingest(&mut manager, 4..5);
         ingest(&mut twin, 4..5);
         assert_eq!(manager.active_instances(), twin.active_instances());

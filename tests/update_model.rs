@@ -7,8 +7,9 @@
 //!
 //! Each script runs under `consolidation_step ∈ {0, 2, 3}` × both
 //! [`ConsolidationMode`]s × {in memory, on disk with a drop + `open_root`
-//! at a random point}, and a few more times with a merge made to fail
-//! mid-cascade through the codec kit's gate. After **every** ingest and for
+//! at a random point}, and a few more times with the commit record of a
+//! merge that drains two levels made to fail (a directory planted where it
+//! goes, found through the codec kit's recording gate). After **every** ingest and for
 //! every range of [`RANGES`]: sorted `try_query` ids == `ground_truth` ==
 //! the model (`LogScheme` has no false positives: exact equality).
 //!
@@ -24,10 +25,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::prelude::*;
-use rsse::sse::formats::{arm_crash, Crash};
+use rsse::sse::formats::arm_crash;
 use rsse::sse::test_support::TempDir;
 use rsse::updates::manifest::OWNER_META_FILE;
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::path::Path;
 
 type LogManager = UpdateManager<LogScheme>;
@@ -55,8 +57,8 @@ enum Storage {
     InMemory,
     /// On disk; the manager is dropped and `open_root`ed before this batch.
     OnDiskReopenedBefore(usize),
-    /// On disk; the last commit record this batch's ingest writes — the
-    /// top merge of its cascade — fails.
+    /// On disk; the commit record of this batch's consolidation — the one
+    /// merge of its chain — fails.
     OnDiskFailingMergeAt(usize),
 }
 
@@ -195,9 +197,10 @@ fn check(manager: &LogManager, model: &Model, when: &str) {
     }
 }
 
-/// Gate index of the last commit record batch `b`'s ingest writes, taken
-/// from a twin that runs the same script with the gate only recording.
-fn last_commit_op(scenario: &Scenario, b: usize) -> usize {
+/// The instance directory whose commit record batch `b`'s ingest writes
+/// last — its consolidation's merged instance — taken from a twin that
+/// runs the same script with the gate only recording.
+fn last_commit_dir(scenario: &Scenario, b: usize) -> OsString {
     let root = TempDir::new("model-twin");
     let mut twin = LogManager::with_key(
         owner_key(),
@@ -208,14 +211,18 @@ fn last_commit_op(scenario: &Scenario, b: usize) -> usize {
     for earlier in 0..b {
         ingest(&mut twin, &mut model, scenario, earlier).expect("twin ingests");
     }
+    let consolidations = twin.consolidations();
     let recording = arm_crash(root.path(), None);
     ingest(&mut twin, &mut model, scenario, b).expect("twin ingests");
-    let commits: Vec<usize> = (recording.trace().iter().enumerate())
-        .filter(|(_, (op, path))| *op == "write" && path.ends_with(OWNER_META_FILE))
-        .map(|(index, _)| index)
-        .collect();
-    assert!(commits.len() >= 2, "batch {b} must run a consolidation");
-    commits[commits.len() - 1]
+    assert!(
+        twin.consolidations() > consolidations,
+        "batch {b} must run a consolidation"
+    );
+    let log = recording.trace();
+    let (_, last) = (log.iter().rev())
+        .find(|(op, path)| *op == "write" && path.ends_with(OWNER_META_FILE))
+        .expect("an ingest writes a commit record");
+    last.parent().unwrap().file_name().unwrap().to_owned()
 }
 
 fn run(scenario: &Scenario) {
@@ -233,11 +240,12 @@ fn run(scenario: &Scenario) {
                 check(&manager, &model, &format!("reopened before batch {b}"));
             }
             Storage::OnDiskFailingMergeAt(at) if at == b => {
-                let at = last_commit_op(scenario, b);
-                let armed = arm_crash(root.path(), Some(Crash { at, torn: None }));
+                // A directory where the merge's commit record goes fails
+                // that one write.
+                let merged = root.path().join(last_commit_dir(scenario, b));
+                std::fs::create_dir_all(merged.join(OWNER_META_FILE)).unwrap();
                 // The merge rolls back; the batch itself stays ingested.
-                ingest(&mut manager, &mut model, scenario, b).expect_err("the top merge fails");
-                drop(armed);
+                ingest(&mut manager, &mut model, scenario, b).expect_err("the merge fails");
                 check(
                     &manager,
                     &model,
@@ -313,9 +321,9 @@ fn directed_script_matches_the_model() {
     }
 }
 
-/// A merge failing mid-cascade: its inputs roll back and keep answering,
-/// the merges below it stand, the next ingest retries the level under a
-/// newer level-0 instance — and every answer stays the model's.
+/// A chain merge failing: its inputs roll back and keep answering, the
+/// batch stands alone at level 0, the next ingest completes the chain
+/// before it places its own batch — and every answer stays the model's.
 #[test]
 fn scripts_match_the_model_around_a_failed_merge() {
     // (step, the batch whose cascade reaches level 2)

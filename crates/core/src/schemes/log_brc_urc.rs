@@ -64,6 +64,9 @@ impl LogScheme {
                 .into_iter()
                 .map(move |node| (node.keyword(), payload))
         });
+        // One entry per record per level of its root path.
+        let path_len = domain.bits() as usize + 1;
+        let entries = rsse_sse::with_len(entries, dataset.len() * path_len);
         let index = if pad {
             let target = padding::logarithmic_padding_target(dataset.len(), domain.size(), false);
             let padded = padding::pad_to(entries, target);

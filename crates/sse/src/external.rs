@@ -17,9 +17,11 @@
 //!                  then the labels bucketed by shard                       (parallel by part)
 //!  4 sink          per shard: append the batch's entries in (part, index)
 //!                  order to a pre-sized arena + label vector (its label
-//!                  table filled at the end), or to frame buffers that
-//!                  finalize into shard-NNNNN.shd (overflowing to
-//!                  stage-*.tmp under a budget)                             (parallel by shard)
+//!                  table filled at the end), or to one batch of final
+//!                  directory rows + ciphertexts, appended to
+//!                  stage-NNNNN.{dir,region}.tmp while the next batch
+//!                  encrypts; shard-NNNNN.shd = header + staged rows +
+//!                  held rows + staged ciphertexts + held ciphertexts        (parallel by shard)
 //! ```
 //!
 //! **What is sequential, and why.** The calling thread alone pushes the
@@ -35,18 +37,22 @@
 //! **Memory.** Nothing is allocated per keyword: a part's groups share two
 //! flat buffers (labels, fixed-stride ciphertexts) and one index vector,
 //! and a batch is dropped as soon as the sinks have copied it; the sort
-//! works in place. During the batch loop what is alive is the sorted
-//! buffer (or, when spilling, one run buffer of at most half the budget),
-//! one batch, and the sinks — which are sized once, from the stream's
-//! entry count: labels are PRF outputs, so each of `2^bits` shards gets
-//! `total / 2^bits` entries plus a few percent (`shard_capacity`), and no
-//! arena, label vector or frame buffer regrows. An in-memory sink appends each shard's ciphertexts to
-//! its arena and its labels to one flat vector, and fills the shard's
-//! label table only after the sorted stream is freed, sized for exactly
-//! its entries (`⌈4n/3⌉` slots of 25 B). Its peak is the larger of sorted
-//! corpus + arenas + labels during the loop and arenas + tables after it.
-//! `tests/build_memory.rs` holds a build to 2.5 × its index under a
-//! peak-tracking allocator.
+//! works in place, in a buffer reserved once when the stream states its
+//! length ([`with_len`]). During the batch loop what is alive is the
+//! sorted buffer (or, when spilling, one run buffer of at most half the
+//! budget), one batch, and the sinks. Labels are PRF outputs, so each of
+//! `2^bits` shards gets `n / 2^bits` of `n` entries plus a few percent
+//! (`shard_capacity`): an in-memory sink is sized once from the stream's
+//! entry count, an on-disk one from a batch's, and neither regrows. An
+//! in-memory sink appends each shard's ciphertexts to its arena and its
+//! labels to one flat vector, and fills the shard's label table only
+//! after the sorted stream is freed, sized for exactly its entries
+//! (`⌈4n/3⌉` slots of 25 B). Its peak is the larger of sorted corpus +
+//! arenas + labels during the loop and arenas + tables after it. An
+//! on-disk sink holds one batch and the index it writes lives in files, so
+//! its peak is the sorted corpus during the loop or the opened shards'
+//! label tables after it. `tests/build_memory.rs` holds a build to 2.5 ×
+//! its index in memory and 1.4 × on disk under a peak-tracking allocator.
 //!
 //! **Byte identity.** Sorted in RAM or merged from runs, the stream has the
 //! same order, so the seeds are drawn in the same sequence, the keyed
@@ -60,12 +66,12 @@
 //! budgets the corpus fits, and budgets forcing one, two and many runs, on
 //! both backends, with corpora on every batch edge.
 //!
-//! **Filesystem and crash safety.** A build that fits does no filesystem
-//! work beyond its index files (an in-memory one: none). The spill
-//! directory ([`SPILL_DIR`] inside the index directory for on-disk builds,
-//! a unique temp directory otherwise) is created at the first run flush or
-//! the first stage overflow, and swept of a crashed build's leftovers right
-//! then. Its files follow the workspace's `.tmp` + rename commit protocol.
+//! **Filesystem and crash safety.** A build that fits its budget and one
+//! batch does no filesystem work beyond its index files (an in-memory one:
+//! none). The spill directory ([`SPILL_DIR`] inside the index directory for
+//! on-disk builds, a unique temp directory otherwise) is created at the
+//! first run flush or when an on-disk build's second batch arrives, and
+//! swept of a crashed build's leftovers right then. Its files follow the workspace's `.tmp` + rename commit protocol.
 //! A run is raw sorted `(keyword, payload)` rows with no header: only the
 //! process that wrote it reads it back, against the run table it holds in
 //! memory, so a run outlives its build only as debris. Cleanup —
@@ -80,19 +86,19 @@
 //! instance into its own directory, byte for byte. The build has no crash
 //! hooks: every file it creates, appends to or removes goes through
 //! [`formats`], whose gate `tests/crash_replay.rs` arms to kill a spilling
-//! build at every op and require the restarted build to converge byte for
-//! byte. Stage
-//! overflows happen after a batch's parallel step, in shard order, and a
-//! build that staged finalizes its shards in order too, so a spilling
-//! build's op log is deterministic; shards still in their buffers are
-//! written and reopened in parallel.
+//! build and a multi-batch unbudgeted one at every op and require the
+//! restarted build to converge byte for byte. One pool job appends a held
+//! batch to the stage files in shard order, and the shard files are
+//! written in shard order on the calling thread, so every build's op log
+//! is deterministic; only the reopening of the written shards runs in
+//! parallel, and it mutates nothing.
 
 use crate::formats::{self, io_err, write_file_atomic};
-use crate::pibas::{expand_labels, EncryptedIndex, Label, SearchToken, TokenLabeler, LABEL_LEN};
+use crate::pibas::{expand_labels, EncryptedIndex, Label, SearchToken, TokenLabeler};
 use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
     serve_shards, shard_file_name, write_manifest, write_shard_header, ShardLayout, StorageBackend,
-    StorageConfig, StorageError,
+    StorageConfig, StorageError, DIR_ENTRY_LEN,
 };
 use crate::table::LabelTable;
 use rand::{CryptoRng, RngCore, SeedableRng};
@@ -119,14 +125,15 @@ pub fn run_file_name(run: usize) -> String {
     format!("run-{run:05}.spl")
 }
 
-/// File name of the staged label/length frames of shard `i` during the
-/// scatter phase.
+/// File name of the staged directory rows of shard `i` of an on-disk
+/// build: final 24-byte `(label, offset, len)` rows, every batch's but the
+/// last.
 fn stage_dir_name(shard: usize) -> String {
     format!("stage-{shard:05}.dir.tmp")
 }
 
-/// File name of the staged ciphertext region of shard `i` during the
-/// scatter phase.
+/// File name of the staged ciphertexts of shard `i` of an on-disk build,
+/// parallel to its staged directory rows.
 fn stage_region_name(shard: usize) -> String {
     format!("stage-{shard:05}.region.tmp")
 }
@@ -185,6 +192,41 @@ pub enum SpillOrder {
     ByKeyword,
 }
 
+/// An entry stream that declares its length: the build reserves its sort
+/// buffer once from the stream's size hint, and adapters such as
+/// `flat_map` report none. Built by [`with_len`].
+struct WithLen<I> {
+    entries: I,
+    remaining: usize,
+}
+
+/// `entries`, declared to yield exactly `len` items (debug builds check
+/// that it yields no fewer), so [`build_index_external_with`] reserves its
+/// sort buffer once instead of growing it by doubling.
+pub fn with_len<I: IntoIterator>(entries: I, len: usize) -> impl Iterator<Item = I::Item> {
+    WithLen {
+        entries: entries.into_iter(),
+        remaining: len,
+    }
+}
+
+impl<I: Iterator> Iterator for WithLen<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let next = self.entries.next();
+        match next {
+            Some(_) => self.remaining = self.remaining.saturating_sub(1),
+            None => debug_assert_eq!(self.remaining, 0, "the stream ended early"),
+        }
+        next
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Stage 1 — source: a sorted buffer, spilled to runs only past the run limit
 // ---------------------------------------------------------------------------
@@ -195,8 +237,8 @@ static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// The spill directory of one build: inside the index directory for
 /// on-disk backends, under the budget's spill root (or the OS temp dir)
 /// otherwise. Nothing exists on disk until [`create`](Self::create) runs —
-/// at the first run flush or the first stage overflow — so a build that
-/// fits its budget never touches it.
+/// at the first run flush or the first staged batch — so a build that
+/// fits its budget and one batch never touches it.
 struct SpillDir {
     path: PathBuf,
     created: bool,
@@ -249,12 +291,14 @@ struct Spiller<'a, const K: usize, const P: usize> {
 }
 
 impl<'a, const K: usize, const P: usize> Spiller<'a, K, P> {
-    fn new(dir: &'a mut SpillDir, order: SpillOrder, limit: usize) -> Self {
+    /// A spiller for a stream of at least `expected` entries: the buffer
+    /// is reserved once for as many of them as a run holds.
+    fn new(dir: &'a mut SpillDir, order: SpillOrder, limit: usize, expected: usize) -> Self {
         Self {
             dir,
             order,
             limit,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(expected.min(limit)),
             runs: Vec::new(),
         }
     }
@@ -705,17 +749,65 @@ impl Part {
 // Stage 4 — shard sinks
 // ---------------------------------------------------------------------------
 
-/// One shard's scatter state during an on-disk build: in-memory frames,
-/// overflowing into append-only stage files once a budget bounds them.
-struct StageShard {
+/// One shard of an on-disk build: the directory rows and ciphertexts of
+/// the last batch the sink accepted, in RAM; every earlier batch's, in the
+/// shard's two stage files.
+struct DiskShard {
     entries: u64,
     region_len: u64,
-    /// Buffered 20-byte `(label, ciphertext length)` frames.
-    dir_buf: Vec<u8>,
-    /// Buffered ciphertext bytes, parallel to `dir_buf`.
-    region_buf: Vec<u8>,
-    /// Whether any frames have already overflowed to the stage files.
+    /// Final 24-byte directory rows `(label, offset, len)`: offsets run
+    /// over the whole shard, so the rows are written out as they are.
+    dir: Vec<u8>,
+    /// The ciphertexts of those rows, in the same order.
+    region: Vec<u8>,
+    /// Whether earlier batches went to the stage files.
     staged: bool,
+}
+
+impl DiskShard {
+    /// Appends the held batch to the shard's stage files and empties the
+    /// buffers. A shard the batch left empty touches no file.
+    fn stage(&mut self, spill: &Path, shard: usize) -> Result<(), StorageError> {
+        if self.dir.is_empty() {
+            return Ok(());
+        }
+        formats::append(&spill.join(stage_dir_name(shard)), &self.dir)?;
+        formats::append(&spill.join(stage_region_name(shard)), &self.region)?;
+        self.dir.clear();
+        self.region.clear();
+        self.staged = true;
+        Ok(())
+    }
+
+    /// Writes the shard's file — header, directory rows (staged, then
+    /// held), ciphertexts (staged, then held) — and removes its stage
+    /// files. A shard that never staged writes straight from its buffers.
+    fn write(self, path: &Path, spill: &Path, shard: usize) -> Result<(), StorageError> {
+        assert!(
+            self.region_len <= u32::MAX as u64,
+            "arena limited to 4 GiB per index; shard the dataset first"
+        );
+        let stage = [
+            spill.join(stage_dir_name(shard)),
+            spill.join(stage_region_name(shard)),
+        ];
+        write_file_atomic(path, |writer| {
+            write_shard_header(writer, self.entries, self.region_len)?;
+            for (stage, held) in stage.iter().zip([&self.dir, &self.region]) {
+                if self.staged {
+                    io::copy(&mut File::open(stage)?, writer)?;
+                }
+                writer.write_all(held)?;
+            }
+            Ok(())
+        })?;
+        if self.staged {
+            for stage in &stage {
+                let _ = formats::remove_file(stage);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One shard's entries during an in-memory build: entry `i` is `labels[i]`
@@ -745,15 +837,11 @@ impl MemoryShard {
     }
 }
 
-/// Bytes of one staged `(label, ciphertext length)` frame.
-const FRAME_LEN: usize = LABEL_LEN + 4;
-
-/// Where the encrypted entries land: in-memory arenas or staged shard
-/// files that finalize into the exact serialized shard format. A sink
-/// takes a whole batch at a time ([`accept`](Self::accept)), one job per
-/// shard, each appending the batch's entries of its shard in (part,
-/// index) order — the global (keyword, counter) order, whatever the
-/// scheduling.
+/// Where the encrypted entries land: in-memory arenas, or shard files
+/// written from stage files plus the last batch. A sink takes a whole
+/// batch at a time ([`accept`](Self::accept)), one job per shard, each
+/// appending the batch's entries of its shard in (part, index) order —
+/// the global (keyword, counter) order, whatever the scheduling.
 enum Sink {
     /// In-memory backend: per shard, an arena of ciphertexts and a flat
     /// vector of their labels in the same order, both sized once from the
@@ -763,14 +851,13 @@ enum Sink {
         stride: usize,
         shards: Vec<MemoryShard>,
     },
-    /// On-disk backend: per-shard frame buffers, finalized into
-    /// `shard-NNNNN.shd`. Unbudgeted they hold the shard until then;
-    /// under a budget a buffer past `flush_bytes` overflows to stage files
-    /// in the spill directory.
+    /// On-disk backend: per shard, one batch in RAM. Before the next batch
+    /// is accepted, [`stage`](Self::stage) appends it to the shard's stage
+    /// files in the spill directory; [`finish`](Self::finish) writes each
+    /// `shard-NNNNN.shd` from its stage files and the batch still held.
     Disk {
         dir: PathBuf,
-        flush_bytes: usize,
-        shards: Vec<StageShard>,
+        shards: Vec<DiskShard>,
     },
 }
 
@@ -794,48 +881,45 @@ fn for_each_shard<T: Send>(shards: &mut [T], job: impl Fn(usize, &mut T) + Sync)
 }
 
 impl Sink {
+    /// A sink for `total_entries` entries arriving in batches of about
+    /// `batch_entries`: an in-memory one is sized for all of them, an
+    /// on-disk one for one batch.
     fn new(
         config: &StorageConfig,
         total_entries: u64,
+        batch_entries: usize,
         stride: usize,
     ) -> Result<Self, StorageError> {
         let count = 1usize << config.shard_bits;
-        let capacity = shard_capacity(total_entries, count);
         match &config.backend {
-            StorageBackend::InMemory => Ok(Sink::Memory {
-                stride,
-                shards: (0..count)
-                    .map(|_| MemoryShard {
-                        labels: Vec::with_capacity(capacity),
-                        arena: Vec::with_capacity(capacity * stride),
-                    })
-                    .collect(),
-            }),
+            StorageBackend::InMemory => {
+                let capacity = shard_capacity(total_entries, count);
+                Ok(Sink::Memory {
+                    stride,
+                    shards: (0..count)
+                        .map(|_| MemoryShard {
+                            labels: Vec::with_capacity(capacity),
+                            arena: Vec::with_capacity(capacity * stride),
+                        })
+                        .collect(),
+                })
+            }
             StorageBackend::OnDisk(dir) => {
                 // The shard files go in first, each tmp + renamed, and
                 // `index.meta` last, in `finish`: a crash leaves no
                 // manifest, and on error the build sweeps the partial
                 // directory.
                 formats::create_dir_all(dir)?;
-                // A quarter of the budget across all shard buffers, floored
-                // so very high shard counts degrade to more frequent
-                // appends rather than per-byte syscalls. Without a budget
-                // the buffers hold the whole shard. Either way they are
-                // sized up front for what they will hold.
-                let flush_bytes = config.build_budget.as_ref().map_or(usize::MAX, |budget| {
-                    (budget.memory_bytes / 4 / count).max(4 << 10)
-                });
-                let reserve =
-                    |per_entry: usize| Vec::with_capacity((capacity * per_entry).min(flush_bytes));
+                let batch = total_entries.min(batch_entries as u64);
+                let capacity = shard_capacity(batch, count);
                 Ok(Sink::Disk {
                     dir: dir.clone(),
-                    flush_bytes,
                     shards: (0..count)
-                        .map(|_| StageShard {
+                        .map(|_| DiskShard {
                             entries: 0,
                             region_len: 0,
-                            dir_buf: reserve(FRAME_LEN),
-                            region_buf: reserve(stride),
+                            dir: Vec::with_capacity(capacity * DIR_ENTRY_LEN as usize),
+                            region: Vec::with_capacity(capacity * stride),
                             staged: false,
                         })
                         .collect(),
@@ -844,48 +928,52 @@ impl Sink {
         }
     }
 
-    /// Appends one encrypted batch, every shard in parallel.
-    fn accept(&mut self, parts: &[Part], spill: &mut SpillDir) -> Result<(), StorageError> {
+    /// Appends the batch an on-disk sink holds to the stage files, shard
+    /// by shard in order, so the gated op log of a build is deterministic.
+    /// It runs only once another batch has arrived — a one-batch build
+    /// never stages — and beside that batch's encryption.
+    fn stage(&mut self, spill: &mut SpillDir) -> Result<(), StorageError> {
+        let Sink::Disk { shards, .. } = self else {
+            return Ok(());
+        };
+        if shards.iter().all(|shard| shard.dir.is_empty()) {
+            return Ok(());
+        }
+        let spill = spill.create()?;
+        for (i, shard) in shards.iter_mut().enumerate() {
+            shard.stage(spill, i)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one encrypted batch, every shard in parallel. An on-disk
+    /// sink must have staged the batch before it.
+    fn accept(&mut self, parts: &[Part]) {
         match self {
-            Sink::Memory { shards, .. } => {
-                for_each_shard(shards, |i, shard| {
-                    for part in parts {
-                        for (label, ciphertext) in part.shard_entries(i) {
-                            shard.labels.push(*label);
-                            shard.arena.extend_from_slice(ciphertext);
-                        }
-                    }
-                });
-                Ok(())
-            }
-            Sink::Disk {
-                flush_bytes,
-                shards,
-                ..
-            } => {
-                for_each_shard(shards, |i, stage| {
-                    for part in parts {
-                        let entries = part.shard_entries(i);
-                        stage.entries += entries.len() as u64;
-                        stage.region_len += (entries.len() * part.stride) as u64;
-                        for (label, ciphertext) in entries {
-                            stage.dir_buf.extend_from_slice(label);
-                            stage
-                                .dir_buf
-                                .extend_from_slice(&(part.stride as u32).to_le_bytes());
-                            stage.region_buf.extend_from_slice(ciphertext);
-                        }
-                    }
-                });
-                // Overflow after the parallel step, in shard order, so the
-                // gated op log of a build is deterministic.
-                for (i, stage) in shards.iter_mut().enumerate() {
-                    if stage.dir_buf.len() + stage.region_buf.len() >= *flush_bytes {
-                        stage_overflow(spill.create()?, i, stage)?;
+            Sink::Memory { shards, .. } => for_each_shard(shards, |i, shard| {
+                for part in parts {
+                    for (label, ciphertext) in part.shard_entries(i) {
+                        shard.labels.push(*label);
+                        shard.arena.extend_from_slice(ciphertext);
                     }
                 }
-                Ok(())
-            }
+            }),
+            Sink::Disk { shards, .. } => for_each_shard(shards, |i, shard| {
+                debug_assert!(shard.dir.is_empty(), "the previous batch was staged");
+                for part in parts {
+                    let len = part.stride as u32;
+                    for (label, ciphertext) in part.shard_entries(i) {
+                        shard.dir.extend_from_slice(label);
+                        shard
+                            .dir
+                            .extend_from_slice(&(shard.region_len as u32).to_le_bytes());
+                        shard.dir.extend_from_slice(&len.to_le_bytes());
+                        shard.region.extend_from_slice(ciphertext);
+                        shard.entries += 1;
+                        shard.region_len += u64::from(len);
+                    }
+                }
+            }),
         }
     }
 
@@ -904,25 +992,28 @@ impl Sink {
                     .map(|shard| Shard::Memory(shard.into_index(stride)))
                     .collect(),
             )),
-            Sink::Disk { dir, shards, .. } => {
-                let finalize =
-                    |(i, stage): (usize, StageShard)| -> Result<ShardLayout, StorageError> {
+            Sink::Disk { dir, shards } => {
+                // Written in shard order on this thread, which keeps the
+                // gated op log deterministic; each shard is opened on the
+                // pool as soon as its file is in place.
+                let mut opened: Vec<Option<Result<ShardLayout, StorageError>>> =
+                    shards.iter().map(|_| None).collect();
+                rayon::scope(|scope| -> Result<(), StorageError> {
+                    let slots = shards.into_iter().zip(&mut opened).enumerate();
+                    for (i, (shard, slot)) in slots {
                         let path = dir.join(shard_file_name(i));
-                        finalize_shard(&path, &spill.path, i, stage)?;
-                        ShardLayout::open(&path, i as u32, bits, cache_budget.is_some())
-                    };
-                // Shards held in their buffers serialize and reopen in
-                // parallel. A build that overflowed to stage files is bound
-                // by the disk either way; it finalizes in shard order,
-                // which keeps its gated op log deterministic.
-                let jobs: Vec<(usize, StageShard)> = shards.into_iter().enumerate().collect();
-                let results: Vec<Result<ShardLayout, StorageError>> =
-                    if jobs.iter().any(|(_, stage)| stage.staged) {
-                        jobs.into_iter().map(finalize).collect()
-                    } else {
-                        jobs.into_par_iter().map(finalize).collect()
-                    };
-                let layouts = results.into_iter().collect::<Result<_, _>>()?;
+                        shard.write(&path, &spill.path, i)?;
+                        scope.spawn(move |_| {
+                            let budgeted = cache_budget.is_some();
+                            *slot = Some(ShardLayout::open(&path, i as u32, bits, budgeted));
+                        });
+                    }
+                    Ok(())
+                })?;
+                let layouts = opened
+                    .into_iter()
+                    .map(|layout| layout.expect("every shard was written and opened"))
+                    .collect::<Result<_, _>>()?;
                 write_manifest(&dir, bits)?;
                 let shards = serve_shards(layouts, cache_budget);
                 Ok(ShardedIndex::from_parts(
@@ -932,77 +1023,6 @@ impl Sink {
             }
         }
     }
-}
-
-/// Appends a shard's buffered frames to its stage files and clears the
-/// buffers.
-fn stage_overflow(spill: &Path, shard: usize, stage: &mut StageShard) -> Result<(), StorageError> {
-    formats::append(&spill.join(stage_dir_name(shard)), &stage.dir_buf)?;
-    formats::append(&spill.join(stage_region_name(shard)), &stage.region_buf)?;
-    stage.dir_buf.clear();
-    stage.region_buf.clear();
-    stage.staged = true;
-    Ok(())
-}
-
-/// Emits the 24-byte directory entries of `entries` staged 20-byte
-/// `(label, ciphertext length)` frames: offsets are the running length
-/// sum, exactly the in-RAM layout.
-fn write_directory(
-    frames: &mut impl Read,
-    entries: u64,
-    writer: &mut impl Write,
-) -> io::Result<()> {
-    let mut running = 0u32;
-    let mut label = [0u8; LABEL_LEN];
-    let mut len = [0u8; 4];
-    for _ in 0..entries {
-        frames.read_exact(&mut label)?;
-        frames.read_exact(&mut len)?;
-        writer.write_all(&label)?;
-        writer.write_all(&running.to_le_bytes())?;
-        writer.write_all(&len)?;
-        running += u32::from_le_bytes(len);
-    }
-    Ok(())
-}
-
-/// Writes shard `shard`'s final serialized file from its frames — header,
-/// label directory (offsets as the running length sum, exactly the in-RAM
-/// layout), then the ciphertext region. A shard that never overflowed
-/// serializes straight from its buffers and touches nothing else; a staged
-/// one flushes its tail, streams the stage files back and removes them.
-fn finalize_shard(
-    path: &Path,
-    spill: &Path,
-    shard: usize,
-    mut stage: StageShard,
-) -> Result<(), StorageError> {
-    assert!(
-        stage.region_len <= u32::MAX as u64,
-        "arena limited to 4 GiB per index; shard the dataset first"
-    );
-    if !stage.staged {
-        return write_file_atomic(path, |writer| {
-            write_shard_header(writer, stage.entries, stage.region_len)?;
-            write_directory(&mut stage.dir_buf.as_slice(), stage.entries, writer)?;
-            writer.write_all(&stage.region_buf)
-        });
-    }
-    // Flush the tail so the stage files hold everything.
-    stage_overflow(spill, shard, &mut stage)?;
-    let dir_tmp = spill.join(stage_dir_name(shard));
-    let region_tmp = spill.join(stage_region_name(shard));
-    write_file_atomic(path, |writer| {
-        write_shard_header(writer, stage.entries, stage.region_len)?;
-        let mut frames = BufReader::new(File::open(&dir_tmp)?);
-        write_directory(&mut frames, stage.entries, writer)?;
-        io::copy(&mut BufReader::new(File::open(&region_tmp)?), writer)?;
-        Ok(())
-    })?;
-    let _ = formats::remove_file(&dir_tmp);
-    let _ = formats::remove_file(&region_tmp);
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1054,12 +1074,14 @@ where
     let mut spill = SpillDir::of(config);
 
     let built = (|| {
-        let mut spiller = Spiller::<K, P>::new(&mut spill, order, run_limit);
+        let entries = entries.into_iter();
+        let reserve = entries.size_hint().0;
+        let mut spiller = Spiller::<K, P>::new(&mut spill, order, run_limit, reserve);
         for entry in entries {
             spiller.push(entry)?;
         }
         let mut source = spiller.finish(budget.map_or(0, |budget| budget.memory_bytes))?;
-        let mut sink = Sink::new(config, source.total_entries(), stride)?;
+        let mut sink = Sink::new(config, source.total_entries(), batch_limit, stride)?;
         let part_count = rayon::current_num_threads() * PARTS_PER_THREAD;
         loop {
             let batch = source.next_batch(batch_limit)?;
@@ -1067,11 +1089,19 @@ where
                 break;
             }
             let groups = close_groups(batch, rng);
-            let parts: Vec<Part> = cut_parts(&groups, part_count)
-                .into_par_iter()
-                .map(|groups| encrypt_part(batch, groups, &group_token, bits))
-                .collect();
-            sink.accept(&parts, &mut spill)?;
+            let cut = cut_parts(&groups, part_count);
+            // The previous batch goes to the stage files while this one
+            // encrypts.
+            let (parts, staged) = rayon::join(
+                || -> Vec<Part> {
+                    cut.into_par_iter()
+                        .map(|groups| encrypt_part(batch, groups, &group_token, bits))
+                        .collect()
+                },
+                || sink.stage(&mut spill),
+            );
+            staged?;
+            sink.accept(&parts);
         }
         // The sorted stream is spent; free it before the shards are
         // serialized and reopened.
@@ -1487,11 +1517,8 @@ mod tests {
             config.build_budget = budget;
             let recording = formats::arm_crash(dir.path(), None);
             build(&config);
-            let mut log = recording.trace();
+            let log = recording.trace();
             drop(recording);
-            // The shard writers run in parallel: their four ops come in
-            // any order, between the directory and the manifest.
-            log[1..5].sort();
             let mut expected = vec![("create_dir_all", index_dir.clone())];
             expected.extend((0..4).map(|i| ("write", index_dir.join(shard_file_name(i)))));
             expected.push(("write", index_dir.join(crate::storage::MANIFEST_FILE)));
@@ -1664,7 +1691,7 @@ mod tests {
             path: dir.path().to_path_buf(),
             created: false,
         };
-        let mut spiller = Spiller::<13, 8>::new(&mut spill, SpillOrder::ByKeywordAndPayload, 4);
+        let mut spiller = Spiller::<13, 8>::new(&mut spill, SpillOrder::ByKeywordAndPayload, 4, 0);
         for i in 0..4u64 {
             spiller.push((keyword(0, i), i.to_le_bytes())).unwrap();
         }

@@ -60,7 +60,7 @@ pub mod storage;
 mod table;
 
 pub use database::SseDatabase;
-pub use external::{build_index_external_with, SpillOrder};
+pub use external::{build_index_external_with, with_len, SpillOrder};
 pub use fault::{DelayHook, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{

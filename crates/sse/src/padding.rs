@@ -46,7 +46,7 @@ pub fn pad_to<const K: usize, const P: usize>(
     let mut entries = entries.into_iter();
     let mut real = 0usize;
     let mut dummies: Option<std::ops::Range<u64>> = None;
-    std::iter::from_fn(move || {
+    let padded = std::iter::from_fn(move || {
         if dummies.is_none() {
             if let Some(entry) = entries.next() {
                 real += 1;
@@ -60,7 +60,8 @@ pub fn pad_to<const K: usize, const P: usize>(
         }
         let i = dummies.as_mut()?.next()?;
         Some((padding_keyword(i), [0u8; P]))
-    })
+    });
+    crate::with_len(padded, target_entries)
 }
 
 /// The padding target used by the Quadratic scheme: every tuple is

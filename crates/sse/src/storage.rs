@@ -119,7 +119,7 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"RSSE-IDX";
 const SHARD_HEADER_LEN: u64 = 32;
 
 /// Bytes per directory entry: 16-byte label + u32 offset + u32 len.
-const DIR_ENTRY_LEN: u64 = 24;
+pub(crate) const DIR_ENTRY_LEN: u64 = 24;
 
 /// Manifest file length in bytes.
 const MANIFEST_LEN: u64 = 24;
@@ -302,11 +302,11 @@ pub enum StorageBackend {
 /// grouped paths and every build of the update manager) collect their
 /// `(keyword, payload)` entries in a buffer of at most ~`memory_bytes / 2`
 /// bytes. A corpus that fits is sorted right there. One that does not is
-/// written out as sorted spill runs, the runs are k-way merged,
-/// and — on an on-disk backend — shard buffers past their share of the
-/// budget overflow to stage files, so peak RSS is bounded by the budget
-/// (run buffer + merge scratch + one encrypt batch + write buffers), not
-/// by corpus size, at ~2 I/O passes over the entries.
+/// written out as sorted spill runs and the runs are k-way merged, so
+/// peak RSS is bounded by the budget (run buffer + merge scratch + one
+/// encrypt batch), not by corpus size, at ~2 I/O passes over the entries.
+/// An on-disk sink holds one batch whatever the budget: every earlier
+/// batch is in its stage files.
 ///
 /// The budget is a *target*, not a hard allocator limit. Two floors apply
 /// regardless of how small it is set: the largest single posting list must

@@ -9,9 +9,12 @@
 //! alive as per-keyword lists and chunks beside the sorted entries measures
 //! ≈ 4.4 × here; the batch pipeline (sorted buffer + pre-sized sinks + one
 //! bounded batch) 3.19 × in memory while its sinks filled label tables at
-//! a load near 1/2 beside the sorted buffer, and 2.05 × since the tables
-//! are sized to their load and filled after the buffer is freed (2.15 × on
-//! disk, a build whose sinks hold no label table).
+//! a load near 1/2 beside the sorted buffer, 2.05 × once the tables were
+//! sized to their load and filled after the buffer is freed, and 1.92 ×
+//! since the sorted buffer is reserved once instead of grown by doubling.
+//! On disk it measured 2.15 × while the sink held every shard file until
+//! the end of the build, and 1.11 × since it holds one batch and stages
+//! the rest, so the on-disk bound is its own.
 //!
 //! Because everything in this process is serialized behind one lock, it is
 //! also where the process-global counts are exact: the cipher-call delta of
@@ -23,11 +26,13 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{BuildBudget, StorageConfig};
+use rsse::cover::Node;
 use rsse::crypto::encrypt_call_count;
 use rsse::prelude::*;
 use rsse::sse::formats::arm_crash;
 use rsse::sse::test_support::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -100,6 +105,11 @@ const SHARD_BITS: u32 = 4;
 /// A build may hold this many times the bytes `index_stats` accounts for.
 const PEAK_FACTOR: f64 = 2.5;
 
+/// An on-disk build of several batches may hold this many times its index:
+/// it reads 1.11 ×, and a sink that held the whole index again would read
+/// ≈ 2.15 ×.
+const ON_DISK_PEAK_FACTOR: f64 = 1.4;
+
 fn dataset() -> Dataset {
     gowalla_like(RECORDS, 1 << 20, &mut ChaCha20Rng::seed_from_u64(1))
 }
@@ -126,14 +136,14 @@ fn build(dataset: &Dataset, config: &StorageConfig) -> Built {
     }
 }
 
-fn assert_within_bound(what: &str, built: &Built) {
+fn assert_within(bound: f64, what: &str, built: &Built) {
     let factor = built.peak as f64 / built.stats.storage_bytes as f64;
     eprintln!(
         "build_memory: {what}: peak {} B over an index of {} B = {factor:.2} x",
         built.peak, built.stats.storage_bytes
     );
     assert!(
-        factor <= PEAK_FACTOR,
+        factor <= bound,
         "{what}: the build held {factor:.2} x its index ({} B over {} B)",
         built.peak,
         built.stats.storage_bytes
@@ -160,7 +170,7 @@ fn an_in_memory_build_holds_a_bounded_multiple_of_its_index() {
         "an in-memory build mutated the filesystem"
     );
     drop(recording);
-    assert_within_bound("in memory", &plain);
+    assert_within(PEAK_FACTOR, "in memory", &plain);
 
     // A budget the corpus fits changes nothing: not the peak, not the
     // draws, and it never creates the spill directory it was given.
@@ -174,7 +184,7 @@ fn an_in_memory_build_holds_a_bounded_multiple_of_its_index() {
     assert_eq!(recording.trace(), Vec::new());
     drop(recording);
     assert_eq!(spill_root.subdir_count(), 0);
-    assert_within_bound("in memory, roomy budget", &budgeted);
+    assert_within(PEAK_FACTOR, "in memory, roomy budget", &budgeted);
     assert_same_build(&plain, &budgeted);
 }
 
@@ -183,14 +193,14 @@ fn an_on_disk_build_holds_a_bounded_multiple_of_its_index() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dataset = dataset();
     let root = TempDir::new("build-mem-disk");
-    let run = |name: &str, budget: Option<BuildBudget>| {
+    let run = |name: &str, dataset: &Dataset, budget: Option<BuildBudget>| {
         let mut config = StorageConfig::on_disk(SHARD_BITS, root.path().join(name));
         config.build_budget = budget;
         let recording = arm_crash(&root.path().join(name), None);
-        let built = build(&dataset, &config);
-        // Shard writers run in parallel: compare the ops as a multiset of
-        // names relative to the index directory.
-        let mut ops: Vec<(&str, PathBuf)> = recording
+        let built = build(dataset, &config);
+        // The ops by path relative to the index directory, in gate order:
+        // a build stages and writes its shards in shard order.
+        let ops: Vec<(&str, PathBuf)> = recording
             .trace()
             .into_iter()
             .map(|(op, path)| {
@@ -200,22 +210,94 @@ fn an_on_disk_build_holds_a_bounded_multiple_of_its_index() {
                 )
             })
             .collect();
-        ops.sort();
         (built, ops)
     };
 
-    let (plain, plain_ops) = run("plain", None);
-    assert_within_bound("on disk", &plain);
-    // The directory, the manifest, one atomic write per shard.
-    assert_eq!(plain_ops.len(), 2 + (1 << SHARD_BITS), "{plain_ops:?}");
+    let (plain, plain_ops) = run("plain", &dataset, None);
+    assert_within(ON_DISK_PEAK_FACTOR, "on disk", &plain);
+    assert_eq!(plain_ops, staged_build_ops(batches(&dataset)));
 
-    let (budgeted, budgeted_ops) = run("budgeted", Some(BuildBudget::with_memory(1 << 30)));
-    assert_within_bound("on disk, roomy budget", &budgeted);
+    let (budgeted, budgeted_ops) = run(
+        "budgeted",
+        &dataset,
+        Some(BuildBudget::with_memory(1 << 30)),
+    );
+    assert_within(ON_DISK_PEAK_FACTOR, "on disk, roomy budget", &budgeted);
     assert_same_build(&plain, &budgeted);
     assert_eq!(
         plain_ops, budgeted_ops,
         "the budget changed the files touched"
     );
+
+    // One batch is never staged: the build touches its index files alone.
+    let small = gowalla_like(RECORDS / 10, 1 << 20, &mut ChaCha20Rng::seed_from_u64(1));
+    assert_eq!(batches(&small), 1);
+    let (_, one_batch_ops) = run("one batch", &small, None);
+    let mut expected = vec![("create_dir_all", PathBuf::new())];
+    expected.extend((0..SHARDS).map(|i| ("write", shard(i))));
+    expected.push(("write", "index.meta".into()));
+    assert_eq!(one_batch_ops, expected);
+}
+
+const SHARDS: usize = 1 << SHARD_BITS;
+
+/// Entries an unbudgeted build encrypts per batch, before extending the
+/// batch to the end of the keyword group it stops in.
+const BATCH_ENTRIES: usize = 64 << 10;
+
+fn shard(i: usize) -> PathBuf {
+    format!("shard-{i:05}.shd").into()
+}
+
+fn stage(i: usize, file: &str) -> PathBuf {
+    format!("spill.tmp/stage-{i:05}.{file}.tmp").into()
+}
+
+/// The batches an unbudgeted Logarithmic-BRC build cuts `dataset` into:
+/// whole keyword groups in keyword order, each batch the shortest run of
+/// them holding at least [`BATCH_ENTRIES`] entries (the last may hold
+/// fewer).
+fn batches(dataset: &Dataset) -> usize {
+    let mut groups: BTreeMap<[u8; 13], usize> = BTreeMap::new();
+    for record in dataset.records() {
+        for node in Node::path_to_root(dataset.domain(), record.value) {
+            *groups.entry(node.keyword()).or_default() += 1;
+        }
+    }
+    let (mut batches, mut held) = (0, 0);
+    for len in groups.values() {
+        held += len;
+        if held >= BATCH_ENTRIES {
+            (batches, held) = (batches + 1, 0);
+        }
+    }
+    batches + usize::from(held > 0)
+}
+
+/// The op log of an on-disk build of `batches` batches whose every batch
+/// reaches every shard: it stages all but its last batch, shard by shard,
+/// then writes each shard file and removes its stage files, commits the
+/// manifest and removes the emptied spill directory.
+fn staged_build_ops(batches: usize) -> Vec<(&'static str, PathBuf)> {
+    assert!(batches > 1, "a one-batch build stages nothing");
+    let mut ops = vec![
+        ("create_dir_all", PathBuf::new()),
+        ("create_dir_all", "spill.tmp".into()),
+    ];
+    for _ in 1..batches {
+        for i in 0..SHARDS {
+            ops.push(("append", stage(i, "dir")));
+            ops.push(("append", stage(i, "region")));
+        }
+    }
+    for i in 0..SHARDS {
+        ops.push(("write", shard(i)));
+        ops.push(("remove_file", stage(i, "dir")));
+        ops.push(("remove_file", stage(i, "region")));
+    }
+    ops.push(("write", "index.meta".into()));
+    ops.push(("remove_dir", "spill.tmp".into()));
+    ops
 }
 
 /// Two builds of the same corpus from the same seed: same index, same RNG

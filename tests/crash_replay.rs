@@ -299,7 +299,11 @@ fn two_level_cascade_heals_after_every_op() {
 // ---------------------------------------------------------------------------
 
 fn dataset() -> Dataset {
-    let records = (0..90u64)
+    dataset_of(90)
+}
+
+fn dataset_of(records: u64) -> Dataset {
+    let records = (0..records)
         .map(|i| Record::new(i, (i * 37 + 5) % DOMAIN))
         .collect();
     Dataset::new(Domain::new(DOMAIN), records).unwrap()
@@ -315,19 +319,22 @@ fn answers(client: &LogScheme, server: &QueryServer) -> Vec<QueryOutcome> {
     .into()
 }
 
-/// A budget small enough that the 990-entry build spills two runs.
+/// A budget small enough that the 990-entry build spills two runs (runs of
+/// 512 entries, batches of 2 730).
 fn tiny_budget() -> BuildBudget {
     BuildBudget::with_memory(1)
 }
 
-#[test]
-fn spilling_on_disk_build_restarts_after_every_op() {
+/// Replays a crash at every op of an on-disk build of `records` records
+/// under `budget`, clean and torn: the restarted build must answer like the
+/// uninterrupted one, converge with it byte for byte and leave no debris
+/// (no `.tmp` file, no `spill.tmp`). Returns the uninterrupted op log.
+fn replay_on_disk_build(scenario: &str, records: u64, budget: Option<BuildBudget>) -> Log {
+    let dataset = dataset_of(records);
     let build = |dir: &Path| {
-        LogScheme::build_stored(
-            &dataset(),
-            &StorageConfig::on_disk(2, dir).with_build_budget(tiny_budget()),
-            &mut ChaCha20Rng::seed_from_u64(7),
-        )
+        let mut config = StorageConfig::on_disk(2, dir);
+        config.build_budget = budget.clone();
+        LogScheme::build_stored(&dataset, &config, &mut ChaCha20Rng::seed_from_u64(7))
     };
     let reference = TempDir::new("replay-build-ref");
     let recording = arm_crash(reference.path(), None);
@@ -335,10 +342,6 @@ fn spilling_on_disk_build_restarts_after_every_op() {
     let log = recording.trace();
     drop(recording);
     let expected = answers(&client, &server);
-    assert!(
-        log.iter().any(|(op, _)| *op == "append"),
-        "the build must spill"
-    );
 
     let all = crashes(&log);
     for &crash in &all {
@@ -348,7 +351,7 @@ fn spilling_on_disk_build_restarts_after_every_op() {
         let trace = armed.trace();
         drop(armed);
 
-        checked("spilling on-disk build", crash, &trace, || {
+        checked(scenario, crash, &trace, || {
             let (client, server) = build(dir.path()).expect("the restarted build succeeds");
             assert_eq!(answers(&client, &server), expected);
             assert_no_debris(dir.path());
@@ -356,11 +359,45 @@ fn spilling_on_disk_build_restarts_after_every_op() {
         });
     }
     eprintln!(
-        "crash_replay: spilling on-disk build: {} ops, {} crashes replayed",
+        "crash_replay: {scenario}: {} ops, {} crashes replayed",
         log.len(),
         all.len()
     );
+    log
+}
+
+/// Whether `log` appends to a stage file and commits a spill run.
+fn stages_and_spills(log: &Log) -> (bool, bool) {
+    let named = |op: &str, suffix: &str| {
+        log.iter()
+            .any(|(o, path)| *o == op && path.to_str().is_some_and(|path| path.ends_with(suffix)))
+    };
+    (named("append", ".tmp"), named("write", ".spl"))
+}
+
+#[test]
+fn spilling_on_disk_build_restarts_after_every_op() {
+    // 300 records are 3 300 entries: seven runs under the tiny budget, and
+    // two of its 2 730-entry batches, so the first batch stages.
+    let log = replay_on_disk_build("spilling on-disk build", 300, Some(tiny_budget()));
+    assert_eq!(
+        stages_and_spills(&log),
+        (true, true),
+        "the build must spill"
+    );
     assert!(log.len() > 3, "three named windows before");
+}
+
+#[test]
+fn unbudgeted_multi_batch_on_disk_build_restarts_after_every_op() {
+    // 7 000 records are 77 000 entries, two unbudgeted 64 Ki-entry batches:
+    // no run, but the first batch goes to the stage files.
+    let log = replay_on_disk_build("unbudgeted multi-batch on-disk build", 7_000, None);
+    assert_eq!(
+        stages_and_spills(&log),
+        (true, false),
+        "the build must stage"
+    );
 }
 
 #[test]

@@ -87,18 +87,29 @@ impl ScanScratch {
     /// Decodes one round of scan hits — `(token_index, ciphertext)` as
     /// [`SseScheme::search_scan_rounds`] delivers them over `tokens` —
     /// pushing each id onto its token's group in `per_token`, in the
-    /// round's order. Hits are decrypted two at a time
-    /// ([`StreamCipher::decrypt_pair_into`]), an odd last one alone; what
-    /// each decodes to is [`decode_hit_into`]'s answer, a corrupt entry
-    /// being skipped. Call [`reset`](Self::reset) with the query's token
-    /// count first.
+    /// round's order; a corrupt entry is skipped. Call
+    /// [`reset`](Self::reset) with the query's token count first.
     pub fn decode_round(
         &mut self,
         tokens: &[SearchToken],
         round: &[(u32, CipherSpan<'_>)],
         per_token: &mut [Vec<DocId>],
     ) {
-        let mut push = |t: u32, id: Option<DocId>| per_token[t as usize].extend(id);
+        self.decode_round_with(tokens, round, |t, id| per_token[t as usize].extend(id));
+    }
+
+    /// [`decode_round`](Self::decode_round) handing every hit to `push` as
+    /// `(token_index, id)` in the round's order, a corrupt entry as `None`
+    /// — so a caller can keep each hit's position in its list. Hits are
+    /// decrypted two at a time ([`StreamCipher::decrypt_pair_into`]), an
+    /// odd last one alone; what each decodes to is [`decode_hit_into`]'s
+    /// answer.
+    pub fn decode_round_with(
+        &mut self,
+        tokens: &[SearchToken],
+        round: &[(u32, CipherSpan<'_>)],
+        mut push: impl FnMut(u32, Option<DocId>),
+    ) {
         let mut pairs = round.chunks_exact(2);
         for pair in &mut pairs {
             let ((ta, hit_a), (tb, hit_b)) = (&pair[0], &pair[1]);

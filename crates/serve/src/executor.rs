@@ -5,12 +5,31 @@
 //! one, which `execute_batch` serves with `serve_alone` too.
 //!
 //! **A batch of one** has nothing to share. Its whole token vector goes
-//! through one guarded counter scan
-//! (`rsse_core::server::scan_query_into_with`), which advances all its
+//! through one guarded counter scan (`SseScheme::search_scan_from`, the walk
+//! `rsse_core::server::scan_query_into_with` runs), which advances all its
 //! tokens in lock-step windows and prefetches from the window of 4. Routing
 //! it through the plan below instead cost `mem_point` +31 % p50: the plan's
 //! map, a scan per token and the fan-out's id copies are pure overhead when
 //! no other query can use the work.
+//!
+//! A *long* batch of one splits instead, across lanes of the same pool. Π_bas
+//! labels each counter on its own (`F(K1_w, c)`), so lanes can walk one list
+//! at once, each taking its own counters. The walk starts on the caller and
+//! pauses at the first round boundary by which 128 probes have resolved. If
+//! a token is still live there, the backend is memory-resident
+//! ([`ServeIndex::memory_resident`]) and the pool and
+//! [`BatchConfig::workers`] allow `k ≥ 2` lanes, lane `i` walks every live
+//! token at counters `next + i, next + i + k, …` until its own first miss,
+//! under its own deadline guard and decrypt scratch; the caller is lane 0.
+//! Each token's hits are merged back by counter, keeping the position of a
+//! corrupt one, so outcomes, `probes_resolved` and every `ServeStats`
+//! counter are the single walk's. The `k − 1` probes the other lanes take
+//! past each split list's end are not counted: they are no probe the
+//! single walk resolves. On `mem_scan` (≈ 1 000 probes a query) two lanes
+//! take the p50 ≈ 20 % down on a 2-vCPU host; a disk-backed index never
+//! splits — lanes there cost `disk_hot` p50 +30–45 % and add reads the
+//! storage and its fault gate would see. `QueryServer::answer` and the
+//! larger batch below stay sequential per token.
 //!
 //! **A larger batch** of queries from hot tenant ranges repeats whole
 //! *tokens* — trapdoors are deterministic, so two queries covering the same
@@ -69,10 +88,10 @@
 //! the per-query leakage profile are byte-identical to serving it alone.
 
 use crate::error::{PartialOutcome, ServeError};
-use crate::server::{GuardedScan, ResilientServer, ServeIndex, Trip};
+use crate::server::{GuardedScan, QueryGuard, ResilientServer, ServeIndex, Trip};
 use rsse_core::server::{assemble_outcome, ScanScratch};
 use rsse_core::{DocId, QueryOutcome};
-use rsse_sse::SearchToken;
+use rsse_sse::{merge_lanes, ScanCursor, SearchToken, SseScheme, TokenLabeler};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -81,12 +100,14 @@ use std::time::Duration;
 /// Tuning of the batch executor (every answer of a [`ResilientServer`]).
 #[derive(Clone, Debug, Default)]
 pub struct BatchConfig {
-    /// The most lanes scanning a batch's unique tokens: `None` (default)
+    /// The most lanes scanning a batch's unique tokens, or splitting a long
+    /// batch of one's lists over a memory-resident index: `None` (default)
     /// lets every thread of the global `rayon` pool take part, `Some(n)`
-    /// caps them at `n` (the `batch_executor` battery sweeps 1–3). The
-    /// pool's width caps them too — lanes run on its parked workers, the
-    /// calling thread always one of them — and so does the batch itself,
-    /// one lane per 8 unique tokens, so a small batch is scanned inline.
+    /// caps them at `n` (the `batch_executor` battery sweeps 1–3; `Some(1)`
+    /// keeps every scan on the calling thread). The pool's width caps them
+    /// too — lanes run on its parked workers, the calling thread always one
+    /// of them — and so does the batch itself, one lane per 8 unique
+    /// tokens, so a small batch is scanned inline.
     pub workers: Option<usize>,
 }
 
@@ -97,6 +118,15 @@ pub struct BatchConfig {
 /// took 1.1× the inline time at 8 units and 0.9× at 16, so a second lane
 /// pays from about 8 units each.
 const MIN_UNITS_PER_WORKER: usize = 8;
+
+/// Probes a batch of one's walk must have resolved, with a token still
+/// live, before the rest of it splits across lanes. A split costs a
+/// hand-off (≈ 2 µs while the worker polls) and one probe past each split
+/// list's end per extra lane; on `mem_scan` (≈ 1 000 probes a query,
+/// ≈ 0.25 µs each) splitting once 128 had resolved took the p50 from
+/// ≈ 240 to ≈ 190 µs on a 2-vCPU host, while a query of a few dozen probes
+/// never reaches it.
+const SPLIT_MIN_PROBES: u64 = 128;
 
 /// One admitted query entering [`execute_batch`]: its tokens plus the
 /// admission instant and the absolute deadline (server clock) it is served
@@ -252,8 +282,9 @@ pub(crate) fn execute_batch<B: ServeIndex>(
     outcomes
 }
 
-/// A batch of one: the query's whole token vector in one guarded scan,
-/// counted as one round per token on one lane.
+/// A batch of one: the query's whole token vector in one guarded scan —
+/// split across lanes once it is long, over a memory-resident backend
+/// ([`scan_alone`]) — counted as one round per token on one lane.
 pub(crate) fn serve_alone<B: ServeIndex>(
     server: &ResilientServer<B>,
     item: &BatchItem<'_>,
@@ -263,12 +294,12 @@ pub(crate) fn serve_alone<B: ServeIndex>(
     server.retry.credit_query();
     let tokens = item.tokens;
     let mut per_token: Vec<Vec<DocId>> = Vec::new();
-    let scan = server.scan_guarded(
-        tokens,
-        item.deadline,
-        &mut per_token,
-        &mut ScanScratch::default(),
-    );
+    let lanes = if server.backend.memory_resident() {
+        lane_cap(server)
+    } else {
+        1
+    };
+    let scan = scan_alone(server, tokens, item.deadline, lanes, &mut per_token);
     let rounds = tokens.len() as u64;
     counters.batch_rounds.fetch_add(rounds, Ordering::Relaxed);
     counters
@@ -295,18 +326,152 @@ pub(crate) fn serve_alone<B: ServeIndex>(
     }
 }
 
+/// The most lanes [`BatchConfig::workers`] and the pool's width allow.
+fn lane_cap<B: ServeIndex>(server: &ResilientServer<B>) -> usize {
+    server
+        .config
+        .batch
+        .workers
+        .unwrap_or(usize::MAX)
+        .min(rayon::current_num_threads())
+        .max(1)
+}
+
+/// One lane of a split batch of one: its hits per token in its own
+/// counter order (a corrupt entry as `None`, keeping its position), where
+/// it stopped, and its guard's accounting.
+struct LaneScan {
+    hits: Vec<Vec<Option<DocId>>>,
+    cursor: ScanCursor,
+    scan: GuardedScan,
+}
+
+/// A batch of one's guarded scan, split across `lanes` lanes once it is
+/// long. The walk runs on the caller, to its end if `lanes` is 1, or else
+/// until [`SPLIT_MIN_PROBES`] probes have
+/// resolved; if a token is still live then, lane `i` walks every live
+/// token at counters `next + i, next + i + lanes, …` until its own first
+/// miss, under its own [`QueryGuard`] and [`ScanScratch`], the caller
+/// being lane 0. Each token's hits are then merged back in counter order
+/// ([`merge_lanes`]), so the groups, counts and id order are the single
+/// walk's, a corrupt entry skipped where it skips it.
+///
+/// The accounting is the single walk's too: `probes_resolved` counts a
+/// split token's merged hits and its first miss, not the misses the other
+/// lanes took past its end. A cut lane (a deadline: an in-memory probe
+/// cannot fail otherwise) leaves each token the prefix up to the first
+/// counter its lane did not reach, and counts the probes the single walk
+/// would have resolved for those prefixes; the query is cut only if some
+/// token's walk is left unfinished.
+fn scan_alone<B: ServeIndex>(
+    server: &ResilientServer<B>,
+    tokens: &[SearchToken],
+    deadline: Option<Duration>,
+    lanes: usize,
+    per_token: &mut Vec<Vec<DocId>>,
+) -> GuardedScan {
+    per_token.clear();
+    per_token.resize_with(tokens.len(), Vec::new);
+    let mut scratch = ScanScratch::default();
+    scratch.reset(tokens.len());
+    let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
+    let mut cursor = ScanCursor::start(tokens.len());
+    let guard = QueryGuard::new(server, deadline);
+    let walked = SseScheme::search_scan_from(
+        &guard,
+        &labelers,
+        &mut cursor,
+        |round| scratch.decode_round(tokens, round, per_token),
+        |_| lanes > 1 && guard.probes_resolved() >= SPLIT_MIN_PROBES,
+    );
+    if walked.is_err() || cursor.live().is_empty() {
+        return guard.finish(walked.map(|()| cursor.into_counts()));
+    }
+    let walked = guard.finish(Ok(Vec::new()));
+
+    let lane = |lane: usize, scratch: &mut ScanScratch| {
+        let guard = QueryGuard::new(server, deadline);
+        let mut hits: Vec<Vec<Option<DocId>>> = vec![Vec::new(); tokens.len()];
+        let mut at = cursor.lane(lane, lanes);
+        let result = SseScheme::search_scan_from(
+            &guard,
+            &labelers,
+            &mut at,
+            |round| scratch.decode_round_with(tokens, round, |t, id| hits[t as usize].push(id)),
+            |_| false,
+        );
+        LaneScan {
+            hits,
+            scan: guard.finish(result.map(|()| Vec::new())),
+            cursor: at,
+        }
+    };
+    let mut scanned: Vec<Option<LaneScan>> = (0..lanes).map(|_| None).collect();
+    let (first, rest) = scanned.split_first_mut().expect("two lanes or more");
+    rayon::scope(|scope| {
+        for (i, slot) in rest.iter_mut().enumerate() {
+            let lane = &lane;
+            scope.spawn(move |_| {
+                let mut scratch = ScanScratch::default();
+                scratch.reset(tokens.len());
+                *slot = Some(lane(i + 1, &mut scratch));
+            });
+        }
+        // The caller's scratch has keyed the ciphers of every token that
+        // has hit so far.
+        *first = Some(lane(0, &mut scratch));
+    });
+    let scanned: Vec<LaneScan> = scanned
+        .into_iter()
+        .map(|lane| lane.expect("the scope ran every lane"))
+        .collect();
+
+    let mut probes_resolved = walked.probes_resolved;
+    let mut counts = cursor.counts().to_vec();
+    let mut unfinished = false;
+    for &t in cursor.live() {
+        let group = &mut per_token[t as usize];
+        let mut merged = 0usize;
+        for id in merge_lanes(lanes, |lane| &scanned[lane].hits[t as usize]) {
+            group.extend(*id);
+            merged += 1;
+        }
+        counts[t as usize] += merged;
+        // The single walk's first miss, once the lane owning its counter
+        // has probed it.
+        let missed = !scanned[merged % lanes].cursor.live().contains(&t);
+        unfinished |= !missed;
+        probes_resolved += merged as u64 + u64::from(missed);
+    }
+    let mut trip = None;
+    let mut faults_absorbed = walked.faults_absorbed;
+    for lane in scanned {
+        faults_absorbed += lane.scan.faults_absorbed;
+        if let Err(lane_trip) = lane.scan.counts {
+            trip.get_or_insert(lane_trip);
+        }
+    }
+    let counts = match trip {
+        // A lane cut only past the single walk's last probe leaves every
+        // group whole: the query is answered, as a batch's fully resolved
+        // query is.
+        Some(trip) if unfinished => Err(trip),
+        _ => Ok(counts),
+    };
+    GuardedScan {
+        counts,
+        probes_resolved,
+        faults_absorbed,
+    }
+}
+
 /// Scans every unit once, in parallel across the lanes the batch and the
 /// pool support, and returns the results in unit order. Lanes pull units
 /// off one shared cursor, so a slow or retried unit delays only the lane
 /// holding it; the calling thread is one of the lanes, and scans the rest
 /// itself when no worker is free.
 fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) -> Vec<UnitScan> {
-    let lanes = server
-        .config
-        .batch
-        .workers
-        .unwrap_or(usize::MAX)
-        .min(rayon::current_num_threads())
+    let lanes = lane_cap(server)
         .min(units.len() / MIN_UNITS_PER_WORKER)
         .max(1);
     let results: Vec<OnceLock<UnitScan>> = units.iter().map(|_| OnceLock::new()).collect();
@@ -350,4 +515,166 @@ fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) ->
         .into_iter()
         .map(|slot| slot.into_inner().expect("every unit was scanned"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::{Clock, VirtualClock};
+    use crate::server::ServeConfig;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha20Rng;
+    use rsse_sse::pibas::reference::build_stored;
+    use rsse_sse::{
+        CacheStats, CipherSpan, Label, ShardedIndex, SseDatabase, SseKey, StorageConfig,
+        StorageError,
+    };
+    use std::sync::Arc;
+
+    /// A memory-resident index of one keyword per length in `lengths`,
+    /// keyword `i`'s entry `j` holding id `1000 i + j` — except the entries
+    /// at `corrupt`, `(keyword, position)`, whose 3-byte payload decodes to
+    /// no id. Returns one token per keyword, two absent keywords' among them.
+    fn corpus(
+        lengths: &[usize],
+        corrupt: &[(usize, usize)],
+        seed: u64,
+    ) -> (ShardedIndex, Vec<SearchToken>) {
+        let mut rng = ChaCha20Rng::seed_from_u64(seed);
+        let key: SseKey = SseScheme::setup(&mut rng);
+        let mut db = SseDatabase::new();
+        let mut tokens = Vec::new();
+        for (i, &len) in lengths.iter().enumerate() {
+            let keyword = format!("kw{i}").into_bytes();
+            for j in 0..len {
+                let payload = if corrupt.contains(&(i, j)) {
+                    vec![0xC0; 3]
+                } else {
+                    ((i * 1000 + j) as u64).to_le_bytes().to_vec()
+                };
+                db.add(keyword.clone(), payload);
+            }
+            tokens.push(SseScheme::trapdoor(&key, &keyword));
+        }
+        tokens.insert(1, SseScheme::trapdoor(&key, b"absent-a"));
+        tokens.push(SseScheme::trapdoor(&key, b"absent-b"));
+        let index = build_stored(&key, &db, &StorageConfig::in_memory(3), &mut rng).unwrap();
+        (index, tokens)
+    }
+
+    /// The single guarded walk: its groups and accounting.
+    fn single<B: ServeIndex>(
+        server: &ResilientServer<B>,
+        tokens: &[SearchToken],
+        deadline: Option<Duration>,
+    ) -> (Vec<Vec<DocId>>, GuardedScan) {
+        let mut groups = Vec::new();
+        let scan = server.scan_guarded(tokens, deadline, &mut groups, &mut ScanScratch::default());
+        (groups, scan)
+    }
+
+    #[test]
+    fn a_split_scan_is_the_single_walk() {
+        let mut rng = ChaCha20Rng::seed_from_u64(50);
+        for case in 0..24 {
+            let lengths: Vec<usize> = (0..rng.gen_range(1..12))
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..4),
+                    1 => rng.gen_range(0..40),
+                    _ => rng.gen_range(0..400),
+                })
+                .collect();
+            // A corrupt entry inside the longest list, and one more anywhere.
+            let longest = (0..lengths.len()).max_by_key(|&i| lengths[i]).unwrap();
+            let mut corrupt = Vec::new();
+            if lengths[longest] > 0 {
+                corrupt.push((longest, rng.gen_range(0..lengths[longest])));
+            }
+            let other = rng.gen_range(0..lengths.len());
+            if lengths[other] > 0 {
+                corrupt.push((other, rng.gen_range(0..lengths[other])));
+            }
+            let (index, tokens) = corpus(&lengths, &corrupt, case);
+            let server = ResilientServer::new(index, ServeConfig::default());
+            let (want, want_scan) = single(&server, &tokens, None);
+            let want_counts = want_scan.counts.as_ref().ok().unwrap();
+            for lanes in [2, 3] {
+                let mut groups = Vec::new();
+                let scan = scan_alone(&server, &tokens, None, lanes, &mut groups);
+                let context = format!("case {case}, {lanes} lanes, lengths {lengths:?}");
+                assert_eq!(groups, want, "{context}: groups");
+                assert_eq!(scan.counts.as_ref().ok(), Some(want_counts), "{context}");
+                assert_eq!(scan.probes_resolved, want_scan.probes_resolved, "{context}");
+                assert_eq!(scan.faults_absorbed, 0, "{context}");
+            }
+        }
+    }
+
+    /// A memory-resident backend on which every probe takes 1 µs of a
+    /// virtual clock.
+    struct Ticking {
+        index: ShardedIndex,
+        clock: Arc<VirtualClock>,
+    }
+
+    impl ServeIndex for Ticking {
+        fn probe(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
+            self.clock.advance(Duration::from_micros(1));
+            self.index.probe(label)
+        }
+        fn shard_of(&self, label: &Label) -> u32 {
+            ServeIndex::shard_of(&self.index, label)
+        }
+        fn shard_count(&self) -> usize {
+            ServeIndex::shard_count(&self.index)
+        }
+        fn cache_stats(&self) -> CacheStats {
+            ServeIndex::cache_stats(&self.index)
+        }
+        fn memory_resident(&self) -> bool {
+            self.index.memory_resident()
+        }
+    }
+
+    #[test]
+    fn a_deadline_cuts_every_split_group_to_a_prefix() {
+        let lengths = [300, 5, 0, 180, 250, 40];
+        let (index, tokens) = corpus(&lengths, &[(0, 200), (4, 3)], 51);
+        let clock = Arc::new(VirtualClock::new());
+        let ticking = Ticking {
+            index,
+            clock: Arc::clone(&clock),
+        };
+        let server = ResilientServer::with_clock(ticking, ServeConfig::default(), clock.clone());
+        let (full, full_scan) = single(&server, &tokens, None);
+        let total = full_scan.probes_resolved;
+        let mut cut = 0;
+        for lanes in [2, 3] {
+            for budget in (0..total + 40).step_by(7) {
+                let deadline = clock.now() + Duration::from_micros(budget);
+                let mut groups = Vec::new();
+                let scan = scan_alone(&server, &tokens, Some(deadline), lanes, &mut groups);
+                let context = format!("{lanes} lanes, {budget} µs");
+                for (t, group) in groups.iter().enumerate() {
+                    assert!(full[t].starts_with(group), "{context}: token {t}");
+                }
+                let ids: u64 = groups.iter().map(|group| group.len() as u64).sum();
+                match scan.counts {
+                    Ok(counts) => {
+                        assert_eq!(groups, full, "{context}");
+                        assert_eq!(Some(&counts), full_scan.counts.as_ref().ok());
+                        assert_eq!(scan.probes_resolved, total, "{context}");
+                    }
+                    Err(Trip::Deadline { deadline: at }) => {
+                        cut += 1;
+                        assert_eq!(at, deadline, "{context}");
+                        assert!(ids <= scan.probes_resolved, "{context}");
+                        assert!(scan.probes_resolved < total, "{context}");
+                    }
+                    Err(_) => panic!("{context}: an in-memory probe cannot fail"),
+                }
+            }
+        }
+        assert!(cut > 0, "some deadline cuts a query");
+    }
 }

@@ -61,8 +61,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The narrow boundary between the serving loop and an index backend: a
-/// fallible labeled probe, the scan's prefetch hint, and the shard
-/// topology and cache telemetry the resilience machinery keys off. Implemented for [`ShardedIndex`] and
+/// fallible labeled probe, the scan's prefetch hint, the shard topology
+/// and cache telemetry the resilience machinery keys off, and whether the
+/// backend is memory-resident. Implemented for [`ShardedIndex`] and
 /// [`QueryServer`]; serving layers stay generic over it.
 pub trait ServeIndex: Sync {
     /// Resolves one dictionary probe (`Ok(None)` = label absent).
@@ -81,6 +82,16 @@ pub trait ServeIndex: Sync {
     /// ignore it, and the default does.
     fn prefetch(&self, labels: &[Label]) {
         let _ = labels;
+    }
+
+    /// Whether every probe resolves from memory: no storage read, so no
+    /// I/O error, no fault gate and no block cache behind it. Only over
+    /// such a backend does a batch of one's counter scan split across
+    /// lanes ([`executor`](crate::executor)); lanes over storage would add
+    /// reads — each lane's probe past a list's end — that the storage sees.
+    /// The default says no.
+    fn memory_resident(&self) -> bool {
+        false
     }
 }
 
@@ -104,6 +115,10 @@ impl ServeIndex for ShardedIndex {
     fn prefetch(&self, labels: &[Label]) {
         IndexLookup::prefetch(self, labels);
     }
+
+    fn memory_resident(&self) -> bool {
+        !self.is_file_backed()
+    }
 }
 
 impl ServeIndex for QueryServer {
@@ -125,6 +140,10 @@ impl ServeIndex for QueryServer {
 
     fn prefetch(&self, labels: &[Label]) {
         IndexLookup::prefetch(self.index(), labels);
+    }
+
+    fn memory_resident(&self) -> bool {
+        !self.index().is_file_backed()
     }
 }
 
@@ -323,7 +342,8 @@ impl Trip {
     }
 }
 
-/// What one [`scan_guarded`](ResilientServer::scan_guarded) pass did.
+/// What one guarded scan ([`scan_guarded`](ResilientServer::scan_guarded),
+/// or a batch of one split across lanes) did.
 pub(crate) struct GuardedScan {
     /// Per-token entry counts of a completed scan, or the trip that
     /// stopped it.
@@ -341,7 +361,7 @@ pub(crate) struct GuardedScan {
 /// the bare backend probe. Its `prefetch` goes straight to the backend's
 /// [`ServeIndex::prefetch`]: a hint is no probe, so no deadline, breaker
 /// or retry sees it.
-struct QueryGuard<'a, B: ServeIndex> {
+pub(crate) struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
     /// Absolute deadline on the server clock, if any.
     deadline: Option<Duration>,
@@ -350,7 +370,43 @@ struct QueryGuard<'a, B: ServeIndex> {
     faults_absorbed: Cell<u64>,
 }
 
-impl<B: ServeIndex> QueryGuard<'_, B> {
+impl<'a, B: ServeIndex> QueryGuard<'a, B> {
+    /// A guard for one scan against `server`, cut at `deadline`.
+    pub(crate) fn new(server: &'a ResilientServer<B>, deadline: Option<Duration>) -> Self {
+        Self {
+            server,
+            deadline,
+            trip: Cell::new(None),
+            probes_resolved: Cell::new(0),
+            faults_absorbed: Cell::new(0),
+        }
+    }
+
+    /// Probes resolved through this guard so far.
+    pub(crate) fn probes_resolved(&self) -> u64 {
+        self.probes_resolved.get()
+    }
+
+    /// The accounting of the scan that ended with `counts`: a guard error
+    /// becomes the trip it recorded.
+    pub(crate) fn finish(self, counts: Result<Vec<usize>, StorageError>) -> GuardedScan {
+        let counts = counts.map_err(|raw| {
+            // Every guard error records its trip; a bare backend error
+            // cannot reach the scan, but is surfaced faithfully if one
+            // somehow does.
+            self.trip.take().unwrap_or(Trip::Exhausted {
+                attempts: 1,
+                budget_empty: false,
+                source: raw,
+            })
+        });
+        GuardedScan {
+            counts,
+            probes_resolved: self.probes_resolved.get(),
+            faults_absorbed: self.faults_absorbed.get(),
+        }
+    }
+
     /// Records `trip` and returns the placeholder error that aborts the
     /// scan; the placeholder is never surfaced to callers.
     fn abort(&self, trip: Trip) -> StorageError {
@@ -568,28 +624,9 @@ impl<B: ServeIndex> ResilientServer<B> {
         per_token: &mut Vec<Vec<DocId>>,
         scratch: &mut ScanScratch,
     ) -> GuardedScan {
-        let guard = QueryGuard {
-            server: self,
-            deadline,
-            trip: Cell::new(None),
-            probes_resolved: Cell::new(0),
-            faults_absorbed: Cell::new(0),
-        };
-        let counts = scan_query_into_with(&guard, tokens, per_token, scratch).map_err(|raw| {
-            // Every guard error records its trip; a bare backend error
-            // cannot reach the scan, but is surfaced faithfully if one
-            // somehow does.
-            guard.trip.take().unwrap_or(Trip::Exhausted {
-                attempts: 1,
-                budget_empty: false,
-                source: raw,
-            })
-        });
-        GuardedScan {
-            counts,
-            probes_resolved: guard.probes_resolved.get(),
-            faults_absorbed: guard.faults_absorbed.get(),
-        }
+        let guard = QueryGuard::new(self, deadline);
+        let counts = scan_query_into_with(&guard, tokens, per_token, scratch);
+        guard.finish(counts)
     }
 
     /// The guarded probe — the one place the serving loops touch storage:
@@ -876,13 +913,7 @@ mod tests {
         let index = ShardedIndex::open_dir_with_budget(dir.path(), Some(0)).unwrap();
         let injector = arm_faults(dir.path(), FaultPlan::dead_after(0), None);
         let server = ResilientServer::new(index, ServeConfig::default());
-        let guard = QueryGuard {
-            server: &server,
-            deadline: Some(Duration::ZERO),
-            trip: Cell::new(None),
-            probes_resolved: Cell::new(0),
-            faults_absorbed: Cell::new(0),
-        };
+        let guard = QueryGuard::new(&server, Some(Duration::ZERO));
         let labeler = TokenLabeler::new(&SseScheme::trapdoor(&key, b"kw1"));
         let labels: Vec<Label> = (0..20).map(|counter| labeler.label_at(counter)).collect();
 

@@ -10,6 +10,18 @@
 //! per-node id lists".
 //!
 //! `rsse-core` builds its scheme-specific leakage profiles on top of these.
+//!
+//! **How the server walks a list does not change `L2`.** The counter scan
+//! ([`SseScheme::search_scan_from`](crate::SseScheme::search_scan_from))
+//! may pause at a round boundary and be finished by `k` strided lanes, each
+//! walking counters `next + i, next + i + k, …` of every live token until
+//! its own first miss — the serve layer does so for a long query over a
+//! memory-resident index. Each lane then probes one label past the list's
+//! end, `k − 1` more than the single walk. Every one of those labels is
+//! `F(K1_w, c)` for a counter `c` the server picks itself, a function of a
+//! token the server already holds; the entries that match are exactly the
+//! single walk's. So the access pattern (which entries matched) and the
+//! search pattern (which tokens are equal) are the same, and so is `L2`.
 
 use crate::pibas::EncryptedIndex;
 

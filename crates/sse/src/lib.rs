@@ -9,7 +9,9 @@
 //!
 //! * [`SseScheme`] — the paper's Section 2.2 algorithms:
 //!   [`SseScheme::setup`], [`SseScheme::trapdoor`], and `Search` as the
-//!   counter scan [`SseScheme::search_scan_rounds`]; `BuildIndex` is
+//!   counter scan [`SseScheme::search_scan_rounds`] — resumable from a
+//!   [`ScanCursor`] and splittable into strided lanes through
+//!   [`SseScheme::search_scan_from`]; `BuildIndex` is
 //!   [`build_index_external_with`] over fixed-stride `(keyword, payload)`
 //!   entries (the range schemes store tuple ids or (value, position-range)
 //!   pairs);
@@ -64,7 +66,8 @@ pub use external::{build_index_external_with, with_len, SpillOrder};
 pub use fault::{DelayHook, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
-    CipherSpan, EncryptedIndex, IndexLookup, Label, SearchToken, SseKey, SseScheme, TokenLabeler,
+    merge_lanes, CipherSpan, EncryptedIndex, IndexLookup, Label, ScanCursor, SearchToken, SseKey,
+    SseScheme, TokenLabeler,
 };
 pub use sharded::{Shard, ShardedIndex};
 pub use storage::{

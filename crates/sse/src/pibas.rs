@@ -489,11 +489,38 @@ impl SseScheme {
         Ok(counts[0])
     }
 
-    /// The counter scan — the one `Search` walk every entry point runs.
+    /// The counter scan — the one `Search` walk every entry point runs —
+    /// from the first counter to every token's first miss:
+    /// [`search_scan_from`](Self::search_scan_from) from
+    /// [`ScanCursor::start`], never paused.
     ///
-    /// The walk goes in rounds. In a round every still-live token advances
-    /// by a *window* of counters — 1, 2, 4, then 8 per round — and the
-    /// round has three steps:
+    /// Returns the per-token match counts (matched entries, decryptable or
+    /// not).
+    ///
+    /// # Errors
+    ///
+    /// As [`search_scan_from`](Self::search_scan_from): a failed probe
+    /// aborts the scan after the hits its round had resolved are delivered.
+    pub fn search_scan_rounds<'a, I: IndexLookup>(
+        index: &'a I,
+        tokens: &[SearchToken],
+        visit_round: impl FnMut(&[(u32, CipherSpan<'a>)]),
+    ) -> Result<Vec<usize>, I::Error> {
+        let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
+        let mut cursor = ScanCursor::start(tokens.len());
+        Self::search_scan_from(index, &labelers, &mut cursor, visit_round, |_| false)?;
+        Ok(cursor.counts)
+    }
+
+    /// The counter scan from `cursor` on, one round at a time, until every
+    /// live token has missed or `pause` asks to stop at a round boundary.
+    /// `labelers` holds one [`TokenLabeler`] per token of the vector the
+    /// cursor indexes.
+    ///
+    /// In a round every still-live token advances by a *window* of
+    /// `min(next + 1, 8)` counters, `next` being the counter the round
+    /// starts at — 1, 2, 4, then 8 from counter 0 — and the round has three
+    /// steps:
     ///
     /// 1. **Expand.** The labels `F(K1_w, c)` of every live token at every
     ///    counter of the window are computed up front, two PRF evaluations
@@ -515,54 +542,62 @@ impl SseScheme {
     ///    tokens — is the one a walk expanding one label per token per
     ///    round would issue, so storage, its cache and fault counters and
     ///    the paper's leakage profile see one sequence whatever the window
-    ///    schedule. A window-1 round has one probe per token and resolves
-    ///    them as one vector through [`IndexLookup::try_get_many`], which
-    ///    groups a large vector by shard.
+    ///    schedule, and however often the walk is paused and resumed. A
+    ///    window-1 round has one probe per token and resolves them as one
+    ///    vector through [`IndexLookup::try_get_many`], which groups a
+    ///    large vector by shard.
     /// 3. **Deliver.** The round's hits go to `visit_round` together, as
     ///    `(token_index, ciphertext)` in probe order — each token's entries
     ///    in storage-counter order — so the caller can decrypt them two at
     ///    a time ([`StreamCipher::decrypt_pair_into`]).
     ///
-    /// Returns the per-token match counts (matched entries, decryptable or
-    /// not).
+    /// After each round that leaves a token live, `pause` sees the cursor;
+    /// `true` returns `Ok` with the cursor at that boundary, and a later
+    /// call from it continues the walk exactly where it stopped.
+    ///
+    /// A cursor cut into `k` strided lanes ([`ScanCursor::lane`]) walks
+    /// counters `next, next + k, next + 2k, …` instead: the schedule above
+    /// with the stride as the step, each lane leaving a token at *its own*
+    /// first miss. Every lane therefore probes one counter past the
+    /// list's end — `k − 1` probes more than the single walk per split
+    /// token, each at a label `F(K1_w, c)` with `c` beyond the list, which
+    /// is a function of the token alone. [`merge_lanes`] puts the lanes'
+    /// hits back in counter order, up to the single walk's first miss.
     ///
     /// # Errors
     ///
-    /// A failed probe aborts the whole scan with the backend's typed error
+    /// A failed probe aborts the scan with the backend's typed error
     /// instead of being treated as the end of a list. The hits the round
     /// had resolved before it are delivered first, so what the caller has
-    /// seen when the error arrives is every hit resolved so far.
-    pub fn search_scan_rounds<'a, I: IndexLookup>(
+    /// seen when the error arrives is every hit resolved so far. The cursor
+    /// then stays at the failed round's first counter, and its live set has
+    /// dropped no token the round did not see miss.
+    pub fn search_scan_from<'a, I: IndexLookup>(
         index: &'a I,
-        tokens: &[SearchToken],
+        labelers: &[TokenLabeler],
+        cursor: &mut ScanCursor,
         mut visit_round: impl FnMut(&[(u32, CipherSpan<'a>)]),
-    ) -> Result<Vec<usize>, I::Error> {
-        /// Counters a live token advances by in rounds 0, 1, 2, …; the last
-        /// entry repeats.
-        const WINDOWS: [u64; 4] = [1, 2, 4, 8];
+        mut pause: impl FnMut(&ScanCursor) -> bool,
+    ) -> Result<(), I::Error> {
+        /// The widest window; a round from counter `c` is `min(c + 1, 8)`.
+        const MAX_WINDOW: u64 = 8;
         /// The narrowest window whose labels are prefetched.
         const PREFETCH_WINDOW: u64 = 4;
 
-        let mut counts = vec![0usize; tokens.len()];
-        // One cached PRF key schedule per token, shared across rounds.
-        let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
-        let mut live: Vec<u32> = (0..tokens.len() as u32).collect();
         // The round's labels: one window after another, in `live` order.
         let mut labels: Vec<Label> = Vec::new();
         let mut hits: Vec<Option<CipherSpan<'a>>> = Vec::new();
         // Whether `live[i]` met its first miss in this round.
         let mut ended: Vec<bool> = Vec::new();
         let mut round: Vec<(u32, CipherSpan<'a>)> = Vec::new();
-        let mut first_counter = 0u64;
-        let mut schedule = WINDOWS.into_iter();
-        let mut window = 0u64;
-        while !live.is_empty() {
-            window = schedule.next().unwrap_or(window);
+        while !cursor.live.is_empty() {
+            let (next, stride) = (cursor.next, cursor.stride);
+            let window = next.saturating_add(1).min(MAX_WINDOW);
             labels.clear();
             expand_labels(
-                live.iter().flat_map(|&t| {
+                cursor.live.iter().flat_map(|&t| {
                     let labeler = &labelers[t as usize];
-                    (first_counter..first_counter + window).map(move |counter| (labeler, counter))
+                    (0..window).map(move |step| (labeler, next + step * stride))
                 }),
                 &mut labels,
             );
@@ -572,24 +607,27 @@ impl SseScheme {
             round.clear();
             let mut resolved = Ok(());
             if window == 1 {
-                // On a failure `hits` holds what was resolved before it.
+                // On a failure `hits` holds what was resolved before it; a
+                // token without a hit there may not have been probed, so
+                // it stays live.
                 resolved = index.try_get_many(&labels, &mut hits);
+                let failed = resolved.is_err();
                 let mut hits = hits.drain(..);
-                live.retain(|&t| match hits.next().flatten() {
+                cursor.live.retain(|&t| match hits.next().flatten() {
                     Some(ciphertext) => {
                         round.push((t, ciphertext));
                         true
                     }
-                    None => false,
+                    None => failed,
                 });
             } else {
                 // Counter by counter across the tokens still hitting: the
                 // probe order of the one-label-at-a-time walk.
                 let window = window as usize;
                 ended.clear();
-                ended.resize(live.len(), false);
+                ended.resize(cursor.live.len(), false);
                 'probes: for k in 0..window {
-                    for (slot, &t) in live.iter().enumerate() {
+                    for (slot, &t) in cursor.live.iter().enumerate() {
                         if ended[slot] {
                             continue;
                         }
@@ -604,17 +642,106 @@ impl SseScheme {
                     }
                 }
                 let mut ended = ended.iter();
-                live.retain(|_| !ended.next().expect("one flag per live token"));
+                cursor
+                    .live
+                    .retain(|_| !ended.next().expect("one flag per live token"));
             }
             for (t, _) in &round {
-                counts[*t as usize] += 1;
+                cursor.counts[*t as usize] += 1;
             }
             visit_round(&round);
             resolved?;
-            first_counter += window;
+            cursor.next = next + window * stride;
+            if !cursor.live.is_empty() && pause(cursor) {
+                break;
+            }
         }
-        Ok(counts)
+        Ok(())
     }
+}
+
+/// Where a counter scan ([`SseScheme::search_scan_from`]) stands at a round
+/// boundary: the tokens still live, the counter they probe next and the
+/// step between their probes, and every token's hits so far.
+///
+/// Π_bas labels every counter on its own — posting `c` of keyword `w` is
+/// stored under `F(K1_w, c)` — so one list can be walked by several lanes
+/// at once, each taking its own counters: [`lane`](Self::lane) cuts a
+/// paused scan into strided lanes, and [`merge_lanes`] puts their hits
+/// back in counter order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ScanCursor {
+    live: Vec<u32>,
+    next: u64,
+    stride: u64,
+    counts: Vec<usize>,
+}
+
+impl ScanCursor {
+    /// A scan of `tokens` tokens that has not begun: every token live at
+    /// counter 0, stride 1, no hits.
+    pub fn start(tokens: usize) -> Self {
+        Self {
+            live: (0..tokens as u32).collect(),
+            next: 0,
+            stride: 1,
+            counts: vec![0; tokens],
+        }
+    }
+
+    /// Lane `lane` of `lanes` from this position: the same live tokens,
+    /// walking every `lanes`-th of the counters this cursor would walk
+    /// next — `next + lane·stride`, then `lanes·stride` apart — with no
+    /// hits counted yet. Lanes `0..lanes` together cover every counter
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// If `lane >= lanes`.
+    pub fn lane(&self, lane: usize, lanes: usize) -> Self {
+        assert!(lane < lanes, "lane {lane} of {lanes}");
+        Self {
+            live: self.live.clone(),
+            next: self.next + lane as u64 * self.stride,
+            stride: self.stride * lanes as u64,
+            counts: vec![0; self.counts.len()],
+        }
+    }
+
+    /// The indices of the tokens still live (not yet seen to miss), in
+    /// token order; empty once the scan is done.
+    pub fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// The counter every live token probes next.
+    pub fn next(&self) -> u64 {
+        self.next
+    }
+
+    /// Per token, the entries matched so far.
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// The per-token match counts, consuming the cursor.
+    pub fn into_counts(self) -> Vec<usize> {
+        self.counts
+    }
+}
+
+/// One token's hits from `lanes` strided lanes of a scan
+/// ([`ScanCursor::lane`]), back in counter order: position `p` is lane
+/// `p mod lanes`'s hit number `p / lanes`, and the merge stops at the first
+/// position whose lane has none — the counter where a single walk would
+/// have met its first miss. A lane's hits past that point (only possible
+/// if a label inside the list is missing) are dropped, as the single walk
+/// never probes them.
+pub fn merge_lanes<'s, T: 's>(
+    lanes: usize,
+    lane_hits: impl Fn(usize) -> &'s [T],
+) -> impl Iterator<Item = &'s T> {
+    (0..).map_while(move |p: usize| lane_hits(p % lanes).get(p / lanes))
 }
 
 /// The oracle the build and the scan are tested against, and the
@@ -1292,6 +1419,180 @@ mod tests {
             skipped.remove(position);
             assert_eq!(search(&index, &tokens[0]).unwrap(), skipped);
             assert_eq!(SseScheme::search_count(&index, &tokens[0]).unwrap(), 20);
+        }
+    }
+
+    /// List lengths on both sides of the window edges and long enough to
+    /// split, with the empty list.
+    const SPLIT_LENGTHS: [usize; 10] = [0, 1, 7, 8, 127, 128, 129, 300, 3, 16];
+
+    /// A sharded in-memory index over `edge_database(lengths)`.
+    fn split_index(lengths: &[usize]) -> (crate::ShardedIndex, Vec<SearchToken>) {
+        let (key, db, tokens) = edge_database(lengths);
+        let config = StorageConfig::in_memory(3);
+        let index = build_stored(&key, &db, &config, &mut ChaCha20Rng::seed_from_u64(24)).unwrap();
+        (index, tokens)
+    }
+
+    /// Runs `cursor` to the end (never pausing) over `index`, appending each
+    /// token's hits to `visited` and every probe to the returned count.
+    fn walk_to_end(
+        index: &crate::ShardedIndex,
+        labelers: &[TokenLabeler],
+        cursor: &mut ScanCursor,
+        visited: &mut [Vec<Vec<u8>>],
+    ) -> usize {
+        let recording = Recording::new(index, None);
+        SseScheme::search_scan_from(
+            &recording,
+            labelers,
+            cursor,
+            |round| {
+                for (t, ciphertext) in round {
+                    visited[*t as usize].push(ciphertext.to_vec());
+                }
+            },
+            |_| false,
+        )
+        .unwrap();
+        assert!(cursor.live().is_empty());
+        recording.probes.into_inner().len()
+    }
+
+    #[test]
+    fn a_scan_paused_at_any_round_boundary_resumes_into_the_unbroken_scan() {
+        let (index, tokens) = split_index(&SPLIT_LENGTHS);
+        let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
+        let scan = |cursor: &mut ScanCursor,
+                    recording: &Recording<'_, crate::ShardedIndex>,
+                    visited: &mut Vec<Vec<Vec<u8>>>,
+                    pause: &dyn Fn(&ScanCursor) -> bool| {
+            SseScheme::search_scan_from(
+                recording,
+                &labelers,
+                cursor,
+                |round| {
+                    for (t, ciphertext) in round {
+                        visited[*t as usize].push(ciphertext.to_vec());
+                    }
+                },
+                pause,
+            )
+            .unwrap();
+        };
+        let unbroken = Recording::new(&index, None);
+        let mut want = vec![Vec::new(); tokens.len()];
+        let mut cursor = ScanCursor::start(tokens.len());
+        scan(&mut cursor, &unbroken, &mut want, &|_| false);
+        let want_counts = cursor.into_counts();
+        let want_probes = unbroken.probes.into_inner();
+        assert_eq!(
+            want_counts,
+            search_batch_scan(&index, &tokens, |_, _| {}).unwrap()
+        );
+
+        // Counters 0, 1, 3, 7, then every 8: the boundaries of the window
+        // schedule, up to the last one the 300-list is still live at.
+        let boundaries = [0u64, 1, 3]
+            .into_iter()
+            .chain((7..300).step_by(8))
+            .collect::<Vec<_>>();
+        for &boundary in &boundaries {
+            let recording = Recording::new(&index, None);
+            let mut got = vec![Vec::new(); tokens.len()];
+            let mut cursor = ScanCursor::start(tokens.len());
+            if boundary > 0 {
+                scan(&mut cursor, &recording, &mut got, &|at| {
+                    at.next() == boundary
+                });
+            }
+            assert_eq!(cursor.next(), boundary, "paused at {boundary}");
+            assert!(!cursor.live().is_empty());
+            scan(&mut cursor, &recording, &mut got, &|_| false);
+            assert!(cursor.live().is_empty());
+            assert_eq!(cursor.counts(), want_counts, "counts, paused at {boundary}");
+            assert_eq!(got, want, "hits, paused at {boundary}");
+            assert_eq!(
+                recording.probes.into_inner(),
+                want_probes,
+                "probes, paused at {boundary}"
+            );
+        }
+
+        // Paused at every boundary: one call per round.
+        let recording = Recording::new(&index, None);
+        let mut got = vec![Vec::new(); tokens.len()];
+        let mut cursor = ScanCursor::start(tokens.len());
+        let mut calls = 0;
+        while !cursor.live().is_empty() {
+            scan(&mut cursor, &recording, &mut got, &|_| true);
+            calls += 1;
+        }
+        assert_eq!(calls, boundaries.len(), "one round per boundary");
+        assert_eq!(cursor.counts(), want_counts);
+        assert_eq!(got, want);
+        assert_eq!(recording.probes.into_inner(), want_probes);
+    }
+
+    #[test]
+    fn strided_lanes_merge_into_the_single_walk() {
+        let (index, tokens) = split_index(&SPLIT_LENGTHS);
+        let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
+        let mut want = vec![Vec::new(); tokens.len()];
+        let mut cursor = ScanCursor::start(tokens.len());
+        let single_probes = walk_to_end(&index, &labelers, &mut cursor, &mut want);
+        let want_counts = cursor.into_counts();
+
+        for lanes in [2usize, 3] {
+            for split in [0u64, 1, 7, 15, 127] {
+                let context = format!("{lanes} lanes from counter {split}");
+                let recording = Recording::new(&index, None);
+                let mut got = vec![Vec::new(); tokens.len()];
+                let mut cursor = ScanCursor::start(tokens.len());
+                if split > 0 {
+                    SseScheme::search_scan_from(
+                        &recording,
+                        &labelers,
+                        &mut cursor,
+                        |round| {
+                            for (t, ciphertext) in round {
+                                got[*t as usize].push(ciphertext.to_vec());
+                            }
+                        },
+                        |at| at.next() == split,
+                    )
+                    .unwrap();
+                }
+                assert_eq!(cursor.next(), split, "{context}");
+                let before = recording.probes.into_inner().len();
+
+                let mut lane_probes = 0;
+                let walked: Vec<Vec<Vec<Vec<u8>>>> = (0..lanes)
+                    .map(|lane| {
+                        let mut visited = vec![Vec::new(); tokens.len()];
+                        let mut at = cursor.lane(lane, lanes);
+                        lane_probes += walk_to_end(&index, &labelers, &mut at, &mut visited);
+                        visited
+                    })
+                    .collect();
+                let mut counts = cursor.counts().to_vec();
+                for &t in cursor.live() {
+                    let t = t as usize;
+                    let merged = merge_lanes(lanes, |lane| &walked[lane][t]);
+                    let before = got[t].len();
+                    got[t].extend(merged.cloned());
+                    counts[t] += got[t].len() - before;
+                }
+                assert_eq!(got, want, "{context}: hits");
+                assert_eq!(counts, want_counts, "{context}: counts");
+                // Each split list costs each extra lane one probe past its
+                // end, and nothing else.
+                assert_eq!(
+                    before + lane_probes,
+                    single_probes + (lanes - 1) * cursor.live().len(),
+                    "{context}: probes"
+                );
+            }
         }
     }
 

@@ -62,9 +62,9 @@ pub fn clamp_query(domain: &Domain, range: Range) -> Option<Range> {
 /// Generic over the dictionary layout ([`EncryptedIndex`] or
 /// [`ShardedIndex`]). Large token vectors — the Constant schemes expand a
 /// trapdoor into one token per domain value of the range — are split into
-/// one contiguous chunk per worker thread and the chunks scanned in
-/// parallel; results are merged in token order either way, so the outcome
-/// is deterministic.
+/// one contiguous chunk per pool thread (a chunk's tokens walk in lock-step
+/// windows), and the chunks go through the pool's parallel map; results
+/// are merged in token order either way, so the outcome is deterministic.
 ///
 /// [`EncryptedIndex`]: rsse_sse::EncryptedIndex
 pub fn try_search_ids<I>(

@@ -16,20 +16,26 @@
 //! labels each counter on its own (`F(K1_w, c)`), so lanes can walk one list
 //! at once, each taking its own counters. The walk starts on the caller and
 //! pauses at the first round boundary by which 128 probes have resolved. If
-//! a token is still live there, the backend is memory-resident
-//! ([`ServeIndex::memory_resident`]) and the pool and
-//! [`BatchConfig::workers`] allow `k ≥ 2` lanes, lane `i` walks every live
-//! token at counters `next + i, next + i + k, …` until its own first miss,
-//! under its own deadline guard and decrypt scratch; the caller is lane 0.
-//! Each token's hits are merged back by counter, keeping the position of a
-//! corrupt one, so outcomes, `probes_resolved` and every `ServeStats`
-//! counter are the single walk's. The `k − 1` probes the other lanes take
-//! past each split list's end are not counted: they are no probe the
-//! single walk resolves. On `mem_scan` (≈ 1 000 probes a query) two lanes
-//! take the p50 ≈ 20 % down on a 2-vCPU host; a disk-backed index never
-//! splits — lanes there cost `disk_hot` p50 +30–45 % and add reads the
-//! storage and its fault gate would see. `QueryServer::answer` and the
+//! a token is still live there and the backend is memory-resident
+//! ([`ServeIndex::memory_resident`]), lane `i` of `k` — one per pool
+//! thread — walks every live token at counters `next + i, next + i + k, …`
+//! until its own first miss, under its own deadline guard and decrypt
+//! scratch. Each token's hits are merged back by counter, keeping the
+//! position of a corrupt one, so outcomes, `probes_resolved` and every
+//! `ServeStats` counter are the single walk's. The `k − 1` probes the other
+//! lanes take past each split list's end are not counted: they are no probe
+//! the single walk resolves. On `mem_scan` (≈ 1 000 probes a query) two
+//! lanes take the p50 ≈ 20 % down on a 2-vCPU host; a disk-backed index
+//! never splits — lanes there cost `disk_hot` p50 +30–45 % and add reads
+//! the storage and its fault gate would see. `QueryServer::answer` and the
 //! larger batch below stay sequential per token.
+//!
+//! Both fan-outs — the residue lanes here and the unit lanes below — are
+//! one `rayon` parallel map (`par_iter().map_init(..)`): pool lanes pull
+//! items off one shared cursor, each with its own scan scratch, and the
+//! results come back in item order. How many lanes take part follows only
+//! from the pool's width (the deployment's CPU affinity or quota) and the
+//! work itself; there is no knob.
 //!
 //! **A larger batch** of queries from hot tenant ranges repeats whole
 //! *tokens* — trapdoors are deterministic, so two queries covering the same
@@ -49,9 +55,9 @@
 //!    → `probe_guarded` (breaker and budgeted retry once a shard has
 //!    failed), and the executor keeps no counter loop of its own. The
 //!    lanes run on the global `rayon` pool, the calling thread always one
-//!    of them; the pool's width and [`BatchConfig::workers`] bound how
-//!    many take part, and a batch too small to amortise a hand-off is
-//!    scanned inline.
+//!    of them; the pool's width bounds how many take part, and so does
+//!    the batch, one lane per 8 unique tokens, so a batch too small to
+//!    amortise a hand-off is scanned inline.
 //! 3. **Fan out** — per query, in item order, `assemble_outcome` over its
 //!    slots' id groups and counts: outcomes, `QueryStats`, per-query
 //!    `probes_resolved` and the per-query `ServeStats` totals are
@@ -89,27 +95,13 @@
 
 use crate::error::{PartialOutcome, ServeError};
 use crate::server::{GuardedScan, QueryGuard, ResilientServer, ServeIndex, Trip};
+use rayon::prelude::*;
 use rsse_core::server::{assemble_outcome, ScanScratch};
 use rsse_core::{DocId, QueryOutcome};
 use rsse_sse::{merge_lanes, ScanCursor, SearchToken, SseScheme, TokenLabeler};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
-
-/// Tuning of the batch executor (every answer of a [`ResilientServer`]).
-#[derive(Clone, Debug, Default)]
-pub struct BatchConfig {
-    /// The most lanes scanning a batch's unique tokens, or splitting a long
-    /// batch of one's lists over a memory-resident index: `None` (default)
-    /// lets every thread of the global `rayon` pool take part, `Some(n)`
-    /// caps them at `n` (the `batch_executor` battery sweeps 1–3; `Some(1)`
-    /// keeps every scan on the calling thread). The pool's width caps them
-    /// too — lanes run on its parked workers, the calling thread always one
-    /// of them — and so does the batch itself, one lane per 8 unique
-    /// tokens, so a small batch is scanned inline.
-    pub workers: Option<usize>,
-}
 
 /// Unique tokens a batch must hold per lane. Handing a lane to the pool
 /// costs the caller ≈ 2 µs while a worker polls and ≈ 8 µs when it is
@@ -214,7 +206,29 @@ pub(crate) fn execute_batch<B: ServeIndex>(
         })
         .collect();
 
-    let scanned = scan_units(server, &units);
+    // Scan: every unit once, results in unit order. Lanes pull units off
+    // one shared cursor, so a slow or retried unit delays only the lane
+    // holding it; the caller is one of them and scans the rest itself when
+    // no worker is free, and a batch under 2 × MIN_UNITS_PER_WORKER units
+    // is scanned inline.
+    let scanned: Vec<UnitScan> = units
+        .par_iter()
+        .with_min_len(MIN_UNITS_PER_WORKER)
+        .map_init(
+            <(ScanScratch, Vec<Vec<DocId>>, u64)>::default,
+            |(scratch, per_token, depth), unit| {
+                let token = std::slice::from_ref(unit.token);
+                let scan = server.scan_guarded(token, unit.deadline, per_token, scratch);
+                // The lane's depth so far: its units scanned in this batch.
+                *depth += 1;
+                counters
+                    .batch_max_lane_depth
+                    .fetch_max(*depth, Ordering::Relaxed);
+                let ids = per_token.pop().unwrap_or_default();
+                UnitScan { ids, scan }
+            },
+        )
+        .collect();
     let unique: u64 = scanned.iter().map(|unit| unit.scan.probes_resolved).sum();
     counters
         .batch_rounds
@@ -295,7 +309,7 @@ pub(crate) fn serve_alone<B: ServeIndex>(
     let tokens = item.tokens;
     let mut per_token: Vec<Vec<DocId>> = Vec::new();
     let lanes = if server.backend.memory_resident() {
-        lane_cap(server)
+        rayon::current_num_threads()
     } else {
         1
     };
@@ -326,17 +340,6 @@ pub(crate) fn serve_alone<B: ServeIndex>(
     }
 }
 
-/// The most lanes [`BatchConfig::workers`] and the pool's width allow.
-fn lane_cap<B: ServeIndex>(server: &ResilientServer<B>) -> usize {
-    server
-        .config
-        .batch
-        .workers
-        .unwrap_or(usize::MAX)
-        .min(rayon::current_num_threads())
-        .max(1)
-}
-
 /// One lane of a split batch of one: its hits per token in its own
 /// counter order (a corrupt entry as `None`, keeping its position), where
 /// it stopped, and its guard's accounting.
@@ -351,10 +354,12 @@ struct LaneScan {
 /// until [`SPLIT_MIN_PROBES`] probes have
 /// resolved; if a token is still live then, lane `i` walks every live
 /// token at counters `next + i, next + i + lanes, …` until its own first
-/// miss, under its own [`QueryGuard`] and [`ScanScratch`], the caller
-/// being lane 0. Each token's hits are then merged back in counter order
-/// ([`merge_lanes`]), so the groups, counts and id order are the single
-/// walk's, a corrupt entry skipped where it skips it.
+/// miss, under its own [`QueryGuard`]. The lanes are the items of one
+/// parallel map over `0..lanes`, whose pool lanes (the caller always one
+/// of them) each bring their own [`ScanScratch`]. Each token's hits are
+/// then merged back in counter order ([`merge_lanes`]), so the groups,
+/// counts and id order are the single walk's, a corrupt entry skipped
+/// where it skips it.
 ///
 /// The accounting is the single walk's too: `probes_resolved` counts a
 /// split token's merged hits and its first miss, not the misses the other
@@ -372,8 +377,12 @@ fn scan_alone<B: ServeIndex>(
 ) -> GuardedScan {
     per_token.clear();
     per_token.resize_with(tokens.len(), Vec::new);
-    let mut scratch = ScanScratch::default();
-    scratch.reset(tokens.len());
+    let fresh_scratch = || {
+        let mut scratch = ScanScratch::default();
+        scratch.reset(tokens.len());
+        scratch
+    };
+    let mut scratch = fresh_scratch();
     let labelers: Vec<TokenLabeler> = tokens.iter().map(TokenLabeler::new).collect();
     let mut cursor = ScanCursor::start(tokens.len());
     let guard = QueryGuard::new(server, deadline);
@@ -389,41 +398,25 @@ fn scan_alone<B: ServeIndex>(
     }
     let walked = guard.finish(Ok(Vec::new()));
 
-    let lane = |lane: usize, scratch: &mut ScanScratch| {
-        let guard = QueryGuard::new(server, deadline);
-        let mut hits: Vec<Vec<Option<DocId>>> = vec![Vec::new(); tokens.len()];
-        let mut at = cursor.lane(lane, lanes);
-        let result = SseScheme::search_scan_from(
-            &guard,
-            &labelers,
-            &mut at,
-            |round| scratch.decode_round_with(tokens, round, |t, id| hits[t as usize].push(id)),
-            |_| false,
-        );
-        LaneScan {
-            hits,
-            scan: guard.finish(result.map(|()| Vec::new())),
-            cursor: at,
-        }
-    };
-    let mut scanned: Vec<Option<LaneScan>> = (0..lanes).map(|_| None).collect();
-    let (first, rest) = scanned.split_first_mut().expect("two lanes or more");
-    rayon::scope(|scope| {
-        for (i, slot) in rest.iter_mut().enumerate() {
-            let lane = &lane;
-            scope.spawn(move |_| {
-                let mut scratch = ScanScratch::default();
-                scratch.reset(tokens.len());
-                *slot = Some(lane(i + 1, &mut scratch));
-            });
-        }
-        // The caller's scratch has keyed the ciphers of every token that
-        // has hit so far.
-        *first = Some(lane(0, &mut scratch));
-    });
-    let scanned: Vec<LaneScan> = scanned
-        .into_iter()
-        .map(|lane| lane.expect("the scope ran every lane"))
+    let scanned: Vec<LaneScan> = (0..lanes)
+        .into_par_iter()
+        .map_init(fresh_scratch, |scratch, lane| {
+            let guard = QueryGuard::new(server, deadline);
+            let mut hits: Vec<Vec<Option<DocId>>> = vec![Vec::new(); tokens.len()];
+            let mut at = cursor.lane(lane, lanes);
+            let result = SseScheme::search_scan_from(
+                &guard,
+                &labelers,
+                &mut at,
+                |round| scratch.decode_round_with(tokens, round, |t, id| hits[t as usize].push(id)),
+                |_| false,
+            );
+            LaneScan {
+                hits,
+                scan: guard.finish(result.map(|()| Vec::new())),
+                cursor: at,
+            }
+        })
         .collect();
 
     let mut probes_resolved = walked.probes_resolved;
@@ -463,58 +456,6 @@ fn scan_alone<B: ServeIndex>(
         probes_resolved,
         faults_absorbed,
     }
-}
-
-/// Scans every unit once, in parallel across the lanes the batch and the
-/// pool support, and returns the results in unit order. Lanes pull units
-/// off one shared cursor, so a slow or retried unit delays only the lane
-/// holding it; the calling thread is one of the lanes, and scans the rest
-/// itself when no worker is free.
-fn scan_units<B: ServeIndex>(server: &ResilientServer<B>, units: &[Unit<'_>]) -> Vec<UnitScan> {
-    let lanes = lane_cap(server)
-        .min(units.len() / MIN_UNITS_PER_WORKER)
-        .max(1);
-    let results: Vec<OnceLock<UnitScan>> = units.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut scratch = ScanScratch::default();
-        let mut per_token: Vec<Vec<DocId>> = Vec::new();
-        let mut scanned = 0u64;
-        loop {
-            let at = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(unit) = units.get(at) else { break };
-            let scan = server.scan_guarded(
-                std::slice::from_ref(unit.token),
-                unit.deadline,
-                &mut per_token,
-                &mut scratch,
-            );
-            let ids = per_token.pop().unwrap_or_default();
-            assert!(
-                results[at].set(UnitScan { ids, scan }).is_ok(),
-                "the cursor hands each unit to one worker"
-            );
-            scanned += 1;
-        }
-        server
-            .counters
-            .batch_max_lane_depth
-            .fetch_max(scanned, Ordering::Relaxed);
-    };
-    if lanes == 1 {
-        work();
-    } else {
-        rayon::scope(|scope| {
-            for _ in 1..lanes {
-                scope.spawn(|_| work());
-            }
-            work();
-        });
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every unit was scanned"))
-        .collect()
 }
 
 #[cfg(test)]

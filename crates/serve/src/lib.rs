@@ -47,6 +47,5 @@ pub use admission::{AdmissionConfig, Ticket};
 pub use breaker::{Admit, BreakerConfig, BreakerState, ShardHealth};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::{OverloadReason, PartialOutcome, ServeError};
-pub use executor::BatchConfig;
 pub use retry::{RetryConfig, RetryPolicy};
 pub use server::{Query, ResilientServer, ServeConfig, ServeIndex, ServeStats};

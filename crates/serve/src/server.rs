@@ -46,7 +46,7 @@ use crate::admission::{shed_on_pressure, AdmissionConfig, AdmissionQueue, Pendin
 use crate::breaker::{Admit, BreakerConfig, BreakerState, ShardHealth};
 use crate::clock::{Clock, SystemClock};
 use crate::error::{OverloadReason, PartialOutcome, ServeError};
-use crate::executor::{execute_batch, serve_alone, BatchConfig, BatchItem};
+use crate::executor::{execute_batch, serve_alone, BatchItem};
 use crate::retry::{RetryConfig, RetryPolicy};
 use rsse_core::server::{scan_query_into_with, ScanScratch};
 use rsse_core::{DocId, QueryOutcome, QueryServer};
@@ -156,8 +156,6 @@ pub struct ServeConfig {
     pub retry: RetryConfig,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Batch-executor tuning (scan workers).
-    pub batch: BatchConfig,
     /// Deadline applied to queries that don't bring their own (`None` =
     /// unbounded).
     pub default_deadline: Option<Duration>,
@@ -182,7 +180,6 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
-            batch: BatchConfig::default(),
             default_deadline: None,
             default_tenant: "adhoc".to_string(),
             seed: 0,
@@ -775,9 +772,9 @@ impl<B: ServeIndex> ResilientServer<B> {
     /// **byte-identical** to serving each query alone. A batch of one runs
     /// its whole token vector through one guarded scan; a larger batch maps
     /// its tokens to unique-token slots once, scans each unique token once
-    /// by the same guarded scan — on lanes of the global `rayon` pool,
-    /// at most [`BatchConfig::workers`] of them — and hands its hits to
-    /// every query demanding it.
+    /// by the same guarded scan — on lanes of the global `rayon` pool, one
+    /// per 8 unique tokens at most — and hands its hits to every query
+    /// demanding it.
     ///
     /// Items are anything that converts into a [`Query`]: a token vector
     /// (unattributed, under the default deadline) or a `Query` naming its

@@ -522,7 +522,6 @@ impl ShardedIndex {
         formats::create_dir_all(out)?;
         let built = (|| {
             let results: Vec<Result<ShardLayout, StorageError>> = (0..1usize << bits)
-                .collect::<Vec<_>>()
                 .into_par_iter()
                 .map(|s| {
                     let parts: Vec<FileShard> =

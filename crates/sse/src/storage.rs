@@ -1553,8 +1553,7 @@ pub(crate) fn open_shards_from_dir(
 ) -> Result<(u32, Vec<FileShard>), StorageError> {
     let shard_bits = read_manifest(dir)?;
     let shard_count = 1usize << shard_bits;
-    let indices: Vec<usize> = (0..shard_count).collect();
-    let results: Vec<Result<ShardLayout, StorageError>> = indices
+    let results: Vec<Result<ShardLayout, StorageError>> = (0..shard_count)
         .into_par_iter()
         .map(|i| {
             ShardLayout::open(

@@ -21,6 +21,7 @@ use crate::manifest::{
 use crate::persist::{self, OwnerKey, OwnerPayload, SEED_LEN};
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
+use rayon::prelude::*;
 use rsse_core::{
     BuildBudget, Dataset, DocId, IndexStats, MergeInput, QueryOutcome, QueryStats, RangeScheme,
     Record, StorageConfig, StorageError,
@@ -28,6 +29,7 @@ use rsse_core::{
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
 use rsse_sse::formats::{self, io_err};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -380,19 +382,6 @@ impl<S: RangeScheme> BatchInstance<S> {
             deletes,
         }
     }
-}
-
-/// Where to cut `instances` into a front and a back half holding record
-/// counts as close to equal as a cut between instances allows: in
-/// `1..len` for two or more instances (both halves non-empty), `len`
-/// otherwise.
-fn record_balanced_split<S: RangeScheme>(instances: &[&BatchInstance<S>]) -> usize {
-    let records = |half: &[&BatchInstance<S>]| -> usize {
-        half.iter().map(|instance| instance.entries.len()).sum()
-    };
-    (1..instances.len())
-        .min_by_key(|&cut| records(&instances[..cut]).abs_diff(records(&instances[cut..])))
-        .unwrap_or(instances.len())
 }
 
 /// Whether no id occurs twice in `ids` (only ever evaluated under
@@ -1240,11 +1229,12 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// contributes the id, and no instance returns an id twice. The
     /// refinement state is kept current by ingests, merges and `open_root`,
     /// so a query does no work and allocates nothing in proportion to the
-    /// database — only to its answer. The instances are scanned in two
-    /// halves of about equal record count, side by side on the global
-    /// `rayon` pool (one `join`, whose second half the calling thread
-    /// takes back when no worker is free), so the wall time is that of
-    /// the larger half. Scanning instances concurrently shows the server
+    /// database — only to its answer. The instances are the items of one
+    /// parallel map on the global `rayon` pool, handed out largest record
+    /// count first: the pool's lanes (the calling thread always one of
+    /// them) each take the next instance when they finish one, so the
+    /// longest scan starts first and the wall time approaches the total
+    /// over the lanes. Scanning instances concurrently shows the server
     /// nothing beyond the instance set and sizes it already sees: the same
     /// tokens reach the same instances, only their order of arrival moves.
     ///
@@ -1262,55 +1252,49 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// results (which would be indistinguishable from the tuples not
     /// existing — exactly the confusion the fallible path removes). Same
     /// cost as [`query`](Self::query): instances × (one index scan) + one
-    /// probe per id returned, the scans in two halves side by side.
+    /// probe per id returned, the scans side by side on the pool.
     ///
     /// Ids come back in instance order, and when several instances fail
     /// the error is the earliest one's — exactly what a walk over the
     /// instances one after another returns.
     pub fn try_query(&self, range: Range) -> Result<QueryOutcome, StorageError> {
         let instances: Vec<&BatchInstance<S>> = self.levels.iter().flatten().collect();
-        let (front, back) = instances.split_at(record_balanced_split(&instances));
-        let (front, back) = match back {
-            [] => (
-                self.scan_instances(front, range),
-                Ok(QueryOutcome::default()),
-            ),
-            _ => rayon::join(
-                || self.scan_instances(front, range),
-                || self.scan_instances(back, range),
-            ),
-        };
-        // The front half holds the earlier instances, so its error is the
-        // one the sequential walk would have stopped at.
-        let mut outcome = front?;
-        let back = back?;
-        outcome.ids.extend(back.ids);
-        outcome.stats.absorb(&back.stats);
+        let mut largest_first: Vec<usize> = (0..instances.len()).collect();
+        largest_first.sort_by_key(|&i| Reverse(instances[i].entries.len()));
+        let mut scanned: Vec<(usize, Result<QueryOutcome, StorageError>)> = largest_first
+            .into_par_iter()
+            .map(|i| (i, self.scan_instance(instances[i], range)))
+            .collect();
+        // Folded in instance order, so the ids and the first error are the
+        // ones a walk over the instances one after another meets.
+        scanned.sort_unstable_by_key(|&(i, _)| i);
+        let mut outcome = QueryOutcome::default();
+        for (_, scan) in scanned {
+            let scan = scan?;
+            outcome.ids.extend(scan.ids);
+            outcome.stats.absorb(&scan.stats);
+        }
         debug_assert!(all_distinct(&outcome.ids), "a query returned an id twice");
         Ok(outcome)
     }
 
-    /// Queries `instances` one after another, stopping at the first error,
-    /// and keeps each id only from the instance authoritative for it.
-    fn scan_instances(
+    /// Queries one instance and keeps each id only if the instance is
+    /// authoritative for it.
+    fn scan_instance(
         &self,
-        instances: &[&BatchInstance<S>],
+        instance: &BatchInstance<S>,
         range: Range,
     ) -> Result<QueryOutcome, StorageError> {
-        let mut ids: Vec<DocId> = Vec::new();
-        let mut stats = QueryStats::default();
-        for instance in instances {
-            let outcome = instance.try_query(range)?;
-            stats.absorb(&outcome.stats);
-            // Only the instance that holds the *newest* version of the
-            // tuple is authoritative for it, and only if that version is
-            // no tombstone. Live instances have distinct seqs, so no id
-            // passes for two of them.
-            let live = Touch::live(instance.seq);
-            let authoritative = |id: &DocId| self.newest_touch.get(id) == Some(&live);
-            ids.extend(outcome.ids.into_iter().filter(authoritative));
-        }
-        Ok(QueryOutcome { ids, stats })
+        let mut outcome = instance.try_query(range)?;
+        // Only the instance that holds the *newest* version of the tuple is
+        // authoritative for it, and only if that version is no tombstone.
+        // Live instances have distinct seqs, so no id passes for two of
+        // them.
+        let live = Touch::live(instance.seq);
+        outcome
+            .ids
+            .retain(|id| self.newest_touch.get(id) == Some(&live));
+        Ok(outcome)
     }
 
     /// The plaintext ground truth of the manager's current logical state —
@@ -2442,27 +2426,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_query_fans_out_like_the_sequential_walk() {
-        use rsse_sse::fault::FaultPlan;
-        use rsse_sse::formats::arm_faults;
-        use std::time::Duration;
-
-        // Five unconsolidated on-disk instances of uneven size; each batch
-        // after the first modifies an id of an older one and deletes
-        // another, so refinement drops ids from both halves.
-        let root = TempDir::new("fan-out");
+    /// A manager over `root` holding one unconsolidated on-disk instance
+    /// per size in `sizes`, in ingest order; each batch after the first
+    /// modifies an id of an older one and deletes another, so refinement
+    /// drops ids from several instances.
+    fn uneven_instances(root: &Path, sizes: &[u64]) -> LogManager {
         let mut mgr = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 8,
-                storage_root: Some(root.path().to_path_buf()),
+                storage_root: Some(root.to_path_buf()),
                 ..UpdateConfig::default()
             },
         );
         let mut values: BTreeMap<DocId, u64> = BTreeMap::new();
         let mut next = 0u64;
-        for (b, size) in [40u64, 10, 10, 10, 40].into_iter().enumerate() {
+        for (b, &size) in sizes.iter().enumerate() {
             let b = b as u64;
             let mut entries: Vec<UpdateEntry> = (next..next + size)
                 .map(|id| UpdateEntry::insert(id, (id * 37 + b * 11) % 256))
@@ -2478,23 +2457,50 @@ mod tests {
             }
             mgr.ingest_batch(entries, &mut ChaCha20Rng::seed_from_u64(60 + b));
         }
-        let instances: Vec<&BatchInstance<LogScheme>> = mgr.levels.iter().flatten().collect();
-        assert_eq!(instances.len(), 5, "no consolidation ran");
-        let cut = record_balanced_split(&instances);
-        assert!((1..instances.len()).contains(&cut), "both halves scan");
+        assert_eq!(
+            mgr.levels.iter().flatten().count(),
+            sizes.len(),
+            "no consolidation ran"
+        );
+        mgr
+    }
 
+    #[test]
+    fn try_query_fans_out_like_the_sequential_walk() {
+        use rsse_sse::fault::FaultPlan;
+        use rsse_sse::formats::arm_faults;
+        use std::time::Duration;
+
+        // The instances are handed out largest first, and folded back in
+        // instance order: the ids come back as the walk returns them
+        // whether the largest instance is first, last or in the middle.
         let ranges = [Range::new(0, 255), Range::new(0, 90), Range::new(100, 200)];
-        for range in ranges {
-            let outcome = mgr.try_query(range).unwrap();
-            assert_eq!(outcome, sequential_walk(&mgr, range).unwrap(), "{range:?}");
+        for sizes in [
+            [40, 10, 10, 10, 40],
+            [10, 10, 60, 10, 20],
+            [5, 10, 20, 30, 40],
+        ] {
+            let root = TempDir::new("fan-out");
+            let mgr = uneven_instances(root.path(), &sizes);
+            for range in ranges {
+                let outcome = mgr.try_query(range).unwrap();
+                assert_eq!(
+                    outcome,
+                    sequential_walk(&mgr, range).unwrap(),
+                    "{sizes:?} {range:?}"
+                );
+            }
         }
 
-        // The last instance of the front half fails slowly, the first of
-        // the back half at once: whenever a worker scans the back half,
-        // its error comes first in time, yet the earlier instance's error
-        // is the one the walk meets and the one to return.
-        let slow = instances[cut - 1].dir.clone().expect("on disk");
-        let fast = instances[cut].dir.clone().expect("on disk");
+        // An early, small instance fails slowly, a later one at once. The
+        // later one is the largest, so it is handed out first and its error
+        // comes first in time; yet the earlier instance's error is the one
+        // the walk meets and the one to return.
+        let root = TempDir::new("fan-out-faults");
+        let mgr = uneven_instances(root.path(), &[10, 10, 60, 10, 20]);
+        let instances: Vec<&BatchInstance<LogScheme>> = mgr.levels.iter().flatten().collect();
+        let slow = instances[1].dir.clone().expect("on disk");
+        let fast = instances[2].dir.clone().expect("on disk");
         let slow_plan = FaultPlan::dead_after(0).latency(Duration::from_millis(30));
         let _slow = arm_faults(&slow, slow_plan, None);
         let _fast = arm_faults(&fast, FaultPlan::dead_after(0), None);

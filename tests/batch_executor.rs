@@ -27,13 +27,14 @@ use rsse::core::schemes::log_brc_urc::LogScheme;
 use rsse::core::{QueryServer, StorageConfig};
 use rsse::prelude::*;
 use rsse::serve::{
-    AdmissionConfig, BatchConfig, BreakerConfig, BreakerState, Clock, ResilientServer, RetryConfig,
-    ServeConfig, ServeError, VirtualClock,
+    AdmissionConfig, BreakerConfig, BreakerState, Clock, ResilientServer, RetryConfig, ServeConfig,
+    ServeError, VirtualClock,
 };
 use rsse::sse::formats::{arm_faults, FaultScope};
 use rsse::sse::storage::shard_file_name;
 use rsse::sse::test_support::TempDir;
 use rsse::sse::{FaultPlan, SearchToken, StorageError, TokenLabeler};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,17 +131,14 @@ fn lanes_over(data: &Dataset, seed: u64, tag: &str) -> Vec<Lane> {
     vec![mem, disk]
 }
 
-fn serve_config() -> ServeConfig {
-    config_of(3)
-}
+/// Unique tokens from which a batch's units are offered to a second lane
+/// of the pool: twice the executor's 8 units per lane. Below it, a batch
+/// is scanned inline, in plan order.
+const SPLIT_UNITS: usize = 16;
 
-fn config_of(workers: usize) -> ServeConfig {
-    ServeConfig {
-        batch: BatchConfig {
-            workers: Some(workers),
-        },
-        ..ServeConfig::default()
-    }
+/// The unique tokens of a batch (its units of scan work).
+fn unique_tokens(batch: &[Vec<SearchToken>]) -> usize {
+    batch.iter().flatten().collect::<HashSet<_>>().len()
 }
 
 /// The headline property, swept across seeds and backends: batched-deduped
@@ -161,9 +159,9 @@ fn batched_dedup_is_byte_identical_with_identical_probe_counts() {
             // Three servers over clones of one backend: the whole mix as
             // one batch, each query as a batch of its own (nothing to share
             // across queries), and each query through `answer`.
-            let batch = ResilientServer::new(qs.clone(), serve_config());
-            let singles = ResilientServer::new(qs.clone(), serve_config());
-            let naive = ResilientServer::new(qs, serve_config());
+            let batch = ResilientServer::new(qs.clone(), ServeConfig::default());
+            let singles = ResilientServer::new(qs.clone(), ServeConfig::default());
+            let naive = ResilientServer::new(qs, ServeConfig::default());
 
             let batched = batch.answer_batch(&queries);
             for (i, (query, outcome)) in queries.iter().zip(&batched).enumerate() {
@@ -235,7 +233,7 @@ fn identical_queries_share_every_probe() {
             .trapdoor(Range::new(100, 900))
             .expect("in-domain");
         let queries: Vec<Vec<SearchToken>> = (0..16).map(|_| tokens.clone()).collect();
-        let serve = ResilientServer::new(qs, serve_config());
+        let serve = ResilientServer::new(qs, ServeConfig::default());
         let outcomes = serve.answer_batch(&queries);
         let first = outcomes[0].as_ref().expect("healthy backend");
         for slot in &outcomes {
@@ -266,11 +264,11 @@ fn batch_absorbs_transient_faults_byte_identically() {
         .filter_map(|r| lane.client.trapdoor(r))
         .collect();
 
-    let healthy = ResilientServer::new(qs.clone(), serve_config());
+    let healthy = ResilientServer::new(qs.clone(), ServeConfig::default());
     let expected = healthy.answer_batch(&queries);
 
     let _faults = arm_faults(lane.dir(), FaultPlan::transient_window(2, 4), None);
-    let degraded = ResilientServer::new(qs, serve_config());
+    let degraded = ResilientServer::new(qs, ServeConfig::default());
     let recovered = degraded.answer_batch(&queries);
 
     for (slot, expect) in recovered.iter().zip(&expected) {
@@ -300,9 +298,9 @@ fn expired_deadline_cuts_query_without_cancelling_shared_probes() {
     let clock = Arc::new(VirtualClock::new());
     let config = ServeConfig {
         default_deadline: Some(Duration::from_millis(100)),
-        ..serve_config()
+        ..ServeConfig::default()
     };
-    let reference = ResilientServer::new(qs.clone(), serve_config());
+    let reference = ResilientServer::new(qs.clone(), ServeConfig::default());
     let expected = reference.answer(&tokens).expect("healthy backend");
 
     let serve = ResilientServer::with_clock(qs, config, clock.clone());
@@ -339,8 +337,8 @@ fn drain_batched_matches_sequential_drain() {
     let qs = lane.qs;
     let ranges = query_mix(9, Domain::new(1 << 12), 12);
 
-    let alone = ResilientServer::new(qs.clone(), serve_config());
-    let batched = ResilientServer::new(qs, serve_config());
+    let alone = ResilientServer::new(qs.clone(), ServeConfig::default());
+    let batched = ResilientServer::new(qs, ServeConfig::default());
     let mut queued: Vec<Vec<SearchToken>> = Vec::new();
     for (i, range) in ranges.iter().enumerate() {
         let tokens = lane.client.trapdoor(*range).expect("in-domain");
@@ -405,7 +403,7 @@ fn shared_probe_failure_keeps_its_file_and_error_kind() {
             failure_threshold: u32::MAX,
             cooldown: Duration::from_secs(600),
         },
-        ..serve_config()
+        ..ServeConfig::default()
     };
     let server = || {
         let clock = Arc::new(VirtualClock::new());
@@ -485,9 +483,9 @@ proptest! {
     /// The differential property behind every other test here: for random
     /// batches — byte-identical queries, partially overlapping covers,
     /// empty token vectors, tokens with no entries — `answer_batch` equals
-    /// serving each query alone (ids, `QueryStats`, probe totals), for
-    /// every worker count, in memory and behind a 64 KiB block cache, and
-    /// the dedup counters reconcile.
+    /// serving each query alone (ids, `QueryStats`, probe totals), for a
+    /// batch scanned inline and one offered to the pool's lanes, in memory
+    /// and behind a 64 KiB block cache, and the dedup counters reconcile.
     #[test]
     fn batch_matches_per_query_answers_on_random_batches(
         seed in 0u64..1_000_000,
@@ -519,21 +517,37 @@ proptest! {
                 })
                 .collect();
 
-            let naive = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
-            let expected: Vec<QueryOutcome> = queries
-                .iter()
-                .map(|query| naive.answer(query).expect("healthy backend"))
-                .collect();
-            let sequential = naive.stats();
+            // The batch's longest prefix that is scanned inline, and the
+            // whole batch padded past the split threshold with wide ranges.
+            let inline = (0..=queries.len())
+                .rev()
+                .find(|&len| unique_tokens(&queries[..len]) < SPLIT_UNITS)
+                .expect("the empty prefix has no token");
+            let mut padded = queries.clone();
+            padded.extend((0..4u64).map(|i| {
+                let range = Range::new(i * 256 + 1, i * 256 + 250);
+                lane.client.trapdoor(range).expect("in-domain range")
+            }));
+            prop_assert!(unique_tokens(&padded) >= SPLIT_UNITS);
 
-            for workers in 1..=3 {
-                let serve = ResilientServer::new(lane.qs.clone(), config_of(workers));
+            // The pool's width: one thread per CPU the process may use.
+            let one_cpu = std::thread::available_parallelism().map_or(true, |n| n.get() == 1);
+            for batch in [&queries[..inline], &padded[..]] {
+                let naive = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
+                let expected: Vec<QueryOutcome> = batch
+                    .iter()
+                    .map(|query| naive.answer(query).expect("healthy backend"))
+                    .collect();
+                let sequential = naive.stats();
+
+                let serve = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
                 let batched: Vec<QueryOutcome> = serve
-                    .answer_batch(&queries)
+                    .answer_batch(batch)
                     .into_iter()
                     .map(|outcome| outcome.expect("healthy backend"))
                     .collect();
-                let at = format!("{}, workers {workers}", lane.name);
+                let unique = unique_tokens(batch);
+                let at = format!("{}, {} queries, {unique} unique tokens", lane.name, batch.len());
                 prop_assert_eq!(&batched, &expected, "outcomes differ ({})", at);
 
                 let stats = serve.stats();
@@ -550,6 +564,18 @@ proptest! {
                     stats.batch_dedup_hits,
                     "{}", at
                 );
+                // Which path the batch took: below the threshold (or on a
+                // one-thread pool) one lane scans every unit; above it the
+                // units are offered to the pool, and the lanes that take
+                // some share them.
+                if batch.len() > 1 {
+                    prop_assert_eq!(stats.batch_rounds, unique as u64, "{}", at);
+                }
+                if unique < SPLIT_UNITS || one_cpu {
+                    prop_assert_eq!(stats.batch_max_lane_depth, stats.batch_rounds, "{}", at);
+                } else {
+                    prop_assert!(stats.batch_max_lane_depth <= stats.batch_rounds, "{}", at);
+                }
             }
         }
     }
@@ -558,8 +584,9 @@ proptest! {
 /// A deadline-staggered pair on one virtual clock: `first` is enqueued with
 /// 4.5 ms of its 10 s budget left by drain time, `second` with the whole
 /// budget — effectively unbounded at 1 ms of injected latency per probe.
-/// Returns the server over `lane` (drained through `drain`, scanning
-/// inline so the probe order is the plan order), its clock, and
+/// Returns the server over `lane` (drained through `drain`; the pair holds
+/// fewer than [`SPLIT_UNITS`] unique tokens, so it is scanned inline and
+/// the probe order is the plan order), its clock, and
 /// the latency plan armed on the lane's directory.
 fn staggered_pair(
     lane: &Lane,
@@ -572,9 +599,13 @@ fn staggered_pair(
         FaultPlan::seeded(1).latency(Duration::from_millis(1)),
         Some(clock.delay_hook()),
     );
+    assert!(
+        unique_tokens(&[first.to_vec(), second.to_vec()]) < SPLIT_UNITS,
+        "the pair's batch is scanned inline, in plan order"
+    );
     let config = ServeConfig {
         default_deadline: Some(Duration::from_secs(10)),
-        ..config_of(1)
+        ..ServeConfig::default()
     };
     let serve = ResilientServer::with_clock(lane.qs.clone(), config, clock.clone());
     serve.enqueue("tenant-a", first.to_vec()).expect("fits");
@@ -591,7 +622,7 @@ fn staggered_pair(
 #[test]
 fn mid_scan_deadline_cut_keeps_shared_tokens_running() {
     let lane = lanes(3, "batch-midscan").remove(1);
-    let reference = ResilientServer::new(lane.qs.clone(), serve_config());
+    let reference = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
     // BRC covers sharing exactly the node [512, 767] (trapdoors come
     // shuffled, so the shared token sits anywhere in either vector).
     let cut = lane
@@ -668,7 +699,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
         .client
         .trapdoor(Range::new(50, 700))
         .expect("in-domain");
-    let expected = ResilientServer::new(lane.qs.clone(), serve_config())
+    let expected = ResilientServer::new(lane.qs.clone(), ServeConfig::default())
         .answer(&tokens)
         .expect("healthy backend");
 
@@ -691,7 +722,7 @@ fn fully_resolved_query_is_not_cut_by_its_deadline() {
 #[test]
 fn open_breaker_fails_only_the_queries_probing_its_shard() {
     let lane = lanes(17, "batch-breaker").remove(1);
-    let reference = ResilientServer::new(lane.qs.clone(), serve_config());
+    let reference = ResilientServer::new(lane.qs.clone(), ServeConfig::default());
     // Narrow ranges (a handful of probes each), every one asked twice.
     let queries: Vec<Vec<SearchToken>> = (0..24u64)
         .map(|i| Range::new(i * 150, i * 150 + 1 + i % 3))
@@ -730,7 +761,7 @@ fn open_breaker_fails_only_the_queries_probing_its_shard() {
             failure_threshold: 1,
             cooldown: Duration::from_secs(600),
         },
-        ..serve_config()
+        ..ServeConfig::default()
     };
     let serve = ResilientServer::with_clock(qs, config, Arc::new(VirtualClock::new()));
     serve

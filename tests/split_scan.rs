@@ -4,10 +4,11 @@
 //! Over a memory-resident index, `ResilientServer::answer` walks a query on
 //! the calling thread until 128 probes have resolved; if a token is still
 //! live then, the rest of its list is walked by counter residue, one lane
-//! per pool thread `BatchConfig::workers` allows, and each token's hits are
-//! merged back in counter order. Pinned here:
+//! per pool thread, and each token's hits are merged back in counter
+//! order. Pinned here:
 //!
-//! * the default server, a one-lane server (`workers: Some(1)`) and the raw
+//! * the default server, a server over the same index that says it is not
+//!   memory-resident (so it walks once, on the caller) and the raw
 //!   `QueryServer::answer` give byte-identical outcomes, and the two
 //!   resilient servers identical `ServeStats` — with a corrupt entry
 //!   inside a split list skipped where the single walk skips it;
@@ -25,8 +26,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse::core::QueryServer;
 use rsse::serve::{
-    BatchConfig, Clock, Query, ResilientServer, ServeConfig, ServeError, ServeIndex, ServeStats,
-    VirtualClock,
+    Clock, Query, ResilientServer, ServeConfig, ServeError, ServeIndex, ServeStats, VirtualClock,
 };
 use rsse::sse::formats::arm_faults;
 use rsse::sse::pibas::reference::build_stored;
@@ -76,21 +76,42 @@ fn corpus(
     (index, tokens, groups)
 }
 
-fn one_lane() -> ServeConfig {
-    ServeConfig {
-        batch: BatchConfig { workers: Some(1) },
-        ..ServeConfig::default()
+/// A memory-resident index that says it is not, so a resilient server over
+/// it never splits a query: the single walk, on the caller.
+struct Unsplit(QueryServer);
+
+impl ServeIndex for Unsplit {
+    fn probe(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
+        ServeIndex::probe(&self.0, label)
+    }
+    fn shard_of(&self, label: &Label) -> u32 {
+        ServeIndex::shard_of(&self.0, label)
+    }
+    fn shard_count(&self) -> usize {
+        ServeIndex::shard_count(&self.0)
+    }
+    fn cache_stats(&self) -> CacheStats {
+        ServeIndex::cache_stats(&self.0)
+    }
+    fn prefetch(&self, labels: &[Label]) {
+        ServeIndex::prefetch(&self.0, labels);
+    }
+    fn memory_resident(&self) -> bool {
+        false
     }
 }
 
-/// Answers `queries` through each path: the default server, the one-lane
+/// Answers `queries` through each path: the default server, the unsplit
 /// server and the raw endpoint, plus both resilient servers' stats.
 fn answer_three_ways(
     index: &ShardedIndex,
     queries: &[Vec<SearchToken>],
 ) -> ([Vec<QueryOutcome>; 3], [ServeStats; 2]) {
     let default = ResilientServer::new(QueryServer::new(index.clone()), ServeConfig::default());
-    let single = ResilientServer::new(QueryServer::new(index.clone()), one_lane());
+    let single = ResilientServer::new(
+        Unsplit(QueryServer::new(index.clone())),
+        ServeConfig::default(),
+    );
     let raw = QueryServer::new(index.clone());
     let outcomes = [
         queries.iter().map(|q| default.answer(q).unwrap()).collect(),
